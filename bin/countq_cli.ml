@@ -1282,7 +1282,7 @@ let load_cmd =
       & info [ "topology"; "t" ] ~docv:"SPEC"
           ~doc:
             "Implicit topology spec, family:size - list:N, ring:N, mesh:N or \
-             mesh:AxB, torus:N or torus:AxB, tree:N or tree:ARITYxN. Sizes up \
+             mesh:AxB, torus:N or torus:AxB, tree:N or tree:ARITY:N. Sizes up \
              to a million nodes are fine; the graph is never materialised.")
   in
   let workload_arg =

@@ -369,7 +369,7 @@ let e8_nn_approximation ?quick:(quick = false) () =
         let tour = Tsp.Nn.on_tree tree ~start:0 ~requests in
         let opt = Tsp.Exact.min_path_on_tree tree ~start:0 ~requests in
         let r = ratio tour.cost opt in
-        let guarantee = Tsp.Tbounds.rosenkrantz_ratio k in
+        let guarantee = Tsp.Tbounds.nn_path_ratio k in
         [
           "random-tree";
           Table.cell_int n;
@@ -389,6 +389,7 @@ let e8_nn_approximation ?quick:(quick = false) () =
     ~notes:
       [
         "tree rows compare NN against n(ceil(lg k)+1); ratio rows against Held-Karp optima";
+        "guarantee: ceil(lg(k+1))+1, the open-path form of the RSL tour bound";
       ]
     (tree_rows @ ratio_rows)
 

@@ -477,13 +477,8 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
               { Event.at; node; inject = (fun s -> issue_q node i s) })
             cal
         in
-        if shards >= 2 then
-          Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink
-            ~injections ~halt_after ~stats ~starters:[] ~topo ~config
-            ~protocol ()
-        else
-          Event.run ?metrics ?telemetry ?sink ~injections ~halt_after ~stats
-            ~starters:[] ~topo ~config ~protocol ()
+        Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+          ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
     | Counting ->
         let origin_of i = snd cal.(i) in
         let protocol = counting_protocol ~topo ~center ~origin_of in
@@ -493,13 +488,8 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
               { Event.at; node; inject = (fun s -> issue_c ~topo ~center node i s) })
             cal
         in
-        if shards >= 2 then
-          Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink
-            ~injections ~halt_after ~stats ~starters:[] ~topo ~config
-            ~protocol ()
-        else
-          Event.run ?metrics ?telemetry ?sink ~injections ~halt_after ~stats
-            ~starters:[] ~topo ~config ~protocol ()
+        Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+          ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
     | Funnel ->
         let root, parent = funnel_tree ~topo "Load.run" in
         let expect = funnel_expectations ~root ~parent ~cal in
@@ -510,13 +500,8 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
               { Event.at; node; inject = (fun s -> issue node i ~cohort:at s) })
             cal
         in
-        if shards >= 2 then
-          Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink
-            ~injections ~halt_after ~stats ~starters:[] ~topo ~config
-            ~protocol ()
-        else
-          Event.run ?metrics ?telemetry ?sink ~injections ~halt_after ~stats
-            ~starters:[] ~topo ~config ~protocol ()
+        Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+          ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
   in
   match stream with
   | Some (sketch, reservoir) ->
@@ -563,10 +548,8 @@ let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
       type s m r.
       protocol:(s, m, r) Engine.protocol -> unit -> r Engine.result =
    fun ~protocol () ->
-    if shards >= 2 then
-      Shard.run_implicit ~shards ?pool ?stats ~starters:requests ~topo ~config
-        ~protocol ()
-    else Event.run ?stats ~starters:requests ~topo ~config ~protocol ()
+    Shard.run_implicit ~shards ?pool ?stats ~starters:requests ~topo ~config
+      ~protocol ()
   in
   let n = Implicit.n topo in
   let center = match center with Some c -> c | None -> n / 2 in

@@ -139,8 +139,8 @@ val run :
     {!Countq_simnet.Shard.run_implicit}; the summary is bit-identical
     for every shard count. Worker domains come from [pool]'s spare
     lanes when given, else are spawned directly (see {!Countq_simnet.Shard}).
-    @raise Invalid_argument if [horizon < 1] or a node argument is out
-    of range. *)
+    @raise Invalid_argument if [horizon < 1], [shards < 1] or a node
+    argument is out of range. *)
 
 type one_shot_summary = {
   os_requests : int;
@@ -165,6 +165,6 @@ val one_shot :
   unit ->
   one_shot_summary
 (** The closed one-shot scenario (everyone in [requests] issues at
-    time 0) on the event-driven engine — the n-scaling probe. Requests
+    time 0) on nodes materialised at first touch — the n-scaling probe. Requests
     must be strictly ascending node ids; pass [stats] to collect the
     laziness counters. [shards]/[pool] as in {!run}. *)

@@ -1,7 +1,6 @@
 (* Combining-funnel counter. See funnel.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Event_engine = Countq_simnet.Event_engine
 module Shard = Countq_simnet.Shard
 module Async = Countq_simnet.Async
 module Tree = Countq_topology.Tree
@@ -190,11 +189,6 @@ let run_implicit ?config ?width ?shards ?pool ?stats ~topo ~requests () =
           ~n:(Implicit.n topo) ~requests ()
   in
   let starters = List.sort compare requests in
-  let res =
-    match shards with
-    | Some s when s >= 2 ->
-        Shard.run_implicit ~shards:s ?pool ?stats ~starters ~topo ~config
-          ~protocol ()
-    | _ -> Event_engine.run ?stats ~starters ~topo ~config ~protocol ()
-  in
-  Counts.of_engine ~requests res
+  let shards = Option.value shards ~default:1 in
+  Counts.of_engine ~requests
+    (Shard.run_implicit ~shards ?pool ?stats ~starters ~topo ~config ~protocol ())

@@ -73,9 +73,9 @@ val run_implicit :
   unit ->
   Counts.run_result
 (** [run_implicit ~topo ~requests ()] runs on an implicit tree family
-    via the event engine ([shards] absent or 1) or the sharded engine
-    ([shards >= 2], with [pool] and the usual bit-identical merge).
-    [stats] receives the event-engine counters (touched nodes, peak
+    through {!Countq_simnet.Shard.run_implicit} with [shards] (default
+    1) and [pool]; the result is bit-identical for every shard count.
+    [stats] receives the kernel's counters (touched nodes, peak
     in-flight, executed rounds).
     @raise Invalid_argument if [topo] is not a {!Countq_topology.Implicit.tree}
     family, or on out-of-range or duplicate requests. *)

@@ -1,39 +1,19 @@
 (* Synchronous simulator for the Section 2.1 model. See engine.mli.
 
-   Hot-path organisation (the "active-set" engine): per-round cost is
-   proportional to the number of nodes that actually do something, not
-   to n. Two intrusive worklists — nodes with a non-empty outbox and
-   nodes with pending incoming messages — are sorted ascending before
-   each phase so the iteration order (and with it arbiter decisions,
-   fault-plan transmission indices and observer callback order) is
-   bit-identical to a dense 0..n-1 scan; Reference.run keeps the old
-   dense engine as the oracle this is tested against. When the network
-   is quiescent and nothing observable happens per round (no tick
-   handler, default observer, default keep_alive), idle rounds are
-   fast-forwarded wholesale to the next round with work. The fault-free
-   specialisation is a separate loop, so ?faults:None never pays a
-   crash/decision branch per message.
-
-   Node state lives in parallel arrays, not per-node records: incoming
-   rings are flat CSR-indexed (head/len in plain int arrays, the data
-   array of each ring allocated lazily on first use and grown by
-   doubling), outboxes are parallel dst/payload rings per node. Run
-   setup is a handful of O(n) array fills instead of several heap
-   allocations per node, and an empty-queue test is a single int read
-   — both matter because the one-shot experiments construct thousands
-   of short-lived engine instances and the tightest runs move one
-   message per round. *)
+   The types live in Kernel (so the kernel can be written against them)
+   and are re-exported here under their documented names; [run] is the
+   materialised-graph entry point into Kernel.run — one shard, every
+   node started at time 0, so slots are pre-assigned (slot = node) and
+   Graph.neighbors is aliased zero-copy. *)
 
 module Graph = Countq_topology.Graph
-module Heap = Countq_util.Heap
-module Vec = Countq_util.Vec
 
-type arbiter =
+type arbiter = Kernel.arbiter =
   | Round_robin
   | Lowest_sender_first
   | Custom of (round:int -> node:int -> candidates:int list -> int)
 
-type config = {
+type config = Kernel.config = {
   receive_capacity : int;
   send_capacity : int;
   arbiter : arbiter;
@@ -54,9 +34,9 @@ let config_with_capacity c =
   if c < 1 then invalid_arg "Engine.config_with_capacity: c must be >= 1";
   { default_config with receive_capacity = c; send_capacity = c }
 
-type ('m, 'r) action = Send of int * 'm | Complete of 'r
+type ('m, 'r) action = ('m, 'r) Kernel.action = Send of int * 'm | Complete of 'r
 
-type ('s, 'm, 'r) protocol = {
+type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
   name : string;
   initial_state : int -> 's;
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
@@ -67,9 +47,9 @@ type ('s, 'm, 'r) protocol = {
 
 let no_tick = None
 
-type 'r completion = { node : int; round : int; value : 'r }
+type 'r completion = 'r Kernel.completion = { node : int; round : int; value : 'r }
 
-type 'r result = {
+type 'r result = 'r Kernel.result = {
   completions : 'r completion list;
   rounds : int;
   messages : int;
@@ -77,61 +57,19 @@ type 'r result = {
   expansion : int;
 }
 
-exception Not_a_neighbor of { node : int; dst : int }
+exception Not_a_neighbor = Kernel.Not_a_neighbor
+exception Round_limit_exceeded = Kernel.Round_limit_exceeded
 
-exception
-  Round_limit_exceeded of {
-    limit : int;
-    outstanding : int;
-    queued : int;
-    held : int;
-    busiest : (int * int) list;
-  }
-
-type 'r observer = {
+type 'r observer = 'r Kernel.observer = {
   on_deliver : round:int -> src:int -> dst:int -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
   on_round_end : round:int -> in_flight:int -> [ `Continue | `Halt ];
 }
 
-let null_observer =
-  {
-    on_deliver = (fun ~round:_ ~src:_ ~dst:_ -> ());
-    on_complete = (fun ~round:_ ~node:_ ~value:_ -> ());
-    on_round_end = (fun ~round:_ ~in_flight:_ -> `Continue);
-  }
-
-let no_keep_alive () = false
-
-(* Top-[k] (node, load) pairs from a per-node load array: heaviest
-   first, ties broken towards the lower node id; zero-load nodes are
-   omitted. Shared by both engines' Round_limit_exceeded payloads. *)
-let top_loaded_pairs ?(k = 5) pairs =
-  let sorted =
-    List.sort
-      (fun (v1, l1) (v2, l2) ->
-        match compare l2 l1 with 0 -> compare v1 v2 | c -> c)
-      (List.filter (fun (_, load) -> load > 0) pairs)
-  in
-  List.filteri (fun i _ -> i < k) sorted
-
-let top_loaded ?k loads =
-  let acc = ref [] in
-  Array.iteri (fun v load -> if load > 0 then acc := (v, load) :: !acc) loads;
-  top_loaded_pairs ?k !acc
-
-(* Index of [u] in the sorted, deduplicated neighbour array (Graph
-   guarantees both), or -1. Replaces the old per-node id->index
-   Hashtbl: no hashing, no boxing, cache-friendly. *)
-let nbr_slot nbrs u =
-  let lo = ref 0 and hi = ref (Array.length nbrs - 1) in
-  let res = ref (-1) in
-  while !res < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let x = Array.unsafe_get nbrs mid in
-    if x = u then res := mid else if x < u then lo := mid + 1 else hi := mid - 1
-  done;
-  !res
+let null_observer = Kernel.null_observer
+let no_keep_alive = Kernel.no_keep_alive
+let top_loaded = Kernel.top_loaded
+let top_loaded_pairs = Kernel.top_loaded_pairs
 
 let total_delay res =
   List.fold_left (fun acc (c : _ completion) -> acc + c.round) 0 res.completions
@@ -141,631 +79,8 @@ let max_delay res =
 
 let completion_count res = List.length res.completions
 
-let run ?faults ?dynamic ?(observer = null_observer)
-    ?(keep_alive = no_keep_alive) ?metrics ?telemetry ~graph ~config
-    ~protocol () =
-  if config.receive_capacity < 1 || config.send_capacity < 1 then
-    invalid_arg "Engine.run: capacities must be >= 1";
-  let n = Graph.n graph in
-  let send_cap = config.send_capacity in
-  let recv_cap = config.receive_capacity in
-  let states = Array.init n protocol.initial_state in
-  (* Per-node state as parallel arrays. [Graph.neighbors] is zero-copy,
-     so [nbrs_of] is one array of aliases. Incoming rings live in one
-     flat CSR-indexed block ([inq_off.(v)] is node [v]'s base; slot
-     order is the receiver's sorted neighbour order); outboxes are a
-     dst ring and a payload ring per node sharing one head/len pair.
-     Every ring's data array starts as the shared empty array and is
-     allocated on first push (capacity 0 forces the grow path), so
-     allocation tracks the set of links actually exercised, not the
-     graph size. *)
-  let nbrs_of = Array.init n (Graph.neighbors graph) in
-  let inq_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    inq_off.(v + 1) <- inq_off.(v) + Array.length nbrs_of.(v)
-  done;
-  let inq_data = Array.make inq_off.(n) [||] in
-  let inq_head = Array.make inq_off.(n) 0 in
-  let inq_len = Array.make inq_off.(n) 0 in
-  let out_dst = Array.make n [||] in
-  let out_msg = Array.make n [||] in
-  let out_head = Array.make n 0 in
-  let out_len = Array.make n 0 in
-  let rr_pointer = Array.make n 0 in
-  let pending = Array.make n 0 in
-  (* The two active sets, with their intrusive membership bytes. Sorted
-     ascending at the top of each phase; compacted in place as nodes go
-     quiescent. *)
-  let senders = Vec.create () in
-  let receivers = Vec.create () in
-  let on_send_list = Bytes.make n '\000' in
-  let on_recv_list = Bytes.make n '\000' in
-  (* Completions accumulate in a growable array in chronological order;
-     result assembly applies the same stable (round, node) sort as the
-     reference engine, so ties land identically. *)
-  let comp_data = ref [||] in
-  let comp_len = ref 0 in
-  let push_completion (c : _ completion) =
-    if !comp_len = Array.length !comp_data then begin
-      let d = Array.make (max 8 (2 * !comp_len)) c in
-      Array.blit !comp_data 0 d 0 !comp_len;
-      comp_data := d
-    end;
-    !comp_data.(!comp_len) <- c;
-    incr comp_len
-  in
-  let messages = ref 0 in
-  let max_backlog = ref 0 in
-  let outstanding_sends = ref 0 in
-  let queued_total = ref 0 in
-  (* Messages postponed by a Delay fault, keyed by delivery round (FIFO
-     among equal rounds via the insertion counter). *)
-  let held : (int * int, int * int * 'm) Heap.t = Heap.create () in
-  let held_count = ref 0 in
-  let held_seq = ref 0 in
-  let has_observer = observer != null_observer in
-  (* Idle rounds may be skipped wholesale only when nothing observable
-     can happen in them: no tick handler, the do-nothing observer and
-     the default keep_alive (both recognised by physical equality — a
-     custom hook, even an equivalent one, disables fast-forward). *)
-  let can_fast_forward =
-    (match protocol.on_tick with None -> true | Some _ -> false)
-    && (not has_observer)
-    && keep_alive == no_keep_alive
-  in
-  (* Ring primitives. Capacities are always 0 or a power of two, so the
-     wrap-around is a bit-mask; a push into a full (or virgin) ring
-     doubles it, seeding fresh slots from the pushed element so no
-     dummy value is needed. *)
-  let in_push slot msg =
-    let len = Array.unsafe_get inq_len slot in
-    let data = Array.unsafe_get inq_data slot in
-    let cap = Array.length data in
-    let data =
-      if len = cap then begin
-        let d = Array.make (if cap = 0 then 2 else 2 * cap) msg in
-        let head = Array.unsafe_get inq_head slot in
-        let mask = cap - 1 in
-        for i = 0 to len - 1 do
-          Array.unsafe_set d i (Array.unsafe_get data ((head + i) land mask))
-        done;
-        Array.unsafe_set inq_data slot d;
-        Array.unsafe_set inq_head slot 0;
-        d
-      end
-      else data
-    in
-    Array.unsafe_set data
-      ((Array.unsafe_get inq_head slot + len) land (Array.length data - 1))
-      msg;
-    Array.unsafe_set inq_len slot (len + 1)
-  in
-  let in_pop slot =
-    let head = Array.unsafe_get inq_head slot in
-    let data = Array.unsafe_get inq_data slot in
-    let x = Array.unsafe_get data head in
-    Array.unsafe_set inq_head slot ((head + 1) land (Array.length data - 1));
-    Array.unsafe_set inq_len slot (Array.unsafe_get inq_len slot - 1);
-    x
-  in
-  let out_push v dst msg =
-    let len = Array.unsafe_get out_len v in
-    let ddata = Array.unsafe_get out_dst v in
-    let cap = Array.length ddata in
-    if len = cap then begin
-      let cap' = if cap = 0 then 2 else 2 * cap in
-      let d = Array.make cap' dst in
-      let m = Array.make cap' msg in
-      let mdata = Array.unsafe_get out_msg v in
-      let head = Array.unsafe_get out_head v in
-      let mask = cap - 1 in
-      for i = 0 to len - 1 do
-        let j = (head + i) land mask in
-        Array.unsafe_set d i (Array.unsafe_get ddata j);
-        Array.unsafe_set m i (Array.unsafe_get mdata j)
-      done;
-      Array.unsafe_set out_dst v d;
-      Array.unsafe_set out_msg v m;
-      Array.unsafe_set out_head v 0
-    end;
-    let ddata = Array.unsafe_get out_dst v in
-    let mask = Array.length ddata - 1 in
-    let j = (Array.unsafe_get out_head v + len) land mask in
-    Array.unsafe_set ddata j dst;
-    Array.unsafe_set (Array.unsafe_get out_msg v) j msg;
-    Array.unsafe_set out_len v (len + 1)
-  in
-  let rec apply_actions v round actions =
-    match actions with
-    | [] -> ()
-    | Send (dst, msg) :: rest ->
-        if nbr_slot nbrs_of.(v) dst < 0 then
-          raise (Not_a_neighbor { node = v; dst });
-        out_push v dst msg;
-        incr outstanding_sends;
-        if Bytes.unsafe_get on_send_list v = '\000' then begin
-          Bytes.unsafe_set on_send_list v '\001';
-          Vec.push senders v
-        end;
-        apply_actions v round rest
-    | Complete value :: rest ->
-        if has_observer then observer.on_complete ~round ~node:v ~value;
-        (match telemetry with
-        | Some tl -> Telemetry.note_complete tl ~round
-        | None -> ());
-        push_completion { node = v; round; value };
-        apply_actions v round rest
-  in
-  (* Time 0: the one-shot requests are issued; no communication yet. *)
-  for v = 0 to n - 1 do
-    let s, actions = protocol.on_start ~node:v states.(v) in
-    states.(v) <- s;
-    apply_actions v 0 actions
-  done;
-  (* Picks the sender whose queue head should be delivered next, per the
-     configured arbitration policy — dispatched once per run, not per
-     message. Returns the incoming-queue index (relative to the node's
-     CSR base). *)
-  let pick =
-    match config.arbiter with
-    | Lowest_sender_first ->
-        fun _t v ->
-          let base = inq_off.(v) in
-          let k = inq_off.(v + 1) - base in
-          let rec scan i =
-            if i >= k then None
-            else if Array.unsafe_get inq_len (base + i) > 0 then Some i
-            else scan (i + 1)
-          in
-          scan 0
-    | Round_robin ->
-        fun _t v ->
-          let base = inq_off.(v) in
-          let k = inq_off.(v + 1) - base in
-          (* rr_pointer and steps are both < k, so the wrap-around is a
-             conditional subtract, not a division. *)
-          let rec scan steps =
-            if steps >= k then None
-            else begin
-              let idx = rr_pointer.(v) + steps in
-              let idx = if idx >= k then idx - k else idx in
-              if Array.unsafe_get inq_len (base + idx) > 0 then begin
-                rr_pointer.(v) <- (if idx + 1 >= k then 0 else idx + 1);
-                Some idx
-              end
-              else scan (steps + 1)
-            end
-          in
-          scan 0
-    | Custom f ->
-        fun t v ->
-          let base = inq_off.(v) in
-          let k = inq_off.(v + 1) - base in
-          let nbrs = nbrs_of.(v) in
-          let candidates = ref [] in
-          for i = k - 1 downto 0 do
-            if Array.unsafe_get inq_len (base + i) > 0 then
-              candidates := nbrs.(i) :: !candidates
-          done;
-          if !candidates = [] then None
-          else begin
-            let src = f ~round:t ~node:v ~candidates:!candidates in
-            if not (List.mem src !candidates) then
-              invalid_arg "Engine.run: arbiter chose a non-candidate";
-            Some (nbr_slot nbrs src)
-          end
-  in
-  (* Hand [msg] (sent by [src]) to [dst]'s incoming ring. [record_tx]
-     additionally counts the transmission: the fault-free send path
-     folds its transmit note in here because [slot] is exactly the
-     receiver-row CSR index Metrics wants — the fault path records
-     transmits itself (before the fault decision) and passes [false]. *)
-  let enqueue record_tx t src dst msg =
-    let slot = inq_off.(dst) + nbr_slot nbrs_of.(dst) src in
-    in_push slot msg;
-    pending.(dst) <- pending.(dst) + 1;
-    if Bytes.unsafe_get on_recv_list dst = '\000' then begin
-      Bytes.unsafe_set on_recv_list dst '\001';
-      Vec.push receivers dst
-    end;
-    incr queued_total;
-    let backlog = Array.unsafe_get inq_len slot in
-    if backlog > !max_backlog then max_backlog := backlog;
-    (match metrics with
-    | Some m ->
-        if record_tx then Metrics.note_transmit_at m ~slot ~src ~round:t;
-        Metrics.note_backlog m ~node:dst ~backlog
-    | None -> ());
-    match telemetry with
-    | Some tl ->
-        if record_tx then Telemetry.note_send tl ~round:t;
-        Telemetry.note_backlog tl ~round:t ~backlog
-    | None -> ()
-  in
-  (* Dynamic-topology tests, compiled to constant [false] when no
-     schedule is attached so the faults-only path pays nothing new. *)
-  let node_down =
-    match dynamic with
-    | None -> fun _ ~round:_ -> false
-    | Some dr ->
-        let s = Dynamic.sched dr in
-        fun node ~round -> not (Dynamic.node_up s ~round ~node)
-  in
-  let link_severed =
-    match dynamic with
-    | None -> fun ~src:_ ~dst:_ ~round:_ -> false
-    | Some dr ->
-        let s = Dynamic.sched dr in
-        fun ~src ~dst ~round -> not (Dynamic.link_up s ~round ~u:src ~v:dst)
-  in
-  (* Same, or discard the message if the receiver is down — crashed by
-     the fault plan, or churned out by the dynamic schedule. *)
-  let note_tel_drop t =
-    match telemetry with
-    | Some tl -> Telemetry.note_drop tl ~round:t
-    | None -> ()
-  in
-  let enqueue_faulty fr t src dst msg =
-    if Faults.crashed fr ~node:dst ~round:t then begin
-      Faults.note_crash_drop fr;
-      note_tel_drop t;
-      match metrics with
-      | Some m -> Metrics.note_crash_drop m ~dst
-      | None -> ()
-    end
-    else if node_down dst ~round:t then begin
-      (match dynamic with Some dr -> Dynamic.note_node_drop dr | None -> ());
-      note_tel_drop t;
-      match metrics with
-      | Some m -> Metrics.note_crash_drop m ~dst
-      | None -> ()
-    end
-    else enqueue false t src dst msg
-  in
-  let round = ref 0 in
-  let last_active = ref 0 in
-  let halted = ref false in
-  let raise_round_limit () =
-    let loads = Array.make n 0 in
-    for v = 0 to n - 1 do
-      loads.(v) <- pending.(v) + out_len.(v)
-    done;
-    let rec drain () =
-      match Heap.pop held with
-      | Some (_, (_, dst, _)) ->
-          loads.(dst) <- loads.(dst) + 1;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    raise
-      (Round_limit_exceeded
-         {
-           limit = config.max_rounds;
-           outstanding = !outstanding_sends;
-           queued = !queued_total;
-           held = !held_count;
-           busiest = top_loaded loads;
-         })
-  in
-  (* Fault-delayed messages whose spike has elapsed join the receiver
-     queues ahead of round [t]'s fresh sends. *)
-  let rec flush_held fr t =
-    match Heap.peek held with
-    | Some ((due, _), (src, dst, msg)) when due <= t ->
-        ignore (Heap.pop held);
-        decr held_count;
-        last_active := t;
-        enqueue_faulty fr t src dst msg;
-        flush_held fr t
-    | _ -> ()
-  in
-  (* Send phase: drain each active outbox at [send_capacity]/round.
-     Nodes whose outbox empties leave the worklist; the rest are
-     compacted to the front (order preserved, so no re-sort needed for
-     the survivors — fresh sends land behind them and the next round's
-     sort is cheap). *)
-  let rec drain_free v t budget =
-    if budget > 0 && out_len.(v) > 0 then begin
-      let head = Array.unsafe_get out_head v in
-      let ddata = Array.unsafe_get out_dst v in
-      let dst = Array.unsafe_get ddata head in
-      let msg = Array.unsafe_get (Array.unsafe_get out_msg v) head in
-      Array.unsafe_set out_head v ((head + 1) land (Array.length ddata - 1));
-      Array.unsafe_set out_len v (Array.unsafe_get out_len v - 1);
-      decr outstanding_sends;
-      last_active := t;
-      enqueue true t v dst msg;
-      drain_free v t (budget - 1)
-    end
-  in
-  let send_phase_free t =
-    Vec.sort senders;
-    let m = Vec.length senders in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get senders i in
-      drain_free v t send_cap;
-      if out_len.(v) = 0 then Bytes.unsafe_set on_send_list v '\000'
-      else begin
-        Vec.set senders !w v;
-        incr w
-      end
-    done;
-    Vec.truncate senders !w
-  in
-  let rec drain_faulty fr v t budget =
-    if budget > 0 && out_len.(v) > 0 then begin
-      let head = Array.unsafe_get out_head v in
-      let ddata = Array.unsafe_get out_dst v in
-      let dst = Array.unsafe_get ddata head in
-      let msg = Array.unsafe_get (Array.unsafe_get out_msg v) head in
-      Array.unsafe_set out_head v ((head + 1) land (Array.length ddata - 1));
-      Array.unsafe_set out_len v (Array.unsafe_get out_len v - 1);
-      decr outstanding_sends;
-      last_active := t;
-      (match metrics with
-      | Some m -> Metrics.note_transmit m ~src:v ~dst ~round:t
-      | None -> ());
-      (match telemetry with
-      | Some tl -> Telemetry.note_send tl ~round:t
-      | None -> ());
-      if link_severed ~src:v ~dst ~round:t then begin
-        (* A transmission over a down link is lost at the sender's end;
-           the fault plan's decision stream is not consumed for it. *)
-        (match dynamic with Some dr -> Dynamic.note_link_drop dr | None -> ());
-        note_tel_drop t;
-        match metrics with
-        | Some m -> Metrics.note_drop m ~src:v ~dst
-        | None -> ()
-      end
-      else
-        (match Faults.decide fr ~src:v ~dst ~round:t with
-      | Faults.Deliver -> enqueue_faulty fr t v dst msg
-      | Faults.Drop ->
-          note_tel_drop t;
-          (match metrics with
-          | Some m -> Metrics.note_drop m ~src:v ~dst
-          | None -> ())
-      | Faults.Duplicate ->
-          (match metrics with
-          | Some m -> Metrics.note_duplicate m ~src:v ~dst
-          | None -> ());
-          enqueue_faulty fr t v dst msg;
-          enqueue_faulty fr t v dst msg
-      | Faults.Delay d ->
-          (match metrics with
-          | Some m -> Metrics.note_delay m ~src:v ~dst
-          | None -> ());
-          incr held_seq;
-          incr held_count;
-          Heap.push held (t + d, !held_seq) (v, dst, msg));
-      drain_faulty fr v t (budget - 1)
-    end
-  in
-  let send_phase_faulty fr t =
-    Vec.sort senders;
-    let m = Vec.length senders in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get senders i in
-      if Faults.crashed fr ~node:v ~round:t || node_down v ~round:t then begin
-        (* A crashed or churned-out sender keeps its outbox and stays
-           on the list. *)
-        Vec.set senders !w v;
-        incr w
-      end
-      else begin
-        drain_faulty fr v t send_cap;
-        if out_len.(v) = 0 then Bytes.unsafe_set on_send_list v '\000'
-        else begin
-          Vec.set senders !w v;
-          incr w
-        end
-      end
-    done;
-    Vec.truncate senders !w
-  in
-  (* Receive phase: admit [receive_capacity] messages per active
-     receiver, via the arbiter. List membership invariant: a node is on
-     [receivers] iff pending > 0. *)
-  let rec recv_budget t v budget =
-    if budget > 0 then
-      match pick t v with
-      | None -> ()
-      | Some qi ->
-          let src = nbrs_of.(v).(qi) in
-          let slot = inq_off.(v) + qi in
-          let msg = in_pop slot in
-          pending.(v) <- pending.(v) - 1;
-          decr queued_total;
-          incr messages;
-          last_active := t;
-          (match metrics with
-          | Some m -> Metrics.note_deliver_at m ~slot ~dst:v ~round:t
-          | None -> ());
-          (match telemetry with
-          | Some tl -> Telemetry.note_deliver tl ~round:t
-          | None -> ());
-          if has_observer then observer.on_deliver ~round:t ~src ~dst:v;
-          let s, actions =
-            protocol.on_receive ~round:t ~node:v ~src msg states.(v)
-          in
-          states.(v) <- s;
-          apply_actions v t actions;
-          recv_budget t v (budget - 1)
-  in
-  let recv_node t v = recv_budget t v (min recv_cap pending.(v)) in
-  let recv_phase_free t =
-    Vec.sort receivers;
-    let m = Vec.length receivers in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get receivers i in
-      recv_node t v;
-      if pending.(v) = 0 then Bytes.unsafe_set on_recv_list v '\000'
-      else begin
-        Vec.set receivers !w v;
-        incr w
-      end
-    done;
-    Vec.truncate receivers !w
-  in
-  let recv_phase_faulty fr t =
-    Vec.sort receivers;
-    let m = Vec.length receivers in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get receivers i in
-      (* A crashed or churned-out receiver keeps its queued messages
-         for later. *)
-      if not (Faults.crashed fr ~node:v ~round:t || node_down v ~round:t)
-      then recv_node t v;
-      if pending.(v) = 0 then Bytes.unsafe_set on_recv_list v '\000'
-      else begin
-        Vec.set receivers !w v;
-        incr w
-      end
-    done;
-    Vec.truncate receivers !w
-  in
-  (* Tick phase: work issued at time [t] enters the network in round
-     [t + 1], mirroring the one-shot requests issued at time 0. Ticks
-     fire on every node, so a ticking protocol is inherently O(n)/round
-     — the active sets only help its send/receive phases. *)
-  let tick_phase_free tick t =
-    for v = 0 to n - 1 do
-      let s, actions = tick ~round:t ~node:v states.(v) in
-      states.(v) <- s;
-      apply_actions v t actions
-    done
-  in
-  let tick_phase_faulty fr tick t =
-    for v = 0 to n - 1 do
-      if not (Faults.crashed fr ~node:v ~round:t || node_down v ~round:t)
-      then begin
-        let s, actions = tick ~round:t ~node:v states.(v) in
-        states.(v) <- s;
-        apply_actions v t actions
-      end
-    done
-  in
-  let round_end t =
-    (match telemetry with
-    | Some tl ->
-        let in_flight = !outstanding_sends + !queued_total + !held_count in
-        Telemetry.note_in_flight tl ~round:t ~in_flight
-    | None -> ());
-    if has_observer then begin
-      let in_flight = !outstanding_sends + !queued_total + !held_count in
-      match observer.on_round_end ~round:t ~in_flight with
-      | `Continue -> ()
-      | `Halt -> halted := true
-    end
-  in
-  (match (faults, dynamic) with
-  | None, None ->
-      while
-        (not !halted)
-        && (!outstanding_sends > 0 || !queued_total > 0
-           || !round < config.min_rounds || keep_alive ())
-      do
-        incr round;
-        if !round > config.max_rounds then raise_round_limit ();
-        if can_fast_forward && !outstanding_sends = 0 && !queued_total = 0
-        then
-          (* Quiescent and unobservable: only [min_rounds] is keeping
-             the run alive (keep_alive is the always-false default).
-             Jump straight there; the cap keeps the limit check above
-             authoritative when min_rounds > max_rounds. *)
-          round := max !round (min config.min_rounds config.max_rounds)
-        else begin
-          let t = !round in
-          send_phase_free t;
-          recv_phase_free t;
-          (match protocol.on_tick with
-          | None -> ()
-          | Some tick -> tick_phase_free tick t);
-          round_end t
-        end
-      done
-  | _ ->
-      (* A dynamic schedule without a fault plan runs the faulty loop
-         against the no-op plan — [Faults.none] never crashes a node
-         and always decides [Deliver], so the only behavioural
-         difference from the free loop is the schedule itself. *)
-      let fr =
-        match faults with Some fr -> fr | None -> Faults.start Faults.none
-      in
-      while
-        (not !halted)
-        && (!outstanding_sends > 0 || !queued_total > 0 || !held_count > 0
-           || !round < config.min_rounds || keep_alive ())
-      do
-        incr round;
-        if !round > config.max_rounds then raise_round_limit ();
-        let t = !round in
-        let jump_to =
-          if can_fast_forward && !outstanding_sends = 0 && !queued_total = 0
-          then
-            match Heap.peek held with
-            | None -> Some (min config.min_rounds config.max_rounds)
-            | Some ((due, _), _) when due > t ->
-                (* Wake exactly at the held message's due round. *)
-                Some (min (due - 1) config.max_rounds)
-            | Some _ -> None
-          else None
-        in
-        match jump_to with
-        | Some target -> round := max t target
-        | None ->
-            flush_held fr t;
-            send_phase_faulty fr t;
-            recv_phase_faulty fr t;
-            (match protocol.on_tick with
-            | None -> ()
-            | Some tick -> tick_phase_faulty fr tick t);
-            round_end t
-      done);
-  (* Completions were pushed in chronological order, which for most
-     protocols (ascending node order within each phase) is already
-     strictly (round, node)-sorted — detect that and skip the sort.
-     Any tie or inversion falls back to the reference engine's exact
-     assembly (prepend-then-stable-sort), whose tie order is reverse
-     insertion order. *)
-  let comp = !comp_data in
-  let len = !comp_len in
-  let sorted = ref true in
-  for i = 1 to len - 1 do
-    let a = comp.(i - 1) and b = comp.(i) in
-    if a.round > b.round || (a.round = b.round && a.node >= b.node) then
-      sorted := false
-  done;
-  let completions =
-    if !sorted then begin
-      let acc = ref [] in
-      for i = len - 1 downto 0 do
-        acc := comp.(i) :: !acc
-      done;
-      !acc
-    end
-    else begin
-      let completion_list = ref [] in
-      for i = 0 to len - 1 do
-        completion_list := comp.(i) :: !completion_list
-      done;
-      List.sort
-        (fun (a : _ completion) (b : _ completion) ->
-          match compare a.round b.round with
-          | 0 -> compare a.node b.node
-          | c -> c)
-        !completion_list
-    end
-  in
-  {
-    completions;
-    rounds = !last_active;
-    messages = !messages;
-    max_link_backlog = !max_backlog;
-    expansion = config.receive_capacity;
-  }
+let run ?faults ?dynamic ?observer ?keep_alive ?metrics ?telemetry ~graph
+    ~config ~protocol () =
+  Kernel.run ~who:"Engine.run" ?faults ?dynamic ?observer ?keep_alive ?metrics
+    ?telemetry ~n:(Graph.n graph) ~degree:(Graph.degree graph)
+    ~neighbors:(Graph.neighbors graph) ~config ~protocol ()

@@ -24,18 +24,24 @@
     rest wait on their FIFO links: this queueing is the network
     contention that makes the star graph cost Θ(n²) (Section 5).
 
-    {b Performance model.} The engine is organised around {e active
-    sets}: a round costs O(number of nodes that send, receive or tick)
+    {b Performance model.} [run] is the materialised-graph front of
+    the round kernel ({!Kernel}), which {!Event_engine} and {!Shard}
+    share: a round costs O(number of nodes that send, receive or tick)
     plus O(messages moved), not O(n) — see DESIGN.md §4 for the full
-    cost model. Runs with no tick handler, the {!null_observer} and the
-    default [keep_alive] additionally {e fast-forward} across idle
-    rounds (quiescent network, or everything parked by a fault delay)
-    in O(1), so a protocol that is busy for R of its [min_rounds]
-    horizon costs O(R), not O(horizon). Semantics are unaffected:
-    {!Reference.run} keeps the dense O(n)-per-round engine and qcheck
-    properties pin the two to bit-identical results. *)
+    cost model. Every node starts at time 0, so node slots are
+    pre-assigned (arrays sized [n], adjacency aliased from the graph).
+    Runs with no tick handler, the {!null_observer} and the default
+    [keep_alive] additionally {e fast-forward} across idle rounds
+    (quiescent network, or everything parked by a fault delay) in O(1),
+    so a protocol that is busy for R of its [min_rounds] horizon costs
+    O(R), not O(horizon). Semantics are unaffected: {!Reference.run}
+    keeps the dense O(n)-per-round engine and qcheck properties pin
+    every front to bit-identical results.
 
-type arbiter =
+    The types below are {!Kernel}'s, re-exported under the names user
+    code has always used. *)
+
+type arbiter = Kernel.arbiter =
   | Round_robin
       (** Cycle fairly over incoming links (deterministic default). *)
   | Lowest_sender_first
@@ -46,7 +52,7 @@ type arbiter =
           deliverable message, in increasing order; return the chosen
           sender (must be a member). *)
 
-type config = {
+type config = Kernel.config = {
   receive_capacity : int;  (** messages processed per node per round. *)
   send_capacity : int;  (** messages emitted per node per round. *)
   arbiter : arbiter;
@@ -65,14 +71,14 @@ val config_with_capacity : int -> config
 (** [config_with_capacity c] is {!default_config} with both capacities
     set to [c] (an expanded step of width [c]). *)
 
-type ('m, 'r) action =
+type ('m, 'r) action = ('m, 'r) Kernel.action =
   | Send of int * 'm
       (** [Send (dst, msg)]: enqueue [msg] for neighbour [dst]. The
           engine checks adjacency and raises on non-neighbours. *)
   | Complete of 'r
       (** Record an operation completion at this node, this round. *)
 
-type ('s, 'm, 'r) protocol = {
+type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
   name : string;
   initial_state : int -> 's;  (** per-node state before round 1. *)
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
@@ -94,9 +100,13 @@ type ('s, 'm, 'r) protocol = {
 val no_tick : (round:int -> node:int -> 's -> 's * ('m, 'r) action list) option
 (** [None], for readability at protocol definition sites. *)
 
-type 'r completion = { node : int; round : int; value : 'r }
+type 'r completion = 'r Kernel.completion = {
+  node : int;
+  round : int;
+  value : 'r;
+}
 
-type 'r result = {
+type 'r result = 'r Kernel.result = {
   completions : 'r completion list;  (** in chronological, then node, order. *)
   rounds : int;  (** number of the last round with any activity. *)
   messages : int;  (** total messages delivered. *)
@@ -135,11 +145,11 @@ val top_loaded : ?k:int -> int array -> (int * int) list
 val top_loaded_pairs : ?k:int -> (int * int) list -> (int * int) list
 (** As {!top_loaded} for callers that track loads sparsely as
     [(node, load)] pairs rather than a dense per-node array — the
-    event-driven engine, which never materialises idle nodes, builds
-    its [busiest] payload through this shared helper. Pairs must be
+    kernel, whose on-first-touch layout never materialises idle nodes,
+    builds its [busiest] payload through this helper. Pairs must be
     unique per node. *)
 
-type 'r observer = {
+type 'r observer = 'r Kernel.observer = {
   on_deliver : round:int -> src:int -> dst:int -> unit;
       (** called for every message handed to a protocol. *)
   on_complete : round:int -> node:int -> value:'r -> unit;

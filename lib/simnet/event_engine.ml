@@ -1,29 +1,16 @@
-(* Event-driven engine over implicit topologies. See event_engine.mli.
-
-   The execution semantics are Engine.run's, verbatim: the same sorted
-   active-set send/receive phases, the same arbiter, fault-decision and
-   observer orderings, the same completion assembly — test_event_engine
-   pins the two bit-identical on every materialisable topology. What
-   differs is representation: node state lives in a touch-ordered
-   compact store behind a sparse slot map, adjacency is read from an
-   Implicit.t one materialised node at a time, scheduled injections
-   replace the O(n)-per-round tick scan, and the quiescent-gap jump
-   generalises Engine's held-due wake to the injection calendar. A
-   node's ring buffers are handed back to the GC the moment it goes
-   fully quiescent, so the live footprint tracks the wavefront of the
-   computation, not the graph. *)
+(* Implicit-topology entry point into the round kernel. See
+   event_engine.mli. One shard; the kernel assigns slots on first touch
+   when ?starters is given and pre-assigns them otherwise. *)
 
 module Itopo = Countq_topology.Implicit
-module Heap = Countq_util.Heap
-module Vec = Countq_util.Vec
 
-type ('s, 'm, 'r) injection = {
+type ('s, 'm, 'r) injection = ('s, 'm, 'r) Kernel.injection = {
   at : int;
   node : int;
   inject : 's -> 's * ('m, 'r) Engine.action list;
 }
 
-type stats = {
+type stats = Kernel.stats = {
   mutable touched : int;
   mutable peak_in_flight : int;
   mutable executed_rounds : int;
@@ -31,794 +18,9 @@ type stats = {
 
 let fresh_stats () = { touched = 0; peak_in_flight = 0; executed_rounds = 0 }
 
-(* Growable parallel stores, one cell per materialised node (the slot).
-   Grow-on-push seeds fresh cells from the pushed element, so no dummy
-   values are ever needed for the polymorphic payloads. *)
-type 'a tbl = { mutable data : 'a array; mutable len : int }
-
-let tbl () = { data = [||]; len = 0 }
-
-let tbl_push t x =
-  if t.len = Array.length t.data then begin
-    let d = Array.make (max 16 (2 * t.len)) x in
-    Array.blit t.data 0 d 0 t.len;
-    t.data <- d
-  end;
-  t.data.(t.len) <- x;
-  t.len <- t.len + 1
-
-(* Index of [u] in a sorted duplicate-free neighbour array, or -1. *)
-let nbr_slot nbrs u =
-  let lo = ref 0 and hi = ref (Array.length nbrs - 1) in
-  let res = ref (-1) in
-  while !res < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let x = Array.unsafe_get nbrs mid in
-    if x = u then res := mid else if x < u then lo := mid + 1 else hi := mid - 1
-  done;
-  !res
-
-(* Above this, the node -> slot map becomes a hash table instead of a
-   dense int array (8 bytes/node is the one O(n) cost we accept: it is
-   what makes every other lookup branch-free). *)
-let dense_slot_limit = 1 lsl 22
-
-let run ?faults ?dynamic ?(observer = Engine.null_observer)
-    ?(keep_alive = Engine.no_keep_alive) ?metrics ?telemetry ?sink
-    ?(injections = [||]) ?halt_after ?stats ?starters ~topo
-    ~(config : Engine.config) ~(protocol : ('s, 'm, 'r) Engine.protocol) () =
-  if config.receive_capacity < 1 || config.send_capacity < 1 then
-    invalid_arg "Event_engine.run: capacities must be >= 1";
-  (match protocol.on_tick with
-  | None -> ()
-  | Some _ ->
-      invalid_arg
-        "Event_engine.run: tick-driven protocols are not supported (every \
-         node would wake every round); schedule work via ?injections");
-  let n = Itopo.n topo in
-  let send_cap = config.send_capacity in
-  let recv_cap = config.receive_capacity in
-  let ninj = Array.length injections in
-  for i = 0 to ninj - 1 do
-    let inj = injections.(i) in
-    if inj.at < 1 then
-      invalid_arg "Event_engine.run: injection rounds must be >= 1";
-    if inj.node < 0 || inj.node >= n then
-      invalid_arg "Event_engine.run: injection node out of range";
-    if i > 0 then begin
-      let p = injections.(i - 1) in
-      if p.at > inj.at || (p.at = inj.at && p.node > inj.node) then
-        invalid_arg "Event_engine.run: injections must be sorted by (round, node)"
-    end
-  done;
-  (* Sparse slot map: node id -> touch-ordered slot, -1 when the node
-     has never existed. *)
-  let get_slot, set_slot =
-    if n <= dense_slot_limit then begin
-      let map = Array.make n (-1) in
-      ((fun v -> Array.unsafe_get map v), fun v s -> Array.unsafe_set map v s)
-    end
-    else begin
-      let map = Hashtbl.create 4096 in
-      ( (fun v -> match Hashtbl.find_opt map v with Some s -> s | None -> -1),
-        fun v s -> Hashtbl.replace map v s )
-    end
-  in
-  let state : 's tbl = tbl () in
-  let node_of = tbl () in
-  let nbrs = tbl () in
-  let inq_data : 'm array array tbl = tbl () in
-  let inq_head = tbl () in
-  let inq_len = tbl () in
-  let out_dst : int array tbl = tbl () in
-  let out_msg : 'm array tbl = tbl () in
-  let out_head = tbl () in
-  let out_len = tbl () in
-  let rr_pointer = tbl () in
-  let pending = tbl () in
-  let on_send_list = tbl () in
-  let on_recv_list = tbl () in
-  (* Materialise [v] with its initial state; on_start is the caller's
-     business (eager for starters, contract-checked for lazy touches). *)
-  let touch_raw v =
-    let s = state.len in
-    set_slot v s;
-    (match stats with Some c -> c.touched <- c.touched + 1 | None -> ());
-    let nb = Itopo.neighbors topo v in
-    let deg = Array.length nb in
-    tbl_push state (protocol.initial_state v);
-    tbl_push node_of v;
-    tbl_push nbrs nb;
-    tbl_push inq_data (Array.make deg [||]);
-    tbl_push inq_head (Array.make deg 0);
-    tbl_push inq_len (Array.make deg 0);
-    tbl_push out_dst [||];
-    tbl_push out_msg [||];
-    tbl_push out_head 0;
-    tbl_push out_len 0;
-    tbl_push rr_pointer 0;
-    tbl_push pending 0;
-    tbl_push on_send_list false;
-    tbl_push on_recv_list false;
-    s
-  in
-  (* First touch after time 0: a node that was asleep until now must
-     not have had anything to say at time 0. *)
-  let touch v =
-    let s = get_slot v in
-    if s >= 0 then s
-    else begin
-      let s = touch_raw v in
-      let s', actions = protocol.on_start ~node:v state.data.(s) in
-      state.data.(s) <- s';
-      (match actions with
-      | [] -> ()
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "Event_engine.run: node %d is not in ?starters but its \
-                on_start produced actions"
-               v));
-      s
-    end
-  in
-  let senders = Vec.create () in
-  let receivers = Vec.create () in
-  let comp_data = ref [||] in
-  let comp_len = ref 0 in
-  (* With a [sink], completions stream out as they happen and nothing
-     is retained — the constant-memory path for long-horizon runs. *)
-  let push_completion =
-    match sink with
-    | Some f -> f
-    | None ->
-        fun (c : 'r Engine.completion) ->
-          if !comp_len = Array.length !comp_data then begin
-            let d = Array.make (max 8 (2 * !comp_len)) c in
-            Array.blit !comp_data 0 d 0 !comp_len;
-            comp_data := d
-          end;
-          !comp_data.(!comp_len) <- c;
-          incr comp_len
-  in
-  let messages = ref 0 in
-  let max_backlog = ref 0 in
-  let outstanding_sends = ref 0 in
-  let queued_total = ref 0 in
-  let held : (int * int, int * int * 'm) Heap.t = Heap.create () in
-  let held_count = ref 0 in
-  let held_seq = ref 0 in
-  let inj_ptr = ref 0 in
-  let has_observer = observer != Engine.null_observer in
-  let can_fast_forward =
-    (not has_observer) && keep_alive == Engine.no_keep_alive
-  in
-  let halt_cap = match halt_after with Some h -> max 0 h | None -> max_int in
-  (* Ring primitives, as in Engine but two-level indexed: incoming
-     rings per (slot, neighbour index), one outbox ring per slot. *)
-  let in_push s qi msg =
-    let heads = inq_head.data.(s) and lens = inq_len.data.(s) in
-    let rings = inq_data.data.(s) in
-    let len = Array.unsafe_get lens qi in
-    let data = Array.unsafe_get rings qi in
-    let cap = Array.length data in
-    let data =
-      if len = cap then begin
-        let d = Array.make (if cap = 0 then 2 else 2 * cap) msg in
-        let head = Array.unsafe_get heads qi in
-        let mask = cap - 1 in
-        for i = 0 to len - 1 do
-          Array.unsafe_set d i (Array.unsafe_get data ((head + i) land mask))
-        done;
-        Array.unsafe_set rings qi d;
-        Array.unsafe_set heads qi 0;
-        d
-      end
-      else data
-    in
-    Array.unsafe_set data
-      ((Array.unsafe_get heads qi + len) land (Array.length data - 1))
-      msg;
-    Array.unsafe_set lens qi (len + 1)
-  in
-  let in_pop s qi =
-    let heads = inq_head.data.(s) and lens = inq_len.data.(s) in
-    let data = Array.unsafe_get inq_data.data.(s) qi in
-    let head = Array.unsafe_get heads qi in
-    let x = Array.unsafe_get data head in
-    Array.unsafe_set heads qi ((head + 1) land (Array.length data - 1));
-    Array.unsafe_set lens qi (Array.unsafe_get lens qi - 1);
-    x
-  in
-  let out_push s dst msg =
-    let len = out_len.data.(s) in
-    let ddata = out_dst.data.(s) in
-    let cap = Array.length ddata in
-    if len = cap then begin
-      let cap' = if cap = 0 then 2 else 2 * cap in
-      let d = Array.make cap' dst in
-      let m = Array.make cap' msg in
-      let mdata = out_msg.data.(s) in
-      let head = out_head.data.(s) in
-      let mask = cap - 1 in
-      for i = 0 to len - 1 do
-        let j = (head + i) land mask in
-        Array.unsafe_set d i (Array.unsafe_get ddata j);
-        Array.unsafe_set m i (Array.unsafe_get mdata j)
-      done;
-      out_dst.data.(s) <- d;
-      out_msg.data.(s) <- m;
-      out_head.data.(s) <- 0
-    end;
-    let ddata = out_dst.data.(s) in
-    let mask = Array.length ddata - 1 in
-    let j = (out_head.data.(s) + len) land mask in
-    Array.unsafe_set ddata j dst;
-    Array.unsafe_set out_msg.data.(s) j msg;
-    out_len.data.(s) <- len + 1
-  in
-  (* Hand a fully quiescent node's buffers back to the GC; the small
-     fixed-size cells (state, counters, rr pointer) stay, so arbiter
-     behaviour is unaffected if the node wakes again. *)
-  let reclaim s =
-    let rings = inq_data.data.(s) in
-    for qi = 0 to Array.length rings - 1 do
-      if Array.length rings.(qi) > 0 then begin
-        rings.(qi) <- [||];
-        inq_head.data.(s).(qi) <- 0
-      end
-    done;
-    if Array.length out_dst.data.(s) > 0 then begin
-      out_dst.data.(s) <- [||];
-      out_msg.data.(s) <- [||];
-      out_head.data.(s) <- 0
-    end
-  in
-  let rec apply_actions v s round actions =
-    match actions with
-    | [] -> ()
-    | Engine.Send (dst, msg) :: rest ->
-        if nbr_slot nbrs.data.(s) dst < 0 then
-          raise (Engine.Not_a_neighbor { node = v; dst });
-        out_push s dst msg;
-        incr outstanding_sends;
-        if not on_send_list.data.(s) then begin
-          on_send_list.data.(s) <- true;
-          Vec.push senders v
-        end;
-        apply_actions v s round rest
-    | Engine.Complete value :: rest ->
-        if has_observer then observer.on_complete ~round ~node:v ~value;
-        (match telemetry with
-        | Some tl -> Telemetry.note_complete tl ~round
-        | None -> ());
-        push_completion { Engine.node = v; round; value };
-        apply_actions v s round rest
-  in
-  (* Peak in-flight is sampled wherever the count can crest: after the
-     time-0 seeding, after each send phase (messages now queued at
-     receivers) and at each round end. *)
-  let note_peak () =
-    match stats with
-    | Some c ->
-        let in_flight = !outstanding_sends + !queued_total + !held_count in
-        if in_flight > c.peak_in_flight then c.peak_in_flight <- in_flight
-    | None -> ()
-  in
-  (* Time 0: starters issue; everyone else stays unmaterialised. *)
-  (match starters with
-  | None ->
-      for v = 0 to n - 1 do
-        let s = touch_raw v in
-        let s', actions = protocol.on_start ~node:v state.data.(s) in
-        state.data.(s) <- s';
-        apply_actions v s 0 actions
-      done
-  | Some l ->
-      let last = ref (-1) in
-      List.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg "Event_engine.run: starter out of range";
-          if v <= !last then
-            invalid_arg "Event_engine.run: starters must be strictly ascending";
-          last := v;
-          let s = touch_raw v in
-          let s', actions = protocol.on_start ~node:v state.data.(s) in
-          state.data.(s) <- s';
-          apply_actions v s 0 actions)
-        l);
-  note_peak ();
-  let pick =
-    match config.arbiter with
-    | Engine.Lowest_sender_first ->
-        fun _t s ->
-          let lens = inq_len.data.(s) in
-          let k = Array.length lens in
-          let rec scan i =
-            if i >= k then None
-            else if Array.unsafe_get lens i > 0 then Some i
-            else scan (i + 1)
-          in
-          scan 0
-    | Engine.Round_robin ->
-        fun _t s ->
-          let lens = inq_len.data.(s) in
-          let k = Array.length lens in
-          let rec scan steps =
-            if steps >= k then None
-            else begin
-              let idx = rr_pointer.data.(s) + steps in
-              let idx = if idx >= k then idx - k else idx in
-              if Array.unsafe_get lens idx > 0 then begin
-                rr_pointer.data.(s) <- (if idx + 1 >= k then 0 else idx + 1);
-                Some idx
-              end
-              else scan (steps + 1)
-            end
-          in
-          scan 0
-    | Engine.Custom f ->
-        fun t s ->
-          let lens = inq_len.data.(s) in
-          let nb = nbrs.data.(s) in
-          let k = Array.length lens in
-          let candidates = ref [] in
-          for i = k - 1 downto 0 do
-            if Array.unsafe_get lens i > 0 then candidates := nb.(i) :: !candidates
-          done;
-          if !candidates = [] then None
-          else begin
-            let src =
-              f ~round:t ~node:node_of.data.(s) ~candidates:!candidates
-            in
-            if not (List.mem src !candidates) then
-              invalid_arg "Event_engine.run: arbiter chose a non-candidate";
-            Some (nbr_slot nb src)
-          end
-  in
-  let enqueue record_tx t src dst msg =
-    let ds = touch dst in
-    let qi = nbr_slot nbrs.data.(ds) src in
-    in_push ds qi msg;
-    pending.data.(ds) <- pending.data.(ds) + 1;
-    if not on_recv_list.data.(ds) then begin
-      on_recv_list.data.(ds) <- true;
-      Vec.push receivers dst
-    end;
-    incr queued_total;
-    let backlog = inq_len.data.(ds).(qi) in
-    if backlog > !max_backlog then max_backlog := backlog;
-    (match metrics with
-    | Some m ->
-        if record_tx then Metrics.note_transmit m ~src ~dst ~round:t;
-        Metrics.note_backlog m ~node:dst ~backlog
-    | None -> ());
-    match telemetry with
-    | Some tl ->
-        if record_tx then Telemetry.note_send tl ~round:t;
-        Telemetry.note_backlog tl ~round:t ~backlog
-    | None -> ()
-  in
-  let node_down =
-    match dynamic with
-    | None -> fun _ ~round:_ -> false
-    | Some dr ->
-        let s = Dynamic.sched dr in
-        fun node ~round -> not (Dynamic.node_up s ~round ~node)
-  in
-  let link_severed =
-    match dynamic with
-    | None -> fun ~src:_ ~dst:_ ~round:_ -> false
-    | Some dr ->
-        let s = Dynamic.sched dr in
-        fun ~src ~dst ~round -> not (Dynamic.link_up s ~round ~u:src ~v:dst)
-  in
-  let note_tel_drop t =
-    match telemetry with
-    | Some tl -> Telemetry.note_drop tl ~round:t
-    | None -> ()
-  in
-  let enqueue_faulty fr t src dst msg =
-    if Faults.crashed fr ~node:dst ~round:t then begin
-      Faults.note_crash_drop fr;
-      note_tel_drop t;
-      match metrics with
-      | Some m -> Metrics.note_crash_drop m ~dst
-      | None -> ()
-    end
-    else if node_down dst ~round:t then begin
-      (match dynamic with Some dr -> Dynamic.note_node_drop dr | None -> ());
-      note_tel_drop t;
-      match metrics with
-      | Some m -> Metrics.note_crash_drop m ~dst
-      | None -> ()
-    end
-    else enqueue false t src dst msg
-  in
-  let round = ref 0 in
-  let last_active = ref 0 in
-  let halted = ref false in
-  let raise_round_limit () =
-    let loads = Hashtbl.create 64 in
-    let bump v l =
-      Hashtbl.replace loads v
-        (l + Option.value ~default:0 (Hashtbl.find_opt loads v))
-    in
-    for s = 0 to state.len - 1 do
-      let l = pending.data.(s) + out_len.data.(s) in
-      if l > 0 then bump node_of.data.(s) l
-    done;
-    let rec drain () =
-      match Heap.pop held with
-      | Some (_, (_, dst, _)) ->
-          bump dst 1;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    let pairs = Hashtbl.fold (fun v l acc -> (v, l) :: acc) loads [] in
-    raise
-      (Engine.Round_limit_exceeded
-         {
-           limit = config.max_rounds;
-           outstanding = !outstanding_sends;
-           queued = !queued_total;
-           held = !held_count;
-           busiest = Engine.top_loaded_pairs pairs;
-         })
-  in
-  let rec flush_held fr t =
-    match Heap.peek held with
-    | Some ((due, _), (src, dst, msg)) when due <= t ->
-        ignore (Heap.pop held);
-        decr held_count;
-        last_active := t;
-        enqueue_faulty fr t src dst msg;
-        flush_held fr t
-    | _ -> ()
-  in
-  let rec drain_free s t budget =
-    if budget > 0 && out_len.data.(s) > 0 then begin
-      let head = out_head.data.(s) in
-      let ddata = out_dst.data.(s) in
-      let dst = Array.unsafe_get ddata head in
-      let msg = Array.unsafe_get out_msg.data.(s) head in
-      out_head.data.(s) <- (head + 1) land (Array.length ddata - 1);
-      out_len.data.(s) <- out_len.data.(s) - 1;
-      decr outstanding_sends;
-      last_active := t;
-      enqueue true t node_of.data.(s) dst msg;
-      drain_free s t (budget - 1)
-    end
-  in
-  let send_phase_free t =
-    Vec.sort senders;
-    let m = Vec.length senders in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get senders i in
-      let s = get_slot v in
-      drain_free s t send_cap;
-      if out_len.data.(s) = 0 then begin
-        on_send_list.data.(s) <- false;
-        if pending.data.(s) = 0 then reclaim s
-      end
-      else begin
-        Vec.set senders !w v;
-        incr w
-      end
-    done;
-    Vec.truncate senders !w
-  in
-  let rec drain_faulty fr s t budget =
-    if budget > 0 && out_len.data.(s) > 0 then begin
-      let v = node_of.data.(s) in
-      let head = out_head.data.(s) in
-      let ddata = out_dst.data.(s) in
-      let dst = Array.unsafe_get ddata head in
-      let msg = Array.unsafe_get out_msg.data.(s) head in
-      out_head.data.(s) <- (head + 1) land (Array.length ddata - 1);
-      out_len.data.(s) <- out_len.data.(s) - 1;
-      decr outstanding_sends;
-      last_active := t;
-      (match metrics with
-      | Some m -> Metrics.note_transmit m ~src:v ~dst ~round:t
-      | None -> ());
-      (match telemetry with
-      | Some tl -> Telemetry.note_send tl ~round:t
-      | None -> ());
-      if link_severed ~src:v ~dst ~round:t then begin
-        (match dynamic with Some dr -> Dynamic.note_link_drop dr | None -> ());
-        note_tel_drop t;
-        match metrics with
-        | Some m -> Metrics.note_drop m ~src:v ~dst
-        | None -> ()
-      end
-      else
-        (match Faults.decide fr ~src:v ~dst ~round:t with
-        | Faults.Deliver -> enqueue_faulty fr t v dst msg
-        | Faults.Drop ->
-            note_tel_drop t;
-            (match metrics with
-            | Some m -> Metrics.note_drop m ~src:v ~dst
-            | None -> ())
-        | Faults.Duplicate ->
-            (match metrics with
-            | Some m -> Metrics.note_duplicate m ~src:v ~dst
-            | None -> ());
-            enqueue_faulty fr t v dst msg;
-            enqueue_faulty fr t v dst msg
-        | Faults.Delay d ->
-            (match metrics with
-            | Some m -> Metrics.note_delay m ~src:v ~dst
-            | None -> ());
-            incr held_seq;
-            incr held_count;
-            Heap.push held (t + d, !held_seq) (v, dst, msg));
-      drain_faulty fr s t (budget - 1)
-    end
-  in
-  let send_phase_faulty fr t =
-    Vec.sort senders;
-    let m = Vec.length senders in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get senders i in
-      let s = get_slot v in
-      if Faults.crashed fr ~node:v ~round:t || node_down v ~round:t then begin
-        Vec.set senders !w v;
-        incr w
-      end
-      else begin
-        drain_faulty fr s t send_cap;
-        if out_len.data.(s) = 0 then begin
-          on_send_list.data.(s) <- false;
-          if pending.data.(s) = 0 then reclaim s
-        end
-        else begin
-          Vec.set senders !w v;
-          incr w
-        end
-      end
-    done;
-    Vec.truncate senders !w
-  in
-  let rec recv_budget t v s budget =
-    if budget > 0 then
-      match pick t s with
-      | None -> ()
-      | Some qi ->
-          let src = nbrs.data.(s).(qi) in
-          let msg = in_pop s qi in
-          pending.data.(s) <- pending.data.(s) - 1;
-          decr queued_total;
-          incr messages;
-          last_active := t;
-          (match metrics with
-          | Some m -> Metrics.note_deliver m ~src ~dst:v ~round:t
-          | None -> ());
-          (match telemetry with
-          | Some tl -> Telemetry.note_deliver tl ~round:t
-          | None -> ());
-          if has_observer then observer.on_deliver ~round:t ~src ~dst:v;
-          let s', actions =
-            protocol.on_receive ~round:t ~node:v ~src msg state.data.(s)
-          in
-          state.data.(s) <- s';
-          apply_actions v s t actions;
-          recv_budget t v s (budget - 1)
-  in
-  let recv_node t v s = recv_budget t v s (min recv_cap pending.data.(s)) in
-  let recv_phase_free t =
-    Vec.sort receivers;
-    let m = Vec.length receivers in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get receivers i in
-      let s = get_slot v in
-      recv_node t v s;
-      if pending.data.(s) = 0 then begin
-        on_recv_list.data.(s) <- false;
-        if out_len.data.(s) = 0 then reclaim s
-      end
-      else begin
-        Vec.set receivers !w v;
-        incr w
-      end
-    done;
-    Vec.truncate receivers !w
-  in
-  let recv_phase_faulty fr t =
-    Vec.sort receivers;
-    let m = Vec.length receivers in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get receivers i in
-      let s = get_slot v in
-      if not (Faults.crashed fr ~node:v ~round:t || node_down v ~round:t) then
-        recv_node t v s;
-      if pending.data.(s) = 0 then begin
-        on_recv_list.data.(s) <- false;
-        if out_len.data.(s) = 0 then reclaim s
-      end
-      else begin
-        Vec.set receivers !w v;
-        incr w
-      end
-    done;
-    Vec.truncate receivers !w
-  in
-  (* Injection phase, at the tick position: fires after the round's
-     deliveries; issued sends enter the network next round. *)
-  let note_tel_inject t =
-    match telemetry with
-    | Some tl -> Telemetry.note_inject tl ~round:t
-    | None -> ()
-  in
-  let inject_phase_free t =
-    while !inj_ptr < ninj && injections.(!inj_ptr).at <= t do
-      let inj = injections.(!inj_ptr) in
-      incr inj_ptr;
-      note_tel_inject t;
-      let s = touch inj.node in
-      let s', actions = inj.inject state.data.(s) in
-      state.data.(s) <- s';
-      apply_actions inj.node s t actions
-    done
-  in
-  let inject_phase_faulty fr t =
-    while !inj_ptr < ninj && injections.(!inj_ptr).at <= t do
-      let inj = injections.(!inj_ptr) in
-      incr inj_ptr;
-      (* A crashed or churned-out node's tick would not have run: the
-         injection is lost, exactly as under Engine.run's tick phase. *)
-      if not (Faults.crashed fr ~node:inj.node ~round:t || node_down inj.node ~round:t)
-      then begin
-        note_tel_inject t;
-        let s = touch inj.node in
-        let s', actions = inj.inject state.data.(s) in
-        state.data.(s) <- s';
-        apply_actions inj.node s t actions
-      end
-    done
-  in
-  let round_end t =
-    (match stats with
-    | Some c -> c.executed_rounds <- c.executed_rounds + 1
-    | None -> ());
-    (match telemetry with
-    | Some tl ->
-        let in_flight = !outstanding_sends + !queued_total + !held_count in
-        Telemetry.note_in_flight tl ~round:t ~in_flight
-    | None -> ());
-    note_peak ();
-    if has_observer then begin
-      let in_flight = !outstanding_sends + !queued_total + !held_count in
-      match observer.on_round_end ~round:t ~in_flight with
-      | `Continue -> ()
-      | `Halt -> halted := true
-    end
-  in
-  let next_injection () =
-    if !inj_ptr < ninj then Some injections.(!inj_ptr).at else None
-  in
-  (match (faults, dynamic) with
-  | None, None ->
-      while
-        (not !halted)
-        && (!outstanding_sends > 0 || !queued_total > 0 || !inj_ptr < ninj
-           || !round < config.min_rounds || keep_alive ())
-      do
-        incr round;
-        let t = !round in
-        if t > halt_cap then halted := true
-        else begin
-          if t > config.max_rounds then raise_round_limit ();
-          let jump_to =
-            if can_fast_forward && !outstanding_sends = 0 && !queued_total = 0
-            then
-              match next_injection () with
-              | Some a when a > t -> Some (min (a - 1) config.max_rounds)
-              | Some _ -> None
-              | None -> Some (min config.min_rounds config.max_rounds)
-            else None
-          in
-          match jump_to with
-          | Some target -> round := max t target
-          | None ->
-              send_phase_free t;
-              note_peak ();
-              recv_phase_free t;
-              inject_phase_free t;
-              round_end t
-        end
-      done
-  | _ ->
-      let fr =
-        match faults with Some fr -> fr | None -> Faults.start Faults.none
-      in
-      while
-        (not !halted)
-        && (!outstanding_sends > 0 || !queued_total > 0 || !held_count > 0
-           || !inj_ptr < ninj
-           || !round < config.min_rounds
-           || keep_alive ())
-      do
-        incr round;
-        let t = !round in
-        if t > halt_cap then halted := true
-        else begin
-          if t > config.max_rounds then raise_round_limit ();
-          let jump_to =
-            if can_fast_forward && !outstanding_sends = 0 && !queued_total = 0
-            then begin
-              let next_due =
-                match Heap.peek held with
-                | Some ((due, _), _) -> Some due
-                | None -> None
-              in
-              let next_ev =
-                match (next_due, next_injection ()) with
-                | None, None -> None
-                | (Some _ as a), None | None, (Some _ as a) -> a
-                | Some a, Some b -> Some (min a b)
-              in
-              match next_ev with
-              | None -> Some (min config.min_rounds config.max_rounds)
-              | Some a when a > t -> Some (min (a - 1) config.max_rounds)
-              | Some _ -> None
-            end
-            else None
-          in
-          match jump_to with
-          | Some target -> round := max t target
-          | None ->
-              flush_held fr t;
-              send_phase_faulty fr t;
-              note_peak ();
-              recv_phase_faulty fr t;
-              inject_phase_faulty fr t;
-              round_end t
-        end
-      done);
-  (* Completion assembly: identical to Engine.run (sorted fast path,
-     else the reference engine's prepend-then-stable-sort). *)
-  let comp = !comp_data in
-  let len = !comp_len in
-  let sorted = ref true in
-  for i = 1 to len - 1 do
-    let a = comp.(i - 1) and b = comp.(i) in
-    if
-      a.Engine.round > b.Engine.round
-      || (a.Engine.round = b.Engine.round && a.Engine.node >= b.Engine.node)
-    then sorted := false
-  done;
-  let completions =
-    if !sorted then begin
-      let acc = ref [] in
-      for i = len - 1 downto 0 do
-        acc := comp.(i) :: !acc
-      done;
-      !acc
-    end
-    else begin
-      let completion_list = ref [] in
-      for i = 0 to len - 1 do
-        completion_list := comp.(i) :: !completion_list
-      done;
-      List.sort
-        (fun (a : 'r Engine.completion) (b : 'r Engine.completion) ->
-          match compare a.round b.round with
-          | 0 -> compare a.node b.node
-          | c -> c)
-        !completion_list
-    end
-  in
-  {
-    Engine.completions;
-    rounds = !last_active;
-    messages = !messages;
-    max_link_backlog = !max_backlog;
-    expansion = config.receive_capacity;
-  }
+let run ?faults ?dynamic ?observer ?keep_alive ?metrics ?telemetry ?sink
+    ?injections ?halt_after ?stats ?starters ~topo ~config ~protocol () =
+  Kernel.run ~who:"Event_engine.run" ?faults ?dynamic ?observer ?keep_alive
+    ?metrics ?telemetry ?sink ?injections ?halt_after ?stats ?starters
+    ~n:(Itopo.n topo) ~degree:(Itopo.degree topo)
+    ~neighbors:(Itopo.neighbors topo) ~config ~protocol ()

@@ -1,39 +1,33 @@
-(** Event-driven simulation core: idle nodes hold no live state.
+(** The implicit-topology front of the round kernel: idle nodes hold
+    no live state.
 
-    {!Engine.run} made round cost proportional to work, but its {e
-    setup} still pays O(n + m): per-node state, CSR incoming rings and
-    outboxes are allocated for the whole graph before the first
-    message moves, which is what pinned the experiment ceilings near
-    n = 1024. This engine turns the remaining dense axis lazy. It runs
-    on an {!Countq_topology.Implicit} topology — adjacency as index
-    arithmetic, never materialised — and a node exists only from its
-    first touch (a start action, a delivered message, an injection): a
-    sparse slot table maps node ids to a compact touch-ordered store,
-    and a node's ring buffers are reclaimed the moment it goes fully
-    quiescent. A million-node one-shot arrow run allocates a handful
-    of live nodes at any instant plus one O(n)-int slot map.
+    On a materialised graph, setup pays O(n + m) before the first
+    message moves: per-node state, incoming rings and outboxes for the
+    whole graph. This front runs on an {!Countq_topology.Implicit}
+    topology — adjacency as index arithmetic, never materialised — and,
+    when [?starters] is given, the kernel ({!Kernel}) assigns a node its
+    slot at first touch (a start action, a delivered message, an
+    injection or a tick) through a dense node → slot map (a hash table
+    above 2{^22} nodes), and hands a node's ring buffers back to the GC
+    the moment it goes fully quiescent. A million-node one-shot arrow
+    run allocates a handful of live nodes at any instant plus one
+    O(n)-int slot map. Without [?starters] every node starts at time 0
+    and slots are pre-assigned, exactly as in {!Engine.run}.
 
-    Time advances as a two-level calendar: the current round's work is
-    the same sorted active-set send/receive phases as {!Engine.run}
-    (bit-for-bit — see below), and everything scheduled further out
-    (the open-loop injection schedule, fault-delayed deliveries) lives
-    in ordered future buckets the engine {e jumps} to when the network
-    goes quiescent, so simulated horizons cost only the rounds in
-    which something happens.
+    Time advances round by round with {!Engine.run}'s phase order
+    (bit-for-bit — see below); the open-loop injection schedule and
+    fault-delayed deliveries are what the quiescent-gap jump aims at,
+    so simulated horizons cost only the rounds in which something
+    happens.
 
     {b Pinned semantics.} On any materialisable topology a run here is
-    bit-identical to {!Engine.run} on the materialised twin — same
+    bit-identical to {!Reference.run} on the materialised twin — same
     completions, rounds, messages, backlog, observer streams, fault
     tallies, metrics and {!Engine.Round_limit_exceeded} payloads (the
-    qcheck suite in [test/test_event_engine.ml] pins this, fault-free
-    and faulty, exactly as Engine was pinned to Reference). The engine
-    shares Engine's types wholesale; what changes is representation,
-    plus two restrictions that make laziness sound:
+    qcheck property in [test/test_equiv.ml]). Ticking protocols work
+    (at O(n) per round: a tick touches every node). One contract makes
+    laziness sound:
 
-    - {b No [on_tick].} A tick handler runs on {e every} node {e
-      every} round — the antithesis of event-driven. Protocols with
-      one are rejected ([Invalid_argument]); scheduled work enters via
-      [?injections] instead.
     - {b Declared starters.} [on_start] fires eagerly only on the
       [?starters] nodes (default: all nodes, which is drop-in but
       materialises everything). Any other node's [on_start] runs
@@ -42,13 +36,14 @@
       engine raises [Invalid_argument] if the contract is violated, so
       a wrong starter set fails loudly instead of dropping actions. *)
 
-type ('s, 'm, 'r) injection = {
+type ('s, 'm, 'r) injection = ('s, 'm, 'r) Kernel.injection = {
   at : int;  (** round the injection fires, [>= 1]. *)
   node : int;
   inject : 's -> 's * ('m, 'r) Engine.action list;
 }
 (** One scheduled event: at the tick position of round [at] (after the
-    round's deliveries, like {!Engine.protocol.on_tick}), [inject] is
+    round's deliveries, like {!Engine.protocol.on_tick}, and after the
+    ticks themselves when the protocol has them), [inject] is
     applied to [node]'s current state; sends it issues enter the
     network in round [at + 1]. Equivalent to — and pinned against — an
     [on_tick] handler that fires the same closures, without the
@@ -56,7 +51,7 @@ type ('s, 'm, 'r) injection = {
     node that is crashed or down at round [at] is dropped, exactly as
     that node's tick would not have run. *)
 
-type stats = {
+type stats = Kernel.stats = {
   mutable touched : int;  (** nodes materialised over the whole run. *)
   mutable peak_in_flight : int;
       (** max simultaneous outstanding + queued + held messages. *)
@@ -86,9 +81,10 @@ val run :
   protocol:('s, 'm, 'r) Engine.protocol ->
   unit ->
   'r Engine.result
-(** Run [protocol] on the implicit topology. All optional hooks keep
-    their {!Engine.run} meaning and gating (a non-default observer or
-    keep_alive disables quiescent-gap jumping, exactly as there).
+(** Run [protocol] on the implicit topology, on one shard. All
+    optional hooks keep their {!Engine.run} meaning and gating (a
+    non-default observer or keep_alive disables quiescent-gap jumping,
+    exactly as there).
 
     [injections] must be sorted by [(at, node)] (duplicates allowed,
     fired in order). [halt_after] ends the run cleanly at the end of
@@ -113,9 +109,7 @@ val run :
     arrive sorted by node (they arrive in execution order: ascending
     round, arbitrary node order within a round).
 
-    @raise Invalid_argument on tick-driven protocols, unsorted
-    injections or starters, or a non-starter whose [on_start] emits
-    actions.
+    @raise Invalid_argument on unsorted injections or starters, or a
+    non-starter whose [on_start] emits actions.
     @raise Engine.Round_limit_exceeded as {!Engine.run}, with the
-    [busiest] summary built from the touched nodes via
-    {!Engine.top_loaded_pairs}. *)
+    [busiest] summary built from the touched nodes. *)

@@ -25,24 +25,26 @@ type stats = {
   gave_up : int;
 }
 
+(* Shared by every node's handlers, which a sharded run calls from
+   several domains at once: the counters are atomic. *)
 type handle = {
-  outstanding : int ref;
-  r_data_sent : int ref;
-  r_retransmits : int ref;
-  r_acks_sent : int ref;
-  r_duplicates_ignored : int ref;
-  r_gave_up : int ref;
+  outstanding : int Atomic.t;
+  r_data_sent : int Atomic.t;
+  r_retransmits : int Atomic.t;
+  r_acks_sent : int Atomic.t;
+  r_duplicates_ignored : int Atomic.t;
+  r_gave_up : int Atomic.t;
 }
 
-let keep_alive h () = !(h.outstanding) > 0
+let keep_alive h () = Atomic.get h.outstanding > 0
 
 let stats h =
   {
-    data_sent = !(h.r_data_sent);
-    retransmits = !(h.r_retransmits);
-    acks_sent = !(h.r_acks_sent);
-    duplicates_ignored = !(h.r_duplicates_ignored);
-    gave_up = !(h.r_gave_up);
+    data_sent = Atomic.get h.r_data_sent;
+    retransmits = Atomic.get h.r_retransmits;
+    acks_sent = Atomic.get h.r_acks_sent;
+    duplicates_ignored = Atomic.get h.r_duplicates_ignored;
+    gave_up = Atomic.get h.r_gave_up;
   }
 
 let pp_stats ppf s =
@@ -56,12 +58,12 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
   if max_retries < 0 then invalid_arg "Reliable.wrap: max_retries must be >= 0";
   let h =
     {
-      outstanding = ref 0;
-      r_data_sent = ref 0;
-      r_retransmits = ref 0;
-      r_acks_sent = ref 0;
-      r_duplicates_ignored = ref 0;
-      r_gave_up = ref 0;
+      outstanding = Atomic.make 0;
+      r_data_sent = Atomic.make 0;
+      r_retransmits = Atomic.make 0;
+      r_acks_sent = Atomic.make 0;
+      r_duplicates_ignored = Atomic.make 0;
+      r_gave_up = Atomic.make 0;
     }
   in
   let send_data st ~round dst payload =
@@ -69,8 +71,8 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
     Hashtbl.replace st.next_seq dst (seq + 1);
     Hashtbl.replace st.unacked (dst, seq)
       { p_dst = dst; payload; retries = 0; due = round + ack_timeout };
-    incr h.outstanding;
-    incr h.r_data_sent;
+    Atomic.incr h.outstanding;
+    Atomic.incr h.r_data_sent;
     Engine.Send (dst, Data { seq; payload })
   in
   (* Inner actions become numbered, tracked transmissions. *)
@@ -122,17 +124,17 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
         (match Hashtbl.find_opt st.unacked (src, seq) with
         | Some _ ->
             Hashtbl.remove st.unacked (src, seq);
-            decr h.outstanding
+            Atomic.decr h.outstanding
         | None -> ());
         (st, [])
     | Data { seq; payload } ->
-        incr h.r_acks_sent;
+        Atomic.incr h.r_acks_sent;
         let ack = Engine.Send (src, Ack { seq }) in
         let expected =
           Option.value (Hashtbl.find_opt st.next_expected src) ~default:0
         in
         if seq < expected || Hashtbl.mem st.buffer (src, seq) then begin
-          incr h.r_duplicates_ignored;
+          Atomic.incr h.r_duplicates_ignored;
           (st, [ ack ])
         end
         else begin
@@ -154,14 +156,14 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
         (fun ((_, seq), pending) ->
           if pending.retries >= max_retries then begin
             Hashtbl.remove st.unacked (pending.p_dst, seq);
-            decr h.outstanding;
-            incr h.r_gave_up;
+            Atomic.decr h.outstanding;
+            Atomic.incr h.r_gave_up;
             None
           end
           else begin
             pending.retries <- pending.retries + 1;
             pending.due <- round + (ack_timeout * (1 lsl pending.retries));
-            incr h.r_retransmits;
+            Atomic.incr h.r_retransmits;
             (match metrics with
             | Some m -> Metrics.note_retransmit m ~node
             | None -> ());

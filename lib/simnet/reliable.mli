@@ -27,7 +27,12 @@
     ]}
 
     The wrapper relies on per-round ticks for its timers, so it heals
-    faults only under the synchronous engine. The handle and the node
+    faults only under the synchronous round kernel — {!Engine.run},
+    {!Event_engine.run} or {!Shard}, at any shard count ([keep_alive]
+    is polled on the coordinator between barriers, and the handle's
+    counters are atomic). The [telemetry] recorder passed to {!wrap} is
+    written from the tick handlers unsynchronised, so attach it only to
+    single-shard runs. The handle and the node
     states carry mutable tables: wrap afresh for every run (and do not
     feed a wrapped protocol to the exhaustive [Explore] checker, which
     assumes structural state). *)

@@ -1,1251 +1,49 @@
-(* Domain-sharded synchronous engine. See shard.mli.
-
-   One run, several domains: nodes are split by a Partition; each shard
-   owns its nodes' rows of the same flat state the active-set engine
-   uses (states, CSR incoming rings, outbox rings, worklists) and runs
-   the round phases on its own lane. Cross-shard messages are buffered
-   per (sender shard, receiver shard) during the send phase and applied
-   by the receiving shard after a barrier, sorted by (src, dst, seq) —
-   per-link FIFO order is all the synchronous model can observe, so the
-   result is bit-identical to Engine.run / Event_engine.run (pinned in
-   test_shard.ml).
-
-   Division of labour per executed round, fault-free:
-
-     coordinator: loop bookkeeping, fast-forward, round-limit
-     all lanes:   SEND   — drain own outboxes; local enqueues direct,
-                           remote ones into transfer buffers
-     barrier
-     all lanes:   DELIVER — apply sorted incoming transfers, then
-                            receive (arbiter, protocol), then
-                            tick / injections for own nodes
-     barrier
-     coordinator: merge per-shard counter deltas, drain completions in
-                  (phase, node) order, telemetry in-flight sample
-
-   With ?faults or ?dynamic the SEND phase instead runs sequentially on
-   the coordinator over the globally sorted sender list — the fault
-   decision stream is one mutable sequence whose global transmission
-   order is observable — and the coordinator precomputes this round's
-   crash/churn verdict for every node the DELIVER phase will examine,
-   so fault-plan and schedule queries are never issued concurrently.
-
-   Observable-order bookkeeping that makes the merge exact:
-   - metrics ownership: node v's transmit marks are recorded by v's
-     owning shard (senders note transmits, receivers note backlogs and
-     deliveries), so per-node busy counts live in exactly one per-shard
-     recorder and Metrics.merge_into's sum is the sequential count;
-   - telemetry is per-window sums and maxima, merged by absolute
-     window index (Telemetry.merge_into);
-   - completions are tagged (phase, node) per round and merged in that
-     order, which is the sequential engine's chronological push order;
-     the final assembly then reuses Engine.run's exact
-     sorted-detect-or-reference-sort logic. *)
+(* Domain-sharded entry points into the round kernel. See shard.mli.
+   Each picks a partition and hands it to Kernel.run, which runs the
+   phases on one lane per shard and merges at the round barrier; a
+   one-shard partition runs inline. *)
 
 module Graph = Countq_topology.Graph
 module Itopo = Countq_topology.Implicit
 module Partition = Countq_topology.Partition
-module Parallel = Countq_util.Parallel
-module Heap = Countq_util.Heap
-module Vec = Countq_util.Vec
 
 let auto_shards () = max 1 (Domain.recommended_domain_count ())
 
-(* Index of [u] in a sorted duplicate-free neighbour array, or -1. *)
-let nbr_slot nbrs u =
-  let lo = ref 0 and hi = ref (Array.length nbrs - 1) in
-  let res = ref (-1) in
-  while !res < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let x = Array.unsafe_get nbrs mid in
-    if x = u then res := mid else if x < u then lo := mid + 1 else hi := mid - 1
-  done;
-  !res
-
-(* Growable store; grow-on-push seeds fresh cells from the pushed
-   element so polymorphic payloads need no dummy. *)
-type 'a buf = { mutable data : 'a array; mutable len : int }
-
-let buf () = { data = [||]; len = 0 }
-
-let buf_push b x =
-  if b.len = Array.length b.data then begin
-    let d = Array.make (max 16 (2 * b.len)) x in
-    Array.blit b.data 0 d 0 b.len;
-    b.data <- d
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
-
-let jobs_quit = 0
-let job_send = 1
-let job_deliver = 2
-
-(* Observer events buffered per shard during the parallel phases and
-   replayed coordinator-side at the round barrier, merged in (phase,
-   node) order — the same reconstruction the completion drain uses, so
-   the callback stream is the sequential engines' exactly. *)
-type 'r obs_ev = Obs_deliver of int (* src *) | Obs_complete of 'r
-
-let run_core (type s m r) ?faults ?dynamic ?(observer = Engine.null_observer)
-    ?metrics ?telemetry ?sink ?stats
-    ~(injections : (s, m, r) Event_engine.injection array) ~halt_after
-    ~(starters : int list option) ~(part : Partition.t)
-    ~(pool : Parallel.pool option) ~n ~(neighbors : int -> int array)
-    ~(config : Engine.config) ~(protocol : (s, m, r) Engine.protocol) () :
-    r Engine.result =
-  if config.receive_capacity < 1 || config.send_capacity < 1 then
-    invalid_arg "Shard.run: capacities must be >= 1";
-  if Array.length part.Partition.owner <> n then
-    invalid_arg "Shard.run: partition does not cover the node set";
-  let kshards = part.Partition.shards in
-  let owner = part.Partition.owner in
-  let send_cap = config.send_capacity in
-  let recv_cap = config.receive_capacity in
-  let ninj = Array.length injections in
-  for i = 0 to ninj - 1 do
-    let inj = injections.(i) in
-    if inj.Event_engine.at < 1 then
-      invalid_arg "Shard.run: injection rounds must be >= 1";
-    if inj.Event_engine.node < 0 || inj.Event_engine.node >= n then
-      invalid_arg "Shard.run: injection node out of range";
-    if i > 0 then begin
-      let p = injections.(i - 1) in
-      if
-        p.Event_engine.at > inj.Event_engine.at
-        || (p.Event_engine.at = inj.Event_engine.at
-           && p.Event_engine.node > inj.Event_engine.node)
-      then invalid_arg "Shard.run: injections must be sorted by (round, node)"
-    end
-  done;
-  let faulty = match (faults, dynamic) with None, None -> false | _ -> true in
-  let fr =
-    match faults with Some fr -> fr | None -> Faults.start Faults.none
-  in
-  let node_down =
-    match dynamic with
-    | None -> fun _ ~round:_ -> false
-    | Some dr ->
-        let sd = Dynamic.sched dr in
-        fun node ~round -> not (Dynamic.node_up sd ~round ~node)
-  in
-  let link_severed =
-    match dynamic with
-    | None -> fun ~src:_ ~dst:_ ~round:_ -> false
-    | Some dr ->
-        let sd = Dynamic.sched dr in
-        fun ~src ~dst ~round -> not (Dynamic.link_up sd ~round ~u:src ~v:dst)
-  in
-  (* ---------------- shared flat state (rows owned per shard) ------- *)
-  let states = Array.init n protocol.initial_state in
-  let nbrs_of = Array.init n neighbors in
-  let inq_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    inq_off.(v + 1) <- inq_off.(v) + Array.length nbrs_of.(v)
-  done;
-  let inq_data : m array array = Array.make inq_off.(n) [||] in
-  let inq_head = Array.make inq_off.(n) 0 in
-  let inq_len = Array.make inq_off.(n) 0 in
-  let out_dst = Array.make n [||] in
-  let out_msg : m array array = Array.make n [||] in
-  let out_head = Array.make n 0 in
-  let out_len = Array.make n 0 in
-  let rr_pointer = Array.make n 0 in
-  let pending = Array.make n 0 in
-  let on_send_list = Bytes.make n '\000' in
-  let on_recv_list = Bytes.make n '\000' in
-  (* Crash/churn verdicts for this round, coordinator-written before
-     each guarded DELIVER phase ('\001' = blocked). *)
-  let blocked = if faulty then Bytes.make n '\000' else Bytes.empty in
-  let track_touched = stats <> None in
-  let touched = if track_touched then Bytes.make n '\000' else Bytes.empty in
-  (* With an explicit starter list (event-engine semantics), everyone
-     else is started lazily at first touch, and their on_start must
-     produce no actions — state is dense here, but the contract and the
-     resulting states match Event_engine's sparse store exactly. *)
-  let lazy_start = starters <> None in
-  let started = if lazy_start then Bytes.make n '\000' else Bytes.empty in
-  (* ---------------- per-shard structures --------------------------- *)
-  let senders = Array.init kshards (fun _ -> Vec.create ()) in
-  let receivers = Array.init kshards (fun _ -> Vec.create ()) in
-  let d_outstanding = Array.make kshards 0 in
-  let d_queued = Array.make kshards 0 in
-  let d_messages = Array.make kshards 0 in
-  let d_touched = Array.make kshards 0 in
-  let s_max_backlog = Array.make kshards 0 in
-  let s_last_active = Array.make kshards 0 in
-  (* (phase, node, value) completions of the current round; phase 1 =
-     receive, 2 = tick/injection. Each buffer is (phase, node)-sorted
-     by construction (phases run in order, nodes ascending). *)
-  let comp_bufs : (int * int * r) buf array =
-    Array.init kshards (fun _ -> buf ())
-  in
-  let has_observer = observer != Engine.null_observer in
-  (* Per-shard observer event buffers, (phase, node)-sorted by
-     construction exactly like [comp_bufs]; delivers and completions
-     share one buffer so their interleaving at a node survives the
-     merge. *)
-  let obs_bufs : (int * int * r obs_ev) buf array =
-    if has_observer then Array.init kshards (fun _ -> buf ()) else [||]
-  in
-  (* Cross-shard transfers: (src, dst, msg); buffer [p * kshards + r]
-     is written by sending shard [p] and read by receiving shard [r],
-     with the round barrier between the two. *)
-  let tx : (int * int * m) buf array =
-    Array.init (kshards * kshards) (fun _ -> buf ())
-  in
-  let shard_metrics =
-    match metrics with
-    | None -> [||]
-    | Some mrec -> Array.init kshards (fun _ -> Metrics.create_like mrec)
-  in
-  let shard_tel =
-    match telemetry with
-    | None -> [||]
-    | Some tl ->
-        Array.init kshards (fun _ ->
-            Telemetry.create
-              ~windows:(Telemetry.windows_capacity tl)
-              ~window_size:(Telemetry.window_size tl) ())
-  in
-  (* Injections partitioned by owner; order within a shard preserves
-     the global (round, node) sort. *)
-  let inj_of =
-    if ninj = 0 then Array.make kshards [||]
-    else begin
-      let counts = Array.make kshards 0 in
-      Array.iter
-        (fun inj ->
-          let s = owner.(inj.Event_engine.node) in
-          counts.(s) <- counts.(s) + 1)
-        injections;
-      let parts =
-        Array.init kshards (fun s ->
-            if counts.(s) = 0 then [||] else Array.make counts.(s) injections.(0))
+(* [partition] if given, else [make k] for the requested shard count —
+   or no partition at all for one shard. *)
+let pick_partition ~who ?shards ?partition make =
+  match partition with
+  | Some p -> Some p
+  | None -> (
+      let k =
+        match shards with
+        | Some k ->
+            if k < 1 then invalid_arg (who ^ ": shards must be >= 1");
+            k
+        | None -> auto_shards ()
       in
-      let fill = Array.make kshards 0 in
-      Array.iter
-        (fun inj ->
-          let s = owner.(inj.Event_engine.node) in
-          parts.(s).(fill.(s)) <- inj;
-          fill.(s) <- fill.(s) + 1)
-        injections;
-      parts
-    end
-  in
-  let inj_ptr = Array.make kshards 0 in
-  let ginj_ptr = ref 0 in
-  (* ---------------- global (coordinator-only) state ---------------- *)
-  let comp_data = ref [||] in
-  let comp_len = ref 0 in
-  let push_completion =
-    match sink with
-    | Some f -> f
-    | None ->
-        fun (c : r Engine.completion) ->
-          if !comp_len = Array.length !comp_data then begin
-            let d = Array.make (max 8 (2 * !comp_len)) c in
-            Array.blit !comp_data 0 d 0 !comp_len;
-            comp_data := d
-          end;
-          !comp_data.(!comp_len) <- c;
-          incr comp_len
-  in
-  let messages = ref 0 in
-  let g_max_backlog = ref 0 in
-  let outstanding_sends = ref 0 in
-  let queued_total = ref 0 in
-  let held : (int * int, int * int * m) Heap.t = Heap.create () in
-  let held_count = ref 0 in
-  let held_seq = ref 0 in
-  let g_last_active = ref 0 in
-  let round = ref 0 in
-  let halted = ref false in
-  let halt_cap = match halt_after with Some h -> max 0 h | None -> max_int in
-  (* A non-default observer sees every executed round (its on_round_end
-     can halt the run), so quiescent-gap jumping is disabled exactly as
-     in Event_engine.run. *)
-  let can_fast_forward = protocol.on_tick = None && not has_observer in
-  let note_peak () =
-    match stats with
-    | Some c ->
-        let in_flight = !outstanding_sends + !queued_total + !held_count in
-        if in_flight > c.Event_engine.peak_in_flight then
-          c.Event_engine.peak_in_flight <- in_flight
-    | None -> ()
-  in
-  let mark_touched_shard sidx v =
-    if track_touched && Bytes.unsafe_get touched v = '\000' then begin
-      Bytes.unsafe_set touched v '\001';
-      d_touched.(sidx) <- d_touched.(sidx) + 1
-    end
-  in
-  (* First touch of a non-starter: run its on_start (node-local, so
-     safe from the owning shard) and enforce the silence contract. *)
-  let ensure_started v =
-    if lazy_start && Bytes.unsafe_get started v = '\000' then begin
-      Bytes.unsafe_set started v '\001';
-      let s', actions = protocol.on_start ~node:v states.(v) in
-      states.(v) <- s';
-      match actions with
-      | [] -> ()
-      | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "Shard.run: node %d is not in ?starters but its on_start \
-                produced actions"
-               v)
-    end
-  in
-  (* ---------------- ring primitives (as Engine.run) ---------------- *)
-  let in_push slot msg =
-    let len = Array.unsafe_get inq_len slot in
-    let data = Array.unsafe_get inq_data slot in
-    let cap = Array.length data in
-    let data =
-      if len = cap then begin
-        let d = Array.make (if cap = 0 then 2 else 2 * cap) msg in
-        let head = Array.unsafe_get inq_head slot in
-        let mask = cap - 1 in
-        for i = 0 to len - 1 do
-          Array.unsafe_set d i (Array.unsafe_get data ((head + i) land mask))
-        done;
-        Array.unsafe_set inq_data slot d;
-        Array.unsafe_set inq_head slot 0;
-        d
-      end
-      else data
-    in
-    Array.unsafe_set data
-      ((Array.unsafe_get inq_head slot + len) land (Array.length data - 1))
-      msg;
-    Array.unsafe_set inq_len slot (len + 1)
-  in
-  let in_pop slot =
-    let head = Array.unsafe_get inq_head slot in
-    let data = Array.unsafe_get inq_data slot in
-    let x = Array.unsafe_get data head in
-    Array.unsafe_set inq_head slot ((head + 1) land (Array.length data - 1));
-    Array.unsafe_set inq_len slot (Array.unsafe_get inq_len slot - 1);
-    x
-  in
-  let out_push v dst msg =
-    let len = Array.unsafe_get out_len v in
-    let ddata = Array.unsafe_get out_dst v in
-    let cap = Array.length ddata in
-    if len = cap then begin
-      let cap' = if cap = 0 then 2 else 2 * cap in
-      let d = Array.make cap' dst in
-      let mm = Array.make cap' msg in
-      let mdata = Array.unsafe_get out_msg v in
-      let head = Array.unsafe_get out_head v in
-      let mask = cap - 1 in
-      for i = 0 to len - 1 do
-        let j = (head + i) land mask in
-        Array.unsafe_set d i (Array.unsafe_get ddata j);
-        Array.unsafe_set mm i (Array.unsafe_get mdata j)
-      done;
-      Array.unsafe_set out_dst v d;
-      Array.unsafe_set out_msg v mm;
-      Array.unsafe_set out_head v 0
-    end;
-    let ddata = Array.unsafe_get out_dst v in
-    let mask = Array.length ddata - 1 in
-    let j = (Array.unsafe_get out_head v + len) land mask in
-    Array.unsafe_set ddata j dst;
-    Array.unsafe_set (Array.unsafe_get out_msg v) j msg;
-    Array.unsafe_set out_len v (len + 1)
-  in
-  (* ---------------- per-shard action application ------------------- *)
-  (* [phase] tags the completion for the round-end merge: 1 = receive,
-     2 = tick/injection (0 = time-0, coordinator only). *)
-  let rec apply_actions sidx phase v t actions =
-    match actions with
-    | [] -> ()
-    | Engine.Send (dst, msg) :: rest ->
-        if nbr_slot nbrs_of.(v) dst < 0 then
-          raise (Engine.Not_a_neighbor { node = v; dst });
-        out_push v dst msg;
-        d_outstanding.(sidx) <- d_outstanding.(sidx) + 1;
-        if Bytes.unsafe_get on_send_list v = '\000' then begin
-          Bytes.unsafe_set on_send_list v '\001';
-          Vec.push senders.(sidx) v
-        end;
-        apply_actions sidx phase v t rest
-    | Engine.Complete value :: rest ->
-        (match telemetry with
-        | Some _ -> Telemetry.note_complete shard_tel.(sidx) ~round:t
-        | None -> ());
-        if has_observer then buf_push obs_bufs.(sidx) (phase, v, Obs_complete value);
-        buf_push comp_bufs.(sidx) (phase, v, value);
-        apply_actions sidx phase v t rest
-  in
-  (* Receiver-side effects of handing [msg] (from [src]) to [dst], on
-     [dst]'s owning shard. [record_tx] folds the sender-side transmit
-     note in (local sends only — remote ones noted it at the sender's
-     shard before crossing). *)
-  let local_enqueue sidx record_tx t src dst msg =
-    ensure_started dst;
-    let slot = inq_off.(dst) + nbr_slot nbrs_of.(dst) src in
-    in_push slot msg;
-    pending.(dst) <- pending.(dst) + 1;
-    if Bytes.unsafe_get on_recv_list dst = '\000' then begin
-      Bytes.unsafe_set on_recv_list dst '\001';
-      Vec.push receivers.(sidx) dst
-    end;
-    d_queued.(sidx) <- d_queued.(sidx) + 1;
-    mark_touched_shard sidx dst;
-    let backlog = Array.unsafe_get inq_len slot in
-    if backlog > s_max_backlog.(sidx) then s_max_backlog.(sidx) <- backlog;
-    (match metrics with
-    | Some _ ->
-        let mrec = shard_metrics.(sidx) in
-        if record_tx then Metrics.note_transmit_at mrec ~slot ~src ~round:t;
-        Metrics.note_backlog mrec ~node:dst ~backlog
-    | None -> ());
-    match telemetry with
-    | Some _ ->
-        let tl = shard_tel.(sidx) in
-        if record_tx then Telemetry.note_send tl ~round:t;
-        Telemetry.note_backlog tl ~round:t ~backlog
-    | None -> ()
-  in
-  (* ---------------- SEND phase (parallel, fault-free only) --------- *)
-  let rec drain_free sidx v t budget =
-    if budget > 0 && out_len.(v) > 0 then begin
-      let head = Array.unsafe_get out_head v in
-      let ddata = Array.unsafe_get out_dst v in
-      let dst = Array.unsafe_get ddata head in
-      let msg = Array.unsafe_get (Array.unsafe_get out_msg v) head in
-      Array.unsafe_set out_head v ((head + 1) land (Array.length ddata - 1));
-      Array.unsafe_set out_len v (Array.unsafe_get out_len v - 1);
-      d_outstanding.(sidx) <- d_outstanding.(sidx) - 1;
-      s_last_active.(sidx) <- t;
-      let dsh = owner.(dst) in
-      if dsh = sidx then local_enqueue sidx true t v dst msg
-      else begin
-        (* Sender-side notes now; the receiving shard applies the
-           queue-side effects after the barrier. *)
-        (match metrics with
-        | Some _ ->
-            let slot = inq_off.(dst) + nbr_slot nbrs_of.(dst) v in
-            Metrics.note_transmit_at shard_metrics.(sidx) ~slot ~src:v ~round:t
-        | None -> ());
-        (match telemetry with
-        | Some _ -> Telemetry.note_send shard_tel.(sidx) ~round:t
-        | None -> ());
-        buf_push tx.((sidx * kshards) + dsh) (v, dst, msg)
-      end;
-      drain_free sidx v t (budget - 1)
-    end
-  in
-  let send_shard sidx t =
-    let sv = senders.(sidx) in
-    Vec.sort sv;
-    let m = Vec.length sv in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get sv i in
-      drain_free sidx v t send_cap;
-      if out_len.(v) = 0 then Bytes.unsafe_set on_send_list v '\000'
-      else begin
-        Vec.set sv !w v;
-        incr w
-      end
-    done;
-    Vec.truncate sv !w
-  in
-  (* ---------------- DELIVER phase (parallel) ----------------------- *)
-  (* Apply this shard's incoming cross-shard transfers, sorted by
-     (src, dst, seq). seq is the position within the sender shard's
-     buffer; a (src, dst) pair never spans two buffers, so the sort
-     key is total and per-link FIFO order is preserved. *)
-  let apply_transfers sidx t =
-    let total = ref 0 in
-    for p = 0 to kshards - 1 do
-      total := !total + tx.((p * kshards) + sidx).len
-    done;
-    if !total > 0 then begin
-      let keys = Array.make !total (0, 0, 0, 0) in
-      let w = ref 0 in
-      for p = 0 to kshards - 1 do
-        let b = tx.((p * kshards) + sidx) in
-        for i = 0 to b.len - 1 do
-          let src, dst, _ = b.data.(i) in
-          keys.(!w) <- (src, dst, i, p);
-          incr w
-        done
-      done;
-      Array.sort compare keys;
-      Array.iter
-        (fun (src, dst, i, p) ->
-          let _, _, msg = tx.((p * kshards) + sidx).data.(i) in
-          local_enqueue sidx false t src dst msg)
-        keys;
-      for p = 0 to kshards - 1 do
-        tx.((p * kshards) + sidx).len <- 0
-      done
-    end
-  in
-  let pick =
-    match config.arbiter with
-    | Engine.Lowest_sender_first ->
-        fun _t v ->
-          let base = inq_off.(v) in
-          let k = inq_off.(v + 1) - base in
-          let rec scan i =
-            if i >= k then None
-            else if Array.unsafe_get inq_len (base + i) > 0 then Some i
-            else scan (i + 1)
-          in
-          scan 0
-    | Engine.Round_robin ->
-        fun _t v ->
-          let base = inq_off.(v) in
-          let k = inq_off.(v + 1) - base in
-          let rec scan steps =
-            if steps >= k then None
-            else begin
-              let idx = rr_pointer.(v) + steps in
-              let idx = if idx >= k then idx - k else idx in
-              if Array.unsafe_get inq_len (base + idx) > 0 then begin
-                rr_pointer.(v) <- (if idx + 1 >= k then 0 else idx + 1);
-                Some idx
-              end
-              else scan (steps + 1)
-            end
-          in
-          scan 0
-    | Engine.Custom f ->
-        fun t v ->
-          let base = inq_off.(v) in
-          let k = inq_off.(v + 1) - base in
-          let nbrs = nbrs_of.(v) in
-          let candidates = ref [] in
-          for i = k - 1 downto 0 do
-            if Array.unsafe_get inq_len (base + i) > 0 then
-              candidates := nbrs.(i) :: !candidates
-          done;
-          if !candidates = [] then None
-          else begin
-            let src = f ~round:t ~node:v ~candidates:!candidates in
-            if not (List.mem src !candidates) then
-              invalid_arg "Shard.run: arbiter chose a non-candidate";
-            Some (nbr_slot nbrs src)
-          end
-  in
-  let rec recv_budget sidx t v budget =
-    if budget > 0 then
-      match pick t v with
-      | None -> ()
-      | Some qi ->
-          let src = nbrs_of.(v).(qi) in
-          let slot = inq_off.(v) + qi in
-          let msg = in_pop slot in
-          pending.(v) <- pending.(v) - 1;
-          d_queued.(sidx) <- d_queued.(sidx) - 1;
-          d_messages.(sidx) <- d_messages.(sidx) + 1;
-          s_last_active.(sidx) <- t;
-          (match metrics with
-          | Some _ ->
-              Metrics.note_deliver_at shard_metrics.(sidx) ~slot ~dst:v ~round:t
-          | None -> ());
-          (match telemetry with
-          | Some _ -> Telemetry.note_deliver shard_tel.(sidx) ~round:t
-          | None -> ());
-          if has_observer then buf_push obs_bufs.(sidx) (1, v, Obs_deliver src);
-          let s, actions =
-            protocol.on_receive ~round:t ~node:v ~src msg states.(v)
-          in
-          states.(v) <- s;
-          apply_actions sidx 1 v t actions;
-          recv_budget sidx t v (budget - 1)
-  in
-  let recv_shard sidx t =
-    let rv = receivers.(sidx) in
-    Vec.sort rv;
-    let m = Vec.length rv in
-    let w = ref 0 in
-    for i = 0 to m - 1 do
-      let v = Vec.get rv i in
-      if not (faulty && Bytes.unsafe_get blocked v = '\001') then
-        recv_budget sidx t v (min recv_cap pending.(v));
-      if pending.(v) = 0 then Bytes.unsafe_set on_recv_list v '\000'
-      else begin
-        Vec.set rv !w v;
-        incr w
-      end
-    done;
-    Vec.truncate rv !w
-  in
-  let tick_shard sidx tick t =
-    Array.iter
-      (fun v ->
-        if not (faulty && Bytes.unsafe_get blocked v = '\001') then begin
-          let s, actions = tick ~round:t ~node:v states.(v) in
-          states.(v) <- s;
-          apply_actions sidx 2 v t actions
-        end)
-      part.Partition.members.(sidx)
-  in
-  let inject_shard sidx t =
-    let arr = inj_of.(sidx) in
-    let len = Array.length arr in
-    while
-      inj_ptr.(sidx) < len && arr.(inj_ptr.(sidx)).Event_engine.at <= t
-    do
-      let inj = arr.(inj_ptr.(sidx)) in
-      inj_ptr.(sidx) <- inj_ptr.(sidx) + 1;
-      let v = inj.Event_engine.node in
-      if not (faulty && Bytes.unsafe_get blocked v = '\001') then begin
-        (match telemetry with
-        | Some _ -> Telemetry.note_inject shard_tel.(sidx) ~round:t
-        | None -> ());
-        mark_touched_shard sidx v;
-        ensure_started v;
-        let s, actions = inj.Event_engine.inject states.(v) in
-        states.(v) <- s;
-        apply_actions sidx 2 v t actions
-      end
-    done
-  in
-  let deliver_shard sidx t =
-    apply_transfers sidx t;
-    recv_shard sidx t;
-    (match protocol.on_tick with
-    | None -> ()
-    | Some tick -> tick_shard sidx tick t);
-    inject_shard sidx t
-  in
-  (* ---------------- worker lanes and the round barrier ------------- *)
-  let helpers_granted =
-    let want = kshards - 1 in
-    match pool with
-    | Some p -> Parallel.reserve p want
-    | None -> min want (max 0 (Domain.recommended_domain_count () - 1))
-  in
-  let lanes = helpers_granted + 1 in
-  let exns : exn option array = Array.make kshards None in
-  let run_lane lane j t =
-    let sidx = ref lane in
-    while !sidx < kshards do
-      (try
-         if j = job_send then send_shard !sidx t else deliver_shard !sidx t
-       with e -> exns.(!sidx) <- Some e);
-      sidx := !sidx + lanes
-    done
-  in
-  let mu = Mutex.create () in
-  let cv = Condition.create () in
-  let epoch = ref 0 in
-  let job = ref jobs_quit in
-  let job_round = ref 0 in
-  let done_count = ref 0 in
-  let worker_body () =
-    let my_epoch = ref 0 in
-    let quit = ref false in
-    let lane =
-      Mutex.lock mu;
-      (* Lane ids are handed out under the mutex via done_count before
-         the first dispatch (epoch 0). *)
-      incr done_count;
-      let l = !done_count in
-      Condition.broadcast cv;
-      Mutex.unlock mu;
-      l
-    in
-    while not !quit do
-      Mutex.lock mu;
-      while !epoch = !my_epoch do
-        Condition.wait cv mu
-      done;
-      my_epoch := !epoch;
-      let j = !job and t = !job_round in
-      Mutex.unlock mu;
-      if j = jobs_quit then quit := true else run_lane lane j t;
-      Mutex.lock mu;
-      incr done_count;
-      Condition.broadcast cv;
-      Mutex.unlock mu
-    done
-  in
-  let workers =
-    if helpers_granted = 0 then [||]
-    else begin
-      let ws = Array.init helpers_granted (fun _ -> Domain.spawn worker_body) in
-      (* Wait for every worker to claim its lane id before dispatching. *)
-      Mutex.lock mu;
-      while !done_count < helpers_granted do
-        Condition.wait cv mu
-      done;
-      done_count := 0;
-      Mutex.unlock mu;
-      ws
-    end
-  in
-  let quitted = ref (helpers_granted = 0) in
-  let dispatch j t =
-    if helpers_granted = 0 then (if j <> jobs_quit then run_lane 0 j t)
-    else begin
-      Mutex.lock mu;
-      job := j;
-      job_round := t;
-      incr epoch;
-      Condition.broadcast cv;
-      Mutex.unlock mu;
-      if j <> jobs_quit then run_lane 0 j t;
-      Mutex.lock mu;
-      while !done_count < helpers_granted do
-        Condition.wait cv mu
-      done;
-      done_count := 0;
-      Mutex.unlock mu
-    end
-  in
-  let check_exns () =
-    let res = ref None in
-    for sidx = kshards - 1 downto 0 do
-      match exns.(sidx) with Some e -> res := Some e | None -> ()
-    done;
-    match !res with Some e -> raise e | None -> ()
-  in
-  let shutdown () =
-    if not !quitted then begin
-      quitted := true;
-      dispatch jobs_quit 0;
-      Array.iter Domain.join workers
-    end;
-    (match pool with Some p -> Parallel.release p helpers_granted | None -> ());
-    (* Fold the per-shard recorders back into the caller's, shard
-       order — also on the exception paths, so a Round_limit_exceeded
-       still leaves best-effort observability behind. *)
-    (match metrics with
-    | Some mrec ->
-        Array.iter (fun srec -> Metrics.merge_into ~into:mrec srec) shard_metrics
-    | None -> ());
-    match telemetry with
-    | Some tl ->
-        Array.iter (fun stl -> Telemetry.merge_into ~into:tl stl) shard_tel
-    | None -> ()
-  in
-  Fun.protect ~finally:shutdown @@ fun () ->
-  (* ---------------- coordinator: faulty sequential transport ------- *)
-  let note_tel_drop t =
-    match telemetry with
-    | Some tl -> Telemetry.note_drop tl ~round:t
-    | None -> ()
-  in
-  (* Coordinator-side enqueue (held flushes and the faulty send phase):
-     queue effects land on the receiver's shard structures directly —
-     safe, the workers are parked at the barrier — with the transmit
-     note at the sender's shard recorder and backlog at the
-     receiver's, preserving the busy-ownership discipline. *)
-  let coord_enqueue record_tx t src dst msg =
-    ensure_started dst;
-    let sidx = owner.(dst) in
-    let slot = inq_off.(dst) + nbr_slot nbrs_of.(dst) src in
-    in_push slot msg;
-    pending.(dst) <- pending.(dst) + 1;
-    if Bytes.unsafe_get on_recv_list dst = '\000' then begin
-      Bytes.unsafe_set on_recv_list dst '\001';
-      Vec.push receivers.(sidx) dst
-    end;
-    incr queued_total;
-    mark_touched_shard sidx dst;
-    let backlog = Array.unsafe_get inq_len slot in
-    if backlog > !g_max_backlog then g_max_backlog := backlog;
-    (match metrics with
-    | Some _ ->
-        if record_tx then
-          Metrics.note_transmit_at shard_metrics.(owner.(src)) ~slot ~src
-            ~round:t;
-        Metrics.note_backlog shard_metrics.(sidx) ~node:dst ~backlog
-    | None -> ());
-    match telemetry with
-    | Some tl ->
-        if record_tx then Telemetry.note_send tl ~round:t;
-        Telemetry.note_backlog tl ~round:t ~backlog
-    | None -> ()
-  in
-  let coord_enqueue_faulty t src dst msg =
-    if Faults.crashed fr ~node:dst ~round:t then begin
-      Faults.note_crash_drop fr;
-      note_tel_drop t;
-      match metrics with
-      | Some _ -> Metrics.note_crash_drop shard_metrics.(owner.(dst)) ~dst
-      | None -> ()
-    end
-    else if node_down dst ~round:t then begin
-      (match dynamic with Some dr -> Dynamic.note_node_drop dr | None -> ());
-      note_tel_drop t;
-      match metrics with
-      | Some _ -> Metrics.note_crash_drop shard_metrics.(owner.(dst)) ~dst
-      | None -> ()
-    end
-    else coord_enqueue false t src dst msg
-  in
-  let rec flush_held t =
-    match Heap.peek held with
-    | Some ((due, _), (src, dst, msg)) when due <= t ->
-        ignore (Heap.pop held);
-        decr held_count;
-        g_last_active := t;
-        coord_enqueue_faulty t src dst msg;
-        flush_held t
-    | _ -> ()
-  in
-  let rec coord_drain_faulty v t budget =
-    if budget > 0 && out_len.(v) > 0 then begin
-      let head = Array.unsafe_get out_head v in
-      let ddata = Array.unsafe_get out_dst v in
-      let dst = Array.unsafe_get ddata head in
-      let msg = Array.unsafe_get (Array.unsafe_get out_msg v) head in
-      Array.unsafe_set out_head v ((head + 1) land (Array.length ddata - 1));
-      Array.unsafe_set out_len v (Array.unsafe_get out_len v - 1);
-      decr outstanding_sends;
-      g_last_active := t;
-      (match metrics with
-      | Some _ ->
-          Metrics.note_transmit shard_metrics.(owner.(v)) ~src:v ~dst ~round:t
-      | None -> ());
-      (match telemetry with
-      | Some tl -> Telemetry.note_send tl ~round:t
-      | None -> ());
-      if link_severed ~src:v ~dst ~round:t then begin
-        (match dynamic with Some dr -> Dynamic.note_link_drop dr | None -> ());
-        note_tel_drop t;
-        match metrics with
-        | Some _ -> Metrics.note_drop shard_metrics.(owner.(v)) ~src:v ~dst
-        | None -> ()
-      end
-      else
-        (match Faults.decide fr ~src:v ~dst ~round:t with
-        | Faults.Deliver -> coord_enqueue_faulty t v dst msg
-        | Faults.Drop ->
-            note_tel_drop t;
-            (match metrics with
-            | Some _ -> Metrics.note_drop shard_metrics.(owner.(v)) ~src:v ~dst
-            | None -> ())
-        | Faults.Duplicate ->
-            (match metrics with
-            | Some _ ->
-                Metrics.note_duplicate shard_metrics.(owner.(v)) ~src:v ~dst
-            | None -> ());
-            coord_enqueue_faulty t v dst msg;
-            coord_enqueue_faulty t v dst msg
-        | Faults.Delay d ->
-            (match metrics with
-            | Some _ -> Metrics.note_delay shard_metrics.(owner.(v)) ~src:v ~dst
-            | None -> ());
-            incr held_seq;
-            incr held_count;
-            Heap.push held (t + d, !held_seq) (v, dst, msg));
-      coord_drain_faulty v t (budget - 1)
-    end
-  in
-  let all_senders = Vec.create () in
-  let coord_send_faulty t =
-    (* One globally sorted pass, exactly the sequential engine's sender
-       order, so the fault decision stream is consumed identically. *)
-    Vec.clear all_senders;
-    for sidx = 0 to kshards - 1 do
-      Vec.iter (fun v -> Vec.push all_senders v) senders.(sidx);
-      Vec.clear senders.(sidx)
-    done;
-    Vec.sort all_senders;
-    Vec.iter
-      (fun v ->
-        if Faults.crashed fr ~node:v ~round:t || node_down v ~round:t then
-          (* Crashed/churned-out: outbox kept, stays a sender. *)
-          Vec.push senders.(owner.(v)) v
-        else begin
-          coord_drain_faulty v t send_cap;
-          if out_len.(v) = 0 then Bytes.unsafe_set on_send_list v '\000'
-          else Vec.push senders.(owner.(v)) v
-        end)
-      all_senders
-  in
-  (* Precompute this round's crash/churn verdicts for every node the
-     parallel DELIVER phase will consult: queued receivers, due
-     injections, and (tick protocols) everybody. All schedule and plan
-     queries stay on the coordinator. *)
-  let precompute_blocked t =
-    let verdict v =
-      Bytes.unsafe_set blocked v
-        (if Faults.crashed fr ~node:v ~round:t || node_down v ~round:t then
-           '\001'
-         else '\000')
-    in
-    (match protocol.on_tick with
-    | Some _ ->
-        for v = 0 to n - 1 do
-          verdict v
-        done
-    | None ->
-        for sidx = 0 to kshards - 1 do
-          Vec.iter verdict receivers.(sidx)
-        done;
-        let p = ref !ginj_ptr in
-        while !p < ninj && injections.(!p).Event_engine.at <= t do
-          verdict injections.(!p).Event_engine.node;
-          incr p
-        done)
-  in
-  (* ---------------- coordinator: round-end bookkeeping ------------- *)
-  let merge_deltas () =
-    for sidx = 0 to kshards - 1 do
-      outstanding_sends := !outstanding_sends + d_outstanding.(sidx);
-      d_outstanding.(sidx) <- 0;
-      queued_total := !queued_total + d_queued.(sidx);
-      d_queued.(sidx) <- 0;
-      messages := !messages + d_messages.(sidx);
-      d_messages.(sidx) <- 0;
-      match stats with
-      | Some c ->
-          c.Event_engine.touched <- c.Event_engine.touched + d_touched.(sidx);
-          d_touched.(sidx) <- 0
-      | None -> ()
-    done
-  in
-  (* Drain the round's completions in (phase, node) order — each
-     shard's buffer is already sorted, and a node lives in exactly one
-     shard, so a k-way merge reconstructs the sequential chronological
-     order exactly. *)
-  let drain_completions t =
-    let ptr = Array.make kshards 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let best = ref (-1) in
-      let best_key = ref (max_int, max_int) in
-      for sidx = 0 to kshards - 1 do
-        let b = comp_bufs.(sidx) in
-        if ptr.(sidx) < b.len then begin
-          let phase, node, _ = b.data.(ptr.(sidx)) in
-          if (phase, node) < !best_key then begin
-            best_key := (phase, node);
-            best := sidx
-          end
-        end
-      done;
-      if !best < 0 then continue_ := false
-      else begin
-        let b = comp_bufs.(!best) in
-        let _, node, value = b.data.(ptr.(!best)) in
-        ptr.(!best) <- ptr.(!best) + 1;
-        push_completion { Engine.node; round = t; value }
-      end
-    done;
-    Array.iter (fun b -> b.len <- 0) comp_bufs
-  in
-  let advance_global_inj t =
-    while !ginj_ptr < ninj && injections.(!ginj_ptr).Event_engine.at <= t do
-      incr ginj_ptr
-    done
-  in
-  let raise_round_limit () =
-    let loads = Array.make n 0 in
-    for v = 0 to n - 1 do
-      loads.(v) <- pending.(v) + out_len.(v)
-    done;
-    let rec drain () =
-      match Heap.pop held with
-      | Some (_, (_, dst, _)) ->
-          loads.(dst) <- loads.(dst) + 1;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    raise
-      (Engine.Round_limit_exceeded
-         {
-           limit = config.max_rounds;
-           outstanding = !outstanding_sends;
-           queued = !queued_total;
-           held = !held_count;
-           busiest = Engine.top_loaded loads;
-         })
-  in
-  (* Replay the round's buffered observer events in (phase, node)
-     order — the k-way merge from drain_completions, reused. *)
-  let replay_observer t =
-    if has_observer then begin
-      let ptr = Array.make kshards 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let best = ref (-1) in
-        let best_key = ref (max_int, max_int) in
-        for sidx = 0 to kshards - 1 do
-          let b = obs_bufs.(sidx) in
-          if ptr.(sidx) < b.len then begin
-            let phase, node, _ = b.data.(ptr.(sidx)) in
-            if (phase, node) < !best_key then begin
-              best_key := (phase, node);
-              best := sidx
-            end
-          end
-        done;
-        if !best < 0 then continue_ := false
-        else begin
-          let b = obs_bufs.(!best) in
-          let _, node, ev = b.data.(ptr.(!best)) in
-          ptr.(!best) <- ptr.(!best) + 1;
-          match ev with
-          | Obs_deliver src -> observer.Engine.on_deliver ~round:t ~src ~dst:node
-          | Obs_complete value ->
-              observer.Engine.on_complete ~round:t ~node ~value
-        end
-      done;
-      Array.iter (fun b -> b.len <- 0) obs_bufs
-    end
-  in
-  let round_end t =
-    replay_observer t;
-    (match stats with
-    | Some c -> c.Event_engine.executed_rounds <- c.Event_engine.executed_rounds + 1
-    | None -> ());
-    (match telemetry with
-    | Some tl ->
-        let in_flight = !outstanding_sends + !queued_total + !held_count in
-        Telemetry.note_in_flight tl ~round:t ~in_flight
-    | None -> ());
-    note_peak ();
-    if has_observer then begin
-      let in_flight = !outstanding_sends + !queued_total + !held_count in
-      match observer.Engine.on_round_end ~round:t ~in_flight with
-      | `Continue -> ()
-      | `Halt -> halted := true
-    end
-  in
-  (* ---------------- time 0 ----------------------------------------- *)
-  let start_node v =
-    let s, actions = protocol.on_start ~node:v states.(v) in
-    states.(v) <- s;
-    (* Inline apply with direct global counters and completion
-       streaming — time 0 is coordinator-sequential, in node order,
-       exactly as both sequential engines run it. *)
-    List.iter
-      (fun a ->
-        match a with
-        | Engine.Send (dst, msg) ->
-            if nbr_slot nbrs_of.(v) dst < 0 then
-              raise (Engine.Not_a_neighbor { node = v; dst });
-            out_push v dst msg;
-            incr outstanding_sends;
-            if Bytes.unsafe_get on_send_list v = '\000' then begin
-              Bytes.unsafe_set on_send_list v '\001';
-              Vec.push senders.(owner.(v)) v
-            end
-        | Engine.Complete value ->
-            if has_observer then
-              observer.Engine.on_complete ~round:0 ~node:v ~value;
-            (match telemetry with
-            | Some tl -> Telemetry.note_complete tl ~round:0
-            | None -> ());
-            push_completion { Engine.node = v; round = 0; value })
-      actions
-  in
-  (match starters with
-  | None ->
-      for v = 0 to n - 1 do
-        if track_touched then mark_touched_shard owner.(v) v;
-        start_node v
-      done
-  | Some l ->
-      let last = ref (-1) in
-      List.iter
-        (fun v ->
-          if v < 0 || v >= n then invalid_arg "Shard.run: starter out of range";
-          if v <= !last then
-            invalid_arg "Shard.run: starters must be strictly ascending";
-          last := v;
-          mark_touched_shard owner.(v) v;
-          Bytes.unsafe_set started v '\001';
-          start_node v)
-        l);
-  (* Time-0 touch marks were counted into per-shard deltas. *)
-  merge_deltas ();
-  note_peak ();
-  (* ---------------- the round loop --------------------------------- *)
-  let next_injection () =
-    if !ginj_ptr < ninj then Some injections.(!ginj_ptr).Event_engine.at
-    else None
-  in
-  (if not faulty then
-     while
-       (not !halted)
-       && (!outstanding_sends > 0 || !queued_total > 0 || !ginj_ptr < ninj
-          || !round < config.min_rounds)
-     do
-       incr round;
-       let t = !round in
-       if t > halt_cap then halted := true
-       else begin
-         if t > config.max_rounds then raise_round_limit ();
-         let jump_to =
-           if can_fast_forward && !outstanding_sends = 0 && !queued_total = 0
-           then
-             match next_injection () with
-             | Some a when a > t -> Some (min (a - 1) config.max_rounds)
-             | Some _ -> None
-             | None -> Some (min config.min_rounds config.max_rounds)
-           else None
-         in
-         match jump_to with
-         | Some target -> round := max t target
-         | None ->
-             dispatch job_send t;
-             check_exns ();
-             dispatch job_deliver t;
-             check_exns ();
-             merge_deltas ();
-             drain_completions t;
-             advance_global_inj t;
-             round_end t
-       end
-     done
-   else
-     while
-       (not !halted)
-       && (!outstanding_sends > 0 || !queued_total > 0 || !held_count > 0
-          || !ginj_ptr < ninj
-          || !round < config.min_rounds)
-     do
-       incr round;
-       let t = !round in
-       if t > halt_cap then halted := true
-       else begin
-         if t > config.max_rounds then raise_round_limit ();
-         let jump_to =
-           if can_fast_forward && !outstanding_sends = 0 && !queued_total = 0
-           then begin
-             let next_due =
-               match Heap.peek held with
-               | Some ((due, _), _) -> Some due
-               | None -> None
-             in
-             let next_ev =
-               match (next_due, next_injection ()) with
-               | None, None -> None
-               | (Some _ as a), None | None, (Some _ as a) -> a
-               | Some a, Some b -> Some (min a b)
-             in
-             match next_ev with
-             | None -> Some (min config.min_rounds config.max_rounds)
-             | Some a when a > t -> Some (min (a - 1) config.max_rounds)
-             | Some _ -> None
-           end
-           else None
-         in
-         match jump_to with
-         | Some target -> round := max t target
-         | None ->
-             flush_held t;
-             coord_send_faulty t;
-             note_peak ();
-             precompute_blocked t;
-             dispatch job_deliver t;
-             check_exns ();
-             merge_deltas ();
-             drain_completions t;
-             advance_global_inj t;
-             round_end t
-       end
-     done);
-  (* ---------------- result assembly (as Engine.run) ---------------- *)
-  let last_active =
-    Array.fold_left max !g_last_active s_last_active
-  in
-  let max_backlog = Array.fold_left max !g_max_backlog s_max_backlog in
-  let comp = !comp_data in
-  let len = !comp_len in
-  let sorted = ref true in
-  for i = 1 to len - 1 do
-    let a = comp.(i - 1) and b = comp.(i) in
-    if
-      a.Engine.round > b.Engine.round
-      || (a.Engine.round = b.Engine.round && a.Engine.node >= b.Engine.node)
-    then sorted := false
-  done;
-  let completions =
-    if !sorted then begin
-      let acc = ref [] in
-      for i = len - 1 downto 0 do
-        acc := comp.(i) :: !acc
-      done;
-      !acc
-    end
-    else begin
-      let completion_list = ref [] in
-      for i = 0 to len - 1 do
-        completion_list := comp.(i) :: !completion_list
-      done;
-      List.sort
-        (fun (a : r Engine.completion) (b : r Engine.completion) ->
-          match compare a.round b.round with
-          | 0 -> compare a.node b.node
-          | c -> c)
-        !completion_list
-    end
-  in
-  {
-    Engine.completions;
-    rounds = last_active;
-    messages = !messages;
-    max_link_backlog = max_backlog;
-    expansion = config.receive_capacity;
-  }
+      match k with 1 -> None | k -> Some (make k))
 
-let run ?shards ?pool ?partition ?faults ?dynamic ?metrics ?telemetry ~graph
-    ~config ~protocol () =
-  let n = Graph.n graph in
+let run ?shards ?pool ?partition ?faults ?dynamic ?observer ?keep_alive
+    ?metrics ?telemetry ~graph ~config ~protocol () =
   let part =
-    match partition with
-    | Some p -> p
-    | None ->
-        let shards =
-          match shards with
-          | Some k ->
-              if k < 1 then invalid_arg "Shard.run: shards must be >= 1";
-              k
-          | None -> auto_shards ()
-        in
-        if shards = 1 then Partition.contiguous ~n ~shards:1
-        else Partition.greedy ~graph ~shards
+    pick_partition ~who:"Shard.run" ?shards ?partition (fun shards ->
+        Partition.greedy ~graph ~shards)
   in
-  if part.Partition.shards = 1 then
-    Engine.run ?faults ?dynamic ?metrics ?telemetry ~graph ~config ~protocol ()
-  else
-    run_core ?faults ?dynamic ?metrics ?telemetry ~injections:[||]
-      ~halt_after:None ~starters:None ~part ~pool ~n
-      ~neighbors:(Graph.neighbors graph) ~config ~protocol ()
+  Kernel.run ~who:"Shard.run" ?part ?pool ?faults ?dynamic ?observer
+    ?keep_alive ?metrics ?telemetry ~n:(Graph.n graph)
+    ~degree:(Graph.degree graph) ~neighbors:(Graph.neighbors graph) ~config
+    ~protocol ()
 
-let run_implicit ?shards ?pool ?partition ?faults ?dynamic ?observer ?metrics
-    ?telemetry ?sink ?(injections = [||]) ?halt_after ?stats ?starters ~topo
-    ~config ~protocol () =
-  (match protocol.Engine.on_tick with
-  | None -> ()
-  | Some _ ->
-      invalid_arg
-        "Shard.run_implicit: tick-driven protocols are not supported; \
-         schedule work via ?injections");
+let run_implicit ?shards ?pool ?partition ?faults ?dynamic ?observer
+    ?keep_alive ?metrics ?telemetry ?sink ?injections ?halt_after ?stats
+    ?starters ~topo ~config ~protocol () =
   let n = Itopo.n topo in
   let part =
-    match partition with
-    | Some p -> p
-    | None ->
-        let shards =
-          match shards with
-          | Some k ->
-              if k < 1 then invalid_arg "Shard.run_implicit: shards must be >= 1";
-              k
-          | None -> auto_shards ()
-        in
-        Partition.contiguous ~n ~shards
+    pick_partition ~who:"Shard.run_implicit" ?shards ?partition (fun shards ->
+        Partition.contiguous ~n ~shards)
   in
-  if part.Partition.shards = 1 then
-    Event_engine.run ?faults ?dynamic ?observer ?metrics ?telemetry ?sink
-      ~injections ?halt_after ?stats ?starters ~topo ~config ~protocol ()
-  else
-    run_core ?faults ?dynamic ?observer ?metrics ?telemetry ?sink ?stats
-      ~injections ~halt_after ~starters ~part ~pool ~n
-      ~neighbors:(Itopo.neighbors topo) ~config ~protocol ()
+  Kernel.run ~who:"Shard.run_implicit" ?part ?pool ?faults ?dynamic ?observer
+    ?keep_alive ?metrics ?telemetry ?sink ?injections ?halt_after ?stats
+    ?starters ~n ~degree:(Itopo.degree topo)
+    ~neighbors:(Itopo.neighbors topo) ~config ~protocol ()

@@ -23,9 +23,11 @@
     exactly. Completions are tagged with their phase and merged in
     [(round, phase, node)] order, which is precisely the sequential
     engine's chronological push order. The result is {e bit-identical}
-    to {!Engine.run} / {!Event_engine.run} for every shard count —
-    qcheck-pinned in [test_shard.ml], including with [?metrics],
-    [?faults], [?dynamic] and [?telemetry] attached.
+    to {!Reference.run} for every shard count — qcheck-pinned in
+    [test_equiv.ml] with [?metrics], [?observer], [?faults],
+    [?dynamic] and [?keep_alive] attached, and against the single-shard
+    run for [?telemetry], [?sink], [?injections] and [?stats] in
+    [test_shard.ml].
 
     When a fault plan or dynamic schedule is attached, the send phase
     runs sequentially on the coordinator (the fault decision stream is
@@ -35,22 +37,24 @@
     phases are precomputed by the coordinator each round, so schedule
     queries never race.
 
-    {!run_implicit} supports [?observer] without serialising the
-    phases: each shard buffers its deliver/complete events in local
-    processing order, and the coordinator replays them at the round
-    barrier, merged in [(phase, node)] order — the same reconstruction
-    the completion drain uses — so the callback stream (including the
-    interleaving of [on_deliver] and [on_complete] at a node) is
-    exactly the sequential engines'. [on_round_end] fires on the
-    coordinator after the merge, with the engines' [in_flight]
-    accounting, and its [`Halt] verdict stops the run. As in
-    {!Event_engine.run}, a non-default observer disables quiescent-gap
-    jumping (it must see every executed round). [?keep_alive] remains
-    unsupported here — use an observer that returns [`Continue].
+    [?observer] works without serialising the phases: each shard
+    buffers its deliver/complete events in local processing order, and
+    the coordinator replays them at the round barrier, merged in
+    [(phase, node)] order — the same reconstruction the completion
+    drain uses — so the callback stream (including the interleaving of
+    [on_deliver] and [on_complete] at a node) is exactly the sequential
+    one. [on_round_end] fires on the coordinator after the merge, with
+    the engines' [in_flight] accounting, and its [`Halt] verdict stops
+    the run. [?keep_alive] is polled on the coordinator between rounds
+    and gates quiescent-gap jumping exactly as in {!Engine.run}; a
+    keep_alive that reads state written by the protocol's handlers
+    sees it after the barrier.
 
-    With an effective shard count of 1 the call delegates to the
-    sequential engine, so nothing is ever lost by threading [--shards]
-    through unconditionally. *)
+    Both functions are fronts of the round kernel ({!Kernel}). Sharded
+    runs pre-assign node slots (arrays sized [n] up front); with an
+    effective shard count of 1 every phase runs inline on the calling
+    domain, with {!Event_engine.run}'s store, so nothing is ever lost
+    by threading [--shards] through unconditionally. *)
 
 val auto_shards : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1 — a sensible
@@ -62,6 +66,8 @@ val run :
   ?partition:Countq_topology.Partition.t ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
+  ?observer:'r Engine.observer ->
+  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   graph:Countq_topology.Graph.t ->
@@ -77,11 +83,12 @@ val run :
     the whole run, released at the end), else up to
     [Domain.recommended_domain_count () - 1] are spawned directly;
     with no budget the run degrades to the sharded data path on the
-    calling domain alone. [shards = 1] delegates to {!Engine.run}.
+    calling domain alone. [shards = 1] runs exactly as {!Engine.run}.
 
     Tick-driven protocols are supported (each shard ticks its own
-    nodes). A [Custom] arbiter must be a pure function: it is called
-    concurrently from several domains.
+    nodes). A [Custom] arbiter, the protocol's handlers and [keep_alive]
+    must not share unsynchronised mutable state across nodes: handlers
+    for different shards run concurrently on several domains.
     @raise Invalid_argument if [shards < 1] or the partition does not
     cover the graph's nodes. *)
 
@@ -92,6 +99,7 @@ val run_implicit :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r Engine.observer ->
+  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   ?sink:('r Engine.completion -> unit) ->
@@ -108,16 +116,13 @@ val run_implicit :
     optional machinery (completion [sink] — invoked in chronological
     order, drained at each round barrier; per-event [observer],
     replayed at the barrier in the sequential callback order — see the
-    module preamble; scheduled [injections]; [halt_after]; [stats];
-    [starters]). [partition] defaults to [Partition.contiguous].
-    [shards = 1] delegates to {!Event_engine.run}.
+    module preamble; [keep_alive]; scheduled [injections];
+    [halt_after]; [stats]; [starters]). [partition] defaults to
+    [Partition.contiguous]. [shards = 1] runs exactly as
+    {!Event_engine.run}, including its on-first-touch store when
+    [starters] is given.
 
-    Representation note: node state is dense (arrays over all [n]
-    nodes), not the event engine's lazy sparse store — the per-round
-    {e work} still tracks the active set, but setup is O(n). [stats]
-    fields ([touched], [peak_in_flight], [executed_rounds]) are
-    maintained with the event engine's exact semantics and are
-    bit-identical to a sequential run.
-    @raise Invalid_argument as {!run}, or if the protocol has a tick
-    handler (as {!Event_engine.run}), or on malformed
+    [stats] fields ([touched], [peak_in_flight], [executed_rounds])
+    are bit-identical for every shard count.
+    @raise Invalid_argument as {!run}, or on malformed
     [injections]/[starters]. *)

@@ -352,7 +352,8 @@ let parse spec =
           else Ok (torus ~dims)
       | ("tree" | "binary-tree"), `N n -> Ok (tree ~arity:2 n)
       | ("tree" | "binary-tree"), `Pair (arity, n) -> Ok (tree ~arity n)
-      | ("tree" | "binary-tree"), `Dims _ -> err "tree: takes a size, not dimensions"
+      | ("tree" | "binary-tree"), `Dims _ ->
+          err "tree: takes a size or ARITY:N (e.g. tree:64:1000), not dimensions"
       | _, `Pair _ -> err "%s: arity:size is only for tree" name
       | other, _ ->
           err "unknown implicit topology %S (try: list, ring, mesh, torus, tree)"

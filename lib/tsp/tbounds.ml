@@ -28,5 +28,9 @@ let rosenkrantz_ratio k =
   (* The RSL factor; never below 1 (NN is exactly optimal at k = 1). *)
   Float.max 1.0 (float_of_int (log2_ceil k + 1) /. 2.0)
 
+let nn_path_ratio k =
+  if k < 1 then invalid_arg "Tbounds.nn_path_ratio: k must be >= 1";
+  float_of_int (log2_ceil (k + 1) + 1)
+
 let constant_degree_tree_bound ~n ~k =
   if k < 1 then 0 else n * (log2_ceil k + 1)

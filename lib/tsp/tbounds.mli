@@ -18,10 +18,28 @@ val perfect_binary_bound : n:int -> int
     [Θ(n)] bound with the paper's constants. *)
 
 val rosenkrantz_ratio : int -> float
-(** Rosenkrantz–Stearns–Lewis: the nearest-neighbour tour on any
-    [k]-point triangle-inequality metric costs at most
-    [(ceil(log2 k) + 1) / 2] times the optimum (clamped below at 1.0,
-    where nearest-neighbour is exactly optimal). *)
+(** Rosenkrantz–Stearns–Lewis: the nearest-neighbour {e tour} (closed)
+    on any [k]-point triangle-inequality metric costs at most
+    [(ceil(log2 k) + 1) / 2] times the optimal tour (clamped below at
+    1.0, where nearest-neighbour is exactly optimal). This is not a
+    bound on open paths: see {!nn_path_ratio}. *)
+
+val nn_path_ratio : int -> float
+(** The guarantee for what E8 and the arrow analysis measure: an open
+    nearest-neighbour {e path} from a fixed start over [k] requests,
+    against the optimal open path from the same start. It costs at most
+    [ceil(log2 (k + 1)) + 1] times the optimum:
+
+    NN path <= NN tour over the [k + 1] points (the path is the tour
+    minus its closing edge)
+    <= [((ceil(log2 (k + 1)) + 1) / 2)] * OPT tour (Rosenkrantz–
+    Stearns–Lewis on [k + 1] points)
+    <= [(ceil(log2 (k + 1)) + 1)] * OPT path (closing the optimal path
+    back to its start at most doubles it, by the triangle inequality).
+
+    {!rosenkrantz_ratio}[ k] is not sound here: on the 8-node tree of
+    seed 2720 with [k = 4] the NN path costs 11 against an optimum of 7,
+    a ratio of 1.571 above its 1.5. *)
 
 val constant_degree_tree_bound : n:int -> k:int -> int
 (** Corollary 4.2's shape: on any tree with [n] vertices the

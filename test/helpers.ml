@@ -70,3 +70,177 @@ let nonempty_instance_gen =
 
 let check_sorted_ints msg l =
   Alcotest.(check (list int)) msg (List.sort compare l) l
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* Shared by the engine equivalence suites (equiv, event-engine,
+   shard): a seed-parameterised flooding protocol, and the arbiter,
+   fault-plan, churn and config menus they draw scenarios from.        *)
+
+module Engine = Countq_simnet.Engine
+module Faults = Countq_simnet.Faults
+module Dynamic = Countq_simnet.Dynamic
+
+(* A cheap avalanche mix so the random protocols are pure functions of
+   their inputs (every engine must see the exact same behaviour,
+   including across re-runs on shrunk counterexamples). *)
+let mix a b =
+  let h = ref ((a * 0x9e3779b1) + (b * 0x85ebca6b)) in
+  h := !h lxor (!h lsr 13);
+  h := !h * 0xc2b2ae35;
+  h := !h lxor (!h lsr 16);
+  !h land max_int
+
+type msg = { ttl : int; tag : int }
+
+let pick_nbr graph v h =
+  let a = Graph.neighbors graph v in
+  if Array.length a = 0 then None else Some a.(h mod Array.length a)
+
+(* Roughly a third of the nodes start a bounded-ttl random walk that
+   forks with fanout 0..2 per hop and sprinkles completions. [starts]
+   gates on_start to a request subset, so the lazy-starter contract
+   holds off the subset. *)
+let hash_protocol ?starts ~seed ~graph () =
+  let may_start node =
+    match starts with None -> true | Some l -> List.mem node l
+  in
+  {
+    Engine.name = "qcheck-hash";
+    initial_state = (fun v -> mix seed v);
+    on_start =
+      (fun ~node s ->
+        if not (may_start node) then (s, [])
+        else
+          let h = mix seed node in
+          let acts =
+            if h mod 3 = 0 then
+              match pick_nbr graph node h with
+              | Some d ->
+                  [ Engine.Send (d, { ttl = 2 + (h mod 5); tag = h land 0xffff }) ]
+              | None -> []
+            else []
+          in
+          let acts =
+            if h mod 7 = 0 then Engine.Complete (node, h land 0xff) :: acts
+            else acts
+          in
+          (s, acts));
+    on_receive =
+      (fun ~round ~node ~src m s ->
+        let h = mix (mix s m.tag) (mix src round) in
+        let acts = ref [] in
+        (if m.ttl > 0 then
+           let fan = match h mod 4 with 0 -> 0 | 1 | 2 -> 1 | _ -> 2 in
+           for i = 1 to fan do
+             match pick_nbr graph node (mix h i) with
+             | Some d ->
+                 acts :=
+                   Engine.Send
+                     (d, { ttl = m.ttl - 1; tag = mix m.tag i land 0xffff })
+                   :: !acts
+             | None -> ()
+           done);
+        if h mod 5 = 0 then acts := Engine.Complete (node, m.tag) :: !acts;
+        (mix s (m.tag + 1), !acts));
+    on_tick = Engine.no_tick;
+  }
+
+(* What one scheduled event does at (round, node): a pure function of
+   the seed, shared by the injection and on_tick encodings. *)
+let fire ~seed ~graph ~round ~node s =
+  let h = mix seed (mix round node) in
+  let acts =
+    match pick_nbr graph node h with
+    | Some d -> [ Engine.Send (d, { ttl = 1 + (h mod 3); tag = h land 0xffff }) ]
+    | None -> []
+  in
+  let acts =
+    if h mod 4 = 0 then Engine.Complete (node, h land 0xff) :: acts else acts
+  in
+  (mix s h, acts)
+
+let arbiter_of = function
+  | 0 -> Engine.Round_robin
+  | 1 -> Engine.Lowest_sender_first
+  | _ ->
+      Engine.Custom
+        (fun ~round ~node ~candidates ->
+          List.nth candidates (mix round node mod List.length candidates))
+
+let arbiter_label = function
+  | 0 -> "round-robin"
+  | 1 -> "lowest-sender"
+  | _ -> "custom-hash"
+
+(* 0 is "no plan attached". *)
+let plan_of = function
+  | 0 -> Faults.none
+  | 1 -> Faults.drop_nth 3
+  | 2 -> Faults.dup_nth 5
+  | 3 -> Faults.delay_nth ~by:4 2
+  | 4 -> Faults.delay_nth ~by:50 1
+  | 5 -> Faults.random ~label:"lossy" ~seed:42L ~drop:0.1 ()
+  | 6 ->
+      Faults.random ~label:"chaos" ~seed:7L ~drop:0.05 ~duplicate:0.1
+        ~delay:0.2 ~delay_max:9 ()
+  | 7 ->
+      Faults.crash_only ~label:"crash-restart"
+        [ { node = 0; at_round = 2; recover_at = Some 6 } ]
+  | _ -> Faults.random ~label:"jitter" ~seed:9L ~delay:0.4 ~delay_max:30 ()
+
+let plan_label p = if p = 0 then "-" else Faults.label (plan_of p)
+
+(* Dynamic-schedule variants: churn and flaps move nodes and links
+   under the run, so empty shards (every member down) and rerouted
+   cross-shard traffic both happen. *)
+let dyn_of graph = function
+  | 0 -> None
+  | 1 -> Some (Dynamic.identity graph)
+  | 2 -> Some (Dynamic.node_churn ~seed:5L ~rate:0.3 ~epoch:4 graph)
+  | _ -> Some (Dynamic.link_flaps ~seed:11L ~rate:0.25 ~epoch:4 graph)
+
+let dyn_label = function
+  | 0 -> "static"
+  | 1 -> "identity"
+  | 2 -> "churn"
+  | _ -> "flaps"
+
+let config_of (rc, sc, arb, minr, maxr) =
+  {
+    Engine.receive_capacity = rc;
+    send_capacity = sc;
+    arbiter = arbiter_of arb;
+    max_rounds = maxr;
+    min_rounds = minr;
+  }
+
+let config_label (rc, sc, arb, minr, maxr) =
+  Printf.sprintf "rcv=%d snd=%d arb=%s min_rounds=%d max_rounds=%d" rc sc
+    (arbiter_label arb) minr maxr
+
+(* A run's result, or its round-limit payload. *)
+let outcome run =
+  match run () with
+  | r -> Ok r
+  | exception Engine.Round_limit_exceeded { limit; outstanding; queued; held; busiest }
+    ->
+      Error (limit, outstanding, queued, held, busiest)
+
+(* A recording observer: every callback, in order, into [events];
+   on_round_end answers `Halt from round [halt_at] on. *)
+let recording_observer ?halt_at events =
+  {
+    Engine.on_deliver =
+      (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
+    on_complete =
+      (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
+    on_round_end =
+      (fun ~round ~in_flight ->
+        events := `Round_end (round, in_flight) :: !events;
+        match halt_at with Some h when round >= h -> `Halt | _ -> `Continue);
+  }

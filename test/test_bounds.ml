@@ -131,7 +131,9 @@ let test_perfect_binary_bound () =
 let test_rosenkrantz_ratio () =
   Alcotest.(check (float 1e-9)) "k=1" 1.0 (Tbounds.rosenkrantz_ratio 1);
   Alcotest.(check (float 1e-9)) "k=8" 2.0 (Tbounds.rosenkrantz_ratio 8);
-  Alcotest.(check (float 1e-9)) "k=9" 2.5 (Tbounds.rosenkrantz_ratio 9)
+  Alcotest.(check (float 1e-9)) "k=9" 2.5 (Tbounds.rosenkrantz_ratio 9);
+  Alcotest.(check (float 1e-9)) "path k=1" 2.0 (Tbounds.nn_path_ratio 1);
+  Alcotest.(check (float 1e-9)) "path k=10" 5.0 (Tbounds.nn_path_ratio 10)
 
 let prop_log_star_inverse_of_tow =
   QCheck2.Test.make ~name:"log* (tow j) = j for small towers" ~count:5

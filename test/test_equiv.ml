@@ -1,179 +1,277 @@
-(* Equivalence of the active-set engine and the retained reference
-   engine: over random protocols, topologies, arbiters, capacities and
-   fault plans, Engine.run and Reference.run must produce bit-identical
-   results — same completions, rounds, messages, max_link_backlog,
-   same Round_limit_exceeded payloads, same observer event streams and
-   same fault-injection tallies. Plus regression tests that idle-round
-   fast-forwarding never skips an observable callback. *)
+(* Every engine entry point against the retained reference engine.
+   Engine.run, Event_engine.run, Shard.run and Shard.run_implicit are
+   thin fronts over one round kernel; the property below drives that
+   kernel through each front — eager start on a materialised graph or
+   an implicit twin, or declared ?starters (slots assigned on first
+   touch at one shard) — at shards 1, 2 and 3, with every hook
+   Reference.run accepts (metrics, observer with an optional `Halt,
+   faults, dynamic schedules, keep_alive), and demands bit-identical
+   results: same completions, rounds, messages, max_link_backlog, same
+   Round_limit_exceeded payloads, observer streams, fault and churn
+   tallies and metrics content. Plus pins for ticking protocols on the
+   implicit front and under sharding, keep_alive and observers under
+   sharding, and regression tests that idle-round fast-forwarding never
+   skips an observable callback. *)
 
 module Engine = Countq_simnet.Engine
+module Event = Countq_simnet.Event_engine
+module Shard = Countq_simnet.Shard
 module Reference = Countq_simnet.Reference
 module Faults = Countq_simnet.Faults
+module Dynamic = Countq_simnet.Dynamic
+module Metrics = Countq_simnet.Metrics
+module Reliable = Countq_simnet.Reliable
 module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
+module Implicit = Countq_topology.Implicit
+module Parallel = Countq_util.Parallel
 
-(* A cheap avalanche mix so the random protocols below are pure
-   functions of their inputs (both engines must see the exact same
-   behaviour, including across re-runs on shrunk counterexamples). *)
-let mix a b =
-  let h = ref ((a * 0x9e3779b1) + (b * 0x85ebca6b)) in
-  h := !h lxor (!h lsr 13);
-  h := !h * 0xc2b2ae35;
-  h := !h lxor (!h lsr 16);
-  !h land max_int
+(* Two helper lanes: on a single-core box the shard counts below still
+   exercise real worker domains. *)
+let pool = Parallel.pool ~jobs:3
 
-type msg = { ttl : int; tag : int }
+(* How the run starts and which front it goes through. *)
+type front = Graph_eager | Implicit_eager | Starters
 
-(* A seed-parameterised protocol that floods pseudo-random traffic:
-   roughly a third of the nodes start a bounded-ttl random walk that
-   forks with fanout 0..2 per hop and sprinkles completions. *)
-let hash_protocol ~seed ~graph =
-  let pick_nbr v h =
-    let a = Graph.neighbors graph v in
-    if Array.length a = 0 then None else Some a.(h mod Array.length a)
-  in
-  {
-    Engine.name = "qcheck-hash";
-    initial_state = (fun v -> mix seed v);
-    on_start =
-      (fun ~node s ->
-        let h = mix seed node in
-        let acts =
-          if h mod 3 = 0 then
-            match pick_nbr node h with
-            | Some d ->
-                [ Engine.Send (d, { ttl = 2 + (h mod 5); tag = h land 0xffff }) ]
-            | None -> []
-          else []
-        in
-        let acts =
-          if h mod 7 = 0 then Engine.Complete (node, h land 0xff) :: acts
-          else acts
-        in
-        (s, acts));
-    on_receive =
-      (fun ~round ~node ~src m s ->
-        let h = mix (mix s m.tag) (mix src round) in
-        let acts = ref [] in
-        (if m.ttl > 0 then
-           let fan = match h mod 4 with 0 -> 0 | 1 | 2 -> 1 | _ -> 2 in
-           for i = 1 to fan do
-             match pick_nbr node (mix h i) with
-             | Some d ->
-                 acts :=
-                   Engine.Send
-                     (d, { ttl = m.ttl - 1; tag = mix m.tag i land 0xffff })
-                   :: !acts
-             | None -> ()
-           done);
-        if h mod 5 = 0 then acts := Engine.Complete (node, m.tag) :: !acts;
-        (mix s (m.tag + 1), !acts));
-    on_tick = Engine.no_tick;
-  }
+let front_label = function
+  | Graph_eager -> "graph"
+  | Implicit_eager -> "implicit"
+  | Starters -> "starters"
 
-let arbiter_of = function
-  | 0 -> Engine.Round_robin
-  | 1 -> Engine.Lowest_sender_first
+(* The hook menu: one hook alone, none, or a random mix of all. *)
+type hooks = {
+  plan : int;  (* 0 = no fault plan *)
+  dyn : int;  (* 0 = no schedule *)
+  with_metrics : bool;
+  keep_alive : int option;  (* polls answered true, then false *)
+}
+
+let hooks_gen =
+  let open QCheck2.Gen in
+  let none = { plan = 0; dyn = 0; with_metrics = false; keep_alive = None } in
+  let* pick = int_range 0 5 in
+  match pick with
+  | 0 -> return none
+  | 1 -> return { none with with_metrics = true }
+  | 2 ->
+      let* plan = int_range 1 8 in
+      return { none with plan }
+  | 3 ->
+      let* dyn = int_range 1 3 in
+      return { none with dyn }
+  | 4 ->
+      let* k = oneofl [ 0; 5 ] in
+      return { none with keep_alive = Some k }
   | _ ->
-      Engine.Custom
-        (fun ~round ~node ~candidates ->
-          List.nth candidates (mix round node mod List.length candidates))
-
-let arbiter_label = function
-  | 0 -> "round-robin"
-  | 1 -> "lowest-sender"
-  | _ -> "custom-hash"
-
-let plan_of = function
-  | 0 -> Faults.none
-  | 1 -> Faults.drop_nth 3
-  | 2 -> Faults.dup_nth 5
-  | 3 -> Faults.delay_nth ~by:4 2
-  | 4 -> Faults.delay_nth ~by:50 1
-  | 5 -> Faults.random ~label:"lossy" ~seed:42L ~drop:0.1 ()
-  | 6 ->
-      Faults.random ~label:"chaos" ~seed:7L ~drop:0.05 ~duplicate:0.1
-        ~delay:0.2 ~delay_max:9 ()
-  | 7 ->
-      Faults.crash_only ~label:"crash-restart"
-        [ { node = 0; at_round = 2; recover_at = Some 6 } ]
-  | _ -> Faults.random ~label:"jitter" ~seed:9L ~delay:0.4 ~delay_max:30 ()
+      let* plan = int_range 0 8 in
+      let* dyn = int_range 0 3 in
+      let* with_metrics = bool in
+      let* keep_alive = oneofl [ None; Some 0; Some 5 ] in
+      return { plan; dyn; with_metrics; keep_alive }
 
 let scenario_gen =
   let open QCheck2.Gen in
-  let* topo = Helpers.topology_gen in
+  let* inst = Helpers.instance_gen in
   let* seed = int_range 0 100_000 in
   let* rc = int_range 1 3 in
   let* sc = int_range 1 3 in
   let* arb = int_range 0 2 in
   let* minr = oneofl [ 0; 7 ] in
   let* maxr = oneofl [ 4; 2_000 ] in
-  let* plan = int_range 0 8 in
-  return (topo, seed, (rc, sc, arb, minr, maxr), plan)
+  let* front = oneofl [ Graph_eager; Implicit_eager; Starters ] in
+  let* shards = int_range 1 3 in
+  let* hooks = hooks_gen in
+  let* halt_at = oneofl [ None; Some 3 ] in
+  return (inst, seed, (rc, sc, arb, minr, maxr), front, shards, hooks, halt_at)
 
-let scenario_print ((name, g), seed, (rc, sc, arb, minr, maxr), plan) =
+let scenario_print ((name, g, requests), seed, cfg, front, shards, h, halt_at) =
   Printf.sprintf
-    "%s (n=%d) seed=%d rcv=%d snd=%d arb=%s min_rounds=%d max_rounds=%d \
-     plan=%s"
-    name (Graph.n g) seed rc sc (arbiter_label arb) minr maxr
-    (Faults.label (plan_of plan))
+    "%s (n=%d) R={%s} seed=%d %s front=%s shards=%d plan=%s dyn=%s \
+     metrics=%b keep_alive=%s halt=%s"
+    name (Graph.n g)
+    (String.concat "," (List.map string_of_int requests))
+    seed (Helpers.config_label cfg) (front_label front) shards
+    (Helpers.plan_label h.plan) (Helpers.dyn_label h.dyn) h.with_metrics
+    (match h.keep_alive with None -> "-" | Some k -> string_of_int k)
+    (match halt_at with None -> "-" | Some r -> string_of_int r)
 
-(* Run one engine, capturing the result (or the round-limit payload),
-   the observer event stream (when [observe]) and the fault tallies. *)
-let capture which ~observe ~plan ~graph ~config ~protocol =
+(* One run through [run] with fresh hooks, capturing everything
+   observable. [run] receives the optional hooks already started. *)
+let capture ~observe ~halt_at ~hooks ~graph run =
   let events = ref [] in
   let observer =
-    if observe then
-      Some
-        {
-          Engine.on_deliver =
-            (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
-          on_complete =
-            (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
-          on_round_end =
-            (fun ~round ~in_flight ->
-              events := `Round_end (round, in_flight) :: !events;
-              `Continue);
-        }
-    else None
+    if observe then Some (Helpers.recording_observer ?halt_at events) else None
   in
-  let faults = Option.map Faults.start plan in
+  let faults =
+    if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
+  in
+  let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
+  let metrics = if hooks.with_metrics then Some (Metrics.create ~graph) else None in
+  let keep_alive =
+    Option.map
+      (fun k ->
+        let polls = ref 0 in
+        fun () ->
+          incr polls;
+          !polls <= k)
+      hooks.keep_alive
+  in
   let outcome =
-    match
-      match which with
-      | `Active -> Engine.run ?faults ?observer ~graph ~config ~protocol ()
-      | `Reference -> Reference.run ?faults ?observer ~graph ~config ~protocol ()
-    with
-    | r -> Ok r
-    | exception Engine.Round_limit_exceeded
-          { limit; outstanding; queued; held; busiest } ->
-        Error (limit, outstanding, queued, held, busiest)
+    Helpers.outcome (fun () -> run ?faults ?dynamic ?observer ?keep_alive ?metrics ())
   in
-  (outcome, List.rev !events, Option.map Faults.stats faults)
+  ( outcome,
+    List.rev !events,
+    Option.map Faults.stats faults,
+    Option.map Dynamic.stats dynamic,
+    Option.map (fun m -> (Metrics.per_node m, Metrics.per_edge m)) metrics )
 
-let equiv_prop ~observe ((_, graph), seed, (rc, sc, arb, minr, maxr), plan) =
-  let config =
-    {
-      Engine.receive_capacity = rc;
-      send_capacity = sc;
-      arbiter = arbiter_of arb;
-      max_rounds = maxr;
-      min_rounds = minr;
-    }
+let kernel_prop ~observe ((_, graph, requests), seed, cfg, front, shards, hooks, halt_at)
+    =
+  let config = Helpers.config_of cfg in
+  let starts = match front with Starters -> Some requests | _ -> None in
+  let protocol = Helpers.hash_protocol ?starts ~seed ~graph () in
+  let topo = Implicit.of_graph graph in
+  let kernel ?faults ?dynamic ?observer ?keep_alive ?metrics () =
+    match (front, shards) with
+    | Graph_eager, 1 ->
+        Engine.run ?faults ?dynamic ?observer ?keep_alive ?metrics ~graph ~config
+          ~protocol ()
+    | Graph_eager, k ->
+        Shard.run ~shards:k ~pool ?faults ?dynamic ?observer ?keep_alive ?metrics
+          ~graph ~config ~protocol ()
+    | Implicit_eager, 1 ->
+        Event.run ?faults ?dynamic ?observer ?keep_alive ?metrics ~topo ~config
+          ~protocol ()
+    | Starters, 1 ->
+        Event.run ?faults ?dynamic ?observer ?keep_alive ?metrics
+          ~starters:requests ~topo ~config ~protocol ()
+    | _, k ->
+        Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?observer ?keep_alive
+          ?metrics ?starters:starts ~topo ~config ~protocol ()
   in
-  let protocol = hash_protocol ~seed ~graph in
-  let plan = if plan = 0 then None else Some (plan_of plan) in
-  let a = capture `Active ~observe ~plan ~graph ~config ~protocol in
-  let r = capture `Reference ~observe ~plan ~graph ~config ~protocol in
-  a = r
+  let reference ?faults ?dynamic ?observer ?keep_alive ?metrics () =
+    Reference.run ?faults ?dynamic ?observer ?keep_alive ?metrics ~graph ~config
+      ~protocol ()
+  in
+  capture ~observe ~halt_at ~hooks ~graph kernel
+  = capture ~observe ~halt_at ~hooks ~graph reference
 
 let equiv_default =
-  QCheck2.Test.make ~count:150 ~name:"active = reference (default hooks)"
-    ~print:scenario_print scenario_gen (equiv_prop ~observe:false)
+  QCheck2.Test.make ~count:300 ~name:"active = reference (default hooks)"
+    ~print:scenario_print scenario_gen (kernel_prop ~observe:false)
 
 let equiv_observed =
-  QCheck2.Test.make ~count:150 ~name:"active = reference (observed, traced)"
-    ~print:scenario_print scenario_gen (equiv_prop ~observe:true)
+  QCheck2.Test.make ~count:300 ~name:"active = reference (observed, traced)"
+    ~print:scenario_print scenario_gen (kernel_prop ~observe:true)
+
+(* ------------------------------------------------------------------ *)
+(* Ticks, keep_alive and observers across fronts and shard counts,
+   each pinned to Reference.run.                                       *)
+
+let tick_flood =
+  {
+    Engine.name = "tick-flood";
+    initial_state = (fun v -> v);
+    on_start = (fun ~node:_ s -> (s, []));
+    on_receive =
+      (fun ~round ~node ~src:_ m s ->
+        (s + m, if round > 6 then [ Engine.Complete (node, s + m) ] else []));
+    on_tick =
+      Some
+        (fun ~round ~node s ->
+          if round <= 3 then (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node) ])
+          else (s, []));
+  }
+
+let test_tick_protocol_pinned () =
+  (* A ticking protocol through the implicit front, and sharded. *)
+  let graph = Gen.cycle 9 in
+  let topo = Implicit.of_graph graph in
+  let config = { Engine.default_config with min_rounds = 10 } in
+  let faults () = Faults.start (Helpers.plan_of 6) in
+  let reference = Reference.run ~graph ~config ~protocol:tick_flood () in
+  let reference_faulty =
+    Reference.run ~faults:(faults ()) ~graph ~config ~protocol:tick_flood ()
+  in
+  Alcotest.(check bool) "Event_engine.run" true
+    (Event.run ~topo ~config ~protocol:tick_flood () = reference);
+  Alcotest.(check bool) "Event_engine.run with ?starters" true
+    (Event.run ~starters:[] ~topo ~config ~protocol:tick_flood () = reference);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "Shard.run_implicit at %d shards" k)
+        true
+        (Shard.run_implicit ~shards:k ~pool ~topo ~config ~protocol:tick_flood ()
+        = reference);
+      Alcotest.(check bool)
+        (Printf.sprintf "Shard.run_implicit at %d shards, chaos plan" k)
+        true
+        (Shard.run_implicit ~shards:k ~pool ~faults:(faults ()) ~topo ~config
+           ~protocol:tick_flood ()
+        = reference_faulty))
+    [ 2; 3 ]
+
+let test_reliable_keep_alive_sharded () =
+  (* A Reliable-wrapped central counter heals a drop plan only if the
+     engine keeps ticking while retransmit timers are pending: the
+     keep_alive hook, now honoured at every shard count. *)
+  let graph = Gen.square_mesh 4 in
+  let requests = [ 1; 6; 9; 14; 15 ] in
+  let plan = Faults.random ~label:"lossy" ~seed:42L ~drop:0.2 () in
+  let run engine =
+    let inner =
+      Countq_counting.Central.one_shot_protocol ~root:5 ~graph ~requests ()
+    in
+    let protocol, h = Reliable.wrap inner in
+    let fr = Faults.start plan in
+    let res = engine ~faults:fr ~keep_alive:(Reliable.keep_alive h) ~protocol in
+    (res, Faults.stats fr, Reliable.stats h)
+  in
+  let config = Engine.default_config in
+  let ((res, injected, retry) as reference) =
+    run (fun ~faults ~keep_alive ~protocol ->
+        Reference.run ~faults ~keep_alive ~graph ~config ~protocol ())
+  in
+  let sharded =
+    run (fun ~faults ~keep_alive ~protocol ->
+        Shard.run ~shards:2 ~pool ~faults ~keep_alive ~graph ~config ~protocol ())
+  in
+  Alcotest.(check bool) "bit-identical to Reference" true (sharded = reference);
+  Alcotest.(check bool) "the plan dropped messages" true (injected.Faults.dropped > 0);
+  Alcotest.(check bool) "retransmits healed them" true (retry.Reliable.retransmits > 0);
+  Alcotest.(check (list int)) "counts are exactly 1..k" [ 1; 2; 3; 4; 5 ]
+    (List.sort compare
+       (List.map (fun (c : _ Engine.completion) -> snd c.value) res.completions))
+
+let test_observer_on_sharded_graph () =
+  (* ?observer on Shard.run: the callback stream (and a `Halt) replays
+     at the barrier exactly as Reference emits it. *)
+  let graph = Gen.square_mesh 5 in
+  let protocol = Helpers.hash_protocol ~seed:99 ~graph () in
+  let config = { Engine.default_config with receive_capacity = 2 } in
+  List.iter
+    (fun halt_at ->
+      let stream run =
+        let events = ref [] in
+        let observer = Helpers.recording_observer ?halt_at events in
+        let res = run ~observer in
+        (res, List.rev !events)
+      in
+      let reference =
+        stream (fun ~observer -> Reference.run ~observer ~graph ~config ~protocol ())
+      in
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shards=%d halt=%s" k
+               (match halt_at with None -> "-" | Some h -> string_of_int h))
+            true
+            (stream (fun ~observer ->
+                 Shard.run ~shards:k ~pool ~observer ~graph ~config ~protocol ())
+            = reference))
+        [ 2; 3 ])
+    [ None; Some 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fast-forward regressions: skipping idle rounds must never skip an
@@ -322,6 +420,12 @@ let suite =
   [
     Helpers.qcheck equiv_default;
     Helpers.qcheck equiv_observed;
+    Alcotest.test_case "ticking protocol = reference (implicit, sharded)" `Quick
+      test_tick_protocol_pinned;
+    Alcotest.test_case "reliable keep_alive = reference at shards 2" `Quick
+      test_reliable_keep_alive_sharded;
+    Alcotest.test_case "observer on sharded Shard.run = reference" `Quick
+      test_observer_on_sharded_graph;
     Alcotest.test_case "fast-forward: observer sees every idle round" `Quick
       test_observer_sees_every_idle_round;
     Alcotest.test_case "fast-forward: keep_alive polled every round" `Quick

@@ -1,223 +1,37 @@
-(* The event-driven engine is pinned bit-identical to Engine.run on
-   every materialisable topology: same completions, rounds, messages,
-   backlog, observer streams, fault tallies, metrics content and
-   Round_limit_exceeded payloads — fault-free, faulty and under the
-   identity dynamic schedule. Injections are pinned against an on_tick
-   wrapper, declared starters against an on_start that returns [] off
-   the request set, and halt_after against an observer-driven halt.
-   Plus the implicit topology families themselves: materialisation
-   agrees with the Gen twins, and next_hop is strictly
+(* The implicit front's own legs (the kernel behind it is pinned
+   against Reference in test_equiv): injections are pinned against an
+   on_tick wrapper, declared starters against an on_start that returns
+   [] off the request set, and halt_after against an observer-driven
+   halt. Plus the implicit topology families themselves:
+   materialisation agrees with the Gen twins, and next_hop is strictly
    distance-decreasing. *)
 
 module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
 module Faults = Countq_simnet.Faults
-module Dynamic = Countq_simnet.Dynamic
-module Metrics = Countq_simnet.Metrics
 module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
 module Implicit = Countq_topology.Implicit
 module Bfs = Countq_topology.Bfs
 
-let mix a b =
-  let h = ref ((a * 0x9e3779b1) + (b * 0x85ebca6b)) in
-  h := !h lxor (!h lsr 13);
-  h := !h * 0xc2b2ae35;
-  h := !h lxor (!h lsr 16);
-  !h land max_int
-
-type msg = { ttl : int; tag : int }
-
-let pick_nbr graph v h =
-  let a = Graph.neighbors graph v in
-  if Array.length a = 0 then None else Some a.(h mod Array.length a)
-
-(* The same seed-parameterised flooding protocol test_equiv pins the
-   two dense engines with, optionally gated to start only on a request
-   subset (so the lazy-starter contract holds off the subset). *)
-let hash_protocol ?starts ~seed ~graph () =
-  let may_start node =
-    match starts with None -> true | Some l -> List.mem node l
-  in
-  {
-    Engine.name = "qcheck-hash";
-    initial_state = (fun v -> mix seed v);
-    on_start =
-      (fun ~node s ->
-        if not (may_start node) then (s, [])
-        else
-          let h = mix seed node in
-          let acts =
-            if h mod 3 = 0 then
-              match pick_nbr graph node h with
-              | Some d ->
-                  [ Engine.Send (d, { ttl = 2 + (h mod 5); tag = h land 0xffff }) ]
-              | None -> []
-            else []
-          in
-          let acts =
-            if h mod 7 = 0 then Engine.Complete (node, h land 0xff) :: acts
-            else acts
-          in
-          (s, acts));
-    on_receive =
-      (fun ~round ~node ~src m s ->
-        let h = mix (mix s m.tag) (mix src round) in
-        let acts = ref [] in
-        (if m.ttl > 0 then
-           let fan = match h mod 4 with 0 -> 0 | 1 | 2 -> 1 | _ -> 2 in
-           for i = 1 to fan do
-             match pick_nbr graph node (mix h i) with
-             | Some d ->
-                 acts :=
-                   Engine.Send
-                     (d, { ttl = m.ttl - 1; tag = mix m.tag i land 0xffff })
-                   :: !acts
-             | None -> ()
-           done);
-        if h mod 5 = 0 then acts := Engine.Complete (node, m.tag) :: !acts;
-        (mix s (m.tag + 1), !acts));
-    on_tick = Engine.no_tick;
-  }
-
-let arbiter_of = function
-  | 0 -> Engine.Round_robin
-  | 1 -> Engine.Lowest_sender_first
-  | _ ->
-      Engine.Custom
-        (fun ~round ~node ~candidates ->
-          List.nth candidates (mix round node mod List.length candidates))
-
-let arbiter_label = function
-  | 0 -> "round-robin"
-  | 1 -> "lowest-sender"
-  | _ -> "custom-hash"
-
-let plan_of = function
-  | 0 -> Faults.none
-  | 1 -> Faults.drop_nth 3
-  | 2 -> Faults.dup_nth 5
-  | 3 -> Faults.delay_nth ~by:4 2
-  | 4 -> Faults.delay_nth ~by:50 1
-  | 5 -> Faults.random ~label:"lossy" ~seed:42L ~drop:0.1 ()
-  | 6 ->
-      Faults.random ~label:"chaos" ~seed:7L ~drop:0.05 ~duplicate:0.1
-        ~delay:0.2 ~delay_max:9 ()
-  | 7 ->
-      Faults.crash_only ~label:"crash-restart"
-        [ { node = 0; at_round = 2; recover_at = Some 6 } ]
-  | _ -> Faults.random ~label:"jitter" ~seed:9L ~delay:0.4 ~delay_max:30 ()
-
-let config_of (rc, sc, arb, minr, maxr) =
-  {
-    Engine.receive_capacity = rc;
-    send_capacity = sc;
-    arbiter = arbiter_of arb;
-    max_rounds = maxr;
-    min_rounds = minr;
-  }
-
-(* Run one engine, capturing the result (or the round-limit payload),
-   the observer stream, the fault tallies and the metrics content. *)
-let capture which ~observe ~with_metrics ~dyn ~plan ~graph ~config ~protocol =
+(* One run's result (or limit payload), observer stream and fault
+   tallies. *)
+let capture ~observe ~plan run =
   let events = ref [] in
   let observer =
-    if observe then
-      Some
-        {
-          Engine.on_deliver =
-            (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
-          on_complete =
-            (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
-          on_round_end =
-            (fun ~round ~in_flight ->
-              events := `Round_end (round, in_flight) :: !events;
-              `Continue);
-        }
-    else None
+    if observe then Some (Helpers.recording_observer events) else None
   in
   let faults = Option.map Faults.start plan in
-  let dynamic = if dyn then Some (Dynamic.start (Dynamic.identity graph)) else None in
-  let metrics = if with_metrics then Some (Metrics.create ~graph) else None in
-  let outcome =
-    match
-      match which with
-      | `Engine ->
-          Engine.run ?faults ?dynamic ?observer ?metrics ~graph ~config
-            ~protocol ()
-      | `Event ->
-          Event.run ?faults ?dynamic ?observer ?metrics
-            ~topo:(Implicit.of_graph graph) ~config ~protocol ()
-    with
-    | r -> Ok r
-    | exception Engine.Round_limit_exceeded
-          { limit; outstanding; queued; held; busiest } ->
-        Error (limit, outstanding, queued, held, busiest)
-  in
-  ( outcome,
-    List.rev !events,
-    Option.map Faults.stats faults,
-    Option.map (fun m -> (Metrics.per_node m, Metrics.per_edge m)) metrics )
-
-let scenario_gen =
-  let open QCheck2.Gen in
-  let* topo = Helpers.topology_gen in
-  let* seed = int_range 0 100_000 in
-  let* rc = int_range 1 3 in
-  let* sc = int_range 1 3 in
-  let* arb = int_range 0 2 in
-  let* minr = oneofl [ 0; 7 ] in
-  let* maxr = oneofl [ 4; 2_000 ] in
-  let* plan = int_range 0 8 in
-  let* dyn = bool in
-  let* with_metrics = bool in
-  return (topo, seed, (rc, sc, arb, minr, maxr), plan, dyn, with_metrics)
-
-let scenario_print ((name, g), seed, (rc, sc, arb, minr, maxr), plan, dyn, wm) =
-  Printf.sprintf
-    "%s (n=%d) seed=%d rcv=%d snd=%d arb=%s min_rounds=%d max_rounds=%d \
-     plan=%s dyn=%b metrics=%b"
-    name (Graph.n g) seed rc sc (arbiter_label arb) minr maxr
-    (Faults.label (plan_of plan))
-    dyn wm
-
-let equiv_prop ~observe ((_, graph), seed, cfg, plan, dyn, with_metrics) =
-  let config = config_of cfg in
-  let protocol = hash_protocol ~seed ~graph () in
-  let plan = if plan = 0 then None else Some (plan_of plan) in
-  let a = capture `Engine ~observe ~with_metrics ~dyn ~plan ~graph ~config ~protocol in
-  let b = capture `Event ~observe ~with_metrics ~dyn ~plan ~graph ~config ~protocol in
-  a = b
-
-let equiv_default =
-  QCheck2.Test.make ~count:150 ~name:"event = engine (default hooks)"
-    ~print:scenario_print scenario_gen (equiv_prop ~observe:false)
-
-let equiv_observed =
-  QCheck2.Test.make ~count:150 ~name:"event = engine (observed, traced)"
-    ~print:scenario_print scenario_gen (equiv_prop ~observe:true)
+  let outcome = Helpers.outcome (fun () -> run ?faults ?observer ()) in
+  (outcome, List.rev !events, Option.map Faults.stats faults)
 
 (* ------------------------------------------------------------------ *)
 (* Injections vs an on_tick wrapper: a schedule of (round, node) events
    fed through ?injections must replay exactly like an Engine protocol
    whose tick fires the same closures at the same instants.            *)
 
-(* What one scheduled event does at (round, node): a pure function of
-   the seed, shared by both encodings. *)
-let fire ~seed ~graph ~round ~node s =
-  let h = mix seed (mix round node) in
-  let acts =
-    match pick_nbr graph node h with
-    | Some d -> [ Engine.Send (d, { ttl = 1 + (h mod 3); tag = h land 0xffff }) ]
-    | None -> []
-  in
-  let acts =
-    if h mod 4 = 0 then Engine.Complete (node, h land 0xff) :: acts else acts
-  in
-  (mix s h, acts)
-
 let quiet_hash ~seed ~graph =
-  { (hash_protocol ~starts:[] ~seed ~graph ()) with name = "qcheck-injected" }
+  { (Helpers.hash_protocol ~starts:[] ~seed ~graph ()) with name = "qcheck-injected" }
 
 let injection_gen =
   let open QCheck2.Gen in
@@ -238,13 +52,12 @@ let injection_print ((name, g), seed, evs, _, plan, observe) =
     (Graph.n g) seed
     (String.concat ";"
        (List.map (fun (t, v) -> Printf.sprintf "%d@%d" v t) evs))
-    (Faults.label (plan_of plan))
-    observe
+    (Helpers.plan_label plan) observe
 
 let injection_prop ((_, graph), seed, evs, cfg, plan, observe) =
   (* min_rounds = 12 >= every event round, so the ticking engine is
      still running when the last scheduled event fires. *)
-  let config = config_of cfg in
+  let config = Helpers.config_of cfg in
   let base = quiet_hash ~seed ~graph in
   let ticking =
     {
@@ -252,7 +65,7 @@ let injection_prop ((_, graph), seed, evs, cfg, plan, observe) =
       on_tick =
         Some
           (fun ~round ~node s ->
-            if List.mem (round, node) evs then fire ~seed ~graph ~round ~node s
+            if List.mem (round, node) evs then Helpers.fire ~seed ~graph ~round ~node s
             else (s, []));
     }
   in
@@ -260,43 +73,18 @@ let injection_prop ((_, graph), seed, evs, cfg, plan, observe) =
     Array.of_list
       (List.map
          (fun (at, node) ->
-           { Event.at; node; inject = (fun s -> fire ~seed ~graph ~round:at ~node s) })
+           { Event.at; node; inject = (fun s -> Helpers.fire ~seed ~graph ~round:at ~node s) })
          evs)
   in
-  let plan = if plan = 0 then None else Some (plan_of plan) in
+  let plan = if plan = 0 then None else Some (Helpers.plan_of plan) in
   let a =
-    capture `Engine ~observe ~with_metrics:false ~dyn:false ~plan ~graph
-      ~config ~protocol:ticking
+    capture ~observe ~plan (fun ?faults ?observer () ->
+        Engine.run ?faults ?observer ~graph ~config ~protocol:ticking ())
   in
   let b =
-    let events = ref [] in
-    let observer =
-      if observe then
-        Some
-          {
-            Engine.on_deliver =
-              (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
-            on_complete =
-              (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
-            on_round_end =
-              (fun ~round ~in_flight ->
-                events := `Round_end (round, in_flight) :: !events;
-                `Continue);
-          }
-      else None
-    in
-    let faults = Option.map Faults.start plan in
-    let outcome =
-      match
+    capture ~observe ~plan (fun ?faults ?observer () ->
         Event.run ?faults ?observer ~injections ~topo:(Implicit.of_graph graph)
-          ~config ~protocol:base ()
-      with
-      | r -> Ok r
-      | exception Engine.Round_limit_exceeded
-            { limit; outstanding; queued; held; busiest } ->
-          Error (limit, outstanding, queued, held, busiest)
-    in
-    (outcome, List.rev !events, Option.map Faults.stats faults, None)
+          ~config ~protocol:base ())
   in
   a = b
 
@@ -319,30 +107,20 @@ let starters_gen =
 let starters_print ((name, g, requests), seed, _, plan) =
   Printf.sprintf "%s (n=%d) R={%s} seed=%d plan=%s" name (Graph.n g)
     (String.concat "," (List.map string_of_int requests))
-    seed
-    (Faults.label (plan_of plan))
+    seed (Helpers.plan_label plan)
 
 let starters_prop ((_, graph, requests), seed, cfg, plan) =
-  let config = config_of cfg in
-  let protocol = hash_protocol ~starts:requests ~seed ~graph () in
-  let plan = if plan = 0 then None else Some (plan_of plan) in
+  let config = Helpers.config_of cfg in
+  let protocol = Helpers.hash_protocol ~starts:requests ~seed ~graph () in
+  let plan = if plan = 0 then None else Some (Helpers.plan_of plan) in
   let a =
-    capture `Engine ~observe:false ~with_metrics:false ~dyn:false ~plan ~graph
-      ~config ~protocol
+    capture ~observe:false ~plan (fun ?faults ?observer:_ () ->
+        Engine.run ?faults ~graph ~config ~protocol ())
   in
   let b =
-    let faults = Option.map Faults.start plan in
-    let outcome =
-      match
+    capture ~observe:false ~plan (fun ?faults ?observer:_ () ->
         Event.run ?faults ~starters:requests ~topo:(Implicit.of_graph graph)
-          ~config ~protocol ()
-      with
-      | r -> Ok r
-      | exception Engine.Round_limit_exceeded
-            { limit; outstanding; queued; held; busiest } ->
-          Error (limit, outstanding, queued, held, busiest)
-    in
-    (outcome, [], Option.map Faults.stats faults, None)
+          ~config ~protocol ())
   in
   a = b
 
@@ -396,20 +174,6 @@ let test_non_starter_with_actions_rejected () =
       ignore
         (Event.run ~starters:[ 0 ] ~topo:(Implicit.ring 3)
            ~config:Engine.default_config ~protocol:chatty ()))
-
-let test_tick_protocol_rejected () =
-  let ticking =
-    { one_ping with on_tick = Some (fun ~round:_ ~node:_ s -> (s, [])) }
-  in
-  let raised =
-    try
-      ignore
-        (Event.run ~topo:(Implicit.list 4) ~config:Engine.default_config
-           ~protocol:ticking ());
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "on_tick protocols are refused" true raised
 
 (* ------------------------------------------------------------------ *)
 (* halt_after vs an observer-driven halt.                              *)
@@ -636,6 +400,14 @@ let test_parse () =
   ok "tree:15" "tree-2-15" 15;
   ok "binary-tree" "tree-2-1024" 1024;
   ok "tree:3:1093" "tree-3-1093" 1093;
+  ok "tree:64:1000" "tree-64-1000" 1000;
+  (match Implicit.parse "tree:64x1000" with
+  | Ok _ -> Alcotest.fail "tree:64x1000 should be rejected"
+  | Error (`Msg m) ->
+      Alcotest.(check bool)
+        ("the error names tree:ARITY:N: " ^ m)
+        true
+        (Helpers.contains m "ARITY:N"));
   List.iter
     (fun bad ->
       match Implicit.parse bad with
@@ -653,16 +425,12 @@ let test_parse () =
 
 let suite =
   [
-    Helpers.qcheck equiv_default;
-    Helpers.qcheck equiv_observed;
     Helpers.qcheck equiv_injections;
     Helpers.qcheck equiv_starters;
     Alcotest.test_case "million-node ping touches two nodes" `Quick
       test_million_node_ping_touches_two;
     Alcotest.test_case "undeclared starter with actions rejected" `Quick
       test_non_starter_with_actions_rejected;
-    Alcotest.test_case "tick protocols rejected" `Quick
-      test_tick_protocol_rejected;
     Alcotest.test_case "halt_after = observer halt" `Quick
       test_halt_after_matches_observer_halt;
     Alcotest.test_case "round-limit payloads identical" `Quick

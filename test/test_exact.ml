@@ -65,22 +65,39 @@ let test_nn_ratio_bounds () =
   let r = Exact.nn_ratio ~dist ~start:0 ~requests:[ 5; 2; 9 ] in
   Alcotest.(check bool) "ratio >= 1" true (r >= 1.0)
 
+(* One instance of the property's generator: NN and optimal open-path
+   costs from node 0 on a random [n]-node tree, and the request count. *)
+let nn_vs_opt ~n ~seed =
+  let rng = Countq_util.Rng.create (Int64.of_int seed) in
+  let g = Gen.random_tree rng n in
+  let tree = Tree.of_graph g ~root:0 in
+  let k = min 10 (1 + Countq_util.Rng.below rng n) in
+  let requests = Countq_util.Rng.sample rng ~k ~n in
+  let nn = (Nn.on_tree tree ~start:0 ~requests).cost in
+  (nn, Exact.min_path_on_tree tree ~start:0 ~requests, k)
+
+(* An NN tour here is an open path from node 0, so the bound is the
+   open-path form of Rosenkrantz-Stearns-Lewis (Tbounds.nn_path_ratio). *)
 let prop_rosenkrantz_guarantee =
   QCheck2.Test.make
     ~name:"NN tours respect the Rosenkrantz log k guarantee on trees"
     ~count:60
     QCheck2.Gen.(pair (int_range 8 30) (int_range 0 1_000_000))
     (fun (n, seed) ->
-      let rng = Countq_util.Rng.create (Int64.of_int seed) in
-      let g = Gen.random_tree rng n in
-      let tree = Tree.of_graph g ~root:0 in
-      let k = min 10 (1 + Countq_util.Rng.below rng n) in
-      let requests = Countq_util.Rng.sample rng ~k ~n in
-      let nn = (Nn.on_tree tree ~start:0 ~requests).cost in
-      let opt = Exact.min_path_on_tree tree ~start:0 ~requests in
+      let nn, opt, k = nn_vs_opt ~n ~seed in
       opt = 0
       || float_of_int nn /. float_of_int opt
-         <= Tbounds.rosenkrantz_ratio k +. 1e-9)
+         <= Tbounds.nn_path_ratio k +. 1e-9)
+
+let test_tour_bound_fails_on_paths () =
+  (* The counterexample that retired the tour factor for paths. *)
+  let nn, opt, k = nn_vs_opt ~n:8 ~seed:2720 in
+  Alcotest.(check (list int)) "k, NN, OPT" [ 4; 11; 7 ] [ k; nn; opt ];
+  let r = float_of_int nn /. float_of_int opt in
+  Alcotest.(check bool) "above the tour factor" true
+    (r > Tbounds.rosenkrantz_ratio k);
+  Alcotest.(check bool) "within the path factor" true
+    (r <= Tbounds.nn_path_ratio k)
 
 let suite =
   [
@@ -93,4 +110,6 @@ let suite =
     Alcotest.test_case "nn >= optimal" `Quick test_nn_never_beats_optimal;
     Alcotest.test_case "nn ratio" `Quick test_nn_ratio_bounds;
     Helpers.qcheck prop_rosenkrantz_guarantee;
+    Alcotest.test_case "tour factor fails on paths (n=8, seed 2720)" `Quick
+      test_tour_bound_fails_on_paths;
   ]

@@ -25,7 +25,7 @@ let test_bound_chain () =
     let arrow = Arrow.Protocol.run_one_shot ~tree ~requests () in
     let nn = Tsp.Nn.on_tree tree ~start:0 ~requests in
     let opt = Tsp.Exact.min_path_on_tree tree ~start:0 ~requests in
-    let guarantee = Tsp.Tbounds.rosenkrantz_ratio 10 in
+    let guarantee = Tsp.Tbounds.nn_path_ratio 10 in
     Alcotest.(check bool) "arrow <= 2 NN" true (arrow.total_delay <= 2 * nn.cost);
     Alcotest.(check bool) "NN <= guarantee * OPT" true
       (float_of_int nn.cost <= (guarantee *. float_of_int opt) +. 1e-9)

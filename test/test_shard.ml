@@ -1,11 +1,11 @@
-(* The domain-sharded engine is pinned bit-identical to the sequential
-   engines for every shard count: same completions, rounds, messages,
-   backlog, fault tallies, metrics content, telemetry windows, event
-   stats and Round_limit_exceeded payloads — fault-free, under fault
-   plans (cross-shard ordering included), under dynamic schedules, and
-   on the event path with injections, starters, halt_after, stats and a
-   streaming sink. Plus partition edge cases: more shards than nodes,
-   singleton and empty shards, and hand-built placements. *)
+(* The sharded fronts' own legs (the kernel behind every front, at
+   shards 1-3 with every Reference-accepted hook, is pinned against
+   Reference in test_equiv): telemetry windows against the eager
+   single-shard run, the event path with injections, starters,
+   halt_after, stats and a streaming sink against Event_engine.run,
+   the combining funnel across all three fronts, and partition edge
+   cases — more shards than nodes, singleton and empty shards, and
+   hand-built placements. *)
 
 module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
@@ -25,150 +25,31 @@ module Parallel = Countq_util.Parallel
    about bit-identicality, not speed). *)
 let pool = Parallel.pool ~jobs:3
 
-let mix a b =
-  let h = ref ((a * 0x9e3779b1) + (b * 0x85ebca6b)) in
-  h := !h lxor (!h lsr 13);
-  h := !h * 0xc2b2ae35;
-  h := !h lxor (!h lsr 16);
-  !h land max_int
+let hash_protocol = Helpers.hash_protocol
+let plan_of = Helpers.plan_of
+let dyn_of = Helpers.dyn_of
+let config_of = Helpers.config_of
 
-type msg = { ttl : int; tag : int }
+(* ------------------------------------------------------------------ *)
+(* Telemetry windows: per-shard recorders merged at the end must equal
+   the single-shard run's recorder, under faults and churn.            *)
 
-let pick_nbr graph v h =
-  let a = Graph.neighbors graph v in
-  if Array.length a = 0 then None else Some a.(h mod Array.length a)
-
-(* The flooding protocol the other equivalence suites pin with,
-   optionally gated to a request subset (lazy-starter contract). *)
-let hash_protocol ?starts ~seed ~graph () =
-  let may_start node =
-    match starts with None -> true | Some l -> List.mem node l
-  in
-  {
-    Engine.name = "qcheck-hash";
-    initial_state = (fun v -> mix seed v);
-    on_start =
-      (fun ~node s ->
-        if not (may_start node) then (s, [])
-        else
-          let h = mix seed node in
-          let acts =
-            if h mod 3 = 0 then
-              match pick_nbr graph node h with
-              | Some d ->
-                  [ Engine.Send (d, { ttl = 2 + (h mod 5); tag = h land 0xffff }) ]
-              | None -> []
-            else []
-          in
-          let acts =
-            if h mod 7 = 0 then Engine.Complete (node, h land 0xff) :: acts
-            else acts
-          in
-          (s, acts));
-    on_receive =
-      (fun ~round ~node ~src m s ->
-        let h = mix (mix s m.tag) (mix src round) in
-        let acts = ref [] in
-        (if m.ttl > 0 then
-           let fan = match h mod 4 with 0 -> 0 | 1 | 2 -> 1 | _ -> 2 in
-           for i = 1 to fan do
-             match pick_nbr graph node (mix h i) with
-             | Some d ->
-                 acts :=
-                   Engine.Send
-                     (d, { ttl = m.ttl - 1; tag = mix m.tag i land 0xffff })
-                   :: !acts
-             | None -> ()
-           done);
-        if h mod 5 = 0 then acts := Engine.Complete (node, m.tag) :: !acts;
-        (mix s (m.tag + 1), !acts));
-    on_tick = Engine.no_tick;
-  }
-
-let arbiter_of = function
-  | 0 -> Engine.Round_robin
-  | 1 -> Engine.Lowest_sender_first
-  | _ ->
-      Engine.Custom
-        (fun ~round ~node ~candidates ->
-          List.nth candidates (mix round node mod List.length candidates))
-
-let arbiter_label = function
-  | 0 -> "round-robin"
-  | 1 -> "lowest-sender"
-  | _ -> "custom-hash"
-
-let plan_of = function
-  | 0 -> Faults.none
-  | 1 -> Faults.drop_nth 3
-  | 2 -> Faults.dup_nth 5
-  | 3 -> Faults.delay_nth ~by:4 2
-  | 4 -> Faults.delay_nth ~by:50 1
-  | 5 -> Faults.random ~label:"lossy" ~seed:42L ~drop:0.1 ()
-  | 6 ->
-      Faults.random ~label:"chaos" ~seed:7L ~drop:0.05 ~duplicate:0.1
-        ~delay:0.2 ~delay_max:9 ()
-  | 7 ->
-      Faults.crash_only ~label:"crash-restart"
-        [ { node = 0; at_round = 2; recover_at = Some 6 } ]
-  | _ -> Faults.random ~label:"jitter" ~seed:9L ~delay:0.4 ~delay_max:30 ()
-
-(* Dynamic-schedule variants: churn and flaps move nodes and links
-   under the run, so empty shards (every member down) and rerouted
-   cross-shard traffic both happen. *)
-let dyn_of graph = function
-  | 0 -> None
-  | 1 -> Some (Dynamic.identity graph)
-  | 2 -> Some (Dynamic.node_churn ~seed:5L ~rate:0.3 ~epoch:4 graph)
-  | _ -> Some (Dynamic.link_flaps ~seed:11L ~rate:0.25 ~epoch:4 graph)
-
-let dyn_label = function
-  | 0 -> "static"
-  | 1 -> "identity"
-  | 2 -> "churn"
-  | _ -> "flaps"
-
-let config_of (rc, sc, arb, minr, maxr) =
-  {
-    Engine.receive_capacity = rc;
-    send_capacity = sc;
-    arbiter = arbiter_of arb;
-    max_rounds = maxr;
-    min_rounds = minr;
-  }
-
-(* Run sequential engine or sharded engine, capturing everything
-   observable: outcome (or limit payload), fault tallies, metrics
-   content, telemetry windows. *)
-let capture which ~with_metrics ~with_tel ~dyn ~plan ~graph ~config ~protocol =
+let capture_tel which ~dyn ~plan ~graph ~config ~protocol =
   let faults = Option.map Faults.start plan in
   let dynamic = Option.map Dynamic.start (dyn_of graph dyn) in
-  let metrics = if with_metrics then Some (Metrics.create ~graph) else None in
-  let telemetry =
-    if with_tel then Some (Telemetry.create ~windows:8 ~window_size:4 ())
-    else None
-  in
+  let tl = Telemetry.create ~windows:8 ~window_size:4 () in
   let outcome =
-    match
-      match which with
-      | `Engine ->
-          Engine.run ?faults ?dynamic ?metrics ?telemetry ~graph ~config
-            ~protocol ()
-      | `Shard k ->
-          Shard.run ~shards:k ~pool ?faults ?dynamic ?metrics ?telemetry
-            ~graph ~config ~protocol ()
-    with
-    | r -> Ok r
-    | exception Engine.Round_limit_exceeded
-          { limit; outstanding; queued; held; busiest } ->
-        Error (limit, outstanding, queued, held, busiest)
+    Helpers.outcome (fun () ->
+        match which with
+        | `Engine ->
+            Engine.run ?faults ?dynamic ~telemetry:tl ~graph ~config ~protocol ()
+        | `Shard k ->
+            Shard.run ~shards:k ~pool ?faults ?dynamic ~telemetry:tl ~graph
+              ~config ~protocol ())
   in
-  ( outcome,
-    Option.map Faults.stats faults,
-    Option.map (fun m -> (Metrics.per_node m, Metrics.per_edge m)) metrics,
-    Option.map (fun tl -> (Telemetry.windows tl, Telemetry.evicted tl)) telemetry )
+  (outcome, Telemetry.windows tl, Telemetry.evicted tl)
 
-let scenario_gen =
+let telemetry_gen =
   let open QCheck2.Gen in
   let* topo = Helpers.topology_gen in
   let* seed = int_range 0 100_000 in
@@ -179,36 +60,24 @@ let scenario_gen =
   let* maxr = oneofl [ 4; 2_000 ] in
   let* plan = int_range 0 8 in
   let* dyn = int_range 0 3 in
-  let* with_metrics = bool in
-  let* with_tel = bool in
   let* shards = oneofl [ 2; 3; 5 ] in
-  return (topo, seed, (rc, sc, arb, minr, maxr), plan, dyn, with_metrics, with_tel, shards)
+  return (topo, seed, (rc, sc, arb, minr, maxr), plan, dyn, shards)
 
-let scenario_print ((name, g), seed, (rc, sc, arb, minr, maxr), plan, dyn, wm, wt, k)
-    =
-  Printf.sprintf
-    "%s (n=%d) seed=%d rcv=%d snd=%d arb=%s min_rounds=%d max_rounds=%d \
-     plan=%s dyn=%s metrics=%b telemetry=%b shards=%d"
-    name (Graph.n g) seed rc sc (arbiter_label arb) minr maxr
-    (Faults.label (plan_of plan))
-    (dyn_label dyn) wm wt k
+let telemetry_print ((name, g), seed, cfg, plan, dyn, k) =
+  Printf.sprintf "%s (n=%d) seed=%d %s plan=%s dyn=%s shards=%d" name
+    (Graph.n g) seed (Helpers.config_label cfg) (Helpers.plan_label plan)
+    (Helpers.dyn_label dyn) k
 
-let equiv_prop ((_, graph), seed, cfg, plan, dyn, with_metrics, with_tel, shards) =
+let telemetry_prop ((_, graph), seed, cfg, plan, dyn, shards) =
   let config = config_of cfg in
   let protocol = hash_protocol ~seed ~graph () in
   let plan = if plan = 0 then None else Some (plan_of plan) in
-  let a =
-    capture `Engine ~with_metrics ~with_tel ~dyn ~plan ~graph ~config ~protocol
-  in
-  let b =
-    capture (`Shard shards) ~with_metrics ~with_tel ~dyn ~plan ~graph ~config
-      ~protocol
-  in
-  a = b
+  capture_tel `Engine ~dyn ~plan ~graph ~config ~protocol
+  = capture_tel (`Shard shards) ~dyn ~plan ~graph ~config ~protocol
 
-let equiv_graph =
-  QCheck2.Test.make ~count:120 ~name:"sharded = engine (graph, all hooks)"
-    ~print:scenario_print scenario_gen equiv_prop
+let equiv_telemetry =
+  QCheck2.Test.make ~count:120 ~name:"sharded = engine (telemetry windows)"
+    ~print:telemetry_print telemetry_gen telemetry_prop
 
 (* ------------------------------------------------------------------ *)
 (* The event path: injections, starters, halt_after, stats and a
@@ -247,18 +116,6 @@ let capture_event which ~plan ~dyn ~evs ~starts ~halt ~graph ~config ~protocol =
     (stats.Event.touched, stats.Event.peak_in_flight, stats.Event.executed_rounds),
     Option.map Faults.stats faults )
 
-let fire ~seed ~graph ~round ~node s =
-  let h = mix seed (mix round node) in
-  let acts =
-    match pick_nbr graph node h with
-    | Some d -> [ Engine.Send (d, { ttl = 1 + (h mod 3); tag = h land 0xffff }) ]
-    | None -> []
-  in
-  let acts =
-    if h mod 4 = 0 then Engine.Complete (node, h land 0xff) :: acts else acts
-  in
-  (mix s h, acts)
-
 let event_gen =
   let open QCheck2.Gen in
   let* name, g, requests = Helpers.instance_gen in
@@ -283,8 +140,7 @@ let event_print ((name, g, requests), seed, evs, _, plan, dyn, halt, k) =
     seed
     (String.concat ";"
        (List.map (fun (t, v) -> Printf.sprintf "%d@%d" v t) evs))
-    (Faults.label (plan_of plan))
-    (dyn_label dyn)
+    (Helpers.plan_label plan) (Helpers.dyn_label dyn)
     (match halt with None -> "-" | Some h -> string_of_int h)
     k
 
@@ -293,7 +149,7 @@ let event_prop ((_, graph, requests), seed, evs, cfg, plan, dyn, halt, shards) =
   let protocol = hash_protocol ~starts:requests ~seed ~graph () in
   let evs =
     List.map
-      (fun (at, node) -> (at, node, fun s -> fire ~seed ~graph ~round:at ~node s))
+      (fun (at, node) -> (at, node, fun s -> Helpers.fire ~seed ~graph ~round:at ~node s))
       evs
   in
   let plan = if plan = 0 then None else Some (plan_of plan) in
@@ -389,94 +245,7 @@ let equiv_funnel =
     ~print:funnel_print funnel_gen funnel_prop
 
 (* ------------------------------------------------------------------ *)
-(* The observer replay: the sharded engine buffers per-shard deliver /
-   complete events and replays them at the round barrier, so the
-   callback stream — including on_round_end's in_flight accounting and
-   its `Halt verdict — must be the event engine's, verbatim.           *)
-
-type obs_event =
-  | Deliver of int * int * int  (* round, src, dst *)
-  | Completed of int * int * int  (* round, node, value snd *)
-  | Round_end of int * int  (* round, in_flight *)
-
-let observed which ~plan ~dyn ~halt_at ~starts ~graph ~config ~protocol =
-  let faults = Option.map Faults.start plan in
-  let dynamic = Option.map Dynamic.start (dyn_of graph dyn) in
-  let evs = ref [] in
-  let observer =
-    {
-      Engine.on_deliver =
-        (fun ~round ~src ~dst -> evs := Deliver (round, src, dst) :: !evs);
-      on_complete =
-        (fun ~round ~node ~value ->
-          evs := Completed (round, node, snd value) :: !evs);
-      on_round_end =
-        (fun ~round ~in_flight ->
-          evs := Round_end (round, in_flight) :: !evs;
-          match halt_at with
-          | Some h when round >= h -> `Halt
-          | _ -> `Continue);
-    }
-  in
-  let topo = Implicit.of_graph graph in
-  let outcome =
-    match
-      match which with
-      | `Event ->
-          Event.run ?faults ?dynamic ~observer ?starters:starts ~topo ~config
-            ~protocol ()
-      | `Shard k ->
-          Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ~observer
-            ?starters:starts ~topo ~config ~protocol ()
-    with
-    | r -> Ok r
-    | exception Engine.Round_limit_exceeded
-          { limit; outstanding; queued; held; busiest } ->
-        Error (limit, outstanding, queued, held, busiest)
-  in
-  (outcome, List.rev !evs, Option.map Faults.stats faults)
-
-let observer_gen =
-  let open QCheck2.Gen in
-  let* name, g, requests = Helpers.instance_gen in
-  let* seed = int_range 0 100_000 in
-  let* rc = int_range 1 2 in
-  let* arb = int_range 0 2 in
-  let* plan = int_range 0 8 in
-  let* dyn = int_range 0 3 in
-  let* halt_at = oneofl [ None; Some 3 ] in
-  let* shards = oneofl [ 2; 4; 7 ] in
-  return
-    ((name, g, requests), seed, (rc, 1, arb, 0, 2_000), plan, dyn, halt_at, shards)
-
-let observer_print ((name, g, requests), seed, _, plan, dyn, halt_at, k) =
-  Printf.sprintf "%s (n=%d) R={%s} seed=%d plan=%s dyn=%s halt=%s shards=%d"
-    name (Graph.n g)
-    (String.concat "," (List.map string_of_int requests))
-    seed
-    (Faults.label (plan_of plan))
-    (dyn_label dyn)
-    (match halt_at with None -> "-" | Some h -> string_of_int h)
-    k
-
-let observer_prop ((_, graph, requests), seed, cfg, plan, dyn, halt_at, shards) =
-  let config = config_of cfg in
-  let protocol = hash_protocol ~starts:requests ~seed ~graph () in
-  let plan = if plan = 0 then None else Some (plan_of plan) in
-  let starts = Some requests in
-  let a =
-    observed `Event ~plan ~dyn ~halt_at ~starts ~graph ~config ~protocol
-  in
-  let b =
-    observed (`Shard shards) ~plan ~dyn ~halt_at ~starts ~graph ~config
-      ~protocol
-  in
-  a = b
-
-let equiv_observer =
-  QCheck2.Test.make ~count:120
-    ~name:"sharded observer stream = event engine (deliver, complete, halt)"
-    ~print:observer_print observer_gen observer_prop
+(* The observer replay at the barrier: `Halt stops a sharded run.     *)
 
 let test_observer_halt_sharded () =
   (* `Halt from on_round_end actually stops a sharded funnel run, at
@@ -735,7 +504,7 @@ let test_tick_protocol_pinned () =
         Some
           (fun ~round ~node s ->
             if round <= 3 then
-              (s, [ Engine.Send ((node + 1) mod 9, mix round node) ])
+              (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node) ])
             else (s, []));
     }
   in
@@ -758,10 +527,9 @@ let test_auto_shards_positive () =
 
 let suite =
   [
-    Helpers.qcheck equiv_graph;
+    Helpers.qcheck equiv_telemetry;
     Helpers.qcheck equiv_event;
     Helpers.qcheck equiv_funnel;
-    Helpers.qcheck equiv_observer;
     Alcotest.test_case "observer `Halt stops a sharded funnel run" `Quick
       test_observer_halt_sharded;
     Alcotest.test_case "partition: more shards than nodes" `Quick
