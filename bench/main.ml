@@ -452,36 +452,6 @@ let dynamic_overhead_probe ~quick () =
   let module C = Countq_counting in
   let sizes = if quick then [ 128; 512 ] else [ 128; 256; 512 ] in
   let rounds = if quick then 3 else 15 in
-  (* Same pairing/median discipline as the metrics probe, and for the
-     same reason: the two arms alternate so drift cancels in the
-     per-pair ratio. *)
-  let time_pair reps f g =
-    let timed h =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        h ()
-      done;
-      (Unix.gettimeofday () -. t0) /. float_of_int reps
-    in
-    let ratios = Array.make rounds 0. in
-    let best_f = ref infinity in
-    for i = 0 to rounds - 1 do
-      let tf, tg =
-        if i land 1 = 0 then
-          let a = timed f in
-          let b = timed g in
-          (a, b)
-        else
-          let b = timed g in
-          let a = timed f in
-          (a, b)
-      in
-      if tf < !best_f then best_f := tf;
-      ratios.(i) <- tg /. tf
-    done;
-    Array.sort compare ratios;
-    (!best_f, !best_f *. ratios.(rounds / 2))
-  in
   List.map
     (fun n ->
       let tree = Spanning.best_for_arrow (TGen.path n) in
@@ -499,7 +469,7 @@ let dynamic_overhead_probe ~quick () =
       let reps = max (if quick then 5 else 50) (200_000 / n) in
       bare ();
       with_dyn ();
-      let bare_s, dyn_s = time_pair reps bare with_dyn in
+      let bare_s, dyn_s = time_pair ~rounds reps bare with_dyn in
       { dn_n = n; bare_s; dyn_s })
     sizes
 

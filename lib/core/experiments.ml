@@ -388,7 +388,7 @@ let e8_nn_approximation ?quick:(quick = false) () =
       [ "instance"; "n"; "k"; "NN cost"; "bound/opt"; "within"; "NN/opt"; "guarantee" ]
     ~notes:
       [
-        "tree rows compare NN against n(ceil(lg k)+1); ratio rows against Held-Karp optima";
+        "tree rows compare NN against n(ceil(lg(k+1))+1); ratio rows against Held-Karp optima";
         "guarantee: ceil(lg(k+1))+1, the open-path form of the RSL tour bound";
       ]
     (tree_rows @ ratio_rows)

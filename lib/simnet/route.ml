@@ -2,7 +2,7 @@
 
 module Graph = Countq_topology.Graph
 module Tree = Countq_topology.Tree
-module Bfs = Countq_topology.Bfs
+module Hop_table = Countq_topology.Hop_table
 
 type t = {
   next : int -> int -> int;
@@ -19,12 +19,18 @@ let of_tree tree =
   }
 
 let of_table g =
-  let table = Bfs.next_hop_table g in
-  let dists = Array.init (Graph.n g) (fun v -> Bfs.distances g v) in
-  {
-    next = (fun v dst -> table.(v).(dst));
-    dist = (fun u v -> Some dists.(u).(v));
-  }
+  if not (Graph.is_connected g) then
+    invalid_arg "Route.of_table: disconnected graph";
+  let hops = Hop_table.create g in
+  let dist u v =
+    let row = Hop_table.row hops v in
+    let rec walk x d = if x = v then d else walk row.(x) (d + 1) in
+    Some (walk u 0)
+  in
+  { next = (fun v dst -> Hop_table.next hops ~src:v ~dst); dist }
+
+let complete =
+  { next = (fun _v dst -> dst); dist = (fun u v -> Some (if u = v then 0 else 1)) }
 
 let direct g =
   let n = Graph.n g in
@@ -34,13 +40,10 @@ let direct g =
         invalid_arg "Route.direct: graph is not complete"
     done
   done;
-  {
-    next = (fun _v dst -> dst);
-    dist = (fun u v -> Some (if u = v then 0 else 1));
-  }
+  complete
 
 let of_fun next = { next; dist = (fun _ _ -> None) }
 
 let auto g =
   let n = Graph.n g in
-  if Graph.m g = n * (n - 1) / 2 then direct g else of_table g
+  if Graph.m g = n * (n - 1) / 2 then complete else of_table g

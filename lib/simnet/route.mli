@@ -20,8 +20,10 @@ val of_tree : Countq_topology.Tree.t -> t
 (** Route along a spanning tree (memory-light, O(log n) per hop). *)
 
 val of_table : Countq_topology.Graph.t -> t
-(** Shortest-path routing from an all-pairs next-hop table (O(n²)
-    memory; exact shortest paths on any connected graph). *)
+(** Shortest-path routing from a destination-major
+    {!Countq_topology.Hop_table}: one O(n) row per destination actually
+    routed to, built on first use. [distance_hint] walks the row.
+    @raise Invalid_argument if the graph is disconnected. *)
 
 val direct : Countq_topology.Graph.t -> t
 (** One-hop routing for graphs where every pair is adjacent (K_n).
@@ -34,5 +36,6 @@ val of_fun : (int -> int -> int) -> t
 
 val auto : Countq_topology.Graph.t -> t
 (** The cheapest adequate scheme: {!direct} when the graph is complete
-    (recognised by its edge count), otherwise {!of_table}. This is what
-    protocol drivers use by default. *)
+    (recognised by its edge count alone, without {!direct}'s pairwise
+    check), otherwise {!of_table}. This is what the protocols use by
+    default. *)

@@ -1,4 +1,4 @@
-(* BFS distances, diameter and routing tables. See bfs.mli. *)
+(* BFS distances, diameter, shortest paths and parent trees. See bfs.mli. *)
 
 let distances g src =
   let n = Graph.n g in
@@ -91,17 +91,3 @@ let shortest_path g u v =
   if u <> v && parent.(u) = u then raise Not_found;
   let rec walk acc x = if x = v then List.rev (v :: acc) else walk (x :: acc) parent.(x) in
   walk [] u
-
-let next_hop_table g =
-  let n = Graph.n g in
-  let table = Array.make_matrix n n (-1) in
-  for dst = 0 to n - 1 do
-    let parent = parents g dst in
-    for v = 0 to n - 1 do
-      if v = dst then table.(v).(dst) <- v
-      else if parent.(v) = v then
-        invalid_arg "Bfs.next_hop_table: disconnected graph"
-      else table.(v).(dst) <- parent.(v)
-    done
-  done;
-  table

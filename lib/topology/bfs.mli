@@ -1,5 +1,5 @@
 (** Breadth-first search utilities: distances, eccentricities, diameter,
-    shortest paths and next-hop routing tables.
+    shortest paths and BFS parent trees (the rows of {!Hop_table}).
 
     All link weights are 1 (the paper's synchronous unit-delay links), so
     BFS distances are exactly the information-propagation latencies used
@@ -34,10 +34,3 @@ val parents : Graph.t -> int -> int array
 (** [parents g src] is the BFS parent of each vertex ([src] and
     unreachable vertices map to themselves), the standard BFS spanning
     tree used by protocols for request routing. *)
-
-val next_hop_table : Graph.t -> int array array
-(** [next_hop_table g] is the all-pairs next-hop routing table:
-    [(next_hop_table g).(v).(dst)] is the neighbour of [v] on a shortest
-    path to [dst] (and [v] itself when [v = dst]). Requires O(n²) space;
-    intended for the moderate sizes used in simulations.
-    @raise Invalid_argument if [g] is disconnected. *)

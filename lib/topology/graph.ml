@@ -15,8 +15,9 @@ let m g = g.m
 let check_edge n (u, v) =
   if u = v || u < 0 || v < 0 || u >= n || v >= n then raise (Invalid_edge (u, v))
 
-(* Sorts and removes duplicates in place; returns a fresh array. *)
-let sorted_dedup a =
+(* Sorts and removes duplicates in place; returns a fresh array. The
+   annotation makes [compare] and [<>] the int primitives. *)
+let sorted_dedup (a : int array) =
   let a = Array.copy a in
   Array.sort compare a;
   let k = Array.length a in

@@ -10,13 +10,7 @@ type family =
       total : int;
     }
   | Tree of { arity : int; total : int }
-  | Materialised of {
-      g : Graph.t;
-      (* BFS predecessor tree per queried destination, memoised:
-         [parents.(u)] is the neighbour of [u] one hop closer to the
-         destination. *)
-      routes : (int, int array) Hashtbl.t;
-    }
+  | Materialised of { g : Graph.t; hops : Hop_table.t }
 
 type t = { label : string; fam : family }
 
@@ -73,7 +67,7 @@ let of_graph ?label g =
   let label =
     match label with Some l -> l | None -> Printf.sprintf "graph-%d" (Graph.n g)
   in
-  { label; fam = Materialised { g; routes = Hashtbl.create 4 } }
+  { label; fam = Materialised { g; hops = Hop_table.create g } }
 
 (* ------------------------------------------------------------------ *)
 (* Neighbourhoods. Each family lists a vertex's neighbours in ascending
@@ -191,25 +185,6 @@ let neighbor t v k =
 (* ------------------------------------------------------------------ *)
 (* Greedy shortest-path routing.                                       *)
 
-let bfs_parents g ~dst =
-  let n = Graph.n g in
-  let parent = Array.make n (-1) in
-  parent.(dst) <- dst;
-  let q = Queue.create () in
-  Queue.push dst q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Array.iter
-      (fun w ->
-        if parent.(w) < 0 then begin
-          parent.(w) <- u;
-          Queue.push w q
-        end)
-      (Graph.neighbors g u)
-  done;
-  parent.(dst) <- -1;
-  parent
-
 let next_hop t ~src ~dst =
   let total = n t in
   check_vertex "next_hop" total src;
@@ -248,19 +223,12 @@ let next_hop t ~src ~dst =
       let rec climb a prev = if a <= src then (a, prev) else climb ((a - 1) / arity) a in
       let a, prev = climb dst dst in
       if a = src then prev else (src - 1) / arity
-  | Materialised { g; routes } ->
-      let parent =
-        match Hashtbl.find_opt routes dst with
-        | Some p -> p
-        | None ->
-            let p = bfs_parents g ~dst in
-            Hashtbl.add routes dst p;
-            p
-      in
-      if parent.(src) < 0 then
+  | Materialised { hops; _ } ->
+      let hop = Hop_table.next hops ~src ~dst in
+      if hop = src then
         invalid_arg
           (Printf.sprintf "Implicit.next_hop: %d unreachable from %d" dst src);
-      parent.(src)
+      hop
 
 (* ------------------------------------------------------------------ *)
 (* Materialisation and parsing.                                        *)

@@ -78,9 +78,10 @@ val tree_arity : t -> int option
 
 val of_graph : ?label:string -> Graph.t -> t
 (** Wrap an already-materialised graph (adjacency read through,
-    [next_hop] by memoised BFS per destination) — the bridge the
-    equivalence tests use to run the event engine on arbitrary
-    topologies. *)
+    [next_hop] from a {!Hop_table}, one BFS row per destination built on
+    first use and safe to query from several domains at once) — the
+    bridge the equivalence tests use to run the event engine on
+    arbitrary topologies. *)
 
 val materialise : t -> Graph.t
 (** Force the adjacency into a {!Graph.t} — O(n + m) memory, intended

@@ -33,4 +33,4 @@ let nn_path_ratio k =
   float_of_int (log2_ceil (k + 1) + 1)
 
 let constant_degree_tree_bound ~n ~k =
-  if k < 1 then 0 else n * (log2_ceil k + 1)
+  if k < 1 then 0 else n * (log2_ceil (k + 1) + 1)

@@ -43,10 +43,13 @@ val nn_path_ratio : int -> float
 
 val constant_degree_tree_bound : n:int -> k:int -> int
 (** Corollary 4.2's shape: on any tree with [n] vertices the
-    nearest-neighbour tour over [k] requests costs
-    [O(n log k)] — concretely [n * (ceil(log2 k) + 1)], since the
-    optimal tour costs at most [2n] (an Euler tour) and the
-    Rosenkrantz factor applies. *)
+    nearest-neighbour path from a fixed start over [k] requests costs
+    [O(n log k)], concretely at most [n * (ceil(log2 (k + 1)) + 1)]. The
+    path visits [k + 1] points, so the chain of {!nn_path_ratio} gives
+    NN path <= NN tour <= [((ceil(log2 (k + 1)) + 1) / 2)] * OPT tour,
+    and OPT tour <= [2n] (an Euler tour walks each of the [n - 1] edges
+    twice). [ceil(log2 k)] would undercount by one when [k] is a power
+    of two. [0] when [k < 1]. *)
 
 val log2_ceil : int -> int
 (** [ceil(log2 k)] for [k >= 1]. *)

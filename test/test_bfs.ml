@@ -1,9 +1,10 @@
-(* Tests for Countq_topology.Bfs: distances, diameter, paths, routing
-   tables. *)
+(* Tests for Countq_topology.Bfs (distances, diameter, paths, parent
+   trees) and the Hop_table routing rows built from them. *)
 
 module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
 module Bfs = Countq_topology.Bfs
+module Hop_table = Countq_topology.Hop_table
 
 let test_distances_path () =
   let g = Gen.path 6 in
@@ -82,11 +83,11 @@ let test_parents () =
 
 let test_next_hop_table () =
   let g = Gen.square_mesh 3 in
-  let t = Bfs.next_hop_table g in
+  let t = Hop_table.create g in
   let n = Graph.n g in
   for v = 0 to n - 1 do
     for dst = 0 to n - 1 do
-      let hop = t.(v).(dst) in
+      let hop = Hop_table.next t ~src:v ~dst in
       if v = dst then Alcotest.(check int) "self hop" v hop
       else begin
         Alcotest.(check bool) "hop adjacent" true (Graph.has_edge g v hop);
@@ -98,10 +99,16 @@ let test_next_hop_table () =
   done
 
 let test_next_hop_table_disconnected () =
+  (* The table accepts a disconnected graph: a vertex that cannot reach
+     the destination is its own next hop, which Route.of_table and
+     Implicit.next_hop turn into their errors. *)
   let g = Graph.create ~n:3 [ (0, 1) ] in
-  Alcotest.check_raises "disconnected"
-    (Invalid_argument "Bfs.next_hop_table: disconnected graph") (fun () ->
-      ignore (Bfs.next_hop_table g))
+  let t = Hop_table.create g in
+  Alcotest.(check int) "reachable" 0 (Hop_table.next t ~src:1 ~dst:0);
+  Alcotest.(check int) "unreachable is a self hop" 2
+    (Hop_table.next t ~src:2 ~dst:0);
+  Alcotest.(check (array int)) "row is the BFS parent tree" (Bfs.parents g 2)
+    (Hop_table.row t 2)
 
 let prop_distance_symmetric =
   QCheck2.Test.make ~name:"BFS distance is symmetric" ~count:60

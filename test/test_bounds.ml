@@ -135,6 +135,16 @@ let test_rosenkrantz_ratio () =
   Alcotest.(check (float 1e-9)) "path k=1" 2.0 (Tbounds.nn_path_ratio 1);
   Alcotest.(check (float 1e-9)) "path k=10" 5.0 (Tbounds.nn_path_ratio 10)
 
+(* The NN path from a fixed start visits k + 1 points, so the factor is
+   ceil(lg(k+1)) + 1: at a power of two k it is one more than
+   ceil(lg k) + 1 would give. *)
+let test_constant_degree_tree_bound () =
+  let b k = Tbounds.constant_degree_tree_bound ~n:64 ~k in
+  Alcotest.(check int) "k=32 (power of two)" 448 (b 32);
+  Alcotest.(check int) "k=31" 384 (b 31);
+  Alcotest.(check int) "k=1" 128 (b 1);
+  Alcotest.(check int) "k=0" 0 (b 0)
+
 let prop_log_star_inverse_of_tow =
   QCheck2.Test.make ~name:"log* (tow j) = j for small towers" ~count:5
     QCheck2.Gen.(int_range 0 4)
@@ -169,6 +179,8 @@ let suite =
     Alcotest.test_case "log2 ceil" `Quick test_log2_ceil;
     Alcotest.test_case "perfect binary bound" `Quick test_perfect_binary_bound;
     Alcotest.test_case "rosenkrantz ratio" `Quick test_rosenkrantz_ratio;
+    Alcotest.test_case "constant-degree tree bound" `Quick
+      test_constant_degree_tree_bound;
     Helpers.qcheck prop_log_star_inverse_of_tow;
     Helpers.qcheck prop_latency_floor_monotone;
   ]

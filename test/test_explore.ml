@@ -271,6 +271,22 @@ let test_parallel_frontier_identical () =
   Alcotest.(check bool) "same outcome" true (sequential = parallel);
   Alcotest.(check bool) "nontrivial" true ((stats_of sequential).explored > 50)
 
+let test_parallel_central_star6 () =
+  (* The central counter routes through one shared table whose rows the
+     pool's domains build on first use: the outcome must not depend on
+     which domain builds a row. *)
+  let g = Gen.star 6 in
+  let requests = [ 1; 2; 3; 4; 5 ] in
+  let explore ?pool () =
+    let protocol = Central.one_shot_protocol ~graph:g ~requests () in
+    Explore.run ~graph:g ~protocol ~check:(counting_check requests) ?pool ()
+  in
+  let sequential = explore () in
+  let parallel = explore ~pool:(Countq_util.Parallel.pool ~jobs:3) () in
+  Alcotest.(check bool) "same outcome" true (sequential = parallel);
+  Alcotest.(check bool) "terminals checked" true
+    ((check_exhaustive sequential).terminal >= 1)
+
 let suite =
   [
     Alcotest.test_case "arrow: all schedules on a path" `Quick
@@ -294,4 +310,6 @@ let suite =
     Helpers.qcheck prop_por_sound;
     Alcotest.test_case "parallel frontier identical" `Quick
       test_parallel_frontier_identical;
+    Alcotest.test_case "parallel central counter on star-6" `Quick
+      test_parallel_central_star6;
   ]

@@ -5,6 +5,7 @@ module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
 module Bfs = Countq_topology.Bfs
 module Tree = Countq_topology.Tree
+module Implicit = Countq_topology.Implicit
 module Route = Countq_simnet.Route
 
 let walk route g src dst =
@@ -35,6 +36,45 @@ let test_of_table_shortest () =
       | None -> Alcotest.fail "table route should know distances")
     done
   done
+
+let test_of_table_rejects_disconnected () =
+  Alcotest.check_raises "disconnected at construction"
+    (Invalid_argument "Route.of_table: disconnected graph") (fun () ->
+      ignore (Route.of_table (Graph.create ~n:3 [ (0, 1) ])))
+
+let test_implicit_unreachable () =
+  (* The same rows serve Implicit.of_graph, which accepts a disconnected
+     graph and reports an unreachable destination per query. *)
+  let imp = Implicit.of_graph (Graph.create ~n:3 [ (0, 1) ]) in
+  Alcotest.(check int) "reachable pair" 1 (Implicit.next_hop imp ~src:0 ~dst:1);
+  for _ = 1 to 2 do
+    Alcotest.check_raises "unreachable, built or cached row"
+      (Invalid_argument "Implicit.next_hop: 2 unreachable from 0") (fun () ->
+        ignore (Implicit.next_hop imp ~src:0 ~dst:2))
+  done
+
+(* Every route from the table is the BFS parent of the destination's
+   tree: one edge, one hop closer, and the hint is the BFS distance.
+   Implicit.of_graph reads the same rows. *)
+let prop_table_is_bfs_parents =
+  QCheck2.Test.make ~name:"table routes follow BFS parents" ~count:80
+    ~print:Helpers.topology_print Helpers.topology_gen (fun (_, g) ->
+      let route = Route.of_table g and imp = Implicit.of_graph g in
+      let n = Graph.n g in
+      List.for_all
+        (fun dst ->
+          let parent = Bfs.parents g dst and dist = Bfs.distances g dst in
+          List.for_all
+            (fun v ->
+              let hop = Route.next_hop route v dst in
+              hop = parent.(v)
+              && Route.distance_hint route v dst = Some dist.(v)
+              && (v = dst
+                 || Graph.has_edge g v hop
+                    && dist.(hop) = dist.(v) - 1
+                    && Implicit.next_hop imp ~src:v ~dst = hop))
+            (Helpers.all_nodes n))
+        (Helpers.all_nodes n))
 
 let test_of_tree_routes () =
   let g = Gen.perfect_tree ~arity:2 ~height:3 in
@@ -99,6 +139,11 @@ let test_of_fun () =
 let suite =
   [
     Alcotest.test_case "table routing is shortest" `Quick test_of_table_shortest;
+    Alcotest.test_case "table rejects a disconnected graph" `Quick
+      test_of_table_rejects_disconnected;
+    Alcotest.test_case "implicit of_graph unreachable per query" `Quick
+      test_implicit_unreachable;
+    Helpers.qcheck prop_table_is_bfs_parents;
     Alcotest.test_case "tree routing" `Quick test_of_tree_routes;
     Alcotest.test_case "direct on complete" `Quick test_direct_complete;
     Alcotest.test_case "direct rejects incomplete" `Quick
