@@ -187,136 +187,122 @@ let issue_c ~topo ~center v i s =
    loop. Operations arriving in the same round form a cohort; each
    cohort runs one leaf-to-root combine / root-to-leaf decombine pass
    over its own on-path closure, and the root folds cohort totals into
-   one global counter, so counts stay exact across the whole run. The
-   combining window per (cohort, node) is precomputed from the arrival
-   calendar: [expect] says how many on-path children will report and
-   how many local arrivals will join, and the node flushes upward the
-   moment both are in — message-driven, no timers. Same-round arrivals
-   at a node inject before any child's Up can arrive (an Up sent in
-   round t delivers in t+1), so batches form deterministically.        *)
+   one global counter, so counts stay exact across the whole run. Each
+   (cohort, on-path node) pair owns one combining window, built from
+   the arrival calendar before the run: [pending] starts at the number
+   of on-path children that will report plus the local arrivals that
+   will join, and the node flushes upward the moment it reaches 0 —
+   message-driven, no timers. Same-round arrivals at a node inject
+   before any child's Up can arrive (an Up sent in round t delivers in
+   t+1), so batches form deterministically.
+
+   The window table is complete before the run starts and never
+   resized, and only on-path nodes ever see a cohort, so every lookup
+   hits. A window is written only by its node's handlers, which run on
+   that node's owning shard, so sharded runs share the table safely.
+   Node state is just the root's counter.                              *)
 
 type f_contrib = F_own of int | F_child of { child : int; count : int }
 
-type f_cohort = {
-  f_got : int;  (** on-path children heard from. *)
-  f_arrived : int;  (** local arrivals injected so far. *)
-  f_total : int;
-  f_batch : f_contrib list;  (** reverse arrival order. *)
-}
-
-type f_state = {
-  cohorts : (int * f_cohort) list;  (** in-flight cohorts, newest first. *)
-  f_counter : int;  (** root only: counts handed out so far. *)
+type f_window = {
+  mutable pending : int;  (** on-path children and local arrivals to come. *)
+  mutable f_total : int;
+  mutable f_batch : f_contrib list;  (** reverse arrival order. *)
 }
 
 type f_msg =
   | F_up of { cohort : int; count : int }
   | F_down of { cohort : int; base : int }
 
-let f_empty = { f_got = 0; f_arrived = 0; f_total = 0; f_batch = [] }
+module Itbl = Hashtbl.Make (Int)
 
-(* (cohort, node) -> (#on-path children, #local arrivals), from one
-   walk up the tree per operation — the open-loop twin of the Funnel
-   module's closure table. *)
-let funnel_expectations ~root ~parent ~cal =
-  let tbl = Hashtbl.create ((4 * Array.length cal) + 16) in
+(* One window per (cohort, on-path node), keyed [cohort * n + node],
+   from one walk up the tree per operation — the open-loop twin of the
+   Funnel module's closure table. *)
+let funnel_windows ~n ~root ~parent ~cal =
+  let tbl = Itbl.create ((4 * Array.length cal) + 16) in
   Array.iter
     (fun (at, node) ->
       let rec ensure v =
-        match Hashtbl.find_opt tbl (at, v) with
-        | Some e -> e
+        let key = (at * n) + v in
+        match Itbl.find_opt tbl key with
+        | Some w -> w
         | None ->
-            let e = ref (0, 0) in
-            Hashtbl.add tbl (at, v) e;
+            let w = { pending = 0; f_total = 0; f_batch = [] } in
+            Itbl.add tbl key w;
             if v <> root then begin
-              let pe = ensure (parent v) in
-              let c, o = !pe in
-              pe := (c + 1, o)
+              let pw = ensure (parent v) in
+              pw.pending <- pw.pending + 1
             end;
-            e
+            w
       in
-      let e = ensure node in
-      let c, o = !e in
-      e := (c, o + 1))
+      let w = ensure node in
+      w.pending <- w.pending + 1)
     cal;
-  fun ~cohort ~node ->
-    match Hashtbl.find_opt tbl (cohort, node) with
-    | Some e -> !e
-    | None -> (0, 0)
+  fun ~cohort ~node -> Itbl.find tbl ((cohort * n) + node)
 
-let funnel_machinery ~root ~parent ~expect =
-  let find c s =
-    match List.assoc_opt c s.cohorts with Some x -> x | None -> f_empty
-  in
-  let set c x s = { s with cohorts = (c, x) :: List.remove_assoc c s.cohorts } in
-  let remove c s = { s with cohorts = List.remove_assoc c s.cohorts } in
+let funnel_machinery ~root ~parent ~window =
   (* Decombine invariant, cohort-local: entered with [base] and batch
-     total t, hand out exactly {base+1 .. base+t} in arrival order. *)
-  let hand_down ~cohort base batch =
+     total t, hand out exactly {base+1 .. base+t} in arrival order;
+     each own operation completes with its count. *)
+  let hand_down ~cohort base w =
     let acts, _ =
       List.fold_left
         (fun (acts, b) contrib ->
           match contrib with
-          | F_own i -> (Engine.Complete i :: acts, b + 1)
+          | F_own i -> (Engine.Complete (i, b + 1) :: acts, b + 1)
           | F_child { child; count } ->
               (Engine.Send (child, F_down { cohort; base = b }) :: acts, b + count))
-        ([], base) batch
+        ([], base) (List.rev w.f_batch)
     in
+    w.f_batch <- [];
     List.rev acts
   in
-  let flush cohort v st s =
-    if v = root then begin
-      let base = s.f_counter in
-      let s = { (remove cohort s) with f_counter = base + st.f_total } in
-      (s, hand_down ~cohort base (List.rev st.f_batch))
-    end
+  (* Add one contribution to [node]'s window; the last one flushes it:
+     the root decombines at once, any other node reports upward. *)
+  let join ~cohort ~node contrib count counter =
+    let w = window ~cohort ~node in
+    w.pending <- w.pending - 1;
+    w.f_total <- w.f_total + count;
+    w.f_batch <- contrib :: w.f_batch;
+    if w.pending > 0 then (counter, [])
+    else if node = root then (counter + w.f_total, hand_down ~cohort counter w)
     else
-      ( set cohort st s,
-        [ Engine.Send (parent v, F_up { cohort; count = st.f_total }) ] )
-  in
-  let maybe_flush cohort v st s =
-    let children, arrivals = expect ~cohort ~node:v in
-    if st.f_got = children && st.f_arrived = arrivals then flush cohort v st s
-    else (set cohort st s, [])
+      (counter, [ Engine.Send (parent node, F_up { cohort; count = w.f_total }) ])
   in
   let protocol =
     {
       Engine.name = "open-loop-funnel";
-      initial_state = (fun _ -> { cohorts = []; f_counter = 0 });
+      initial_state = (fun _ -> 0);
       on_start = (fun ~node:_ s -> (s, []));
       on_receive =
-        (fun ~round:_ ~node ~src msg s ->
+        (fun ~round:_ ~node ~src msg counter ->
           match msg with
           | F_up { cohort; count } ->
-              let st = find cohort s in
-              let st =
-                {
-                  st with
-                  f_got = st.f_got + 1;
-                  f_total = st.f_total + count;
-                  f_batch = F_child { child = src; count } :: st.f_batch;
-                }
-              in
-              maybe_flush cohort node st s
+              join ~cohort ~node (F_child { child = src; count }) count counter
           | F_down { cohort; base } ->
-              let st = find cohort s in
-              (remove cohort s, hand_down ~cohort base (List.rev st.f_batch)));
+              (counter, hand_down ~cohort base (window ~cohort ~node)));
       on_tick = Engine.no_tick;
     }
   in
-  let issue v i ~cohort s =
-    let st = find cohort s in
-    let st =
-      {
-        st with
-        f_arrived = st.f_arrived + 1;
-        f_total = st.f_total + 1;
-        f_batch = F_own i :: st.f_batch;
-      }
-    in
-    maybe_flush cohort v st s
-  in
+  let issue v i ~cohort counter = join ~cohort ~node:v (F_own i) 1 counter in
   (protocol, issue)
+
+(* Counts stay exact: every completion carries a distinct count in
+   [1 .. injected]. A run with nothing unfinished completes each of its
+   [injected] operations at least once, so by pigeonhole its counts are
+   then exactly {1 .. injected}. *)
+let count_check ~injected =
+  let seen = Bytes.make injected '\000' in
+  fun count ->
+    if count < 1 || count > injected then
+      failwith
+        (Printf.sprintf "Load.run: funnel count %d is outside 1..%d" count
+           injected);
+    if Bytes.get seen (count - 1) <> '\000' then
+      failwith
+        (Printf.sprintf "Load.run: funnel count %d was handed out twice" count);
+    Bytes.set seen (count - 1) '\001'
 
 let funnel_tree ~topo name =
   match Implicit.tree_arity topo with
@@ -348,9 +334,11 @@ let summarise ~workload ~topo ~arrival ~horizon ~keep_spans ~cal ~stats
       end)
     cal;
   let completed = !completed in
-  let pct q =
-    match Stats.percentile_ints !delays q with Some v -> v | None -> 0.
-  in
+  (* One sort serves every percentile (see [Stats.percentile_ints]). *)
+  let sorted = Array.of_list !delays in
+  Array.sort Int.compare sorted;
+  let sorted = Array.map float_of_int sorted in
+  let pct q = match Stats.percentile sorted q with Some v -> v | None -> 0. in
   let spans =
     if not keep_spans then []
     else
@@ -492,16 +480,27 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
           ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
     | Funnel ->
         let root, parent = funnel_tree ~topo "Load.run" in
-        let expect = funnel_expectations ~root ~parent ~cal in
-        let protocol, issue = funnel_machinery ~root ~parent ~expect in
+        let window = funnel_windows ~n ~root ~parent ~cal in
+        let protocol, issue = funnel_machinery ~root ~parent ~window in
         let injections =
           Array.mapi
             (fun i (at, node) ->
               { Event.at; node; inject = (fun s -> issue node i ~cohort:at s) })
             cal
         in
-        Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
-          ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
+        (* Check each completion's count, then keep only its op index. *)
+        let check = count_check ~injected:(Array.length cal) in
+        let project (c : (int * int) Engine.completion) =
+          let op, count = c.value in
+          check count;
+          { c with value = op }
+        in
+        let sink = Option.map (fun f c -> f (project c)) sink in
+        let r =
+          Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+            ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
+        in
+        { r with completions = List.map project r.completions }
   in
   match stream with
   | Some (sketch, reservoir) ->

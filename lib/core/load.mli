@@ -50,7 +50,10 @@ type workload =
           same-round arrivals form a cohort that combines leaf-to-root
           over its on-path closure and decombines root-to-leaf, with
           the root folding cohort totals into one global counter —
-          counts stay exact across the run. O(1) messages per op
+          counts stay exact across the run, and every run checks it:
+          the completed operations hold distinct counts in
+          [1 .. injected], exactly [{1 .. injected}] when nothing is
+          left unfinished. O(1) messages per op
           against the central counter's O(distance-to-centre), which
           moves the counting saturation knee. Requires a
           {!Countq_topology.Implicit.tree} topology
@@ -140,7 +143,9 @@ val run :
     for every shard count. Worker domains come from [pool]'s spare
     lanes when given, else are spawned directly (see {!Countq_simnet.Shard}).
     @raise Invalid_argument if [horizon < 1], [shards < 1] or a node
-    argument is out of range. *)
+    argument is out of range.
+    @raise Failure if a [Funnel] run hands out a count twice or one
+    outside [1 .. injected]; the message names the first bad count. *)
 
 type one_shot_summary = {
   os_requests : int;

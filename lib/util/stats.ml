@@ -35,7 +35,7 @@ let summarize samples =
   if samples = [] then None
   else begin
     let a = Array.of_list (List.map float_of_int samples) in
-    Array.sort compare a;
+    Array.sort Float.compare a;
     let count = Array.length a in
     let total = List.fold_left ( + ) 0 samples in
     let mean = float_of_int total /. float_of_int count in
@@ -65,9 +65,11 @@ let percentile_ints samples q =
     None
   end
   else begin
-    let a = Array.of_list (List.map float_of_int samples) in
-    Array.sort compare a;
-    percentile a q
+    (* Sort the ints, then map: [float_of_int] is monotone, so the
+       floats come out sorted without boxing them for the sort. *)
+    let a = Array.of_list samples in
+    Array.sort Int.compare a;
+    percentile (Array.map float_of_int a) q
   end
 
 type bucket = { lo : int; hi : int; bcount : int }

@@ -221,6 +221,73 @@ let test_funnel_needs_a_tree () =
         (Load.run ~topo:(Implicit.ring 32) ~workload:Load.Funnel
            ~arrival:(Load.Poisson 1.0) ~horizon:8 ()))
 
+(* Past the knee: a 4-ary tree of 341 nodes fed 3 and 6 ops/round,
+   where cohorts stay open at the root's children for hundreds of
+   rounds. Every figure is pinned, and each run is identical at two and
+   three shards. *)
+let funnel_past_knee ?drain ~shards rate =
+  Load.run ~seed:11L ?drain ~shards ~topo:(Implicit.tree ~arity:4 341)
+    ~workload:Load.Funnel ~arrival:(Load.Poisson rate) ~horizon:256 ()
+
+let check_sharded_equal ?drain rate (s : Load.summary) =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rate %g shards=%d equal" rate k)
+        true
+        (funnel_past_knee ?drain ~shards:k rate = s))
+    [ 2; 3 ]
+
+let test_funnel_past_knee_pinned () =
+  let s = funnel_past_knee ~shards:1 3.0 in
+  check_consistent s;
+  Alcotest.(check int) "injected" 793 s.injected;
+  Alcotest.(check int) "completed" 689 s.completed;
+  Alcotest.(check int) "messages" 4811 s.messages;
+  Alcotest.(check (float 0.)) "p50" 156. s.p50;
+  Alcotest.(check (float 1e-9)) "p99" 287.12 s.p99;
+  Alcotest.(check int) "max backlog" 78 s.max_backlog;
+  check_sharded_equal 3.0 s
+
+let test_funnel_past_knee_no_drain () =
+  let s = funnel_past_knee ~drain:0 ~shards:1 3.0 in
+  check_consistent s;
+  Alcotest.(check int) "injected" 793 s.injected;
+  Alcotest.(check int) "completed" 338 s.completed;
+  Alcotest.(check int) "unfinished" 455 s.unfinished;
+  Alcotest.(check int) "messages" 3389 s.messages;
+  check_sharded_equal ~drain:0 3.0 s
+
+let test_funnel_past_knee_rate_6 () =
+  let s = funnel_past_knee ~shards:1 6.0 in
+  check_consistent s;
+  Alcotest.(check int) "injected" 1508 s.injected;
+  Alcotest.(check int) "completed" 856 s.completed;
+  Alcotest.(check int) "messages" 6852 s.messages;
+  Alcotest.(check (float 0.)) "p50" 230.5 s.p50;
+  Alcotest.(check int) "max backlog" 106 s.max_backlog;
+  check_sharded_equal 6.0 s
+
+(* Below the knee with a long drain every operation completes, and the
+   run's count check (distinct counts, exactly {1..injected} here)
+   passes, retained or streaming. *)
+let prop_funnel_drains_with_exact_counts =
+  QCheck2.Test.make ~name:"funnel below the knee: all complete, counts exact"
+    ~count:40
+    ~print:(fun (seed, rate, (arity, n)) ->
+      Printf.sprintf "seed=%d rate=%g tree=%d:%d" seed rate arity n)
+    QCheck2.Gen.(
+      triple (int_range 0 10_000) (float_range 0.05 1.0)
+        (pair (int_range 2 5) (int_range 1 80)))
+    (fun (seed, rate, (arity, n)) ->
+      let topo = Implicit.tree ~arity n in
+      let go streaming =
+        Load.run ~seed:(Int64.of_int seed) ~streaming ~drain:1024 ~topo
+          ~workload:Load.Funnel ~arrival:(Load.Poisson rate) ~horizon:64 ()
+      in
+      let a = go false and b = go true in
+      a.Load.completed = a.Load.injected && b.Load.completed = b.Load.injected)
+
 (* Telemetry attached to a Load run is passive for the summary. *)
 let test_load_telemetry_passive () =
   let topo = Implicit.list 32 in
@@ -253,6 +320,13 @@ let suite =
     Alcotest.test_case "funnel sharded pinned" `Quick test_funnel_sharded_pinned;
     Alcotest.test_case "funnel one-shot" `Quick test_funnel_one_shot;
     Alcotest.test_case "funnel needs a tree" `Quick test_funnel_needs_a_tree;
+    Alcotest.test_case "funnel past the knee pinned" `Quick
+      test_funnel_past_knee_pinned;
+    Alcotest.test_case "funnel past the knee, no drain" `Quick
+      test_funnel_past_knee_no_drain;
+    Alcotest.test_case "funnel past the knee at rate 6" `Quick
+      test_funnel_past_knee_rate_6;
+    Helpers.qcheck prop_funnel_drains_with_exact_counts;
     Alcotest.test_case "load telemetry passive" `Quick
       test_load_telemetry_passive;
   ]

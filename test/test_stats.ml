@@ -235,6 +235,22 @@ let prop_bounds_hold =
       && s.mean >= float_of_int s.min
       && s.mean <= float_of_int s.max)
 
+(* [percentile_ints] sorts the ints and maps them to floats after;
+   [float_of_int] is monotone, so that agrees with sorting the floats,
+   even for ints too wide to convert exactly. *)
+let prop_percentile_ints_matches_float_sort =
+  QCheck2.Test.make ~name:"percentile_ints = percentile over sorted floats"
+    ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 60)
+           (oneof [ int_range (-1000) 1000; int ]))
+        (float_range 0. 1.))
+    (fun (samples, q) ->
+      let a = Array.of_list (List.map float_of_int samples) in
+      Array.sort Float.compare a;
+      Stats.percentile_ints samples q = Stats.percentile a q)
+
 let suite =
   [
     Alcotest.test_case "single" `Quick test_single;
@@ -245,6 +261,7 @@ let suite =
     Alcotest.test_case "percentile validation" `Quick test_percentile_validation;
     Alcotest.test_case "empty is total" `Quick test_empty_total;
     Alcotest.test_case "percentile_ints" `Quick test_percentile_ints;
+    Helpers.qcheck prop_percentile_ints_matches_float_sort;
     Alcotest.test_case "histogram small span" `Quick test_histogram_small_span;
     Alcotest.test_case "histogram single value" `Quick
       test_histogram_single_value;
