@@ -63,7 +63,7 @@ let schedule ~seed arrival ~n ~horizon =
   for t = 1 to horizon do
     let k = poisson_draw rng (rate_at arrival t) in
     let origins = Array.init k (fun _ -> Rng.below rng n) in
-    Array.sort compare origins;
+    Array.sort Int.compare origins;
     (* Prepend in ascending order; the final [List.rev] restores
        ascending (round, node) order. *)
     for i = 0 to k - 1 do

@@ -113,9 +113,9 @@ let make_protocol ~info_of ~root ~parent =
             in
             if s.got = i.expected then flush node s else (s, [])
         | Down base ->
-            (* Reset to the initial state after decombining — the event
-               engine reclaims quiescent nodes, so a finished funnel
-               leaves no residue behind the wavefront. *)
+            (* Reset to the initial state after decombining, so a
+               finished funnel leaves no residue behind the wavefront:
+               a quiet node keeps only its state. *)
             (initial, hand_down node base (List.rev s.batch)));
     on_tick = Engine.no_tick;
   }

@@ -2,16 +2,16 @@
     no live state.
 
     On a materialised graph, setup pays O(n + m) before the first
-    message moves: per-node state, incoming rings and outboxes for the
+    message moves: per-node state, incoming queues and outboxes for the
     whole graph. This front runs on an {!Countq_topology.Implicit}
     topology — adjacency as index arithmetic, never materialised — and,
     when [?starters] is given, the kernel ({!Kernel}) assigns a node its
     slot at first touch (a start action, a delivered message, an
     injection or a tick) through a dense node → slot map (a hash table
-    above 2{^22} nodes), and hands a node's ring buffers back to the GC
-    the moment it goes fully quiescent. A million-node one-shot arrow
-    run allocates a handful of live nodes at any instant plus one
-    O(n)-int slot map. Without [?starters] every node starts at time 0
+    above 2{^22} nodes). Messages sit in a pool of cells shared by all
+    queues, so a quiet node holds no message buffers. A million-node
+    one-shot arrow run touches a handful of nodes at any instant, plus
+    one O(n)-int slot map. Without [?starters] every node starts at time 0
     and slots are pre-assigned, exactly as in {!Engine.run}.
 
     Time advances round by round with {!Engine.run}'s phase order

@@ -28,19 +28,19 @@
    so fault-plan and schedule queries are never issued concurrently.
 
    Node state lives in one slot-indexed store: parallel per-slot arrays
-   (state, neighbours, outbox ring, arbiter pointer, list flags) plus
-   the incoming rings in one flat CSR block ([inq_off.(s)] is slot s's
-   base, one ring per neighbour in sorted neighbour order). Slots are
+   (state, neighbours, outbox queue, arbiter pointer, list flags) plus
+   the incoming queues in one flat CSR block ([inq_off.(s)] is slot s's
+   base, one queue per neighbour in sorted neighbour order). Slots are
    assigned one of two ways:
    - pre-assigned (slot = node, arrays sized n up front, a node's
      neighbour array read at its first touch): every sharded run, and
      every run in which all nodes start at time 0;
    - on first touch (a dense node -> slot map, a hash table above
      2^22 nodes; arrays grown by doubling): single-shard runs that name
-     ?starters. A node's ring buffers are handed back to the GC when it
-     goes quiescent, so the live footprint tracks the wavefront.
-   Ring capacities are 0 or a power of two; the first push allocates;
-   a ring's head and length are packed into one int.
+     ?starters.
+   A queue owns no buffer: its messages sit in cells of one per-shard
+   pool (see "message cells" below), so a quiet node holds nothing
+   beyond its per-slot words, in either layout, without any sweep.
 
    Observable-order bookkeeping that makes the shard merge exact:
    - metrics ownership: node v's transmit marks are recorded by v's
@@ -214,6 +214,13 @@ type ('s, 'm, 'r) shard = {
   inj : ('s, 'm, 'r) injection array;  (* in global (round, node) order *)
   mutable inj_ptr : int;
   evs : (int * int * 'r event) buf;  (* replayed at the barrier *)
+  (* The message cells of every queue of this shard's nodes: payload,
+     successor and (outbox cells only) destination, grown together by
+     doubling; [free] heads the free list threaded through [next]. *)
+  mutable msgs : 'm array;
+  mutable next : int array;
+  mutable dsts : int array;
+  mutable free : int;
 }
 
 (* Everything one run owns. *)
@@ -242,21 +249,18 @@ type ('s, 'm, 'r) k = {
   stats : stats option;
   injections : ('s, 'm, 'r) injection array;
   mutable ginj_ptr : int;
-  (* The node store; see the preamble. [inq_*] are indexed by ring
+  (* The node store; see the preamble. [inq_ring] is indexed by link
      ([inq_off.(s)] + neighbour index), the rest by slot. *)
   mutable states : 's array;
   mutable nbrs : int array array;  (* [||] until the node is touched *)
   mutable node_of : int array;  (* on-first-touch layout only *)
   mutable inq_off : int array;
-  mutable out_dst : int array array;
-  mutable out_msg : 'm array array;
-  mutable out_ring : int array;  (* outbox head and length, packed *)
+  mutable out_ring : int array;  (* outbox queue, packed *)
   mutable rr : int array;
   mutable pending : int array;
   mutable on_send : Bytes.t;
   mutable on_recv : Bytes.t;
-  mutable inq_data : 'm array array;
-  mutable inq_ring : int array;  (* ring head and length, packed *)
+  mutable inq_ring : int array;  (* incoming queue per link, packed *)
   mutable slots : int;
   mutable rings : int;
   slot_map : int array;  (* on first touch, n <= dense_slot_limit *)
@@ -317,8 +321,6 @@ let grow_slots k fill =
   k.nbrs <- extend k.nbrs cap [||];
   k.node_of <- extend k.node_of cap 0;
   k.inq_off <- extend k.inq_off cap 0;
-  k.out_dst <- extend k.out_dst cap [||];
-  k.out_msg <- extend k.out_msg cap [||];
   k.out_ring <- extend k.out_ring cap 0;
   k.rr <- extend k.rr cap 0;
   k.pending <- extend k.pending cap 0;
@@ -327,7 +329,6 @@ let grow_slots k fill =
 
 let grow_rings k need =
   let cap = max need (max 64 (2 * Array.length k.inq_ring)) in
-  k.inq_data <- extend k.inq_data cap [||];
   k.inq_ring <- extend k.inq_ring cap 0
 
 (* Give [v] its slot (on first touch) and count it as touched. *)
@@ -374,101 +375,92 @@ let touch k sh v =
     s
   end
 
-(* Hand a fully quiescent node's buffers back to the GC (on-first-touch
-   layout only); state, counters and the rr pointer stay, so arbiter
-   behaviour is unaffected if the node wakes again. *)
-let reclaim k s =
-  let base = k.inq_off.(s) in
-  for q = base to base + Array.length k.nbrs.(s) - 1 do
-    if Array.length k.inq_data.(q) > 0 then begin
-      k.inq_data.(q) <- [||];
-      k.inq_ring.(q) <- 0
+(* ---------------- message cells ----------------------------------- *)
+
+(* Every queue (a link's incoming queue, a node's outbox) is a circular
+   singly linked list of cells, named by one packed int: the tail cell
+   in the high half, the length in the low half, 0 when empty. The head
+   is the tail's successor. A queue's cells come from the pool of its
+   node's owning shard: [enqueue] runs on the receiver's owner and
+   [drain_free] on the sender's, and the coordinator touches a lane's
+   pool only while the lanes are parked ([send_faulty], [flush_held],
+   [enqueue_faulty]). *)
+let q_len r = r land 0xFFFF_FFFF
+let q_tail r = r lsr 32
+
+(* A free cell holding [msg]. An empty free list doubles the pool,
+   seeding fresh cells from [msg] so polymorphic payloads need no
+   dummy. *)
+let alloc sh msg =
+  if sh.free < 0 then begin
+    let cap = Array.length sh.next in
+    let cap' = max 16 (2 * cap) in
+    sh.msgs <- extend sh.msgs cap' msg;
+    sh.dsts <- extend sh.dsts cap' 0;
+    let next = extend sh.next cap' (-1) in
+    for c = cap to cap' - 2 do
+      next.(c) <- c + 1
+    done;
+    sh.next <- next;
+    sh.free <- cap
+  end;
+  let c = sh.free in
+  sh.free <- Array.unsafe_get sh.next c;
+  Array.unsafe_set sh.msgs c msg;
+  c
+
+(* Append cell [c] to the queue packed in [r]; returns the new packing. *)
+let q_push sh r c =
+  let len = q_len r in
+  if len = 0 then Array.unsafe_set sh.next c c
+  else begin
+    let tail = q_tail r in
+    Array.unsafe_set sh.next c (Array.unsafe_get sh.next tail);
+    Array.unsafe_set sh.next tail c
+  end;
+  (c lsl 32) lor (len + 1)
+
+let q_head sh r = Array.unsafe_get sh.next (q_tail r)
+
+(* Unlink the head [h] of the non-empty queue packed in [r] and free
+   it; returns the new packing. [h]'s fields stay readable until the
+   next [alloc]. *)
+let q_pop sh r h =
+  let r' =
+    if q_len r = 1 then 0
+    else begin
+      Array.unsafe_set sh.next (q_tail r) (Array.unsafe_get sh.next h);
+      r - 1
     end
-  done;
-  if Array.length k.out_dst.(s) > 0 then begin
-    k.out_dst.(s) <- [||];
-    k.out_msg.(s) <- [||];
-    k.out_ring.(s) <- 0
-  end
+  in
+  Array.unsafe_set sh.next h sh.free;
+  sh.free <- h;
+  r'
 
-(* ---------------- ring primitives ----------------------------------- *)
+let in_push k sh q msg =
+  let c = alloc sh msg in
+  Array.unsafe_set k.inq_ring q (q_push sh (Array.unsafe_get k.inq_ring q) c)
 
-(* A ring's head and length share one int, head in the high half: the
-   pre-assigned store holds one per link and one per node, and at 10^6
-   nodes separate head arrays cost 24 MB per run. *)
-let ring_len r = r land 0xFFFF_FFFF
-let ring_head r = r lsr 32
-let ring ~head ~len = (head lsl 32) lor len
-
-(* A push into a full (or virgin) ring doubles it, seeding fresh cells
-   from the pushed element. *)
-let in_push k q msg =
+let in_pop k sh q =
   let r = Array.unsafe_get k.inq_ring q in
-  let len = ring_len r and head = ring_head r in
-  let data = Array.unsafe_get k.inq_data q in
-  let cap = Array.length data in
-  if len = cap then begin
-    (* Cells from [len] on, the new tail included, are seeded with [msg]. *)
-    let d = Array.make (if cap = 0 then 2 else 2 * cap) msg in
-    let mask = cap - 1 in
-    for i = 0 to len - 1 do
-      Array.unsafe_set d i (Array.unsafe_get data ((head + i) land mask))
-    done;
-    Array.unsafe_set k.inq_data q d;
-    Array.unsafe_set k.inq_ring q (ring ~head:0 ~len:(len + 1))
-  end
-  else begin
-    Array.unsafe_set data ((head + len) land (cap - 1)) msg;
-    Array.unsafe_set k.inq_ring q (r + 1)
-  end
+  let h = q_head sh r in
+  Array.unsafe_set k.inq_ring q (q_pop sh r h);
+  Array.unsafe_get sh.msgs h
 
-let in_pop k q =
-  let r = Array.unsafe_get k.inq_ring q in
-  let head = ring_head r in
-  let data = Array.unsafe_get k.inq_data q in
-  Array.unsafe_set k.inq_ring q
-    (ring ~head:((head + 1) land (Array.length data - 1)) ~len:(ring_len r - 1));
-  Array.unsafe_get data head
+let out_push k sh s dst msg =
+  let c = alloc sh msg in
+  Array.unsafe_set sh.dsts c dst;
+  k.out_ring.(s) <- q_push sh k.out_ring.(s) c
 
-let out_push k s dst msg =
+(* Pop the head of [s]'s outbox; returns its cell. *)
+let out_take k sh s =
   let r = k.out_ring.(s) in
-  let len = ring_len r and head = ring_head r in
-  let ddata = k.out_dst.(s) in
-  let cap = Array.length ddata in
-  if len = cap then begin
-    let cap' = if cap = 0 then 2 else 2 * cap in
-    (* Cells from [len] on, the new tail included, are seeded. *)
-    let d = Array.make cap' dst in
-    let mm = Array.make cap' msg in
-    let mdata = k.out_msg.(s) in
-    let mask = cap - 1 in
-    for i = 0 to len - 1 do
-      let j = (head + i) land mask in
-      Array.unsafe_set d i (Array.unsafe_get ddata j);
-      Array.unsafe_set mm i (Array.unsafe_get mdata j)
-    done;
-    k.out_dst.(s) <- d;
-    k.out_msg.(s) <- mm;
-    k.out_ring.(s) <- ring ~head:0 ~len:(len + 1)
-  end
-  else begin
-    let j = (head + len) land (cap - 1) in
-    Array.unsafe_set ddata j dst;
-    Array.unsafe_set k.out_msg.(s) j msg;
-    k.out_ring.(s) <- r + 1
-  end
+  let h = q_head sh r in
+  k.out_ring.(s) <- q_pop sh r h;
+  h
 
-let out_len k s = ring_len k.out_ring.(s)
-let has_msgs k q = ring_len (Array.unsafe_get k.inq_ring q) > 0
-
-(* Pop the head of [s]'s outbox; returns its index in the (unchanged)
-   out_dst/out_msg arrays. *)
-let out_take k s =
-  let r = k.out_ring.(s) in
-  let head = ring_head r in
-  k.out_ring.(s) <-
-    ring ~head:((head + 1) land (Array.length k.out_dst.(s) - 1)) ~len:(ring_len r - 1);
-  head
+let out_len k s = q_len k.out_ring.(s)
+let has_msgs k q = q_len (Array.unsafe_get k.inq_ring q) > 0
 
 (* ---------------- action application -------------------------------- *)
 
@@ -501,7 +493,7 @@ let rec apply_actions k sh phase s v t actions =
   | [] -> ()
   | Send (dst, msg) :: rest ->
       if nbr_slot k.nbrs.(s) dst < 0 then raise (Not_a_neighbor { node = v; dst });
-      out_push k s dst msg;
+      out_push k sh s dst msg;
       sh.d_outstanding <- sh.d_outstanding + 1;
       if Bytes.unsafe_get k.on_send s = '\000' then begin
         Bytes.unsafe_set k.on_send s '\001';
@@ -519,21 +511,21 @@ let rec apply_actions k sh phase s v t actions =
       else buf_push sh.evs (phase, v, Completed value);
       apply_actions k sh phase s v t rest
 
-(* Hand [msg] (from [src]) to [dst]'s incoming ring, on [dst]'s owning
+(* Hand [msg] (from [src]) to [dst]'s incoming queue, on [dst]'s owning
    shard [sh]. [record_tx] folds the transmit note in for a send that
    never left its shard: [q] is exactly the receiver-row CSR index
    Metrics wants on the pre-assigned layout. *)
 let enqueue k sh record_tx t src dst msg =
   let s = touch k sh dst in
   let q = k.inq_off.(s) + nbr_slot k.nbrs.(s) src in
-  in_push k q msg;
+  in_push k sh q msg;
   k.pending.(s) <- k.pending.(s) + 1;
   if Bytes.unsafe_get k.on_recv s = '\000' then begin
     Bytes.unsafe_set k.on_recv s '\001';
     Vec.push sh.receivers dst
   end;
   sh.d_queued <- sh.d_queued + 1;
-  let backlog = ring_len (Array.unsafe_get k.inq_ring q) in
+  let backlog = q_len (Array.unsafe_get k.inq_ring q) in
   if backlog > sh.max_backlog then sh.max_backlog <- backlog;
   (match sh.mrec with
   | Some mrec ->
@@ -552,9 +544,8 @@ let enqueue k sh record_tx t src dst msg =
 
 let rec drain_free k sh s v t budget =
   if budget > 0 && out_len k s > 0 then begin
-    let j = out_take k s in
-    let dst = Array.unsafe_get k.out_dst.(s) j in
-    let msg = Array.unsafe_get k.out_msg.(s) j in
+    let c = out_take k sh s in
+    let dst = Array.unsafe_get sh.dsts c and msg = Array.unsafe_get sh.msgs c in
     sh.d_outstanding <- sh.d_outstanding - 1;
     sh.last_active <- t;
     let dsh = owner_of k dst in
@@ -581,7 +572,6 @@ let rec drain_free k sh s v t budget =
 let sender_done k s =
   if out_len k s = 0 then begin
     Bytes.unsafe_set k.on_send s '\000';
-    if (not k.dense) && k.pending.(s) = 0 then reclaim k s;
     true
   end
   else false
@@ -602,6 +592,15 @@ let send_shard k sh t =
   Vec.truncate sv !w
 
 (* ---------------- DELIVER phase (lanes) ------------------------------ *)
+
+(* Lexicographic on (src, dst, seq, sending shard). *)
+let compare_transfer (s1, d1, i1, p1) (s2, d2, i2, p2) =
+  match Int.compare s1 s2 with
+  | 0 -> (
+      match Int.compare d1 d2 with
+      | 0 -> ( match Int.compare i1 i2 with 0 -> Int.compare p1 p2 | c -> c)
+      | c -> c)
+  | c -> c
 
 (* Apply this shard's incoming cross-shard transfers, sorted by
    (src, dst, seq). seq is the position within the sender shard's
@@ -624,7 +623,7 @@ let apply_transfers k sh t =
         incr w
       done
     done;
-    Array.sort compare keys;
+    Array.sort compare_transfer keys;
     Array.iter
       (fun (src, dst, i, p) ->
         let _, _, msg = k.tx.((p * ks) + sh.id).data.(i) in
@@ -635,7 +634,7 @@ let apply_transfers k sh t =
     done
   end
 
-(* The arbiter: index (relative to the slot's ring base) of the link
+(* The arbiter: index (relative to the slot's queue base) of the link
    whose head is delivered next, or -1. *)
 let pick k t v s =
   let base = k.inq_off.(s) in
@@ -680,7 +679,7 @@ let rec recv_budget k sh t s v budget =
     if qi >= 0 then begin
       let src = k.nbrs.(s).(qi) in
       let q = k.inq_off.(s) + qi in
-      let msg = in_pop k q in
+      let msg = in_pop k sh q in
       k.pending.(s) <- k.pending.(s) - 1;
       sh.d_queued <- sh.d_queued - 1;
       sh.d_messages <- sh.d_messages + 1;
@@ -716,10 +715,7 @@ let recv_shard k sh t =
     let s = slot k v in
     if not (is_blocked k v) then
       recv_budget k sh t s v (min k.config.receive_capacity k.pending.(s));
-    if k.pending.(s) = 0 then begin
-      Bytes.unsafe_set k.on_recv s '\000';
-      if (not k.dense) && out_len k s = 0 then reclaim k s
-    end
+    if k.pending.(s) = 0 then Bytes.unsafe_set k.on_recv s '\000'
     else begin
       Vec.set rv !w v;
       incr w
@@ -904,10 +900,9 @@ let rec flush_held k t =
 
 let rec drain_faulty k s v t budget =
   if budget > 0 && out_len k s > 0 then begin
-    let j = out_take k s in
-    let dst = Array.unsafe_get k.out_dst.(s) j in
-    let msg = Array.unsafe_get k.out_msg.(s) j in
     let sh = k.shards.(owner_of k v) in
+    let c = out_take k sh s in
+    let dst = Array.unsafe_get sh.dsts c and msg = Array.unsafe_get sh.msgs c in
     sh.d_outstanding <- sh.d_outstanding - 1;
     sh.last_active <- t;
     let mrec = sh.mrec in
@@ -1275,10 +1270,7 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
     rings := !rings + degree v
   done;
   let rings = !rings in
-  let inq_data = Array.make rings [||] in
   let inq_ring = Array.make rings 0 in
-  let out_dst = Array.make slots [||] in
-  let out_msg = Array.make slots [||] in
   let out_ring = Array.make slots 0 in
   let rr = Array.make slots 0 in
   let pending = Array.make slots 0 in
@@ -1325,6 +1317,10 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
           inj = inj_of.(id);
           inj_ptr = 0;
           evs = buf ();
+          msgs = [||];
+          next = [||];
+          dsts = [||];
+          free = -1;
         })
   in
   let k =
@@ -1364,14 +1360,11 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
       nbrs;
       node_of = [||];
       inq_off;
-      out_dst;
-      out_msg;
       out_ring;
       rr;
       pending;
       on_send;
       on_recv;
-      inq_data;
       inq_ring;
       slots;
       rings;

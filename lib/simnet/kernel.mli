@@ -111,7 +111,8 @@ val run :
     [Domain.recommended_domain_count () - 1] are spawned.
 
     The slot layout follows from the arguments alone: a single-shard
-    run with [starters] assigns slots on first touch and reclaims
-    quiescent nodes' rings; every other run pre-assigns slot = node.
+    run with [starters] assigns slots on first touch; every other run
+    pre-assigns slot = node. Either way, queued messages sit in one
+    pool of cells per shard, so a quiet node holds no buffers.
     All optional arguments keep the meaning documented on the entry
     points. *)

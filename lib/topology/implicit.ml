@@ -77,23 +77,35 @@ let check_vertex who total v =
   if v < 0 || v >= total then
     invalid_arg (Printf.sprintf "Implicit.%s: vertex %d out of range" who v)
 
-(* Neighbour candidates of [v] along grid dimension [i], in ascending
-   order. Mirrors Gen.mesh_like: wrap edges only on sides > 2 (a side-2
-   wrap would duplicate the existing edge). *)
-let grid_dim_neighbors ~wrap ~sides ~stride v i acc =
+(* Insert [u] into the sorted prefix [a.(0 .. len - 1)] unless it is
+   already there; returns the new length. *)
+let insert_sorted a len u =
+  let i = ref len in
+  while !i > 0 && a.(!i - 1) > u do
+    decr i
+  done;
+  if !i > 0 && a.(!i - 1) = u then len
+  else begin
+    Array.blit a !i a (!i + 1) (len - !i);
+    a.(!i) <- u;
+    len + 1
+  end
+
+(* Insert [v]'s neighbours along grid dimension [i] into the sorted
+   prefix [a.(0 .. len - 1)]; returns the new length. Mirrors
+   Gen.mesh_like: wrap edges only on sides > 2 (a side-2 wrap would
+   duplicate the existing edge). *)
+let grid_dim_neighbors ~wrap ~sides ~stride v i a len =
   let side = sides.(i) and st = stride.(i) in
   let coord = v / st mod side in
-  let acc = if coord > 0 then (v - st) :: acc else acc in
-  let acc =
-    if wrap && side > 2 && coord = 0 then (v + ((side - 1) * st)) :: acc
-    else acc
+  let len = if coord > 0 then insert_sorted a len (v - st) else len in
+  let len =
+    if wrap && side > 2 && coord = 0 then insert_sorted a len (v + ((side - 1) * st))
+    else len
   in
-  let acc = if coord + 1 < side then (v + st) :: acc else acc in
-  let acc =
-    if wrap && side > 2 && coord = side - 1 then (v - (coord * st)) :: acc
-    else acc
-  in
-  acc
+  let len = if coord + 1 < side then insert_sorted a len (v + st) else len in
+  if wrap && side > 2 && coord = side - 1 then insert_sorted a len (v - (coord * st))
+  else len
 
 let neighbors t v =
   match t.fam with
@@ -109,12 +121,12 @@ let neighbors t v =
       if a < b then [| a; b |] else [| b; a |]
   | Grid { wrap; sides; stride; total } ->
       check_vertex "neighbors" total v;
-      let acc = ref [] in
-      for i = Array.length sides - 1 downto 0 do
-        acc := grid_dim_neighbors ~wrap ~sides ~stride v i !acc
+      let a = Array.make (2 * Array.length sides) 0 in
+      let len = ref 0 in
+      for i = 0 to Array.length sides - 1 do
+        len := grid_dim_neighbors ~wrap ~sides ~stride v i a !len
       done;
-      let a = Array.of_list (List.sort_uniq compare !acc) in
-      a
+      if !len = Array.length a then a else Array.sub a 0 !len
   | Tree { arity; total } ->
       check_vertex "neighbors" total v;
       let first_child = (v * arity) + 1 in
@@ -199,22 +211,21 @@ let next_hop t ~src ~dst =
       (* Correct the lowest differing dimension; on a wrapped side go
          the shorter way round (ties to the positive direction). *)
       let k = Array.length sides in
-      let rec fix i =
-        if i >= k then invalid_arg "Implicit.next_hop: src = dst"
-        else
-          let side = sides.(i) and st = stride.(i) in
-          let sc = src / st mod side and dc = dst / st mod side in
-          if sc = dc then fix (i + 1)
-          else if not (wrap && side > 2) then
-            if dc > sc then src + st else src - st
-          else
-            let fwd = (dc - sc + side) mod side in
-            if 2 * fwd <= side then
-              if sc + 1 = side then src - (sc * st) else src + st
-            else if sc = 0 then src + ((side - 1) * st)
-            else src - st
-      in
-      fix 0
+      let i = ref 0 in
+      while
+        !i < k && src / stride.(!i) mod sides.(!i) = dst / stride.(!i) mod sides.(!i)
+      do
+        incr i
+      done;
+      if !i >= k then invalid_arg "Implicit.next_hop: src = dst";
+      let side = sides.(!i) and st = stride.(!i) in
+      let sc = src / st mod side and dc = dst / st mod side in
+      if not (wrap && side > 2) then if dc > sc then src + st else src - st
+      else
+        let fwd = (dc - sc + side) mod side in
+        if 2 * fwd <= side then if sc + 1 = side then src - (sc * st) else src + st
+        else if sc = 0 then src + ((side - 1) * st)
+        else src - st
   | Tree { arity; _ } ->
       (* BFS numbering means every ancestor has a smaller index: climb
          from [dst]; if the walk lands on [src], [dst] is in [src]'s

@@ -416,10 +416,117 @@ let test_round_limit_payloads_identical () =
   let r = payload (fun ~graph ~config ~protocol () -> Reference.run ~graph ~config ~protocol ()) in
   Alcotest.(check bool) "payloads identical" true (a = r)
 
+(* ------------------------------------------------------------------ *)
+(* Deep queues that drain and refill: on a star, wave [w] wakes two
+   leaves (one if there is only one), each of which bursts [bursts.(w)]
+   messages at the hub in one round, so one link's backlog is the whole
+   burst. The hub completes on every receipt and wakes the next wave
+   once the current wave's last messages are in, so its queues drain,
+   stay empty for two rounds, and refill. Every front must match
+   Reference.run, with and without a plan that duplicates (more cells
+   than sends) and delays (the coordinator pushes into a lane's queues
+   when it releases held messages). *)
+
+type burst_msg = Go of int | Burst of { wave : int; idx : int; last : bool }
+
+let burst_protocol ~leaves ~bursts =
+  let waves = Array.length bursts in
+  let woken w =
+    let a = 1 + (w mod leaves) and b = 1 + ((w + 1) mod leaves) in
+    if a = b then [ a ] else [ min a b; max a b ]
+  in
+  let burst w =
+    List.init bursts.(w) (fun idx ->
+        Engine.Send (0, Burst { wave = w; idx; last = idx = bursts.(w) - 1 }))
+  in
+  let wake w = List.map (fun v -> Engine.Send (v, Go w)) (woken w) in
+  (* Hub: (current wave, last messages seen in it). Leaf: (last wave
+     burst, 0), so a duplicated Go bursts once. *)
+  let protocol =
+    {
+      Engine.name = "bursts";
+      initial_state = (fun v -> if v = 0 then (0, 0) else (-1, 0));
+      on_start =
+        (fun ~node s -> if List.mem node (woken 0) then ((0, 0), burst 0) else (s, []));
+      on_receive =
+        (fun ~round:_ ~node:_ ~src m ((cur, seen) as s) ->
+          match m with
+          | Go w -> if w > cur then ((w, 0), burst w) else (s, [])
+          | Burst { wave; idx; last } ->
+              let got = [ Engine.Complete (src, wave, idx) ] in
+              if not (last && wave = cur) then (s, got)
+              else if seen + 1 < List.length (woken cur) || cur + 1 >= waves then
+                ((cur, seen + 1), got)
+              else ((cur + 1, 0), got @ wake (cur + 1)));
+      on_tick = Engine.no_tick;
+    }
+  in
+  (protocol, woken 0)
+
+let burst_gen =
+  let open QCheck2.Gen in
+  let* leaves = int_range 1 5 in
+  let* big = int_range 1000 1300 in
+  let* rest = list_size (int_range 1 2) (int_range 1 300) in
+  let* rc = int_range 1 3 in
+  let* arb = int_range 0 1 in
+  let* seed = int_range 0 10_000 in
+  return (leaves, Array.of_list (big :: rest), rc, arb, seed)
+
+let burst_print (leaves, bursts, rc, arb, seed) =
+  Printf.sprintf "star leaves=%d bursts=[%s] rc=%d arb=%d seed=%d" leaves
+    (String.concat ";" (Array.to_list (Array.map string_of_int bursts)))
+    rc arb seed
+
+let burst_queues_match_reference =
+  QCheck2.Test.make ~count:10 ~name:"deep bursty queues = reference (star)"
+    ~print:burst_print burst_gen (fun (leaves, bursts, rc, arb, seed) ->
+      let graph = Gen.star (leaves + 1) in
+      let topo = Implicit.of_graph graph in
+      let protocol, starters = burst_protocol ~leaves ~bursts in
+      let config =
+        {
+          Engine.default_config with
+          receive_capacity = rc;
+          send_capacity = 2_000;
+          arbiter = Helpers.arbiter_of arb;
+        }
+      in
+      let plan =
+        Faults.random ~label:"dup-delay" ~seed:(Int64.of_int seed) ~duplicate:0.05
+          ~delay:0.05 ~delay_max:7 ()
+      in
+      List.for_all
+        (fun faulty ->
+          let run engine =
+            let faults = if faulty then Some (Faults.start plan) else None in
+            let res = engine ?faults () in
+            (res, Option.map Faults.stats faults)
+          in
+          let ((res, _) as reference) =
+            run (fun ?faults () -> Reference.run ?faults ~graph ~config ~protocol ())
+          in
+          let fronts =
+            run (fun ?faults () -> Event.run ?faults ~starters ~topo ~config ~protocol ())
+            :: List.map
+                 (fun k ->
+                   run (fun ?faults () ->
+                       Shard.run_implicit ~shards:k ~pool ?faults ~starters ~topo
+                         ~config ~protocol ()))
+                 [ 1; 2; 3 ]
+          in
+          (faulty
+          || res.max_link_backlog = Array.fold_left max 0 bursts
+             && List.length res.completions
+                = min leaves 2 * Array.fold_left ( + ) 0 bursts)
+          && List.for_all (( = ) reference) fronts)
+        [ false; true ])
+
 let suite =
   [
     Helpers.qcheck equiv_default;
     Helpers.qcheck equiv_observed;
+    Helpers.qcheck burst_queues_match_reference;
     Alcotest.test_case "ticking protocol = reference (implicit, sharded)" `Quick
       test_tick_protocol_pinned;
     Alcotest.test_case "reliable keep_alive = reference at shards 2" `Quick

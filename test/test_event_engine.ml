@@ -343,6 +343,25 @@ let test_next_hop_decreases_distance () =
       done)
     families
 
+(* Random grids of 1-3 dimensions, sides 1-6, with and without wrap:
+   the implicit neighbourhoods are exactly the Gen twin's adjacency. *)
+let random_grids_match_gen =
+  QCheck2.Test.make ~count:200 ~name:"random grids: neighbors = Gen twin"
+    ~print:(fun (wrap, dims) ->
+      Printf.sprintf "%s %s"
+        (if wrap then "torus" else "mesh")
+        (String.concat "x" (List.map string_of_int dims)))
+    QCheck2.Gen.(pair bool (list_size (int_range 1 3) (int_range 1 6)))
+    (fun (wrap, dims) ->
+      let imp = if wrap then Implicit.torus ~dims else Implicit.mesh ~dims in
+      let twin = if wrap then Gen.torus ~dims else Gen.mesh ~dims in
+      Implicit.n imp = Graph.n twin
+      && List.for_all
+           (fun v ->
+             let a = Implicit.neighbors imp v in
+             a = Graph.neighbors twin v && Array.length a = Implicit.degree imp v)
+           (List.init (Graph.n twin) Fun.id))
+
 let of_graph_next_hop =
   QCheck2.Test.make ~count:100 ~name:"of_graph next_hop strictly closer"
     ~print:Helpers.topology_print Helpers.topology_gen
@@ -441,6 +460,7 @@ let suite =
       test_neighbors_degree_agree;
     Alcotest.test_case "next_hop strictly decreases distance" `Quick
       test_next_hop_decreases_distance;
+    Helpers.qcheck random_grids_match_gen;
     Helpers.qcheck of_graph_next_hop;
     Alcotest.test_case "closed-form routing at scale" `Quick
       test_closed_form_routing_at_scale;
