@@ -51,11 +51,11 @@ let make_protocol ~root ~route ~requesting =
         | Request { origin } ->
             if node = root then assign node s origin
             else
-              (s, [ Engine.Send (Route.next_hop route node root, Request { origin }) ])
+              (s, [ Engine.Send (Route.next_hop route node root, msg) ])
         | Reply { dest; count } ->
             if node = dest then (s, [ Engine.Complete (dest, count) ])
             else
-              (s, [ Engine.Send (Route.next_hop route node dest, Reply { dest; count }) ]));
+              (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
     on_tick = Engine.no_tick;
   }
 
@@ -157,19 +157,11 @@ let run_long_lived ?config ?(root = 0) ?route ~graph ~arrivals () =
           | Ll_request { origin; seq } ->
               if node = root then assign node s origin seq
               else
-                ( s,
-                  [
-                    Engine.Send
-                      (Route.next_hop route node root, Ll_request { origin; seq });
-                  ] )
+                (s, [ Engine.Send (Route.next_hop route node root, msg) ])
           | Ll_reply { dest; seq; count } ->
               if node = dest then (s, [ Engine.Complete (dest, seq, count) ])
               else
-                ( s,
-                  [
-                    Engine.Send
-                      (Route.next_hop route node dest, Ll_reply { dest; seq; count });
-                  ] ));
+                (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
       on_tick = Some (fun ~round ~node s -> drain_due round node s);
     }
   in

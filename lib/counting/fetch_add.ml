@@ -146,22 +146,12 @@ let run_central ?config ?(root = 0) ?route ~graph ~requests () =
           | Request { origin; increment } ->
               if node = root then apply node sum origin increment
               else
-                ( sum,
-                  [
-                    Engine.Send
-                      ( Route.next_hop route node root,
-                        Request { origin; increment } );
-                  ] )
+                (sum, [ Engine.Send (Route.next_hop route node root, msg) ])
           | Reply { dest; increment; before } ->
               if node = dest then
                 (sum, [ Engine.Complete (dest, increment, before) ])
               else
-                ( sum,
-                  [
-                    Engine.Send
-                      ( Route.next_hop route node dest,
-                        Reply { dest; increment; before } );
-                  ] ));
+                (sum, [ Engine.Send (Route.next_hop route node dest, msg) ]));
       on_tick = Engine.no_tick;
     }
   in

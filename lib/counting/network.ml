@@ -185,21 +185,11 @@ let run_long_lived ?config ?width ?net ?placement ?route ~graph ~arrivals () =
           | L_token { origin; seq; dest; stage } ->
               if node = dest then (s, process node s ~origin ~seq stage)
               else
-                ( s,
-                  [
-                    Engine.Send
-                      ( Route.next_hop route node dest,
-                        L_token { origin; seq; dest; stage } );
-                  ] )
+                (s, [ Engine.Send (Route.next_hop route node dest, msg) ])
           | L_reply { dest; seq; count } ->
               if node = dest then (s, [ Engine.Complete (dest, seq, count) ])
               else
-                ( s,
-                  [
-                    Engine.Send
-                      ( Route.next_hop route node dest,
-                        L_reply { dest; seq; count } );
-                  ] ));
+                (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
       on_tick = Some (fun ~round ~node s -> (s, drain_due round node s));
     }
   in
@@ -309,19 +299,11 @@ let prepare ?width ?net ?placement ?route ~graph ~requests () =
           | Token { origin; dest; stage } ->
               if node = dest then (s, process node s ~origin stage)
               else
-                ( s,
-                  [
-                    Engine.Send
-                      (Route.next_hop route node dest, Token { origin; dest; stage });
-                  ] )
+                (s, [ Engine.Send (Route.next_hop route node dest, msg) ])
           | Reply { dest; count } ->
               if node = dest then (s, [ Engine.Complete (dest, count) ])
               else
-                ( s,
-                  [
-                    Engine.Send
-                      (Route.next_hop route node dest, Reply { dest; count });
-                  ] ));
+                (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
       on_tick = Engine.no_tick;
     }
   in

@@ -49,12 +49,12 @@ let prepare ~root ~route ~graph ~requests =
         | Request { origin } ->
             if node = root then enqueue node s origin
             else
-              (s, [ Engine.Send (Route.next_hop route node root, Request { origin }) ])
+              (s, [ Engine.Send (Route.next_hop route node root, msg) ])
         | Reply { dest; pred } ->
             if node = dest then
               (s, [ Engine.Complete ({ Types.origin = dest; seq = 0 }, pred) ])
             else
-              (s, [ Engine.Send (Route.next_hop route node dest, Reply { dest; pred }) ]));
+              (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
     on_tick = Engine.no_tick;
   }
 

@@ -193,11 +193,6 @@ let run ~graph ~protocol ~check ?(max_configs = 1_000_000) ?(reduce = true)
     | succs ->
         `Succs (List.map (fun c -> (Digest.string (canonical_key c), c)) succs)
   in
-  let map_f f xs =
-    match pool with
-    | None -> List.map f xs
-    | Some p -> Parallel.pool_map p f xs
-  in
   let visited = Hashtbl.create 4096 in
   let explored = ref 0
   and terminal = ref 0
@@ -221,34 +216,39 @@ let run ~graph ~protocol ~check ?(max_configs = 1_000_000) ?(reduce = true)
     | [] -> Exhaustive (stats ())
     | layer ->
         max_frontier := max !max_frontier (List.length layer);
-        let expanded = map_f expand layer in
         let next = ref [] in
         let exhausted = ref false in
         let violation = ref None in
-        List.iter
-          (fun result ->
-            match result with
-            | `Terminal (ckey, verdict) -> (
-                incr terminal;
-                match verdict with
-                | Ok () -> ()
-                | Error msg -> (
-                    match !violation with
-                    | Some (best, _) when best <= ckey -> ()
-                    | _ -> violation := Some (ckey, msg)))
-            | `Succs succs ->
-                List.iter
-                  (fun (dg, c) ->
-                    if Hashtbl.mem visited dg then incr dedup_hits
-                    else if not !exhausted then
-                      if !explored >= max_configs then exhausted := true
-                      else begin
-                        Hashtbl.replace visited dg ();
-                        incr explored;
-                        next := c :: !next
-                      end)
-                  succs)
-          expanded;
+        let merge result =
+          match result with
+          | `Terminal (ckey, verdict) -> (
+              incr terminal;
+              match verdict with
+              | Ok () -> ()
+              | Error msg -> (
+                  match !violation with
+                  | Some (best, _) when best <= ckey -> ()
+                  | _ -> violation := Some (ckey, msg)))
+          | `Succs succs ->
+              List.iter
+                (fun (dg, c) ->
+                  if Hashtbl.mem visited dg then incr dedup_hits
+                  else if not !exhausted then
+                    if !explored >= max_configs then exhausted := true
+                    else begin
+                      Hashtbl.replace visited dg ();
+                      incr explored;
+                      next := c :: !next
+                    end)
+                succs
+        in
+        (* Without a pool each configuration's successors are merged as
+           soon as they are expanded, so duplicates are garbage at once:
+           the heap holds this layer and the next, not every successor
+           of the layer at the same time. *)
+        (match pool with
+        | None -> List.iter (fun cfg -> merge (expand cfg)) layer
+        | Some p -> List.iter merge (Parallel.pool_map p expand layer));
         (match !violation with
         | Some (_, msg) -> raise (Violation msg)
         | None -> ());

@@ -150,8 +150,10 @@ let top_loaded ?k loads =
   Array.iteri (fun v load -> if load > 0 then acc := (v, load) :: !acc) loads;
   top_loaded_pairs ?k !acc
 
-(* Index of [u] in a sorted duplicate-free neighbour array, or -1. *)
-let nbr_slot nbrs u =
+(* Index of [u] in a sorted duplicate-free neighbour array, or -1. The
+   annotation makes [=] and [<] the int primitives, not the polymorphic
+   compare: this runs on every send and every enqueue. *)
+let nbr_slot (nbrs : int array) (u : int) =
   let lo = ref 0 and hi = ref (Array.length nbrs - 1) in
   let res = ref (-1) in
   while !res < 0 && !lo <= !hi do
@@ -357,6 +359,13 @@ let materialise k sh v =
     s
   end
 
+(* Store the state a handler returned for slot [s], given the [old] one
+   it was called with. Handlers that mutate their state in place or
+   return it unchanged hand back [old] itself, and skipping that store
+   skips a caml_modify on the polymorphic [states] array; a physically
+   equal value is the same value, flat float arrays included. *)
+let store k s old s' = if s' != old then k.states.(s) <- s'
+
 (* Slot of [v], materialising it first if needed. A node that was
    asleep until now must not have had anything to say at time 0. *)
 let touch k sh v =
@@ -364,8 +373,9 @@ let touch k sh v =
   if s >= 0 then s
   else begin
     let s = materialise k sh v in
-    let s', actions = k.protocol.on_start ~node:v k.states.(s) in
-    k.states.(s) <- s';
+    let old = k.states.(s) in
+    let s', actions = k.protocol.on_start ~node:v old in
+    store k s old s';
     (match actions with
     | [] -> ()
     | _ ->
@@ -695,10 +705,11 @@ let rec recv_budget k sh t s v budget =
       if k.has_observer then
         if k.inline then k.observer.on_deliver ~round:t ~src ~dst:v
         else buf_push sh.evs (1, v, Delivered src);
-      let s', actions =
-        k.protocol.on_receive ~round:t ~node:v ~src msg k.states.(s)
-      in
-      k.states.(s) <- s';
+      (* The per-message hot path: the network, funnel and counter
+         handlers hand back [old], so [store] writes nothing. *)
+      let old = k.states.(s) in
+      let s', actions = k.protocol.on_receive ~round:t ~node:v ~src msg old in
+      store k s old s';
       apply_actions k sh 1 s v t actions;
       recv_budget k sh t s v (budget - 1)
     end
@@ -714,7 +725,7 @@ let recv_shard k sh t =
     let v = Vec.get rv i in
     let s = slot k v in
     if not (is_blocked k v) then
-      recv_budget k sh t s v (min k.config.receive_capacity k.pending.(s));
+      recv_budget k sh t s v (Int.min k.config.receive_capacity k.pending.(s));
     if k.pending.(s) = 0 then Bytes.unsafe_set k.on_recv s '\000'
     else begin
       Vec.set rv !w v;
@@ -729,8 +740,9 @@ let recv_shard k sh t =
 let tick_node k sh tick t v =
   if not (is_blocked k v) then begin
     let s = touch k sh v in
-    let s', actions = tick ~round:t ~node:v k.states.(s) in
-    k.states.(s) <- s';
+    let old = k.states.(s) in
+    let s', actions = tick ~round:t ~node:v old in
+    store k s old s';
     apply_actions k sh 2 s v t actions
   end
 
@@ -755,8 +767,9 @@ let inject_shard k sh t =
       | Some tl -> Telemetry.note_inject tl ~round:t
       | None -> ());
       let s = touch k sh v in
-      let s', actions = inj.inject k.states.(s) in
-      k.states.(s) <- s';
+      let old = k.states.(s) in
+      let s', actions = inj.inject old in
+      store k s old s';
       apply_actions k sh 3 s v t actions
     end
   done
@@ -1103,8 +1116,9 @@ let execute k ~dispatch ~starters ~halt_after =
   (* The one-shot requests are issued, in node order; no communication
      yet. *)
   let start s v =
-    let s', actions = k.protocol.on_start ~node:v k.states.(s) in
-    k.states.(s) <- s';
+    let old = k.states.(s) in
+    let s', actions = k.protocol.on_start ~node:v old in
+    store k s old s';
     apply_actions k k.shards.(owner_of k v) 0 s v 0 actions
   in
   (match starters with

@@ -67,21 +67,28 @@ let diameter_estimate g ~seed ~rounds =
   done;
   !best
 
+(* Every vertex enters the queue at most once, so an n-slot array
+   serves as the queue. This BFS builds every Hop_table row. *)
 let parents g src =
   let n = Graph.n g in
   let parent = Array.init n (fun v -> v) in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(src) <- true;
-  Queue.push src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Graph.iter_neighbors g u (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          parent.(v) <- u;
-          Queue.push v queue
-        end)
+  let seen = Bytes.make n '\000' in
+  let queue = Array.make n src in
+  let head = ref 0 and tail = ref 1 in
+  Bytes.set seen src '\001';
+  while !head < !tail do
+    let u = Array.unsafe_get queue !head in
+    incr head;
+    let nbrs = Graph.neighbors g u in
+    for i = 0 to Array.length nbrs - 1 do
+      let v = Array.unsafe_get nbrs i in
+      if Bytes.unsafe_get seen v = '\000' then begin
+        Bytes.unsafe_set seen v '\001';
+        Array.unsafe_set parent v u;
+        Array.unsafe_set queue !tail v;
+        incr tail
+      end
+    done
   done;
   parent
 

@@ -35,11 +35,14 @@ val clear : t -> unit
 
 val sort : t -> unit
 (** In-place ascending sort of the live prefix, adaptive to the
-    worklist shape: an already-sorted prefix is skipped in O(len), the
-    suffix is heapsorted (O(s log s) worst case for [s] fresh
-    elements), and the runs are merged from the back. Allocation-free
-    except for an [s]-element scratch array when the runs actually
-    interleave. *)
+    worklist shape: an already-sorted prefix is skipped in O(len); the
+    [s]-element suffix after it is insertion-sorted while that costs at
+    most a constant number of moves per element, and heapsorted when
+    it would cost more, so a suffix whose elements sit at most [d]
+    places from where they belong costs O(s · min(d, log s)) and any
+    suffix O(s log s); then the two runs are merged from the back.
+    The merge buffer is kept in the vector, so once it has grown to
+    the largest suffix seen, sorting allocates nothing. *)
 
 val to_list : t -> int list
 

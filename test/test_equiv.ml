@@ -522,11 +522,162 @@ let burst_queues_match_reference =
           && List.for_all (( = ) reference) fronts)
         [ false; true ])
 
+(* ------------------------------------------------------------------ *)
+(* The kernel stores a handler's returned state only when it is not
+   physically the state the handler was given. Two state shapes probe
+   that rule: a float (so the kernel's state array is a flat float
+   array) that handlers often return unchanged, and a mutable record
+   that handlers mostly update in place and sometimes replace. Every
+   site that stores a state is driven — time 0, first touch
+   (?starters), receive, tick and injection — and every front must
+   equal Reference.run. *)
+
+(* A node state: [digest] reads it, [update s h] returns either [s]
+   itself or a new state, depending on [h]. *)
+type 's state_ops = { init : int -> 's; digest : 's -> int; update : 's -> int -> 's }
+
+let float_ops seed =
+  {
+    init = (fun v -> float_of_int (Helpers.mix seed v land 0xfff));
+    digest = (fun s -> int_of_float (s *. 2.));
+    update = (fun s h -> if h mod 3 = 0 then s else s +. float_of_int (h land 15) +. 0.5);
+  }
+
+type cell = { mutable acc : int; mutable hits : int }
+
+let cell_ops seed =
+  {
+    init = (fun v -> { acc = Helpers.mix seed v land 0xffff; hits = 0 });
+    digest = (fun c -> Helpers.mix c.acc c.hits);
+    update =
+      (fun c h ->
+        if h mod 4 = 0 then { acc = h land 0xffff; hits = c.hits }
+        else begin
+          c.acc <- Helpers.mix c.acc h land 0xffff;
+          c.hits <- c.hits + 1;
+          c
+        end);
+  }
+
+(* Ticks act in rounds 1..3 only, so [tick_injections] replays them. *)
+let state_tick ops ~graph ~round ~node s =
+  let h = Helpers.mix (ops.digest s) (Helpers.mix node round) in
+  if round > 3 || h mod 2 = 0 then (s, [])
+  else
+    ( ops.update s h,
+      match Helpers.pick_nbr graph node h with
+      | Some d -> [ Engine.Send (d, { Helpers.ttl = 2; tag = h land 0xffff }) ]
+      | None -> [] )
+
+let state_protocol ops ~starts ~ticks ~graph =
+  {
+    Engine.name = "qcheck-state";
+    initial_state = ops.init;
+    on_start =
+      (fun ~node s ->
+        let h = Helpers.mix (ops.digest s) node in
+        if not (List.mem node starts) then (ops.update s h, [])
+        else
+          ( ops.update s h,
+            match Helpers.pick_nbr graph node h with
+            | Some d -> [ Engine.Send (d, { Helpers.ttl = 3; tag = h land 0xffff }) ]
+            | None -> [] ));
+    on_receive =
+      (fun ~round ~node ~src (m : Helpers.msg) s ->
+        let h = Helpers.mix (Helpers.mix (ops.digest s) m.tag) (Helpers.mix src round) in
+        let s = ops.update s h in
+        let acts =
+          if m.ttl = 0 then []
+          else
+            List.filter_map
+              (fun i ->
+                Option.map
+                  (fun d ->
+                    let tag = Helpers.mix h i land 0xffff in
+                    Engine.Send (d, { Helpers.ttl = m.ttl - 1; tag }))
+                  (Helpers.pick_nbr graph node (Helpers.mix h i)))
+              (List.init (h mod 3) Fun.id)
+        in
+        (s, if h mod 5 = 0 then Engine.Complete (node, ops.digest s) :: acts else acts));
+    on_tick = (if ticks then Some (state_tick ops ~graph) else None);
+  }
+
+let tick_injections ops ~graph =
+  let n = Graph.n graph in
+  Array.init (3 * n) (fun i ->
+      let round = 1 + (i / n) and node = i mod n in
+      { Event.at = round; node; inject = state_tick ops ~graph ~round ~node })
+
+(* How the per-round work is scheduled: none, ticks, or the same work
+   as injections into a tickless protocol. *)
+type timer = No_timer | Ticks | Injections
+
+let state_prop ops ((_, graph, starts), cfg, timer) =
+  let config = Helpers.config_of cfg in
+  let topo = Implicit.of_graph graph in
+  let reference =
+    Helpers.outcome (fun () ->
+        Reference.run ~graph ~config
+          ~protocol:(state_protocol ops ~starts ~ticks:(timer <> No_timer) ~graph)
+          ())
+  in
+  let protocol = state_protocol ops ~starts ~ticks:(timer = Ticks) ~graph in
+  let injections =
+    if timer = Injections then Some (tick_injections ops ~graph) else None
+  in
+  let fronts =
+    List.concat_map
+      (fun k ->
+        [
+          (fun () ->
+            Shard.run_implicit ~shards:k ~pool ?injections ~topo ~config ~protocol ());
+          (fun () ->
+            Shard.run_implicit ~shards:k ~pool ?injections ~starters:starts ~topo ~config
+              ~protocol ());
+        ])
+      [ 1; 2; 3 ]
+  in
+  let fronts =
+    (fun () -> Event.run ?injections ~starters:starts ~topo ~config ~protocol ())
+    :: fronts
+  in
+  let fronts =
+    if timer = Injections then fronts
+    else (fun () -> Engine.run ~graph ~config ~protocol ()) :: fronts
+  in
+  List.for_all (fun run -> Helpers.outcome run = reference) fronts
+
+let state_gen =
+  let open QCheck2.Gen in
+  let* inst = Helpers.instance_gen in
+  let* rc = int_range 1 3 in
+  let* sc = int_range 1 3 in
+  let* arb = int_range 0 2 in
+  let* timer = oneofl [ No_timer; Ticks; Injections ] in
+  (* Ticks keep no run alive, injections do: min_rounds covers the
+     tick rounds so the reference ticks them all. *)
+  let minr = if timer = No_timer then 0 else 3 in
+  return (inst, (rc, sc, arb, minr, 2_000), timer)
+
+let state_print (inst, cfg, timer) =
+  Printf.sprintf "%s %s timer=%s" (Helpers.instance_print inst) (Helpers.config_label cfg)
+    (match timer with No_timer -> "none" | Ticks -> "ticks" | Injections -> "injections")
+
+let float_state_matches_reference =
+  QCheck2.Test.make ~count:100 ~name:"float node state = reference (all fronts)"
+    ~print:state_print state_gen (state_prop (float_ops 17))
+
+let in_place_state_matches_reference =
+  QCheck2.Test.make ~count:100 ~name:"in-place node state = reference (all fronts)"
+    ~print:state_print state_gen (state_prop (cell_ops 23))
+
 let suite =
   [
     Helpers.qcheck equiv_default;
     Helpers.qcheck equiv_observed;
     Helpers.qcheck burst_queues_match_reference;
+    Helpers.qcheck float_state_matches_reference;
+    Helpers.qcheck in_place_state_matches_reference;
     Alcotest.test_case "ticking protocol = reference (implicit, sharded)" `Quick
       test_tick_protocol_pinned;
     Alcotest.test_case "reliable keep_alive = reference at shards 2" `Quick
