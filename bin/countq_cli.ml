@@ -520,13 +520,21 @@ let check_cmd =
     | Ok () -> Ok ()
     | Error e -> Error (Format.asprintf "%a" Countq_counting.Counts.pp_error e)
   in
+  let budget =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some m when m >= 1 -> Ok m
+          | _ -> Error (Printf.sprintf "%S is not a budget >= 1" s)),
+        Format.pp_print_int )
+  in
   let max_configs_arg =
     Arg.(
       value
-      & opt int 1_000_000
+      & opt budget 1_000_000
       & info [ "max-configs" ] ~docv:"M"
-          ~doc:"Configuration budget per instance (budget exhaustion is a \
-                reported partial verdict, not a failure).")
+          ~doc:"Configuration budget per instance, at least 1 (budget \
+                exhaustion is a reported partial verdict, not a failure).")
   in
   let run quick jobs max_configs =
     let jobs = resolve_jobs jobs in

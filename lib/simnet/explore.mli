@@ -14,17 +14,21 @@
 
     {2 How the state space is kept small}
 
-    {b Canonical configurations.} Link queues live in an assoc list
-    sorted by [(src, dst)] with empty queues dropped, so two
-    configurations that differ only in representation hash identically.
-    The visited set stores 16-byte digests of a canonical structural
-    serialisation ([Marshal] without sharing, then MD5) instead of full
-    configurations: memory per visited state is constant, and lookups
-    never fall into the pathological collision chains of the
-    polymorphic hash (which only inspects a bounded prefix of a deep
-    structure). A digest collision would merge two distinct states; at
-    the ≤ 2{^ 24} states a bounded run can visit the probability is
-    below 2{^ -80} — negligible next to the model's own abstractions.
+    {b Interned configurations, exact keys.} Every component of a
+    configuration is interned to a dense int: each node state, each
+    link's FIFO queue (one per directed edge, in [(src, dst)] order),
+    each outbox (unreduced mode only) and the completion sequence
+    without its round stamps, kept as a chain of [(parent, node,
+    value)] entries. A configuration's identity is its id vector,
+    packed as varints into a short byte string, so deduplication is
+    exact: two configurations share a key iff every component is
+    structurally equal. Intern lookups hash the whole component (the
+    polymorphic hash reads only a bounded prefix, so deep states that
+    share one would fall into a single probe chain). The visited set is
+    one byte arena of keys indexed by open addressing, and a frontier
+    entry holds only its key's position, its stamped completion list
+    and its event counter; states and queues are read back from the
+    intern tables when it is expanded.
 
     {b Partial-order reduction.} A transmit event commutes with every
     other enabled event: it pops one outbox head and appends to one
@@ -48,13 +52,17 @@
     transmit/deliver branching instead.
 
     {b Parallel frontier.} Exploration is breadth-first, layer by
-    layer; passing [~pool] evaluates each layer's successor expansion
-    and terminal checks on the shared domain pool. Dedup and counting
-    happen sequentially in the caller in input order, so stats, the
-    visited set and the reported violation are bit-identical for every
-    jobs count. Violations are deterministic regardless of schedule:
-    the whole layer is expanded and the failing quiescent configuration
-    with the lowest canonical serialisation wins.
+    layer; passing [~pool] evaluates each layer's handler calls and
+    terminal checks on the shared domain pool. Workers only read the
+    intern tables: interning, packing, dedup and counting happen
+    sequentially in the caller in input order, so stats, the visited
+    set and the reported violation are bit-identical for every jobs
+    count. Violations are deterministic regardless of schedule: the
+    whole layer is expanded and, of its failing quiescent
+    configurations, the one whose canonical structural serialisation
+    ([Marshal] without sharing of its states, outboxes, links and
+    unstamped completions) is lowest wins. That serialisation is
+    computed only for failing configurations.
 
     State spaces still explode with concurrency: intended for instances
     with a handful of nodes (the test suite and [countq check] verify
@@ -67,7 +75,7 @@ type stats = {
   max_frontier : int;  (** peak BFS frontier width. *)
   dedup_hits : int;
       (** successor configurations that were already in the visited
-          set — the canonicalisation's work, visible. *)
+          set — the deduplication's work, visible. *)
 }
 
 type outcome =
@@ -108,6 +116,8 @@ val run :
     identical with or without it). [max_configs] (default 1_000_000)
     bounds the visited set; exceeding it yields {!Budget_exhausted}
     with the partial stats rather than an error.
+    @raise Invalid_argument if [max_configs < 1], or if a state,
+    message or completion value holds a closure, lazy value or object.
     @raise Violation on a failing quiescent configuration (checked
     before the budget verdict, so a violation inside the explored
     prefix is always reported). *)
