@@ -1,4 +1,4 @@
-.PHONY: all build test check clean examples report bench bench-quick bench-diff
+.PHONY: all build test check clean examples report bench bench-compare
 
 all: build
 
@@ -19,33 +19,25 @@ examples:
 report:
 	dune exec bin/countq_cli.exe -- report
 
-# Domain budget for the benchmark harness (tables + sweeps share it).
-JOBS ?= $(shell nproc)
-
-# Full benchmark pass: every experiment table at paper sizes, the
-# engine speedup / metrics overhead / telemetry overhead / dynamic
-# overhead / churn / jobs scaling / cache warm probes
-# and the bechamel micro kernels; writes BENCH_10.json (and
-# per-experiment CSVs under bench/out/). Sweep points are cached under
-# bench/out/cache; pass --no-cache through BENCH_FLAGS to recompute.
+# The repository benchmark (bench/suite, declared in BENCHMARK.json):
+# every workload in fresh child processes, medians with their spread,
+# results in bench/out/suite/results.json.
 bench:
-	dune exec bench/main.exe -- --csv bench/out --jobs $(JOBS) $(BENCH_FLAGS)
+	dune exec --root . -- ./bench/suite/main.exe
 
-# Quick smoke: truncated sweeps, no micro kernels. Same JSON schema.
-bench-quick:
-	dune exec bench/main.exe -- --quick --no-micro --csv bench/out --jobs $(JOBS) $(BENCH_FLAGS)
-
-# Perf-regression check: compare the snapshot committed at HEAD against
-# the BENCH_10.json sitting in the worktree (run `make bench` or
-# `make bench-quick` first). Warn-only by default; DIFF_FLAGS=--strict
-# makes a past-threshold regression fail the target (the CI gate shape).
-bench-diff:
-	@mkdir -p bench/out; \
-	if git show HEAD:BENCH_10.json > bench/out/BENCH_baseline.json 2>/dev/null; then \
-	  dune exec bin/countq_cli.exe -- bench diff bench/out/BENCH_baseline.json BENCH_10.json $(DIFF_FLAGS); \
-	else \
-	  echo "no BENCH_10.json at HEAD to diff against"; \
-	fi
+# The regression gate: the suite on <rev> (a detached git worktree in a
+# temp dir, outside dune's scan) and on this tree, then --compare. Fails
+# only on a resolved `worse`, an unusable value or a changed simulated
+# output. Both result files stay under bench/out/compare/.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>"; exit 2; }
+	@set -e; out=$$(pwd)/bench/out/compare; mkdir -p $$out; \
+	tmp=$$(mktemp -d); base=$$tmp/base; \
+	trap "git worktree remove --force $$base || true; rm -rf $$tmp" EXIT; \
+	git worktree add --detach $$base $(BASE); \
+	(cd $$base && dune exec --root . -- ./bench/suite/main.exe --out $$out/base.json); \
+	dune exec --root . -- ./bench/suite/main.exe --out $$out/head.json; \
+	dune exec --root . -- ./bench/suite/main.exe --compare $$out/base.json $$out/head.json
 
 clean:
 	dune clean

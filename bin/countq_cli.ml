@@ -2,9 +2,7 @@
 
    Subcommands:
      list                     -- list the experiments
-     run <id> [--quick] [--csv FILE]
-     all [--quick]
-     experiments [IDS…] [--jobs N] [--no-cache]
+     experiments [IDS…] [--quick] [--jobs N] [--no-cache] [--csv DIR]
                               -- run experiments on the domain pool with
                                  the content-addressed result cache
      cache stats|clear        -- inspect or empty the result cache
@@ -143,46 +141,20 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the paper-reproduction experiments.")
     Term.(const run $ const ())
 
-(* ---- run ---- *)
-
-let run_cmd =
-  let id_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id (e.g. E9).")
-  in
-  let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
-  in
-  let run id quick csv =
-    match Experiments.find id with
-    | None ->
-        Printf.eprintf "unknown experiment %S; try 'countq list'\n" id;
-        exit 2
-    | Some spec ->
-        let table = spec.run ~quick () in
-        Table.print table;
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            output_string oc (Table.to_csv table);
-            close_out oc;
-            Printf.printf "wrote %s\n" path)
-          csv
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print its table.")
-    Term.(const run $ id_arg $ quick_arg $ csv_arg)
-
-(* ---- all ---- *)
-
-let all_cmd =
-  let run quick =
-    List.iter
-      (fun (s : Experiments.spec) -> Table.print (s.run ~quick ()))
-      Experiments.all
-  in
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment.")
-    Term.(const run $ quick_arg)
-
 (* ---- experiments: the pooled, cached runner ---- *)
+
+(* --csv DIR: create DIR and its parents before any experiment runs, so
+   an unusable directory is a usage error (exit 2) before any table is
+   computed. *)
+let prepare_csv_dir dir =
+  let fail msg =
+    Printf.eprintf "--csv: %s\n" msg;
+    exit 2
+  in
+  (try Cache.mkdir_p dir with Sys_error m -> fail m);
+  if not (Sys.is_directory dir) then fail (dir ^ ": Not a directory");
+  try Unix.access dir [ Unix.W_OK ]
+  with Unix.Unix_error (e, _, _) -> fail (dir ^ ": " ^ Unix.error_message e)
 
 let experiments_cmd =
   let ids_arg =
@@ -238,9 +210,7 @@ let experiments_cmd =
       Sweep.ctx ~pool:(Parallel.pool ~jobs) ?cache
         ~spot_check:(not no_cache) ~spot_seed ~shards ()
     in
-    Option.iter
-      (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
-      csv_dir;
+    Option.iter prepare_csv_dir csv_dir;
     let counters () =
       match cache with None -> (0, 0) | Some c -> (Cache.hits c, Cache.misses c)
     in
@@ -1686,150 +1656,6 @@ let timeline_cmd =
       const run $ topo_arg $ workload_arg $ rate_arg $ horizon_arg
       $ windows_arg $ quick_arg $ seed_arg $ json_arg)
 
-(* ---- bench diff ---- *)
-
-let bench_cmd =
-  let module J = Countq_util.Json in
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline bench snapshot (BENCH_*.json).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Candidate bench snapshot to compare.")
-  in
-  let threshold_arg =
-    Arg.(
-      value & opt float 25.0
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:
-            "Regression threshold in percent: a probe slower (or a speedup \
-             smaller) by more than this is flagged.")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Exit 1 if any probe regresses past the threshold (CI gate).")
-  in
-  let kernels_arg =
-    Arg.(
-      value & flag
-      & info [ "kernels-only" ]
-          ~doc:
-            "Compare only the Bechamel kernel probes (ns/run). These are \
-             per-operation microbenchmarks, far less noisy than the \
-             wall-clock probes, so they can carry a strict gate at a tight \
-             threshold where the end-to-end timings cannot.")
-  in
-  let load path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match J.of_string s with
-    | Error e ->
-        prerr_endline (path ^ ": " ^ e);
-        exit 2
-    | Ok j -> j
-  in
-  let run old_path new_path threshold strict kernels_only =
-    let module D = Countq.Bench_diff in
-    let old_j = load old_path and new_j = load new_path in
-    let schema j =
-      Option.bind (J.member "schema" j) J.to_str |> Option.value ~default:"?"
-    in
-    if schema old_j <> schema new_j then
-      Printf.printf "note: comparing %s against %s\n" (schema old_j)
-        (schema new_j);
-    let report =
-      D.compare ~threshold
-        (D.probes_of ~kernels_only old_j)
-        (D.probes_of ~kernels_only new_j)
-    in
-    let rows =
-      List.filter_map
-        (fun (r : D.row) ->
-          let line verdict =
-            Some
-              [
-                r.probe;
-                Printf.sprintf "%.4g" r.old_value;
-                (match r.new_value with
-                | Some v -> Printf.sprintf "%.4g" v
-                | None -> "-");
-                (match D.ratio_of r.verdict with
-                | Some ratio -> Printf.sprintf "%.2fx" ratio
-                | None -> "-");
-                verdict;
-              ]
-          in
-          match r.verdict with
-          | D.Regressed _ -> line "REGRESSED"
-          | D.Improved _ -> line "improved"
-          | D.Unusable why -> line ("UNUSABLE (" ^ why ^ ")")
-          | D.Within _ | D.Missing -> None)
-        report.rows
-    in
-    if rows = [] then
-      Printf.printf "bench diff: %d probes compared, all within %.0f%% of %s\n"
-        report.compared threshold old_path
-    else begin
-      let table =
-        Table.make ~id:"BENCHDIFF"
-          ~title:
-            (Printf.sprintf "bench probes moving more than %.0f%% (%d compared)"
-               threshold report.compared)
-          ~paper_ref:"perf-regression gate"
-          ~headers:[ "probe"; "old"; "new"; "ratio"; "verdict" ]
-          ~notes:
-            [
-              "ratio is new/old for timings and old/new for speedups, so > 1 \
-               is always worse";
-              "UNUSABLE means a zero/negative/NaN value - no ratio exists, \
-               and a strict gate fails rather than skipping the probe";
-              "wall-clock probes are noisy across machines - treat the gate \
-               as a prompt to rerun, not a verdict";
-            ]
-          rows
-      in
-      Table.print table
-    end;
-    if report.missing > 0 then
-      Printf.printf "note: %d probe(s) in %s have no counterpart in %s\n"
-        report.missing old_path new_path;
-    if strict && D.gate_failures report > 0 then begin
-      if report.regressions > 0 then
-        Printf.printf "%d probe(s) regressed past %.0f%% - failing (--strict)\n"
-          report.regressions threshold;
-      if report.unusable > 0 then
-        Printf.printf
-          "%d probe(s) had an unusable baseline or candidate value - failing \
-           (--strict)\n"
-          report.unusable;
-      exit 1
-    end
-  in
-  let diff_cmd =
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Compare two bench snapshots probe by probe and flag regressions \
-            past a threshold; with $(b,--strict), exit non-zero on any - the \
-            CI perf gate.")
-      Term.(
-        const run $ old_arg $ new_arg $ threshold_arg $ strict_arg
-        $ kernels_arg)
-  in
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Operations on bench snapshots (see $(b,countq bench diff).)")
-    [ diff_cmd ]
-
 (* ---- trace ---- *)
 
 let trace_cmd =
@@ -1891,7 +1717,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; experiments_cmd; cache_cmd;
-            compare_cmd; topo_cmd; trace_cmd; series_cmd; report_cmd;
-            verify_cmd; check_cmd; faults_cmd; churn_cmd; observe_cmd;
-            load_cmd; timeline_cmd; bench_cmd ]))
+          [ list_cmd; experiments_cmd; cache_cmd; compare_cmd; topo_cmd;
+            trace_cmd; series_cmd; report_cmd; verify_cmd; check_cmd;
+            faults_cmd; churn_cmd; observe_cmd; load_cmd; timeline_cmd ]))

@@ -11,7 +11,7 @@
     entries simply stop matching. Corrupted lines (unparseable, or
     missing fields) are skipped at load and recomputed; a syntactically
     valid but mis-shaped value is rejected by the caller's [valid]
-    check and recomputed too. The bench harness additionally
+    check and recomputed too. [countq experiments] additionally
     spot-checks one random cached point per experiment against a fresh
     recompute every run, so the cache can never silently serve wrong
     tables. *)
@@ -35,6 +35,11 @@ val create : dir:string -> t
     cache rooted at [dir]. The directory is created on first store. *)
 
 val dir : t -> string
+
+val mkdir_p : string -> unit
+(** [mkdir_p dir] creates [dir] and any missing parents (a no-op when
+    [dir] exists).
+    @raise Sys_error if a component cannot be created. *)
 
 val find :
   t -> ?valid:(Countq_util.Json.t -> bool) -> ns:string -> key:string ->

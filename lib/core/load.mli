@@ -170,6 +170,6 @@ val one_shot :
   unit ->
   one_shot_summary
 (** The closed one-shot scenario (everyone in [requests] issues at
-    time 0) on nodes materialised at first touch — the n-scaling probe. Requests
-    must be strictly ascending node ids; pass [stats] to collect the
+    time 0) on nodes materialised at first touch — E30's scenario.
+    Requests must be strictly ascending node ids; pass [stats] to collect the
     laziness counters. [shards]/[pool] as in {!run}. *)

@@ -147,7 +147,7 @@ let run ?(seed = 0xc0417L) ?(config_tag = "engine:default") ?valid ctx
       cached
   in
   (* The regression guard: recompute one cached point (picked by the
-     spot seed, which the bench harness varies per run) and fail loudly
+     spot seed, which `countq experiments` varies per run) and fail loudly
      if the store disagrees — the cache must never silently serve a
      wrong table. *)
   if ctx.spot_check && hit_list <> [] then begin

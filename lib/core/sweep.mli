@@ -48,7 +48,7 @@ val ctx :
   ctx
 (** [jobs] (default 1) sizes a fresh pool unless [pool] shares an
     existing one. [spot_check] (default false) recomputes one cached
-    point per [run] — picked by [spot_seed], which the bench harness
+    point per [run] — picked by [spot_seed], which [countq experiments]
     varies per invocation — and raises {!Cache_mismatch} on
     disagreement. [shards] (default 1) asks the experiments that drive
     engine runs big enough to matter (E29, E30) to execute each run

@@ -59,8 +59,10 @@ type stats = Kernel.stats = {
       (** rounds actually simulated (quiescent gaps are jumped, not
           spun — compare with {!Engine.result.rounds}). *)
 }
-(** Cost counters for the laziness itself — what the n-scaling probe
-    reports. Pass a fresh record via [?stats] to collect them. *)
+(** Cost counters for the laziness itself — what the benchmark reports
+    as [engine.touched], [engine.peak_in_flight] and
+    [engine.executed_rounds]. Pass a fresh record via [?stats] to
+    collect them. *)
 
 val fresh_stats : unit -> stats
 

@@ -6,9 +6,7 @@
    position of src in dst's sorted neighbour array). That is the same
    slot the engine computes anyway for its incoming rings, so the
    engine-side hooks ([note_transmit_at] / [note_deliver_at]) are a
-   couple of array increments — no search, no hashing, no allocation —
-   and the metrics-on overhead the BENCH_3.json probe measures stays in
-   the low single digits. *)
+   couple of array increments — no search, no hashing, no allocation. *)
 
 module Graph = Countq_topology.Graph
 

@@ -15,9 +15,7 @@
 
     Cost: recording is a handful of array increments per message (edge
     counters are CSR-indexed off the graph like the engine's own rings;
-    no hashing, no allocation), so metrics-on runs stay within a few
-    percent of metrics-off — the BENCH_3.json overhead probe pins the
-    number per release.
+    no hashing, no allocation).
 
     Create one recorder per run: {!create} sizes every array from the
     graph. The [note_*] functions are the engines' recording hooks —

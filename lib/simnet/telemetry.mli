@@ -15,7 +15,7 @@
     the engines' idle-gap fast-forward: a skipped round by definition
     records nothing, so jumped-over windows simply stay zero.
     Recording is one integer division plus a field increment per
-    event; the BENCH telemetry-overhead probe pins the cost (≤ ~5%).
+    event; the benchmark's [telemetry.hook_s] measures the cost.
 
     The ring keeps the {e latest} [windows] windows; older ones fall
     off ({!evicted} counts them). Rounds must arrive non-decreasing —

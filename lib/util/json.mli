@@ -1,13 +1,13 @@
 (** A minimal JSON tree, printer and parser.
 
-    The repository deliberately carries no third-party JSON dependency
-    (the bench harness hand-prints its snapshot); this module is the
-    small shared core the observability layer needs to {e round-trip}
-    structured exports — spans, metrics and trace events written as
-    JSONL must parse back bit-for-bit so the golden tests and the
-    [Trace.of_jsonl] importer can rely on them. It covers exactly the
-    JSON subset those emitters produce: objects, arrays, strings,
-    integers, floats, booleans and null, with full string escaping. *)
+    The repository deliberately carries no third-party JSON dependency;
+    this module is the small shared core the observability layer needs
+    to {e round-trip} structured exports — spans, metrics and trace
+    events written as JSONL must parse back bit-for-bit so the golden
+    tests and the [Trace.of_jsonl] importer can rely on them. It covers
+    exactly the JSON subset those emitters produce: objects, arrays,
+    strings, integers, floats, booleans and null, with full string
+    escaping. *)
 
 type t =
   | Null

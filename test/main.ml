@@ -51,7 +51,6 @@ let () =
       ("scenario", Test_scenario.suite);
       ("load", Test_load.suite);
       ("core", Test_core.suite);
-      ("bench-diff", Test_bench_diff.suite);
       ("integration", Test_integration.suite);
       ("printers", Test_printers.suite);
     ]

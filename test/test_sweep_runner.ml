@@ -139,6 +139,39 @@ let test_cache_cold_then_warm_identical () =
       Alcotest.(check int) "no re-evaluation" 6 !evals;
       Alcotest.(check (list (list string))) "bit-identical" cold warm)
 
+(* The six sweep-grid experiments end to end: a warm pass over the cold
+   pass's directory must serve every point from the cache, survive the
+   spot check, and render byte-identical tables. *)
+let test_grid_experiments_cold_then_warm () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_dir dir)
+    (fun () ->
+      let specs =
+        List.map
+          (fun id ->
+            match Experiments.find id with
+            | Some s -> s
+            | None -> Alcotest.failf "experiment %s not found" id)
+          [ "E25"; "E13"; "E10"; "E9"; "E3"; "E12" ]
+      in
+      let pass ~spot_check =
+        let cache = Cache.create ~dir in
+        let ctx = Sweep.ctx ~cache ~spot_check ~spot_seed:7L () in
+        let tables =
+          List.map
+            (fun (s : Experiments.spec) -> render (s.run ~quick:true ~ctx ()))
+            specs
+        in
+        (tables, Cache.hits cache, Cache.misses cache)
+      in
+      let cold, _, cold_misses = pass ~spot_check:false in
+      let warm, warm_hits, warm_misses = pass ~spot_check:true in
+      Alcotest.(check bool) "cold pass computed points" true (cold_misses > 0);
+      Alcotest.(check int) "warm misses" 0 warm_misses;
+      Alcotest.(check int) "warm hits = cold misses" cold_misses warm_hits;
+      Alcotest.(check (list string)) "byte-identical tables" cold warm)
+
 let read_file path =
   let ic = open_in path in
   let n = in_channel_length ic in
@@ -269,6 +302,8 @@ let suite =
       test_duplicate_point_names_rejected;
     Alcotest.test_case "cache cold then warm identical" `Quick
       test_cache_cold_then_warm_identical;
+    Alcotest.test_case "grid experiments cold then warm identical" `Quick
+      test_grid_experiments_cold_then_warm;
     Alcotest.test_case "corrupted line recomputed" `Quick
       test_cache_corrupted_line_recomputed;
     Alcotest.test_case "stale config tag misses" `Quick
