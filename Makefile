@@ -28,15 +28,18 @@ bench:
 # The regression gate: the suite on <rev> (a detached git worktree in a
 # temp dir, outside dune's scan) and on this tree, then --compare. Fails
 # only on a resolved `worse`, an unusable value or a changed simulated
-# output. Both result files stay under bench/out/compare/.
+# output. Both result files stay under bench/out/compare/. WORKLOAD=<name>
+# (or several, space-separated) limits both runs to those workloads.
+SUITE_WORKLOADS = $(foreach w,$(WORKLOAD),--workload $(w))
+
 bench-compare:
-	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [WORKLOAD=<name>]"; exit 2; }
 	@set -e; out=$$(pwd)/bench/out/compare; mkdir -p $$out; \
 	tmp=$$(mktemp -d); base=$$tmp/base; \
 	trap "git worktree remove --force $$base || true; rm -rf $$tmp" EXIT; \
 	git worktree add --detach $$base $(BASE); \
-	(cd $$base && dune exec --root . -- ./bench/suite/main.exe --out $$out/base.json); \
-	dune exec --root . -- ./bench/suite/main.exe --out $$out/head.json; \
+	(cd $$base && dune exec --root . -- ./bench/suite/main.exe $(SUITE_WORKLOADS) --out $$out/base.json); \
+	dune exec --root . -- ./bench/suite/main.exe $(SUITE_WORKLOADS) --out $$out/head.json; \
 	dune exec --root . -- ./bench/suite/main.exe --compare $$out/base.json $$out/head.json
 
 clean:

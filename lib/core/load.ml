@@ -554,8 +554,17 @@ let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
   let center = match center with Some c -> c | None -> n / 2 in
   let req = Array.of_list requests in
   let nreq = Array.length req in
-  let idx_of = Hashtbl.create nreq in
-  Array.iteri (fun i v -> Hashtbl.replace idx_of v i) req;
+  (* Request [i] is issued at [req.(i)]; the kernel rejects starters
+     that are not strictly ascending, so a binary search finds it. *)
+  let idx_of (v : int) =
+    let lo = ref 0 and hi = ref (nreq - 1) and res = ref (-1) in
+    while !res < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let x = req.(mid) in
+      if x = v then res := mid else if x < v then lo := mid + 1 else hi := mid - 1
+    done;
+    !res
+  in
   match workload with
   | Queuing ->
       let base = queuing_protocol ~topo ~tail in
@@ -564,9 +573,8 @@ let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
           base with
           on_start =
             (fun ~node s ->
-              match Hashtbl.find_opt idx_of node with
-              | Some i -> issue_q node i s
-              | None -> (s, []));
+              let i = idx_of node in
+              if i >= 0 then issue_q node i s else (s, []));
         }
       in
       summarise_os ~nreq (exec ~protocol ())
@@ -578,9 +586,8 @@ let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
           base with
           on_start =
             (fun ~node s ->
-              match Hashtbl.find_opt idx_of node with
-              | Some i -> issue_c ~topo ~center node i s
-              | None -> (s, []));
+              let i = idx_of node in
+              if i >= 0 then issue_c ~topo ~center node i s else (s, []));
         }
       in
       summarise_os ~nreq (exec ~protocol ())

@@ -26,15 +26,22 @@ let cell_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 
 let cell_bool b = if b then "yes" else "NO"
 
+(* Display width of a UTF-8 cell: its code points, i.e. the bytes that
+   are not continuation bytes (10xxxxxx), so "⊥" is one column. *)
+let cell_width s =
+  let w = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr w) s;
+  !w
+
 let column_widths t =
-  let init = List.map String.length t.headers in
+  let init = List.map cell_width t.headers in
   List.fold_left
-    (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
+    (fun acc row -> List.map2 (fun w c -> max w (cell_width c)) acc row)
     init t.rows
 
 let pp ppf t =
   let widths = column_widths t in
-  let pad s w = s ^ String.make (w - String.length s) ' ' in
+  let pad s w = s ^ String.make (w - cell_width s) ' ' in
   let render_row row =
     String.concat "  " (List.map2 pad row widths)
   in

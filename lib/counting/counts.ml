@@ -18,25 +18,57 @@ let pp_error ppf = function
   | Bad_count_set ->
       Format.pp_print_string ppf "counts are not exactly {1..|R|}"
 
+(* Index of [v] in the ascending prefix [a.(0 .. len-1)], or -1. *)
+let index_in (a : int array) len (v : int) =
+  let lo = ref 0 and hi = ref (len - 1) and res = ref (-1) in
+  while !res < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let x = a.(mid) in
+    if x = v then res := mid else if x < v then lo := mid + 1 else hi := mid - 1
+  done;
+  !res
+
+(* One int sort of the requests, then a binary search per outcome and
+   byte marks for nodes and counts. The first failing outcome in list
+   order names the node (a non-requester, or a requester counted
+   twice), then the smallest requester without a count; past both, the
+   [k] outcomes sit on [k] distinct requesters, and their counts are
+   exactly {1..k} iff each lies in 1..k and none repeats. *)
 let validate ~requests outcomes =
   let exception E of error in
   try
-    let module S = Set.Make (Int) in
-    let request_set = S.of_list requests in
-    let seen = Hashtbl.create 16 in
+    let req = Array.of_list requests in
+    Array.sort Int.compare req;
+    (* Deduplicate in place: [req.(0 .. m-1)] is the distinct prefix. *)
+    let m = ref 0 in
+    for i = 0 to Array.length req - 1 do
+      let v = req.(i) in
+      if !m = 0 || req.(!m - 1) <> v then begin
+        req.(!m) <- v;
+        incr m
+      end
+    done;
+    let m = !m in
+    let seen = Bytes.make m '\000' in
     List.iter
       (fun o ->
-        if not (S.mem o.node request_set) then raise (E (Unrequested_count o.node));
-        if Hashtbl.mem seen o.node then raise (E (Duplicate_node o.node));
-        Hashtbl.replace seen o.node ())
+        let i = index_in req m o.node in
+        if i < 0 then raise (E (Unrequested_count o.node));
+        if Bytes.get seen i <> '\000' then raise (E (Duplicate_node o.node));
+        Bytes.set seen i '\001')
       outcomes;
-    S.iter
-      (fun v -> if not (Hashtbl.mem seen v) then raise (E (Missing_node v)))
-      request_set;
+    for i = 0 to m - 1 do
+      if Bytes.get seen i = '\000' then raise (E (Missing_node req.(i)))
+    done;
     let k = List.length outcomes in
-    let counts = List.sort compare (List.map (fun o -> o.count) outcomes) in
-    let expected = List.init k (fun i -> i + 1) in
-    if counts <> expected then raise (E Bad_count_set);
+    let got = Bytes.make k '\000' in
+    List.iter
+      (fun o ->
+        let c = o.count in
+        if c < 1 || c > k || Bytes.get got (c - 1) <> '\000' then
+          raise (E Bad_count_set);
+        Bytes.set got (c - 1) '\001')
+      outcomes;
     Ok ()
   with E e -> Error e
 

@@ -26,19 +26,21 @@ let initial = { got = 0; total = 0; batch = [] }
    whether the node contributes an increment of its own. *)
 type info = { mutable expected : int; mutable requester : bool }
 
+module Itbl = Hashtbl.Make (Int)
+
 (* The on-path closure: every requester plus all its ancestors, built
    by walking [parent] up from each request. Only these nodes ever hold
    funnel state or see a message, so the table (not the tree) bounds
    the live footprint — 10^6-node trees with a handful of requesters
    touch a handful of nodes. Also validates the request list. *)
 let closure ~name ~n ~root ~parent ~requests =
-  let tbl = Hashtbl.create ((4 * List.length requests) + 16) in
+  let tbl = Itbl.create ((4 * List.length requests) + 16) in
   let rec ensure v =
-    match Hashtbl.find_opt tbl v with
+    match Itbl.find_opt tbl v with
     | Some i -> i
     | None ->
         let i = { expected = 0; requester = false } in
-        Hashtbl.add tbl v i;
+        Itbl.add tbl v i;
         if v <> root then begin
           let p = parent v in
           if p < 0 || p >= n || p = v then
@@ -130,7 +132,7 @@ let prepare_tree ~tree ~requests name =
   let root = Tree.root tree in
   let parent v = Tree.parent tree v in
   let tbl = closure ~name ~n ~root ~parent ~requests in
-  make_protocol ~info_of:(Hashtbl.find_opt tbl) ~root ~parent
+  make_protocol ~info_of:(Itbl.find_opt tbl) ~root ~parent
 
 let prepare_implicit ~topo ~requests name =
   let arity =
@@ -141,7 +143,7 @@ let prepare_implicit ~topo ~requests name =
   let n = Implicit.n topo in
   let parent v = (v - 1) / arity in
   let tbl = closure ~name ~n ~root:0 ~parent ~requests in
-  make_protocol ~info_of:(Hashtbl.find_opt tbl) ~root:0 ~parent
+  make_protocol ~info_of:(Itbl.find_opt tbl) ~root:0 ~parent
 
 type checker_state = state
 type checker_msg = msg
@@ -188,7 +190,7 @@ let run_implicit ?config ?width ?shards ?pool ?stats ~topo ~requests () =
         default_config ?width ~max_degree:(Implicit.max_degree topo)
           ~n:(Implicit.n topo) ~requests ()
   in
-  let starters = List.sort compare requests in
+  let starters = List.sort Int.compare requests in
   let shards = Option.value shards ~default:1 in
   Counts.of_engine ~requests
     (Shard.run_implicit ~shards ?pool ?stats ~starters ~topo ~config ~protocol ())

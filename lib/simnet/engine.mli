@@ -80,7 +80,13 @@ type ('m, 'r) action = ('m, 'r) Kernel.action =
 
 type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
   name : string;
-  initial_state : int -> 's;  (** per-node state before round 1. *)
+  initial_state : int -> 's;
+      (** Per-node state before round 1. Must be pure, as it may run on
+          any lane of a sharded run. Runs that start every node at time
+          0 call it once per node up front; lazily started runs
+          ([?starters]) call it only for the nodes they touch, at first
+          touch, plus once for node 0 in a sharded run (the filler of
+          untouched slots). *)
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
       (** Invoked once per node at time 0 (the instant the one-shot
           requests are issued). Completions here have delay 0. *)

@@ -33,8 +33,9 @@
    base, one queue per neighbour in sorted neighbour order). Slots are
    assigned one of two ways:
    - pre-assigned (slot = node, arrays sized n up front, a node's
-     neighbour array read at its first touch): every sharded run, and
-     every run in which all nodes start at time 0;
+     neighbour array read at its first touch — and, with ?starters, its
+     initial state computed then too, on its owning lane): every sharded
+     run, and every run in which all nodes start at time 0;
    - on first touch (a dense node -> slot map, a hash table above
      2^22 nodes; arrays grown by doubling): single-shard runs that name
      ?starters.
@@ -333,12 +334,16 @@ let grow_rings k need =
   let cap = max need (max 64 (2 * Array.length k.inq_ring)) in
   k.inq_ring <- extend k.inq_ring cap 0
 
-(* Give [v] its slot (on first touch) and count it as touched. *)
+(* Give [v] its slot and initial state (on first touch) and count it
+   as touched. Only lazily started runs materialise, so in the
+   pre-assigned layout [v]'s slot holds the filler until here, and its
+   own state is computed on the lane that owns it. *)
 let materialise k sh v =
   if Option.is_some k.stats then sh.d_touched <- sh.d_touched + 1;
   if k.dense then begin
     Bytes.unsafe_set k.seen v '\001';
     k.nbrs.(v) <- k.neighbors v;
+    k.states.(v) <- k.protocol.initial_state v;
     v
   end
   else begin
@@ -1275,7 +1280,14 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
   (* The pre-assigned store, allocated in a fixed order (the
      on-first-touch layout starts empty and grows). *)
   let slots = if dense then n else 0 in
-  let states = if dense then Array.init n protocol.initial_state else [||] in
+  (* A lazily started pre-assigned store shares one filler until each
+     node's first touch ([materialise]). The filler is node 0's state,
+     not a starter's: a ticking run may name no starters at all. *)
+  let states =
+    if not dense || n = 0 then [||]
+    else if lazy_start then Array.make n (protocol.initial_state 0)
+    else Array.init n protocol.initial_state
+  in
   let nbrs = Array.make slots [||] in
   let inq_off = Array.make slots 0 in
   let rings = ref 0 in

@@ -27,6 +27,9 @@ type ('m, 'r) action = Send of int * 'm | Complete of 'r
 type ('s, 'm, 'r) protocol = {
   name : string;
   initial_state : int -> 's;
+      (** Must be pure: it may run on any lane. Runs with [?starters]
+          call it only for touched nodes, at first touch — plus once for
+          node 0 in a sharded run, as the filler of untouched slots. *)
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
   on_receive :
     round:int -> node:int -> src:int -> 'm -> 's -> 's * ('m, 'r) action list;

@@ -60,6 +60,32 @@ let test_table_markdown_escapes_pipes () =
   Alcotest.(check bool) "escaped" true
     (contains_substring (Table.to_markdown t) "a\\|b")
 
+(* Code points, not bytes: the display width of a UTF-8 line. *)
+let utf8_width s =
+  let w = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr w) s;
+  !w
+
+let test_table_utf8_alignment () =
+  let t =
+    Table.make ~id:"U" ~title:"u" ~paper_ref:"r" ~headers:[ "bound"; "n" ]
+      [ [ "⊥"; "1" ]; [ "Θ(log n)"; "22" ]; [ "ok"; "333" ] ]
+  in
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Table.pp t) in
+  (* The header, the rule and the three rows: the lines after the
+     blank one under the banner, up to the end of the table. *)
+  let rec body = function "" :: rest -> rest | _ :: rest -> body rest | [] -> [] in
+  let rows = List.filteri (fun i _ -> i < 5) (body lines) in
+  Alcotest.(check int) "five table lines" 5 (List.length rows);
+  let widths = List.map utf8_width rows in
+  Alcotest.(check (list int)) "every line equally wide"
+    (List.map (fun _ -> List.hd widths) widths)
+    widths;
+  Alcotest.(check string) "markdown keeps the raw cells"
+    "## U — u\n\n*Reproduces: r*\n\n| bound | n |\n|---|---|\n| ⊥ | 1 |\n\
+     | Θ(log n) | 22 |\n| ok | 333 |\n"
+    (Table.to_markdown t)
+
 let test_cells () =
   Alcotest.(check string) "int" "42" (Table.cell_int 42);
   Alcotest.(check string) "float" "3.14" (Table.cell_float 3.142);
@@ -198,6 +224,7 @@ let suite =
     Alcotest.test_case "table csv quoting" `Quick test_table_csv_quoting;
     Alcotest.test_case "table markdown" `Quick test_table_markdown;
     Alcotest.test_case "table markdown pipes" `Quick test_table_markdown_escapes_pipes;
+    Alcotest.test_case "table utf-8 alignment" `Quick test_table_utf8_alignment;
     Alcotest.test_case "cell formatting" `Quick test_cells;
     Alcotest.test_case "counting drivers" `Quick test_counting_driver_all_protocols;
     Alcotest.test_case "queuing drivers" `Quick test_queuing_driver_all_protocols;

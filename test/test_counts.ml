@@ -43,6 +43,77 @@ let test_bad_count_set_duplicate_count () =
   | Error Counts.Bad_count_set -> ()
   | _ -> Alcotest.fail "expected Bad_count_set (duplicate)"
 
+(* The validator as first written (a Set, a polymorphic Hashtbl and a
+   list sort), kept verbatim as the oracle for [Counts.validate]. *)
+let validate_oracle ~requests outcomes =
+  let open Counts in
+  let exception E of error in
+  try
+    let module S = Set.Make (Int) in
+    let request_set = S.of_list requests in
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun o ->
+        if not (S.mem o.node request_set) then raise (E (Unrequested_count o.node));
+        if Hashtbl.mem seen o.node then raise (E (Duplicate_node o.node));
+        Hashtbl.replace seen o.node ())
+      outcomes;
+    S.iter
+      (fun v -> if not (Hashtbl.mem seen v) then raise (E (Missing_node v)))
+      request_set;
+    let k = List.length outcomes in
+    let counts = List.sort compare (List.map (fun o -> o.count) outcomes) in
+    let expected = List.init k (fun i -> i + 1) in
+    if counts <> expected then raise (E Bad_count_set);
+    Ok ()
+  with E e -> Error e
+
+(* Requests with duplicates in any order over nodes 0..12, and the
+   outcomes of a correct run over them, shuffled, then up to three
+   mutations: drop an outcome (a missing node), insert one anywhere
+   (nodes 0..14, so unrequested or repeated ones too), or rewrite a
+   count (0, |R|+1 or a repeat). *)
+let gen_case =
+  let open QCheck2.Gen in
+  let* requests = list_size (int_range 0 10) (int_range 0 12) in
+  let distinct = List.sort_uniq Int.compare requests in
+  let k = List.length distinct in
+  let* nodes = shuffle_l distinct in
+  let* counts = shuffle_l (List.init k (fun i -> i + 1)) in
+  let* mutations =
+    list_size (int_range 0 3)
+      (triple (int_range 0 2) (int_range 0 10)
+         (pair (int_range 0 14) (int_range 0 (k + 1))))
+  in
+  let mutate outs (kind, at, (node, count)) =
+    let len = List.length outs in
+    let at = if len = 0 then 0 else at mod (len + 1) in
+    match kind with
+    | 0 -> List.filteri (fun i _ -> i <> at) outs
+    | 1 ->
+        List.filteri (fun i _ -> i < at) outs
+        @ (o node count 0 :: List.filteri (fun i _ -> i >= at) outs)
+    | _ ->
+        List.mapi (fun i x -> if i = at then { x with Counts.count } else x) outs
+  in
+  let outcomes =
+    List.fold_left mutate (List.map2 (fun v c -> o v c 0) nodes counts) mutations
+  in
+  return (requests, outcomes)
+
+let print_case (requests, outcomes) =
+  Printf.sprintf "requests [%s], outcomes [%s]"
+    (String.concat "; " (List.map string_of_int requests))
+    (String.concat "; "
+       (List.map
+          (fun (x : Counts.outcome) -> Printf.sprintf "%d:%d" x.node x.count)
+          outcomes))
+
+let prop_matches_oracle =
+  QCheck2.Test.make ~name:"validate = the Set/Hashtbl/sort oracle" ~count:2000
+    ~print:print_case gen_case (fun (requests, outcomes) ->
+      Counts.validate ~requests outcomes = validate_oracle ~requests outcomes)
+
 let suite =
   [
     Alcotest.test_case "valid" `Quick test_valid;
@@ -53,4 +124,5 @@ let suite =
     Alcotest.test_case "count gap" `Quick test_bad_count_set_gap;
     Alcotest.test_case "count zero" `Quick test_bad_count_set_zero;
     Alcotest.test_case "count duplicate" `Quick test_bad_count_set_duplicate_count;
+    Helpers.qcheck prop_matches_oracle;
   ]

@@ -213,6 +213,40 @@ let test_funnel_one_shot () =
   in
   Alcotest.(check bool) "sharded one-shot pinned" true (sharded = s)
 
+(* Requests at 0 and n-1 are the bounds of the starter lookup's binary
+   search: both must issue, at every shard count. *)
+let test_one_shot_edge_requests () =
+  let topo = Implicit.list 64 in
+  List.iter
+    (fun (workload, requests, shards) ->
+      let s = Load.one_shot ~shards ~topo ~workload ~requests () in
+      Alcotest.(check int)
+        (Printf.sprintf "%s at shards %d: every request completes"
+           (Load.workload_label workload) shards)
+        (List.length requests) s.os_completed)
+    [
+      (Load.Queuing, [ 0; 63 ], 1);
+      (Load.Queuing, [ 0; 63 ], 2);
+      (Load.Queuing, [ 0; 1; 31; 62; 63 ], 3);
+      (Load.Counting, [ 0; 63 ], 1);
+      (Load.Counting, [ 0; 63 ], 2);
+      (Load.Counting, [ 0; 1; 31; 62; 63 ], 3);
+    ]
+
+let test_one_shot_rejects_unsorted () =
+  let topo = Implicit.list 64 in
+  List.iter
+    (fun (workload, requests) ->
+      Alcotest.check_raises "not strictly ascending"
+        (Invalid_argument
+           "Shard.run_implicit: starters must be strictly ascending")
+        (fun () -> ignore (Load.one_shot ~topo ~workload ~requests ())))
+    [
+      (Load.Queuing, [ 63; 0 ]);
+      (Load.Queuing, [ 5; 5 ]);
+      (Load.Counting, [ 0; 40; 20 ]);
+    ]
+
 let test_funnel_needs_a_tree () =
   Alcotest.check_raises "ring rejected"
     (Invalid_argument "Load.run: the funnel workload needs an implicit tree family")
@@ -319,6 +353,10 @@ let suite =
     Alcotest.test_case "funnel moves the knee" `Quick test_funnel_moves_the_knee;
     Alcotest.test_case "funnel sharded pinned" `Quick test_funnel_sharded_pinned;
     Alcotest.test_case "funnel one-shot" `Quick test_funnel_one_shot;
+    Alcotest.test_case "one-shot requests at 0 and n-1" `Quick
+      test_one_shot_edge_requests;
+    Alcotest.test_case "one-shot rejects unsorted requests" `Quick
+      test_one_shot_rejects_unsorted;
     Alcotest.test_case "funnel needs a tree" `Quick test_funnel_needs_a_tree;
     Alcotest.test_case "funnel past the knee pinned" `Quick
       test_funnel_past_knee_pinned;

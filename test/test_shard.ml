@@ -513,6 +513,91 @@ let test_tick_protocol_pinned () =
   let sh = Shard.run ~shards:3 ~pool ~graph ~config ~protocol () in
   Alcotest.(check bool) "ticking protocol pinned" true (seq = sh)
 
+(* Lazily started sharded runs compute a node's initial state at its
+   first touch, on its owning lane; only one filler state (node 0's) is
+   computed up front. A relay: every 7th node starts a token that walks
+   three hops right, each hop bumping the receiver's state in place —
+   so a slot still sharing the filler would leak one node's hits into
+   another's. *)
+type relay = { mutable hits : int }
+
+let relay_protocol ~n calls =
+  {
+    Engine.name = "relay";
+    initial_state =
+      (fun v ->
+        Atomic.incr calls;
+        { hits = v land 3 });
+    on_start =
+      (fun ~node s ->
+        if node mod 7 = 0 && node + 1 < n then (s, [ Engine.Send (node + 1, 3) ])
+        else (s, []));
+    on_receive =
+      (fun ~round:_ ~node ~src:_ ttl s ->
+        s.hits <- s.hits + ttl;
+        if ttl > 1 && node + 1 < n then (s, [ Engine.Send (node + 1, ttl - 1) ])
+        else (s, [ Engine.Complete (node, s.hits) ]));
+    on_tick = Engine.no_tick;
+  }
+
+let test_lazy_initial_states () =
+  let n = 2_000 in
+  let topo = Implicit.list n in
+  let starters = List.filter (fun v -> v mod 7 = 0) (List.init n Fun.id) in
+  let run shards =
+    let calls = Atomic.make 0 in
+    let stats = Event.fresh_stats () in
+    let res =
+      Shard.run_implicit ~shards ~pool ~stats ~starters ~topo
+        ~config:Engine.default_config ~protocol:(relay_protocol ~n calls) ()
+    in
+    (res, stats.touched, Atomic.get calls)
+  in
+  let seq, touched, seq_calls = run 1 in
+  Alcotest.(check int) "shards 1: one call per touched node" touched seq_calls;
+  Alcotest.(check bool) "fewer touched than n" true (touched < n);
+  List.iter
+    (fun shards ->
+      let res, t, calls = run shards in
+      Alcotest.(check int) (Printf.sprintf "shards %d: touched" shards) touched t;
+      Alcotest.(check int)
+        (Printf.sprintf "shards %d: touched + the filler" shards)
+        (touched + 1) calls;
+      Alcotest.(check bool)
+        (Printf.sprintf "shards %d: same result as shards 1" shards)
+        true (res = seq))
+    [ 2; 3 ]
+
+let test_lazy_ticking_no_starters () =
+  (* No starters and no injections: the ticks alone touch every node,
+     so the filler must exist before the first one. Float states, so
+     the store is a flat float array. *)
+  let graph = Gen.cycle 9 in
+  let protocol =
+    {
+      Engine.name = "tick-float";
+      initial_state = (fun v -> float_of_int v *. 0.5);
+      on_start = (fun ~node:_ s -> (s, []));
+      on_receive =
+        (fun ~round ~node ~src:_ m s ->
+          let s = s +. float_of_int m in
+          (s, if round > 6 then [ Engine.Complete (node, s) ] else []));
+      on_tick =
+        Some
+          (fun ~round ~node s ->
+            if round <= 3 then
+              (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node land 0xff) ])
+            else (s, []));
+    }
+  in
+  let config = { Engine.default_config with min_rounds = 10 } in
+  let reference = Countq_simnet.Reference.run ~graph ~config ~protocol () in
+  let sh =
+    Shard.run_implicit ~shards:2 ~pool ~starters:[] ~topo:(Implicit.of_graph graph)
+      ~config ~protocol ()
+  in
+  Alcotest.(check bool) "lazy ticking run = reference" true (reference = sh)
+
 let test_no_pool_degrades_sequentially () =
   (* Without a pool on a starved machine the sharded data path runs on
      the calling domain alone — still pinned. *)
@@ -551,6 +636,10 @@ let suite =
       test_sharded_lazy_event_run;
     Alcotest.test_case "tick-driven protocol pinned" `Quick
       test_tick_protocol_pinned;
+    Alcotest.test_case "lazy initial states: touched + 1 calls" `Quick
+      test_lazy_initial_states;
+    Alcotest.test_case "lazy ticking run, no starters = reference" `Quick
+      test_lazy_ticking_no_starters;
     Alcotest.test_case "pool-less sharded run pinned" `Quick
       test_no_pool_degrades_sequentially;
     Alcotest.test_case "auto_shards sane" `Quick test_auto_shards_positive;
