@@ -28,18 +28,19 @@ let kernel_tests () =
   let all_256 = List.init 256 (fun i -> i) in
   let rng = Rng.create 99L in
   let half = Rng.sample rng ~k:128 ~n:256 in
-  (* kernel:engine-idle-rounds — a quiescent run with a huge min_rounds
-     horizon; measures the idle fast-forward (the reference engine
-     spins a million rounds here). *)
+  (* kernel:engine-idle-rounds — a quiescent run whose node 0 asks at
+     time 0 to be woken in round 1_000_000; measures the idle
+     fast-forward (the reference engine spins a million rounds here). *)
   let idle_graph = Gen.path 4 in
-  let idle_config = { Engine.default_config with min_rounds = 1_000_000 } in
+  let idle_config = Engine.default_config in
   let idle_protocol =
     {
       Engine.name = "idle";
       initial_state = (fun _ -> ());
-      on_start = (fun ~node:_ s -> (s, []));
+      on_start =
+        (fun ~node s -> (s, if node = 0 then [ Engine.Wake 1_000_000 ] else []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ () s -> (s, []));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   (* kernel:sweep-list-512 — the Theta(n^2)-round, one-active-node

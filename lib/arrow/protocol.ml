@@ -50,7 +50,19 @@ let issue ~tree ~notify v s =
   if s.link = v then ({ s' with link = v }, found ~tree ~notify v op s.id)
   else ({ s' with link = v }, [ Engine.Send (s.link, Queue_msg op) ])
 
-let make_protocol ~tree ~tail ~issue_rounds ~long_lived ~notify =
+let make_protocol ~tree ~tail ~issue_rounds ~notify =
+  (* Issue every operation due at or before [round] — a node may
+     schedule several for the same round — then wake for the next. *)
+  let issue_due ~round node s =
+    let rec drain s acc =
+      match s.schedule with
+      | r :: rest when r <= round ->
+          let s, actions = issue ~tree ~notify node { s with schedule = rest } in
+          drain s (acc @ actions)
+      | _ -> (s, acc @ Engine.wake_next s.schedule)
+    in
+    drain s []
+  in
   let initial_state v =
     {
       link = (if v = tail then v else Tree.next_hop tree v tail);
@@ -59,18 +71,7 @@ let make_protocol ~tree ~tail ~issue_rounds ~long_lived ~notify =
       seq_next = 0;
     }
   in
-  let on_start ~node s =
-    (* Issue every operation scheduled for time 0 (there can be several
-       in the long-lived scenario). *)
-    let rec drain s acc =
-      match s.schedule with
-      | 0 :: rest ->
-          let s, actions = issue ~tree ~notify node { s with schedule = rest } in
-          drain s (acc @ actions)
-      | _ -> (s, acc)
-    in
-    drain s []
-  in
+  let on_start ~node s = issue_due ~round:0 node s in
   let on_receive ~round:_ ~node ~src msg s =
     match msg with
     | Queue_msg op ->
@@ -83,23 +84,8 @@ let make_protocol ~tree ~tail ~issue_rounds ~long_lived ~notify =
         else
           (s, [ Engine.Send (Tree.next_hop tree node dest, Notify { dest; op; pred }) ])
   in
-  let on_tick =
-    if not long_lived then Engine.no_tick
-    else
-      Some
-        (fun ~round ~node s ->
-          (* Drain every arrival due at (or before) this round — a node
-             may schedule several operations for the same round. *)
-          let rec drain s acc =
-            match s.schedule with
-            | r :: rest when r <= round ->
-                let s, actions = issue ~tree ~notify node { s with schedule = rest } in
-                drain s (acc @ actions)
-            | _ -> (s, acc)
-          in
-          drain s [])
-  in
-  { Engine.name = "arrow"; initial_state; on_start; on_receive; on_tick }
+  let on_wake ~round ~node s = issue_due ~round node s in
+  { Engine.name = "arrow"; initial_state; on_start; on_receive; on_wake }
 
 let check_tail tree tail =
   if tail < 0 || tail >= Tree.n tree then
@@ -143,7 +129,7 @@ let one_shot_setup ?config ?tail ~notify ~tree ~requests name =
   let protocol =
     make_protocol ~tree ~tail
       ~issue_rounds:(fun v -> if requesting.(v) then [ 0 ] else [])
-      ~long_lived:false ~notify
+      ~notify
   in
   (config, protocol)
 
@@ -246,8 +232,7 @@ let run_one_shot_faulty ?config ?tail ?(notify = false) ?(retry = false)
     if retry then begin
       let protocol, h = Reliable.wrap ~ack_timeout ~max_retries protocol in
       let res =
-        Engine.run ~faults:fr ~observer ~keep_alive:(Reliable.keep_alive h)
-          ~graph ~config ~protocol ()
+        Engine.run ~faults:fr ~observer ~graph ~config ~protocol ()
       in
       (res, Some (Reliable.stats h))
     end
@@ -277,7 +262,7 @@ let run_one_shot_async ?(delay = Async.Constant 1) ?tail ?(notify = false)
   let protocol =
     make_protocol ~tree ~tail
       ~issue_rounds:(fun v -> if requesting.(v) then [ 0 ] else [])
-      ~long_lived:false ~notify
+      ~notify
   in
   let graph = Tree.to_graph tree in
   let res = Async.run ~graph ~delay ~protocol () in
@@ -315,20 +300,15 @@ let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
     per_node;
   (* Issue time of op {origin; seq} = the seq-th scheduled round. *)
   let issue_time (op : Types.op) = List.nth per_node.(op.origin) op.seq in
-  let horizon = List.fold_left (fun acc (_, r) -> max acc r) 0 arrivals in
   let config =
     match config with
-    | Some c -> { c with Engine.min_rounds = max c.Engine.min_rounds (horizon + 1) }
-    | None ->
-        {
-          (Engine.config_with_capacity (max 1 (Tree.max_degree tree))) with
-          min_rounds = horizon + 1;
-        }
+    | Some c -> c
+    | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
   in
   let protocol =
     make_protocol ~tree ~tail
       ~issue_rounds:(fun v -> per_node.(v))
-      ~long_lived:true ~notify
+      ~notify
   in
   let graph = Tree.to_graph tree in
   finish ~issue_time (Engine.run ~graph ~config ~protocol ())

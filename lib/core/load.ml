@@ -135,7 +135,7 @@ let queuing_protocol ~topo ~tail =
         let s = { s with link = src } in
         if w = node then (s, [ Engine.Complete i ])
         else (s, [ Engine.Send (w, Queue i) ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 (* Issuing operation [i] at [v]: local completion if v holds the tail,
@@ -170,7 +170,7 @@ let counting_protocol ~topo ~center ~origin_of =
           else
             (s + 1, [ Engine.Send (Implicit.next_hop topo ~src:node ~dst, m') ])
         else (s, [ Engine.Send (Implicit.next_hop topo ~src:node ~dst:target, m) ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let issue_c ~topo ~center v i s =
@@ -282,7 +282,7 @@ let funnel_machinery ~root ~parent ~window =
               join ~cohort ~node (F_child { child = src; count }) count counter
           | F_down { cohort; base } ->
               (counter, hand_down ~cohort base (window ~cohort ~node)));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let issue v i ~cohort counter = join ~cohort ~node:v (F_own i) 1 counter in

@@ -390,8 +390,7 @@ let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
         ]
       in
       let res =
-        Engine.run ~dynamic ~observer:(Monitor.observe monitors)
-          ~keep_alive:(Reliable.keep_alive h) ~graph
+        Engine.run ~dynamic ~observer:(Monitor.observe monitors) ~graph
           ~config:Engine.default_config ~protocol ()
       in
       let rr = Counting.Counts.of_engine ~requests res in

@@ -56,7 +56,7 @@ let make_protocol ~root ~route ~requesting =
             if node = dest then (s, [ Engine.Complete (dest, count) ])
             else
               (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let prepare ~root ~route ~graph ~requests =
@@ -106,12 +106,7 @@ let run_long_lived ?config ?(root = 0) ?route ~graph ~arrivals () =
   List.iter (fun (v, r) -> per_node.(v) <- r :: per_node.(v)) arrivals;
   Array.iteri (fun v rs -> per_node.(v) <- List.sort compare rs) per_node;
   let issue_time v seq = List.nth per_node.(v) seq in
-  let horizon = List.fold_left (fun acc (_, r) -> max acc r) 0 arrivals in
-  let config =
-    match config with
-    | Some c -> { c with Engine.min_rounds = max c.Engine.min_rounds (horizon + 1) }
-    | None -> { Engine.default_config with min_rounds = horizon + 1 }
-  in
+  let config = Option.value config ~default:Engine.default_config in
   (* Assign the next rank at the root (locally when the root issues). *)
   let assign node s origin seq =
     let count = s.counter + 1 in
@@ -135,13 +130,15 @@ let run_long_lived ?config ?(root = 0) ?route ~graph ~arrivals () =
             (Route.next_hop route node root, Ll_request { origin = node; seq });
         ] )
   in
+  (* Issue every operation due at or before [round], then wake for the
+     next. *)
   let drain_due round node s =
     let rec go s acc =
       match s.schedule with
       | r :: rest when r <= round ->
           let s, actions = issue node { s with schedule = rest } in
           go s (acc @ actions)
-      | _ -> (s, acc)
+      | _ -> (s, acc @ Engine.wake_next s.schedule)
     in
     go s []
   in
@@ -162,7 +159,7 @@ let run_long_lived ?config ?(root = 0) ?route ~graph ~arrivals () =
               if node = dest then (s, [ Engine.Complete (dest, seq, count) ])
               else
                 (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-      on_tick = Some (fun ~round ~node s -> drain_due round node s);
+      on_wake = (fun ~round ~node s -> drain_due round node s);
     }
   in
   let res = Engine.run ~graph ~config ~protocol () in
@@ -218,10 +215,7 @@ let run_faulty ?config ?(root = 0) ?route ?(retry = false) ?(ack_timeout = 8)
   let res, retry_stats =
     if retry then begin
       let protocol, h = Reliable.wrap ~ack_timeout ~max_retries protocol in
-      let res =
-        Engine.run ~faults:fr ~observer ~keep_alive:(Reliable.keep_alive h)
-          ~graph ~config ~protocol ()
-      in
+      let res = Engine.run ~faults:fr ~observer ~graph ~config ~protocol () in
       (res, Some (Reliable.stats h))
     end
     else (Engine.run ~faults:fr ~observer ~graph ~config ~protocol (), None)

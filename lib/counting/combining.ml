@@ -67,7 +67,7 @@ let make_protocol ~tree ~requesting =
             in
             if s.pending = 0 then finish_upsweep node s else (s, [])
         | Range base -> downsweep node s base);
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let prepare ~tree ~requests name =

@@ -73,7 +73,7 @@ let make_protocol ~tree ~requesting =
                   Engine.Send
                     (Tree.next_hop tree node origin, Back { origin; count });
                 ] ));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let prepare ~tree ~requests name =

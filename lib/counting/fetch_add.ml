@@ -152,7 +152,7 @@ let run_central ?config ?(root = 0) ?route ~graph ~requests () =
                 (sum, [ Engine.Complete (dest, increment, before) ])
               else
                 (sum, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   of_engine ~requests (Engine.run ~graph ~config ~protocol ())
@@ -221,7 +221,7 @@ let run_combining ?config ~tree ~requests () =
               in
               if s.pending = 0 then finish_upsweep node s else (s, [])
           | Base b -> downsweep node s b);
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let graph = Tree.to_graph tree in
@@ -273,7 +273,7 @@ let run_sweep ?config ~tree ~requests () =
         (fun ~node s ->
           if node = Tree.root tree then (s, actions_at node 0) else (s, []));
       on_receive = (fun ~round:_ ~node ~src:_ i s -> (s, actions_at node i));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let graph = Tree.to_graph tree in

@@ -119,7 +119,7 @@ let make_protocol ~info_of ~root ~parent =
                finished funnel leaves no residue behind the wavefront:
                a quiet node keeps only its state. *)
             (initial, hand_down node base (List.rev s.batch)));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let adaptive_width ~n ~concurrency =

@@ -17,11 +17,11 @@
     closure (requesters plus ancestors) is precomputed from the request
     set, so each node knows exactly how many on-path children will
     report ([expected]) and flushes upward the moment the last one has
-    — no ticks, no timeouts, no engine hooks. That makes the protocol
+    — no wakes, no timeouts, no engine hooks. That makes the protocol
     purely message-driven: the same transitions run unchanged under
     {!Countq_simnet.Engine.run}, {!Countq_simnet.Event_engine.run},
     {!Countq_simnet.Shard.run_implicit}, the asynchronous engine, and
-    the {!Countq_simnet.Explore} model checker (which ignores ticks).
+    the {!Countq_simnet.Explore} model checker (which has no timers).
 
     {b The decombine invariant}: a node entered with range base [b] and
     batch total [t] hands out exactly [{b+1 .. b+t}] — own increments

@@ -98,12 +98,7 @@ let run_long_lived ?config ?width ?net ?placement ?route ~graph ~arrivals () =
   List.iter (fun (v, r) -> per_node.(v) <- r :: per_node.(v)) arrivals;
   Array.iteri (fun v rs -> per_node.(v) <- List.sort compare rs) per_node;
   let issue_time v seq = List.nth per_node.(v) seq in
-  let horizon = List.fold_left (fun acc (_, r) -> max acc r) 0 arrivals in
-  let config =
-    match config with
-    | Some c -> { c with Engine.min_rounds = max c.Engine.min_rounds (horizon + 1) }
-    | None -> { Engine.default_config with min_rounds = horizon + 1 }
-  in
+  let config = Option.value config ~default:Engine.default_config in
   let balancers = Bitonic.balancers net in
   let stage_of_dest = function
     | Bitonic.To_balancer id -> L_balancer id
@@ -156,14 +151,15 @@ let run_long_lived ?config ?width ?net ?placement ?route ~graph ~arrivals () =
             L_token { origin = node; seq; dest = host; stage } );
       ]
   in
-  (* Issue every operation scheduled at or before [round]. *)
+  (* Issue every operation scheduled at or before [round], then wake
+     for the next. *)
   let drain_due round node (st : ll_state) =
     let rec go acc =
       match st.schedule with
       | r :: rest when r <= round ->
           st.schedule <- rest;
           go (acc @ inject node st)
-      | _ -> acc
+      | _ -> acc @ Engine.wake_next st.schedule
     in
     go []
   in
@@ -190,7 +186,7 @@ let run_long_lived ?config ?width ?net ?placement ?route ~graph ~arrivals () =
               if node = dest then (s, [ Engine.Complete (dest, seq, count) ])
               else
                 (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-      on_tick = Some (fun ~round ~node s -> (s, drain_due round node s));
+      on_wake = (fun ~round ~node s -> (s, drain_due round node s));
     }
   in
   let res = Engine.run ~graph ~config ~protocol () in
@@ -304,7 +300,7 @@ let prepare ?width ?net ?placement ?route ~graph ~requests () =
               if node = dest then (s, [ Engine.Complete (dest, count) ])
               else
                 (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   protocol

@@ -85,7 +85,7 @@ let make_protocol ~tree ~requesting =
       (fun ~node s ->
         if node = Tree.root tree then (s, actions_at node 0) else (s, []));
     on_receive = (fun ~round:_ ~node ~src:_ i s -> (s, actions_at node i));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let prepare ~tree ~requests name =

@@ -122,7 +122,7 @@ let disseminate ~graph ~senders ~starts =
   in
   let forward sidx v = List.map (fun c -> Engine.Send (c, { sidx })) children.(sidx).(v) in
   let begin_flood node sidx = Engine.Complete sidx :: forward sidx node in
-  let horizon = Array.fold_left max 0 starts in
+  (* Sender [i] floods at time [starts.(i)]: at once, or when woken. *)
   let protocol =
     {
       Engine.name = "ordered-multicast-flood";
@@ -132,27 +132,28 @@ let disseminate ~graph ~senders ~starts =
           let actions = ref [] in
           Array.iteri
             (fun sidx sender ->
-              if sender = node && starts.(sidx) = 0 then
-                actions := begin_flood node sidx @ !actions)
+              if sender = node then
+                actions :=
+                  (if starts.(sidx) = 0 then begin_flood node sidx
+                   else [ Engine.Wake starts.(sidx) ])
+                  @ !actions)
             senders;
           (s, !actions));
       on_receive =
         (fun ~round:_ ~node ~src:_ { sidx } s ->
           (s, Engine.Complete sidx :: forward sidx node));
-      on_tick =
-        Some
-          (fun ~round ~node s ->
-            let actions = ref [] in
-            Array.iteri
-              (fun sidx sender ->
-                if sender = node && starts.(sidx) = round then
-                  actions := begin_flood node sidx @ !actions)
-              senders;
-            (s, !actions));
+      on_wake =
+        (fun ~round ~node s ->
+          let actions = ref [] in
+          Array.iteri
+            (fun sidx sender ->
+              if sender = node && starts.(sidx) = round then
+                actions := begin_flood node sidx @ !actions)
+            senders;
+          (s, !actions));
     }
   in
-  let config = { Engine.default_config with min_rounds = horizon + 1 } in
-  let res = Engine.run ~graph ~config ~protocol () in
+  let res = Engine.run ~graph ~config:Engine.default_config ~protocol () in
   let arrival = Array.make_matrix k n (-1) in
   List.iter
     (fun (c : _ Engine.completion) ->

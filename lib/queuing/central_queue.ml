@@ -55,7 +55,7 @@ let prepare ~root ~route ~graph ~requests =
               (s, [ Engine.Complete ({ Types.origin = dest; seq = 0 }, pred) ])
             else
               (s, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 type checker_state = state
@@ -141,10 +141,7 @@ let run_faulty ?config ?(root = 0) ?route ?(retry = false) ?(ack_timeout = 8)
   let res, retry_stats =
     if retry then begin
       let protocol, h = Reliable.wrap ~ack_timeout ~max_retries protocol in
-      let res =
-        Engine.run ~faults:fr ~observer ~keep_alive:(Reliable.keep_alive h)
-          ~graph ~config ~protocol ()
-      in
+      let res = Engine.run ~faults:fr ~observer ~graph ~config ~protocol () in
       (res, Some (Reliable.stats h))
     end
     else (Engine.run ~faults:fr ~observer ~graph ~config ~protocol (), None)

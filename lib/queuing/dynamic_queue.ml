@@ -227,14 +227,16 @@ let one_shot_protocol ?(leader = 0) ~graph ~requests () =
           let peers, sends = flood node k' peers in
           ({ ck = k'; cmine = s.cmine; cpeers = peers }, comps @ sends)
         end);
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tick-driven variant: dynamic graph, engine-only.                    *)
+(* Wake-driven variant: dynamic graph, engine-only.                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Same knowledge logic; flooding is paced by ticks instead. Each
+(* Same knowledge logic; flooding is paced by wakes instead: a node
+   wakes every round from its first knowledge on, while [live ()]
+   (the caller's "operations still pending") holds. Each
    neighbour slot carries the belief of what that neighbour holds
    (advancing on both send and receive) plus the version last offered;
    a version bump (any knowledge growth) re-arms every link, and a
@@ -254,7 +256,7 @@ type dstate = {
   dpeers : dpeer array;
 }
 
-let dynamic_protocol ~leader ~sched ~refresh ~graph ~requests =
+let dynamic_protocol ~leader ~sched ~refresh ~live ~graph ~requests =
   let n = Graph.n graph in
   let requesting = check_requests ~who:"Dynamic_queue.run" ~n ~leader requests in
   if refresh < 1 then invalid_arg "Dynamic_queue.run: refresh must be >= 1";
@@ -287,9 +289,9 @@ let dynamic_protocol ~leader ~sched ~refresh ~graph ~requests =
           if k' = s.dk then s
           else { s with dk = k'; dversion = s.dversion + 1 }
         in
-        (s, comps));
+        (s, if s.dversion = 0 then comps else comps @ [ Engine.Wake 1 ]));
     on_receive =
-      (fun ~round:_ ~node ~src d s ->
+      (fun ~round ~node ~src d s ->
         let nbrs = Graph.neighbors graph node in
         Array.iteri
           (fun i w ->
@@ -302,46 +304,44 @@ let dynamic_protocol ~leader ~sched ~refresh ~graph ~requests =
         let k' = apply_delta node s.dk d ~leader in
         if k' = s.dk then (s, [])
         else
+          let comps = newly_chained s.dmine s.dk k' in
           ( { s with dk = k'; dversion = s.dversion + 1 },
-            newly_chained s.dmine s.dk k' ));
-    on_tick =
-      Some
-        (fun ~round ~node s ->
-          if s.dversion = 0 then (s, [])
-          else begin
-            if round mod refresh = 0 then
-              Array.iter
-                (fun p ->
-                  p.q_chain <- 0;
-                  p.q_pend <- [];
-                  p.q_version <- -1)
-                s.dpeers;
-            let nbrs = Graph.neighbors graph node in
-            let sends = ref [] in
-            for i = Array.length nbrs - 1 downto 0 do
-              let w = nbrs.(i) in
-              let p = s.dpeers.(i) in
-              (* Sends issued in round [t] enter the network in [t+1];
-                 offer over links usable then — "a node knows its
-                 current neighbourhood". *)
-              if
-                p.q_version < s.dversion
-                && Dynamic.usable sched ~round:(round + 1) ~u:node ~v:w
-              then begin
-                p.q_version <- s.dversion;
-                match
-                  delta_for s.dk ~sent_chain:p.q_chain ~sent_pend:p.q_pend
-                with
-                | None -> ()
-                | Some d ->
-                    p.q_chain <- List.length s.dk.chain;
-                    p.q_pend <-
-                      List.sort_uniq Types.compare_op (d.d_pend @ p.q_pend);
-                    sends := Engine.Send (w, d) :: !sends
-              end
-            done;
-            (s, !sends)
-          end);
+            if s.dversion = 0 then comps @ [ Engine.Wake round ] else comps ));
+    on_wake =
+      (fun ~round ~node s ->
+          if round mod refresh = 0 then
+            Array.iter
+              (fun p ->
+                p.q_chain <- 0;
+                p.q_pend <- [];
+                p.q_version <- -1)
+              s.dpeers;
+          let nbrs = Graph.neighbors graph node in
+          let sends = ref [] in
+          for i = Array.length nbrs - 1 downto 0 do
+            let w = nbrs.(i) in
+            let p = s.dpeers.(i) in
+            (* Sends issued in round [t] enter the network in [t+1];
+               offer over links usable then — "a node knows its
+               current neighbourhood". *)
+            if
+              p.q_version < s.dversion
+              && Dynamic.usable sched ~round:(round + 1) ~u:node ~v:w
+            then begin
+              p.q_version <- s.dversion;
+              match
+                delta_for s.dk ~sent_chain:p.q_chain ~sent_pend:p.q_pend
+              with
+              | None -> ()
+              | Some d ->
+                  p.q_chain <- List.length s.dk.chain;
+                  p.q_pend <-
+                    List.sort_uniq Types.compare_op (d.d_pend @ p.q_pend);
+                  sends := Engine.Send (w, d) :: !sends
+            end
+          done;
+          let rearm = if live () then [ Engine.Wake (round + 1) ] else [] in
+          (s, !sends @ rearm));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -407,7 +407,6 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
     match sched with Some s -> s | None -> Dynamic.identity graph
   in
   let config = match config with Some c -> c | None -> default_config graph in
-  let protocol = dynamic_protocol ~leader ~sched ~refresh ~graph ~requests in
   let dyn = Dynamic.start sched in
   let expected = List.length requests in
   let last_holder = ref leader in
@@ -424,11 +423,12 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
   let observer, done_count =
     holder_observer ~monitors ~expected ~last_holder
   in
-  let res =
-    Engine.run ~dynamic:dyn ~observer
-      ~keep_alive:(fun () -> !done_count < expected)
-      ~graph ~config ~protocol ()
+  let protocol =
+    dynamic_protocol ~leader ~sched ~refresh
+      ~live:(fun () -> !done_count < expected)
+      ~graph ~requests
   in
+  let res = Engine.run ~dynamic:dyn ~observer ~graph ~config ~protocol () in
   {
     result = finish res;
     monitors = Monitor.finalise monitors;
@@ -462,17 +462,16 @@ type ('s, 'm) routed = {
   rt_buffer : (int * int, 'm) Hashtbl.t;  (** out-of-order payloads. *)
   rt_unacked : (int * int, 'm unack) Hashtbl.t;  (** (dst, seq). *)
   rt_transit : 'm envelope Queue.t;  (** envelopes awaiting a hop. *)
+  rt_inner_wakes : Engine.inner_wakes;
 }
 
 type route_handle = {
-  mutable h_outstanding : int;
+  mutable h_outstanding : int;  (** envelopes awaiting their ack. *)
   mutable h_forwarded : int;
   mutable h_rerouted : int;
   mutable h_retransmits : int;
   mutable h_gave_up : int;
 }
-
-let route_keep_alive h () = h.h_outstanding > 0
 
 let route_stats h =
   {
@@ -482,7 +481,7 @@ let route_stats h =
     gave_up = h.h_gave_up;
   }
 
-let wrap_route ?(ack_timeout = 4) ?(max_retries = 8) ~sched ~graph
+let wrap_route ?(ack_timeout = 4) ?(max_retries = 8) ~sched ~graph ~live
     (p : _ Engine.protocol) =
   if ack_timeout < 1 then
     invalid_arg "Dynamic_queue.wrap_route: ack_timeout must be >= 1";
@@ -498,13 +497,16 @@ let wrap_route ?(ack_timeout = 4) ?(max_retries = 8) ~sched ~graph
       h_gave_up = 0;
     }
   in
-  (* Inner completions pass through; inner sends become sequenced
-     envelopes queued for routing (all physical sends happen on tick,
-     so every hop gets a fresh usability check). *)
+  (* Inner completions pass through and inner wakes are noted; inner
+     sends become sequenced envelopes queued for routing (all physical
+     sends happen on wake, so every hop gets a fresh usability check). *)
   let lift v st ~round actions =
     List.filter_map
       (function
         | Engine.Complete r -> Some (Engine.Complete r)
+        | Engine.Wake r ->
+            Engine.note_wake st.rt_inner_wakes r;
+            Some (Engine.Wake r)
         | Engine.Send (dst, m) ->
             let seq = st.rt_next.(dst) in
             st.rt_next.(dst) <- seq + 1;
@@ -542,19 +544,22 @@ let wrap_route ?(ack_timeout = 4) ?(max_retries = 8) ~sched ~graph
             rt_buffer = Hashtbl.create 8;
             rt_unacked = Hashtbl.create 8;
             rt_transit = Queue.create ();
+            rt_inner_wakes = ref [];
           });
       on_start =
         (fun ~node st ->
           let s', actions = p.on_start ~node st.rt_inner in
           st.rt_inner <- s';
-          (st, lift node st ~round:0 actions));
+          let actions = lift node st ~round:0 actions in
+          let route = if Queue.is_empty st.rt_transit then [] else [ Engine.Wake 1 ] in
+          (st, actions @ route));
       on_receive =
         (fun ~round ~node:v ~src:_ env st ->
           if env.e_dst <> v then begin
-            (* In transit: forward on the next tick, off the current
+            (* In transit: forward at this round's wake, off the current
                up-graph. *)
             Queue.push env st.rt_transit;
-            (st, [])
+            (st, [ Engine.Wake round ])
           end
           else
             match env.e_pay with
@@ -573,61 +578,62 @@ let wrap_route ?(ack_timeout = 4) ?(max_retries = 8) ~sched ~graph
                 let s0 = env.e_src in
                 if env.e_seq >= st.rt_expect.(s0) then
                   Hashtbl.replace st.rt_buffer (s0, env.e_seq) m;
-                (st, deliver_ready v st ~round s0 []));
-      on_tick =
-        Some
-          (fun ~round ~node:v st ->
-            (* 1. Retry timers, in deterministic (dst, seq) order. *)
-            let due =
-              List.sort
-                (fun (a, _) (b, _) -> compare a b)
-                (Hashtbl.fold
-                   (fun k u acc -> if u.u_due <= round then (k, u) :: acc else acc)
-                   st.rt_unacked [])
-            in
-            List.iter
-              (fun ((dst, seq), u) ->
-                if u.u_retries >= max_retries then begin
-                  Hashtbl.remove st.rt_unacked (dst, seq);
-                  h.h_gave_up <- h.h_gave_up + 1;
-                  h.h_outstanding <- h.h_outstanding - 1
-                end
-                else begin
-                  u.u_retries <- u.u_retries + 1;
-                  u.u_due <- round + (ack_timeout * (1 lsl u.u_retries));
-                  h.h_retransmits <- h.h_retransmits + 1;
-                  Queue.push
-                    { e_src = v; e_dst = dst; e_seq = seq; e_pay = Some u.u_msg }
-                    st.rt_transit
-                end)
-              due;
-            (* 2. Inner tick, if any. *)
-            let acc =
-              match p.on_tick with
-              | None -> []
-              | Some tick ->
-                  let s', actions = tick ~round ~node:v st.rt_inner in
-                  st.rt_inner <- s';
-                  lift v st ~round actions
-            in
-            (* 3. Route everything in transit one hop along the
-               up-graph of the round the hop will travel in; envelopes
-               with no usable path wait here. *)
-            let keep = Queue.create () in
-            let sends = ref [] in
-            while not (Queue.is_empty st.rt_transit) do
-              let env = Queue.pop st.rt_transit in
-              match
-                Dynamic.next_hop sched ~round:(round + 1) ~src:v ~dst:env.e_dst
-              with
-              | None -> Queue.push env keep
-              | Some w ->
-                  h.h_forwarded <- h.h_forwarded + 1;
-                  if w <> env.e_dst then h.h_rerouted <- h.h_rerouted + 1;
-                  sends := Engine.Send (w, env) :: !sends
-            done;
-            Queue.transfer keep st.rt_transit;
-            (st, acc @ List.rev !sends));
+                (st, deliver_ready v st ~round s0 [] @ [ Engine.Wake round ]));
+      on_wake =
+        (fun ~round ~node:v st ->
+          (* 1. Retry timers, in deterministic (dst, seq) order. *)
+          let due =
+            List.sort
+              (fun (a, _) (b, _) -> compare a b)
+              (Hashtbl.fold
+                 (fun k u acc -> if u.u_due <= round then (k, u) :: acc else acc)
+                 st.rt_unacked [])
+          in
+          List.iter
+            (fun ((dst, seq), u) ->
+              if u.u_retries >= max_retries then begin
+                Hashtbl.remove st.rt_unacked (dst, seq);
+                h.h_gave_up <- h.h_gave_up + 1;
+                h.h_outstanding <- h.h_outstanding - 1
+              end
+              else begin
+                u.u_retries <- u.u_retries + 1;
+                u.u_due <- round + (ack_timeout * (1 lsl u.u_retries));
+                h.h_retransmits <- h.h_retransmits + 1;
+                Queue.push
+                  { e_src = v; e_dst = dst; e_seq = seq; e_pay = Some u.u_msg }
+                  st.rt_transit
+              end)
+            due;
+          (* 2. The inner wake, if it asked for this round. *)
+          let s', actions =
+            Engine.forward_wake st.rt_inner_wakes p ~round ~node:v st.rt_inner
+          in
+          st.rt_inner <- s';
+          let acc = lift v st ~round actions in
+          (* 3. Route everything in transit one hop along the
+             up-graph of the round the hop will travel in; envelopes
+             with no usable path wait here. *)
+          let keep = Queue.create () in
+          let sends = ref [] in
+          while not (Queue.is_empty st.rt_transit) do
+            let env = Queue.pop st.rt_transit in
+            match
+              Dynamic.next_hop sched ~round:(round + 1) ~src:v ~dst:env.e_dst
+            with
+            | None -> Queue.push env keep
+            | Some w ->
+                h.h_forwarded <- h.h_forwarded + 1;
+                if w <> env.e_dst then h.h_rerouted <- h.h_rerouted + 1;
+                sends := Engine.Send (w, env) :: !sends
+          done;
+          Queue.transfer keep st.rt_transit;
+          (* 4. Wake again next round while anything is unacked or
+             the caller still waits on operations. *)
+          let rearm =
+            if h.h_outstanding > 0 || live () then [ Engine.Wake (round + 1) ] else []
+          in
+          (st, acc @ List.rev !sends @ rearm));
     }
   in
   (protocol, h)
@@ -638,8 +644,6 @@ let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
     match sched with Some s -> s | None -> Dynamic.identity graph
   in
   let config = match config with Some c -> c | None -> default_config graph in
-  let inner = Countq_arrow.Protocol.one_shot_protocol ?tail ~tree ~requests () in
-  let protocol, h = wrap_route ~ack_timeout ~max_retries ~sched ~graph inner in
   let dyn = Dynamic.start sched in
   let expected = List.length requests in
   let budget =
@@ -662,12 +666,13 @@ let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
   let observer, done_count =
     holder_observer ~monitors ~expected ~last_holder
   in
-  let res =
-    Engine.run ~dynamic:dyn ~observer
-      ~keep_alive:(fun () ->
-        route_keep_alive h () || !done_count < expected)
-      ~graph ~config ~protocol ()
+  let inner = Countq_arrow.Protocol.one_shot_protocol ?tail ~tree ~requests () in
+  let protocol, h =
+    wrap_route ~ack_timeout ~max_retries ~sched ~graph
+      ~live:(fun () -> !done_count < expected)
+      inner
   in
+  let res = Engine.run ~dynamic:dyn ~observer ~graph ~config ~protocol () in
   ( {
       result = finish res;
       monitors = Monitor.finalise monitors;

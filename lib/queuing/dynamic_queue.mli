@@ -71,7 +71,7 @@ val one_shot_protocol :
     deltas are re-flooded the instant knowledge grows, with no timers,
     so the protocol is a pure message-driven flooding process — state
     is pure and structural (per-neighbour beliefs update by copy), and
-    [Countq_simnet.Explore] (which ignores [on_tick]) can model-check
+    [Countq_simnet.Explore] (which has no timer model) can model-check
     the single-extender safety argument over every interleaving.
     Completion values are [(op, pred)] pairs; validate with
     [Order.chain]. *)
@@ -86,8 +86,10 @@ val run :
   requests:int list ->
   unit ->
   report
-(** The tick-driven dynamic variant under topology schedule [sched]
-    (default: the identity schedule). Each round every node offers the
+(** The wake-driven dynamic variant under topology schedule [sched]
+    (default: the identity schedule). From its first knowledge on, a
+    node wakes every round until every request has completed; at each
+    wake it offers the
     delta it owes to each usable neighbour that has not seen its
     current knowledge version, and forgets its per-neighbour beliefs
     every [refresh] rounds (default 8) — a full re-send — so deltas
@@ -121,6 +123,7 @@ val wrap_route :
   ?max_retries:int ->
   sched:Dynamic.schedule ->
   graph:Graph.t ->
+  live:(unit -> bool) ->
   ('s, 'm, 'r) Engine.protocol ->
   (('s, 'm) routed, 'm envelope, 'r) Engine.protocol * route_handle
 (** [wrap_route ~sched ~graph p] (named ["<name>+route"]) runs [p]
@@ -131,13 +134,17 @@ val wrap_route :
     node holds them), acknowledged end-to-end, retransmitted with
     exponential backoff after [ack_timeout] rounds (default 4, up to
     [max_retries] retries, default 8), and released to [p] in FIFO
-    order exactly once. Completion values pass through unchanged. The
-    wrapped protocol ticks and its state carries mutable tables: wrap
-    afresh per run and keep it away from the [Explore] checker. *)
+    order exactly once. Completion values pass through unchanged. A
+    node that has had an envelope to route wakes every round from then
+    on (routing, retry timers and the inner protocol's own wakes all
+    run there), for as long as any envelope awaits its ack or [live ()]
+    holds — pass the caller's "operations still pending" test. The
+    wrapped state carries mutable tables: wrap afresh per run and keep
+    it away from the [Explore] checker.
 
-val route_keep_alive : route_handle -> unit -> bool
-(** True while any envelope awaits its end-to-end ack — pass to
-    {!Engine.run} so retry timers keep firing across silent rounds. *)
+    Single-shard runs only: the handle's counters are plain fields and
+    [live] is read in the wake handlers, which a sharded run calls on
+    several domains before it replays the observer at the barrier. *)
 
 val route_stats : route_handle -> route_stats
 

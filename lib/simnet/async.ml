@@ -30,8 +30,7 @@ let make_delay_fn = function
   | Per_message f ->
       fun ~src ~dst ~send_time -> Stdlib.max 1 (f ~src ~dst ~send_time)
 
-let run ~graph ~delay ?(wakeups = []) ?(max_events = 10_000_000) ?faults
-    ?metrics ~protocol () =
+let run ~graph ~delay ?(max_events = 10_000_000) ?faults ?metrics ~protocol () =
   let n = Graph.n graph in
   let delay_fn = make_delay_fn delay in
   let states = Array.init n protocol.Engine.initial_state in
@@ -41,6 +40,9 @@ let run ~graph ~delay ?(wakeups = []) ?(max_events = 10_000_000) ?faults
      links remain FIFO. *)
   let proc_free = Array.make n (-1) in
   let send_free = Array.make n (-1) in
+  (* The event time of each node's last fired wake: a node's wakes for
+     one time fire once. *)
+  let woke_at = Array.make n (-1) in
   (* Keyed by the flattened link id [src * n + dst]: an int key hashes
      without allocating the (src, dst) tuple the old scheme boxed for
      every scheduled message. *)
@@ -67,10 +69,13 @@ let run ~graph ~delay ?(wakeups = []) ?(max_events = 10_000_000) ?faults
     Hashtbl.replace link_last key arrival;
     Heap.push heap arrival (Arrival { src; dst; msg })
   in
-  let emit src now actions =
+  let emit src now ~earliest actions =
     List.iter
       (fun action ->
         match action with
+        | Engine.Wake r ->
+            Kernel.check_wake ~round:now ~earliest r;
+            Heap.push heap r (Wakeup src)
         | Engine.Complete value ->
             completions := { Engine.node = src; round = now; value } :: !completions;
             finish := max !finish now
@@ -106,16 +111,11 @@ let run ~graph ~delay ?(wakeups = []) ?(max_events = 10_000_000) ?faults
                 schedule src dst msg ~send_time:s ~extra:d))
       actions
   in
-  List.iter
-    (fun (t, v) ->
-      if t < 0 || v < 0 || v >= n then invalid_arg "Async.run: bad wakeup";
-      Heap.push heap t (Wakeup v))
-    wakeups;
   (* Time 0: one-shot issue. *)
   for v = 0 to n - 1 do
     let s, actions = protocol.Engine.on_start ~node:v states.(v) in
     states.(v) <- s;
-    emit v 0 actions
+    emit v 0 ~earliest:1 actions
   done;
   let rec loop () =
     match Heap.pop heap with
@@ -172,19 +172,26 @@ let run ~graph ~delay ?(wakeups = []) ?(max_events = 10_000_000) ?faults
                   states.(dst)
               in
               states.(dst) <- s;
-              emit dst now actions
+              emit dst now ~earliest:now actions
             end
-        | Wakeup v -> (
-            if not (crashed v t) then
-              match protocol.Engine.on_tick with
-              | None -> ()
-              | Some tick ->
-                  let now = max t (proc_free.(v) + 1) in
-                  proc_free.(v) <- now;
-                  finish := max !finish now;
-                  let s, actions = tick ~round:now ~node:v states.(v) in
-                  states.(v) <- s;
-                  emit v now actions));
+        | Wakeup v ->
+            (* A crashed node's wake waits for its first time back up,
+               or is dropped if the node never comes back. *)
+            if crashed v t then begin
+              if not (Faults.crashed_for_good (Option.get faults) ~node:v ~round:t)
+              then Heap.push heap (t + 1) ev
+            end
+            else if woke_at.(v) < t then begin
+              woke_at.(v) <- t;
+              let now = max t (proc_free.(v) + 1) in
+              proc_free.(v) <- now;
+              finish := max !finish now;
+              let s, actions =
+                protocol.Engine.on_wake ~round:now ~node:v states.(v)
+              in
+              states.(v) <- s;
+              emit v now ~earliest:(now + 1) actions
+            end);
         loop ()
   in
   loop ();

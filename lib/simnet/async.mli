@@ -39,19 +39,22 @@ type 'r result = {
 val run :
   graph:Countq_topology.Graph.t ->
   delay:delay_model ->
-  ?wakeups:(int * int) list ->
   ?max_events:int ->
   ?faults:Faults.runtime ->
   ?metrics:Metrics.t ->
   protocol:('s, 'm, 'r) Engine.protocol ->
   unit ->
   'r result
-(** [run ~graph ~delay ~protocol ()] executes to quiescence.
-    [wakeups] is a list of [(time, node)] pairs: at each, the
-    protocol's [on_tick] (if any) fires for that node — the
-    asynchronous counterpart of the synchronous engine's per-round
-    ticks, used for staggered arrivals. [max_events] (default 10M)
-    guards against livelock.
+(** [run ~graph ~delay ~protocol ()] executes to quiescence: no message
+    in flight and no wake pending. A [Wake t] action is an event at
+    time [t]: the node's [on_wake] runs at [max t (f + 1)], where [f]
+    is the last time the node processed an event, once per node however
+    many wakes name [t]; a wake that falls due while its node is
+    crashed moves to the next time unit, or is dropped if the node is
+    crashed for good. Wakes must name a time at or
+    after the handler's own, as in the synchronous engine (1 from
+    [on_start], [now] from a receive, after [now] from a wake).
+    [max_events] (default 10M) guards against livelock.
 
     [faults] injects the same per-transmission decisions as the
     synchronous engine: fault rounds are read as event times, a Delay
@@ -59,12 +62,11 @@ val run :
     (so delays slow a link without reordering it), and arrivals at a
     crashed node are discarded. With no [faults] (or a started
     {!Faults.none}) the execution is identical to the fault-free
-    engine's. Note the {!Reliable} retransmit layer is driven by
-    per-round ticks and therefore only heals faults under the
-    synchronous engine.
+    engine's.
 
     [metrics] attaches the same passive {!Metrics} recorder the
     synchronous engines take; "rounds" in its busy tally are event
     times here, and no backlog is recorded (the event heap has no
     per-link queues).
-    @raise Invalid_argument on a bad delay model or wakeups. *)
+    @raise Invalid_argument on a bad delay model or a wake that names
+    a time before the handler's own. *)

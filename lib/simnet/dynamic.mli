@@ -19,8 +19,11 @@
     via [?dynamic]. Semantics, chosen to generalise the PR 1
     [Faults.crash] plans into time-varying topology:
 
-    - a {e down node} neither sends, receives nor ticks; its local
-      state, outbox and queued incoming messages are preserved, and
+    - a {e down node} neither sends, receives nor wakes; its local
+      state, outbox, queued incoming messages and pending wakes are
+      preserved (a wake that falls due fires on its first round back
+      up; a schedule cannot say a node never returns, so one that
+      keeps a node out forever keeps its wake pending), and
       messages transmitted to it while down are dropped (tallied as
       node drops, and as crash drops in [Metrics]) — exactly a crash
       with [recover_at], except driven by the schedule;

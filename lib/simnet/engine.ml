@@ -18,7 +18,6 @@ type config = Kernel.config = {
   send_capacity : int;
   arbiter : arbiter;
   max_rounds : int;
-  min_rounds : int;
 }
 
 let default_config =
@@ -27,14 +26,16 @@ let default_config =
     send_capacity = 1;
     arbiter = Round_robin;
     max_rounds = 10_000_000;
-    min_rounds = 0;
   }
 
 let config_with_capacity c =
   if c < 1 then invalid_arg "Engine.config_with_capacity: c must be >= 1";
   { default_config with receive_capacity = c; send_capacity = c }
 
-type ('m, 'r) action = ('m, 'r) Kernel.action = Send of int * 'm | Complete of 'r
+type ('m, 'r) action = ('m, 'r) Kernel.action =
+  | Send of int * 'm
+  | Complete of 'r
+  | Wake of int
 
 type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
   name : string;
@@ -42,10 +43,22 @@ type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
   on_receive :
     round:int -> node:int -> src:int -> 'm -> 's -> 's * ('m, 'r) action list;
-  on_tick : (round:int -> node:int -> 's -> 's * ('m, 'r) action list) option;
+  on_wake : round:int -> node:int -> 's -> 's * ('m, 'r) action list;
 }
 
-let no_tick = None
+let no_wake = Kernel.no_wake
+let wake_next = function r :: _ -> [ Wake r ] | [] -> []
+
+type inner_wakes = int list ref  (* ascending *)
+
+let note_wake w r = w := List.merge Int.compare [ r ] !w
+
+let forward_wake w (p : _ protocol) ~round ~node s =
+  match !w with
+  | r :: _ when r <= round ->
+      w := List.filter (fun r -> r > round) !w;
+      p.on_wake ~round ~node s
+  | _ -> (s, [])
 
 type 'r completion = 'r Kernel.completion = { node : int; round : int; value : 'r }
 
@@ -67,7 +80,6 @@ type 'r observer = 'r Kernel.observer = {
 }
 
 let null_observer = Kernel.null_observer
-let no_keep_alive = Kernel.no_keep_alive
 let top_loaded = Kernel.top_loaded
 let top_loaded_pairs = Kernel.top_loaded_pairs
 
@@ -79,8 +91,8 @@ let max_delay res =
 
 let completion_count res = List.length res.completions
 
-let run ?faults ?dynamic ?observer ?keep_alive ?metrics ?telemetry ~graph
-    ~config ~protocol () =
-  Kernel.run ~who:"Engine.run" ?faults ?dynamic ?observer ?keep_alive ?metrics
-    ?telemetry ~n:(Graph.n graph) ~degree:(Graph.degree graph)
+let run ?faults ?dynamic ?observer ?metrics ?telemetry ~graph ~config ~protocol
+    () =
+  Kernel.run ~who:"Engine.run" ?faults ?dynamic ?observer ?metrics ?telemetry
+    ~n:(Graph.n graph) ~degree:(Graph.degree graph)
     ~neighbors:(Graph.neighbors graph) ~config ~protocol ()

@@ -19,6 +19,16 @@
     one time unit, so information travels distance [d] in [d] rounds —
     the latency semantics used by Theorem 3.6.
 
+    Time passes for a node only when it asks: a handler returns
+    [Wake t] to have its {!field-on_wake} called at the tick position
+    of round [t] — after that round's receives, in ascending node
+    order, once per node however many wakes name the round. A run
+    stays alive while any wake is pending. A wake that falls due while
+    its node is down (crashed by {!Faults}, churned out by
+    {!Dynamic}) moves to the next round, so it fires on the node's
+    first round back up; one due on a node crashed for good
+    ({!Faults.crashed_for_good}) is dropped.
+
     When several neighbours have messages pending for the same node,
     an {!arbiter} admits [receive_capacity] of them per round and the
     rest wait on their FIFO links: this queueing is the network
@@ -26,17 +36,17 @@
 
     {b Performance model.} [run] is the materialised-graph front of
     the round kernel ({!Kernel}), which {!Event_engine} and {!Shard}
-    share: a round costs O(number of nodes that send, receive or tick)
+    share: a round costs O(number of nodes that send, receive or wake)
     plus O(messages moved), not O(n) — see DESIGN.md §4 for the full
     cost model. Every node starts at time 0, so node slots are
     pre-assigned (arrays sized [n], adjacency aliased from the graph).
-    Runs with no tick handler, the {!null_observer} and the default
-    [keep_alive] additionally {e fast-forward} across idle rounds
-    (quiescent network, or everything parked by a fault delay) in O(1),
-    so a protocol that is busy for R of its [min_rounds] horizon costs
-    O(R), not O(horizon). Semantics are unaffected: {!Reference.run}
-    keeps the dense O(n)-per-round engine and qcheck properties pin
-    every front to bit-identical results.
+    Runs with the {!null_observer} additionally {e fast-forward} across
+    idle rounds (quiescent network, everything parked by a fault delay
+    or waiting for a wake) in O(1), so a protocol that is busy for R
+    rounds of a long schedule costs O(R), not O(horizon). Semantics
+    are unaffected: {!Reference.run} keeps the dense O(n)-per-round
+    engine and qcheck properties pin every front to bit-identical
+    results.
 
     The types below are {!Kernel}'s, re-exported under the names user
     code has always used. *)
@@ -57,15 +67,10 @@ type config = Kernel.config = {
   send_capacity : int;  (** messages emitted per node per round. *)
   arbiter : arbiter;
   max_rounds : int;  (** safety cut-off; exceeded runs raise. *)
-  min_rounds : int;
-      (** Run at least this many rounds even if the network is quiescent
-          — needed by protocols whose [on_tick] injects work at later
-          rounds (the long-lived scenario of Kuhn–Wattenhofer). *)
 }
 
 val default_config : config
-(** Capacities 1/1, round-robin arbitration, [max_rounds = 10_000_000],
-    [min_rounds = 0]. *)
+(** Capacities 1/1, round-robin arbitration, [max_rounds = 10_000_000]. *)
 
 val config_with_capacity : int -> config
 (** [config_with_capacity c] is {!default_config} with both capacities
@@ -77,6 +82,11 @@ type ('m, 'r) action = ('m, 'r) Kernel.action =
           engine checks adjacency and raises on non-neighbours. *)
   | Complete of 'r
       (** Record an operation completion at this node, this round. *)
+  | Wake of int
+      (** [Wake t]: call this node's [on_wake] in round [t], which must
+          be >= 1 from [on_start], >= the current round from
+          [on_receive] (it fires later that round) and > it from
+          [on_wake] or an injection, else every engine raises. *)
 
 type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
   name : string;
@@ -96,15 +106,35 @@ type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
           to a node in one round are processed sequentially, each seeing
           the state left by the previous one (the paper's sequential
           processing within an expanded step). *)
-  on_tick : (round:int -> node:int -> 's -> 's * ('m, 'r) action list) option;
-      (** If set, invoked for every node at the end of every round [t];
-          sends it produces are transmitted in round [t + 1], i.e. the
-          tick models an operation issued at time [t]. Use [None] for
-          one-shot protocols. *)
+  on_wake : round:int -> node:int -> 's -> 's * ('m, 'r) action list;
+      (** Invoked at the tick position of every round [t] the node asked
+          for with [Wake t] (see {!action}); sends it produces are
+          transmitted in round [t + 1], i.e. the wake models an
+          operation issued at time [t]. Use {!no_wake} for protocols
+          that never ask. *)
 }
 
-val no_tick : (round:int -> node:int -> 's -> 's * ('m, 'r) action list) option
-(** [None], for readability at protocol definition sites. *)
+val no_wake : round:int -> node:int -> 's -> 's * ('m, 'r) action list
+(** The [on_wake] of a protocol that never asks for a wake: returns
+    the state unchanged and does nothing. *)
+
+val wake_next : int list -> ('m, 'r) action list
+(** [[Wake r]] for the head [r] of a sorted issue schedule, [[]] for an
+    empty one: what a long-lived protocol asks to issue on time. *)
+
+type inner_wakes = int list ref
+(** For a wrapper whose own timers also wake the node: the rounds its
+    inner protocol asked to be woken in ({!note_wake} each inner
+    [Wake]), ascending, so {!forward_wake} runs the inner [on_wake] only
+    then. One [ref []] per wrapped node state. *)
+
+val note_wake : inner_wakes -> int -> unit
+
+val forward_wake :
+  inner_wakes -> ('s, 'm, 'r) protocol -> round:int -> node:int -> 's ->
+  's * ('m, 'r) action list
+(** The inner [on_wake] if a noted wake is due by [round] (those are
+    then forgotten), else the state unchanged and no actions. *)
 
 type 'r completion = 'r Kernel.completion = {
   node : int;
@@ -173,21 +203,14 @@ type 'r observer = 'r Kernel.observer = {
 val null_observer : 'r observer
 (** Hooks that do nothing and always continue. Passing this exact
     value (the default) tells the engine no execution hook can fire,
-    which is one of the conditions for idle-round fast-forwarding; a
+    which is the condition for idle-round fast-forwarding; a
     hand-rolled do-nothing observer is honoured but disables the
     optimisation. *)
-
-val no_keep_alive : unit -> bool
-(** The default [keep_alive]: always [false]. As with
-    {!null_observer}, the engine recognises this exact function (by
-    physical equality) when deciding whether idle rounds may be
-    fast-forwarded. *)
 
 val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r observer ->
-  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   graph:Countq_topology.Graph.t ->
@@ -196,23 +219,21 @@ val run :
   unit ->
   'r result
 (** Execute the protocol to quiescence (no queued, in-flight or
-    fault-delayed messages). Deterministic: same inputs (including the
-    fault plan's seed), same result; with no [faults] (or a started
-    {!Faults.none}) the execution is identical to the fault-free
-    engine's.
+    fault-delayed messages and no pending wake). Deterministic: same
+    inputs (including the fault plan's seed), same result; with no
+    [faults] (or a started {!Faults.none}) the execution is identical
+    to the fault-free engine's.
 
     [faults] injects per-transmission drop/duplicate/delay decisions
     and node crashes (see {!Faults}); query the runtime afterwards for
-    the injection tally. [keep_alive] is polled once per round: while
-    it returns [true] the engine keeps running rounds (ticking
-    protocols) even when the network is quiescent — the hook a
-    timeout-and-retransmit layer ({!Reliable}) uses to wait out its
-    retry timers. [max_rounds] still bounds the run.
+    the injection tally. A timeout-and-retransmit layer ({!Reliable})
+    waits out its retry timers with wakes. [max_rounds] still bounds
+    the run.
 
     [dynamic] attaches a started {!Dynamic} topology schedule: in each
-    round only the schedule's up nodes send, receive and tick (down
-    nodes keep their state, outbox and queued messages — crash with
-    rejoin), and a transmission over a down link is dropped at the
+    round only the schedule's up nodes send, receive and wake (down
+    nodes keep their state, outbox, queued messages and wakes — crash
+    with rejoin), and a transmission over a down link is dropped at the
     sender's end without consuming the fault plan's decision stream.
     The identity schedule is bit-identical to passing no [dynamic] at
     all, including the metrics recording and the fault plan's
@@ -221,8 +242,8 @@ val run :
     [metrics] attaches a per-node / per-edge counter recorder (see
     {!Metrics}). The recorder is passive: the run's result, observer
     stream and fault tallies are bit-identical with or without it
-    (pinned by a qcheck property), and — unlike a custom observer or
-    keep_alive — it does {e not} disable idle-round fast-forwarding,
+    (pinned by a qcheck property), and — unlike a custom observer —
+    it does {e not} disable idle-round fast-forwarding,
     because an idle round records nothing. Absent (the default), the
     hot paths pay a single predictable branch per message.
 

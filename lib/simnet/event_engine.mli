@@ -7,7 +7,7 @@
     topology — adjacency as index arithmetic, never materialised — and,
     when [?starters] is given, the kernel ({!Kernel}) assigns a node its
     slot at first touch (a start action, a delivered message, an
-    injection or a tick) through a dense node → slot map (a hash table
+    injection) through a dense node → slot map (a hash table
     above 2{^22} nodes). Messages sit in a pool of cells shared by all
     queues, so a quiet node holds no message buffers. A million-node
     one-shot arrow run touches a handful of nodes at any instant, plus
@@ -24,9 +24,9 @@
     bit-identical to {!Reference.run} on the materialised twin — same
     completions, rounds, messages, backlog, observer streams, fault
     tallies, metrics and {!Engine.Round_limit_exceeded} payloads (the
-    qcheck property in [test/test_equiv.ml]). Ticking protocols work
-    (at O(n) per round: a tick touches every node). One contract makes
-    laziness sound:
+    qcheck property in [test/test_equiv.ml]). Wakes cost O(log w) each
+    for w pending, so timer protocols pay only for the nodes that
+    asked. One contract makes laziness sound:
 
     - {b Declared starters.} [on_start] fires eagerly only on the
       [?starters] nodes (default: all nodes, which is drop-in but
@@ -42,14 +42,13 @@ type ('s, 'm, 'r) injection = ('s, 'm, 'r) Kernel.injection = {
   inject : 's -> 's * ('m, 'r) Engine.action list;
 }
 (** One scheduled event: at the tick position of round [at] (after the
-    round's deliveries, like {!Engine.protocol.on_tick}, and after the
-    ticks themselves when the protocol has them), [inject] is
-    applied to [node]'s current state; sends it issues enter the
-    network in round [at + 1]. Equivalent to — and pinned against — an
-    [on_tick] handler that fires the same closures, without the
-    O(n)-per-round scan. Under faults or churn an injection into a
-    node that is crashed or down at round [at] is dropped, exactly as
-    that node's tick would not have run. *)
+    round's deliveries and after that round's wakes, see
+    {!Engine.protocol.on_wake}), [inject] is applied to [node]'s current
+    state; sends it issues enter the network in round [at + 1].
+    Equivalent to — and pinned against — an [on_wake] handler that
+    fires the same closures at the same rounds. Under faults or churn
+    an injection into a node that is crashed or down at round [at] is
+    dropped (a wake would wait for the node instead). *)
 
 type stats = Kernel.stats = {
   mutable touched : int;  (** nodes materialised over the whole run. *)
@@ -70,7 +69,6 @@ val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r Engine.observer ->
-  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   ?sink:('r Engine.completion -> unit) ->
@@ -85,8 +83,8 @@ val run :
   'r Engine.result
 (** Run [protocol] on the implicit topology, on one shard. All
     optional hooks keep their {!Engine.run} meaning and gating (a
-    non-default observer or keep_alive disables quiescent-gap jumping,
-    exactly as there).
+    non-default observer disables quiescent-gap jumping, exactly as
+    there).
 
     [injections] must be sorted by [(at, node)] (duplicates allowed,
     fired in order). [halt_after] ends the run cleanly at the end of

@@ -351,6 +351,10 @@ let run ~graph ~protocol ~check ?(max_configs = 1_000_000) ?(reduce = true)
         split ~node ~round ((slot_of ~node dst, m) :: sends) fresh rest
     | Engine.Complete value :: rest ->
         split ~node ~round sends ({ Engine.node; round; value } :: fresh) rest
+    | Engine.Wake _ :: _ ->
+        (* Dropping it would explore fewer executions than the engines run. *)
+        invalid_arg
+          (Printf.sprintf "Explore.run: node %d asked for a Wake (no timer model)" node)
   in
   (* Place [node]'s sends in the id vector: onto their links when
      reducing (the collapsed transmit chain), else behind its outbox. *)

@@ -104,20 +104,22 @@ val run :
   unit ->
   outcome
 (** [run ~graph ~protocol ~check ()] explores every interleaving of the
-    protocol's one-shot execution ([on_start] at time 0; [on_tick] is
-    ignored) and applies [check] to the completion list of each
-    quiescent configuration. Completions are stamped with a monotone
-    event counter as their [round] (each transmit or delivery is one
-    event), taken from the representative execution that first reached
-    the configuration — stamps are monotone along that path but carry
-    no timing meaning, so check {e values}, not times. [reduce]
-    (default [true]) applies the partial-order reduction described
-    above; [pool] parallelises each frontier layer (the outcome is
-    identical with or without it). [max_configs] (default 1_000_000)
-    bounds the visited set; exceeding it yields {!Budget_exhausted}
-    with the partial stats rather than an error.
-    @raise Invalid_argument if [max_configs < 1], or if a state,
-    message or completion value holds a closure, lazy value or object.
+    protocol's one-shot execution ([on_start] at time 0; there is no
+    timer model, so any [Wake] action is rejected) and applies [check]
+    to the completion list of each quiescent configuration. Completions
+    are stamped with a monotone event counter as their [round] (each
+    transmit or delivery is one event), taken from the representative
+    execution that first reached the configuration — stamps are
+    monotone along that path but carry no timing meaning, so check
+    {e values}, not times. [reduce] (default [true]) applies the
+    partial-order reduction described above; [pool] parallelises each
+    frontier layer (the outcome is identical with or without it).
+    [max_configs] (default 1_000_000) bounds the visited set;
+    exceeding it yields {!Budget_exhausted} with the partial stats
+    rather than an error.
+    @raise Invalid_argument if [max_configs < 1], if a handler asks for
+    a [Wake], or if a state, message or completion value holds a
+    closure, lazy value or object.
     @raise Violation on a failing quiescent configuration (checked
     before the budget verdict, so a violation inside the explored
     prefix is always reported). *)

@@ -169,6 +169,11 @@ let crashed rt ~node ~round =
       && match c.recover_at with None -> true | Some r -> round < r)
     rt.rt_plan.plan_crashes
 
+let crashed_for_good rt ~node ~round =
+  List.exists
+    (fun c -> c.node = node && round >= c.at_round && c.recover_at = None)
+    rt.rt_plan.plan_crashes
+
 let note_crash_drop rt =
   rt.s <- { rt.s with crash_dropped = rt.s.crash_dropped + 1 }
 

@@ -32,8 +32,10 @@ type crash = {
   at_round : int;  (** first round the node is down. *)
   recover_at : int option;
       (** first round it is back up; [None] = crashed forever. While
-          down a node neither sends, receives nor ticks; messages
-          addressed to it are dropped (its local state survives). *)
+          down a node neither sends, receives nor wakes — a wake that
+          falls due waits for its first round back up, or is dropped
+          if it never comes back; messages addressed to it are dropped
+          (its local state survives). *)
 }
 
 type plan
@@ -125,6 +127,11 @@ val decide : runtime -> src:int -> dst:int -> round:int -> decision
     not themselves re-enter [decide]). *)
 
 val crashed : runtime -> node:int -> round:int -> bool
+
+val crashed_for_good : runtime -> node:int -> round:int -> bool
+(** Down in [round] by a crash with [recover_at = None]: the node never
+    comes back, so the engines drop a wake that falls due on it instead
+    of moving it to the next round. *)
 
 val note_crash_drop : runtime -> unit
 (** Engines record a message discarded at a crashed receiver. *)

@@ -8,8 +8,8 @@
                             remote ones into transfer buffers
      barrier
      all lanes:   DELIVER — apply sorted incoming transfers, then
-                            receive (arbiter, protocol), then tick,
-                            then injections, for own nodes
+                            receive (arbiter, protocol), then due
+                            wakes, then injections, for own nodes
      barrier
      coordinator: merge per-shard counter deltas, replay the round's
                   completions and observer events in (phase, node)
@@ -26,6 +26,13 @@
    order is observable — and the coordinator precomputes this round's
    crash/churn verdict for every node the DELIVER phase will examine,
    so fault-plan and schedule queries are never issued concurrently.
+
+   Wakes live in one heap per shard, keyed by (round, node): a node
+   only wakes itself, so its heap is its owning lane's and no wake
+   crosses the barrier. A wake whose node is down when it falls due
+   moves to the next round (or is dropped if the node is crashed for
+   good), so every entry popped in round t has round t exactly, and a
+   heap pops them in ascending node order.
 
    Node state lives in one slot-indexed store: parallel per-slot arrays
    (state, neighbours, outbox queue, arbiter pointer, list flags) plus
@@ -51,7 +58,7 @@
    - telemetry is per-window sums and maxima, merged by window index;
    - completions and observer events are tagged (phase, node) per round
      and merged in that order, which is the sequential chronological
-     order (phase 0 = time 0, 1 = receive, 2 = tick, 3 = injection).
+     order (phase 0 = time 0, 1 = receive, 2 = wake, 3 = injection).
 
    Everything a run owns lives in one record, [k], and the phases are
    top-level functions over it: setting up a run allocates the record
@@ -73,10 +80,9 @@ type config = {
   send_capacity : int;
   arbiter : arbiter;
   max_rounds : int;
-  min_rounds : int;
 }
 
-type ('m, 'r) action = Send of int * 'm | Complete of 'r
+type ('m, 'r) action = Send of int * 'm | Complete of 'r | Wake of int
 
 type ('s, 'm, 'r) protocol = {
   name : string;
@@ -84,8 +90,10 @@ type ('s, 'm, 'r) protocol = {
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
   on_receive :
     round:int -> node:int -> src:int -> 'm -> 's -> 's * ('m, 'r) action list;
-  on_tick : (round:int -> node:int -> 's -> 's * ('m, 'r) action list) option;
+  on_wake : round:int -> node:int -> 's -> 's * ('m, 'r) action list;
 }
+
+let no_wake ~round:_ ~node:_ s = (s, [])
 
 type 'r completion = { node : int; round : int; value : 'r }
 
@@ -121,7 +129,14 @@ let null_observer =
     on_round_end = (fun ~round:_ ~in_flight:_ -> `Continue);
   }
 
-let no_keep_alive () = false
+(* [earliest] is the first tick position still to come for a handler
+   running in [round]: a wake before it would never fire. *)
+let check_wake ~round ~earliest r =
+  if r < earliest then
+    invalid_arg
+      (Printf.sprintf
+         "Wake %d asked for in round %d: the earliest round it may name is %d" r
+         round earliest)
 
 type ('s, 'm, 'r) injection = {
   at : int;
@@ -216,6 +231,7 @@ type ('s, 'm, 'r) shard = {
   tel : Telemetry.t option;
   inj : ('s, 'm, 'r) injection array;  (* in global (round, node) order *)
   mutable inj_ptr : int;
+  wakes : (int * int, unit) Heap.t;  (* (round, node), own nodes only *)
   evs : (int * int * 'r event) buf;  (* replayed at the barrier *)
   (* The message cells of every queue of this shard's nodes: payload,
      successor and (outbox cells only) destination, grown together by
@@ -233,7 +249,6 @@ type ('s, 'm, 'r) k = {
   config : config;
   protocol : ('s, 'm, 'r) protocol;
   neighbors : int -> int array;  (* read once per node, at first touch *)
-  part : Partition.t option;  (* None: one shard, inline *)
   kshards : int;
   owner : int array;
   inline : bool;
@@ -244,8 +259,6 @@ type ('s, 'm, 'r) k = {
   dynamic : Dynamic.runtime option;
   observer : 'r observer;
   has_observer : bool;
-  keep_alive : unit -> bool;
-  can_fast_forward : bool;
   metrics : Metrics.t option;
   telemetry : Telemetry.t option;
   sink : ('r completion -> unit) option;
@@ -269,7 +282,8 @@ type ('s, 'm, 'r) k = {
   slot_map : int array;  (* on first touch, n <= dense_slot_limit *)
   slot_tbl : (int, int) Hashtbl.t;  (* on first touch, above it *)
   seen : Bytes.t;  (* pre-assigned with ?starters: touched nodes *)
-  blocked : Bytes.t;  (* this round's crash/churn verdicts *)
+  blocked : Bytes.t;  (* this round's verdicts: '\000' up, '\001' down,
+                        '\002' crashed for good *)
   shards : ('s, 'm, 'r) shard array;
   (* (src, dst, msg); buffer [p * kshards + r] is written by sending
      shard [p] and read by receiving shard [r], with the round barrier
@@ -303,7 +317,7 @@ let link_severed k ~src ~dst ~round =
   | Some dr -> not (Dynamic.link_up (Dynamic.sched dr) ~round ~u:src ~v:dst)
 
 let is_down k v ~round = Faults.crashed k.fr ~node:v ~round || node_down k v ~round
-let is_blocked k v = k.faulty && Bytes.unsafe_get k.blocked v = '\001'
+let is_blocked k v = k.faulty && Bytes.unsafe_get k.blocked v <> '\000'
 
 (* ---------------- the node store ------------------------------------ *)
 
@@ -514,6 +528,11 @@ let rec apply_actions k sh phase s v t actions =
         Bytes.unsafe_set k.on_send s '\001';
         Vec.push sh.senders v
       end;
+      apply_actions k sh phase s v t rest
+  | Wake r :: rest ->
+      let earliest = match phase with 0 -> 1 | 1 -> t | _ -> t + 1 in
+      check_wake ~round:t ~earliest r;
+      Heap.push sh.wakes (r, v) ();
       apply_actions k sh phase s v t rest
   | Complete value :: rest ->
       (match sh.tel with
@@ -739,28 +758,31 @@ let recv_shard k sh t =
   done;
   Vec.truncate rv !w
 
-(* Ticks fire on every node, so a ticking protocol is inherently
-   O(n)/round. Work issued at time [t] enters the network in round
-   [t + 1]. *)
-let tick_node k sh tick t v =
-  if not (is_blocked k v) then begin
-    let s = touch k sh v in
-    let old = k.states.(s) in
-    let s', actions = tick ~round:t ~node:v old in
-    store k s old s';
-    apply_actions k sh 2 s v t actions
-  end
+(* Fire this shard's wakes due in round [t], in node order, once per
+   node ([prev] skips the duplicates, which pop next to each other); a
+   blocked node's wake moves to round [t + 1], or is dropped if the
+   node is crashed for good. Work issued at time [t] enters the network
+   in round [t + 1]. *)
+let rec wake_shard k sh t prev =
+  match Heap.peek sh.wakes with
+  | Some (((r, v) as key), ()) when r <= t ->
+      ignore (Heap.pop sh.wakes);
+      if key = prev then ()
+      else if is_blocked k v then begin
+        if Bytes.unsafe_get k.blocked v = '\001' then Heap.push sh.wakes (t + 1, v) ()
+      end
+      else begin
+        let s = slot k v in
+        let old = k.states.(s) in
+        let s', actions = k.protocol.on_wake ~round:t ~node:v old in
+        store k s old s';
+        apply_actions k sh 2 s v t actions
+      end;
+      wake_shard k sh t key
+  | _ -> ()
 
-let tick_shard k sh tick t =
-  match k.part with
-  | None ->
-      for v = 0 to k.n - 1 do
-        tick_node k sh tick t v
-      done
-  | Some p -> Array.iter (tick_node k sh tick t) p.Partition.members.(sh.id)
-
-(* Injections fire at the tick position, after the ticks; a crashed or
-   churned-out node's injection is lost, as its tick would be. *)
+(* Injections fire at the tick position, after the wakes; a crashed or
+   churned-out node's injection is lost. *)
 let inject_shard k sh t =
   let arr = sh.inj in
   while sh.inj_ptr < Array.length arr && arr.(sh.inj_ptr).at <= t do
@@ -782,9 +804,7 @@ let inject_shard k sh t =
 let deliver_shard k sh t =
   if not k.inline then apply_transfers k sh t;
   recv_shard k sh t;
-  (match k.protocol.on_tick with
-  | None -> ()
-  | Some tick -> tick_shard k sh tick t);
+  wake_shard k sh t (-1, -1);
   inject_shard k sh t
 
 let job_send = 1
@@ -997,24 +1017,25 @@ let send_faulty k t =
   if k.inline then Vec.truncate all !w
 
 (* This round's crash/churn verdicts for every node the DELIVER phase
-   will consult: queued receivers, due injections, and (tick protocols)
-   everybody. *)
+   will consult: queued receivers, due wakes and due injections. A wake
+   a receive asks for in round [t] is its receiver's, already here. *)
 let precompute_blocked k t =
   let verdict v =
-    Bytes.unsafe_set k.blocked v (if is_down k v ~round:t then '\001' else '\000')
+    Bytes.unsafe_set k.blocked v
+      (if Faults.crashed_for_good k.fr ~node:v ~round:t then '\002'
+       else if is_down k v ~round:t then '\001'
+       else '\000')
   in
-  match k.protocol.on_tick with
-  | Some _ ->
-      for v = 0 to k.n - 1 do
-        verdict v
-      done
-  | None ->
-      Array.iter (fun sh -> Vec.iter verdict sh.receivers) k.shards;
-      let p = ref k.ginj_ptr in
-      while !p < Array.length k.injections && k.injections.(!p).at <= t do
-        verdict k.injections.(!p).node;
-        incr p
-      done
+  Array.iter
+    (fun sh ->
+      Vec.iter verdict sh.receivers;
+      Heap.iter_upto sh.wakes (t, max_int) (fun (_, v) () -> verdict v))
+    k.shards;
+  let p = ref k.ginj_ptr in
+  while !p < Array.length k.injections && k.injections.(!p).at <= t do
+    verdict k.injections.(!p).node;
+    incr p
+  done
 
 (* ---------------- coordinator: round-end bookkeeping --------------- *)
 
@@ -1109,9 +1130,17 @@ let round_end k t =
   k.has_observer
   && k.observer.on_round_end ~round:t ~in_flight:(in_flight k) = `Halt
 
-(* The next held-message or injection due round, or max_int. *)
+let wakes_pending k = Array.exists (fun sh -> not (Heap.is_empty sh.wakes)) k.shards
+
+(* The next held-message, wake or injection due round, or max_int. *)
 let next_event k =
   let due = match Heap.peek k.held with Some ((d, _), _) -> d | None -> max_int in
+  let due =
+    Array.fold_left
+      (fun due sh ->
+        match Heap.peek sh.wakes with Some ((r, _), ()) -> min due r | None -> due)
+      due k.shards
+  in
   if k.ginj_ptr < Array.length k.injections then
     min due k.injections.(k.ginj_ptr).at
   else due
@@ -1153,27 +1182,23 @@ let execute k ~dispatch ~starters ~halt_after =
     (not !halted)
     && (k.outstanding > 0 || k.queued > 0 || k.held_count > 0
        || k.ginj_ptr < Array.length k.injections
-       || !round < config.min_rounds
-       || k.keep_alive ())
+       || wakes_pending k)
   do
     incr round;
     let t = !round in
     if t > halt_cap then halted := true
     else begin
       if t > config.max_rounds then raise_round_limit k;
-      (* Quiescent and unobservable: jump to the round before the next
-         held-message or injection due round, else to [min_rounds]; the
-         cap keeps the limit check above authoritative. *)
+      (* Quiescent and unobserved: jump to the round before the next
+         held-message, wake or injection due round (one exists, or the
+         loop would have ended); the cap keeps the limit check above
+         authoritative. *)
       let next =
-        if k.can_fast_forward && k.outstanding = 0 && k.queued = 0 then
+        if (not k.has_observer) && k.outstanding = 0 && k.queued = 0 then
           next_event k
         else t
       in
-      if next > t then
-        round :=
-          max t
-            (if next = max_int then min config.min_rounds config.max_rounds
-             else min (next - 1) config.max_rounds)
+      if next > t then round := max t (min (next - 1) config.max_rounds)
       else begin
         if k.faulty then begin
           flush_held k t;
@@ -1241,9 +1266,9 @@ let assemble k =
     expansion = k.config.receive_capacity;
   }
 
-let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
-    ?(keep_alive = no_keep_alive) ?metrics ?telemetry ?sink ?(injections = [||])
-    ?halt_after ?stats ?starters ~n ~degree ~neighbors ~config ~protocol () =
+let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
+    ?telemetry ?sink ?(injections = [||]) ?halt_after ?stats ?starters ~n ~degree
+    ~neighbors ~config ~protocol () =
   let fail msg = invalid_arg (who ^ ": " ^ msg) in
   if config.receive_capacity < 1 || config.send_capacity < 1 then
     fail "capacities must be >= 1";
@@ -1263,13 +1288,10 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
     end
   done;
   (* A one-shard partition is the inline path: no lanes, no owner map. *)
-  let part =
-    match part with Some p when p.Partition.shards > 1 -> Some p | _ -> None
-  in
   let kshards, owner =
     match part with
-    | Some p -> (p.Partition.shards, p.Partition.owner)
-    | None -> (1, [||])
+    | Some p when p.Partition.shards > 1 -> (p.Partition.shards, p.Partition.owner)
+    | _ -> (1, [||])
   in
   let inline = kshards = 1 in
   let faulty = Option.is_some faults || Option.is_some dynamic in
@@ -1282,7 +1304,8 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
   let slots = if dense then n else 0 in
   (* A lazily started pre-assigned store shares one filler until each
      node's first touch ([materialise]). The filler is node 0's state,
-     not a starter's: a ticking run may name no starters at all. *)
+     not a starter's: an injection-driven run may name no starters at
+     all. *)
   let states =
     if not dense || n = 0 then [||]
     else if lazy_start then Array.make n (protocol.initial_state 0)
@@ -1342,6 +1365,7 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
               telemetry;
           inj = inj_of.(id);
           inj_ptr = 0;
+          wakes = Heap.create ();
           evs = buf ();
           msgs = [||];
           next = [||];
@@ -1356,7 +1380,6 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
       config;
       protocol;
       neighbors;
-      part;
       kshards;
       owner;
       inline;
@@ -1366,16 +1389,10 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer)
       fr = (match faults with Some fr -> fr | None -> Faults.start Faults.none);
       dynamic;
       observer;
-      has_observer;
-      keep_alive;
       (* Idle rounds may be skipped wholesale only when nothing
-         observable can happen in them: no tick handler, the do-nothing
-         observer and the default keep_alive (both recognised by
-         physical equality). *)
-      can_fast_forward =
-        Option.is_none protocol.on_tick
-        && (not has_observer)
-        && keep_alive == no_keep_alive;
+         observable can happen in them: the do-nothing observer,
+         recognised by physical equality. *)
+      has_observer;
       metrics;
       telemetry;
       sink;

@@ -19,10 +19,9 @@ type config = {
   send_capacity : int;
   arbiter : arbiter;
   max_rounds : int;
-  min_rounds : int;
 }
 
-type ('m, 'r) action = Send of int * 'm | Complete of 'r
+type ('m, 'r) action = Send of int * 'm | Complete of 'r | Wake of int
 
 type ('s, 'm, 'r) protocol = {
   name : string;
@@ -33,8 +32,14 @@ type ('s, 'm, 'r) protocol = {
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
   on_receive :
     round:int -> node:int -> src:int -> 'm -> 's -> 's * ('m, 'r) action list;
-  on_tick : (round:int -> node:int -> 's -> 's * ('m, 'r) action list) option;
+  on_wake : round:int -> node:int -> 's -> 's * ('m, 'r) action list;
 }
+
+val no_wake : round:int -> node:int -> 's -> 's * ('m, 'r) action list
+
+val check_wake : round:int -> earliest:int -> int -> unit
+(** The [Invalid_argument] every engine raises for a [Wake r] with
+    [r < earliest], asked for by a handler running in [round]. *)
 
 type 'r completion = { node : int; round : int; value : 'r }
 
@@ -64,7 +69,6 @@ type 'r observer = {
 }
 
 val null_observer : 'r observer
-val no_keep_alive : unit -> bool
 
 type ('s, 'm, 'r) injection = {
   at : int;
@@ -88,7 +92,6 @@ val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r observer ->
-  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   ?sink:('r completion -> unit) ->

@@ -3,7 +3,7 @@
 
    This is the dense O(n)-per-round implementation the optimised
    {!Engine} replaced: every round scans all n nodes in the send,
-   receive and tick phases, neighbour lookups go through a per-node
+   receive and wake phases, neighbour lookups go through a per-node
    Hashtbl, and completions accumulate in a list. Keep it boring and
    keep it verbatim — its only job is to define, operationally, what
    "bit-identical" means for the equivalence properties in
@@ -25,8 +25,8 @@ type 'm node_rt = {
   mutable pending : int;
 }
 
-let run ?faults ?dynamic ?(observer = null_observer)
-    ?(keep_alive = fun () -> false) ?metrics ~graph ~config ~protocol () =
+let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
+    ~protocol () =
   if config.receive_capacity < 1 || config.send_capacity < 1 then
     invalid_arg "Engine.run: capacities must be >= 1";
   let n = Graph.n graph in
@@ -55,10 +55,15 @@ let run ?faults ?dynamic ?(observer = null_observer)
   let held : (int * int, int * int * 'm) Heap.t = Heap.create () in
   let held_count = ref 0 in
   let held_seq = ref 0 in
+  (* Rounds each node asked to be woken in, not yet fired. *)
+  let wakes = Array.make n [] in
   let crashed v round =
     match faults with
     | None -> false
     | Some fr -> Faults.crashed fr ~node:v ~round
+  in
+  let gone v round =
+    match faults with Some fr -> Faults.crashed_for_good fr ~node:v ~round | None -> false
   in
   let dyn_down v round =
     match dynamic with
@@ -73,10 +78,13 @@ let run ?faults ?dynamic ?(observer = null_observer)
     | None -> false
     | Some dr -> not (Dynamic.link_up (Dynamic.sched dr) ~round ~u ~v:w)
   in
-  let apply_actions v round actions =
+  let apply_actions v round ~earliest actions =
     List.iter
       (fun action ->
         match action with
+        | Wake r ->
+            Kernel.check_wake ~round ~earliest r;
+            wakes.(v) <- r :: wakes.(v)
         | Send (dst, msg) ->
             if not (Hashtbl.mem rt.(v).nbr_index dst) then
               raise (Not_a_neighbor { node = v; dst });
@@ -91,7 +99,7 @@ let run ?faults ?dynamic ?(observer = null_observer)
   for v = 0 to n - 1 do
     let s, actions = protocol.on_start ~node:v states.(v) in
     states.(v) <- s;
-    apply_actions v 0 actions
+    apply_actions v 0 ~earliest:1 actions
   done;
   (* Picks the sender whose queue head should be delivered next, per the
      configured arbitration policy. Returns the incoming-queue index. *)
@@ -166,7 +174,7 @@ let run ?faults ?dynamic ?(observer = null_observer)
   while
     (not !halted)
     && (!outstanding_sends > 0 || !queued_total > 0 || !held_count > 0
-       || !round < config.min_rounds || keep_alive ())
+       || Array.exists (fun l -> l <> []) wakes)
   do
     incr round;
     if !round > config.max_rounds then begin
@@ -284,22 +292,24 @@ let run ?faults ?dynamic ?(observer = null_observer)
                 protocol.on_receive ~round:t ~node:v ~src msg states.(v)
               in
               states.(v) <- s;
-              apply_actions v t actions
+              apply_actions v t ~earliest:t actions
         done
       end
     done;
-    (* Tick phase: work issued at time [t] enters the network in round
-       [t + 1], mirroring the one-shot requests issued at time 0. *)
-    (match protocol.on_tick with
-    | None -> ()
-    | Some tick ->
-        for v = 0 to n - 1 do
-          if not (down v t) then begin
-            let s, actions = tick ~round:t ~node:v states.(v) in
-            states.(v) <- s;
-            apply_actions v t actions
-          end
-        done);
+    (* Wake phase: every node with a wake due by [t] fires once; a
+       down node keeps its wakes for its next round up, and a node
+       crashed for good loses them. Work issued at time [t] enters the
+       network in round [t + 1], mirroring the one-shot requests issued
+       at time 0. *)
+    for v = 0 to n - 1 do
+      if gone v t then wakes.(v) <- List.filter (fun r -> r > t) wakes.(v)
+      else if List.exists (fun r -> r <= t) wakes.(v) && not (down v t) then begin
+        wakes.(v) <- List.filter (fun r -> r > t) wakes.(v);
+        let s, actions = protocol.on_wake ~round:t ~node:v states.(v) in
+        states.(v) <- s;
+        apply_actions v t ~earliest:(t + 1) actions
+      end
+    done;
     let in_flight = !outstanding_sends + !queued_total + !held_count in
     (match observer.on_round_end ~round:t ~in_flight with
     | `Continue -> ()

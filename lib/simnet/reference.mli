@@ -17,7 +17,6 @@ val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r Engine.observer ->
-  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   graph:Countq_topology.Graph.t ->
   config:Engine.config ->

@@ -15,6 +15,7 @@ type ('s, 'm) state = {
   unacked : (int * int, 'm pending) Hashtbl.t;  (** (dst, seq). *)
   next_expected : (int, int) Hashtbl.t;  (** src -> next seq to release. *)
   buffer : (int * int, 'm) Hashtbl.t;  (** out-of-order payloads. *)
+  inner_wakes : Engine.inner_wakes;
 }
 
 type stats = {
@@ -28,15 +29,12 @@ type stats = {
 (* Shared by every node's handlers, which a sharded run calls from
    several domains at once: the counters are atomic. *)
 type handle = {
-  outstanding : int Atomic.t;
   r_data_sent : int Atomic.t;
   r_retransmits : int Atomic.t;
   r_acks_sent : int Atomic.t;
   r_duplicates_ignored : int Atomic.t;
   r_gave_up : int Atomic.t;
 }
-
-let keep_alive h () = Atomic.get h.outstanding > 0
 
 let stats h =
   {
@@ -58,7 +56,6 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
   if max_retries < 0 then invalid_arg "Reliable.wrap: max_retries must be >= 0";
   let h =
     {
-      outstanding = Atomic.make 0;
       r_data_sent = Atomic.make 0;
       r_retransmits = Atomic.make 0;
       r_acks_sent = Atomic.make 0;
@@ -66,22 +63,27 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
       r_gave_up = Atomic.make 0;
     }
   in
+  (* Every retransmit timer wakes its node when it falls due; a timer
+     whose payload was acked meanwhile wakes it for nothing. *)
   let send_data st ~round dst payload =
     let seq = Option.value (Hashtbl.find_opt st.next_seq dst) ~default:0 in
     Hashtbl.replace st.next_seq dst (seq + 1);
-    Hashtbl.replace st.unacked (dst, seq)
-      { p_dst = dst; payload; retries = 0; due = round + ack_timeout };
-    Atomic.incr h.outstanding;
+    let due = round + ack_timeout in
+    Hashtbl.replace st.unacked (dst, seq) { p_dst = dst; payload; retries = 0; due };
     Atomic.incr h.r_data_sent;
-    Engine.Send (dst, Data { seq; payload })
+    [ Engine.Send (dst, Data { seq; payload }); Engine.Wake due ]
   in
-  (* Inner actions become numbered, tracked transmissions. *)
+  (* Inner actions become numbered, tracked transmissions; the inner
+     protocol's own wakes are noted so it is woken only when it asked. *)
   let lift st ~round actions =
-    List.map
+    List.concat_map
       (fun action ->
         match action with
         | Engine.Send (dst, m) -> send_data st ~round dst m
-        | Engine.Complete r -> Engine.Complete r)
+        | Engine.Complete r -> [ Engine.Complete r ]
+        | Engine.Wake r ->
+            Engine.note_wake st.inner_wakes r;
+            [ Engine.Wake r ])
       actions
   in
   let initial_state v =
@@ -91,6 +93,7 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
       unacked = Hashtbl.create 8;
       next_expected = Hashtbl.create 4;
       buffer = Hashtbl.create 8;
+      inner_wakes = ref [];
     }
   in
   let on_start ~node st =
@@ -121,11 +124,7 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
   let on_receive ~round ~node ~src msg st =
     match msg with
     | Ack { seq } ->
-        (match Hashtbl.find_opt st.unacked (src, seq) with
-        | Some _ ->
-            Hashtbl.remove st.unacked (src, seq);
-            Atomic.decr h.outstanding
-        | None -> ());
+        Hashtbl.remove st.unacked (src, seq);
         (st, [])
     | Data { seq; payload } ->
         Atomic.incr h.r_acks_sent;
@@ -142,7 +141,7 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
           (st, ack :: release st ~round ~node ~src)
         end
   in
-  let on_tick ~round ~node st =
+  let on_wake ~round ~node st =
     (* Fire the retransmit timers due this round, oldest link first so
        the scan order is independent of hash-table internals. *)
     let due =
@@ -152,13 +151,12 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
       |> List.sort compare
     in
     let resends =
-      List.filter_map
+      List.concat_map
         (fun ((_, seq), pending) ->
           if pending.retries >= max_retries then begin
             Hashtbl.remove st.unacked (pending.p_dst, seq);
-            Atomic.decr h.outstanding;
             Atomic.incr h.r_gave_up;
-            None
+            []
           end
           else begin
             pending.retries <- pending.retries + 1;
@@ -170,19 +168,16 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
             (match telemetry with
             | Some tl -> Telemetry.note_retransmit tl ~round
             | None -> ());
-            Some (Engine.Send (pending.p_dst, Data { seq; payload = pending.payload }))
+            [
+              Engine.Send (pending.p_dst, Data { seq; payload = pending.payload });
+              Engine.Wake pending.due;
+            ]
           end)
         due
     in
-    let st, inner_actions =
-      match p.Engine.on_tick with
-      | None -> (st, [])
-      | Some tick ->
-          let inner, acts = tick ~round ~node st.inner in
-          st.inner <- inner;
-          (st, lift st ~round acts)
-    in
-    (st, resends @ inner_actions)
+    let inner, acts = Engine.forward_wake st.inner_wakes p ~round ~node st.inner in
+    st.inner <- inner;
+    (st, resends @ lift st ~round acts)
   in
   let protocol =
     {
@@ -190,7 +185,7 @@ let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
       initial_state;
       on_start;
       on_receive;
-      on_tick = Some on_tick;
+      on_wake;
     }
   in
   (protocol, h)

@@ -12,26 +12,22 @@
     underneath — the classic end-to-end argument, one hop at a time.
 
     Costs are real and measurable: every payload earns an ack (≈2× the
-    message count) and a retransmit timer needs the engine to keep
-    ticking while waiting, which is what the [keep_alive] hook feeds
-    to {!Engine.run}. Run the wrapped protocol like this:
+    message count), and every retransmit timer is a [Wake] at its due
+    round, which keeps the run alive until the timer fires — also when
+    the ack came first, so a run may end with a few idle rounds after
+    its last ack. Run the wrapped protocol like this:
 
     {[
       let protocol, h = Reliable.wrap inner in
-      let res =
-        Engine.run ~faults ~keep_alive:(Reliable.keep_alive h)
-          ~graph ~config ~protocol ()
-      in
+      let res = Engine.run ~faults ~graph ~config ~protocol () in
       let overhead = Reliable.stats h in
       ...
     ]}
 
-    The wrapper relies on per-round ticks for its timers, so it heals
-    faults only under the synchronous round kernel — {!Engine.run},
-    {!Event_engine.run} or {!Shard}, at any shard count ([keep_alive]
-    is polled on the coordinator between barriers, and the handle's
+    It runs under every front of the round kernel — {!Engine.run},
+    {!Event_engine.run} or {!Shard}, at any shard count (the handle's
     counters are atomic). The [telemetry] recorder passed to {!wrap} is
-    written from the tick handlers unsynchronised, so attach it only to
+    written from the wake handlers unsynchronised, so attach it only to
     single-shard runs. The handle and the node
     states carry mutable tables: wrap afresh for every run (and do not
     feed a wrapped protocol to the exhaustive [Explore] checker, which
@@ -73,11 +69,6 @@ val wrap :
     recorder passed to the engine) attributes each retransmission to
     its sending node via {!Metrics.note_retransmit}.
     @raise Invalid_argument if [ack_timeout < 1] or [max_retries < 0]. *)
-
-val keep_alive : handle -> unit -> bool
-(** True while any payload awaits an ack — pass to {!Engine.run} so
-    the engine keeps ticking (and timers keep firing) across rounds in
-    which the network is otherwise silent. *)
 
 val stats : handle -> stats
 

@@ -24,15 +24,16 @@
     [(round, phase, node)] order, which is precisely the sequential
     engine's chronological push order. The result is {e bit-identical}
     to {!Reference.run} for every shard count — qcheck-pinned in
-    [test_equiv.ml] with [?metrics], [?observer], [?faults],
-    [?dynamic] and [?keep_alive] attached, and against the single-shard
+    [test_equiv.ml] with [?metrics], [?observer], [?faults] and
+    [?dynamic] attached and with protocols that ask for wakes, and
+    against the single-shard
     run for [?telemetry], [?sink], [?injections] and [?stats] in
     [test_shard.ml].
 
     When a fault plan or dynamic schedule is attached, the send phase
     runs sequentially on the coordinator (the fault decision stream is
     a single mutable sequence whose global transmission order is
-    observable), while the receive/tick/injection phases — where the
+    observable), while the receive/wake/injection phases — where the
     protocol work happens — stay parallel; crash/churn guards for those
     phases are precomputed by the coordinator each round, so schedule
     queries never race.
@@ -45,10 +46,9 @@
     [on_deliver] and [on_complete] at a node) is exactly the sequential
     one. [on_round_end] fires on the coordinator after the merge, with
     the engines' [in_flight] accounting, and its [`Halt] verdict stops
-    the run. [?keep_alive] is polled on the coordinator between rounds
-    and gates quiescent-gap jumping exactly as in {!Engine.run}; a
-    keep_alive that reads state written by the protocol's handlers
-    sees it after the barrier.
+    the run. Each shard keeps its own nodes' wakes in its own heap (a
+    node only wakes itself), so wakes add no cross-shard traffic and
+    no barrier.
 
     Both functions are fronts of the round kernel ({!Kernel}). Sharded
     runs pre-assign node slots (arrays sized [n] up front); with an
@@ -67,7 +67,6 @@ val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r Engine.observer ->
-  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   graph:Countq_topology.Graph.t ->
@@ -85,9 +84,9 @@ val run :
     with no budget the run degrades to the sharded data path on the
     calling domain alone. [shards = 1] runs exactly as {!Engine.run}.
 
-    Tick-driven protocols are supported (each shard ticks its own
-    nodes). A [Custom] arbiter, the protocol's handlers and [keep_alive]
-    must not share unsynchronised mutable state across nodes: handlers
+    Protocols that ask for wakes are supported (each shard wakes its
+    own nodes). A [Custom] arbiter and the protocol's handlers must not
+    share unsynchronised mutable state across nodes: handlers
     for different shards run concurrently on several domains.
     @raise Invalid_argument if [shards < 1] or the partition does not
     cover the graph's nodes. *)
@@ -99,7 +98,6 @@ val run_implicit :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
   ?observer:'r Engine.observer ->
-  ?keep_alive:(unit -> bool) ->
   ?metrics:Metrics.t ->
   ?telemetry:Telemetry.t ->
   ?sink:('r Engine.completion -> unit) ->
@@ -116,7 +114,7 @@ val run_implicit :
     optional machinery (completion [sink] — invoked in chronological
     order, drained at each round barrier; per-event [observer],
     replayed at the barrier in the sequential callback order — see the
-    module preamble; [keep_alive]; scheduled [injections];
+    module preamble; scheduled [injections];
     [halt_after]; [stats]; [starters]). [partition] defaults to
     [Partition.contiguous]. [shards = 1] runs exactly as
     {!Event_engine.run}, including its on-first-touch store when

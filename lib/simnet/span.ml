@@ -65,7 +65,8 @@ let instrument ?(injects = []) ~op_of_msg ~op_of_completion
             | None -> ()
             | Some op ->
                 let a = get op round in
-                if a.a_completion = None then a.a_completion <- Some round))
+                if a.a_completion = None then a.a_completion <- Some round)
+        | Engine.Wake _ -> ())
       actions
   in
   let record_delivery round node src msg =
@@ -100,13 +101,11 @@ let instrument ?(injects = []) ~op_of_msg ~op_of_completion
           let s, actions = p.Engine.on_receive ~round ~node ~src msg s in
           record_actions round node actions;
           (s, actions));
-      on_tick =
-        Option.map
-          (fun tick ~round ~node s ->
-            let s, actions = tick ~round ~node s in
-            record_actions round node actions;
-            (s, actions))
-          p.Engine.on_tick;
+      on_wake =
+        (fun ~round ~node s ->
+          let s, actions = p.Engine.on_wake ~round ~node s in
+          record_actions round node actions;
+          (s, actions));
     }
   in
   let snapshot () =

@@ -21,7 +21,8 @@ let instrument (p : _ Engine.protocol) =
       (fun action ->
         match action with
         | Engine.Send (dst, _) -> record (Queued_send { round; node; dst })
-        | Engine.Complete _ -> record (Completed { round; node }))
+        | Engine.Complete _ -> record (Completed { round; node })
+        | Engine.Wake _ -> ())
       actions
   in
   let p' =
@@ -38,13 +39,11 @@ let instrument (p : _ Engine.protocol) =
           let s, actions = p.Engine.on_receive ~round ~node ~src msg s in
           record_actions round node actions;
           (s, actions));
-      on_tick =
-        Option.map
-          (fun tick ~round ~node s ->
-            let s, actions = tick ~round ~node s in
-            record_actions round node actions;
-            (s, actions))
-          p.Engine.on_tick;
+      on_wake =
+        (fun ~round ~node s ->
+          let s, actions = p.Engine.on_wake ~round ~node s in
+          record_actions round node actions;
+          (s, actions));
     }
   in
   (p', fun () -> List.rev !log)

@@ -1,41 +1,18 @@
 (* Node-set partitions for the sharded engine. See partition.mli. *)
 
-type t = {
-  label : string;
-  shards : int;
-  owner : int array;
-  members : int array array;
-}
-
-let members_of_owner ~n ~shards owner =
-  let counts = Array.make shards 0 in
-  for v = 0 to n - 1 do
-    counts.(owner.(v)) <- counts.(owner.(v)) + 1
-  done;
-  let members = Array.map (fun c -> Array.make c 0) counts in
-  let fill = Array.make shards 0 in
-  for v = 0 to n - 1 do
-    let s = owner.(v) in
-    members.(s).(fill.(s)) <- v;
-    fill.(s) <- fill.(s) + 1
-  done;
-  members
+type t = { label : string; shards : int; owner : int array }
 
 let contiguous ~n ~shards =
   if n < 0 then invalid_arg "Partition.contiguous: n < 0";
   if shards < 1 then invalid_arg "Partition.contiguous: shards < 1";
+  (* The first [extra] ranges hold [base + 1] nodes, the rest [base]. *)
   let base = n / shards and extra = n mod shards in
-  let owner = Array.make (max 1 n) 0 in
-  let v = ref 0 in
-  for s = 0 to shards - 1 do
-    let size = base + if s < extra then 1 else 0 in
-    for _ = 1 to size do
-      owner.(!v) <- s;
-      incr v
-    done
-  done;
-  let owner = if n = 0 then [||] else Array.sub owner 0 n in
-  { label = "contiguous"; shards; owner; members = members_of_owner ~n ~shards owner }
+  let split = extra * (base + 1) in
+  let owner =
+    Array.init n (fun v ->
+        if v < split then v / (base + 1) else extra + ((v - split) / base))
+  in
+  { label = "contiguous"; shards; owner }
 
 let greedy ~graph ~shards =
   if shards < 1 then invalid_arg "Partition.greedy: shards < 1";
@@ -71,9 +48,12 @@ let greedy ~graph ~shards =
       end
     done
   done;
-  { label = "greedy"; shards; owner; members = members_of_owner ~n ~shards owner }
+  { label = "greedy"; shards; owner }
 
-let shard_sizes p = Array.map Array.length p.members
+let shard_sizes p =
+  let sizes = Array.make p.shards 0 in
+  Array.iter (fun s -> sizes.(s) <- sizes.(s) + 1) p.owner;
+  sizes
 
 let cut_edges ~neighbors p =
   let cut = ref 0 in
@@ -86,27 +66,9 @@ let cut_edges ~neighbors p =
   !cut
 
 let validate p =
-  let n = Array.length p.owner in
   if p.shards < 1 then invalid_arg "Partition.validate: shards < 1";
-  if Array.length p.members <> p.shards then
-    invalid_arg "Partition.validate: members length <> shards";
-  let seen = Array.make n false in
-  Array.iteri
-    (fun s ms ->
-      let prev = ref (-1) in
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then invalid_arg "Partition.validate: node out of range";
-          if v <= !prev then invalid_arg "Partition.validate: members not ascending";
-          prev := v;
-          if seen.(v) then invalid_arg "Partition.validate: node in two shards";
-          seen.(v) <- true;
-          if p.owner.(v) <> s then invalid_arg "Partition.validate: owner mismatch")
-        ms)
-    p.members;
-  Array.iteri
-    (fun v o ->
+  Array.iter
+    (fun o ->
       if o < 0 || o >= p.shards then
-        invalid_arg "Partition.validate: owner out of range";
-      if not seen.(v) then invalid_arg "Partition.validate: node unassigned")
+        invalid_arg "Partition.validate: owner out of range")
     p.owner

@@ -19,8 +19,6 @@ type t = {
   label : string;  (** ["contiguous"] or ["greedy"]. *)
   shards : int;  (** Number of shards, >= 1 (some may be empty). *)
   owner : int array;  (** [owner.(v)] is the shard of node [v]. *)
-  members : int array array;
-      (** [members.(s)] lists shard [s]'s nodes in ascending order. *)
 }
 
 val contiguous : n:int -> shards:int -> t
@@ -47,6 +45,6 @@ val cut_edges : neighbors:(int -> int array) -> t -> int
     materialised graphs and implicit topologies). *)
 
 val validate : t -> unit
-(** Check internal consistency: every node owned by exactly the shard
-    whose member list contains it, member lists ascending and disjoint.
+(** Check internal consistency: at least one shard, and every node
+    owned by a shard in [0 .. shards-1].
     @raise Invalid_argument on any violation (used by tests). *)

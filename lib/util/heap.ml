@@ -73,3 +73,17 @@ let pop h =
   end
 
 let pop_exn h = match pop h with Some kv -> kv | None -> raise Not_found
+
+(* A subtree's keys are all at least its root's: prune past [bound]. *)
+let iter_upto h bound f =
+  let rec go i =
+    if i < h.size then begin
+      let e = get h i in
+      if compare e.key bound <= 0 then begin
+        f e.key e.value;
+        go ((2 * i) + 1);
+        go ((2 * i) + 2)
+      end
+    end
+  in
+  go 0

@@ -25,3 +25,7 @@ val pop : ('k, 'v) t -> ('k * 'v) option
 
 val pop_exn : ('k, 'v) t -> 'k * 'v
 (** @raise Not_found on an empty heap. *)
+
+val iter_upto : ('k, 'v) t -> 'k -> ('k -> 'v -> unit) -> unit
+(** [iter_upto h bound f] applies [f], in no set order, to every entry
+    whose key is at most [bound]. *)

@@ -104,10 +104,22 @@ let pick_nbr graph v h =
 (* Roughly a third of the nodes start a bounded-ttl random walk that
    forks with fanout 0..2 per hop and sprinkles completions. [starts]
    gates on_start to a request subset, so the lazy-starter contract
-   holds off the subset. *)
-let hash_protocol ?starts ~seed ~graph () =
+   holds off the subset. With [wakes], handlers also ask for wakes:
+   near and far-future ones at time 0, same-round and later ones from
+   receives, some twice over, and a woken node sends, completes and
+   sometimes asks again. *)
+let hash_protocol ?starts ?(wakes = false) ~seed ~graph () =
   let may_start node =
     match starts with None -> true | Some l -> List.mem node l
+  in
+  let wake_at h ~near ~far =
+    if not wakes then []
+    else
+      match h mod 12 with
+      | 0 | 1 | 2 -> [ Engine.Wake near ]
+      | 3 -> [ Engine.Wake near; Engine.Wake near ]
+      | 4 -> [ Engine.Wake far ]
+      | _ -> []
   in
   {
     Engine.name = "qcheck-hash";
@@ -129,7 +141,7 @@ let hash_protocol ?starts ~seed ~graph () =
             if h mod 7 = 0 then Engine.Complete (node, h land 0xff) :: acts
             else acts
           in
-          (s, acts));
+          (s, acts @ wake_at (h lsr 3) ~near:(1 + (h mod 5)) ~far:(300 + (h mod 50))));
     on_receive =
       (fun ~round ~node ~src m s ->
         let h = mix (mix s m.tag) (mix src round) in
@@ -146,12 +158,29 @@ let hash_protocol ?starts ~seed ~graph () =
              | None -> ()
            done);
         if h mod 5 = 0 then acts := Engine.Complete (node, m.tag) :: !acts;
-        (mix s (m.tag + 1), !acts));
-    on_tick = Engine.no_tick;
+        let later = round + (h lsr 5 mod 3) in
+        (mix s (m.tag + 1), !acts @ wake_at (h lsr 3) ~near:later ~far:(round + 200)));
+    on_wake =
+      (fun ~round ~node s ->
+        let h = mix s (mix round node) in
+        let acts =
+          match pick_nbr graph node h with
+          | Some d when h mod 2 = 0 ->
+              [ Engine.Send (d, { ttl = 1 + (h mod 3); tag = h land 0xffff }) ]
+          | _ -> []
+        in
+        let acts =
+          if h mod 3 = 0 then Engine.Complete (node, h land 0xff) :: acts else acts
+        in
+        let again =
+          if h lsr 4 mod 4 = 0 then [ Engine.Wake (round + 1 + (h mod 4)) ] else []
+        in
+        let acts = acts @ again in
+        (mix s h, acts));
   }
 
 (* What one scheduled event does at (round, node): a pure function of
-   the seed, shared by the injection and on_tick encodings. *)
+   the seed, shared by the injection and on_wake encodings. *)
 let fire ~seed ~graph ~round ~node s =
   let h = mix seed (mix round node) in
   let acts =
@@ -191,6 +220,9 @@ let plan_of = function
   | 7 ->
       Faults.crash_only ~label:"crash-restart"
         [ { node = 0; at_round = 2; recover_at = Some 6 } ]
+  | 9 ->
+      Faults.crash_only ~label:"crash-for-good"
+        [ { node = 1; at_round = 3; recover_at = None } ]
   | _ -> Faults.random ~label:"jitter" ~seed:9L ~delay:0.4 ~delay_max:30 ()
 
 let plan_label p = if p = 0 then "-" else Faults.label (plan_of p)
@@ -210,18 +242,16 @@ let dyn_label = function
   | 2 -> "churn"
   | _ -> "flaps"
 
-let config_of (rc, sc, arb, minr, maxr) =
+let config_of (rc, sc, arb, maxr) =
   {
     Engine.receive_capacity = rc;
     send_capacity = sc;
     arbiter = arbiter_of arb;
     max_rounds = maxr;
-    min_rounds = minr;
   }
 
-let config_label (rc, sc, arb, minr, maxr) =
-  Printf.sprintf "rcv=%d snd=%d arb=%s min_rounds=%d max_rounds=%d" rc sc
-    (arbiter_label arb) minr maxr
+let config_label (rc, sc, arb, maxr) =
+  Printf.sprintf "rcv=%d snd=%d arb=%s max_rounds=%d" rc sc (arbiter_label arb) maxr
 
 (* A run's result, or its round-limit payload. *)
 let outcome run =

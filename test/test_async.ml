@@ -18,7 +18,7 @@ let test_constant1_single_hop () =
       on_start =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (1, ()) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ () s -> (s, [ Engine.Complete () ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res =
@@ -43,7 +43,7 @@ let test_constant_d_scales_distance () =
         (fun ~round:_ ~node ~src:_ () s ->
           let fwd = if node + 1 < n then [ Engine.Send (node + 1, ()) ] else [] in
           (s, Engine.Complete node :: fwd));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res = Async.run ~graph:(Gen.path n) ~delay:(Async.Constant 3) ~protocol () in
@@ -73,7 +73,7 @@ let test_fifo_links_under_random_delays () =
           if node = 0 then (s, [ Engine.Send (1, "a"); Engine.Send (1, "b") ])
           else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res =
@@ -92,7 +92,7 @@ let test_node_serialisation () =
       on_start =
         (fun ~node s -> if node > 0 then (s, [ Engine.Send (0, node) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res = Async.run ~graph:(Gen.star n) ~delay:(Async.Constant 1) ~protocol () in
@@ -103,21 +103,26 @@ let test_node_serialisation () =
   Alcotest.(check (list int)) "serialised" [ 1; 2; 3; 4; 5 ] rounds
 
 let test_wakeups_fire () =
+  (* Node 0 asks for time 4 (twice: it fires once), node 1 for time 9;
+     node 1's wake asks again for time 12. *)
   let protocol =
     {
       Engine.name = "wake";
       initial_state = (fun _ -> ());
-      on_start = (fun ~node:_ s -> (s, []));
+      on_start =
+        (fun ~node s ->
+          (s, if node = 0 then [ Engine.Wake 4; Engine.Wake 4 ] else [ Engine.Wake 9 ]));
       on_receive = (fun ~round:_ ~node:_ ~src:_ () s -> (s, []));
-      on_tick = Some (fun ~round ~node:_ s -> (s, [ Engine.Complete round ]));
+      on_wake =
+        (fun ~round ~node s ->
+          let again = if round = 9 && node = 1 then [ Engine.Wake 12 ] else [] in
+          (s, Engine.Complete round :: again));
     }
   in
-  let res =
-    Async.run ~graph:(Gen.path 2) ~delay:(Async.Constant 1)
-      ~wakeups:[ (4, 0); (9, 1) ] ~protocol ()
-  in
+  let res = Async.run ~graph:(Gen.path 2) ~delay:(Async.Constant 1) ~protocol () in
   let times = List.map (fun (c : _ Engine.completion) -> c.value) res.completions in
-  Alcotest.(check (list int)) "wakeup times" [ 4; 9 ] (List.sort compare times)
+  Alcotest.(check (list int)) "wakeup times" [ 4; 9; 12 ] (List.sort compare times);
+  Alcotest.(check int) "the run ends with the last wake" 12 res.finish_time
 
 let test_central_counting_total_matches_sync () =
   (* On the star with R = V the total delay is contention-bound, so the

@@ -56,7 +56,7 @@ let hash_protocol ~tick ~seed ~graph =
           if h mod 7 = 0 then Engine.Complete (node, h land 0xff) :: acts
           else acts
         in
-        (s, acts));
+        (s, if tick then acts @ [ Engine.Wake 1 ] else acts));
     on_receive =
       (fun ~round ~node ~src m s ->
         let h = mix (mix s m.tag) (mix src round) in
@@ -74,19 +74,18 @@ let hash_protocol ~tick ~seed ~graph =
            done);
         if h mod 5 = 0 then acts := Engine.Complete (node, m.tag) :: !acts;
         (mix s (m.tag + 1), !acts));
-    on_tick =
-      (if not tick then Engine.no_tick
-       else
-         Some
-           (fun ~round ~node s ->
-             if round <= 12 && mix s round mod 5 = 0 then
-               match pick_nbr node (mix s (round + 1)) with
-               | Some d ->
-                   ( mix s round,
-                     [ Engine.Send (d, { ttl = 1; tag = mix s round land 0xffff }) ]
-                   )
-               | None -> (s, [])
-             else (s, [])));
+    (* With [tick], every node wakes each round it is up, through round
+       12; a wake due while the node is down fires when it is back. *)
+    on_wake =
+      (fun ~round ~node s ->
+        let again = if round < 12 then [ Engine.Wake (round + 1) ] else [] in
+        if mix s round mod 5 = 0 then
+          match pick_nbr node (mix s (round + 1)) with
+          | Some d ->
+              ( mix s round,
+                Engine.Send (d, { ttl = 1; tag = mix s round land 0xffff }) :: again )
+          | None -> (s, again)
+        else (s, again));
   }
 
 let arbiter_of = function
@@ -163,27 +162,23 @@ let scenario_gen =
   let* rc = int_range 1 3 in
   let* sc = int_range 1 3 in
   let* arb = int_range 0 2 in
-  let* minr = oneofl [ 0; 25 ] in
   let* maxr = oneofl [ 4; 2_000 ] in
   let* plan = int_range 0 6 in
   let* tick = bool in
   let* observe = bool in
-  return (topo, seed, (rc, sc, arb, minr, maxr), plan, tick, observe)
+  return (topo, seed, (rc, sc, arb, maxr), plan, tick, observe)
 
-let scenario_print ((name, g), seed, (rc, sc, arb, minr, maxr), plan, tick, observe)
-    =
+let scenario_print ((name, g), seed, (rc, sc, arb, maxr), plan, tick, observe) =
   Printf.sprintf
-    "%s (n=%d) seed=%d rcv=%d snd=%d arb=%d min=%d max=%d plan=%s tick=%b \
-     observe=%b"
-    name (Graph.n g) seed rc sc arb minr maxr (plan_label plan) tick observe
+    "%s (n=%d) seed=%d rcv=%d snd=%d arb=%d max=%d plan=%s tick=%b observe=%b"
+    name (Graph.n g) seed rc sc arb maxr (plan_label plan) tick observe
 
-let config_of (rc, sc, arb, minr, maxr) =
+let config_of (rc, sc, arb, maxr) =
   {
     Engine.receive_capacity = rc;
     send_capacity = sc;
     arbiter = arbiter_of arb;
     max_rounds = maxr;
-    min_rounds = minr;
   }
 
 (* The identity pin: attaching the identity schedule must change

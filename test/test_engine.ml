@@ -15,7 +15,7 @@ let pinger count =
         if node = 0 then (s, List.init count (fun i -> Engine.Send (1, i)))
         else (s, []));
     on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let run_pinger ?(config = Engine.default_config) count =
@@ -56,7 +56,7 @@ let test_fifo_per_link () =
           if node = 0 then (s, [ Engine.Send (1, 10); Engine.Send (1, 20) ])
           else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res =
@@ -73,7 +73,7 @@ let test_send_to_non_neighbor_rejected () =
       on_start =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (2, ()) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ _ s -> (s, []));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   Alcotest.check_raises "non-neighbour"
@@ -91,7 +91,7 @@ let test_round_limit () =
       on_start =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (1, ()) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src msg s -> (s, [ Engine.Send (src, msg) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let config = { Engine.default_config with max_rounds = 50 } in
@@ -118,7 +118,7 @@ let test_one_receive_per_round_contention () =
       on_start =
         (fun ~node s -> if node > 0 then (s, [ Engine.Send (0, node) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res =
@@ -146,7 +146,7 @@ let test_backlog_on_one_link () =
           if node = 0 then (s, List.init 6 (fun i -> Engine.Send (1, i)))
           else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let config = { Engine.default_config with send_capacity = 3 } in
@@ -166,7 +166,7 @@ let test_round_robin_fairness () =
             (s, List.init 3 (fun _ -> Engine.Send (0, node)))
           else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res =
@@ -189,7 +189,7 @@ let test_lowest_sender_first_starves () =
             (s, List.init 2 (fun _ -> Engine.Send (0, node)))
           else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let config = { Engine.default_config with arbiter = Engine.Lowest_sender_first } in
@@ -218,7 +218,7 @@ let test_custom_arbiter () =
         (fun ~node s ->
           if node > 0 then (s, [ Engine.Send (0, node) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res = Engine.run ~graph:(Gen.star 4) ~config ~protocol () in
@@ -228,22 +228,21 @@ let test_custom_arbiter () =
   Alcotest.(check (list int)) "descending ids" [ 3; 2; 1 ] senders
 
 let test_on_tick_injection () =
-  (* A node issues one message at tick round 3; the neighbour receives
-     it in round 4 (issue at t enters the network at t+1). *)
+  (* Node 0 asks at time 0 to be woken in round 3 and issues one
+     message then; the neighbour receives it in round 4 (issue at t
+     enters the network at t+1). *)
   let protocol =
     {
       Engine.name = "tick";
       initial_state = (fun _ -> ());
-      on_start = (fun ~node:_ s -> (s, []));
+      on_start = (fun ~node s -> (s, if node = 0 then [ Engine.Wake 3 ] else []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick =
-        Some
-          (fun ~round ~node s ->
-            if node = 0 && round = 3 then (s, [ Engine.Send (1, 99) ]) else (s, []));
+      on_wake =
+        (fun ~round ~node s ->
+          if node = 0 && round = 3 then (s, [ Engine.Send (1, 99) ]) else (s, []));
     }
   in
-  let config = { Engine.default_config with min_rounds = 4 } in
-  let res = Engine.run ~graph:(Gen.path 2) ~config ~protocol () in
+  let res = Engine.run ~graph:(Gen.path 2) ~config:Engine.default_config ~protocol () in
   match res.completions with
   | [ c ] ->
       Alcotest.(check int) "value" 99 c.value;
@@ -272,7 +271,7 @@ let test_propagation_speed () =
             if node + 1 < n then [ Engine.Send (node + 1, ()) ] else []
           in
           (s, Engine.Complete node :: fwd));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let res =

@@ -5,11 +5,12 @@
    an implicit twin, or declared ?starters (slots assigned on first
    touch at one shard) — at shards 1, 2 and 3, with every hook
    Reference.run accepts (metrics, observer with an optional `Halt,
-   faults, dynamic schedules, keep_alive), and demands bit-identical
-   results: same completions, rounds, messages, max_link_backlog, same
+   faults, dynamic schedules), and demands bit-identical results: same
+   completions, rounds, messages, max_link_backlog, same
    Round_limit_exceeded payloads, observer streams, fault and churn
-   tallies and metrics content. Plus pins for ticking protocols on the
-   implicit front and under sharding, keep_alive and observers under
+   tallies and metrics content — once with a one-shot protocol and once
+   with handlers that ask for random wakes. Plus pins for waking
+   protocols on the implicit front and under sharding, observers under
    sharding, and regression tests that idle-round fast-forwarding never
    skips an observable callback. *)
 
@@ -43,13 +44,12 @@ type hooks = {
   plan : int;  (* 0 = no fault plan *)
   dyn : int;  (* 0 = no schedule *)
   with_metrics : bool;
-  keep_alive : int option;  (* polls answered true, then false *)
 }
 
 let hooks_gen =
   let open QCheck2.Gen in
-  let none = { plan = 0; dyn = 0; with_metrics = false; keep_alive = None } in
-  let* pick = int_range 0 5 in
+  let none = { plan = 0; dyn = 0; with_metrics = false } in
+  let* pick = int_range 0 4 in
   match pick with
   | 0 -> return none
   | 1 -> return { none with with_metrics = true }
@@ -59,40 +59,45 @@ let hooks_gen =
   | 3 ->
       let* dyn = int_range 1 3 in
       return { none with dyn }
-  | 4 ->
-      let* k = oneofl [ 0; 5 ] in
-      return { none with keep_alive = Some k }
   | _ ->
       let* plan = int_range 0 8 in
       let* dyn = int_range 0 3 in
       let* with_metrics = bool in
-      let* keep_alive = oneofl [ None; Some 0; Some 5 ] in
-      return { plan; dyn; with_metrics; keep_alive }
+      return { plan; dyn; with_metrics }
 
-let scenario_gen =
+(* For the waking protocol: mostly the crash-restart plan (node 0 down
+   in rounds 2-5) and node churn, so wakes fall due on down nodes that
+   later come back, and a permanent crash (node 1 from round 3), whose
+   due wakes are dropped. *)
+let wake_hooks_gen =
+  let open QCheck2.Gen in
+  let* plan = oneofl [ 0; 6; 7; 7; 9 ] in
+  let* dyn = oneofl [ 0; 2; 2; 3 ] in
+  let* with_metrics = bool in
+  return { plan; dyn; with_metrics }
+
+let scenario_gen hooks_gen =
   let open QCheck2.Gen in
   let* inst = Helpers.instance_gen in
   let* seed = int_range 0 100_000 in
   let* rc = int_range 1 3 in
   let* sc = int_range 1 3 in
   let* arb = int_range 0 2 in
-  let* minr = oneofl [ 0; 7 ] in
   let* maxr = oneofl [ 4; 2_000 ] in
   let* front = oneofl [ Graph_eager; Implicit_eager; Starters ] in
   let* shards = int_range 1 3 in
   let* hooks = hooks_gen in
   let* halt_at = oneofl [ None; Some 3 ] in
-  return (inst, seed, (rc, sc, arb, minr, maxr), front, shards, hooks, halt_at)
+  return (inst, seed, (rc, sc, arb, maxr), front, shards, hooks, halt_at)
 
 let scenario_print ((name, g, requests), seed, cfg, front, shards, h, halt_at) =
   Printf.sprintf
     "%s (n=%d) R={%s} seed=%d %s front=%s shards=%d plan=%s dyn=%s \
-     metrics=%b keep_alive=%s halt=%s"
+     metrics=%b halt=%s"
     name (Graph.n g)
     (String.concat "," (List.map string_of_int requests))
     seed (Helpers.config_label cfg) (front_label front) shards
     (Helpers.plan_label h.plan) (Helpers.dyn_label h.dyn) h.with_metrics
-    (match h.keep_alive with None -> "-" | Some k -> string_of_int k)
     (match halt_at with None -> "-" | Some r -> string_of_int r)
 
 (* One run through [run] with fresh hooks, capturing everything
@@ -107,87 +112,86 @@ let capture ~observe ~halt_at ~hooks ~graph run =
   in
   let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
   let metrics = if hooks.with_metrics then Some (Metrics.create ~graph) else None in
-  let keep_alive =
-    Option.map
-      (fun k ->
-        let polls = ref 0 in
-        fun () ->
-          incr polls;
-          !polls <= k)
-      hooks.keep_alive
-  in
-  let outcome =
-    Helpers.outcome (fun () -> run ?faults ?dynamic ?observer ?keep_alive ?metrics ())
-  in
+  let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ?observer ?metrics ()) in
   ( outcome,
     List.rev !events,
     Option.map Faults.stats faults,
     Option.map Dynamic.stats dynamic,
     Option.map (fun m -> (Metrics.per_node m, Metrics.per_edge m)) metrics )
 
-let kernel_prop ~observe ((_, graph, requests), seed, cfg, front, shards, hooks, halt_at)
-    =
+let kernel_prop ~observe ~wakes
+    ((_, graph, requests), seed, cfg, front, shards, hooks, halt_at) =
   let config = Helpers.config_of cfg in
   let starts = match front with Starters -> Some requests | _ -> None in
-  let protocol = Helpers.hash_protocol ?starts ~seed ~graph () in
+  let protocol = Helpers.hash_protocol ?starts ~wakes ~seed ~graph () in
   let topo = Implicit.of_graph graph in
-  let kernel ?faults ?dynamic ?observer ?keep_alive ?metrics () =
+  let kernel ?faults ?dynamic ?observer ?metrics () =
     match (front, shards) with
     | Graph_eager, 1 ->
-        Engine.run ?faults ?dynamic ?observer ?keep_alive ?metrics ~graph ~config
-          ~protocol ()
+        Engine.run ?faults ?dynamic ?observer ?metrics ~graph ~config ~protocol ()
     | Graph_eager, k ->
-        Shard.run ~shards:k ~pool ?faults ?dynamic ?observer ?keep_alive ?metrics
-          ~graph ~config ~protocol ()
-    | Implicit_eager, 1 ->
-        Event.run ?faults ?dynamic ?observer ?keep_alive ?metrics ~topo ~config
+        Shard.run ~shards:k ~pool ?faults ?dynamic ?observer ?metrics ~graph ~config
           ~protocol ()
+    | Implicit_eager, 1 ->
+        Event.run ?faults ?dynamic ?observer ?metrics ~topo ~config ~protocol ()
     | Starters, 1 ->
-        Event.run ?faults ?dynamic ?observer ?keep_alive ?metrics
-          ~starters:requests ~topo ~config ~protocol ()
+        Event.run ?faults ?dynamic ?observer ?metrics ~starters:requests ~topo
+          ~config ~protocol ()
     | _, k ->
-        Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?observer ?keep_alive
-          ?metrics ?starters:starts ~topo ~config ~protocol ()
+        Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?observer ?metrics
+          ?starters:starts ~topo ~config ~protocol ()
   in
-  let reference ?faults ?dynamic ?observer ?keep_alive ?metrics () =
-    Reference.run ?faults ?dynamic ?observer ?keep_alive ?metrics ~graph ~config
-      ~protocol ()
+  let reference ?faults ?dynamic ?observer ?metrics () =
+    Reference.run ?faults ?dynamic ?observer ?metrics ~graph ~config ~protocol ()
   in
   capture ~observe ~halt_at ~hooks ~graph kernel
   = capture ~observe ~halt_at ~hooks ~graph reference
 
 let equiv_default =
   QCheck2.Test.make ~count:300 ~name:"active = reference (default hooks)"
-    ~print:scenario_print scenario_gen (kernel_prop ~observe:false)
+    ~print:scenario_print (scenario_gen hooks_gen)
+    (kernel_prop ~observe:false ~wakes:false)
 
 let equiv_observed =
   QCheck2.Test.make ~count:300 ~name:"active = reference (observed, traced)"
-    ~print:scenario_print scenario_gen (kernel_prop ~observe:true)
+    ~print:scenario_print (scenario_gen hooks_gen)
+    (kernel_prop ~observe:true ~wakes:false)
+
+(* Random wakes — same-round ones from receives, duplicates, far-future
+   ones and wakes due on crashed or churned-out nodes — through every
+   front at shards 1-3, observed or not, with and without faults and
+   schedules. *)
+let equiv_wakes =
+  QCheck2.Test.make ~count:300 ~name:"active = reference (random wakes)"
+    ~print:(fun (observe, sc) ->
+      Printf.sprintf "observe=%b %s" observe (scenario_print sc))
+    QCheck2.Gen.(pair bool (scenario_gen wake_hooks_gen))
+    (fun (observe, scenario) -> kernel_prop ~observe ~wakes:true scenario)
 
 (* ------------------------------------------------------------------ *)
-(* Ticks, keep_alive and observers across fronts and shard counts,
-   each pinned to Reference.run.                                       *)
+(* Wakes, Reliable's timers and observers across fronts and shard
+   counts, each pinned to Reference.run.                               *)
 
+(* Every node wakes in rounds 1-3 and sends to its successor. *)
 let tick_flood =
   {
     Engine.name = "tick-flood";
     initial_state = (fun v -> v);
-    on_start = (fun ~node:_ s -> (s, []));
+    on_start = (fun ~node:_ s -> (s, [ Engine.Wake 1 ]));
     on_receive =
       (fun ~round ~node ~src:_ m s ->
         (s + m, if round > 6 then [ Engine.Complete (node, s + m) ] else []));
-    on_tick =
-      Some
-        (fun ~round ~node s ->
-          if round <= 3 then (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node) ])
-          else (s, []));
+    on_wake =
+      (fun ~round ~node s ->
+        let send = Engine.Send ((node + 1) mod 9, Helpers.mix round node) in
+        (s, if round < 3 then [ send; Engine.Wake (round + 1) ] else [ send ]));
   }
 
 let test_tick_protocol_pinned () =
-  (* A ticking protocol through the implicit front, and sharded. *)
+  (* A waking protocol through the implicit front, and sharded. *)
   let graph = Gen.cycle 9 in
   let topo = Implicit.of_graph graph in
-  let config = { Engine.default_config with min_rounds = 10 } in
+  let config = Engine.default_config in
   let faults () = Faults.start (Helpers.plan_of 6) in
   let reference = Reference.run ~graph ~config ~protocol:tick_flood () in
   let reference_faulty =
@@ -196,7 +200,8 @@ let test_tick_protocol_pinned () =
   Alcotest.(check bool) "Event_engine.run" true
     (Event.run ~topo ~config ~protocol:tick_flood () = reference);
   Alcotest.(check bool) "Event_engine.run with ?starters" true
-    (Event.run ~starters:[] ~topo ~config ~protocol:tick_flood () = reference);
+    (Event.run ~starters:(List.init 9 Fun.id) ~topo ~config ~protocol:tick_flood ()
+    = reference);
   List.iter
     (fun k ->
       Alcotest.(check bool)
@@ -212,10 +217,9 @@ let test_tick_protocol_pinned () =
         = reference_faulty))
     [ 2; 3 ]
 
-let test_reliable_keep_alive_sharded () =
-  (* A Reliable-wrapped central counter heals a drop plan only if the
-     engine keeps ticking while retransmit timers are pending: the
-     keep_alive hook, now honoured at every shard count. *)
+let test_reliable_wakes_sharded () =
+  (* A Reliable-wrapped central counter heals a drop plan only if its
+     retransmit timers fire: wakes, the same at every shard count. *)
   let graph = Gen.square_mesh 4 in
   let requests = [ 1; 6; 9; 14; 15 ] in
   let plan = Faults.random ~label:"lossy" ~seed:42L ~drop:0.2 () in
@@ -225,17 +229,16 @@ let test_reliable_keep_alive_sharded () =
     in
     let protocol, h = Reliable.wrap inner in
     let fr = Faults.start plan in
-    let res = engine ~faults:fr ~keep_alive:(Reliable.keep_alive h) ~protocol in
+    let res = engine ~faults:fr ~protocol in
     (res, Faults.stats fr, Reliable.stats h)
   in
   let config = Engine.default_config in
   let ((res, injected, retry) as reference) =
-    run (fun ~faults ~keep_alive ~protocol ->
-        Reference.run ~faults ~keep_alive ~graph ~config ~protocol ())
+    run (fun ~faults ~protocol -> Reference.run ~faults ~graph ~config ~protocol ())
   in
   let sharded =
-    run (fun ~faults ~keep_alive ~protocol ->
-        Shard.run ~shards:2 ~pool ~faults ~keep_alive ~graph ~config ~protocol ())
+    run (fun ~faults ~protocol ->
+        Shard.run ~shards:2 ~pool ~faults ~graph ~config ~protocol ())
   in
   Alcotest.(check bool) "bit-identical to Reference" true (sharded = reference);
   Alcotest.(check bool) "the plan dropped messages" true (injected.Faults.dropped > 0);
@@ -277,21 +280,27 @@ let test_observer_on_sharded_graph () =
 (* Fast-forward regressions: skipping idle rounds must never skip an
    observable callback, and must not change any result field.          *)
 
-(* A protocol that does nothing after its single start completion. *)
-let quiet_protocol =
+(* A protocol that does nothing after its single start completion,
+   except that node 0 asks to be woken in round [wake_at] (if > 0). *)
+let quiet_protocol ~wake_at =
   {
     Engine.name = "quiet";
     initial_state = (fun _ -> ());
     on_start =
-      (fun ~node s -> if node = 0 then (s, [ Engine.Complete 0 ]) else (s, []));
+      (fun ~node s ->
+        if node <> 0 then (s, [])
+        else
+          (s, Engine.Complete 0 :: (if wake_at > 0 then [ Engine.Wake wake_at ] else [])));
     on_receive = (fun ~round:_ ~node:_ ~src:_ () s -> (s, []));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let test_observer_sees_every_idle_round () =
-  (* A custom observer disables fast-forward: all min_rounds idle
-     rounds must invoke on_round_end, in order, in both engines. *)
-  let config = { Engine.default_config with min_rounds = 37 } in
+  (* A custom observer disables fast-forward: all idle rounds up to a
+     wake in round 37 must invoke on_round_end, in order, in both
+     engines. *)
+  let config = Engine.default_config in
+  let protocol = quiet_protocol ~wake_at:37 in
   let graph = Gen.path 4 in
   let seen engine_run =
     let rounds = ref [] in
@@ -307,59 +316,65 @@ let test_observer_sees_every_idle_round () =
     ignore (engine_run ~observer);
     List.rev !rounds
   in
-  let active =
-    seen (fun ~observer ->
-        Engine.run ~observer ~graph ~config ~protocol:quiet_protocol ())
-  in
+  let active = seen (fun ~observer -> Engine.run ~observer ~graph ~config ~protocol ()) in
   let reference =
-    seen (fun ~observer ->
-        Reference.run ~observer ~graph ~config ~protocol:quiet_protocol ())
+    seen (fun ~observer -> Reference.run ~observer ~graph ~config ~protocol ())
   in
   Alcotest.(check (list int)) "all 37 rounds observed" (List.init 37 (fun i -> i + 1)) active;
   Alcotest.(check (list int)) "matches reference" reference active
 
-let test_keep_alive_polled_every_round () =
-  (* A custom keep_alive also disables fast-forward: it must be polled
-     once per idle round, the same number of times as the reference. *)
-  let polls which =
-    let count = ref 0 in
-    let keep_alive () =
-      incr count;
-      !count <= 12
+let test_wake_chain_every_round () =
+  (* A node that re-arms its wake for the next round keeps the run
+     going round by round: woken 12 times, in rounds 1-12, the same
+     in every engine, with nothing to skip. *)
+  let woken which =
+    let rounds = ref [] in
+    let protocol =
+      {
+        (quiet_protocol ~wake_at:1) with
+        on_wake =
+          (fun ~round ~node:_ s ->
+            rounds := round :: !rounds;
+            (s, if round < 12 then [ Engine.Wake (round + 1) ] else []));
+      }
     in
     let graph = Gen.path 3 in
     let config = Engine.default_config in
+    let stats = Event.fresh_stats () in
     let res =
       match which with
       | `Active ->
-          Engine.run ~keep_alive ~graph ~config ~protocol:quiet_protocol ()
-      | `Reference ->
-          Reference.run ~keep_alive ~graph ~config ~protocol:quiet_protocol ()
+          Event.run ~stats ~topo:(Implicit.of_graph graph) ~config ~protocol ()
+      | `Reference -> Reference.run ~graph ~config ~protocol ()
     in
-    (!count, res)
+    (List.rev !rounds, stats.executed_rounds, res)
   in
-  let ca, ra = polls `Active in
-  let cr, rr = polls `Reference in
-  Alcotest.(check int) "poll counts match" cr ca;
+  let wa, executed, ra = woken `Active in
+  let wr, _, rr = woken `Reference in
+  Alcotest.(check (list int)) "woken in rounds 1-12" (List.init 12 (fun i -> i + 1)) wa;
+  Alcotest.(check (list int)) "the reference wakes alike" wr wa;
   Alcotest.(check bool) "results match" true (ra = rr);
-  Alcotest.(check int) "kept alive 12 extra rounds" 13 ca
+  Alcotest.(check int) "every woken round executed" 12 executed
 
-let test_min_rounds_fast_forward_result () =
-  (* With default hooks a huge min_rounds horizon is skipped in O(1):
-     every result field must match both the min_rounds=0 run and the
-     reference engine on a smaller horizon it can afford to spin. *)
+let test_far_wake_fast_forward_result () =
+  (* With default hooks the idle stretch before a far-future wake is
+     skipped in O(1): every result field must match both the run with
+     no wake and the reference engine on a nearer wake it can afford
+     to spin to. *)
   let graph = Gen.star 5 in
-  let run min_rounds =
-    Engine.run ~graph
-      ~config:{ Engine.default_config with min_rounds }
-      ~protocol:quiet_protocol ()
+  let run wake_at =
+    Engine.run ~graph ~config:Engine.default_config ~protocol:(quiet_protocol ~wake_at) ()
   in
   let fast = run 5_000_000 in
-  Alcotest.(check bool) "same result as min_rounds=0" true (fast = run 0);
+  Alcotest.(check bool) "same result as no wake" true (fast = run 0);
+  let stats = Event.fresh_stats () in
+  ignore
+    (Event.run ~stats ~topo:(Implicit.of_graph graph) ~config:Engine.default_config
+       ~protocol:(quiet_protocol ~wake_at:5_000_000) ());
+  Alcotest.(check int) "one round executed" 1 stats.executed_rounds;
   let reference =
-    Reference.run ~graph
-      ~config:{ Engine.default_config with min_rounds = 10_000 }
-      ~protocol:quiet_protocol ()
+    Reference.run ~graph ~config:Engine.default_config
+      ~protocol:(quiet_protocol ~wake_at:10_000) ()
   in
   Alcotest.(check bool) "same result as reference" true (fast = reference)
 
@@ -375,7 +390,7 @@ let test_delay_fault_fast_forward () =
       on_start =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (1, ()) ]) else (s, []));
       on_receive = (fun ~round ~node ~src:_ () s -> (s, [ Engine.Complete (node, round) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let plan = Faults.delay_nth ~by:300_000 0 in
@@ -401,7 +416,7 @@ let test_round_limit_payloads_identical () =
       on_start =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (1, ()) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src msg s -> (s, [ Engine.Send (src, msg) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let config = { Engine.default_config with max_rounds = 25 } in
@@ -458,7 +473,7 @@ let burst_protocol ~leaves ~bursts =
               else if seen + 1 < List.length (woken cur) || cur + 1 >= waves then
                 ((cur, seen + 1), got)
               else ((cur + 1, 0), got @ wake (cur + 1)));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   (protocol, woken 0)
@@ -529,7 +544,7 @@ let burst_queues_match_reference =
    array) that handlers often return unchanged, and a mutable record
    that handlers mostly update in place and sometimes replace. Every
    site that stores a state is driven — time 0, first touch
-   (?starters), receive, tick and injection — and every front must
+   (?starters), receive, wake and injection — and every front must
    equal Reference.run. *)
 
 (* A node state: [digest] reads it, [update s h] returns either [s]
@@ -559,7 +574,8 @@ let cell_ops seed =
         end);
   }
 
-(* Ticks act in rounds 1..3 only, so [tick_injections] replays them. *)
+(* Starters wake in rounds 1..3 only, so [tick_injections] replays
+   them. *)
 let state_tick ops ~graph ~round ~node s =
   let h = Helpers.mix (ops.digest s) (Helpers.mix node round) in
   if round > 3 || h mod 2 = 0 then (s, [])
@@ -569,7 +585,8 @@ let state_tick ops ~graph ~round ~node s =
       | Some d -> [ Engine.Send (d, { Helpers.ttl = 2; tag = h land 0xffff }) ]
       | None -> [] )
 
-let state_protocol ops ~starts ~ticks ~graph =
+let state_protocol ops ~starts ~wakes ~graph =
+  let first_wake = if wakes then [ Engine.Wake 1 ] else [] in
   {
     Engine.name = "qcheck-state";
     initial_state = ops.init;
@@ -579,6 +596,8 @@ let state_protocol ops ~starts ~ticks ~graph =
         if not (List.mem node starts) then (ops.update s h, [])
         else
           ( ops.update s h,
+            first_wake
+            @
             match Helpers.pick_nbr graph node h with
             | Some d -> [ Engine.Send (d, { Helpers.ttl = 3; tag = h land 0xffff }) ]
             | None -> [] ));
@@ -599,18 +618,25 @@ let state_protocol ops ~starts ~ticks ~graph =
               (List.init (h mod 3) Fun.id)
         in
         (s, if h mod 5 = 0 then Engine.Complete (node, ops.digest s) :: acts else acts));
-    on_tick = (if ticks then Some (state_tick ops ~graph) else None);
+    on_wake =
+      (fun ~round ~node s ->
+        let s, acts = state_tick ops ~graph ~round ~node s in
+        (s, if round < 3 then acts @ [ Engine.Wake (round + 1) ] else acts));
   }
 
-let tick_injections ops ~graph =
-  let n = Graph.n graph in
-  Array.init (3 * n) (fun i ->
-      let round = 1 + (i / n) and node = i mod n in
-      { Event.at = round; node; inject = state_tick ops ~graph ~round ~node })
+let tick_injections ops ~graph ~starts =
+  Array.of_list
+    (List.concat_map
+       (fun round ->
+         List.map
+           (fun node ->
+             { Event.at = round; node; inject = state_tick ops ~graph ~round ~node })
+           starts)
+       [ 1; 2; 3 ])
 
-(* How the per-round work is scheduled: none, ticks, or the same work
-   as injections into a tickless protocol. *)
-type timer = No_timer | Ticks | Injections
+(* How the per-round work is scheduled: none, wakes, or the same work
+   as injections into a protocol that never wakes. *)
+type timer = No_timer | Wakes | Injections
 
 let state_prop ops ((_, graph, starts), cfg, timer) =
   let config = Helpers.config_of cfg in
@@ -618,12 +644,12 @@ let state_prop ops ((_, graph, starts), cfg, timer) =
   let reference =
     Helpers.outcome (fun () ->
         Reference.run ~graph ~config
-          ~protocol:(state_protocol ops ~starts ~ticks:(timer <> No_timer) ~graph)
+          ~protocol:(state_protocol ops ~starts ~wakes:(timer <> No_timer) ~graph)
           ())
   in
-  let protocol = state_protocol ops ~starts ~ticks:(timer = Ticks) ~graph in
+  let protocol = state_protocol ops ~starts ~wakes:(timer = Wakes) ~graph in
   let injections =
-    if timer = Injections then Some (tick_injections ops ~graph) else None
+    if timer = Injections then Some (tick_injections ops ~graph ~starts) else None
   in
   let fronts =
     List.concat_map
@@ -653,15 +679,12 @@ let state_gen =
   let* rc = int_range 1 3 in
   let* sc = int_range 1 3 in
   let* arb = int_range 0 2 in
-  let* timer = oneofl [ No_timer; Ticks; Injections ] in
-  (* Ticks keep no run alive, injections do: min_rounds covers the
-     tick rounds so the reference ticks them all. *)
-  let minr = if timer = No_timer then 0 else 3 in
-  return (inst, (rc, sc, arb, minr, 2_000), timer)
+  let* timer = oneofl [ No_timer; Wakes; Injections ] in
+  return (inst, (rc, sc, arb, 2_000), timer)
 
 let state_print (inst, cfg, timer) =
   Printf.sprintf "%s %s timer=%s" (Helpers.instance_print inst) (Helpers.config_label cfg)
-    (match timer with No_timer -> "none" | Ticks -> "ticks" | Injections -> "injections")
+    (match timer with No_timer -> "none" | Wakes -> "wakes" | Injections -> "injections")
 
 let float_state_matches_reference =
   QCheck2.Test.make ~count:100 ~name:"float node state = reference (all fronts)"
@@ -675,21 +698,22 @@ let suite =
   [
     Helpers.qcheck equiv_default;
     Helpers.qcheck equiv_observed;
+    Helpers.qcheck equiv_wakes;
     Helpers.qcheck burst_queues_match_reference;
     Helpers.qcheck float_state_matches_reference;
     Helpers.qcheck in_place_state_matches_reference;
     Alcotest.test_case "ticking protocol = reference (implicit, sharded)" `Quick
       test_tick_protocol_pinned;
-    Alcotest.test_case "reliable keep_alive = reference at shards 2" `Quick
-      test_reliable_keep_alive_sharded;
+    Alcotest.test_case "reliable wakes = reference at shards 2" `Quick
+      test_reliable_wakes_sharded;
     Alcotest.test_case "observer on sharded Shard.run = reference" `Quick
       test_observer_on_sharded_graph;
     Alcotest.test_case "fast-forward: observer sees every idle round" `Quick
       test_observer_sees_every_idle_round;
-    Alcotest.test_case "fast-forward: keep_alive polled every round" `Quick
-      test_keep_alive_polled_every_round;
-    Alcotest.test_case "fast-forward: huge min_rounds, identical result" `Quick
-      test_min_rounds_fast_forward_result;
+    Alcotest.test_case "fast-forward: a wake chain runs every round" `Quick
+      test_wake_chain_every_round;
+    Alcotest.test_case "fast-forward: far-future wake, identical result" `Quick
+      test_far_wake_fast_forward_result;
     Alcotest.test_case "fast-forward: delayed message wakes the engine" `Quick
       test_delay_fault_fast_forward;
     Alcotest.test_case "round-limit payloads identical" `Quick

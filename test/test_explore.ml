@@ -117,7 +117,7 @@ let test_violation_detected () =
       on_receive =
         (fun ~round:_ ~node:_ ~src:_ origin s ->
           (s, [ Engine.Complete (origin, 1) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   match
@@ -140,7 +140,7 @@ let test_fifo_preserved_in_all_interleavings () =
           else (s, []));
       on_receive =
         (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let check completions =
@@ -426,7 +426,7 @@ let test_counterexample_pinned () =
         (fun ~round:_ ~node:_ ~src:_ origin (last, c) ->
           let charged = if last < 0 then origin else last in
           ((origin, c + 1), [ Engine.Complete (charged, c + 1) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let requests = [ 1; 2; 3; 4 ] in
@@ -469,7 +469,7 @@ let test_deep_states_exact () =
           if node > 0 then (s, [ Engine.Send (0, node) ]) else (s, []));
       on_receive =
         (fun ~round:_ ~node:_ ~src:_ leaf _ -> (padding @ [ leaf ], []));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let stats =

@@ -327,6 +327,45 @@ let test_permanent_crash_stalls_not_hangs () =
   in
   Alcotest.(check bool) "liveness lost" false (Monitor.liveness_ok r.monitors)
 
+let test_arrow_retry_dead_root_off_tail () =
+  (* Node 0 acks, arms a retransmit timer, then dies forever at round 3
+     (crash-root) while the tail sits elsewhere. The dead node's pending
+     wake is dropped, so every run ends with the rounds and monitor
+     verdicts it had when timers were polled instead of woken. *)
+  let plan = Option.get (Faults.find "crash-root") in
+  List.iter
+    (fun (name, g, tail, rounds, verdicts) ->
+      let r =
+        Arrow.run_one_shot_faulty ~retry:true ~tail ~plan
+          ~tree:(Spanning.best_for_arrow g) ~requests:(all_requests g) ()
+      in
+      Alcotest.(check int) (name ^ ": rounds") rounds r.result.rounds;
+      Alcotest.(check string) (name ^ ": verdicts") verdicts
+        (Format.asprintf "%a" Monitor.pp_report r.monitors))
+    [
+      ( "list",
+        Gen.path 12,
+        5,
+        255,
+        "safety-chain-consistency [safety]: pass\n\
+         liveness-completion [liveness]: VIOLATED - 1 of 12 operations never completed\n\
+         liveness-progress [liveness]: pass" );
+      ( "star",
+        Gen.star 12,
+        3,
+        249,
+        "safety-chain-consistency [safety]: pass\n\
+         liveness-completion [liveness]: VIOLATED - 4 of 12 operations never completed\n\
+         liveness-progress [liveness]: STALLED at round 1026 (no progress since 2)" );
+      ( "complete",
+        Gen.complete 12,
+        7,
+        257,
+        "safety-chain-consistency [safety]: pass\n\
+         liveness-completion [liveness]: VIOLATED - 1 of 12 operations never completed\n\
+         liveness-progress [liveness]: pass" );
+    ]
+
 (* ---- Run.run_faulty degradation report ---- *)
 
 let test_run_faulty_summary_consistent () =
@@ -386,6 +425,8 @@ let suite =
       test_crash_restart_with_retry_recovers;
     Alcotest.test_case "crash+rejoin replays are deduplicated" `Quick
       test_crash_rejoin_reliable_dedup;
+    Alcotest.test_case "arrow+retry, dead root off the tail" `Quick
+      test_arrow_retry_dead_root_off_tail;
     Alcotest.test_case "permanent crash -> stall verdict" `Quick
       test_permanent_crash_stalls_not_hangs;
     Alcotest.test_case "degradation summary" `Quick

@@ -56,21 +56,21 @@ let telemetry_gen =
   let* rc = int_range 1 3 in
   let* sc = int_range 1 3 in
   let* arb = int_range 0 2 in
-  let* minr = oneofl [ 0; 7 ] in
   let* maxr = oneofl [ 4; 2_000 ] in
   let* plan = int_range 0 8 in
   let* dyn = int_range 0 3 in
   let* shards = oneofl [ 2; 3; 5 ] in
-  return (topo, seed, (rc, sc, arb, minr, maxr), plan, dyn, shards)
+  let* wakes = bool in
+  return (topo, seed, (rc, sc, arb, maxr), plan, dyn, (shards, wakes))
 
-let telemetry_print ((name, g), seed, cfg, plan, dyn, k) =
-  Printf.sprintf "%s (n=%d) seed=%d %s plan=%s dyn=%s shards=%d" name
+let telemetry_print ((name, g), seed, cfg, plan, dyn, (k, wakes)) =
+  Printf.sprintf "%s (n=%d) seed=%d %s plan=%s dyn=%s shards=%d wakes=%b" name
     (Graph.n g) seed (Helpers.config_label cfg) (Helpers.plan_label plan)
-    (Helpers.dyn_label dyn) k
+    (Helpers.dyn_label dyn) k wakes
 
-let telemetry_prop ((_, graph), seed, cfg, plan, dyn, shards) =
+let telemetry_prop ((_, graph), seed, cfg, plan, dyn, (shards, wakes)) =
   let config = config_of cfg in
-  let protocol = hash_protocol ~seed ~graph () in
+  let protocol = hash_protocol ~wakes ~seed ~graph () in
   let plan = if plan = 0 then None else Some (plan_of plan) in
   capture_tel `Engine ~dyn ~plan ~graph ~config ~protocol
   = capture_tel (`Shard shards) ~dyn ~plan ~graph ~config ~protocol
@@ -130,7 +130,7 @@ let event_gen =
   let* dyn = int_range 0 3 in
   let* halt = oneofl [ None; Some 6 ] in
   let* shards = oneofl [ 2; 4; 7 ] in
-  return ((name, g, requests), seed, evs, (rc, 1, arb, 0, 2_000), plan, dyn, halt, shards)
+  return ((name, g, requests), seed, evs, (rc, 1, arb, 2_000), plan, dyn, halt, shards)
 
 let event_print ((name, g, requests), seed, evs, _, plan, dyn, halt, k) =
   Printf.sprintf
@@ -346,19 +346,8 @@ let test_greedy_cut_smaller_than_scatter () =
   let graph = Gen.path 32 in
   let nbr v = Graph.neighbors graph v in
   let greedy = Partition.greedy ~graph ~shards:4 in
-  let scatter_owner = Array.init 32 (fun v -> v mod 4) in
-  let scatter_members =
-    Array.init 4 (fun s ->
-        Array.of_list
-          (List.filter (fun v -> scatter_owner.(v) = s) (List.init 32 Fun.id)))
-  in
   let scatter =
-    {
-      Partition.label = "scatter";
-      shards = 4;
-      owner = scatter_owner;
-      members = scatter_members;
-    }
+    { Partition.label = "scatter"; shards = 4; owner = Array.init 32 (fun v -> v mod 4) }
   in
   Partition.validate scatter;
   let gc = Partition.cut_edges greedy ~neighbors:nbr in
@@ -373,12 +362,7 @@ let test_custom_partition_pinned () =
      worst interleaved one — only performance depends on the cut. *)
   let graph = Gen.cycle 12 in
   let owner = Array.init 12 (fun v -> v mod 3) in
-  let members =
-    Array.init 3 (fun s ->
-        Array.of_list
-          (List.filter (fun v -> owner.(v) = s) (List.init 12 Fun.id)))
-  in
-  let scatter = { Partition.label = "scatter"; shards = 3; owner; members } in
+  let scatter = { Partition.label = "scatter"; shards = 3; owner } in
   Partition.validate scatter;
   let protocol = hash_protocol ~seed:23 ~graph () in
   let plan () = Faults.start (plan_of 6) in
@@ -444,7 +428,7 @@ let test_round_limit_payloads_identical () =
       on_start =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (1, ()) ]) else (s, []));
       on_receive = (fun ~round:_ ~node:_ ~src msg s -> (s, [ Engine.Send (src, msg) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let config = { Engine.default_config with max_rounds = 25 } in
@@ -473,7 +457,7 @@ let test_sharded_lazy_event_run () =
         (fun ~node s -> if node = 0 then (s, [ Engine.Send (1, ()) ]) else (s, []));
       on_receive =
         (fun ~round ~node ~src:_ () s -> (s, [ Engine.Complete (node, round) ]));
-      on_tick = Engine.no_tick;
+      on_wake = Engine.no_wake;
     }
   in
   let stats = Event.fresh_stats () in
@@ -489,26 +473,24 @@ let test_sharded_lazy_event_run () =
   Alcotest.(check int) "peak one in flight" 1 stats.peak_in_flight
 
 let test_tick_protocol_pinned () =
-  (* Graph path supports tick-driven protocols: each shard ticks its
-     own members. *)
+  (* Graph path supports waking protocols: each shard wakes its own
+     nodes. Every node wakes in rounds 1-3 and sends to its successor. *)
   let graph = Gen.cycle 9 in
   let protocol =
     {
       Engine.name = "tick-flood";
       initial_state = (fun v -> v);
-      on_start = (fun ~node:_ s -> (s, []));
+      on_start = (fun ~node:_ s -> (s, [ Engine.Wake 1 ]));
       on_receive =
         (fun ~round ~node ~src:_ m s ->
           (s + m, if round > 6 then [ Engine.Complete (node, s + m) ] else []));
-      on_tick =
-        Some
-          (fun ~round ~node s ->
-            if round <= 3 then
-              (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node) ])
-            else (s, []));
+      on_wake =
+        (fun ~round ~node s ->
+          let send = Engine.Send ((node + 1) mod 9, Helpers.mix round node) in
+          (s, if round < 3 then [ send; Engine.Wake (round + 1) ] else [ send ]));
     }
   in
-  let config = { Engine.default_config with min_rounds = 10 } in
+  let config = Engine.default_config in
   let seq = Engine.run ~graph ~config ~protocol () in
   let sh = Shard.run ~shards:3 ~pool ~graph ~config ~protocol () in
   Alcotest.(check bool) "ticking protocol pinned" true (seq = sh)
@@ -537,7 +519,7 @@ let relay_protocol ~n calls =
         s.hits <- s.hits + ttl;
         if ttl > 1 && node + 1 < n then (s, [ Engine.Send (node + 1, ttl - 1) ])
         else (s, [ Engine.Complete (node, s.hits) ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let test_lazy_initial_states () =
@@ -569,10 +551,13 @@ let test_lazy_initial_states () =
     [ 2; 3 ]
 
 let test_lazy_ticking_no_starters () =
-  (* No starters and no injections: the ticks alone touch every node,
-     so the filler must exist before the first one. Float states, so
-     the store is a flat float array. *)
+  (* No starters: injections alone touch every node, so the filler must
+     exist before the first one. Float states, so the store is a flat
+     float array. The reference does the same work from wakes. *)
   let graph = Gen.cycle 9 in
+  let send ~round ~node s =
+    (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node land 0xff) ])
+  in
   let protocol =
     {
       Engine.name = "tick-float";
@@ -582,19 +567,29 @@ let test_lazy_ticking_no_starters () =
         (fun ~round ~node ~src:_ m s ->
           let s = s +. float_of_int m in
           (s, if round > 6 then [ Engine.Complete (node, s) ] else []));
-      on_tick =
-        Some
-          (fun ~round ~node s ->
-            if round <= 3 then
-              (s, [ Engine.Send ((node + 1) mod 9, Helpers.mix round node land 0xff) ])
-            else (s, []));
+      on_wake = Engine.no_wake;
     }
   in
-  let config = { Engine.default_config with min_rounds = 10 } in
-  let reference = Countq_simnet.Reference.run ~graph ~config ~protocol () in
+  let waking =
+    {
+      protocol with
+      on_start = (fun ~node:_ s -> (s, [ Engine.Wake 1 ]));
+      on_wake =
+        (fun ~round ~node s ->
+          let s, acts = send ~round ~node s in
+          (s, if round < 3 then acts @ [ Engine.Wake (round + 1) ] else acts));
+    }
+  in
+  let injections =
+    Array.init 27 (fun i ->
+        let round = 1 + (i / 9) and node = i mod 9 in
+        { Event.at = round; node; inject = send ~round ~node })
+  in
+  let config = Engine.default_config in
+  let reference = Countq_simnet.Reference.run ~graph ~config ~protocol:waking () in
   let sh =
-    Shard.run_implicit ~shards:2 ~pool ~starters:[] ~topo:(Implicit.of_graph graph)
-      ~config ~protocol ()
+    Shard.run_implicit ~shards:2 ~pool ~starters:[] ~injections
+      ~topo:(Implicit.of_graph graph) ~config ~protocol ()
   in
   Alcotest.(check bool) "lazy ticking run = reference" true (reference = sh)
 

@@ -66,7 +66,7 @@ let hop_protocol =
     initial_state = (fun _ -> ());
     on_start = (fun ~node:_ s -> (s, []));
     on_receive = (fun ~round:_ ~node:_ ~src _m s -> (s, [ Engine.Complete src ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let hop_injections rounds =

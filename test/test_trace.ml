@@ -13,7 +13,7 @@ let pinger count =
         if node = 0 then (s, List.init count (fun i -> Engine.Send (1, i)))
         else (s, []));
     on_receive = (fun ~round:_ ~node:_ ~src:_ msg s -> (s, [ Engine.Complete msg ]));
-    on_tick = Engine.no_tick;
+    on_wake = Engine.no_wake;
   }
 
 let run_traced count =
@@ -85,17 +85,15 @@ let test_tick_instrumented () =
     {
       Engine.name = "tick";
       initial_state = (fun _ -> ());
-      on_start = (fun ~node:_ s -> (s, []));
+      on_start = (fun ~node s -> (s, if node = 0 then [ Engine.Wake 2 ] else []));
       on_receive = (fun ~round:_ ~node:_ ~src:_ () s -> (s, []));
-      on_tick =
-        Some
-          (fun ~round ~node s ->
-            if node = 0 && round = 2 then (s, [ Engine.Send (1, ()) ]) else (s, []));
+      on_wake =
+        (fun ~round ~node s ->
+          if node = 0 && round = 2 then (s, [ Engine.Send (1, ()) ]) else (s, []));
     }
   in
   let protocol, events = Trace.instrument base in
-  let config = { Engine.default_config with min_rounds = 3 } in
-  ignore (Engine.run ~graph:(Gen.path 2) ~config ~protocol ());
+  ignore (Engine.run ~graph:(Gen.path 2) ~config:Engine.default_config ~protocol ());
   let has_tick_send =
     List.exists
       (function Trace.Queued_send { round = 2; node = 0; dst = 1 } -> true | _ -> false)
