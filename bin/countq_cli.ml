@@ -398,33 +398,9 @@ let verify_cmd =
             exit 2
         | Ok requests -> (
             let tree = Spanning.best_for_arrow g in
-            let protocol =
-              Countq_arrow.Protocol.one_shot_protocol ~tree ~requests ()
-            in
-            let check completions =
-              let outcomes =
-                List.map
-                  (fun (c : _ Countq_simnet.Engine.completion) ->
-                    let op, pred = c.value in
-                    {
-                      Countq_arrow.Types.op;
-                      pred;
-                      found_at = c.node;
-                      round = c.round;
-                    })
-                  completions
-              in
-              if List.length outcomes <> List.length requests then
-                Error "wrong completion count"
-              else
-                match Countq_arrow.Order.chain outcomes with
-                | Ok _ -> Ok ()
-                | Error e ->
-                    Error (Format.asprintf "%a" Countq_arrow.Order.pp_error e)
-            in
             match
-              Countq_simnet.Explore.run ~graph:(Tree.to_graph tree) ~protocol
-                ~check ()
+              Countq_simnet.Oneshot.explore
+                (Countq_arrow.Protocol.one_shot ~tree ~requests ())
             with
             | Countq_simnet.Explore.Exhaustive stats ->
                 Printf.printf
@@ -462,34 +438,7 @@ let verify_cmd =
 
 let check_cmd =
   let module Explore = Countq_simnet.Explore in
-  let module Engine = Countq_simnet.Engine in
-  let order_check requests completions =
-    let outcomes =
-      List.map
-        (fun (c : _ Engine.completion) ->
-          let op, pred = c.value in
-          { Countq_arrow.Types.op; pred; found_at = c.node; round = c.round })
-        completions
-    in
-    if List.length outcomes <> List.length requests then
-      Error "wrong completion count"
-    else
-      match Countq_arrow.Order.chain outcomes with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Format.asprintf "%a" Countq_arrow.Order.pp_error e)
-  in
-  let counts_check requests completions =
-    let outcomes =
-      List.map
-        (fun (c : _ Engine.completion) ->
-          let node, count = c.value in
-          { Countq_counting.Counts.node; count; round = c.round })
-        completions
-    in
-    match Countq_counting.Counts.validate ~requests outcomes with
-    | Ok () -> Ok ()
-    | Error e -> Error (Format.asprintf "%a" Countq_counting.Counts.pp_error e)
-  in
+  let module Oneshot = Countq_simnet.Oneshot in
   let budget =
     Arg.conv'
       ( (fun s ->
@@ -510,10 +459,10 @@ let check_cmd =
     let jobs = resolve_jobs jobs in
     let pool = if jobs > 1 then Some (Parallel.pool ~jobs) else None in
     let violations = ref 0 in
-    let instance ~protocol_name ~instance_name ~graph ~protocol ~check ~k =
+    let instance protocol_name instance_name inst =
       let t0 = Unix.gettimeofday () in
       let verdict, stats =
-        match Explore.run ~graph ~protocol ~check ~max_configs ?pool () with
+        match Oneshot.explore ~max_configs ?pool inst with
         | Explore.Exhaustive stats -> ("all schedules safe", stats)
         | Explore.Budget_exhausted stats -> ("budget exhausted (partial)", stats)
         | exception Explore.Violation m ->
@@ -534,7 +483,7 @@ let check_cmd =
       [
         protocol_name;
         instance_name;
-        Table.cell_int k;
+        Table.cell_int inst.Oneshot.spec.expected;
         Table.cell_int stats.explored;
         Table.cell_int stats.terminal;
         Table.cell_float ~decimals:1 dedup_pct;
@@ -542,65 +491,43 @@ let check_cmd =
         verdict;
       ]
     in
+    let bfs g = Spanning.bfs g ~root:0 in
     let arrow name g requests =
-      let tree = Spanning.best_for_arrow g in
-      instance ~protocol_name:"arrow" ~instance_name:name
-        ~graph:(Tree.to_graph tree)
-        ~protocol:(Countq_arrow.Protocol.one_shot_protocol ~tree ~requests ())
-        ~check:(order_check requests) ~k:(List.length requests)
+      instance "arrow" name
+        (Countq_arrow.Protocol.one_shot ~tree:(Spanning.best_for_arrow g)
+           ~requests ())
     in
-    let central name g requests =
-      instance ~protocol_name:"central-count" ~instance_name:name ~graph:g
-        ~protocol:(Countq_counting.Central.one_shot_protocol ~graph:g ~requests ())
-        ~check:(counts_check requests) ~k:(List.length requests)
+    let central name graph requests =
+      instance "central-count" name
+        (Countq_counting.Central.one_shot ~graph ~requests ())
     in
-    let central_queue name g requests =
-      instance ~protocol_name:"central-queue" ~instance_name:name ~graph:g
-        ~protocol:
-          (Countq_queuing.Central_queue.one_shot_protocol ~graph:g ~requests ())
-        ~check:(order_check requests) ~k:(List.length requests)
+    let central_queue name graph requests =
+      instance "central-queue" name
+        (Countq_queuing.Central_queue.one_shot ~graph ~requests ())
     in
     let combining name g requests =
-      let tree = Spanning.bfs g ~root:0 in
-      instance ~protocol_name:"combining" ~instance_name:name
-        ~graph:(Tree.to_graph tree)
-        ~protocol:(Countq_counting.Combining.one_shot_protocol ~tree ~requests ())
-        ~check:(counts_check requests) ~k:(List.length requests)
+      instance "combining" name
+        (Countq_counting.Combining.one_shot ~tree:(bfs g) ~requests ())
     in
     let diffracting name g requests =
-      let tree = Spanning.bfs g ~root:0 in
-      instance ~protocol_name:"diffracting" ~instance_name:name
-        ~graph:(Tree.to_graph tree)
-        ~protocol:
-          (Countq_counting.Diffracting.one_shot_protocol ~tree ~requests ())
-        ~check:(counts_check requests) ~k:(List.length requests)
+      instance "diffracting" name
+        (Countq_counting.Diffracting.one_shot ~tree:(bfs g) ~requests ())
     in
     let funnel name g requests =
-      let tree = Spanning.bfs g ~root:0 in
-      instance ~protocol_name:"funnel" ~instance_name:name
-        ~graph:(Tree.to_graph tree)
-        ~protocol:(Countq_counting.Funnel.one_shot_protocol ~tree ~requests ())
-        ~check:(counts_check requests) ~k:(List.length requests)
+      instance "funnel" name
+        (Countq_counting.Funnel.one_shot ~tree:(bfs g) ~requests ())
     in
     let token_ring name g requests =
-      let tree = Spanning.bfs g ~root:0 in
-      instance ~protocol_name:"token-ring" ~instance_name:name
-        ~graph:(Tree.to_graph tree)
-        ~protocol:(Countq_queuing.Token_ring.one_shot_protocol ~tree ~requests ())
-        ~check:(order_check requests) ~k:(List.length requests)
+      instance "token-ring" name
+        (Countq_queuing.Token_ring.one_shot ~tree:(bfs g) ~requests ())
     in
     let sweep name g requests =
-      let tree = Spanning.bfs g ~root:0 in
-      instance ~protocol_name:"sweep" ~instance_name:name
-        ~graph:(Tree.to_graph tree)
-        ~protocol:(Countq_counting.Sweep.one_shot_protocol ~tree ~requests ())
-        ~check:(counts_check requests) ~k:(List.length requests)
+      instance "sweep" name
+        (Countq_counting.Sweep.one_shot ~tree:(bfs g) ~requests ())
     in
-    let dynamic_queue name g requests =
-      instance ~protocol_name:"dynamic-queue" ~instance_name:name ~graph:g
-        ~protocol:
-          (Countq_queuing.Dynamic_queue.one_shot_protocol ~graph:g ~requests ())
-        ~check:(order_check requests) ~k:(List.length requests)
+    let dynamic_queue name graph requests =
+      instance "dynamic-queue" name
+        (Countq_queuing.Dynamic_queue.one_shot ~graph ~requests ())
     in
     let t0 = Unix.gettimeofday () in
     let rows =
@@ -1677,9 +1604,11 @@ let trace_cmd =
         let rng = Rng.create (Int64.of_int seed) in
         let k = max 1 (n / 3) in
         let requests = Rng.sample rng ~k ~n in
-        let result, events =
-          Countq_arrow.Protocol.run_one_shot_traced ~tree ~requests ()
+        let res, events =
+          Countq_simnet.Oneshot.traced
+            (Countq_arrow.Protocol.one_shot ~tree ~requests ())
         in
+        let result = Countq_arrow.Protocol.of_engine res in
         Printf.printf
           "arrow protocol on %s (n=%d), requests {%s}, tail at node %d\n\n"
           topology n

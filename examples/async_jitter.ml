@@ -15,6 +15,7 @@
 module Gen = Countq_topology.Gen
 module Spanning = Countq_topology.Spanning
 module Async = Countq_simnet.Async
+module Oneshot = Countq_simnet.Oneshot
 module Arrow = Countq_arrow
 module Central = Countq_counting.Central
 module FA = Countq_counting.Fetch_add
@@ -31,8 +32,14 @@ let () =
     "counting total";
   List.iter
     (fun (name, delay) ->
-      let q = Arrow.Protocol.run_one_shot_async ~delay ~tree ~requests () in
-      let c = Central.run_async ~delay ~graph:g ~requests () in
+      let q =
+        Arrow.Protocol.of_engine
+          (Oneshot.async ~delay (Arrow.Protocol.one_shot ~tree ~requests ()))
+      in
+      let c =
+        Countq_counting.Counts.of_engine ~requests
+          (Oneshot.async ~delay (Central.one_shot ~graph:g ~requests ()))
+      in
       assert (Result.is_ok q.order);
       assert (Result.is_ok c.valid);
       Format.printf "%-14s %-14d %-14d@." name q.total_delay c.total_delay)

@@ -98,3 +98,36 @@ let respects_real_time ~issue ~complete order =
     done
   done;
   !ok
+
+let of_completions completions =
+  List.map
+    (fun (c : _ Countq_simnet.Engine.completion) ->
+      let op, pred = c.value in
+      { Types.op; pred; found_at = c.node; round = c.round })
+    completions
+
+let spec ~requests =
+  let expected = List.length requests in
+  {
+    Countq_simnet.Oneshot.expected;
+    injects = List.map (fun v -> (v, 0)) requests;
+    op_of_completion = (fun ((op : Types.op), _) -> Some op.origin);
+    check =
+      (fun completions ->
+        if List.length completions <> expected then
+          Error "wrong completion count"
+        else
+          match chain (of_completions completions) with
+          | Ok _ -> Ok ()
+          | Error e -> Error (Format.asprintf "%a" pp_error e));
+    (* The online fragment of [chain]: an injective predecessor map with
+       one head, checked as completions arrive. *)
+    monitors =
+      (fun () ->
+        let id (op : Types.op) = (op.origin, op.seq) in
+        [
+          Countq_simnet.Monitor.chain_consistent
+            ~op:(fun (op, _) -> id op)
+            ~pred:(function _, Types.Init -> None | _, Types.Op q -> Some (id q));
+        ]);
+  }

@@ -24,6 +24,21 @@ val chain : Types.outcome list -> (Types.op list, error) result
 (** [chain outcomes] reconstructs the total order (first queued
     operation first). [Ok []] for no outcomes. *)
 
+val of_completions :
+  (Types.op * Types.pred) Countq_simnet.Engine.completion list ->
+  Types.outcome list
+(** One outcome per [(op, predecessor)] completion, found at the
+    completing node; [round] is the completion round (the one-shot
+    delay: every operation issues at round 0). *)
+
+val spec :
+  requests:int list -> (Types.op * Types.pred) Countq_simnet.Oneshot.spec
+(** The queuing specification over one-shot requests [requests], for
+    every queuing protocol's [one_shot] instance: the terminal check is
+    "every request completed and {!chain} succeeds"; the safety
+    monitor is [Monitor.chain_consistent], {!chain}'s online fragment.
+    Completions name their op by its origin node. *)
+
 val is_valid : Types.outcome list -> bool
 (** Whether {!chain} succeeds. *)
 

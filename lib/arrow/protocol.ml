@@ -1,10 +1,6 @@
 (* The arrow protocol on the synchronous simulator. See protocol.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Async = Countq_simnet.Async
-module Faults = Countq_simnet.Faults
-module Monitor = Countq_simnet.Monitor
-module Reliable = Countq_simnet.Reliable
 module Tree = Countq_topology.Tree
 
 type msg =
@@ -91,15 +87,7 @@ let check_tail tree tail =
   if tail < 0 || tail >= Tree.n tree then
     invalid_arg "Arrow: tail out of range"
 
-let finish ~issue_time (res : (Types.op * Types.pred) Engine.result) =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let op, pred = c.value in
-        let delay = c.round - issue_time op in
-        { Types.op; pred; found_at = c.node; round = delay })
-      res.completions
-  in
+let summarise outcomes (res : _ Engine.result) =
   {
     outcomes;
     order = Order.chain outcomes;
@@ -109,6 +97,9 @@ let finish ~issue_time (res : (Types.op * Types.pred) Engine.result) =
     max_delay = Order.max_delay outcomes;
     expansion = res.expansion;
   }
+
+let of_engine (res : (Types.op * Types.pred) Engine.result) =
+  summarise (Order.of_completions res.completions) res
 
 let one_shot_setup ?config ?tail ~notify ~tree ~requests name =
   let n = Tree.n tree in
@@ -142,146 +133,28 @@ let one_shot_protocol ?tail ?(notify = false) ~tree ~requests () =
   in
   protocol
 
-let run_one_shot ?config ?tail ?(notify = false) ~tree ~requests () =
+(* [name] prefixes the messages of rejected requests. *)
+let instance ?config ?tail ?(notify = false) ~tree ~requests name =
   let config, protocol =
-    one_shot_setup ?config ?tail ~notify ~tree ~requests "Arrow.run_one_shot"
-  in
-  let graph = Tree.to_graph tree in
-  finish ~issue_time:(fun _ -> 0) (Engine.run ~graph ~config ~protocol ())
-
-let run_one_shot_traced ?config ?tail ?(notify = false) ~tree ~requests () =
-  let config, protocol =
-    one_shot_setup ?config ?tail ~notify ~tree ~requests
-      "Arrow.run_one_shot_traced"
-  in
-  let protocol, events = Countq_simnet.Trace.instrument protocol in
-  let graph = Tree.to_graph tree in
-  let result =
-    finish ~issue_time:(fun _ -> 0) (Engine.run ~graph ~config ~protocol ())
-  in
-  (result, events ())
-
-let run_one_shot_observed ?config ?tail ?(notify = false) ?plan ~metrics ~tree
-    ~requests () =
-  let config, protocol =
-    one_shot_setup ?config ?tail ~notify ~tree ~requests
-      "Arrow.run_one_shot_observed"
-  in
-  (* One-shot ops are unique per origin, so the origin node ids the op. *)
-  let protocol, spans =
-    Countq_simnet.Span.instrument
-      ~injects:(List.map (fun v -> (v, 0)) requests)
-      ~op_of_msg:(function
-        | Queue_msg (op : Types.op) | Notify { op; _ } -> Some op.origin)
-      ~op_of_completion:(fun ((op : Types.op), _) -> Some op.origin)
-      protocol
-  in
-  let graph = Tree.to_graph tree in
-  let faults = Option.map Faults.start plan in
-  let result =
-    finish ~issue_time:(fun _ -> 0)
-      (Engine.run ?faults ~metrics ~graph ~config ~protocol ())
-  in
-  (result, spans (), Option.map Faults.stats faults)
-
-type fault_report = {
-  result : run_result;
-  injected : Faults.stats;
-  monitors : Monitor.report;
-  retry : Reliable.stats option;
-}
-
-(* Safety: the completions (op, pred) must form an injective
-   predecessor mapping with a single head — the online fragment of
-   Order.chain. Liveness: every request completes, and silence longer
-   than [budget] rounds is a stall. *)
-let one_shot_monitors ~budget ~expected =
-  [
-    Monitor.chain_consistent
-      ~op:(fun ((op : Types.op), _) -> (op.origin, op.seq))
-      ~pred:(fun (_, p) ->
-        match p with Types.Init -> None | Types.Op q -> Some (q.origin, q.seq));
-    Monitor.completes ~expected;
-    Monitor.progress ~budget ();
-  ]
-
-let default_progress_budget ~ack_timeout ~max_retries =
-  (* Longer than the worst legitimate silence: a full exponential
-     backoff ladder, with slack for round-trips. *)
-  max 512 (4 * ack_timeout * (1 lsl max_retries))
-
-let run_one_shot_faulty ?config ?tail ?(notify = false) ?(retry = false)
-    ?(ack_timeout = 8) ?(max_retries = 5) ?progress_budget ~plan ~tree
-    ~requests () =
-  let config, protocol =
-    one_shot_setup ?config ?tail ~notify ~tree ~requests
-      "Arrow.run_one_shot_faulty"
-  in
-  let budget =
-    match progress_budget with
-    | Some b -> b
-    | None -> default_progress_budget ~ack_timeout ~max_retries
-  in
-  let monitors =
-    one_shot_monitors ~budget ~expected:(List.length requests)
-  in
-  let observer = Monitor.observe monitors in
-  let fr = Faults.start plan in
-  let graph = Tree.to_graph tree in
-  let res, retry_stats =
-    if retry then begin
-      let protocol, h = Reliable.wrap ~ack_timeout ~max_retries protocol in
-      let res =
-        Engine.run ~faults:fr ~observer ~graph ~config ~protocol ()
-      in
-      (res, Some (Reliable.stats h))
-    end
-    else (Engine.run ~faults:fr ~observer ~graph ~config ~protocol (), None)
+    one_shot_setup ?config ?tail ~notify ~tree ~requests name
   in
   {
-    result = finish ~issue_time:(fun _ -> 0) res;
-    injected = Faults.stats fr;
-    monitors = Monitor.finalise monitors;
-    retry = retry_stats;
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config;
+    protocol;
+    spec = Order.spec ~requests;
+    (* One-shot ops are unique per origin, so the origin node ids the op. *)
+    op_of_msg =
+      (function Queue_msg (op : Types.op) | Notify { op; _ } -> Some op.origin);
   }
 
-let run_one_shot_async ?(delay = Async.Constant 1) ?tail ?(notify = false)
-    ~tree ~requests () =
-  let n = Tree.n tree in
-  let tail = Option.value tail ~default:(Tree.root tree) in
-  check_tail tree tail;
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then
-        invalid_arg "Arrow.run_one_shot_async: request out of range";
-      if requesting.(v) then
-        invalid_arg "Arrow.run_one_shot_async: duplicate request node";
-      requesting.(v) <- true)
-    requests;
-  let protocol =
-    make_protocol ~tree ~tail
-      ~issue_rounds:(fun v -> if requesting.(v) then [ 0 ] else [])
-      ~notify
-  in
-  let graph = Tree.to_graph tree in
-  let res = Async.run ~graph ~delay ~protocol () in
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let op, pred = c.value in
-        { Types.op; pred; found_at = c.node; round = c.round })
-      res.completions
-  in
-  {
-    outcomes;
-    order = Order.chain outcomes;
-    rounds = res.finish_time;
-    messages = res.messages;
-    total_delay = Order.total_delay outcomes;
-    max_delay = Order.max_delay outcomes;
-    expansion = 1;
-  }
+let one_shot ?config ?tail ?notify ~tree ~requests () =
+  instance ?config ?tail ?notify ~tree ~requests "Arrow.one_shot"
+
+let run_one_shot ?config ?tail ?notify ~tree ~requests () =
+  of_engine
+    (Countq_simnet.Oneshot.run
+       (instance ?config ?tail ?notify ~tree ~requests "Arrow.run_one_shot"))
 
 let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
   let n = Tree.n tree in
@@ -310,5 +183,9 @@ let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
       ~issue_rounds:(fun v -> per_node.(v))
       ~notify
   in
-  let graph = Tree.to_graph tree in
-  finish ~issue_time (Engine.run ~graph ~config ~protocol ())
+  let res = Engine.run ~graph:(Tree.to_graph tree) ~config ~protocol () in
+  summarise
+    (List.map
+       (fun (o : Types.outcome) -> { o with round = o.round - issue_time o.op })
+       (Order.of_completions res.completions))
+    res

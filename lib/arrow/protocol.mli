@@ -74,87 +74,28 @@ val one_shot_protocol :
     configurations memoise correctly). Completion values are
     [(op, predecessor)] pairs — validate them with {!Order.chain}. *)
 
-val run_one_shot_traced :
+val one_shot :
   ?config:Countq_simnet.Engine.config ->
   ?tail:int ->
   ?notify:bool ->
   tree:Countq_topology.Tree.t ->
   requests:int list ->
   unit ->
-  run_result * Countq_simnet.Trace.event list
-(** {!run_one_shot} with event tracing — behaviour and results are
-    identical; the second component is the chronological event log
-    (render it with [Countq_simnet.Trace.render]). Intended for small
-    demonstrations of the path-reversal mechanics. *)
+  (checker_state, checker_msg, Types.op * Types.pred) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Order.spec}, with {!run_one_shot}'s
+    config and knobs, for the {!Countq_simnet.Oneshot} drivers: traced
+    (the [countq trace] timeline of path reversal), observed (spans
+    keyed by origin node), faulty (with the {!Countq_simnet.Reliable}
+    layer, what lets a one-shot execution survive message drops),
+    asynchronous and model-checked. The arrow's safety — a single valid
+    total order — survives arbitrary link delays; its delay bounds need
+    not. *)
 
-val run_one_shot_observed :
-  ?config:Countq_simnet.Engine.config ->
-  ?tail:int ->
-  ?notify:bool ->
-  ?plan:Countq_simnet.Faults.plan ->
-  metrics:Countq_simnet.Metrics.t ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  run_result * Countq_simnet.Span.t list * Countq_simnet.Faults.stats option
-(** {!run_one_shot} under full observability: per-node / per-edge
-    counters recorded into [metrics] (create one per run) and a causal
-    {!Countq_simnet.Span} per operation, keyed by origin node. [plan]
-    optionally injects faults (no retransmit layer and no monitors —
-    use {!run_one_shot_faulty} for verdicts); the third component is
-    the injection tally when a plan was given. With no plan the
-    results equal {!run_one_shot}'s. *)
-
-type fault_report = {
-  result : run_result;  (** outcomes of whatever completed. *)
-  injected : Countq_simnet.Faults.stats;  (** what the plan actually did. *)
-  monitors : Countq_simnet.Monitor.report;
-      (** runtime verdicts: chain consistency (safety), full completion
-          and progress (liveness). *)
-  retry : Countq_simnet.Reliable.stats option;
-      (** retransmit-layer tally; [None] when [retry] was off. *)
-}
-
-val run_one_shot_faulty :
-  ?config:Countq_simnet.Engine.config ->
-  ?tail:int ->
-  ?notify:bool ->
-  ?retry:bool ->
-  ?ack_timeout:int ->
-  ?max_retries:int ->
-  ?progress_budget:int ->
-  plan:Countq_simnet.Faults.plan ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  fault_report
-(** {!run_one_shot} on an unreliable substrate, with runtime invariant
-    monitors attached. [plan] is the fault schedule (see
-    {!Countq_simnet.Faults}); with [retry] (default [false]) every hop
-    runs under the {!Countq_simnet.Reliable} timeout-and-retransmit
-    layer ([ack_timeout] rounds before the first retransmit, default
-    8; [max_retries] with exponential backoff, default 5), which is
-    what lets a one-shot execution survive message drops. The progress
-    monitor halts a stalled run after [progress_budget] silent rounds
-    (default: comfortably above the retransmit layer's longest
-    backoff). With [plan = Faults.none] and [retry = false] the result
-    equals {!run_one_shot}'s. *)
-
-val run_one_shot_async :
-  ?delay:Countq_simnet.Async.delay_model ->
-  ?tail:int ->
-  ?notify:bool ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  run_result
-(** The one-shot scenario under the asynchronous engine (Section 2.1's
-    "general asynchronous model"): per-message link delays from
-    [delay] (default [Constant 1]) instead of lockstep rounds. The
-    arrow protocol's safety — a single valid total order — must (and,
-    per the property tests, does) survive arbitrary delays; its delay
-    bounds need not. [expansion] is reported as 1: event-time nodes
-    already serialise at one message per time unit. *)
+val of_engine :
+  (Types.op * Types.pred) Countq_simnet.Engine.result -> run_result
+(** Convert a one-shot run's result (every operation issued at round
+    0) — the queuing twin of [Countq_counting.Counts.of_engine], shared
+    by every queuing protocol. *)
 
 val run_long_lived :
   ?config:Countq_simnet.Engine.config ->

@@ -14,6 +14,7 @@ module Tsp = Countq_tsp
 module Bounds = Countq_bounds
 module Multicast = Countq_multicast
 module Json = Countq_util.Json
+module Oneshot = Countq_simnet.Oneshot
 
 type spec = {
   id : string;
@@ -948,8 +949,14 @@ let e18_async_sensitivity ?quick:(quick = false) () =
   let rows =
     List.concat_map
       (fun (name, delay) ->
-        let q = Arrow.Protocol.run_one_shot_async ~delay ~tree ~requests () in
-        let c = Counting.Central.run_async ~delay ~graph:g ~requests () in
+        let q =
+          Arrow.Protocol.of_engine
+            (Oneshot.async ~delay (Arrow.Protocol.one_shot ~tree ~requests ()))
+        in
+        let c =
+          Counting.Counts.of_engine ~requests
+            (Oneshot.async ~delay (Counting.Central.one_shot ~graph:g ~requests ()))
+        in
         [
           [
             name;
@@ -1213,11 +1220,12 @@ let e23_observed_influence ?quick:(quick = false) () =
         let k = List.length requests in
         let tree = Spanning.best_for_arrow g in
         let _, arrow_events =
-          Arrow.Protocol.run_one_shot_traced ~config:Engine.default_config
-            ~tree ~requests ()
+          Oneshot.traced
+            (Arrow.Protocol.one_shot ~config:Engine.default_config ~tree
+               ~requests ())
         in
         let _, counting_events =
-          Counting.Central.run_traced ~graph:g ~requests ()
+          Oneshot.traced (Counting.Central.one_shot ~graph:g ~requests ())
         in
         let describe proto events =
           let growth = Observed.of_trace ~n events in
@@ -1437,7 +1445,6 @@ let e25_growth_exponents ?quick:(quick = false) ?ctx () =
 
 let e26_exhaustive_verification ?quick:(quick = false) () =
   let module Explore = Countq_simnet.Explore in
-  let module Engine = Countq_simnet.Engine in
   let zero_stats =
     { Explore.explored = 0; terminal = 0; max_frontier = 0; dedup_hits = 0 }
   in
@@ -1445,70 +1452,28 @@ let e26_exhaustive_verification ?quick:(quick = false) () =
     | Explore.Exhaustive stats -> ("all schedules safe", stats)
     | Explore.Budget_exhausted stats -> ("budget exhausted (partial)", stats)
   in
-  let arrow_case name g requests =
-    let tree = Spanning.best_for_arrow g in
-    let protocol = Arrow.Protocol.one_shot_protocol ~tree ~requests () in
-    let check completions =
-      let outcomes =
-        List.map
-          (fun (c : _ Engine.completion) ->
-            let op, pred = c.value in
-            { Arrow.Types.op; pred; found_at = c.node; round = c.round })
-          completions
-      in
-      if List.length outcomes <> List.length requests then
-        Error "wrong completion count"
-      else
-        match Arrow.Order.chain outcomes with
-        | Ok _ -> Ok ()
-        | Error e -> Error (Format.asprintf "%a" Arrow.Order.pp_error e)
-    in
+  let case name protocol inst =
     let verdict, stats =
-      match
-        Explore.run ~graph:(Countq_topology.Tree.to_graph tree) ~protocol
-          ~check ()
-      with
+      match Oneshot.explore inst with
       | outcome -> verdict_of outcome
       | exception Explore.Violation m -> ("VIOLATION: " ^ m, zero_stats)
     in
     [
       name;
-      "queue/arrow";
-      Table.cell_int (List.length requests);
+      protocol;
+      Table.cell_int inst.Oneshot.spec.expected;
       Table.cell_int stats.explored;
       Table.cell_int stats.terminal;
       Table.cell_int stats.dedup_hits;
       verdict;
     ]
   in
+  let arrow_case name g requests =
+    let tree = Spanning.best_for_arrow g in
+    case name "queue/arrow" (Arrow.Protocol.one_shot ~tree ~requests ())
+  in
   let central_case name g requests =
-    let protocol = Counting.Central.one_shot_protocol ~graph:g ~requests () in
-    let check completions =
-      let outcomes =
-        List.map
-          (fun (c : _ Engine.completion) ->
-            let node, count = c.value in
-            { Counting.Counts.node; count; round = c.round })
-          completions
-      in
-      match Counting.Counts.validate ~requests outcomes with
-      | Ok () -> Ok ()
-      | Error e -> Error (Format.asprintf "%a" Counting.Counts.pp_error e)
-    in
-    let verdict, stats =
-      match Explore.run ~graph:g ~protocol ~check () with
-      | outcome -> verdict_of outcome
-      | exception Explore.Violation m -> ("VIOLATION: " ^ m, zero_stats)
-    in
-    [
-      name;
-      "count/central";
-      Table.cell_int (List.length requests);
-      Table.cell_int stats.explored;
-      Table.cell_int stats.terminal;
-      Table.cell_int stats.dedup_hits;
-      verdict;
-    ]
+    case name "count/central" (Counting.Central.one_shot ~graph:g ~requests ())
   in
   (* Ceilings chosen so the full table stays under ~2s: the canonical
      encoding plus the partial-order reduction put 6-7 node instances

@@ -5,6 +5,7 @@ module Spanning = Countq_topology.Spanning
 module Counting = Countq_counting
 module Arrow = Countq_arrow
 module Queuing = Countq_queuing
+module Oneshot = Countq_simnet.Oneshot
 
 type kind = Counting | Queuing
 
@@ -96,7 +97,8 @@ let queuing ?tree ~graph ~protocol ~requests () =
         let tree =
           match tree with Some t -> t | None -> Spanning.best_for_arrow graph
         in
-        Queuing.Token_ring.run ~tree ~requests ()
+        Arrow.Protocol.of_engine
+          (Oneshot.run (Queuing.Token_ring.one_shot ~tree ~requests ()))
   in
   {
     protocol = queuing_protocol_name protocol;
@@ -112,6 +114,7 @@ let queuing ?tree ~graph ~protocol ~requests () =
     valid = Result.is_ok result.order;
   }
 
+module Engine = Countq_simnet.Engine
 module Faults = Countq_simnet.Faults
 module Monitor = Countq_simnet.Monitor
 module Parallel = Countq_util.Parallel
@@ -155,91 +158,84 @@ type fault_summary = {
   live : bool;
 }
 
-let run_faulty ?pool ?tree ?(retry = false) ?ack_timeout ?max_retries
-    ?progress_budget ~graph ~protocol ~plan ~requests () =
-  let expected = List.length requests in
-  let spanning () =
-    match tree with Some t -> t | None -> Spanning.best_for_arrow graph
-  in
-  (* Fault-free baseline under the same configuration, so the extra_*
-     columns isolate what the faults (and the retry layer) cost. *)
-  let completed, valid, rounds, messages, injected, monitors, retry_stats,
-      base_rounds, base_messages =
-    match protocol with
-    | `Arrow ->
-        let tree = spanning () in
-        let r, base =
-          pair pool
-            (fun () ->
-              Arrow.Protocol.run_one_shot_faulty ~retry ?ack_timeout
-                ?max_retries ?progress_budget ~plan ~tree ~requests ())
-            (fun () -> Arrow.Protocol.run_one_shot ~tree ~requests ())
-        in
-        ( List.length r.result.outcomes,
-          Result.is_ok r.result.order,
-          r.result.rounds,
-          r.result.messages,
-          r.injected,
-          r.monitors,
-          r.retry,
-          base.rounds,
-          base.messages )
-    | `Central_count ->
-        let r, base =
-          pair pool
-            (fun () ->
-              Counting.Central.run_faulty ~retry ?ack_timeout ?max_retries
-                ?progress_budget ~plan ~graph ~requests ())
-            (fun () -> Counting.Central.run ~graph ~requests ())
-        in
-        ( List.length r.result.outcomes,
-          Result.is_ok r.result.valid,
-          r.result.rounds,
-          r.result.messages,
-          r.injected,
-          r.monitors,
-          r.retry,
-          base.rounds,
-          base.messages )
-    | `Central_queue ->
-        let r, base =
-          pair pool
-            (fun () ->
-              Queuing.Central_queue.run_faulty ~retry ?ack_timeout
-                ?max_retries ?progress_budget ~plan ~graph ~requests ())
-            (fun () -> Queuing.Central_queue.run ~graph ~requests ())
-        in
-        ( List.length r.result.outcomes,
-          Result.is_ok r.result.order,
-          r.result.rounds,
-          r.result.messages,
-          r.injected,
-          r.monitors,
-          r.retry,
-          base.rounds,
-          base.messages )
-  in
+(* What the fault, churn and observe reports read off a run, from
+   either family's result. *)
+type tally = {
+  t_completed : int;
+  t_valid : bool;
+  t_rounds : int;
+  t_messages : int;
+  t_total_delay : int;
+  t_expansion : int;
+}
+
+let of_queue_result (r : Arrow.Protocol.run_result) =
   {
-    protocol = faulty_protocol_name protocol;
-    plan = Faults.label plan;
-    retry;
-    expected;
-    completed;
-    valid;
-    rounds;
-    extra_rounds = rounds - base_rounds;
-    messages;
-    extra_messages = messages - base_messages;
-    injected;
-    monitors;
-    retry_stats;
-    safe = Monitor.safety_ok monitors;
-    live = Monitor.liveness_ok monitors;
+    t_completed = List.length r.outcomes;
+    t_valid = Result.is_ok r.order;
+    t_rounds = r.rounds;
+    t_messages = r.messages;
+    t_total_delay = r.total_delay;
+    t_expansion = r.expansion;
   }
 
+let of_count_result (r : Counting.Counts.run_result) =
+  {
+    t_completed = List.length r.outcomes;
+    t_valid = Result.is_ok r.valid;
+    t_rounds = r.rounds;
+    t_messages = r.messages;
+    t_total_delay = r.total_delay;
+    t_expansion = r.expansion;
+  }
+
+let queue_tally res = of_queue_result (Arrow.Protocol.of_engine res)
+let count_tally ~requests res = of_count_result (Counting.Counts.of_engine ~requests res)
+
+let run_faulty ?pool ?tree ?(retry = false) ?ack_timeout ?max_retries
+    ?progress_budget ~graph ~protocol ~plan ~requests () =
+  (* The faulty run next to its fault-free baseline under the same
+     configuration, so the extra_* columns isolate what the faults (and
+     the retry layer) cost. *)
+  let degrade tally inst =
+    let (r : _ Oneshot.report), (base : _ Engine.result) =
+      pair pool
+        (fun () ->
+          Oneshot.faulty ~retry ?ack_timeout ?max_retries ?progress_budget
+            ~plan inst)
+        (fun () -> Oneshot.run inst)
+    in
+    let t = tally r.result in
+    {
+      protocol = faulty_protocol_name protocol;
+      plan = Faults.label plan;
+      retry;
+      expected = List.length requests;
+      completed = t.t_completed;
+      valid = t.t_valid;
+      rounds = t.t_rounds;
+      extra_rounds = t.t_rounds - base.rounds;
+      messages = t.t_messages;
+      extra_messages = t.t_messages - base.messages;
+      injected = r.injected;
+      monitors = r.monitors;
+      retry_stats = r.retry;
+      safe = Monitor.safety_ok r.monitors;
+      live = Monitor.liveness_ok r.monitors;
+    }
+  in
+  match protocol with
+  | `Arrow ->
+      let tree =
+        match tree with Some t -> t | None -> Spanning.best_for_arrow graph
+      in
+      degrade queue_tally (Arrow.Protocol.one_shot ~tree ~requests ())
+  | `Central_count ->
+      degrade (count_tally ~requests) (Counting.Central.one_shot ~graph ~requests ())
+  | `Central_queue ->
+      degrade queue_tally (Queuing.Central_queue.one_shot ~graph ~requests ())
+
 module Dynamic = Countq_simnet.Dynamic
-module Engine = Countq_simnet.Engine
-module Reliable = Countq_simnet.Reliable
 module Types = Countq_arrow.Types
 
 type churn_protocol =
@@ -272,136 +268,72 @@ type churn_summary = {
 
 (* One arm of the churn comparison: run [protocol] under [sched] and
    report what completed. The static arrow and the retrying central
-   counter have no dynamic-aware runner of their own — they are run
-   here directly on the engine, which is the point: the arrow is the
+   counter have no dynamic-aware runner of their own — they run here
+   through the faulty driver, which is the point: the arrow is the
    victim (a fixed spanning structure under a moving graph) and the
    central counter shows what hop-by-hop retransmission alone buys. *)
 let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
     ~sched ~requests () =
-  let expected = List.length requests in
   let spanning () =
     match tree with Some t -> t | None -> Spanning.best_for_arrow graph
   in
-  let chain_monitors () =
-    [
-      Monitor.chain_consistent
-        ~op:(fun ((op : Types.op), _) -> (op.origin, op.seq))
-        ~pred:(fun ((_ : Types.op), pred) ->
-          match pred with
-          | Types.Init -> None
-          | Types.Op p -> Some (p.origin, p.seq));
-      Monitor.completes ~expected;
-    ]
-  in
-  let outcomes_of completions =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let op, pred = c.value in
-        { Types.op; pred; found_at = c.node; round = c.round })
-      completions
-  in
+  let describe_cut ~from ~round = Some (Dynamic.describe_cut sched ~round ~from) in
   match protocol with
   | `Dynamic_queue ->
       let r =
         Queuing.Dynamic_queue.run ?progress_budget ~sched ~graph ~requests ()
       in
-      ( List.length r.result.outcomes,
-        Result.is_ok r.result.order,
-        r.result.rounds,
-        r.result.messages,
-        r.topo,
-        r.monitors,
-        None,
-        None )
+      (of_queue_result r.result, r.topo, r.monitors, None, None)
   | `Arrow_routed ->
       let r, route =
         Queuing.Dynamic_queue.run_arrow ?ack_timeout ?max_retries
           ?progress_budget ~sched ~graph ~tree:(spanning ()) ~requests ()
       in
-      ( List.length r.result.outcomes,
-        Result.is_ok r.result.order,
-        r.result.rounds,
-        r.result.messages,
-        r.topo,
-        r.monitors,
-        Some route,
-        None )
+      (of_queue_result r.result, r.topo, r.monitors, Some route, None)
   | `Arrow_static ->
       (* The unmodified arrow on its spanning tree, with the schedule
-         tearing at the tree links and nothing repairing them. *)
+         tearing at the tree links and nothing repairing them. A stall
+         is diagnosed around the latest completer, the queue's tail. *)
       let tree = spanning () in
-      let protocol = Arrow.Protocol.one_shot_protocol ~tree ~requests () in
       let dynamic = Dynamic.start sched in
       let last_holder = ref (Countq_topology.Tree.root tree) in
-      let diagnose ~round =
-        Some (Dynamic.describe_cut sched ~round ~from:!last_holder)
-      in
-      let monitors =
-        chain_monitors ()
-        @ [ Monitor.progress ?budget:progress_budget ~diagnose () ]
-      in
-      let mon_obs = Monitor.observe monitors in
       let observer =
         {
-          mon_obs with
-          Engine.on_complete =
-            (fun ~round ~node ~value ->
-              last_holder := (fst value).Types.origin;
-              mon_obs.on_complete ~round ~node ~value);
+          Engine.null_observer with
+          on_complete =
+            (fun ~round:_ ~node:_ ~value ->
+              last_holder := (fst value).Types.origin);
         }
       in
-      let res =
-        Engine.run ~dynamic ~observer ~graph:(Countq_topology.Tree.to_graph tree)
-          ~config:
-            (Engine.config_with_capacity
-               (max 1 (Countq_topology.Tree.max_degree tree)))
-          ~protocol ()
+      (* No retransmit ladder to wait out: 512 silent rounds, the
+         progress monitor's own default. *)
+      let r =
+        Oneshot.faulty
+          ~progress_budget:(Option.value progress_budget ~default:512)
+          ~dynamic ~observer
+          ~diagnose:(fun ~round -> describe_cut ~from:!last_holder ~round)
+          ~plan:Faults.none
+          (Arrow.Protocol.one_shot ~tree ~requests ())
       in
-      let outcomes = outcomes_of res.completions in
-      ( List.length outcomes,
-        Result.is_ok (Arrow.Order.chain outcomes),
-        res.rounds,
-        res.messages,
+      ( queue_tally r.result,
         Dynamic.stats dynamic,
-        Monitor.finalise monitors,
+        r.monitors,
         None,
         None )
   | `Central_count ->
-      (* The centralised counter with hop-by-hop retransmission: every
-         link heals itself, but the root stays a fixed rendezvous the
-         schedule can wall off. *)
-      let at = Option.value ack_timeout ~default:8 in
-      let mr = Option.value max_retries ~default:5 in
-      let budget =
-        match progress_budget with
-        | Some b -> b
-        | None -> max 512 (4 * at * (1 lsl mr))
-      in
-      let inner = Counting.Central.one_shot_protocol ~graph ~requests () in
-      let protocol, h = Reliable.wrap ~ack_timeout:at ~max_retries:mr inner in
+      (* Every link heals itself, but the root stays a fixed rendezvous
+         the schedule can wall off. *)
       let dynamic = Dynamic.start sched in
-      let diagnose ~round = Some (Dynamic.describe_cut sched ~round ~from:0) in
-      let monitors =
-        [
-          Monitor.distinct_ranks ~rank:snd;
-          Monitor.unique_completion ~node_of:(fun ~node:_ (who, _) -> who);
-          Monitor.completes ~expected;
-          Monitor.progress ~budget ~diagnose ();
-        ]
+      let r =
+        Oneshot.faulty ~retry:true ?ack_timeout ?max_retries ?progress_budget
+          ~dynamic ~diagnose:(describe_cut ~from:0) ~plan:Faults.none
+          (Counting.Central.one_shot ~graph ~requests ())
       in
-      let res =
-        Engine.run ~dynamic ~observer:(Monitor.observe monitors) ~graph
-          ~config:Engine.default_config ~protocol ()
-      in
-      let rr = Counting.Counts.of_engine ~requests res in
-      ( List.length rr.outcomes,
-        Result.is_ok rr.valid,
-        rr.rounds,
-        rr.messages,
+      ( count_tally ~requests r.result,
         Dynamic.stats dynamic,
-        Monitor.finalise monitors,
+        r.monitors,
         None,
-        Some (Reliable.stats h) )
+        r.retry )
 
 let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
     ~protocol ~sched ~requests () =
@@ -411,27 +343,19 @@ let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
   in
   (* The identity-schedule baseline isolates what the adversary (and
      the repair machinery's reaction to it) costs on this instance. *)
-  let ( completed,
-        valid,
-        rounds,
-        messages,
-        topo,
-        monitors,
-        route,
-        retry ),
-      (_, _, base_rounds, base_messages, _, _, _, _) =
+  let (t, topo, monitors, route, retry), (base, _, _, _, _) =
     pair pool (arm sched) (arm (Dynamic.identity graph))
   in
   {
     c_protocol = churn_protocol_name protocol;
     schedule = Dynamic.label sched;
     c_expected = List.length requests;
-    c_completed = completed;
-    c_valid = valid;
-    c_rounds = rounds;
-    c_extra_rounds = rounds - base_rounds;
-    c_messages = messages;
-    c_extra_messages = messages - base_messages;
+    c_completed = t.t_completed;
+    c_valid = t.t_valid;
+    c_rounds = t.t_rounds;
+    c_extra_rounds = t.t_rounds - base.t_rounds;
+    c_messages = t.t_messages;
+    c_extra_messages = t.t_messages - base.t_messages;
     topo;
     c_monitors = monitors;
     c_safe = Monitor.safety_ok monitors;
@@ -473,49 +397,37 @@ let observe ?tree ?plan ~graph ~protocol ~requests () =
   let spanning () =
     match tree with Some t -> t | None -> Spanning.best_for_arrow graph
   in
-  let o_kind, completed, o_valid, o_rounds, o_messages, o_total_delay,
-      o_expansion, spans, o_injected =
-    match protocol with
-    | (`Arrow | `Arrow_notify) as p ->
-        let r, spans, injected =
-          Arrow.Protocol.run_one_shot_observed ?plan ~metrics
-            ~notify:(p = `Arrow_notify) ~tree:(spanning ()) ~requests ()
-        in
-        ( Queuing, List.length r.outcomes, Result.is_ok r.order, r.rounds,
-          r.messages, r.total_delay, r.expansion, spans, injected )
-    | `Central_queue ->
-        let r, spans, injected =
-          Queuing.Central_queue.run_observed ?plan ~metrics ~graph ~requests ()
-        in
-        ( Queuing, List.length r.outcomes, Result.is_ok r.order, r.rounds,
-          r.messages, r.total_delay, r.expansion, spans, injected )
-    | `Central_count ->
-        let r, spans, injected =
-          Counting.Central.run_observed ?plan ~metrics ~graph ~requests ()
-        in
-        ( Counting, List.length r.outcomes, Result.is_ok r.valid, r.rounds,
-          r.messages, r.total_delay, r.expansion, spans, injected )
-    | `Sweep ->
-        let r, spans, injected =
-          Counting.Sweep.run_observed ?plan ~metrics ~tree:(spanning ())
-            ~requests ()
-        in
-        ( Counting, List.length r.outcomes, Result.is_ok r.valid, r.rounds,
-          r.messages, r.total_delay, r.expansion, spans, injected )
+  let observed o_kind tally inst =
+    let res, spans, o_injected = Oneshot.observed ?plan ~metrics inst in
+    let t = tally res in
+    {
+      o_protocol = observed_protocol_name protocol;
+      o_kind;
+      completed = t.t_completed;
+      o_valid = t.t_valid;
+      o_rounds = t.t_rounds;
+      o_messages = t.t_messages;
+      o_total_delay = t.t_total_delay;
+      o_expansion = t.t_expansion;
+      metrics;
+      spans;
+      o_injected;
+    }
   in
-  {
-    o_protocol = observed_protocol_name protocol;
-    o_kind;
-    completed;
-    o_valid;
-    o_rounds;
-    o_messages;
-    o_total_delay;
-    o_expansion;
-    metrics;
-    spans;
-    o_injected;
-  }
+  match protocol with
+  | (`Arrow | `Arrow_notify) as p ->
+      observed Queuing queue_tally
+        (Arrow.Protocol.one_shot ~notify:(p = `Arrow_notify) ~tree:(spanning ())
+           ~requests ())
+  | `Central_queue ->
+      observed Queuing queue_tally
+        (Queuing.Central_queue.one_shot ~graph ~requests ())
+  | `Central_count ->
+      observed Counting (count_tally ~requests)
+        (Counting.Central.one_shot ~graph ~requests ())
+  | `Sweep ->
+      observed Counting (count_tally ~requests)
+        (Counting.Sweep.one_shot ~tree:(spanning ()) ~requests ())
 
 let best_counting ?pool ~graph ~requests () =
   (* The balancer protocols get their fan-in from the offered

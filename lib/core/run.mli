@@ -1,5 +1,10 @@
 (** Uniform one-shot drivers over every protocol in the portfolio.
 
+    The fault, churn and observe reports run each protocol's
+    [one_shot] instance through the {!Countq_simnet.Oneshot} drivers,
+    so they check the same specification ([Counts.spec] or
+    [Order.spec]) as [countq check] and the tests.
+
     The normalisation rule makes cross-protocol comparison honest: a
     protocol run with an expanded step of width [c] (receive capacity
     [c] > 1, used by the tree protocols exactly as Section 4 allows) has
@@ -60,8 +65,8 @@ val queuing :
     token ring) defaults to [Spanning.best_for_arrow graph]. *)
 
 type faulty_protocol = [ `Arrow | `Central_count | `Central_queue ]
-(** The protocols retrofitted with fault-injection runners (the arrow
-    and the two centralised baselines). *)
+(** The protocols in the fault-degradation report (the arrow and the
+    two centralised baselines). *)
 
 val faulty_protocol_name : faulty_protocol -> string
 
@@ -98,12 +103,12 @@ val run_faulty :
   requests:int list ->
   unit ->
   fault_summary
-(** Run [protocol] on [graph] under fault plan [plan] (with the
-    timeout-and-retransmit layer when [retry], default false), run the
-    fault-free baseline with identical parameters, and report the
-    degradation. With [pool], the faulty arm and its baseline evaluate
-    as two jobs on the shared pool. [tree] (for [`Arrow]) defaults to
-    [Spanning.best_for_arrow graph]. *)
+(** Run [protocol] on [graph] under fault plan [plan] through
+    [Oneshot.faulty] (with the timeout-and-retransmit layer when
+    [retry], default false), run the fault-free baseline with identical
+    parameters, and report the degradation. With [pool], the faulty arm
+    and its baseline evaluate as two jobs on the shared pool. [tree]
+    (for [`Arrow]) defaults to [Spanning.best_for_arrow graph]. *)
 
 type churn_protocol =
   [ `Dynamic_queue | `Arrow_static | `Arrow_routed | `Central_count ]
@@ -159,7 +164,7 @@ val run_churn :
 
 type observed_protocol =
   [ `Arrow | `Arrow_notify | `Central_count | `Central_queue | `Sweep ]
-(** The protocols with full-observability runners (metrics + spans). *)
+(** The protocols [countq observe] offers (metrics + spans). *)
 
 val observed_protocol_name : observed_protocol -> string
 
@@ -188,9 +193,9 @@ val observe :
   requests:int list ->
   unit ->
   observation
-(** Run [protocol] on [graph] with a fresh {!Countq_simnet.Metrics}
-    recorder and span instrumentation attached; [plan] optionally
-    injects faults. [tree] (for the tree protocols) defaults to
+(** Run [protocol] on [graph] through [Oneshot.observed], with a fresh
+    {!Countq_simnet.Metrics} recorder and span instrumentation
+    attached; [plan] optionally injects faults. [tree] (for the tree protocols) defaults to
     [Spanning.best_for_arrow graph]. Drives the [countq observe]
     subcommand and the observability experiments. *)
 

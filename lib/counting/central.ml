@@ -1,10 +1,6 @@
 (* Centralised counter baseline. See central.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Async = Countq_simnet.Async
-module Faults = Countq_simnet.Faults
-module Monitor = Countq_simnet.Monitor
-module Reliable = Countq_simnet.Reliable
 module Route = Countq_simnet.Route
 module Graph = Countq_topology.Graph
 
@@ -71,6 +67,18 @@ type checker_msg = msg
 
 let one_shot_protocol ?(root = 0) ?route ~graph ~requests () =
   prepare ~root ~route ~graph ~requests
+
+let one_shot ?(config = Engine.default_config) ?(root = 0) ?route ~graph
+    ~requests () =
+  {
+    Countq_simnet.Oneshot.graph;
+    config;
+    protocol = prepare ~root ~route ~graph ~requests;
+    spec = Counts.spec ~requests;
+    (* A Reply belongs to the op of its destination. *)
+    op_of_msg =
+      (function Request { origin } -> Some origin | Reply { dest; _ } -> Some dest);
+  }
 
 type long_lived_outcome = { node : int; seq : int; count : int; delay : int }
 
@@ -177,86 +185,6 @@ let run_long_lived ?config ?(root = 0) ?route ~graph ~arrivals () =
   in
   { outcomes; counts_exact; rounds = res.rounds; messages = res.messages }
 
-let run ?config ?(root = 0) ?route ~graph ~requests () =
-  let protocol = prepare ~root ~route ~graph ~requests in
-  let config = Option.value config ~default:Engine.default_config in
-  Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ())
-
-type fault_report = {
-  result : Counts.run_result;
-  injected : Faults.stats;
-  monitors : Monitor.report;
-  retry : Reliable.stats option;
-}
-
-(* Safety: ranks are handed out once each, and nobody is counted
-   twice. Liveness: every requester learns a rank, without stalling. *)
-let counting_monitors ~budget ~expected =
-  [
-    Monitor.distinct_ranks ~rank:(fun ((_, count) : int * int) -> count);
-    Monitor.rank_monotonic ~rank:(fun ((_, count) : int * int) -> count);
-    Monitor.unique_completion ~node_of:(fun ~node:_ ((origin, _) : int * int) -> origin);
-    Monitor.completes ~expected;
-    Monitor.progress ~budget ();
-  ]
-
-let run_faulty ?config ?(root = 0) ?route ?(retry = false) ?(ack_timeout = 8)
-    ?(max_retries = 5) ?progress_budget ~plan ~graph ~requests () =
-  let protocol = prepare ~root ~route ~graph ~requests in
-  let config = Option.value config ~default:Engine.default_config in
-  let budget =
-    match progress_budget with
-    | Some b -> b
-    | None -> max 512 (4 * ack_timeout * (1 lsl max_retries))
-  in
-  let monitors = counting_monitors ~budget ~expected:(List.length requests) in
-  let observer = Monitor.observe monitors in
-  let fr = Faults.start plan in
-  let res, retry_stats =
-    if retry then begin
-      let protocol, h = Reliable.wrap ~ack_timeout ~max_retries protocol in
-      let res = Engine.run ~faults:fr ~observer ~graph ~config ~protocol () in
-      (res, Some (Reliable.stats h))
-    end
-    else (Engine.run ~faults:fr ~observer ~graph ~config ~protocol (), None)
-  in
-  {
-    result = Counts.of_engine ~requests res;
-    injected = Faults.stats fr;
-    monitors = Monitor.finalise monitors;
-    retry = retry_stats;
-  }
-
-let run_async ?(delay = Async.Constant 1) ?(root = 0) ?route ~graph ~requests
-    () =
-  let protocol = prepare ~root ~route ~graph ~requests in
-  Counts.of_async ~requests (Async.run ~graph ~delay ~protocol ())
-
-let run_observed ?config ?(root = 0) ?route ?plan ~metrics ~graph ~requests ()
-    =
-  let protocol = prepare ~root ~route ~graph ~requests in
-  (* One-shot: each requester owns exactly one op, so the origin node
-     ids it; a Reply belongs to the op of its destination. *)
-  let protocol, spans =
-    Countq_simnet.Span.instrument
-      ~injects:(List.map (fun v -> (v, 0)) requests)
-      ~op_of_msg:(function
-        | Request { origin } -> Some origin
-        | Reply { dest; _ } -> Some dest)
-      ~op_of_completion:(fun ((origin, _) : int * int) -> Some origin)
-      protocol
-  in
-  let config = Option.value config ~default:Engine.default_config in
-  let faults = Option.map Faults.start plan in
-  let result =
-    Counts.of_engine ~requests
-      (Engine.run ?faults ~metrics ~graph ~config ~protocol ())
-  in
-  (result, spans (), Option.map Faults.stats faults)
-
-let run_traced ?config ?(root = 0) ?route ~graph ~requests () =
-  let protocol = prepare ~root ~route ~graph ~requests in
-  let protocol, events = Countq_simnet.Trace.instrument protocol in
-  let config = Option.value config ~default:Engine.default_config in
-  let result = Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ()) in
-  (result, events ())
+let run ?config ?root ?route ~graph ~requests () =
+  Counts.of_engine ~requests
+    (Countq_simnet.Oneshot.run (one_shot ?config ?root ?route ~graph ~requests ()))

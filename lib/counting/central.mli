@@ -24,53 +24,6 @@ val run :
     (capacities 1/1).
     @raise Invalid_argument on out-of-range or duplicate requests. *)
 
-type fault_report = {
-  result : Counts.run_result;  (** whatever completed (may be partial). *)
-  injected : Countq_simnet.Faults.stats;  (** what the plan actually did. *)
-  monitors : Countq_simnet.Monitor.report;
-      (** runtime verdicts: rank distinctness/monotonicity and
-          completion uniqueness (safety), full completion and progress
-          (liveness). *)
-  retry : Countq_simnet.Reliable.stats option;
-      (** retransmit-layer tally; [None] when [retry] was off. *)
-}
-
-val run_faulty :
-  ?config:Countq_simnet.Engine.config ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  ?retry:bool ->
-  ?ack_timeout:int ->
-  ?max_retries:int ->
-  ?progress_budget:int ->
-  plan:Countq_simnet.Faults.plan ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  fault_report
-(** {!run} on an unreliable substrate, with runtime invariant monitors
-    attached. [plan] is the fault schedule (see
-    {!Countq_simnet.Faults}); with [retry] (default [false]) every hop
-    runs under the {!Countq_simnet.Reliable} timeout-and-retransmit
-    layer ([ack_timeout] rounds before the first retransmit, default 8;
-    [max_retries] with exponential backoff, default 5). The progress
-    monitor halts a stalled run after [progress_budget] silent rounds
-    (default: comfortably above the retransmit layer's longest
-    backoff). With [plan = Faults.none] and [retry = false] the result
-    equals {!run}'s. *)
-
-val run_async :
-  ?delay:Countq_simnet.Async.delay_model ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** The same protocol under the asynchronous engine with per-message
-    link delays ([Constant 1] by default): counts stay exactly
-    [{1..|R|}] under any delay pattern; the delays, of course, grow. *)
-
 type long_lived_outcome = {
   node : int;
   seq : int;  (** which of the node's operations (issue order). *)
@@ -113,35 +66,18 @@ val one_shot_protocol :
 (** The raw protocol value; completions are [(node, count)] pairs —
     validate with {!Counts.validate}. *)
 
-val run_observed :
-  ?config:Countq_simnet.Engine.config ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  ?plan:Countq_simnet.Faults.plan ->
-  metrics:Countq_simnet.Metrics.t ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-  * Countq_simnet.Span.t list
-  * Countq_simnet.Faults.stats option
-(** {!run} under full observability: per-node / per-edge counters
-    recorded into [metrics] (create one per run) and a causal span per
-    operation, keyed by origin node (a Reply is attributed to the op of
-    its destination). [plan] optionally injects faults (no retransmit
-    layer, no monitors); the third component is the injection tally
-    when a plan was given. With no plan the result equals {!run}'s —
-    and the heatmap makes the root's Θ(k²) hot spot visible. *)
-
-val run_traced :
+val one_shot :
   ?config:Countq_simnet.Engine.config ->
   ?root:int ->
   ?route:Countq_simnet.Route.t ->
   graph:Countq_topology.Graph.t ->
   requests:int list ->
   unit ->
-  Counts.run_result * Countq_simnet.Trace.event list
-(** {!run} with event tracing (identical behaviour); feeds the
-    Section 3 observed-influence analysis (experiment E23): counting
-    forces information about all of [R] through the root, so its
-    influence sets must reach [|R|] — unlike the arrow's. *)
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Counts.spec}, for the
+    {!Countq_simnet.Oneshot} drivers (faulty, observed, traced,
+    asynchronous, model-checked): counts stay exactly [{1..|R|}] under
+    any fault-free schedule or delay pattern, and the heatmap of an
+    observed run makes the root's Θ(k²) hot spot visible. Spans key an
+    op by its origin (a Reply is attributed to its destination's op).
+    The base model (capacities 1/1) unless [config] says otherwise. *)

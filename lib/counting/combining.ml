@@ -1,7 +1,6 @@
 (* Combining-tree counter. See combining.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Async = Countq_simnet.Async
 module Tree = Countq_topology.Tree
 
 type msg =
@@ -87,17 +86,23 @@ type checker_msg = msg
 let one_shot_protocol ~tree ~requests () =
   prepare ~tree ~requests "Combining.one_shot_protocol"
 
-let run ?config ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Combining.run" in
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
-  in
-  let graph = Tree.to_graph tree in
-  Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+(* [name] prefixes the messages of rejected requests. *)
+let instance ?config ~tree ~requests name =
+  {
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config =
+      (match config with
+      | Some c -> c
+      | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree)));
+    protocol = prepare ~tree ~requests name;
+    spec = Counts.spec ~requests;
+    (* Reports combine whole subtrees: no message serves a single op. *)
+    op_of_msg = (fun _ -> None);
+  }
 
-let run_async ?(delay = Async.Constant 1) ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Combining.run_async" in
-  let graph = Tree.to_graph tree in
-  Counts.of_async ~requests (Async.run ~graph ~delay ~protocol ())
+let one_shot ?config ~tree ~requests () =
+  instance ?config ~tree ~requests "Combining.one_shot"
+
+let run ?config ~tree ~requests () =
+  Counts.of_engine ~requests
+    (Countq_simnet.Oneshot.run (instance ?config ~tree ~requests "Combining.run"))

@@ -26,17 +26,6 @@ val run :
     extends to tree protocols; pass [config] to force the base model.
     @raise Invalid_argument on out-of-range or duplicate requests. *)
 
-val run_async :
-  ?delay:Countq_simnet.Async.delay_model ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** The same protocol under the asynchronous engine: the upsweep waits
-    for every child regardless of message timing, so the DFS ranks —
-    and therefore the exact count set — survive arbitrary link
-    delays. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -51,3 +40,16 @@ val one_shot_protocol :
     protocol through several engines. Remember {!run}'s default config
     expands the step to the tree's maximum degree; callers driving the
     engine directly must choose a config themselves. *)
+
+val one_shot :
+  ?config:Countq_simnet.Engine.config ->
+  tree:Countq_topology.Tree.t ->
+  requests:int list ->
+  unit ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Counts.spec} with {!run}'s default
+    config, for the {!Countq_simnet.Oneshot} drivers. The upsweep waits
+    for every child regardless of message timing, so the DFS ranks —
+    and the exact count set — survive arbitrary link delays
+    ([Oneshot.async]). Spans carry injection and completion only:
+    reports combine whole subtrees. *)

@@ -82,14 +82,15 @@ type run_result = {
   expansion : int;
 }
 
+let of_completions completions =
+  List.map
+    (fun (c : _ Engine.completion) ->
+      let node, count = c.value in
+      { node; count; round = c.round })
+    completions
+
 let of_engine ~requests (res : (int * int) Engine.result) =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let node, count = c.value in
-        { node; count; round = c.round })
-      res.completions
-  in
+  let outcomes = of_completions res.completions in
   {
     outcomes;
     valid = validate ~requests outcomes;
@@ -100,22 +101,26 @@ let of_engine ~requests (res : (int * int) Engine.result) =
     expansion = res.expansion;
   }
 
-let of_async ~requests (res : (int * int) Countq_simnet.Async.result) =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let node, count = c.value in
-        { node; count; round = c.round })
-      res.completions
-  in
+module Monitor = Countq_simnet.Monitor
+
+let spec ~requests =
   {
-    outcomes;
-    valid = validate ~requests outcomes;
-    rounds = res.finish_time;
-    messages = res.messages;
-    total_delay = List.fold_left (fun acc o -> acc + o.round) 0 outcomes;
-    max_delay = List.fold_left (fun acc o -> max acc o.round) 0 outcomes;
-    expansion = 1;
+    Countq_simnet.Oneshot.expected = List.length requests;
+    injects = List.map (fun v -> (v, 0)) requests;
+    op_of_completion = (fun ((node, _) : int * int) -> Some node);
+    check =
+      (fun completions ->
+        match validate ~requests (of_completions completions) with
+        | Ok () -> Ok ()
+        | Error e -> Error (Format.asprintf "%a" pp_error e));
+    (* Ranks are handed out once each, and nobody is counted twice. *)
+    monitors =
+      (fun () ->
+        [
+          Monitor.distinct_ranks ~rank:snd;
+          Monitor.rank_monotonic ~rank:snd;
+          Monitor.unique_completion ~node_of:(fun ~node:_ (origin, _) -> origin);
+        ]);
   }
 
 let pp_outcome ppf o =

@@ -37,11 +37,14 @@ val of_engine :
 (** Convert an engine result whose completion values are
     [(requesting node, count)] pairs. The completion may be recorded at
     any node (protocols complete at the requester, but this is not
-    assumed here). *)
+    assumed here). Asynchronous runs convert the same way: see
+    [Countq_simnet.Oneshot.async]. *)
 
-val of_async :
-  requests:int list -> (int * int) Countq_simnet.Async.result -> run_result
-(** Same conversion for the asynchronous engine's results; [expansion]
-    is 1 and [rounds] is the finish event time. *)
+val spec : requests:int list -> (int * int) Countq_simnet.Oneshot.spec
+(** The counting specification over one-shot requests [requests], for
+    every counting protocol's [one_shot] instance: the terminal check
+    is {!validate}; the safety monitors are [Monitor.distinct_ranks],
+    [rank_monotonic] and [unique_completion]. Completions name their
+    op by the requesting node. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,7 +1,6 @@
 (* Diffracting-tree counter. See diffracting.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Async = Countq_simnet.Async
 module Tree = Countq_topology.Tree
 
 type msg =
@@ -93,22 +92,30 @@ type checker_msg = msg
 let one_shot_protocol ~tree ~requests () =
   prepare ~tree ~requests "Diffracting.one_shot_protocol"
 
-let run ?config ?width ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Diffracting.run" in
-  let config =
-    match (config, width) with
-    | Some c, _ -> c
-    | None, Some w ->
-        (* An adaptively chosen diffraction width: the expanded step is
-           the balancer fan-in we are willing to pay for, not whatever
-           degree the spanning tree happened to have. *)
-        Engine.config_with_capacity (max 1 (min (Tree.max_degree tree) w))
-    | None, None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
-  in
-  let graph = Tree.to_graph tree in
-  Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+(* [name] prefixes the messages of rejected requests. *)
+let instance ?config ?width ~tree ~requests name =
+  {
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config =
+      (match (config, width) with
+      | Some c, _ -> c
+      | None, Some w ->
+          (* An adaptively chosen diffraction width: the expanded step
+             is the balancer fan-in we are willing to pay for, not
+             whatever degree the spanning tree happened to have. *)
+          Engine.config_with_capacity (max 1 (min (Tree.max_degree tree) w))
+      | None, None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree)));
+    protocol = prepare ~tree ~requests name;
+    spec = Counts.spec ~requests;
+    op_of_msg =
+      (function
+      | Up origin | Down { origin; _ } | Back { origin; _ } -> Some origin);
+  }
 
-let run_async ?(delay = Async.Constant 1) ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Diffracting.run_async" in
-  let graph = Tree.to_graph tree in
-  Counts.of_async ~requests (Async.run ~graph ~delay ~protocol ())
+let one_shot ?config ?width ~tree ~requests () =
+  instance ?config ?width ~tree ~requests "Diffracting.one_shot"
+
+let run ?config ?width ~tree ~requests () =
+  Counts.of_engine ~requests
+    (Countq_simnet.Oneshot.run
+       (instance ?config ?width ~tree ~requests "Diffracting.run"))

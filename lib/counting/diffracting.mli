@@ -45,17 +45,6 @@ val run :
     concurrency warrants); an explicit [config] overrides both.
     @raise Invalid_argument on out-of-range or duplicate requests. *)
 
-val run_async :
-  ?delay:Countq_simnet.Async.delay_model ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** The same protocol under the asynchronous engine. Toggle routing
-    depends only on per-balancer arrival order, never on timing
-    agreement between balancers, so the count set is exact under
-    arbitrary link delays. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -67,3 +56,17 @@ val one_shot_protocol :
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
 (** The raw protocol value ({!run} without the engine invocation), for
     benchmarks and equivalence harnesses driving several engines. *)
+
+val one_shot :
+  ?config:Countq_simnet.Engine.config ->
+  ?width:int ->
+  tree:Countq_topology.Tree.t ->
+  requests:int list ->
+  unit ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Counts.spec} with {!run}'s config
+    rules, for the {!Countq_simnet.Oneshot} drivers. Toggle routing
+    depends only on per-balancer arrival order, never on timing
+    agreement between balancers, so the count set is exact under
+    arbitrary link delays ([Oneshot.async]). Every token carries its
+    origin, so spans follow each op hop by hop. *)

@@ -2,7 +2,6 @@
 
 module Engine = Countq_simnet.Engine
 module Shard = Countq_simnet.Shard
-module Async = Countq_simnet.Async
 module Tree = Countq_topology.Tree
 module Implicit = Countq_topology.Implicit
 
@@ -164,22 +163,29 @@ let default_config ?width ~max_degree ~n ~requests () =
   in
   Engine.config_with_capacity (max 1 (min max_degree w))
 
-let run ?config ?width ~tree ~requests () =
-  let protocol = prepare_tree ~tree ~requests "Funnel.run" in
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        default_config ?width ~max_degree:(Tree.max_degree tree)
-          ~n:(Tree.n tree) ~requests ()
-  in
-  let graph = Tree.to_graph tree in
-  Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+(* [name] prefixes the messages of rejected requests. *)
+let instance ?config ?width ~tree ~requests name =
+  {
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config =
+      (match config with
+      | Some c -> c
+      | None ->
+          default_config ?width ~max_degree:(Tree.max_degree tree)
+            ~n:(Tree.n tree) ~requests ());
+    protocol = prepare_tree ~tree ~requests name;
+    spec = Counts.spec ~requests;
+    (* Batches combine whole subtrees: no message serves a single op. *)
+    op_of_msg = (fun _ -> None);
+  }
 
-let run_async ?(delay = Async.Constant 1) ~tree ~requests () =
-  let protocol = prepare_tree ~tree ~requests "Funnel.run_async" in
-  let graph = Tree.to_graph tree in
-  Counts.of_async ~requests (Async.run ~graph ~delay ~protocol ())
+let one_shot ?config ?width ~tree ~requests () =
+  instance ?config ?width ~tree ~requests "Funnel.one_shot"
+
+let run ?config ?width ~tree ~requests () =
+  Counts.of_engine ~requests
+    (Countq_simnet.Oneshot.run
+       (instance ?config ?width ~tree ~requests "Funnel.run"))
 
 let run_implicit ?config ?width ?shards ?pool ?stats ~topo ~requests () =
   let protocol = prepare_implicit ~topo ~requests "Funnel.run_implicit" in

@@ -80,16 +80,6 @@ val run_implicit :
     @raise Invalid_argument if [topo] is not a {!Countq_topology.Implicit.tree}
     family, or on out-of-range or duplicate requests. *)
 
-val run_async :
-  ?delay:Countq_simnet.Async.delay_model ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** The same protocol under the asynchronous engine. Batch contents
-    depend only on per-node arrival order, so the count set stays
-    exactly [{1..|R|}] under arbitrary link delays. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -101,6 +91,20 @@ val one_shot_protocol :
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
 (** The raw protocol on a materialised tree ({!run} without the engine
     invocation), for model checking and equivalence harnesses. *)
+
+val one_shot :
+  ?config:Countq_simnet.Engine.config ->
+  ?width:int ->
+  tree:Countq_topology.Tree.t ->
+  requests:int list ->
+  unit ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Counts.spec} with {!run}'s config
+    rules, for the {!Countq_simnet.Oneshot} drivers. Batch contents
+    depend only on per-node arrival order, so the count set stays
+    exactly [{1..|R|}] under arbitrary link delays ([Oneshot.async]).
+    Spans carry injection and completion only: batches combine whole
+    subtrees. *)
 
 val implicit_protocol :
   topo:Countq_topology.Implicit.t ->

@@ -310,7 +310,18 @@ type checker_msg = msg
 
 let one_shot_protocol = prepare
 
+let one_shot ?(config = Engine.default_config) ?width ?net ?placement ?route
+    ~graph ~requests () =
+  {
+    Countq_simnet.Oneshot.graph;
+    config;
+    protocol = prepare ?width ?net ?placement ?route ~graph ~requests ();
+    spec = Counts.spec ~requests;
+    op_of_msg =
+      (function Token { origin; _ } -> Some origin | Reply { dest; _ } -> Some dest);
+  }
+
 let run ?config ?width ?net ?placement ?route ~graph ~requests () =
-  let protocol = prepare ?width ?net ?placement ?route ~graph ~requests () in
-  let config = Option.value config ~default:Engine.default_config in
-  Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+  Counts.of_engine ~requests
+    (Countq_simnet.Oneshot.run
+       (one_shot ?config ?width ?net ?placement ?route ~graph ~requests ()))

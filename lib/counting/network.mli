@@ -71,6 +71,20 @@ val one_shot_protocol :
     defaults), for benchmarks and equivalence harnesses that need to
     drive the same protocol through several engines. *)
 
+val one_shot :
+  ?config:Countq_simnet.Engine.config ->
+  ?width:int ->
+  ?net:Bitonic.t ->
+  ?placement:placement ->
+  ?route:Countq_simnet.Route.t ->
+  graph:Countq_topology.Graph.t ->
+  requests:int list ->
+  unit ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Counts.spec} with {!run}'s defaults,
+    for the {!Countq_simnet.Oneshot} drivers; every token and reply
+    names its op's origin, so spans follow each op hop by hop. *)
+
 type long_lived_outcome = {
   node : int;  (** requesting processor. *)
   seq : int;  (** which of the node's operations (issue order). *)

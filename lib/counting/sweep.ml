@@ -1,7 +1,6 @@
 (* Token-sweep counter (Euler-tour walk). See sweep.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Async = Countq_simnet.Async
 module Tree = Countq_topology.Tree
 
 (* The Euler walk of [tree] from its root as a vertex sequence in which
@@ -105,33 +104,21 @@ type checker_msg = int
 let one_shot_protocol ~tree ~requests () =
   prepare ~tree ~requests "Sweep.one_shot_protocol"
 
+(* [name] prefixes the messages of rejected requests. *)
+let instance ?(config = Engine.default_config) ~tree ~requests name =
+  {
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config;
+    protocol = prepare ~tree ~requests name;
+    spec = Counts.spec ~requests;
+    (* The token serves every operation at once, so no message maps to
+       a single op: spans carry injection and completion only. *)
+    op_of_msg = (fun (_ : int) -> None);
+  }
+
+let one_shot ?config ~tree ~requests () =
+  instance ?config ~tree ~requests "Sweep.one_shot"
+
 let run ?config ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Sweep.run" in
-  let config = Option.value config ~default:Engine.default_config in
-  let graph = Tree.to_graph tree in
-  Counts.of_engine ~requests (Engine.run ~graph ~config ~protocol ())
-
-let run_observed ?config ?plan ~metrics ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Sweep.run_observed" in
-  (* The token serves every operation at once, so no message maps to a
-     single op: spans carry injection and completion only. *)
-  let protocol, spans =
-    Countq_simnet.Span.instrument
-      ~injects:(List.map (fun v -> (v, 0)) requests)
-      ~op_of_msg:(fun (_ : int) -> None)
-      ~op_of_completion:(fun ((node, _) : int * int) -> Some node)
-      protocol
-  in
-  let config = Option.value config ~default:Engine.default_config in
-  let graph = Tree.to_graph tree in
-  let faults = Option.map Countq_simnet.Faults.start plan in
-  let result =
-    Counts.of_engine ~requests
-      (Engine.run ?faults ~metrics ~graph ~config ~protocol ())
-  in
-  (result, spans (), Option.map Countq_simnet.Faults.stats faults)
-
-let run_async ?(delay = Async.Constant 1) ~tree ~requests () =
-  let protocol = prepare ~tree ~requests "Sweep.run_async" in
-  let graph = Tree.to_graph tree in
-  Counts.of_async ~requests (Async.run ~graph ~delay ~protocol ())
+  Counts.of_engine ~requests
+    (Countq_simnet.Oneshot.run (instance ?config ~tree ~requests "Sweep.run"))

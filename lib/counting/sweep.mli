@@ -26,33 +26,6 @@ val run :
     stops at the tour's last new vertex. Base-model config by default.
     @raise Invalid_argument on out-of-range or duplicate requests. *)
 
-val run_observed :
-  ?config:Countq_simnet.Engine.config ->
-  ?plan:Countq_simnet.Faults.plan ->
-  metrics:Countq_simnet.Metrics.t ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-  * Countq_simnet.Span.t list
-  * Countq_simnet.Faults.stats option
-(** {!run} under full observability: counters into [metrics], a span
-    per operation keyed by origin node. The shared token serves every
-    operation at once, so no hop belongs to a single operation — spans
-    carry injection and completion only (the per-op delay is still
-    exact). [plan] optionally injects faults; note a dropped token
-    strands the whole sweep. *)
-
-val run_async :
-  ?delay:Countq_simnet.Async.delay_model ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** The same walk under asynchronous link delays: the token's visit
-    order — and therefore the rank assignment — is timing-independent,
-    so the count set survives any delay model. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -66,3 +39,18 @@ val one_shot_protocol :
     benchmarks and equivalence harnesses that need to drive the same
     protocol through several engines; completions are [(node, count)]
     pairs — validate with {!Counts.validate}. *)
+
+val one_shot :
+  ?config:Countq_simnet.Engine.config ->
+  tree:Countq_topology.Tree.t ->
+  requests:int list ->
+  unit ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Counts.spec} (base-model config by
+    default), for the {!Countq_simnet.Oneshot} drivers. The token's
+    visit order — and so the rank assignment — is timing-independent,
+    so the count set survives any delay model ([Oneshot.async]). The
+    shared token serves every operation at once, so no hop belongs to
+    a single operation: spans carry injection and completion only (the
+    per-op delay is still exact), and under a fault plan a dropped
+    token strands the whole sweep. *)

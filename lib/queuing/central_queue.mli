@@ -39,49 +39,15 @@ val one_shot_protocol :
     {!Countq_arrow.Order.chain}.
     @raise Invalid_argument on bad requests or root. *)
 
-val run_observed :
+val one_shot :
   ?config:Countq_simnet.Engine.config ->
   ?root:int ->
   ?route:Countq_simnet.Route.t ->
-  ?plan:Countq_simnet.Faults.plan ->
-  metrics:Countq_simnet.Metrics.t ->
   graph:Countq_topology.Graph.t ->
   requests:int list ->
   unit ->
-  Countq_arrow.Protocol.run_result
-  * Countq_simnet.Span.t list
-  * Countq_simnet.Faults.stats option
-(** {!run} under full observability: counters into [metrics] (create
-    one per run), a causal span per operation keyed by origin node.
-    [plan] optionally injects faults (no retransmit layer, no
-    monitors); the third component is the injection tally when a plan
-    was given. With no plan the result equals {!run}'s. *)
-
-type fault_report = {
-  result : Countq_arrow.Protocol.run_result;
-      (** outcomes of whatever completed. *)
-  injected : Countq_simnet.Faults.stats;  (** what the plan actually did. *)
-  monitors : Countq_simnet.Monitor.report;
-      (** runtime verdicts: chain consistency (safety), full completion
-          and progress (liveness). *)
-  retry : Countq_simnet.Reliable.stats option;
-      (** retransmit-layer tally; [None] when [retry] was off. *)
-}
-
-val run_faulty :
-  ?config:Countq_simnet.Engine.config ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  ?retry:bool ->
-  ?ack_timeout:int ->
-  ?max_retries:int ->
-  ?progress_budget:int ->
-  plan:Countq_simnet.Faults.plan ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  fault_report
-(** {!run} on an unreliable substrate with runtime invariant monitors
-    attached; same knobs and semantics as
-    {!Countq_counting.Central.run_faulty}. With [plan = Faults.none]
-    and [retry = false] the result equals {!run}'s. *)
+  (checker_state, checker_msg, Countq_arrow.Types.op * Countq_arrow.Types.pred)
+  Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Countq_arrow.Order.spec} with {!run}'s
+    defaults, for the {!Countq_simnet.Oneshot} drivers (spans key an
+    op by its origin; a Reply is attributed to its destination's op). *)

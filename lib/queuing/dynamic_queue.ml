@@ -348,30 +348,6 @@ let dynamic_protocol ~leader ~sched ~refresh ~live ~graph ~requests =
 (* Runners.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let finish (res : (Types.op * Types.pred) Engine.result) =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let op, pred = c.value in
-        { Types.op; pred; found_at = c.node; round = c.round })
-      res.completions
-  in
-  {
-    Countq_arrow.Protocol.outcomes;
-    order = Order.chain outcomes;
-    rounds = res.rounds;
-    messages = res.messages;
-    total_delay = Order.total_delay outcomes;
-    max_delay = Order.max_delay outcomes;
-    expansion = res.expansion;
-  }
-
-let chain_monitor () =
-  Monitor.chain_consistent
-    ~op:(fun ((op : Types.op), _) -> (op.origin, op.seq))
-    ~pred:(fun (_, p) ->
-      match p with Types.Init -> None | Types.Op q -> Some (q.origin, q.seq))
-
 (* Monitors fused with completion counting: the run halts once every
    request has completed (gossip never quiesces on its own) and the
    stall diagnosis describes the partition around the current holder —
@@ -401,6 +377,16 @@ let holder_observer ~monitors ~expected ~last_holder =
 let default_config graph =
   Engine.config_with_capacity (max 1 (Graph.max_degree graph))
 
+let one_shot ?leader ~graph ~requests () =
+  {
+    Countq_simnet.Oneshot.graph;
+    config = default_config graph;
+    protocol = one_shot_protocol ?leader ~graph ~requests ();
+    spec = Order.spec ~requests;
+    (* A delta carries knowledge of many ops at once. *)
+    op_of_msg = (fun _ -> None);
+  }
+
 let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
     ~graph ~requests () =
   let sched =
@@ -414,11 +400,11 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
     Some (Dynamic.describe_cut sched ~round ~from:!last_holder)
   in
   let monitors =
-    [
-      chain_monitor ();
-      Monitor.completes ~expected;
-      Monitor.completion_progress ~budget:progress_budget ~diagnose ();
-    ]
+    (Order.spec ~requests).monitors ()
+    @ [
+        Monitor.completes ~expected;
+        Monitor.completion_progress ~budget:progress_budget ~diagnose ();
+      ]
   in
   let observer, done_count =
     holder_observer ~monitors ~expected ~last_holder
@@ -430,7 +416,7 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
   in
   let res = Engine.run ~dynamic:dyn ~observer ~graph ~config ~protocol () in
   {
-    result = finish res;
+    result = Countq_arrow.Protocol.of_engine res;
     monitors = Monitor.finalise monitors;
     topo = Dynamic.stats dyn;
   }
@@ -649,7 +635,7 @@ let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
   let budget =
     match progress_budget with
     | Some b -> b
-    | None -> max 512 (4 * ack_timeout * (1 lsl max_retries))
+    | None -> Countq_simnet.Reliable.progress_budget ~ack_timeout ~max_retries ()
   in
   let holder0 = match tail with Some t -> t | None -> Tree.root tree in
   let last_holder = ref holder0 in
@@ -657,11 +643,8 @@ let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
     Some (Dynamic.describe_cut sched ~round ~from:!last_holder)
   in
   let monitors =
-    [
-      chain_monitor ();
-      Monitor.completes ~expected;
-      Monitor.progress ~budget ~diagnose ();
-    ]
+    (Order.spec ~requests).monitors ()
+    @ [ Monitor.completes ~expected; Monitor.progress ~budget ~diagnose () ]
   in
   let observer, done_count =
     holder_observer ~monitors ~expected ~last_holder
@@ -674,7 +657,7 @@ let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
   in
   let res = Engine.run ~dynamic:dyn ~observer ~graph ~config ~protocol () in
   ( {
-      result = finish res;
+      result = Countq_arrow.Protocol.of_engine res;
       monitors = Monitor.finalise monitors;
       topo = Dynamic.stats dyn;
     },

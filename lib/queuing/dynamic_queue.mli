@@ -76,6 +76,17 @@ val one_shot_protocol :
     Completion values are [(op, pred)] pairs; validate with
     [Order.chain]. *)
 
+val one_shot :
+  ?leader:int ->
+  graph:Graph.t ->
+  requests:int list ->
+  unit ->
+  (checker_state, checker_msg, Types.op * Types.pred) Countq_simnet.Oneshot.t
+(** {!one_shot_protocol} as a one-shot instance over [Order.spec] with
+    {!run}'s default config, for the [Countq_simnet.Oneshot] drivers
+    ([countq check] explores it). Spans carry injection and completion
+    only: a delta carries knowledge of many ops at once. *)
+
 val run :
   ?config:Engine.config ->
   ?leader:int ->

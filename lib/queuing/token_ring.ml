@@ -3,7 +3,6 @@
 module Engine = Countq_simnet.Engine
 module Tree = Countq_topology.Tree
 module Types = Countq_arrow.Types
-module Order = Countq_arrow.Order
 module Sweep = Countq_counting.Sweep
 
 type checker_state = unit
@@ -58,24 +57,12 @@ let one_shot_protocol ~tree ~requests () =
     on_wake = Engine.no_wake;
   }
 
-let run ?config ~tree ~requests () =
-  let protocol = one_shot_protocol ~tree ~requests () in
-  let config = Option.value config ~default:Engine.default_config in
-  let graph = Tree.to_graph tree in
-  let res = Engine.run ~graph ~config ~protocol () in
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let op, pred = c.value in
-        { Types.op; pred; found_at = c.node; round = c.round })
-      res.completions
-  in
+let one_shot ?(config = Engine.default_config) ~tree ~requests () =
   {
-    Countq_arrow.Protocol.outcomes;
-    order = Order.chain outcomes;
-    rounds = res.rounds;
-    messages = res.messages;
-    total_delay = Order.total_delay outcomes;
-    max_delay = Order.max_delay outcomes;
-    expansion = res.expansion;
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config;
+    protocol = one_shot_protocol ~tree ~requests ();
+    spec = Countq_arrow.Order.spec ~requests;
+    (* One token serves every operation: no message maps to a single op. *)
+    op_of_msg = (fun (_ : int) -> None);
   }

@@ -21,21 +21,22 @@ val one_shot_protocol :
   unit ->
   (checker_state, checker_msg, Countq_arrow.Types.op * Countq_arrow.Types.pred)
   Countq_simnet.Engine.protocol
-(** The raw protocol value ({!run} without the engine invocation), for
+(** The raw protocol value ({!one_shot} without the instance), for
     the model checker and engine-equivalence harnesses; completions are
     [(op, predecessor)] pairs — validate with
     {!Countq_arrow.Order.chain}.
     @raise Invalid_argument on out-of-range or duplicate requests. *)
 
-val run :
+val one_shot :
   ?config:Countq_simnet.Engine.config ->
   tree:Countq_topology.Tree.t ->
   requests:int list ->
   unit ->
-  Countq_arrow.Protocol.run_result
-(** [run ~tree ~requests ()] executes the one-shot scenario: the token
+  (checker_state, checker_msg, Countq_arrow.Types.op * Countq_arrow.Types.pred)
+  Countq_simnet.Oneshot.t
+(** The one-shot instance over {!Countq_arrow.Order.spec}: the token
     starts at the tree root (the initial tail) and walks the Euler tour
-    once, appending every requester at its first visit. Results reuse
-    the arrow library's outcome/validation types; base-model config by
-    default.
+    once, appending every requester at its first visit. Base-model
+    config by default. Run it with [Countq_simnet.Oneshot.run] and read
+    the order with [Countq_arrow.Protocol.of_engine].
     @raise Invalid_argument on out-of-range or duplicate requests. *)

@@ -50,7 +50,17 @@ let pp_stats ppf s =
     "%d payloads, %d retransmits, %d acks, %d duplicates ignored, %d abandoned"
     s.data_sent s.retransmits s.acks_sent s.duplicates_ignored s.gave_up
 
-let wrap ?(ack_timeout = 8) ?(max_retries = 5) ?metrics ?telemetry
+let default_ack_timeout = 8
+let default_max_retries = 5
+
+(* Longer than the worst legitimate silence: a full exponential backoff
+   ladder, with slack for round-trips. *)
+let progress_budget ?(ack_timeout = default_ack_timeout)
+    ?(max_retries = default_max_retries) () =
+  max 512 (4 * ack_timeout * (1 lsl max_retries))
+
+let wrap ?(ack_timeout = default_ack_timeout)
+    ?(max_retries = default_max_retries) ?metrics ?telemetry
     (p : _ Engine.protocol) =
   if ack_timeout < 1 then invalid_arg "Reliable.wrap: ack_timeout must be >= 1";
   if max_retries < 0 then invalid_arg "Reliable.wrap: max_retries must be >= 0";

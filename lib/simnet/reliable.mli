@@ -70,6 +70,12 @@ val wrap :
     its sending node via {!Metrics.note_retransmit}.
     @raise Invalid_argument if [ack_timeout < 1] or [max_retries < 0]. *)
 
+val progress_budget : ?ack_timeout:int -> ?max_retries:int -> unit -> int
+(** The silence a {!Monitor.progress} budget must outlast over a run
+    wrapped with these knobs (at {!wrap}'s defaults unless given): a
+    full backoff ladder with slack for round-trips,
+    [max 512 (4 * ack_timeout * 2^max_retries)] rounds. *)
+
 val stats : handle -> stats
 
 val pp_stats : Format.formatter -> stats -> unit

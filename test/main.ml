@@ -29,6 +29,7 @@ let () =
       ("span", Test_span.suite);
       ("faults", Test_faults.suite);
       ("explore", Test_explore.suite);
+      ("oneshot", Test_oneshot.suite);
       ("order", Test_order.suite);
       ("arrow", Test_arrow.suite);
       ("counts", Test_counts.suite);

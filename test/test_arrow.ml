@@ -134,7 +134,10 @@ let test_traced_run_matches_plain () =
   let tree = tree_of g in
   let requests = [ 1; 6; 11 ] in
   let plain = Arrow.Protocol.run_one_shot ~tree ~requests () in
-  let traced, events = Arrow.Protocol.run_one_shot_traced ~tree ~requests () in
+  let res, events =
+    Countq_simnet.Oneshot.traced (Arrow.Protocol.one_shot ~tree ~requests ())
+  in
+  let traced = Arrow.Protocol.of_engine res in
   Alcotest.(check int) "same total" plain.total_delay traced.total_delay;
   Alcotest.(check int) "same messages" plain.messages traced.messages;
   Alcotest.(check bool) "events recorded" true (events <> []);

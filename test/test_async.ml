@@ -1,4 +1,4 @@
-(* Tests for the asynchronous engine and the async protocol runners:
+(* Tests for the asynchronous engine and the asynchronous driver:
    safety must survive arbitrary delays; with Constant 1 the timing of
    contention-bound protocols matches the synchronous engine. *)
 
@@ -9,6 +9,20 @@ module Engine = Countq_simnet.Engine
 module Async = Countq_simnet.Async
 module Arrow = Countq_arrow
 module Central = Countq_counting.Central
+module Counts = Countq_counting.Counts
+module Oneshot = Countq_simnet.Oneshot
+
+(* The asynchronous driver on a one-shot instance, in each family's view. *)
+let count_async ?delay ~requests inst =
+  Counts.of_engine ~requests (Oneshot.async ?delay inst)
+
+let queue_async ?delay inst = Arrow.Protocol.of_engine (Oneshot.async ?delay inst)
+
+let central_async ?delay ~graph ~requests () =
+  count_async ?delay ~requests (Central.one_shot ~graph ~requests ())
+
+let arrow_async ?delay ~tree ~requests () =
+  queue_async ?delay (Arrow.Protocol.one_shot ~tree ~requests ())
 
 let test_constant1_single_hop () =
   let protocol =
@@ -131,7 +145,7 @@ let test_central_counting_total_matches_sync () =
   let g = Gen.star n in
   let requests = Helpers.all_nodes n in
   let sync = Central.run ~graph:g ~requests () in
-  let asy = Central.run_async ~graph:g ~requests () in
+  let asy = central_async ~graph:g ~requests () in
   Alcotest.(check bool) "async valid" true (Result.is_ok asy.valid);
   Alcotest.(check int) "same total" sync.total_delay asy.total_delay
 
@@ -139,19 +153,19 @@ let test_central_counting_random_delays_valid () =
   let g = Gen.square_mesh 5 in
   let requests = Helpers.all_nodes 25 in
   let r =
-    Central.run_async
+    central_async
       ~delay:(Async.Uniform { min = 1; max = 7; seed = 5L })
       ~graph:g ~requests ()
   in
   Alcotest.(check bool) "valid under jitter" true (Result.is_ok r.valid);
-  let base = Central.run_async ~graph:g ~requests () in
+  let base = central_async ~graph:g ~requests () in
   Alcotest.(check bool) "jitter costs more" true
     (r.total_delay >= base.total_delay)
 
 let test_arrow_async_constant_valid () =
   let g = Gen.square_mesh 6 in
   let tree = Spanning.best_for_arrow g in
-  let r = Arrow.Protocol.run_one_shot_async ~tree ~requests:(Helpers.all_nodes 36) () in
+  let r = arrow_async ~tree ~requests:(Helpers.all_nodes 36) () in
   Alcotest.(check bool) "valid" true (Result.is_ok r.order);
   Alcotest.(check int) "all ops" 36 (List.length r.outcomes)
 
@@ -162,7 +176,7 @@ let prop_arrow_safe_under_random_delays =
     (fun (_, g, requests) ->
       let tree = Spanning.best_for_arrow g in
       let r =
-        Arrow.Protocol.run_one_shot_async
+        arrow_async
           ~delay:(Async.Uniform { min = 1; max = 9; seed = 77L })
           ~tree ~requests ()
       in
@@ -180,8 +194,7 @@ let prop_arrow_safe_under_adversarial_delays =
         1 + ((src + (3 * dst) + send_time) mod 13)
       in
       let r =
-        Arrow.Protocol.run_one_shot_async ~delay:(Async.Per_message oracle)
-          ~tree ~requests ()
+        arrow_async ~delay:(Async.Per_message oracle) ~tree ~requests ()
       in
       Result.is_ok r.order)
 
@@ -192,9 +205,10 @@ let prop_combining_safe_under_random_delays =
     (fun (_, g, requests) ->
       let tree = Spanning.bfs g ~root:0 in
       let r =
-        Countq_counting.Combining.run_async
+        count_async
           ~delay:(Async.Uniform { min = 1; max = 6; seed = 11L })
-          ~tree ~requests ()
+          ~requests
+          (Countq_counting.Combining.one_shot ~tree ~requests ())
       in
       Result.is_ok r.valid)
 
@@ -207,15 +221,14 @@ let prop_sweep_ranks_timing_independent =
       let tree = Spanning.bfs g ~root:0 in
       let sync = Countq_counting.Sweep.run ~tree ~requests () in
       let asy =
-        Countq_counting.Sweep.run_async
+        count_async
           ~delay:(Async.Uniform { min = 1; max = 9; seed = 21L })
-          ~tree ~requests ()
+          ~requests
+          (Countq_counting.Sweep.one_shot ~tree ~requests ())
       in
-      let ranks (r : Countq_counting.Counts.run_result) =
+      let ranks (r : Counts.run_result) =
         List.sort compare
-          (List.map
-             (fun (o : Countq_counting.Counts.outcome) -> (o.node, o.count))
-             r.outcomes)
+          (List.map (fun (o : Counts.outcome) -> (o.node, o.count)) r.outcomes)
       in
       Result.is_ok asy.valid && ranks sync = ranks asy)
 
@@ -225,7 +238,7 @@ let prop_counting_safe_under_random_delays =
     ~count:80 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
       let r =
-        Central.run_async
+        central_async
           ~delay:(Async.Uniform { min = 1; max = 5; seed = 3L })
           ~graph:g ~requests ()
       in

@@ -188,8 +188,11 @@ let prop_diffracting_async_spec =
       let delay =
         Countq_simnet.Async.Uniform { min = 1; max = 4; seed = Int64.of_int seed }
       in
-      let r = Diffracting.run_async ~delay ~tree ~requests () in
-      Result.is_ok r.valid)
+      Result.is_ok
+        (Counts.of_engine ~requests
+           (Countq_simnet.Oneshot.async ~delay
+              (Diffracting.one_shot ~tree ~requests ())))
+          .valid)
 
 (* ---- combining funnel ---- *)
 
@@ -297,8 +300,10 @@ let prop_funnel_async_spec =
       let delay =
         Countq_simnet.Async.Uniform { min = 1; max = 4; seed = Int64.of_int seed }
       in
-      let r = Funnel.run_async ~delay ~tree ~requests () in
-      Result.is_ok r.valid)
+      Result.is_ok
+        (Counts.of_engine ~requests
+           (Countq_simnet.Oneshot.async ~delay (Funnel.one_shot ~tree ~requests ())))
+          .valid)
 
 let test_central_long_lived () =
   let g = Gen.square_mesh 4 in

@@ -20,20 +20,9 @@ let check_exhaustive outcome =
   | Explore.Exhaustive s -> s
   | Explore.Budget_exhausted _ -> Alcotest.fail "budget unexpectedly exhausted"
 
-let arrow_check requests completions =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let op, pred = c.value in
-        { Arrow.Types.op; pred; found_at = c.node; round = c.round })
-      completions
-  in
-  if List.length outcomes <> List.length requests then
-    Error "wrong number of completions"
-  else
-    match Arrow.Order.chain outcomes with
-    | Ok _ -> Ok ()
-    | Error e -> Error (Format.asprintf "%a" Arrow.Order.pp_error e)
+(* The queuing and counting specifications' terminal checks. *)
+let arrow_check requests = (Arrow.Order.spec ~requests).check
+let counting_check requests = (Counts.spec ~requests).check
 
 let explore_arrow ?max_configs ?reduce ?pool g requests =
   let tree = Spanning.best_for_arrow g in
@@ -75,18 +64,6 @@ let test_arrow_six_nodes () =
     check_exhaustive (explore_arrow (Gen.star 6) [ 1; 2; 3; 4; 5 ])
   in
   Alcotest.(check bool) "terminals checked" true (stats.terminal >= 1)
-
-let counting_check requests completions =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let node, count = c.value in
-        { Counts.node; count; round = c.round })
-      completions
-  in
-  match Counts.validate ~requests outcomes with
-  | Ok () -> Ok ()
-  | Error e -> Error (Format.asprintf "%a" Counts.pp_error e)
 
 let test_central_all_schedules () =
   List.iter

@@ -14,6 +14,22 @@ module Arrow = Countq_arrow.Protocol
 module Central = Countq_counting.Central
 module Central_queue = Countq_queuing.Central_queue
 module Run = Countq.Run
+module Oneshot = Countq_simnet.Oneshot
+module Counts = Countq_counting.Counts
+
+(* The faulty driver on each protocol's one-shot instance, with the
+   report's result converted to its family's view. *)
+let with_view view (r : _ Oneshot.report) = (view r.result, r)
+
+let arrow_faulty ?retry ?tail ~plan ~tree ~requests () =
+  with_view Arrow.of_engine
+    (Oneshot.faulty ?retry ~plan (Arrow.one_shot ?tail ~tree ~requests ()))
+
+let central_faulty ?retry ?ack_timeout ?max_retries ?progress_budget ~plan
+    ~graph ~requests () =
+  with_view (Counts.of_engine ~requests)
+    (Oneshot.faulty ?retry ?ack_timeout ?max_retries ?progress_budget ~plan
+       (Central.one_shot ~graph ~requests ()))
 
 (* ---- fixtures ---- *)
 
@@ -155,18 +171,17 @@ let test_arrow_retry_survives_single_drop () =
   List.iter
     (fun (name, g) ->
       let tree, requests = arrow_setup g in
-      let r =
-        Arrow.run_one_shot_faulty ~retry:true ~plan:(Faults.drop_nth 0) ~tree
-          ~requests ()
+      let res, r =
+        arrow_faulty ~retry:true ~plan:(Faults.drop_nth 0) ~tree ~requests ()
       in
       Alcotest.(check bool)
         (name ^ ": valid total order re-established")
         true
-        (Result.is_ok r.result.order);
+        (Result.is_ok res.order);
       Alcotest.(check int)
         (name ^ ": every operation completed")
         (List.length requests)
-        (List.length r.result.outcomes);
+        (List.length res.outcomes);
       Alcotest.(check bool) (name ^ ": all monitors pass") true
         (Monitor.all_pass r.monitors);
       Alcotest.(check int) (name ^ ": the drop happened") 1 r.injected.dropped;
@@ -183,9 +198,7 @@ let test_arrow_no_retry_loses_liveness () =
   List.iter
     (fun (name, g) ->
       let tree, requests = arrow_setup g in
-      let r =
-        Arrow.run_one_shot_faulty ~plan:(Faults.drop_nth 0) ~tree ~requests ()
-      in
+      let _, r = arrow_faulty ~plan:(Faults.drop_nth 0) ~tree ~requests () in
       Alcotest.(check bool)
         (name ^ ": safety holds even unhealed")
         true
@@ -200,10 +213,10 @@ let test_arrow_faulty_none_matches_plain () =
   let g = Gen.path 12 in
   let tree, requests = arrow_setup g in
   let plain = Arrow.run_one_shot ~tree ~requests () in
-  let r = Arrow.run_one_shot_faulty ~plan:Faults.none ~tree ~requests () in
-  Alcotest.(check bool) "same outcomes" true (r.result.outcomes = plain.outcomes);
-  Alcotest.(check int) "same rounds" plain.rounds r.result.rounds;
-  Alcotest.(check int) "same messages" plain.messages r.result.messages;
+  let res, r = arrow_faulty ~plan:Faults.none ~tree ~requests () in
+  Alcotest.(check bool) "same outcomes" true (res.outcomes = plain.outcomes);
+  Alcotest.(check int) "same rounds" plain.rounds res.rounds;
+  Alcotest.(check int) "same messages" plain.messages res.messages;
   Alcotest.(check bool) "all monitors pass" true (Monitor.all_pass r.monitors)
 
 let test_arrow_retry_jitter_reorders_safely () =
@@ -214,9 +227,9 @@ let test_arrow_retry_jitter_reorders_safely () =
   let plan =
     Faults.random ~label:"jittery" ~seed:11L ~delay:0.4 ~delay_max:7 ()
   in
-  let r = Arrow.run_one_shot_faulty ~retry:true ~plan ~tree ~requests () in
+  let res, r = arrow_faulty ~retry:true ~plan ~tree ~requests () in
   Alcotest.(check bool) "valid order under reordering" true
-    (Result.is_ok r.result.order);
+    (Result.is_ok res.order);
   Alcotest.(check bool) "monitors pass" true (Monitor.all_pass r.monitors)
 
 let test_arrow_duplicate_breaks_safety_without_dedup () =
@@ -227,38 +240,36 @@ let test_arrow_duplicate_breaks_safety_without_dedup () =
      exactly-once delivery. *)
   let g = Gen.path 12 in
   let tree, requests = arrow_setup g in
-  let bare =
-    Arrow.run_one_shot_faulty ~plan:(Faults.dup_nth 0) ~tree ~requests ()
-  in
+  let _, bare = arrow_faulty ~plan:(Faults.dup_nth 0) ~tree ~requests () in
   Alcotest.(check bool) "chain consistency violated" false
     (Monitor.safety_ok bare.monitors);
-  let healed =
-    Arrow.run_one_shot_faulty ~retry:true ~plan:(Faults.dup_nth 0) ~tree
-      ~requests ()
+  let healed_res, healed =
+    arrow_faulty ~retry:true ~plan:(Faults.dup_nth 0) ~tree ~requests ()
   in
   Alcotest.(check bool) "dedup restores safety" true
     (Monitor.all_pass healed.monitors);
   Alcotest.(check bool) "order valid again" true
-    (Result.is_ok healed.result.order)
+    (Result.is_ok healed_res.order)
 
 (* ---- central protocols under faults ---- *)
 
 let test_central_count_retry_heals () =
   let g = Gen.star 12 in
-  let r =
-    Central.run_faulty ~retry:true ~plan:(Faults.drop_nth 2) ~graph:g
+  let res, r =
+    central_faulty ~retry:true ~plan:(Faults.drop_nth 2) ~graph:g
       ~requests:(all_requests g) ()
   in
-  Alcotest.(check bool) "counts valid" true (Result.is_ok r.result.valid);
+  Alcotest.(check bool) "counts valid" true (Result.is_ok res.valid);
   Alcotest.(check bool) "monitors pass" true (Monitor.all_pass r.monitors)
 
 let test_central_queue_retry_heals () =
   let g = Gen.path 12 in
-  let r =
-    Central_queue.run_faulty ~retry:true ~plan:(Faults.drop_nth 2) ~graph:g
-      ~requests:(all_requests g) ()
+  let res, r =
+    with_view Arrow.of_engine
+      (Oneshot.faulty ~retry:true ~plan:(Faults.drop_nth 2)
+         (Central_queue.one_shot ~graph:g ~requests:(all_requests g) ()))
   in
-  Alcotest.(check bool) "order valid" true (Result.is_ok r.result.order);
+  Alcotest.(check bool) "order valid" true (Result.is_ok res.order);
   Alcotest.(check bool) "monitors pass" true (Monitor.all_pass r.monitors)
 
 (* ---- crash and recovery ---- *)
@@ -271,12 +282,12 @@ let test_crash_restart_with_retry_recovers () =
     Faults.crash_only ~label:"nap"
       [ { Faults.node = 0; at_round = 2; recover_at = Some 20 } ]
   in
-  let r =
-    Central.run_faulty ~retry:true ~max_retries:8 ~plan ~graph:g
+  let res, r =
+    central_faulty ~retry:true ~max_retries:8 ~plan ~graph:g
       ~requests:(all_requests g) ()
   in
   Alcotest.(check bool) "counts valid after restart" true
-    (Result.is_ok r.result.valid);
+    (Result.is_ok res.valid);
   Alcotest.(check bool) "monitors pass" true (Monitor.all_pass r.monitors);
   Alcotest.(check bool) "the crash actually cost messages" true
     (r.injected.crash_dropped > 0)
@@ -295,12 +306,12 @@ let test_crash_rejoin_reliable_dedup () =
     Faults.crash_only ~label:"nap-replay"
       [ { Faults.node = 3; at_round = 2; recover_at = Some 12 } ]
   in
-  let r =
-    Central.run_faulty ~retry:true ~ack_timeout:4 ~max_retries:8 ~plan ~graph:g
+  let res, r =
+    central_faulty ~retry:true ~ack_timeout:4 ~max_retries:8 ~plan ~graph:g
       ~requests:(all_requests g) ()
   in
   Alcotest.(check bool) "counts valid after rejoin" true
-    (Result.is_ok r.result.valid);
+    (Result.is_ok res.valid);
   Alcotest.(check bool) "monitors pass" true (Monitor.all_pass r.monitors);
   Alcotest.(check bool) "the ack was lost to the crash" true
     (r.injected.crash_dropped > 0);
@@ -321,8 +332,8 @@ let test_permanent_crash_stalls_not_hangs () =
     Faults.crash_only ~label:"dead-root"
       [ { Faults.node = 0; at_round = 1; recover_at = None } ]
   in
-  let r =
-    Central.run_faulty ~retry:true ~progress_budget:64 ~plan ~graph:g
+  let _, r =
+    central_faulty ~retry:true ~progress_budget:64 ~plan ~graph:g
       ~requests:(all_requests g) ()
   in
   Alcotest.(check bool) "liveness lost" false (Monitor.liveness_ok r.monitors)
@@ -335,11 +346,11 @@ let test_arrow_retry_dead_root_off_tail () =
   let plan = Option.get (Faults.find "crash-root") in
   List.iter
     (fun (name, g, tail, rounds, verdicts) ->
-      let r =
-        Arrow.run_one_shot_faulty ~retry:true ~tail ~plan
-          ~tree:(Spanning.best_for_arrow g) ~requests:(all_requests g) ()
+      let res, r =
+        arrow_faulty ~retry:true ~tail ~plan ~tree:(Spanning.best_for_arrow g)
+          ~requests:(all_requests g) ()
       in
-      Alcotest.(check int) (name ^ ": rounds") rounds r.result.rounds;
+      Alcotest.(check int) (name ^ ": rounds") rounds res.rounds;
       Alcotest.(check string) (name ^ ": verdicts") verdicts
         (Format.asprintf "%a" Monitor.pp_report r.monitors))
     [

@@ -53,9 +53,9 @@ let test_arrow_trace_within_envelope () =
       let tree = Spanning.best_for_arrow g0 in
       let n = Countq_topology.Graph.n g0 in
       let _, events =
-        Arrow.Protocol.run_one_shot_traced
-          ~config:Countq_simnet.Engine.default_config ~tree
-          ~requests:(Helpers.all_nodes n) ()
+        Countq_simnet.Oneshot.traced
+          (Arrow.Protocol.one_shot ~config:Countq_simnet.Engine.default_config
+             ~tree ~requests:(Helpers.all_nodes n) ())
       in
       let g = Observed.of_trace ~n events in
       Alcotest.(check bool) "within tow(2t)" true (Observed.within_envelope g))
@@ -82,7 +82,9 @@ let prop_observed_bounded_by_n =
     (fun (_, g0, requests) ->
       let tree = Spanning.best_for_arrow g0 in
       let n = Countq_topology.Graph.n g0 in
-      let _, events = Arrow.Protocol.run_one_shot_traced ~tree ~requests () in
+      let _, events =
+        Countq_simnet.Oneshot.traced (Arrow.Protocol.one_shot ~tree ~requests ())
+      in
       let g = Observed.of_trace ~n events in
       Array.for_all (fun size -> size >= 1 && size <= n) g.max_influence)
 

@@ -16,9 +16,10 @@ let observed_arrow ?plan g requests =
   let graph = Tree.to_graph tree in
   let m = Metrics.create ~graph in
   let res, spans, _ =
-    Arrow.run_one_shot_observed ?plan ~metrics:m ~tree ~requests ()
+    Countq_simnet.Oneshot.observed ?plan ~metrics:m
+      (Arrow.one_shot ~tree ~requests ())
   in
-  (graph, res, spans)
+  (graph, Arrow.of_engine res, spans)
 
 (* Causality invariants on arbitrary one-shot arrow runs: a span's
    timeline is inject <= queued < delivered <= ... <= completion, every

@@ -13,13 +13,17 @@ let check_valid msg (r : Arrow.Protocol.run_result) =
 
 let path_tree n = Tree.of_graph (Gen.path n) ~root:0
 
+let run ~tree ~requests =
+  Arrow.Protocol.of_engine
+    (Countq_simnet.Oneshot.run (TR.one_shot ~tree ~requests ()))
+
 let test_empty () =
-  let r = TR.run ~tree:(path_tree 5) ~requests:[] () in
+  let r = run ~tree:(path_tree 5) ~requests:[] in
   check_valid "empty" r;
   Alcotest.(check int) "no outcomes" 0 (List.length r.outcomes)
 
 let test_order_is_visit_order () =
-  let r = TR.run ~tree:(path_tree 8) ~requests:[ 6; 2; 4 ] () in
+  let r = run ~tree:(path_tree 8) ~requests:[ 6; 2; 4 ] in
   check_valid "path" r;
   match r.order with
   | Ok order ->
@@ -28,7 +32,7 @@ let test_order_is_visit_order () =
   | Error _ -> assert false
 
 let test_delay_is_first_visit_time () =
-  let r = TR.run ~tree:(path_tree 10) ~requests:[ 7 ] () in
+  let r = run ~tree:(path_tree 10) ~requests:[ 7 ] in
   check_valid "single" r;
   Alcotest.(check int) "token reaches 7 at round 7" 7 r.total_delay
 
@@ -36,7 +40,7 @@ let test_all_on_list_matches_arrow_total () =
   (* R = V on the list: both the token sweep and the arrow pay Theta(n)
      total; the sweep's total is the triangular number. *)
   let n = 32 in
-  let r = TR.run ~tree:(path_tree n) ~requests:(Helpers.all_nodes n) () in
+  let r = run ~tree:(path_tree n) ~requests:(Helpers.all_nodes n) in
   check_valid "all" r;
   Alcotest.(check int) "triangular" (n * (n - 1) / 2) r.total_delay
 
@@ -48,7 +52,7 @@ let test_sparse_requester_pays_full_walk () =
   let tree = Tree.of_graph g ~root:0 in
   let n = Tree.n tree in
   let target = n - 1 in
-  let ring = TR.run ~tree ~requests:[ target ] () in
+  let ring = run ~tree ~requests:[ target ] in
   let arrow = Arrow.Protocol.run_one_shot ~tree ~requests:[ target ] () in
   check_valid "ring" ring;
   Alcotest.(check bool)
@@ -61,7 +65,7 @@ let prop_always_valid =
     ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
       let tree = Spanning.bfs g ~root:0 in
-      let r = TR.run ~tree ~requests () in
+      let r = run ~tree ~requests in
       Result.is_ok r.order && List.length r.outcomes = List.length requests)
 
 let suite =
