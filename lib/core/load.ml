@@ -108,14 +108,15 @@ type summary = {
 
 (* ------------------------------------------------------------------ *)
 (* Queuing: arrow path reversal (Raymond / Demmer–Herlihy) over the
-   implicit topology. link(v) points toward the current queue tail
-   (self when v holds it); id(v) is the last operation issued at v.
-   Completion values are global op indices; predecessor identity is
-   tracked (it is the protocol) but the open-loop observable is the
-   completion instant.                                                 *)
+   implicit topology. A node's whole state is its link, which points
+   toward the current queue tail (self when the node holds it), and
+   queue(i) carries only the global op index [i]. Both are immediates,
+   so no receive or hop allocates a state or a message. Completion
+   values are op indices: the open-loop observable is the completion
+   instant.                                                            *)
 
-type q_state = { link : int; last : int (* op index, -1 = Init *) }
-type q_msg = Queue of int
+type q_state = int
+type q_msg = Queue of int [@@unboxed]
 
 let queuing_protocol ~topo ~tail =
   let nn = Implicit.n topo in
@@ -123,26 +124,20 @@ let queuing_protocol ~topo ~tail =
   {
     Engine.name = "open-loop-arrow";
     initial_state =
-      (fun v ->
-        {
-          link = (if v = tail then v else Implicit.next_hop topo ~src:v ~dst:tail);
-          last = -1;
-        });
+      (fun v -> if v = tail then v else Implicit.next_hop topo ~src:v ~dst:tail);
     on_start = (fun ~node:_ s -> (s, []));
     on_receive =
-      (fun ~round:_ ~node ~src (Queue i) s ->
-        let w = s.link in
-        let s = { s with link = src } in
-        if w = node then (s, [ Engine.Complete i ])
-        else (s, [ Engine.Send (w, Queue i) ]));
+      (fun ~round:_ ~node ~src (Queue i) (link : q_state) ->
+        if link = node then (src, [ Engine.Complete i ])
+        else (src, [ Engine.Send (link, Queue i) ]));
     on_wake = Engine.no_wake;
   }
 
 (* Issuing operation [i] at [v]: local completion if v holds the tail,
    else fire queue(i) at the arrow; either way v becomes the tail. *)
-let issue_q v i s =
-  if s.link = v then ({ s with last = i }, [ Engine.Complete i ])
-  else ({ link = v; last = i }, [ Engine.Send (s.link, Queue i) ])
+let issue_q v i (link : q_state) =
+  if link = v then (v, [ Engine.Complete i ])
+  else (v, [ Engine.Send (link, Queue i) ])
 
 (* ------------------------------------------------------------------ *)
 (* Counting: a central fetch-and-add. Requests route hop-by-hop to the

@@ -322,6 +322,71 @@ let prop_funnel_drains_with_exact_counts =
       let a = go false and b = go true in
       a.Load.completed = a.Load.injected && b.Load.completed = b.Load.injected)
 
+(* ---- the arrow workload ---- *)
+
+let every k n = List.init ((n + k - 1) / k) (fun i -> k * i)
+
+(* The arrow's simulated figures, as literals: a change to how the
+   protocol represents its state or messages must not move them. *)
+let test_arrow_one_shot_pinned () =
+  List.iter
+    (fun (topo, requests, (messages, rounds, total, maxd)) ->
+      List.iter
+        (fun shards ->
+          let s =
+            Load.one_shot ~shards ~topo ~workload:Load.Queuing ~requests ()
+          in
+          let name f =
+            Printf.sprintf "%s shards %d: %s" (Implicit.label topo) shards f
+          in
+          Alcotest.(check int) (name "completed") (List.length requests)
+            s.os_completed;
+          Alcotest.(check int) (name "messages") messages s.os_messages;
+          Alcotest.(check int) (name "rounds") rounds s.os_rounds;
+          Alcotest.(check int) (name "total delay") total s.os_total_delay;
+          Alcotest.(check int) (name "max delay") maxd s.os_max_delay)
+        [ 1; 3 ])
+    [
+      (Implicit.list 4096, every 16 4096, (4080, 16, 4080, 16));
+      (Implicit.torus ~dims:[ 32; 32 ], every 3 1024, (1964, 39, 2045, 39));
+      (Implicit.tree ~arity:8 4681, every 5 4681, (2882, 19, 5064, 19));
+    ]
+
+let test_arrow_streaming_pinned () =
+  let s =
+    Load.run ~streaming:true ~topo:(Implicit.torus ~dims:[ 32; 32 ])
+      ~workload:Load.Queuing ~arrival:(Load.Poisson 4.0) ~horizon:512 ()
+  in
+  check_consistent s;
+  Alcotest.(check int) "injected" 2095 s.injected;
+  Alcotest.(check int) "completed" 2095 s.completed;
+  Alcotest.(check int) "messages" 23039 s.messages;
+  Alcotest.(check (float 0.)) "p50" 10. s.p50;
+  Alcotest.(check (float 0.)) "p99" 32. s.p99
+
+(* The arrow's node state and queue() message are immediates, so the
+   words a one-shot promotes per touched node are the kernel's own
+   (mostly the node's neighbour array): about 3.2 words, where a boxed
+   per-hop state and message cost about 8.4. Gc.minor first, so only
+   the run's own allocation is counted. *)
+let test_arrow_allocation_guard () =
+  let n = 100_000 in
+  let stats = Countq_simnet.Event_engine.fresh_stats () in
+  let requests = every 16 n in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).promoted_words in
+  let s =
+    Load.one_shot ~stats ~shards:1 ~topo:(Implicit.list n)
+      ~workload:Load.Queuing ~requests ()
+  in
+  let promoted = (Gc.quick_stat ()).promoted_words -. before in
+  Alcotest.(check int) "every request completes" (List.length requests)
+    s.os_completed;
+  let per_node = promoted /. float_of_int stats.touched in
+  if per_node > 5. then
+    Alcotest.failf "%.2f promoted words per touched node (%d touched), > 5"
+      per_node stats.touched
+
 (* Telemetry attached to a Load run is passive for the summary. *)
 let test_load_telemetry_passive () =
   let topo = Implicit.list 32 in
@@ -367,4 +432,10 @@ let suite =
     Helpers.qcheck prop_funnel_drains_with_exact_counts;
     Alcotest.test_case "load telemetry passive" `Quick
       test_load_telemetry_passive;
+    Alcotest.test_case "arrow one-shot pinned" `Quick
+      test_arrow_one_shot_pinned;
+    Alcotest.test_case "arrow streaming run pinned" `Quick
+      test_arrow_streaming_pinned;
+    Alcotest.test_case "arrow promotes at most 5 words per touched node"
+      `Quick test_arrow_allocation_guard;
   ]
