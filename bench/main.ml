@@ -2,7 +2,10 @@
    kernels the experiments lean on (graph generation, spanning-tree
    choice, one-shot arrow, NN-TSP, the counting protocols, the idle
    fast-forward, the sweep protocol's one-active-node regime, bitonic
-   pushes and the contention lower bound).
+   pushes and the contention lower bound), plus what an engine tap
+   costs: the `+tap` probes attach a passive Metrics + Telemetry tap,
+   the `+monitor` probe the spec's monitors (an active tap), each
+   beside its untapped twin.
 
    Usage:
      dune exec bench/main.exe
@@ -14,6 +17,10 @@
    `countq experiments`. *)
 
 module Engine = Countq_simnet.Engine
+module Metrics = Countq_simnet.Metrics
+module Telemetry = Countq_simnet.Telemetry
+module Monitor = Countq_simnet.Monitor
+module Oneshot = Countq_simnet.Oneshot
 module Gen = Countq_topology.Gen
 module Tree = Countq_topology.Tree
 module Spanning = Countq_topology.Spanning
@@ -45,6 +52,21 @@ let kernel_tests () =
   in
   (* kernel:sweep-list-512 — the Theta(n^2)-round, one-active-node
      regime the active sets exist for. *)
+  (* The +tap probes build fresh recorders per run, as a caller would. *)
+  let recorders graph =
+    Engine.both
+      (Metrics.tap (Metrics.create ~graph))
+      (Telemetry.tap (Telemetry.create ~window_size:16 ()))
+  in
+  (* kernel:arrow-one-shot-256 with a tap: the same instance build,
+     run and result conversion as Arrow.Protocol.run_one_shot. *)
+  let run_arrow tap =
+    let i = Countq_arrow.Protocol.one_shot ~tree:mesh_tree ~requests:all_256 () in
+    ignore
+      (Countq_arrow.Protocol.of_engine
+         (Engine.run ~tap:(tap i) ~graph:i.Oneshot.graph ~config:i.config
+            ~protocol:i.protocol ()))
+  in
   let list_512 = Gen.path 512 in
   let list_512_tree = Spanning.best_for_arrow list_512 in
   let all_512 = List.init 512 (fun i -> i) in
@@ -58,6 +80,11 @@ let kernel_tests () =
            ignore
              (Countq_arrow.Protocol.run_one_shot ~tree:mesh_tree
                 ~requests:all_256 ())));
+    Test.make ~name:"kernel:arrow-one-shot-256+tap"
+      (Staged.stage (fun () -> run_arrow (fun i -> recorders i.Oneshot.graph)));
+    Test.make ~name:"kernel:arrow-one-shot-256+monitor"
+      (Staged.stage (fun () ->
+           run_arrow (fun i -> Monitor.tap (i.Oneshot.spec.monitors ()))));
     Test.make ~name:"kernel:nn-tsp-256"
       (Staged.stage (fun () ->
            ignore
@@ -74,6 +101,11 @@ let kernel_tests () =
            ignore
              (Engine.run ~graph:idle_graph ~config:idle_config
                 ~protocol:idle_protocol ())));
+    Test.make ~name:"kernel:engine-idle-rounds+tap"
+      (Staged.stage (fun () ->
+           ignore
+             (Engine.run ~tap:(recorders idle_graph) ~graph:idle_graph
+                ~config:idle_config ~protocol:idle_protocol ())));
     Test.make ~name:"kernel:sweep-list-512"
       (Staged.stage (fun () ->
            ignore

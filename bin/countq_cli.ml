@@ -1139,7 +1139,7 @@ let observe_cmd =
                           J.Obj
                             [
                               ("type", J.Str "meta");
-                              ("schema", J.Str "countq-observe/1");
+                              ("schema", J.Str "countq-observe/2");
                               ("protocol", J.Str o.o_protocol);
                               ("topology", J.Str topology);
                               ("n", J.Int n);
@@ -1474,7 +1474,7 @@ let timeline_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write the windowed series as JSONL (countq-timeline/1: one meta \
+            "Write the windowed series as JSONL (countq-timeline/2: one meta \
              line, then one window object per line).")
   in
   let run topo_spec workload rate horizon windows quick seed json_path =
@@ -1529,7 +1529,6 @@ let timeline_cmd =
             series "sends" (fun w -> float_of_int w.Telemetry.sends);
             series "deliveries" (fun w -> float_of_int w.Telemetry.deliveries);
             series "drops" (fun w -> float_of_int w.Telemetry.drops);
-            series "retransmits" (fun w -> float_of_int w.Telemetry.retransmits);
             series "max backlog" (fun w -> float_of_int w.Telemetry.max_backlog);
             series "max in-flight" (fun w ->
                 float_of_int w.Telemetry.max_in_flight);
@@ -1552,7 +1551,7 @@ let timeline_cmd =
                   J.Obj
                     [
                       ("type", J.Str "meta");
-                      ("schema", J.Str "countq-timeline/1");
+                      ("schema", J.Str "countq-timeline/2");
                       ("workload", J.Str s.workload);
                       ("topology", J.Str s.topology);
                       ("arrival", J.Str s.arrival);

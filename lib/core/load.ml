@@ -4,7 +4,6 @@ module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
 module Shard = Countq_simnet.Shard
 module Span = Countq_simnet.Span
-module Metrics = Countq_simnet.Metrics
 module Implicit = Countq_topology.Implicit
 module Rng = Countq_util.Rng
 module Stats = Countq_util.Stats
@@ -418,7 +417,9 @@ let summarise_streaming ~workload ~topo ~arrival ~horizon ~cal ~stats ~sketch
 
 let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
     ?center ?drain ?(keep_spans = false) ?(streaming = false) ?(shards = 1)
-    ?pool ?metrics ?telemetry ~topo ~workload ~arrival ~horizon () =
+    ?pool ?telemetry ~topo ~workload ~arrival ~horizon () =
+  (* A function: each workload's tap has its own completion type. *)
+  let tap () = Option.map Telemetry.tap telemetry in
   let n = Implicit.n topo in
   let center = match center with Some c -> c | None -> n / 2 in
   let drain = match drain with Some d -> max 0 d | None -> horizon in
@@ -460,7 +461,7 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
               { Event.at; node; inject = (fun s -> issue_q node i s) })
             cal
         in
-        Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+        Shard.run_implicit ~shards ?pool ?tap:(tap ()) ?sink ~injections
           ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
     | Counting ->
         let origin_of i = snd cal.(i) in
@@ -471,7 +472,7 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
               { Event.at; node; inject = (fun s -> issue_c ~topo ~center node i s) })
             cal
         in
-        Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+        Shard.run_implicit ~shards ?pool ?tap:(tap ()) ?sink ~injections
           ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
     | Funnel ->
         let root, parent = funnel_tree ~topo "Load.run" in
@@ -492,7 +493,7 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
         in
         let sink = Option.map (fun f c -> f (project c)) sink in
         let r =
-          Shard.run_implicit ~shards ?pool ?metrics ?telemetry ?sink ~injections
+          Shard.run_implicit ~shards ?pool ?tap:(tap ()) ?sink ~injections
             ~halt_after ~stats ~starters:[] ~topo ~config ~protocol ()
         in
         { r with completions = List.map project r.completions }

@@ -111,7 +111,6 @@ val run :
   ?streaming:bool ->
   ?shards:int ->
   ?pool:Countq_util.Parallel.pool ->
-  ?metrics:Countq_simnet.Metrics.t ->
   ?telemetry:Countq_simnet.Telemetry.t ->
   topo:Countq_topology.Implicit.t ->
   workload:workload ->
@@ -124,10 +123,9 @@ val run :
     (default [drain = horizon]), so a saturated workload reports
     [unfinished > 0] instead of running away. [tail] seeds the arrow's
     initial queue tail (default 0); [center] hosts the counter
-    (default [n / 2]). [metrics] must be sized for the materialised
-    twin — pass it only on instances small enough to materialise.
-    [telemetry] attaches a windowed time-series recorder (any size —
-    it is O(windows)).
+    (default [n / 2]). [telemetry] attaches a windowed time-series
+    recorder through {!Countq_simnet.Telemetry.tap} (any size — it is
+    O(windows)).
 
     [streaming] (default false) folds every completion into a
     {!Countq_util.Sketch} and a {!Countq_simnet.Telemetry.Reservoir}

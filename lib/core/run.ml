@@ -297,9 +297,9 @@ let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
       let tree = spanning () in
       let dynamic = Dynamic.start sched in
       let last_holder = ref (Countq_topology.Tree.root tree) in
-      let observer =
+      let tap =
         {
-          Engine.null_observer with
+          Engine.no_tap with
           on_complete =
             (fun ~round:_ ~node:_ ~value ->
               last_holder := (fst value).Types.origin);
@@ -310,7 +310,7 @@ let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
       let r =
         Oneshot.faulty
           ~progress_budget:(Option.value progress_budget ~default:512)
-          ~dynamic ~observer
+          ~dynamic ~tap
           ~diagnose:(fun ~round -> describe_cut ~from:!last_holder ~round)
           ~plan:Faults.none
           (Arrow.Protocol.one_shot ~tree ~requests ())

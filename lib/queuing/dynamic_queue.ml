@@ -353,10 +353,10 @@ let dynamic_protocol ~leader ~sched ~refresh ~live ~graph ~requests =
    stall diagnosis describes the partition around the current holder —
    approximated by the origin of the latest completion, which is exact
    whenever the queue froze because the holder was walled off. *)
-let holder_observer ~monitors ~expected ~last_holder =
-  let base = Monitor.observe monitors in
+let holder_tap ~monitors ~expected ~last_holder =
+  let base = Monitor.tap monitors in
   let done_count = ref 0 in
-  let observer =
+  let tap =
     {
       base with
       Engine.on_complete =
@@ -372,7 +372,7 @@ let holder_observer ~monitors ~expected ~last_holder =
               if !done_count >= expected then `Halt else `Continue);
     }
   in
-  (observer, done_count)
+  (tap, done_count)
 
 let default_config graph =
   Engine.config_with_capacity (max 1 (Graph.max_degree graph))
@@ -406,15 +406,13 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
         Monitor.completion_progress ~budget:progress_budget ~diagnose ();
       ]
   in
-  let observer, done_count =
-    holder_observer ~monitors ~expected ~last_holder
-  in
+  let tap, done_count = holder_tap ~monitors ~expected ~last_holder in
   let protocol =
     dynamic_protocol ~leader ~sched ~refresh
       ~live:(fun () -> !done_count < expected)
       ~graph ~requests
   in
-  let res = Engine.run ~dynamic:dyn ~observer ~graph ~config ~protocol () in
+  let res = Engine.run ~dynamic:dyn ~tap ~graph ~config ~protocol () in
   {
     result = Countq_arrow.Protocol.of_engine res;
     monitors = Monitor.finalise monitors;
@@ -646,16 +644,14 @@ let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
     (Order.spec ~requests).monitors ()
     @ [ Monitor.completes ~expected; Monitor.progress ~budget ~diagnose () ]
   in
-  let observer, done_count =
-    holder_observer ~monitors ~expected ~last_holder
-  in
+  let tap, done_count = holder_tap ~monitors ~expected ~last_holder in
   let inner = Countq_arrow.Protocol.one_shot_protocol ?tail ~tree ~requests () in
   let protocol, h =
     wrap_route ~ack_timeout ~max_retries ~sched ~graph
       ~live:(fun () -> !done_count < expected)
       inner
   in
-  let res = Engine.run ~dynamic:dyn ~observer ~graph ~config ~protocol () in
+  let res = Engine.run ~dynamic:dyn ~tap ~graph ~config ~protocol () in
   ( {
       result = Countq_arrow.Protocol.of_engine res;
       monitors = Monitor.finalise monitors;

@@ -155,7 +155,7 @@ val wrap_route :
 
     Single-shard runs only: the handle's counters are plain fields and
     [live] is read in the wake handlers, which a sharded run calls on
-    several domains before it replays the observer at the barrier. *)
+    several domains before it replays the tap at the barrier. *)
 
 val route_stats : route_handle -> route_stats
 

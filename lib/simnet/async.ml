@@ -30,7 +30,7 @@ let make_delay_fn = function
   | Per_message f ->
       fun ~src ~dst ~send_time -> Stdlib.max 1 (f ~src ~dst ~send_time)
 
-let run ~graph ~delay ?(max_events = 10_000_000) ?faults ?metrics ~protocol () =
+let run ~graph ~delay ?(max_events = 10_000_000) ?faults ~protocol () =
   let n = Graph.n graph in
   let delay_fn = make_delay_fn delay in
   let states = Array.init n protocol.Engine.initial_state in
@@ -84,9 +84,6 @@ let run ~graph ~delay ?(max_events = 10_000_000) ?faults ?metrics ~protocol () =
               raise (Engine.Not_a_neighbor { node = src; dst });
             let s = max now (send_free.(src) + 1) in
             send_free.(src) <- s;
-            (match metrics with
-            | Some m -> Metrics.note_transmit m ~src ~dst ~round:s
-            | None -> ());
             let decision =
               match faults with
               | None -> Faults.Deliver
@@ -94,20 +91,11 @@ let run ~graph ~delay ?(max_events = 10_000_000) ?faults ?metrics ~protocol () =
             in
             (match decision with
             | Faults.Deliver -> schedule src dst msg ~send_time:s ~extra:0
-            | Faults.Drop -> (
-                match metrics with
-                | Some m -> Metrics.note_drop m ~src ~dst
-                | None -> ())
+            | Faults.Drop -> ()
             | Faults.Duplicate ->
-                (match metrics with
-                | Some m -> Metrics.note_duplicate m ~src ~dst
-                | None -> ());
                 schedule src dst msg ~send_time:s ~extra:0;
                 schedule src dst msg ~send_time:s ~extra:0
             | Faults.Delay d ->
-                (match metrics with
-                | Some m -> Metrics.note_delay m ~src ~dst
-                | None -> ());
                 schedule src dst msg ~send_time:s ~extra:d))
       actions
   in
@@ -153,20 +141,12 @@ let run ~graph ~delay ?(max_events = 10_000_000) ?faults ?metrics ~protocol () =
         end;
         (match ev with
         | Arrival { src; dst; msg } ->
-            if crashed dst t then begin
-              Faults.note_crash_drop (Option.get faults);
-              match metrics with
-              | Some m -> Metrics.note_crash_drop m ~dst
-              | None -> ()
-            end
+            if crashed dst t then Faults.note_crash_drop (Option.get faults)
             else begin
               let now = max t (proc_free.(dst) + 1) in
               proc_free.(dst) <- now;
               incr messages;
               finish := max !finish now;
-              (match metrics with
-              | Some m -> Metrics.note_deliver m ~src ~dst ~round:now
-              | None -> ());
               let s, actions =
                 protocol.Engine.on_receive ~round:now ~node:dst ~src msg
                   states.(dst)

@@ -41,7 +41,6 @@ val run :
   delay:delay_model ->
   ?max_events:int ->
   ?faults:Faults.runtime ->
-  ?metrics:Metrics.t ->
   protocol:('s, 'm, 'r) Engine.protocol ->
   unit ->
   'r result
@@ -63,10 +62,5 @@ val run :
     crashed node are discarded. With no [faults] (or a started
     {!Faults.none}) the execution is identical to the fault-free
     engine's.
-
-    [metrics] attaches the same passive {!Metrics} recorder the
-    synchronous engines take; "rounds" in its busy tally are event
-    times here, and no backlog is recorded (the event heap has no
-    per-link queues).
     @raise Invalid_argument on a bad delay model or a wake that names
     a time before the handler's own. *)

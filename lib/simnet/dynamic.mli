@@ -35,7 +35,7 @@
       aligned on the transmissions that actually reach the link;
     - the identity schedule ({!identity}) is bit-identical to not
       passing [?dynamic] at all — pinned by qcheck in
-      [test/test_dynamic.ml], including with [?metrics] and [?faults]
+      [test/test_dynamic.ml], including with a {!Metrics.tap} and [?faults]
       attached. *)
 
 module Graph = Countq_topology.Graph

@@ -73,13 +73,22 @@ type 'r result = 'r Kernel.result = {
 exception Not_a_neighbor = Kernel.Not_a_neighbor
 exception Round_limit_exceeded = Kernel.Round_limit_exceeded
 
-type 'r observer = 'r Kernel.observer = {
+type 'r tap = 'r Kernel.tap = {
+  passive : bool;
+  on_transmit : round:int -> src:int -> dst:int -> unit;
+  on_backlog : round:int -> node:int -> backlog:int -> unit;
   on_deliver : round:int -> src:int -> dst:int -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
+  on_inject : round:int -> node:int -> unit;
+  on_drop : round:int -> src:int -> dst:int -> unit;
+  on_duplicate : round:int -> src:int -> dst:int -> unit;
+  on_delay : round:int -> src:int -> dst:int -> unit;
+  on_down_drop : round:int -> src:int -> dst:int -> unit;
   on_round_end : round:int -> in_flight:int -> [ `Continue | `Halt ];
 }
 
-let null_observer = Kernel.null_observer
+let no_tap = Kernel.no_tap
+let both = Kernel.both
 let top_loaded = Kernel.top_loaded
 let top_loaded_pairs = Kernel.top_loaded_pairs
 
@@ -91,8 +100,6 @@ let max_delay res =
 
 let completion_count res = List.length res.completions
 
-let run ?faults ?dynamic ?observer ?metrics ?telemetry ~graph ~config ~protocol
-    () =
-  Kernel.run ~who:"Engine.run" ?faults ?dynamic ?observer ?metrics ?telemetry
-    ~n:(Graph.n graph) ~degree:(Graph.degree graph)
+let run ?faults ?dynamic ?tap ~graph ~config ~protocol () =
+  Kernel.run ~who:"Engine.run" ?faults ?dynamic ?tap ~n:(Graph.n graph) ~degree:(Graph.degree graph)
     ~neighbors:(Graph.neighbors graph) ~config ~protocol ()

@@ -40,8 +40,8 @@
     plus O(messages moved), not O(n) — see DESIGN.md §4 for the full
     cost model. Every node starts at time 0, so node slots are
     pre-assigned (arrays sized [n], adjacency aliased from the graph).
-    Runs with the {!null_observer} additionally {e fast-forward} across
-    idle rounds (quiescent network, everything parked by a fault delay
+    Runs with no {!tap}, or a passive one, additionally
+    {e fast-forward} across idle rounds (quiescent network, everything parked by a fault delay
     or waiting for a wake) in O(1), so a protocol that is busy for R
     rounds of a long schedule costs O(R), not O(horizon). Semantics
     are unaffected: {!Reference.run} keeps the dense O(n)-per-round
@@ -185,34 +185,78 @@ val top_loaded_pairs : ?k:int -> (int * int) list -> (int * int) list
     builds its [busiest] payload through this helper. Pairs must be
     unique per node. *)
 
-type 'r observer = 'r Kernel.observer = {
+type 'r tap = 'r Kernel.tap = {
+  passive : bool;
+      (** the tap never halts and needs no call for an idle round. *)
+  on_transmit : round:int -> src:int -> dst:int -> unit;
+      (** a message left [src]'s outbox towards [dst], before any fault
+          decision. *)
+  on_backlog : round:int -> node:int -> backlog:int -> unit;
+      (** a message joined an incoming link of [node], which now holds
+          [backlog] messages. *)
   on_deliver : round:int -> src:int -> dst:int -> unit;
-      (** called for every message handed to a protocol. *)
+      (** a message was handed to [dst]'s protocol. *)
   on_complete : round:int -> node:int -> value:'r -> unit;
-      (** called for every [Complete] action, including round 0. *)
+      (** a [Complete] action, including at round 0. *)
+  on_inject : round:int -> node:int -> unit;
+      (** an {!Event_engine.injection} fired at [node]. *)
+  on_drop : round:int -> src:int -> dst:int -> unit;
+      (** the fault plan dropped the transmission, or the dynamic
+          schedule had its link down. *)
+  on_duplicate : round:int -> src:int -> dst:int -> unit;
+      (** the fault plan duplicated it. *)
+  on_delay : round:int -> src:int -> dst:int -> unit;
+      (** the fault plan held it back; its backlog event comes in the
+          round it is released. *)
+  on_down_drop : round:int -> src:int -> dst:int -> unit;
+      (** it reached [dst] while [dst] was crashed or churned out, and
+          was discarded. *)
   on_round_end : round:int -> in_flight:int -> [ `Continue | `Halt ];
-      (** called once at the end of every round with the number of
-          messages still in flight; returning [`Halt] stops the run
-          gracefully (the result reflects progress so far). *)
+      (** the end of a round, with the messages still in flight;
+          [`Halt] stops the run gracefully (the result reflects
+          progress so far). *)
 }
-(** Execution hooks, invoked synchronously during the run — the
-    attachment point for {!Monitor} invariant checking. Observers must
-    not mutate protocol state; they cannot affect the execution except
-    through the [`Halt] directive. *)
+(** Execution hooks: the one way every engine front ({!run},
+    {!Event_engine.run}, {!Shard}, {!Reference.run}) lets a caller
+    watch a run. {!Metrics.tap} and {!Telemetry.tap} build passive
+    taps, {!Monitor.tap} an active one, and {!both} composes two. A tap
+    must not mutate protocol state and cannot affect the execution
+    except through [`Halt]; its callbacks always run on the calling
+    domain.
 
-val null_observer : 'r observer
-(** Hooks that do nothing and always continue. Passing this exact
-    value (the default) tells the engine no execution hook can fire,
-    which is the condition for idle-round fast-forwarding; a
-    hand-rolled do-nothing observer is honoured but disables the
-    optimisation. *)
+    {b Passivity.} A round is {e idle} when it starts with no message
+    in an outbox or on a link and no held message, wake or injection
+    due. A run without a tap, or with a passive one, skips idle rounds
+    in O(1) and calls no hook for them; an active tap sees every round.
+    [passive] alone decides this, and a passive tap must answer
+    [`Continue]. Attaching a passive tap changes nothing in the run:
+    result, fault tallies and what the tap records are the same with or
+    without it, at every shard count and on {!Reference.run}
+    (qcheck-pinned).
+
+    {b Order.} Within a round the callbacks follow the phase order:
+    transmissions with their fault outcomes and backlogs, deliveries
+    with the completions their handlers produce, wake completions,
+    injections, then [on_round_end]. On one shard each fires as it
+    happens. A sharded run's lanes tag their events [(phase, node)] and
+    the coordinator replays them at the round barrier in that order, so
+    the [on_deliver]/[on_complete] stream is the one-shard stream at
+    every shard count and each round carries the same events; only
+    transmit and backlog events may come in another order within a
+    round. *)
+
+val no_tap : 'r tap
+(** A passive tap whose callbacks do nothing: the base for a tap that
+    overrides a few ([{ Engine.no_tap with on_complete = ... }]). *)
+
+val both : 'r tap -> 'r tap -> 'r tap
+(** Both taps see every event, [a]'s callback first; the result is
+    passive only if both are, and halts when either does. *)
 
 val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r observer ->
-  ?metrics:Metrics.t ->
-  ?telemetry:Telemetry.t ->
+  ?tap:'r tap ->
   graph:Countq_topology.Graph.t ->
   config:config ->
   protocol:('s, 'm, 'r) protocol ->
@@ -236,22 +280,11 @@ val run :
     with rejoin), and a transmission over a down link is dropped at the
     sender's end without consuming the fault plan's decision stream.
     The identity schedule is bit-identical to passing no [dynamic] at
-    all, including the metrics recording and the fault plan's
-    transmission indices (pinned by qcheck in [test/test_dynamic.ml]).
+    all, including the tap's events and the fault plan's transmission
+    indices (pinned by qcheck in [test/test_dynamic.ml]).
 
-    [metrics] attaches a per-node / per-edge counter recorder (see
-    {!Metrics}). The recorder is passive: the run's result, observer
-    stream and fault tallies are bit-identical with or without it
-    (pinned by a qcheck property), and — unlike a custom observer —
-    it does {e not} disable idle-round fast-forwarding,
-    because an idle round records nothing. Absent (the default), the
-    hot paths pay a single predictable branch per message.
-
-    [telemetry] attaches a windowed time-series recorder (see
-    {!Telemetry}): sends, deliveries, completions, drops, peak backlog
-    and peak in-flight are folded into fixed-width round windows.
-    Passive exactly like [metrics] — bit-identical runs (same qcheck
-    pin), fast-forward stays enabled, jumped-over windows stay zero. *)
+    [tap] watches the run (see {!tap}). Absent (the default), the hot
+    paths pay a single predictable branch per message. *)
 
 val total_delay : 'r result -> int
 (** Sum of completion rounds — the paper's concurrent delay complexity

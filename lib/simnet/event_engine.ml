@@ -18,9 +18,8 @@ type stats = Kernel.stats = {
 
 let fresh_stats () = { touched = 0; peak_in_flight = 0; executed_rounds = 0 }
 
-let run ?faults ?dynamic ?observer ?metrics ?telemetry ?sink ?injections
-    ?halt_after ?stats ?starters ~topo ~config ~protocol () =
-  Kernel.run ~who:"Event_engine.run" ?faults ?dynamic ?observer ?metrics
-    ?telemetry ?sink ?injections ?halt_after ?stats ?starters
-    ~n:(Itopo.n topo) ~degree:(Itopo.degree topo)
+let run ?faults ?dynamic ?tap ?sink ?injections ?halt_after ?stats ?starters
+    ~topo ~config ~protocol () =
+  Kernel.run ~who:"Event_engine.run" ?faults ?dynamic ?tap ?sink ?injections
+    ?halt_after ?stats ?starters ~n:(Itopo.n topo) ~degree:(Itopo.degree topo)
     ~neighbors:(Itopo.neighbors topo) ~config ~protocol ()

@@ -22,8 +22,8 @@
 
     {b Pinned semantics.} On any materialisable topology a run here is
     bit-identical to {!Reference.run} on the materialised twin — same
-    completions, rounds, messages, backlog, observer streams, fault
-    tallies, metrics and {!Engine.Round_limit_exceeded} payloads (the
+    completions, rounds, messages, backlog, tap streams, fault
+    tallies and {!Engine.Round_limit_exceeded} payloads (the
     qcheck property in [test/test_equiv.ml]). Wakes cost O(log w) each
     for w pending, so timer protocols pay only for the nodes that
     asked. One contract makes laziness sound:
@@ -68,9 +68,7 @@ val fresh_stats : unit -> stats
 val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r Engine.observer ->
-  ?metrics:Metrics.t ->
-  ?telemetry:Telemetry.t ->
+  ?tap:'r Engine.tap ->
   ?sink:('r Engine.completion -> unit) ->
   ?injections:('s, 'm, 'r) injection array ->
   ?halt_after:int ->
@@ -82,23 +80,15 @@ val run :
   unit ->
   'r Engine.result
 (** Run [protocol] on the implicit topology, on one shard. All
-    optional hooks keep their {!Engine.run} meaning and gating (a
-    non-default observer disables quiescent-gap jumping, exactly as
-    there).
+    optional hooks keep their {!Engine.run} meaning ([tap] as in
+    {!Engine.tap}).
 
     [injections] must be sorted by [(at, node)] (duplicates allowed,
     fired in order). [halt_after] ends the run cleanly at the end of
     round [halt_after] — the open-loop harness's horizon for saturated
-    runs that would never drain; unlike an observer-driven halt it
-    keeps gap-jumping enabled. [starters] must be strictly ascending
-    node ids.
-
-    [Metrics] recorders are sized from a materialised graph, so
-    [?metrics] only fits instances small enough to materialise — which
-    is exactly when you'd ask for per-edge counters. [?telemetry]
-    (windowed time-series, see {!Telemetry}) has no such limit — it is
-    O(windows) regardless of n — and, being passive, does {e not}
-    disable quiescent-gap jumping: jumped-over windows stay zero.
+    runs that would never drain; unlike a halting tap it keeps
+    gap-jumping enabled. [starters] must be strictly ascending node
+    ids.
 
     [sink] streams completions out as they happen instead of retaining
     them: when present, each completion is passed to [sink] exactly

@@ -12,13 +12,12 @@
                             wakes, then injections, for own nodes
      barrier
      coordinator: merge per-shard counter deltas, replay the round's
-                  completions and observer events in (phase, node)
-                  order, round-end hooks
+                  completions and tap events in (phase, node) order,
+                  round-end hooks
 
    With one shard there are no lanes and no transfers: every phase runs
-   inline on the calling domain, completions and observer callbacks
-   fire at the point they happen, and the caller's recorders are
-   written directly.
+   inline on the calling domain, and completions and tap callbacks fire
+   at the point they happen.
 
    With ?faults or ?dynamic the SEND phase instead runs on the
    coordinator over the globally sorted sender list — the fault
@@ -50,15 +49,15 @@
    pool (see "message cells" below), so a quiet node holds nothing
    beyond its per-slot words, in either layout, without any sweep.
 
-   Observable-order bookkeeping that makes the shard merge exact:
-   - metrics ownership: node v's transmit marks are recorded by v's
-     owning shard (senders note transmits, receivers note backlogs and
-     deliveries), so per-node busy counts live in exactly one per-shard
-     recorder and Metrics.merge_into's sum is the sequential count;
-   - telemetry is per-window sums and maxima, merged by window index;
-   - completions and observer events are tagged (phase, node) per round
-     and merged in that order, which is the sequential chronological
-     order (phase 0 = time 0, 1 = receive, 2 = wake, 3 = injection).
+   The one shard rule for completions and tap events: a lane tags each
+   with (phase, node) and buffers it; the coordinator replays the
+   round's buffers at the barrier, k-way merged in that order (phase 0
+   = time 0 or send, 1 = cross-shard transfer, 2 = receive, 3 = wake,
+   4 = injection; send and transfer events are keyed by the sender).
+   Each buffer is sorted and a node's receive, wake and injection
+   events live in one shard, so the deliver/complete stream is exactly
+   the sequential one. What the coordinator itself runs — the faulty
+   send phase, round ends — calls the tap at once.
 
    Everything a run owns lives in one record, [k], and the phases are
    top-level functions over it: setting up a run allocates the record
@@ -116,17 +115,66 @@ exception
     busiest : (int * int) list;
   }
 
-type 'r observer = {
+type 'r tap = {
+  passive : bool;
+  on_transmit : round:int -> src:int -> dst:int -> unit;
+  on_backlog : round:int -> node:int -> backlog:int -> unit;
   on_deliver : round:int -> src:int -> dst:int -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
+  on_inject : round:int -> node:int -> unit;
+  on_drop : round:int -> src:int -> dst:int -> unit;
+  on_duplicate : round:int -> src:int -> dst:int -> unit;
+  on_delay : round:int -> src:int -> dst:int -> unit;
+  on_down_drop : round:int -> src:int -> dst:int -> unit;
   on_round_end : round:int -> in_flight:int -> [ `Continue | `Halt ];
 }
 
-let null_observer =
+let no_tap =
+  let edge ~round:_ ~src:_ ~dst:_ = () in
   {
-    on_deliver = (fun ~round:_ ~src:_ ~dst:_ -> ());
+    passive = true;
+    on_transmit = edge;
+    on_backlog = (fun ~round:_ ~node:_ ~backlog:_ -> ());
+    on_deliver = edge;
     on_complete = (fun ~round:_ ~node:_ ~value:_ -> ());
+    on_inject = (fun ~round:_ ~node:_ -> ());
+    on_drop = edge;
+    on_duplicate = edge;
+    on_delay = edge;
+    on_down_drop = edge;
     on_round_end = (fun ~round:_ ~in_flight:_ -> `Continue);
+  }
+
+let both a b =
+  let edge f g ~round ~src ~dst =
+    f ~round ~src ~dst;
+    g ~round ~src ~dst
+  in
+  {
+    passive = a.passive && b.passive;
+    on_transmit = edge a.on_transmit b.on_transmit;
+    on_backlog =
+      (fun ~round ~node ~backlog ->
+        a.on_backlog ~round ~node ~backlog;
+        b.on_backlog ~round ~node ~backlog);
+    on_deliver = edge a.on_deliver b.on_deliver;
+    on_complete =
+      (fun ~round ~node ~value ->
+        a.on_complete ~round ~node ~value;
+        b.on_complete ~round ~node ~value);
+    on_inject =
+      (fun ~round ~node ->
+        a.on_inject ~round ~node;
+        b.on_inject ~round ~node);
+    on_drop = edge a.on_drop b.on_drop;
+    on_duplicate = edge a.on_duplicate b.on_duplicate;
+    on_delay = edge a.on_delay b.on_delay;
+    on_down_drop = edge a.on_down_drop b.on_down_drop;
+    on_round_end =
+      (fun ~round ~in_flight ->
+        let ra = a.on_round_end ~round ~in_flight in
+        let rb = b.on_round_end ~round ~in_flight in
+        if ra = `Halt || rb = `Halt then `Halt else `Continue);
   }
 
 (* [earliest] is the first tick position still to come for a handler
@@ -194,8 +242,14 @@ let buf_push b x =
   b.data.(b.len) <- x;
   b.len <- b.len + 1
 
-(* Events a shard buffers for the round-end replay. *)
-type 'r event = Delivered of int (* src *) | Completed of 'r
+(* What a lane buffers for the round-end replay, under its
+   (phase, node) tag; the comments name the tagged node. *)
+type 'r event =
+  | Transmit of int  (* dst; tagged by the sender *)
+  | Backlog of int * int  (* dst, backlog; tagged by the sender *)
+  | Delivered of int  (* src; tagged by the receiver *)
+  | Completed of 'r
+  | Injected
 
 (* Above this, the on-first-touch node -> slot map becomes a hash table
    instead of a dense int array (8 bytes/node is the one O(n) cost that
@@ -215,8 +269,8 @@ let extend_bytes b cap =
   Bytes.blit b 0 c 0 (Bytes.length b);
   c
 
-(* One shard's worklists, its deltas merged at the barrier, its
-   recorders and its share of the injection schedule. *)
+(* One shard's worklists, its deltas merged at the barrier, its event
+   buffer and its share of the injection schedule. *)
 type ('s, 'm, 'r) shard = {
   id : int;
   senders : Vec.t;  (* nodes with a non-empty outbox *)
@@ -227,8 +281,6 @@ type ('s, 'm, 'r) shard = {
   mutable d_touched : int;
   mutable max_backlog : int;
   mutable last_active : int;
-  mrec : Metrics.t option;
-  tel : Telemetry.t option;
   inj : ('s, 'm, 'r) injection array;  (* in global (round, node) order *)
   mutable inj_ptr : int;
   wakes : (int * int, unit) Heap.t;  (* (round, node), own nodes only *)
@@ -257,10 +309,8 @@ type ('s, 'm, 'r) k = {
   faulty : bool;  (* ?faults or ?dynamic given *)
   fr : Faults.runtime;
   dynamic : Dynamic.runtime option;
-  observer : 'r observer;
-  has_observer : bool;
-  metrics : Metrics.t option;
-  telemetry : Telemetry.t option;
+  tap : 'r tap;
+  tapped : bool;  (* ?tap given: lanes buffer its events when sharded *)
   sink : ('r completion -> unit) option;
   stats : stats option;
   injections : ('s, 'm, 'r) injection array;
@@ -530,26 +580,21 @@ let rec apply_actions k sh phase s v t actions =
       end;
       apply_actions k sh phase s v t rest
   | Wake r :: rest ->
-      let earliest = match phase with 0 -> 1 | 1 -> t | _ -> t + 1 in
+      let earliest = match phase with 0 -> 1 | 2 -> t | _ -> t + 1 in
       check_wake ~round:t ~earliest r;
       Heap.push sh.wakes (r, v) ();
       apply_actions k sh phase s v t rest
   | Complete value :: rest ->
-      (match sh.tel with
-      | Some tl -> Telemetry.note_complete tl ~round:t
-      | None -> ());
       if k.inline then begin
-        if k.has_observer then k.observer.on_complete ~round:t ~node:v ~value;
+        if k.tapped then k.tap.on_complete ~round:t ~node:v ~value;
         push_completion k { node = v; round = t; value }
       end
       else buf_push sh.evs (phase, v, Completed value);
       apply_actions k sh phase s v t rest
 
 (* Hand [msg] (from [src]) to [dst]'s incoming queue, on [dst]'s owning
-   shard [sh]. [record_tx] folds the transmit note in for a send that
-   never left its shard: [q] is exactly the receiver-row CSR index
-   Metrics wants on the pre-assigned layout. *)
-let enqueue k sh record_tx t src dst msg =
+   shard [sh]; returns that link's backlog. *)
+let enqueue k sh src dst msg =
   let s = touch k sh dst in
   let q = k.inq_off.(s) + nbr_slot k.nbrs.(s) src in
   in_push k sh q msg;
@@ -561,18 +606,7 @@ let enqueue k sh record_tx t src dst msg =
   sh.d_queued <- sh.d_queued + 1;
   let backlog = q_len (Array.unsafe_get k.inq_ring q) in
   if backlog > sh.max_backlog then sh.max_backlog <- backlog;
-  (match sh.mrec with
-  | Some mrec ->
-      if record_tx then
-        if k.dense then Metrics.note_transmit_at mrec ~slot:q ~src ~round:t
-        else Metrics.note_transmit mrec ~src ~dst ~round:t;
-      Metrics.note_backlog mrec ~node:dst ~backlog
-  | None -> ());
-  match sh.tel with
-  | Some tl ->
-      if record_tx then Telemetry.note_send tl ~round:t;
-      Telemetry.note_backlog tl ~round:t ~backlog
-  | None -> ()
+  backlog
 
 (* ---------------- SEND phase (lanes, fault-free only) ---------------- *)
 
@@ -583,19 +617,21 @@ let rec drain_free k sh s v t budget =
     sh.d_outstanding <- sh.d_outstanding - 1;
     sh.last_active <- t;
     let dsh = owner_of k dst in
-    if dsh = sh.id then enqueue k sh true t v dst msg
+    if dsh = sh.id then begin
+      let backlog = enqueue k sh v dst msg in
+      if k.tapped then
+        if k.inline then begin
+          k.tap.on_transmit ~round:t ~src:v ~dst;
+          k.tap.on_backlog ~round:t ~node:dst ~backlog
+        end
+        else begin
+          buf_push sh.evs (0, v, Transmit dst);
+          buf_push sh.evs (0, v, Backlog (dst, backlog))
+        end
+    end
     else begin
-      (* Sender-side notes now; the receiving shard applies the
-         queue-side effects after the barrier. *)
-      (match sh.mrec with
-      | Some mrec ->
-          (* [dst] may not be touched yet: read its adjacency afresh. *)
-          let slot = k.inq_off.(dst) + nbr_slot (k.neighbors dst) v in
-          Metrics.note_transmit_at mrec ~slot ~src:v ~round:t
-      | None -> ());
-      (match sh.tel with
-      | Some tl -> Telemetry.note_send tl ~round:t
-      | None -> ());
+      (* The receiving shard applies the queue side after the barrier. *)
+      if k.tapped then buf_push sh.evs (0, v, Transmit dst);
       buf_push k.tx.((sh.id * k.kshards) + dsh) (v, dst, msg)
     end;
     drain_free k sh s v t (budget - 1)
@@ -640,7 +676,7 @@ let compare_transfer (s1, d1, i1, p1) (s2, d2, i2, p2) =
    (src, dst, seq). seq is the position within the sender shard's
    buffer; a (src, dst) pair never spans two buffers, so the sort key is
    total and per-link FIFO order is preserved. *)
-let apply_transfers k sh t =
+let apply_transfers k sh =
   let ks = k.kshards in
   let total = ref 0 in
   for p = 0 to ks - 1 do
@@ -661,7 +697,8 @@ let apply_transfers k sh t =
     Array.iter
       (fun (src, dst, i, p) ->
         let _, _, msg = k.tx.((p * ks) + sh.id).data.(i) in
-        enqueue k sh false t src dst msg)
+        let backlog = enqueue k sh src dst msg in
+        if k.tapped then buf_push sh.evs (1, src, Backlog (dst, backlog)))
       keys;
     for p = 0 to ks - 1 do
       k.tx.((p * ks) + sh.id).len <- 0
@@ -718,23 +755,15 @@ let rec recv_budget k sh t s v budget =
       sh.d_queued <- sh.d_queued - 1;
       sh.d_messages <- sh.d_messages + 1;
       sh.last_active <- t;
-      (match sh.mrec with
-      | Some mrec ->
-          if k.dense then Metrics.note_deliver_at mrec ~slot:q ~dst:v ~round:t
-          else Metrics.note_deliver mrec ~src ~dst:v ~round:t
-      | None -> ());
-      (match sh.tel with
-      | Some tl -> Telemetry.note_deliver tl ~round:t
-      | None -> ());
-      if k.has_observer then
-        if k.inline then k.observer.on_deliver ~round:t ~src ~dst:v
-        else buf_push sh.evs (1, v, Delivered src);
+      if k.tapped then
+        if k.inline then k.tap.on_deliver ~round:t ~src ~dst:v
+        else buf_push sh.evs (2, v, Delivered src);
       (* The per-message hot path: the network, funnel and counter
          handlers hand back [old], so [store] writes nothing. *)
       let old = k.states.(s) in
       let s', actions = k.protocol.on_receive ~round:t ~node:v ~src msg old in
       store k s old s';
-      apply_actions k sh 1 s v t actions;
+      apply_actions k sh 2 s v t actions;
       recv_budget k sh t s v (budget - 1)
     end
   end
@@ -776,7 +805,7 @@ let rec wake_shard k sh t prev =
         let old = k.states.(s) in
         let s', actions = k.protocol.on_wake ~round:t ~node:v old in
         store k s old s';
-        apply_actions k sh 2 s v t actions
+        apply_actions k sh 3 s v t actions
       end;
       wake_shard k sh t key
   | _ -> ()
@@ -790,19 +819,19 @@ let inject_shard k sh t =
     sh.inj_ptr <- sh.inj_ptr + 1;
     let v = inj.node in
     if not (is_blocked k v) then begin
-      (match sh.tel with
-      | Some tl -> Telemetry.note_inject tl ~round:t
-      | None -> ());
+      if k.tapped then
+        if k.inline then k.tap.on_inject ~round:t ~node:v
+        else buf_push sh.evs (4, v, Injected);
       let s = touch k sh v in
       let old = k.states.(s) in
       let s', actions = inj.inject old in
       store k s old s';
-      apply_actions k sh 3 s v t actions
+      apply_actions k sh 4 s v t actions
     end
   done
 
 let deliver_shard k sh t =
-  if not k.inline then apply_transfers k sh t;
+  if not k.inline then apply_transfers k sh;
   recv_shard k sh t;
   wake_shard k sh t (-1, -1);
   inject_shard k sh t
@@ -898,31 +927,24 @@ let start_lanes k ~helpers =
       end )
 
 (* ---------------- coordinator: faulty sequential transport --------- *)
-(* Queue effects land on the receiver's shard structures directly —
-   safe, the lanes are parked — with the transmit note at the sender's
-   shard recorder and backlog at the receiver's. *)
-
-let note_drop k t =
-  match k.telemetry with Some tl -> Telemetry.note_drop tl ~round:t | None -> ()
+(* Queue effects land on the receiver's shard structures directly and
+   tap events fire at once — safe, the lanes are parked. *)
 
 (* Enqueue, or discard the message if the receiver is down — crashed by
    the fault plan, or churned out by the dynamic schedule. *)
 let enqueue_faulty k t src dst msg =
-  let down_drop () =
-    note_drop k t;
-    match k.metrics with
-    | Some _ -> Option.iter (Metrics.note_crash_drop ~dst) k.shards.(owner_of k dst).mrec
-    | None -> ()
-  in
   if Faults.crashed k.fr ~node:dst ~round:t then begin
     Faults.note_crash_drop k.fr;
-    down_drop ()
+    k.tap.on_down_drop ~round:t ~src ~dst
   end
   else if node_down k dst ~round:t then begin
     (match k.dynamic with Some dr -> Dynamic.note_node_drop dr | None -> ());
-    down_drop ()
+    k.tap.on_down_drop ~round:t ~src ~dst
   end
-  else enqueue k k.shards.(owner_of k dst) false t src dst msg
+  else begin
+    let backlog = enqueue k k.shards.(owner_of k dst) src dst msg in
+    k.tap.on_backlog ~round:t ~node:dst ~backlog
+  end
 
 (* Fault-delayed messages whose spike has elapsed join the receiver
    queues ahead of round [t]'s fresh sends. *)
@@ -943,34 +965,23 @@ let rec drain_faulty k s v t budget =
     let dst = Array.unsafe_get sh.dsts c and msg = Array.unsafe_get sh.msgs c in
     sh.d_outstanding <- sh.d_outstanding - 1;
     sh.last_active <- t;
-    let mrec = sh.mrec in
-    (match mrec with
-    | Some m -> Metrics.note_transmit m ~src:v ~dst ~round:t
-    | None -> ());
-    (match k.telemetry with
-    | Some tl -> Telemetry.note_send tl ~round:t
-    | None -> ());
+    k.tap.on_transmit ~round:t ~src:v ~dst;
     if link_severed k ~src:v ~dst ~round:t then begin
       (* A transmission over a down link is lost at the sender's end;
          the fault plan's decision stream is not consumed for it. *)
       (match k.dynamic with Some dr -> Dynamic.note_link_drop dr | None -> ());
-      note_drop k t;
-      match mrec with Some m -> Metrics.note_drop m ~src:v ~dst | None -> ()
+      k.tap.on_drop ~round:t ~src:v ~dst
     end
     else begin
       match Faults.decide k.fr ~src:v ~dst ~round:t with
       | Faults.Deliver -> enqueue_faulty k t v dst msg
-      | Faults.Drop -> (
-          note_drop k t;
-          match mrec with Some m -> Metrics.note_drop m ~src:v ~dst | None -> ())
+      | Faults.Drop -> k.tap.on_drop ~round:t ~src:v ~dst
       | Faults.Duplicate ->
-          (match mrec with
-          | Some m -> Metrics.note_duplicate m ~src:v ~dst
-          | None -> ());
+          k.tap.on_duplicate ~round:t ~src:v ~dst;
           enqueue_faulty k t v dst msg;
           enqueue_faulty k t v dst msg
       | Faults.Delay d ->
-          (match mrec with Some m -> Metrics.note_delay m ~src:v ~dst | None -> ());
+          k.tap.on_delay ~round:t ~src:v ~dst;
           k.held_seq <- k.held_seq + 1;
           k.held_count <- k.held_count + 1;
           Heap.push k.held (t + d, k.held_seq) (v, dst, msg)
@@ -1055,23 +1066,21 @@ let merge_deltas k =
     | None -> ()
   done
 
-(* Replay the round's buffered events (sharded runs), in merged
-   (phase, node) order: each shard's buffer is already sorted and a node
-   lives in exactly one shard, so the k-way merge reconstructs the
-   sequential chronological order exactly. *)
+(* Replay the round's buffered events (sharded runs), k-way merged in
+   (phase, node) order, ties to the lower shard; see the preamble. *)
 let replay k t =
   if not k.inline then begin
     let ptr = Array.make k.kshards 0 in
     let continue_ = ref true in
     while !continue_ do
-      let best = ref (-1) in
-      let best_key = ref (max_int, max_int) in
+      let best = ref (-1) and bp = ref max_int and bn = ref max_int in
       Array.iteri
         (fun i sh ->
           if ptr.(i) < sh.evs.len then begin
             let phase, node, _ = sh.evs.data.(ptr.(i)) in
-            if (phase, node) < !best_key then begin
-              best_key := (phase, node);
+            if phase < !bp || (phase = !bp && node < !bn) then begin
+              bp := phase;
+              bn := node;
               best := i
             end
           end)
@@ -1081,10 +1090,13 @@ let replay k t =
         let _, node, ev = k.shards.(!best).evs.data.(ptr.(!best)) in
         ptr.(!best) <- ptr.(!best) + 1;
         match ev with
-        | Delivered src -> k.observer.on_deliver ~round:t ~src ~dst:node
+        | Transmit dst -> k.tap.on_transmit ~round:t ~src:node ~dst
+        | Backlog (dst, backlog) -> k.tap.on_backlog ~round:t ~node:dst ~backlog
+        | Delivered src -> k.tap.on_deliver ~round:t ~src ~dst:node
         | Completed value ->
-            if k.has_observer then k.observer.on_complete ~round:t ~node ~value;
+            if k.tapped then k.tap.on_complete ~round:t ~node ~value;
             push_completion k { node; round = t; value }
+        | Injected -> k.tap.on_inject ~round:t ~node
       end
     done;
     Array.iter (fun sh -> sh.evs.len <- 0) k.shards
@@ -1118,17 +1130,13 @@ let raise_round_limit k =
            top_loaded_pairs (Hashtbl.fold (fun v l acc -> (v, l) :: acc) loads []);
        })
 
-(* The round-end hooks; [true] when the observer halts the run. *)
+(* The round-end hooks; [true] when the tap halts the run. *)
 let round_end k t =
   (match k.stats with
   | Some c -> c.executed_rounds <- c.executed_rounds + 1
   | None -> ());
-  (match k.telemetry with
-  | Some tl -> Telemetry.note_in_flight tl ~round:t ~in_flight:(in_flight k)
-  | None -> ());
   note_peak k;
-  k.has_observer
-  && k.observer.on_round_end ~round:t ~in_flight:(in_flight k) = `Halt
+  k.tap.on_round_end ~round:t ~in_flight:(in_flight k) = `Halt
 
 let wakes_pending k = Array.exists (fun sh -> not (Heap.is_empty sh.wakes)) k.shards
 
@@ -1189,12 +1197,12 @@ let execute k ~dispatch ~starters ~halt_after =
     if t > halt_cap then halted := true
     else begin
       if t > config.max_rounds then raise_round_limit k;
-      (* Quiescent and unobserved: jump to the round before the next
-         held-message, wake or injection due round (one exists, or the
-         loop would have ended); the cap keeps the limit check above
+      (* Quiescent, with a passive tap: jump to the round before the
+         next held-message, wake or injection due round (one exists, or
+         the loop would have ended); the cap keeps the limit check above
          authoritative. *)
       let next =
-        if (not k.has_observer) && k.outstanding = 0 && k.queued = 0 then
+        if k.tap.passive && k.outstanding = 0 && k.queued = 0 then
           next_event k
         else t
       in
@@ -1221,20 +1229,6 @@ let execute k ~dispatch ~starters ~halt_after =
       end
     end
   done
-
-(* Fold the per-shard recorders back into the caller's, in shard order
-   — also on the exception paths, so a Round_limit_exceeded still leaves
-   best-effort observability behind. *)
-let merge_recorders k =
-  Array.iter
-    (fun sh ->
-      Option.iter
-        (fun into -> Option.iter (Metrics.merge_into ~into) sh.mrec)
-        k.metrics;
-      Option.iter
-        (fun into -> Option.iter (Telemetry.merge_into ~into) sh.tel)
-        k.telemetry)
-    k.shards
 
 (* Completions were pushed in chronological order, which for most
    protocols (ascending node order within each phase) is already
@@ -1266,9 +1260,8 @@ let assemble k =
     expansion = k.config.receive_capacity;
   }
 
-let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
-    ?telemetry ?sink ?(injections = [||]) ?halt_after ?stats ?starters ~n ~degree
-    ~neighbors ~config ~protocol () =
+let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
+    ?halt_after ?stats ?starters ~n ~degree ~neighbors ~config ~protocol () =
   let fail msg = invalid_arg (who ^ ": " ^ msg) in
   if config.receive_capacity < 1 || config.send_capacity < 1 then
     fail "capacities must be >= 1";
@@ -1325,7 +1318,6 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
   let pending = Array.make slots 0 in
   let on_send = Bytes.make slots '\000' in
   let on_recv = Bytes.make slots '\000' in
-  let has_observer = observer != null_observer in
   let inj_of =
     if inline then [| injections |]
     else begin
@@ -1336,12 +1328,6 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
       done;
       Array.map Array.of_list parts
     end
-  in
-  (* One shard writes the caller's recorders directly; several get
-     fresh ones, merged back at the end. *)
-  let recorder fresh = function
-    | None -> None
-    | Some r -> Some (if inline then r else fresh r)
   in
   let shards =
     Array.init kshards (fun id ->
@@ -1355,14 +1341,6 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
           d_touched = 0;
           max_backlog = 0;
           last_active = 0;
-          mrec = recorder Metrics.create_like metrics;
-          tel =
-            recorder
-              (fun tl ->
-                Telemetry.create
-                  ~windows:(Telemetry.windows_capacity tl)
-                  ~window_size:(Telemetry.window_size tl) ())
-              telemetry;
           inj = inj_of.(id);
           inj_ptr = 0;
           wakes = Heap.create ();
@@ -1388,13 +1366,8 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
       faulty;
       fr = (match faults with Some fr -> fr | None -> Faults.start Faults.none);
       dynamic;
-      observer;
-      (* Idle rounds may be skipped wholesale only when nothing
-         observable can happen in them: the do-nothing observer,
-         recognised by physical equality. *)
-      has_observer;
-      metrics;
-      telemetry;
+      tap = Option.value tap ~default:no_tap;
+      tapped = Option.is_some tap;
       sink;
       stats;
       injections;
@@ -1446,8 +1419,7 @@ let run ~who ?part ?pool ?faults ?dynamic ?(observer = null_observer) ?metrics
     Fun.protect
       ~finally:(fun () ->
         stop ();
-        Option.iter (fun p -> Parallel.release p helpers) pool;
-        merge_recorders k)
+        Option.iter (fun p -> Parallel.release p helpers) pool)
       (fun () -> execute k ~dispatch ~starters ~halt_after)
   end;
   assemble k

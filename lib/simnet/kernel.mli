@@ -62,13 +62,22 @@ exception
     busiest : (int * int) list;
   }
 
-type 'r observer = {
+type 'r tap = {
+  passive : bool;
+  on_transmit : round:int -> src:int -> dst:int -> unit;
+  on_backlog : round:int -> node:int -> backlog:int -> unit;
   on_deliver : round:int -> src:int -> dst:int -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
+  on_inject : round:int -> node:int -> unit;
+  on_drop : round:int -> src:int -> dst:int -> unit;
+  on_duplicate : round:int -> src:int -> dst:int -> unit;
+  on_delay : round:int -> src:int -> dst:int -> unit;
+  on_down_drop : round:int -> src:int -> dst:int -> unit;
   on_round_end : round:int -> in_flight:int -> [ `Continue | `Halt ];
 }
 
-val null_observer : 'r observer
+val no_tap : 'r tap
+val both : 'r tap -> 'r tap -> 'r tap
 
 type ('s, 'm, 'r) injection = {
   at : int;
@@ -91,9 +100,7 @@ val run :
   ?pool:Countq_util.Parallel.pool ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r observer ->
-  ?metrics:Metrics.t ->
-  ?telemetry:Telemetry.t ->
+  ?tap:'r tap ->
   ?sink:('r completion -> unit) ->
   ?injections:('s, 'm, 'r) injection array ->
   ?halt_after:int ->
@@ -120,5 +127,6 @@ val run :
     run with [starters] assigns slots on first touch; every other run
     pre-assigns slot = node. Either way, queued messages sit in one
     pool of cells per shard, so a quiet node holds no buffers.
-    All optional arguments keep the meaning documented on the entry
-    points. *)
+    [tap] follows the one contract documented at {!Engine.tap}, at
+    every shard count. All optional arguments keep the meaning
+    documented on the entry points. *)

@@ -1,12 +1,10 @@
 (* Per-node / per-edge execution metrics. See metrics.mli.
 
-   Layout mirrors the active-set engine's: per-node counters are plain
-   int arrays; per-directed-edge counters live in one CSR-indexed block
-   keyed by the RECEIVER's row (slot of edge src -> dst = dst's base +
-   position of src in dst's sorted neighbour array). That is the same
-   slot the engine computes anyway for its incoming rings, so the
-   engine-side hooks ([note_transmit_at] / [note_deliver_at]) are a
-   couple of array increments — no search, no hashing, no allocation. *)
+   Per-node counters are plain int arrays; per-directed-edge counters
+   live in one CSR-indexed block keyed by the RECEIVER's row (slot of
+   edge src -> dst = dst's base + position of src in dst's sorted
+   neighbour array), so a hook is a short neighbour search and a couple
+   of array increments — no hashing, no allocation. *)
 
 module Graph = Countq_topology.Graph
 
@@ -20,7 +18,6 @@ type t = {
   dups : int array;
   delays : int array;
   crash_drops : int array;
-  retransmits : int array;
   peak_backlog : int array;
   busy : int array;
   last_busy : int array;  (* last round counted into [busy]; -1 = none *)
@@ -48,7 +45,6 @@ let create ~graph =
     dups = Array.make nodes 0;
     delays = Array.make nodes 0;
     crash_drops = Array.make nodes 0;
-    retransmits = Array.make nodes 0;
     peak_backlog = Array.make nodes 0;
     busy = Array.make nodes 0;
     last_busy = Array.make nodes (-1);
@@ -62,63 +58,6 @@ let create ~graph =
   }
 
 let n t = t.nodes
-
-(* A fresh all-zero recorder sharing [t]'s shape (the CSR offsets and
-   neighbour aliases are immutable, so aliasing them is free). The
-   sharded engine gives each shard its own recorder built this way and
-   folds them back with [merge_into]. *)
-let create_like t =
-  let nodes = t.nodes in
-  let m2 = t.off.(nodes) in
-  {
-    nodes;
-    drops = Array.make nodes 0;
-    dups = Array.make nodes 0;
-    delays = Array.make nodes 0;
-    crash_drops = Array.make nodes 0;
-    retransmits = Array.make nodes 0;
-    peak_backlog = Array.make nodes 0;
-    busy = Array.make nodes 0;
-    last_busy = Array.make nodes (-1);
-    nbrs = t.nbrs;
-    off = t.off;
-    e_sends = Array.make m2 0;
-    e_receives = Array.make m2 0;
-    e_drops = Array.make m2 0;
-    e_dups = Array.make m2 0;
-    e_delays = Array.make m2 0;
-  }
-
-(* Fold [src] into [into]: counters add, peaks max. [busy] also adds,
-   which is only correct when each node's busy marks live in at most
-   one of the two recorders — the sharded engine's ownership discipline
-   (node [v]'s transmits and deliveries are always recorded by [v]'s
-   owning shard) guarantees exactly that. *)
-let merge_into ~into src =
-  if into.nodes <> src.nodes || into.off.(into.nodes) <> src.off.(src.nodes)
-  then invalid_arg "Metrics.merge_into: recorders have different shapes";
-  let add a b =
-    for i = 0 to Array.length a - 1 do
-      a.(i) <- a.(i) + b.(i)
-    done
-  in
-  add into.drops src.drops;
-  add into.dups src.dups;
-  add into.delays src.delays;
-  add into.crash_drops src.crash_drops;
-  add into.retransmits src.retransmits;
-  add into.busy src.busy;
-  for v = 0 to into.nodes - 1 do
-    if src.peak_backlog.(v) > into.peak_backlog.(v) then
-      into.peak_backlog.(v) <- src.peak_backlog.(v);
-    if src.last_busy.(v) > into.last_busy.(v) then
-      into.last_busy.(v) <- src.last_busy.(v)
-  done;
-  add into.e_sends src.e_sends;
-  add into.e_receives src.e_receives;
-  add into.e_drops src.e_drops;
-  add into.e_dups src.e_dups;
-  add into.e_delays src.e_delays
 
 (* Slot of the directed edge src -> dst: dst's CSR base + position of
    src in dst's sorted neighbour array — linear scan for the short
@@ -158,46 +97,32 @@ let[@inline] mark_busy t v round =
     Array.unsafe_set t.busy v (Array.unsafe_get t.busy v + 1)
   end
 
-(* Fast engine-side hooks: the engine passes the edge slot it already
-   computed for its own CSR incoming rings (identical layout: both are
-   prefix sums of [Graph.neighbors] lengths in node order). *)
-let[@inline] note_transmit_at t ~slot ~src ~round =
-  Array.unsafe_set t.e_sends slot (Array.unsafe_get t.e_sends slot + 1);
-  mark_busy t src round
+let bump a i = a.(i) <- a.(i) + 1
 
-let[@inline] note_deliver_at t ~slot ~dst ~round =
-  Array.unsafe_set t.e_receives slot (Array.unsafe_get t.e_receives slot + 1);
-  mark_busy t dst round
+(* A fault outcome: counted against the edge and its sender. *)
+let fault per_node per_edge t ~src ~dst =
+  bump per_edge (edge_slot t ~src ~dst);
+  bump per_node src
 
-(* Search-based variants for recorders that don't track slots
-   (Reference, Async, fault paths). *)
-let note_transmit t ~src ~dst ~round =
-  note_transmit_at t ~slot:(edge_slot t ~src ~dst) ~src ~round
-
-let note_deliver t ~src ~dst ~round =
-  note_deliver_at t ~slot:(edge_slot t ~src ~dst) ~dst ~round
-
-let note_drop t ~src ~dst =
-  t.drops.(src) <- t.drops.(src) + 1;
-  let e = edge_slot t ~src ~dst in
-  t.e_drops.(e) <- t.e_drops.(e) + 1
-
-let note_duplicate t ~src ~dst =
-  t.dups.(src) <- t.dups.(src) + 1;
-  let e = edge_slot t ~src ~dst in
-  t.e_dups.(e) <- t.e_dups.(e) + 1
-
-let note_delay t ~src ~dst =
-  t.delays.(src) <- t.delays.(src) + 1;
-  let e = edge_slot t ~src ~dst in
-  t.e_delays.(e) <- t.e_delays.(e) + 1
-
-let note_crash_drop t ~dst = t.crash_drops.(dst) <- t.crash_drops.(dst) + 1
-let note_retransmit t ~node = t.retransmits.(node) <- t.retransmits.(node) + 1
-
-let[@inline] note_backlog t ~node ~backlog =
-  if backlog > Array.unsafe_get t.peak_backlog node then
-    Array.unsafe_set t.peak_backlog node backlog
+let tap t =
+  {
+    Engine.no_tap with
+    on_transmit =
+      (fun ~round ~src ~dst ->
+        bump t.e_sends (edge_slot t ~src ~dst);
+        mark_busy t src round);
+    on_backlog =
+      (fun ~round:_ ~node ~backlog ->
+        if backlog > t.peak_backlog.(node) then t.peak_backlog.(node) <- backlog);
+    on_deliver =
+      (fun ~round ~src ~dst ->
+        bump t.e_receives (edge_slot t ~src ~dst);
+        mark_busy t dst round);
+    on_drop = (fun ~round:_ -> fault t.drops t.e_drops t);
+    on_duplicate = (fun ~round:_ -> fault t.dups t.e_dups t);
+    on_delay = (fun ~round:_ -> fault t.delays t.e_delays t);
+    on_down_drop = (fun ~round:_ ~src:_ ~dst -> bump t.crash_drops dst);
+  }
 
 type node_stats = {
   node : int;
@@ -207,7 +132,6 @@ type node_stats = {
   dups : int;
   delays : int;
   crash_drops : int;
-  retransmits : int;
   peak_backlog : int;
   busy_rounds : int;
 }
@@ -250,7 +174,6 @@ let node_stats (t : t) v =
     dups = t.dups.(v);
     delays = t.delays.(v);
     crash_drops = t.crash_drops.(v);
-    retransmits = t.retransmits.(v);
     peak_backlog = t.peak_backlog.(v);
     busy_rounds = t.busy.(v);
   }
@@ -259,7 +182,7 @@ let per_node t = List.init t.nodes (node_stats t)
 
 let node_active (s : node_stats) =
   s.sends > 0 || s.receives > 0 || s.drops > 0 || s.dups > 0 || s.delays > 0
-  || s.crash_drops > 0 || s.retransmits > 0 || s.peak_backlog > 0
+  || s.crash_drops > 0 || s.peak_backlog > 0
 
 let per_edge (t : t) =
   let acc = ref [] in
@@ -296,21 +219,7 @@ let total_receives (t : t) = Array.fold_left ( + ) 0 t.e_receives
 
 let traffic (t : t) v = node_sends t v + node_receives t v
 
-(* Same top-k shape as Engine.top_loaded, re-implemented here because
-   Engine depends on this module (the ?metrics hook), not vice versa. *)
-let hottest_nodes ?(k = 5) t =
-  let acc = ref [] in
-  for v = t.nodes - 1 downto 0 do
-    let load = traffic t v in
-    if load > 0 then acc := (v, load) :: !acc
-  done;
-  let sorted =
-    List.sort
-      (fun (v1, l1) (v2, l2) ->
-        match compare l2 l1 with 0 -> compare v1 v2 | c -> c)
-      !acc
-  in
-  List.filteri (fun i _ -> i < k) sorted
+let hottest_nodes ?k t = Engine.top_loaded ?k (Array.init t.nodes (traffic t))
 
 let hottest_edges ?(k = 5) t =
   let all =
@@ -375,7 +284,6 @@ let to_jsonl t =
                   ("dups", J.Int s.dups);
                   ("delays", J.Int s.delays);
                   ("crash_drops", J.Int s.crash_drops);
-                  ("retransmits", J.Int s.retransmits);
                   ("peak_backlog", J.Int s.peak_backlog);
                   ("busy_rounds", J.Int s.busy_rounds);
                 ]));

@@ -1,26 +1,23 @@
-(** Per-node and per-edge execution metrics for both simulation engines.
+(** Per-node and per-edge execution metrics for the synchronous
+    engines.
 
     The paper's entire argument is about {e measured cost} — concurrent
     delay, message contention, information propagation — yet a bare
     {!Engine.result} only reports aggregates. A [Metrics.t] is a
-    mutable recorder threaded through a run via the engines' [?metrics]
-    argument: it tallies, per node and per directed edge, every
-    transmission, delivery, fault decision (drops / duplicates / delay
-    spikes from {!Faults}), crash drop, retransmission (from
-    {!Reliable}), peak link backlog and busy rounds. The recorder is
-    {e passive}: it never influences the execution, so a run with
-    metrics attached is bit-identical to the same run without (a qcheck
-    property pins this), and the engines' idle-round fast-forward stays
-    enabled — an idle round by definition records nothing.
+    mutable recorder attached to a run through {!tap}: it tallies, per
+    node and per directed edge, every transmission, delivery, fault
+    decision (drops / duplicates / delay spikes from {!Faults}), crash
+    drop, peak link backlog and busy rounds. The tap is passive (see
+    {!Engine.tap}): a run with it attached is bit-identical to the same
+    run without, and idle-round fast-forward stays enabled — an idle
+    round by definition records nothing.
 
-    Cost: recording is a handful of array increments per message (edge
-    counters are CSR-indexed off the graph like the engine's own rings;
-    no hashing, no allocation).
+    Cost: a hook is a short search of the receiver's neighbour array
+    and a few array increments (edge counters are CSR-indexed off the
+    graph); no hashing, no allocation.
 
     Create one recorder per run: {!create} sizes every array from the
-    graph. The [note_*] functions are the engines' recording hooks —
-    protocol or harness code normally only reads the snapshot
-    accessors. *)
+    graph. *)
 
 type t
 
@@ -30,63 +27,14 @@ val create : graph:Countq_topology.Graph.t -> t
 val n : t -> int
 (** Number of nodes the recorder was created for. *)
 
-val create_like : t -> t
-(** A fresh all-zero recorder with the same shape (graph) as the
-    argument — what the sharded engine hands each shard, without
-    needing the materialised graph again. *)
-
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src]'s tallies into [into]: counters
-    (including [busy_rounds]) add, peaks ([peak_backlog], the internal
-    last-busy round) take the max. Correct for [busy_rounds] only when
-    each node's transmit/deliver marks live in at most one of the two
-    recorders — the sharded engine's per-shard recorders satisfy this
-    by ownership (a node's sends and receives are always recorded by
-    its owning shard).
-    @raise Invalid_argument if the recorders' shapes differ. *)
-
-(** {1 Recording hooks} — called by {!Engine.run}, {!Reference.run},
-    {!Async.run} and {!Reliable.wrap}; rounds are event times under the
-    asynchronous engine. *)
-
-val note_transmit : t -> src:int -> dst:int -> round:int -> unit
-(** A message left [src]'s outbox towards [dst] (before any fault
-    decision). Counts a send and marks [src] busy this round. *)
-
-val note_deliver : t -> src:int -> dst:int -> round:int -> unit
-(** A message was handed to the protocol at [dst]. Counts a receive
-    and marks [dst] busy this round. *)
-
-val note_transmit_at : t -> slot:int -> src:int -> round:int -> unit
-(** Fast-path {!note_transmit} for callers that already hold the edge's
-    CSR slot: [slot] must be the receiver-row index of the directed
-    edge [src -> dst] — the receiver's CSR base plus the position of
-    [src] in the receiver's sorted neighbour array. {!Engine.run}'s
-    incoming rings use the identical layout (both are prefix sums of
-    [Graph.neighbors] lengths in node order), so the engine passes the
-    slot it computed anyway and skips the neighbour search. *)
-
-val note_deliver_at : t -> slot:int -> dst:int -> round:int -> unit
-(** Fast-path {!note_deliver}; [slot] as in {!note_transmit_at}. *)
-
-val note_drop : t -> src:int -> dst:int -> unit
-(** The fault layer dropped the transmission. *)
-
-val note_duplicate : t -> src:int -> dst:int -> unit
-(** The fault layer duplicated the transmission. *)
-
-val note_delay : t -> src:int -> dst:int -> unit
-(** The fault layer postponed the transmission. *)
-
-val note_crash_drop : t -> dst:int -> unit
-(** A message was discarded because the receiver was down. *)
-
-val note_retransmit : t -> node:int -> unit
-(** The {!Reliable} layer retransmitted a payload from [node]. *)
-
-val note_backlog : t -> node:int -> backlog:int -> unit
-(** [node] has [backlog] messages queued on one incoming link; the
-    per-node peak is retained (contention proxy). *)
+val tap : t -> 'r Engine.tap
+(** The passive tap that records into [t]: a transmit counts a send
+    and marks the sender busy in its round, a delivery counts a
+    receive and marks the receiver busy, backlogs keep the per-node
+    peak, and each fault outcome counts against its edge (a crash or
+    churn drop against the receiver).
+    @raise Invalid_argument from a hook naming a pair that is not an
+    edge of the graph. *)
 
 (** {1 Snapshots} *)
 
@@ -98,7 +46,6 @@ type node_stats = {
   dups : int;  (** fault duplications of this node's transmissions. *)
   delays : int;  (** fault delay spikes on this node's transmissions. *)
   crash_drops : int;  (** messages lost because this node was down. *)
-  retransmits : int;  (** {!Reliable} retransmissions from this node. *)
   peak_backlog : int;  (** largest single-link incoming queue seen. *)
   busy_rounds : int;  (** rounds in which the node sent or received. *)
 }

@@ -160,9 +160,11 @@ let completes ~expected =
                expected));
   }
 
-let observe monitors =
+let tap monitors =
   {
-    Engine.on_deliver =
+    Engine.no_tap with
+    passive = false;
+    on_deliver =
       (fun ~round ~src ~dst ->
         List.iter (fun m -> m.deliver ~round ~src ~dst) monitors);
     on_complete =

@@ -4,7 +4,7 @@
     ([Order.chain], [Counts.validate]); under fault injection that is
     not enough — a protocol can be wrong long before it terminates, or
     never terminate at all. A monitor watches the execution {e as it
-    runs} through an {!Engine.observer} and maintains a verdict:
+    runs} through an {!Engine.tap} and maintains a verdict:
 
     - {b safety} monitors ([rank_monotonic], [distinct_ranks],
       [unique_completion], [chain_consistent]) flag a violation the
@@ -97,9 +97,10 @@ val completes : expected:int -> 'r t
 
 (** {1 Attaching and reporting} *)
 
-val observe : 'r t list -> 'r Engine.observer
-(** Fuse the monitors into one engine observer. The observer requests
-    [`Halt] as soon as any monitor does. *)
+val tap : 'r t list -> 'r Engine.tap
+(** Fuse the monitors into one active engine tap (it sees every round:
+    [progress] counts idle ones). The tap requests [`Halt] as soon as
+    any monitor does. *)
 
 val finalise : 'r t list -> report
 (** End-of-run verdicts, in the order given. Run this after the engine

@@ -25,26 +25,8 @@ type 'r report = {
   retry : Reliable.stats option;
 }
 
-(* Both observers see every event; either may halt the run. *)
-let both (a : _ Engine.observer) (b : _ Engine.observer) =
-  {
-    Engine.on_deliver =
-      (fun ~round ~src ~dst ->
-        a.on_deliver ~round ~src ~dst;
-        b.on_deliver ~round ~src ~dst);
-    on_complete =
-      (fun ~round ~node ~value ->
-        a.on_complete ~round ~node ~value;
-        b.on_complete ~round ~node ~value);
-    on_round_end =
-      (fun ~round ~in_flight ->
-        let ra = a.on_round_end ~round ~in_flight in
-        let rb = b.on_round_end ~round ~in_flight in
-        if ra = `Halt || rb = `Halt then `Halt else `Continue);
-  }
-
 let faulty ?(retry = false) ?ack_timeout ?max_retries ?progress_budget ?dynamic
-    ?observer ?diagnose ~plan i =
+    ?tap ?diagnose ~plan i =
   let budget =
     match progress_budget with
     | Some b -> b
@@ -57,13 +39,13 @@ let faulty ?(retry = false) ?ack_timeout ?max_retries ?progress_budget ?dynamic
         Monitor.progress ~budget ?diagnose ();
       ]
   in
-  let observer =
-    let m = Monitor.observe monitors in
-    match observer with Some o -> both m o | None -> m
+  let tap =
+    let m = Monitor.tap monitors in
+    match tap with Some t -> Engine.both m t | None -> m
   in
   let faults = Faults.start plan in
   let go protocol =
-    Engine.run ~faults ?dynamic ~observer ~graph:i.graph ~config:i.config
+    Engine.run ~faults ?dynamic ~tap ~graph:i.graph ~config:i.config
       ~protocol ()
   in
   let result, retry =
@@ -88,7 +70,8 @@ let observed ?plan ~metrics i =
   in
   let faults = Option.map Faults.start plan in
   let result =
-    Engine.run ?faults ~metrics ~graph:i.graph ~config:i.config ~protocol ()
+    Engine.run ?faults ~tap:(Metrics.tap metrics) ~graph:i.graph ~config:i.config
+      ~protocol ()
   in
   (result, spans (), Option.map Faults.stats faults)
 

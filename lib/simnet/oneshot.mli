@@ -64,7 +64,7 @@ val faulty :
   ?max_retries:int ->
   ?progress_budget:int ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r Engine.observer ->
+  ?tap:'r Engine.tap ->
   ?diagnose:(round:int -> string option) ->
   plan:Faults.plan ->
   ('s, 'm, 'r) t ->
@@ -75,7 +75,7 @@ val faulty :
     {!Reliable.wrap} with [ack_timeout] and [max_retries]. The progress
     monitor halts a stalled run after [progress_budget] silent rounds
     (default {!Reliable.progress_budget}) and asks [diagnose] for the
-    cause. [observer] watches the run beside the monitors. With
+    cause. [tap] watches the run beside the monitors. With
     [plan = Faults.none] and [retry = false] the result equals
     {!run}'s. *)
 

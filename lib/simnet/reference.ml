@@ -25,8 +25,7 @@ type 'm node_rt = {
   mutable pending : int;
 }
 
-let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
-    ~protocol () =
+let run ?faults ?dynamic ?(tap = no_tap) ~graph ~config ~protocol () =
   if config.receive_capacity < 1 || config.send_capacity < 1 then
     invalid_arg "Engine.run: capacities must be >= 1";
   let n = Graph.n graph in
@@ -91,7 +90,7 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
             Queue.push (dst, msg) rt.(v).outbox;
             incr outstanding_sends
         | Complete value ->
-            observer.on_complete ~round ~node:v ~value;
+            tap.on_complete ~round ~node:v ~value;
             completions := { node = v; round; value } :: !completions)
       actions
   in
@@ -145,15 +144,11 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
   let enqueue_at t src dst msg =
     if crashed dst t then begin
       Faults.note_crash_drop (Option.get faults);
-      match metrics with
-      | Some m -> Metrics.note_crash_drop m ~dst
-      | None -> ()
+      tap.on_down_drop ~round:t ~src ~dst
     end
     else if dyn_down dst t then begin
       (match dynamic with Some dr -> Dynamic.note_node_drop dr | None -> ());
-      match metrics with
-      | Some m -> Metrics.note_crash_drop m ~dst
-      | None -> ()
+      tap.on_down_drop ~round:t ~src ~dst
     end
     else begin
       let nd = rt.(dst) in
@@ -163,9 +158,7 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
       incr queued_total;
       let backlog = Queue.length nd.inq.(qi) in
       max_backlog := max !max_backlog backlog;
-      match metrics with
-      | Some m -> Metrics.note_backlog m ~node:dst ~backlog
-      | None -> ()
+      tap.on_backlog ~round:t ~node:dst ~backlog
     end
   in
   let round = ref 0 in
@@ -204,6 +197,13 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
            })
     end;
     let t = !round in
+    (* An idle round — nothing in an outbox or on a link, no held
+       message or wake due — calls no hook of a passive tap. *)
+    let idle =
+      !outstanding_sends = 0 && !queued_total = 0
+      && (match Heap.peek held with Some ((due, _), _) -> due > t | None -> true)
+      && not (Array.exists (List.exists (fun r -> r <= t)) wakes)
+    in
     (* Fault-delayed messages whose spike has elapsed join the receiver
        queues ahead of this round's fresh sends. *)
     let rec flush_held () =
@@ -227,18 +227,14 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
           decr outstanding_sends;
           decr budget;
           last_active := t;
-          (match metrics with
-          | Some m -> Metrics.note_transmit m ~src:v ~dst ~round:t
-          | None -> ());
+          tap.on_transmit ~round:t ~src:v ~dst;
           if severed v dst t then begin
             (* Lost at the sender's end; the fault plan's decision
                stream is not consumed for a severed link. *)
             (match dynamic with
             | Some dr -> Dynamic.note_link_drop dr
             | None -> ());
-            match metrics with
-            | Some m -> Metrics.note_drop m ~src:v ~dst
-            | None -> ()
+            tap.on_drop ~round:t ~src:v ~dst
           end
           else
             let decision =
@@ -248,20 +244,13 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
             in
             match decision with
           | Faults.Deliver -> enqueue_at t v dst msg
-          | Faults.Drop -> (
-              match metrics with
-              | Some m -> Metrics.note_drop m ~src:v ~dst
-              | None -> ())
+          | Faults.Drop -> tap.on_drop ~round:t ~src:v ~dst
           | Faults.Duplicate ->
-              (match metrics with
-              | Some m -> Metrics.note_duplicate m ~src:v ~dst
-              | None -> ());
+              tap.on_duplicate ~round:t ~src:v ~dst;
               enqueue_at t v dst msg;
               enqueue_at t v dst msg
           | Faults.Delay d ->
-              (match metrics with
-              | Some m -> Metrics.note_delay m ~src:v ~dst
-              | None -> ());
+              tap.on_delay ~round:t ~src:v ~dst;
               incr held_seq;
               incr held_count;
               Heap.push held (t + d, !held_seq) (v, dst, msg)
@@ -284,10 +273,7 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
               incr messages;
               decr budget;
               last_active := t;
-              (match metrics with
-              | Some m -> Metrics.note_deliver m ~src ~dst:v ~round:t
-              | None -> ());
-              observer.on_deliver ~round:t ~src ~dst:v;
+              tap.on_deliver ~round:t ~src ~dst:v;
               let s, actions =
                 protocol.on_receive ~round:t ~node:v ~src msg states.(v)
               in
@@ -311,9 +297,10 @@ let run ?faults ?dynamic ?(observer = null_observer) ?metrics ~graph ~config
       end
     done;
     let in_flight = !outstanding_sends + !queued_total + !held_count in
-    (match observer.on_round_end ~round:t ~in_flight with
-    | `Continue -> ()
-    | `Halt -> halted := true)
+    if not (tap.passive && idle) then
+      match tap.on_round_end ~round:t ~in_flight with
+      | `Continue -> ()
+      | `Halt -> halted := true
   done;
   let completions =
     List.sort

@@ -16,12 +16,13 @@
 val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r Engine.observer ->
-  ?metrics:Metrics.t ->
+  ?tap:'r Engine.tap ->
   graph:Countq_topology.Graph.t ->
   config:Engine.config ->
   protocol:('s, 'm, 'r) Engine.protocol ->
   unit ->
   'r Engine.result
 (** Behaviourally identical to {!Engine.run} (same semantics, same
-    determinism contract, same exceptions), just slower. *)
+    determinism contract, same exceptions, same {!Engine.tap} events),
+    just slower. It executes every round, idle or not, but calls no
+    hook of a passive tap in an idle one. *)

@@ -60,8 +60,7 @@ let progress_budget ?(ack_timeout = default_ack_timeout)
   max 512 (4 * ack_timeout * (1 lsl max_retries))
 
 let wrap ?(ack_timeout = default_ack_timeout)
-    ?(max_retries = default_max_retries) ?metrics ?telemetry
-    (p : _ Engine.protocol) =
+    ?(max_retries = default_max_retries) (p : _ Engine.protocol) =
   if ack_timeout < 1 then invalid_arg "Reliable.wrap: ack_timeout must be >= 1";
   if max_retries < 0 then invalid_arg "Reliable.wrap: max_retries must be >= 0";
   let h =
@@ -172,12 +171,6 @@ let wrap ?(ack_timeout = default_ack_timeout)
             pending.retries <- pending.retries + 1;
             pending.due <- round + (ack_timeout * (1 lsl pending.retries));
             Atomic.incr h.r_retransmits;
-            (match metrics with
-            | Some m -> Metrics.note_retransmit m ~node
-            | None -> ());
-            (match telemetry with
-            | Some tl -> Telemetry.note_retransmit tl ~round
-            | None -> ());
             [
               Engine.Send (pending.p_dst, Data { seq; payload = pending.payload });
               Engine.Wake pending.due;

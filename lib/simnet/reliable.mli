@@ -26,10 +26,8 @@
 
     It runs under every front of the round kernel — {!Engine.run},
     {!Event_engine.run} or {!Shard}, at any shard count (the handle's
-    counters are atomic). The [telemetry] recorder passed to {!wrap} is
-    written from the wake handlers unsynchronised, so attach it only to
-    single-shard runs. The handle and the node
-    states carry mutable tables: wrap afresh for every run (and do not
+    counters are atomic). The handle and the node states carry mutable
+    tables: wrap afresh for every run (and do not
     feed a wrapped protocol to the exhaustive [Explore] checker, which
     assumes structural state). *)
 
@@ -56,8 +54,6 @@ type handle
 val wrap :
   ?ack_timeout:int ->
   ?max_retries:int ->
-  ?metrics:Metrics.t ->
-  ?telemetry:Telemetry.t ->
   ('s, 'm, 'r) Engine.protocol ->
   (('s, 'm) state, 'm msg, 'r) Engine.protocol * handle
 (** [wrap protocol] names the result ["<name>+retry"]. [ack_timeout]
@@ -65,9 +61,8 @@ val wrap :
     before the first retransmit; retry [k] waits [ack_timeout * 2^k]
     rounds (exponential backoff), and after [max_retries] (default 5)
     unacknowledged retransmits the payload is abandoned. Completion
-    values pass through unchanged. [metrics] (normally the same
-    recorder passed to the engine) attributes each retransmission to
-    its sending node via {!Metrics.note_retransmit}.
+    values pass through unchanged; {!stats} counts the
+    retransmissions.
     @raise Invalid_argument if [ack_timeout < 1] or [max_retries < 0]. *)
 
 val progress_budget : ?ack_timeout:int -> ?max_retries:int -> unit -> int

@@ -24,26 +24,25 @@ let pick_partition ~who ?shards ?partition make =
       in
       match k with 1 -> None | k -> Some (make k))
 
-let run ?shards ?pool ?partition ?faults ?dynamic ?observer ?metrics ?telemetry
-    ~graph ~config ~protocol () =
+let run ?shards ?pool ?partition ?faults ?dynamic ?tap ~graph ~config ~protocol
+    () =
   let part =
     pick_partition ~who:"Shard.run" ?shards ?partition (fun shards ->
         Partition.greedy ~graph ~shards)
   in
-  Kernel.run ~who:"Shard.run" ?part ?pool ?faults ?dynamic ?observer ?metrics
-    ?telemetry ~n:(Graph.n graph)
+  Kernel.run ~who:"Shard.run" ?part ?pool ?faults ?dynamic ?tap
+    ~n:(Graph.n graph)
     ~degree:(Graph.degree graph) ~neighbors:(Graph.neighbors graph) ~config
     ~protocol ()
 
-let run_implicit ?shards ?pool ?partition ?faults ?dynamic ?observer ?metrics
-    ?telemetry ?sink ?injections ?halt_after ?stats ?starters ~topo ~config
-    ~protocol () =
+let run_implicit ?shards ?pool ?partition ?faults ?dynamic ?tap ?sink
+    ?injections ?halt_after ?stats ?starters ~topo ~config ~protocol () =
   let n = Itopo.n topo in
   let part =
     pick_partition ~who:"Shard.run_implicit" ?shards ?partition (fun shards ->
         Partition.contiguous ~n ~shards)
   in
-  Kernel.run ~who:"Shard.run_implicit" ?part ?pool ?faults ?dynamic ?observer
-    ?metrics ?telemetry ?sink ?injections ?halt_after ?stats ?starters ~n
+  Kernel.run ~who:"Shard.run_implicit" ?part ?pool ?faults ?dynamic ?tap ?sink
+    ?injections ?halt_after ?stats ?starters ~n
     ~degree:(Itopo.degree topo) ~neighbors:(Itopo.neighbors topo) ~config
     ~protocol ()

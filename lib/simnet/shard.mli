@@ -15,20 +15,15 @@
     position depends only on its sender's outbox order — so any
     cross-shard apply order that preserves per-link FIFO yields the
     same queue contents, the same arbiter decisions and the same
-    protocol states as the sequential engine. Aggregates (message
-    counts, backlog peaks, metrics tallies, telemetry windows) are sums
-    and maxima of per-event contributions, so per-shard recorders
-    merged deterministically ({!Metrics.merge_into},
-    {!Telemetry.merge_into}) reproduce the sequential recorders
-    exactly. Completions are tagged with their phase and merged in
-    [(round, phase, node)] order, which is precisely the sequential
-    engine's chronological push order. The result is {e bit-identical}
-    to {!Reference.run} for every shard count — qcheck-pinned in
-    [test_equiv.ml] with [?metrics], [?observer], [?faults] and
+    protocol states as the sequential engine. Completions and tap
+    events are tagged with their phase and node and replayed at the
+    barrier in [(round, phase, node)] order (see {!Engine.tap}), which
+    is the sequential engine's chronological order. The result is
+    {e bit-identical} to {!Reference.run} for every shard count —
+    qcheck-pinned in [test_equiv.ml] with [?tap], [?faults] and
     [?dynamic] attached and with protocols that ask for wakes, and
-    against the single-shard
-    run for [?telemetry], [?sink], [?injections] and [?stats] in
-    [test_shard.ml].
+    against the single-shard run for [?sink], [?injections] and
+    [?stats] in [test_shard.ml].
 
     When a fault plan or dynamic schedule is attached, the send phase
     runs sequentially on the coordinator (the fault decision stream is
@@ -36,19 +31,9 @@
     observable), while the receive/wake/injection phases — where the
     protocol work happens — stay parallel; crash/churn guards for those
     phases are precomputed by the coordinator each round, so schedule
-    queries never race.
-
-    [?observer] works without serialising the phases: each shard
-    buffers its deliver/complete events in local processing order, and
-    the coordinator replays them at the round barrier, merged in
-    [(phase, node)] order — the same reconstruction the completion
-    drain uses — so the callback stream (including the interleaving of
-    [on_deliver] and [on_complete] at a node) is exactly the sequential
-    one. [on_round_end] fires on the coordinator after the merge, with
-    the engines' [in_flight] accounting, and its [`Halt] verdict stops
-    the run. Each shard keeps its own nodes' wakes in its own heap (a
-    node only wakes itself), so wakes add no cross-shard traffic and
-    no barrier.
+    queries never race. Each shard keeps its own nodes' wakes in its
+    own heap (a node only wakes itself), so wakes add no cross-shard
+    traffic and no barrier.
 
     Both functions are fronts of the round kernel ({!Kernel}). Sharded
     runs pre-assign node slots (arrays sized [n] up front); with an
@@ -66,9 +51,7 @@ val run :
   ?partition:Countq_topology.Partition.t ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r Engine.observer ->
-  ?metrics:Metrics.t ->
-  ?telemetry:Telemetry.t ->
+  ?tap:'r Engine.tap ->
   graph:Countq_topology.Graph.t ->
   config:Engine.config ->
   protocol:('s, 'm, 'r) Engine.protocol ->
@@ -97,9 +80,7 @@ val run_implicit :
   ?partition:Countq_topology.Partition.t ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?observer:'r Engine.observer ->
-  ?metrics:Metrics.t ->
-  ?telemetry:Telemetry.t ->
+  ?tap:'r Engine.tap ->
   ?sink:('r Engine.completion -> unit) ->
   ?injections:('s, 'm, 'r) Event_engine.injection array ->
   ?halt_after:int ->
@@ -112,9 +93,8 @@ val run_implicit :
   'r Engine.result
 (** Sharded {!Event_engine.run} on an implicit topology, with the same
     optional machinery (completion [sink] — invoked in chronological
-    order, drained at each round barrier; per-event [observer],
-    replayed at the barrier in the sequential callback order — see the
-    module preamble; scheduled [injections];
+    order, drained at each round barrier; [tap]; scheduled
+    [injections];
     [halt_after]; [stats]; [starters]). [partition] defaults to
     [Partition.contiguous]. [shards = 1] runs exactly as
     {!Event_engine.run}, including its on-first-touch store when

@@ -11,7 +11,6 @@ type slot = {
   mutable s_completions : int;
   mutable s_injections : int;
   mutable s_drops : int;
-  mutable s_retransmits : int;
   mutable s_max_backlog : int;
   mutable s_max_in_flight : int;
 }
@@ -24,7 +23,6 @@ let fresh_slot () =
     s_completions = 0;
     s_injections = 0;
     s_drops = 0;
-    s_retransmits = 0;
     s_max_backlog = 0;
     s_max_in_flight = 0;
   }
@@ -36,7 +34,6 @@ let reset_slot s index =
   s.s_completions <- 0;
   s.s_injections <- 0;
   s.s_drops <- 0;
-  s.s_retransmits <- 0;
   s.s_max_backlog <- 0;
   s.s_max_in_flight <- 0
 
@@ -73,37 +70,41 @@ let advance t round =
     t.cur
   end
 
-let note_send t ~round =
-  let s = advance t round in
-  s.s_sends <- s.s_sends + 1
-
-let note_deliver t ~round =
-  let s = advance t round in
-  s.s_deliveries <- s.s_deliveries + 1
-
-let note_complete t ~round =
-  let s = advance t round in
-  s.s_completions <- s.s_completions + 1
-
-let note_inject t ~round =
-  let s = advance t round in
-  s.s_injections <- s.s_injections + 1
-
-let note_drop t ~round =
-  let s = advance t round in
-  s.s_drops <- s.s_drops + 1
-
-let note_retransmit t ~round =
-  let s = advance t round in
-  s.s_retransmits <- s.s_retransmits + 1
-
-let note_backlog t ~round ~backlog =
-  let s = advance t round in
-  if backlog > s.s_max_backlog then s.s_max_backlog <- backlog
-
-let note_in_flight t ~round ~in_flight =
-  let s = advance t round in
-  if in_flight > s.s_max_in_flight then s.s_max_in_flight <- in_flight
+let tap t =
+  let drop ~round ~src:_ ~dst:_ =
+    let s = advance t round in
+    s.s_drops <- s.s_drops + 1
+  in
+  {
+    Engine.no_tap with
+    on_transmit =
+      (fun ~round ~src:_ ~dst:_ ->
+        let s = advance t round in
+        s.s_sends <- s.s_sends + 1);
+    on_backlog =
+      (fun ~round ~node:_ ~backlog ->
+        let s = advance t round in
+        if backlog > s.s_max_backlog then s.s_max_backlog <- backlog);
+    on_deliver =
+      (fun ~round ~src:_ ~dst:_ ->
+        let s = advance t round in
+        s.s_deliveries <- s.s_deliveries + 1);
+    on_complete =
+      (fun ~round ~node:_ ~value:_ ->
+        let s = advance t round in
+        s.s_completions <- s.s_completions + 1);
+    on_inject =
+      (fun ~round ~node:_ ->
+        let s = advance t round in
+        s.s_injections <- s.s_injections + 1);
+    on_drop = drop;
+    on_down_drop = drop;
+    on_round_end =
+      (fun ~round ~in_flight ->
+        let s = advance t round in
+        if in_flight > s.s_max_in_flight then s.s_max_in_flight <- in_flight;
+        `Continue);
+  }
 
 type window = {
   w_index : int;
@@ -114,7 +115,6 @@ type window = {
   completions : int;
   injections : int;
   drops : int;
-  retransmits : int;
   max_backlog : int;
   max_in_flight : int;
 }
@@ -146,45 +146,10 @@ let windows t =
           completions = s.s_completions;
           injections = s.s_injections;
           drops = s.s_drops;
-          retransmits = s.s_retransmits;
           max_backlog = s.s_max_backlog;
           max_in_flight = s.s_max_in_flight;
         })
   end
-
-let windows_capacity t = Array.length t.ring
-
-(* Fold [src]'s retained windows into [into], aligning on absolute
-   window index: counters add, maxima take the max. This bypasses the
-   [note_*] hooks on purpose — [advance] must never see a round behind
-   [into.cur_index], but merged windows routinely are. [into] is first
-   advanced to [src]'s newest window (resetting any slots skipped on
-   the way, exactly as a quiet stretch would); source windows that have
-   already slid out of [into]'s retention range are dropped, which is
-   precisely what would have happened had the events been recorded
-   into [into] live. *)
-let merge_into ~into src =
-  if into.win <> src.win then
-    invalid_arg "Telemetry.merge_into: window sizes differ";
-  if Array.length into.ring <> Array.length src.ring then
-    invalid_arg "Telemetry.merge_into: ring capacities differ";
-  let cap = Array.length into.ring in
-  List.iter
-    (fun w ->
-      if w.w_index > into.cur_index then ignore (advance into w.w_start);
-      if w.w_index > into.cur_index - cap then begin
-        let s = into.ring.(w.w_index mod cap) in
-        s.s_sends <- s.s_sends + w.sends;
-        s.s_deliveries <- s.s_deliveries + w.deliveries;
-        s.s_completions <- s.s_completions + w.completions;
-        s.s_injections <- s.s_injections + w.injections;
-        s.s_drops <- s.s_drops + w.drops;
-        s.s_retransmits <- s.s_retransmits + w.retransmits;
-        if w.max_backlog > s.s_max_backlog then s.s_max_backlog <- w.max_backlog;
-        if w.max_in_flight > s.s_max_in_flight then
-          s.s_max_in_flight <- w.max_in_flight
-      end)
-    (windows src)
 
 let to_jsonl t =
   let buf = Buffer.create 1024 in
@@ -202,7 +167,6 @@ let to_jsonl t =
             ("completions", J.Int w.completions);
             ("injections", J.Int w.injections);
             ("drops", J.Int w.drops);
-            ("retransmits", J.Int w.retransmits);
             ("max_backlog", J.Int w.max_backlog);
             ("max_in_flight", J.Int w.max_in_flight);
           ]

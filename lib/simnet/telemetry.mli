@@ -4,18 +4,18 @@
     {!Metrics} answers {e where} the traffic went (per node, per
     edge); a [Telemetry.t] answers {e when}: it folds every engine
     event into a ring of fixed-width round windows (throughput,
-    completions, injections, in-flight, backlog, drops, retransmits
-    per window), so memory is [O(windows)] no matter how long the run
+    completions, injections, in-flight, backlog and drops per
+    window), so memory is [O(windows)] no matter how long the run
     is — the horizon-scaling companion to the PR 3 recorders, and the
     data behind [countq timeline]'s sparklines.
 
-    Like [Metrics], the recorder is {e passive}: a run with telemetry
-    attached is bit-identical to the same run without (qcheck-pinned),
-    and — unlike a non-default [?observer] — it does {e not} disable
-    the engines' idle-gap fast-forward: a skipped round by definition
-    records nothing, so jumped-over windows simply stay zero.
-    Recording is one integer division plus a field increment per
-    event; the benchmark's [telemetry.hook_s] measures the cost.
+    Like [Metrics], the recorder's {!tap} is passive (see
+    {!Engine.tap}): a run with it attached is bit-identical to the same
+    run without, and the engines' idle-gap fast-forward stays on —
+    jumped-over windows simply stay zero. Recording is one integer
+    division plus a field increment per event; the Bechamel probes
+    [kernel:arrow-one-shot-256+tap] and [kernel:engine-idle-rounds+tap]
+    in [bench/main.ml] measure what a passive tap costs.
 
     The ring keeps the {e latest} [windows] windows; older ones fall
     off ({!evicted} counts them). Rounds must arrive non-decreasing —
@@ -36,48 +36,11 @@ val create : ?windows:int -> window_size:int -> unit -> t
 
 val window_size : t -> int
 
-val windows_capacity : t -> int
-(** The ring's window count (the [windows] it was created with). *)
-
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src]'s retained windows into [into],
-    aligned on absolute window index: counters add, the backlog and
-    in-flight maxima take the max. [into] is advanced to [src]'s newest
-    window if behind (skipped windows reset to zero, as under a quiet
-    stretch); source windows older than [into]'s retention range are
-    dropped — exactly the eviction a live recorder would have applied.
-    This is how the sharded engine folds per-shard recorders back into
-    the caller's: recording the same events into one ring or into
-    several merged rings of the same shape is indistinguishable.
-    @raise Invalid_argument if window size or ring capacity differ. *)
-
-(** {1 Recording hooks} — called by {!Engine.run} and
-    {!Event_engine.run} (and {!Reliable.wrap} for retransmits). *)
-
-val note_send : t -> round:int -> unit
-(** A message left a node's outbox (post-fault-decision transit). *)
-
-val note_deliver : t -> round:int -> unit
-(** A message was handed to a protocol. *)
-
-val note_complete : t -> round:int -> unit
-(** An operation completed. *)
-
-val note_inject : t -> round:int -> unit
-(** The injection calendar fired one operation. *)
-
-val note_drop : t -> round:int -> unit
-(** A transmission was lost (fault drop or crashed receiver). *)
-
-val note_retransmit : t -> round:int -> unit
-(** The {!Reliable} layer retransmitted a payload. *)
-
-val note_backlog : t -> round:int -> backlog:int -> unit
-(** One incoming link holds [backlog] queued messages; the per-window
-    peak is retained. *)
-
-val note_in_flight : t -> round:int -> in_flight:int -> unit
-(** Messages outstanding at a round end; per-window peak retained. *)
+val tap : t -> 'r Engine.tap
+(** The passive tap that records into [t]: transmissions (as sends),
+    deliveries, completions, injections, drops (fault drops, severed
+    links and crash or churn drops), the per-window peak link backlog
+    and the per-window peak of the in-flight count at round ends. *)
 
 (** {1 Snapshots} *)
 
@@ -90,7 +53,6 @@ type window = {
   completions : int;
   injections : int;
   drops : int;
-  retransmits : int;
   max_backlog : int;  (** peak single-link backlog seen in the window. *)
   max_in_flight : int;  (** peak round-end in-flight in the window. *)
 }

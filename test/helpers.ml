@@ -261,11 +261,14 @@ let outcome run =
     ->
       Error (limit, outstanding, queued, held, busiest)
 
-(* A recording observer: every callback, in order, into [events];
-   on_round_end answers `Halt from round [halt_at] on. *)
-let recording_observer ?halt_at events =
+(* A recording active tap: every deliver, complete and round-end
+   callback, in order, into [events]; on_round_end answers `Halt from
+   round [halt_at] on. *)
+let recording_tap ?halt_at events =
   {
-    Engine.on_deliver =
+    Engine.no_tap with
+    passive = false;
+    on_deliver =
       (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
     on_complete =
       (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
@@ -274,3 +277,10 @@ let recording_observer ?halt_at events =
         events := `Round_end (round, in_flight) :: !events;
         match halt_at with Some h when round >= h -> `Halt | _ -> `Continue);
   }
+
+(* Both taps when both are given. *)
+let both_taps a b =
+  match (a, b) with
+  | Some a, Some b -> Some (Engine.both a b)
+  | Some t, None | None, Some t -> Some t
+  | None, None -> None

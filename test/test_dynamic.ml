@@ -112,7 +112,7 @@ let plan_of = function
 let plan_label = function 0 -> "none" | p -> Faults.label (plan_of p)
 
 (* Run one engine, capturing everything comparable: the result (or the
-   round-limit payload), the observer stream, the fault tallies, the
+   round-limit payload), the tap stream, the fault tallies, the
    metrics export and the schedule's drop tallies. *)
 let capture which ~observe ~with_metrics ~plan ~sched ~graph ~config ~protocol =
   let events = ref [] in
@@ -120,7 +120,9 @@ let capture which ~observe ~with_metrics ~plan ~sched ~graph ~config ~protocol =
     if observe then
       Some
         {
-          Engine.on_deliver =
+          Engine.no_tap with
+          passive = false;
+          on_deliver =
             (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
           on_complete =
             (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
@@ -134,15 +136,14 @@ let capture which ~observe ~with_metrics ~plan ~sched ~graph ~config ~protocol =
   let faults = Option.map Faults.start plan in
   let dynamic = Option.map Dynamic.start sched in
   let metrics = if with_metrics then Some (Metrics.create ~graph) else None in
+  let tap = Helpers.both_taps observer (Option.map Metrics.tap metrics) in
   let outcome =
     match
       match which with
       | `Active ->
-          Engine.run ?faults ?dynamic ?observer ?metrics ~graph ~config
-            ~protocol ()
+          Engine.run ?faults ?dynamic ?tap ~graph ~config ~protocol ()
       | `Reference ->
-          Reference.run ?faults ?dynamic ?observer ?metrics ~graph ~config
-            ~protocol ()
+          Reference.run ?faults ?dynamic ?tap ~graph ~config ~protocol ()
     with
     | r -> Ok r
     | exception Engine.Round_limit_exceeded
@@ -499,7 +500,7 @@ let test_static_arrow_dies_under_flaps () =
   let dynamic = Dynamic.start (flap_sched ()) in
   let result =
     Engine.run ~dynamic
-      ~observer:(Monitor.observe monitors)
+      ~tap:(Monitor.tap monitors)
       ~graph:(Tree.to_graph tree)
       ~config:(Engine.config_with_capacity (max 1 (Tree.max_degree tree)))
       ~protocol ()

@@ -21,6 +21,7 @@ module Reference = Countq_simnet.Reference
 module Faults = Countq_simnet.Faults
 module Dynamic = Countq_simnet.Dynamic
 module Metrics = Countq_simnet.Metrics
+module Telemetry = Countq_simnet.Telemetry
 module Reliable = Countq_simnet.Reliable
 module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
@@ -105,14 +106,15 @@ let scenario_print ((name, g, requests), seed, cfg, front, shards, h, halt_at) =
 let capture ~observe ~halt_at ~hooks ~graph run =
   let events = ref [] in
   let observer =
-    if observe then Some (Helpers.recording_observer ?halt_at events) else None
+    if observe then Some (Helpers.recording_tap ?halt_at events) else None
   in
   let faults =
     if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
   in
   let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
   let metrics = if hooks.with_metrics then Some (Metrics.create ~graph) else None in
-  let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ?observer ?metrics ()) in
+  let tap = Helpers.both_taps observer (Option.map Metrics.tap metrics) in
+  let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ?tap ()) in
   ( outcome,
     List.rev !events,
     Option.map Faults.stats faults,
@@ -125,24 +127,20 @@ let kernel_prop ~observe ~wakes
   let starts = match front with Starters -> Some requests | _ -> None in
   let protocol = Helpers.hash_protocol ?starts ~wakes ~seed ~graph () in
   let topo = Implicit.of_graph graph in
-  let kernel ?faults ?dynamic ?observer ?metrics () =
+  let kernel ?faults ?dynamic ?tap () =
     match (front, shards) with
-    | Graph_eager, 1 ->
-        Engine.run ?faults ?dynamic ?observer ?metrics ~graph ~config ~protocol ()
+    | Graph_eager, 1 -> Engine.run ?faults ?dynamic ?tap ~graph ~config ~protocol ()
     | Graph_eager, k ->
-        Shard.run ~shards:k ~pool ?faults ?dynamic ?observer ?metrics ~graph ~config
-          ~protocol ()
-    | Implicit_eager, 1 ->
-        Event.run ?faults ?dynamic ?observer ?metrics ~topo ~config ~protocol ()
+        Shard.run ~shards:k ~pool ?faults ?dynamic ?tap ~graph ~config ~protocol ()
+    | Implicit_eager, 1 -> Event.run ?faults ?dynamic ?tap ~topo ~config ~protocol ()
     | Starters, 1 ->
-        Event.run ?faults ?dynamic ?observer ?metrics ~starters:requests ~topo
-          ~config ~protocol ()
+        Event.run ?faults ?dynamic ?tap ~starters:requests ~topo ~config ~protocol ()
     | _, k ->
-        Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?observer ?metrics
-          ?starters:starts ~topo ~config ~protocol ()
+        Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?tap ?starters:starts
+          ~topo ~config ~protocol ()
   in
-  let reference ?faults ?dynamic ?observer ?metrics () =
-    Reference.run ?faults ?dynamic ?observer ?metrics ~graph ~config ~protocol ()
+  let reference ?faults ?dynamic ?tap () =
+    Reference.run ?faults ?dynamic ?tap ~graph ~config ~protocol ()
   in
   capture ~observe ~halt_at ~hooks ~graph kernel
   = capture ~observe ~halt_at ~hooks ~graph reference
@@ -257,12 +255,12 @@ let test_observer_on_sharded_graph () =
     (fun halt_at ->
       let stream run =
         let events = ref [] in
-        let observer = Helpers.recording_observer ?halt_at events in
-        let res = run ~observer in
+        let tap = Helpers.recording_tap ?halt_at events in
+        let res = run ~tap in
         (res, List.rev !events)
       in
       let reference =
-        stream (fun ~observer -> Reference.run ~observer ~graph ~config ~protocol ())
+        stream (fun ~tap -> Reference.run ~tap ~graph ~config ~protocol ())
       in
       List.iter
         (fun k ->
@@ -270,8 +268,8 @@ let test_observer_on_sharded_graph () =
             (Printf.sprintf "shards=%d halt=%s" k
                (match halt_at with None -> "-" | Some h -> string_of_int h))
             true
-            (stream (fun ~observer ->
-                 Shard.run ~shards:k ~pool ~observer ~graph ~config ~protocol ())
+            (stream (fun ~tap ->
+                 Shard.run ~shards:k ~pool ~tap ~graph ~config ~protocol ())
             = reference))
         [ 2; 3 ])
     [ None; Some 4 ]
@@ -304,22 +302,21 @@ let test_observer_sees_every_idle_round () =
   let graph = Gen.path 4 in
   let seen engine_run =
     let rounds = ref [] in
-    let observer =
+    let tap =
       {
-        Engine.null_observer with
+        Engine.no_tap with
+        passive = false;
         on_round_end =
           (fun ~round ~in_flight:_ ->
             rounds := round :: !rounds;
             `Continue);
       }
     in
-    ignore (engine_run ~observer);
+    ignore (engine_run ~tap);
     List.rev !rounds
   in
-  let active = seen (fun ~observer -> Engine.run ~observer ~graph ~config ~protocol ()) in
-  let reference =
-    seen (fun ~observer -> Reference.run ~observer ~graph ~config ~protocol ())
-  in
+  let active = seen (fun ~tap -> Engine.run ~tap ~graph ~config ~protocol ()) in
+  let reference = seen (fun ~tap -> Reference.run ~tap ~graph ~config ~protocol ()) in
   Alcotest.(check (list int)) "all 37 rounds observed" (List.init 37 (fun i -> i + 1)) active;
   Alcotest.(check (list int)) "matches reference" reference active
 
@@ -694,6 +691,159 @@ let in_place_state_matches_reference =
   QCheck2.Test.make ~count:100 ~name:"in-place node state = reference (all fronts)"
     ~print:state_print state_gen (state_prop (cell_ops 23))
 
+(* ------------------------------------------------------------------ *)
+(* Taps: one passivity property for every passive tap, the replay rule
+   for an active one, and passivity as the only fast-forward switch.   *)
+
+(* Any plan (0 = none, 1-9) and any schedule, the wake-prone ones too. *)
+let all_hooks_gen =
+  let open QCheck2.Gen in
+  let* plan = int_range 0 9 in
+  let* dyn = int_range 0 3 in
+  return { plan; dyn; with_metrics = true }
+
+(* Attaching [Engine.both (Metrics.tap m) (Telemetry.tap tl)] leaves the
+   result and the fault and churn tallies as they were, and the two
+   recorders come out the same on the front at its shard count, on the
+   front at one shard and on Reference.run. *)
+let passive_prop (wakes, ((_, graph, requests), seed, cfg, front, shards, hooks, _)) =
+  let config = Helpers.config_of cfg in
+  let starts = match front with Starters -> Some requests | _ -> None in
+  let protocol = Helpers.hash_protocol ?starts ~wakes ~seed ~graph () in
+  let topo = Implicit.of_graph graph in
+  let go run =
+    let faults =
+      if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
+    in
+    let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
+    let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ()) in
+    (outcome, Option.map Faults.stats faults, Option.map Dynamic.stats dynamic)
+  in
+  let kernel ~shards ?tap ?faults ?dynamic () =
+    match (front, shards) with
+    | Graph_eager, 1 -> Engine.run ?faults ?dynamic ?tap ~graph ~config ~protocol ()
+    | Graph_eager, k ->
+        Shard.run ~shards:k ~pool ?faults ?dynamic ?tap ~graph ~config ~protocol ()
+    | Implicit_eager, 1 -> Event.run ?faults ?dynamic ?tap ~topo ~config ~protocol ()
+    | _, k ->
+        Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?tap ?starters:starts
+          ~topo ~config ~protocol ()
+  in
+  let recorded run =
+    let m = Metrics.create ~graph in
+    let tl = Telemetry.create ~windows:6 ~window_size:3 () in
+    let run = go (run ~tap:(Engine.both (Metrics.tap m) (Telemetry.tap tl))) in
+    (run, (Metrics.per_node m, Metrics.per_edge m, Telemetry.windows tl, Telemetry.evicted tl))
+  in
+  let plain = go (kernel ~shards ?tap:None) in
+  let tapped, recs = recorded (fun ~tap -> kernel ~shards ~tap) in
+  let _, recs_1 = recorded (fun ~tap -> kernel ~shards:1 ~tap) in
+  let _, recs_ref =
+    recorded (fun ~tap -> Reference.run ~tap ~graph ~config ~protocol)
+  in
+  plain = tapped && recs = recs_1 && recs = recs_ref
+
+let passive_taps =
+  QCheck2.Test.make ~count:300 ~name:"passive taps change nothing"
+    ~print:(fun (wakes, sc) -> Printf.sprintf "wakes=%b %s" wakes (scenario_print sc))
+    QCheck2.Gen.(pair bool (scenario_gen all_hooks_gen))
+    passive_prop
+
+(* Every callback of an active tap, with its round. *)
+let full_recording events =
+  let ev e = events := e :: !events in
+  {
+    Engine.passive = false;
+    on_transmit = (fun ~round ~src ~dst -> ev (round, `Transmit (src, dst)));
+    on_backlog = (fun ~round ~node ~backlog -> ev (round, `Backlog (node, backlog)));
+    on_deliver = (fun ~round ~src ~dst -> ev (round, `Deliver (src, dst)));
+    on_complete = (fun ~round ~node ~value -> ev (round, `Complete (node, value)));
+    on_inject = (fun ~round ~node -> ev (round, `Inject node));
+    on_drop = (fun ~round ~src ~dst -> ev (round, `Drop (src, dst)));
+    on_duplicate = (fun ~round ~src ~dst -> ev (round, `Duplicate (src, dst)));
+    on_delay = (fun ~round ~src ~dst -> ev (round, `Delay (src, dst)));
+    on_down_drop = (fun ~round ~src ~dst -> ev (round, `Down_drop (src, dst)));
+    on_round_end =
+      (fun ~round ~in_flight ->
+        ev (round, `Round_end in_flight);
+        `Continue);
+  }
+
+let test_active_tap_replay () =
+  (* At shards 1, 2 and 3, fault-free and under the chaos plan: the
+     same deliver/complete stream, and per round the same events. *)
+  let graph = Gen.square_mesh 5 in
+  let protocol = Helpers.hash_protocol ~wakes:true ~seed:31 ~graph () in
+  let config = { Engine.default_config with receive_capacity = 2 } in
+  List.iter
+    (fun plan ->
+      let record k =
+        let events = ref [] in
+        let faults = if plan = 0 then None else Some (Faults.start (Helpers.plan_of plan)) in
+        let res =
+          Shard.run ~shards:k ~pool ?faults ~tap:(full_recording events) ~graph ~config
+            ~protocol ()
+        in
+        let events = List.rev !events in
+        let stream =
+          List.filter
+            (function _, (`Deliver _ | `Complete _) -> true | _ -> false)
+            events
+        in
+        let per_round =
+          List.sort compare events
+          |> List.fold_left
+               (fun acc (r, e) ->
+                 match acc with
+                 | (r', es) :: rest when r' = r -> (r, e :: es) :: rest
+                 | _ -> (r, [ e ]) :: acc)
+               []
+        in
+        (res, stream, per_round)
+      in
+      let res_1, stream_1, rounds_1 = record 1 in
+      Alcotest.(check bool) "events recorded" true (stream_1 <> []);
+      List.iter
+        (fun k ->
+          let res_k, stream_k, rounds_k = record k in
+          let label what = Printf.sprintf "plan %d, shards %d: %s" plan k what in
+          Alcotest.(check bool) (label "result") true (res_k = res_1);
+          Alcotest.(check bool) (label "deliver/complete stream") true (stream_k = stream_1);
+          Alcotest.(check bool) (label "per-round events") true (rounds_k = rounds_1))
+        [ 2; 3 ])
+    [ 0; 6 ]
+
+let test_passivity_decides_fast_forward () =
+  (* One wake in round [wake_at] and nothing else: a hand-rolled
+     passive tap keeps the gap jump, an active one sees every round. *)
+  let topo = Implicit.of_graph (Gen.path 4) in
+  let config = Engine.default_config in
+  let run ~wake_at tap =
+    let stats = Event.fresh_stats () in
+    ignore (Event.run ?tap ~stats ~topo ~config ~protocol:(quiet_protocol ~wake_at) ());
+    stats.Event.executed_rounds
+  in
+  let round_ends = ref 0 in
+  let counting passive =
+    {
+      Engine.no_tap with
+      passive;
+      on_round_end =
+        (fun ~round:_ ~in_flight:_ ->
+          incr round_ends;
+          `Continue);
+    }
+  in
+  let untapped = run ~wake_at:1_000_000 None in
+  Alcotest.(check int) "passive tap: as many executed rounds" untapped
+    (run ~wake_at:1_000_000 (Some (counting true)));
+  Alcotest.(check int) "passive tap: one round end per executed round" untapped
+    !round_ends;
+  round_ends := 0;
+  Alcotest.(check int) "active tap: every round executed" 1_000
+    (run ~wake_at:1_000 (Some (counting false)));
+  Alcotest.(check int) "active tap: every round seen" 1_000 !round_ends
+
 let suite =
   [
     Helpers.qcheck equiv_default;
@@ -702,6 +852,11 @@ let suite =
     Helpers.qcheck burst_queues_match_reference;
     Helpers.qcheck float_state_matches_reference;
     Helpers.qcheck in_place_state_matches_reference;
+    Helpers.qcheck passive_taps;
+    Alcotest.test_case "active tap replays alike at 1-3" `Quick
+      test_active_tap_replay;
+    Alcotest.test_case "passivity decides fast-forward" `Quick
+      test_passivity_decides_fast_forward;
     Alcotest.test_case "ticking protocol = reference (implicit, sharded)" `Quick
       test_tick_protocol_pinned;
     Alcotest.test_case "reliable wakes = reference at shards 2" `Quick

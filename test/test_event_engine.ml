@@ -14,15 +14,13 @@ module Gen = Countq_topology.Gen
 module Implicit = Countq_topology.Implicit
 module Bfs = Countq_topology.Bfs
 
-(* One run's result (or limit payload), observer stream and fault
+(* One run's result (or limit payload), tap stream and fault
    tallies. *)
 let capture ~observe ~plan run =
   let events = ref [] in
-  let observer =
-    if observe then Some (Helpers.recording_observer events) else None
-  in
+  let tap = if observe then Some (Helpers.recording_tap events) else None in
   let faults = Option.map Faults.start plan in
-  let outcome = Helpers.outcome (fun () -> run ?faults ?observer ()) in
+  let outcome = Helpers.outcome (fun () -> run ?faults ?tap ()) in
   (outcome, List.rev !events, Option.map Faults.stats faults)
 
 (* ------------------------------------------------------------------ *)
@@ -87,12 +85,12 @@ let injection_prop ((_, graph), seed, evs, cfg, plan, observe) =
   in
   let plan = if plan = 0 then None else Some (Helpers.plan_of plan) in
   let a =
-    capture ~observe ~plan (fun ?faults ?observer () ->
-        Engine.run ?faults ?observer ~graph ~config ~protocol:ticking ())
+    capture ~observe ~plan (fun ?faults ?tap () ->
+        Engine.run ?faults ?tap ~graph ~config ~protocol:ticking ())
   in
   let b =
-    capture ~observe ~plan (fun ?faults ?observer () ->
-        Event.run ?faults ?observer ~injections ~topo:(Implicit.of_graph graph)
+    capture ~observe ~plan (fun ?faults ?tap () ->
+        Event.run ?faults ?tap ~injections ~topo:(Implicit.of_graph graph)
           ~config ~protocol:base ())
   in
   drop_idle_tail a = drop_idle_tail b
@@ -123,11 +121,11 @@ let starters_prop ((_, graph, requests), seed, cfg, plan) =
   let protocol = Helpers.hash_protocol ~starts:requests ~seed ~graph () in
   let plan = if plan = 0 then None else Some (Helpers.plan_of plan) in
   let a =
-    capture ~observe:false ~plan (fun ?faults ?observer:_ () ->
+    capture ~observe:false ~plan (fun ?faults ?tap:_ () ->
         Engine.run ?faults ~graph ~config ~protocol ())
   in
   let b =
-    capture ~observe:false ~plan (fun ?faults ?observer:_ () ->
+    capture ~observe:false ~plan (fun ?faults ?tap:_ () ->
         Event.run ?faults ~starters:requests ~topo:(Implicit.of_graph graph)
           ~config ~protocol ())
   in
@@ -201,14 +199,15 @@ let test_halt_after_matches_observer_halt () =
   let graph = Gen.path 2 in
   let config = { Engine.default_config with max_rounds = 10_000 } in
   let halted_at h =
-    let observer =
+    let tap =
       {
-        Engine.null_observer with
+        Engine.no_tap with
+        passive = false;
         on_round_end =
           (fun ~round ~in_flight:_ -> if round >= h then `Halt else `Continue);
       }
     in
-    Engine.run ~observer ~graph ~config ~protocol:ping_pong ()
+    Engine.run ~tap ~graph ~config ~protocol:ping_pong ()
   in
   let event_halted h =
     Event.run ~halt_after:h ~topo:(Implicit.of_graph graph) ~config

@@ -158,7 +158,7 @@ let test_dup_is_not_a_counting_noop () =
   let _ =
     Engine.run
       ~faults:(Faults.start (Faults.random ~label:"dupes" ~seed:5L ~duplicate:0.5 ()))
-      ~observer:(Monitor.observe monitors)
+      ~tap:(Monitor.tap monitors)
       ~graph:g ~config:Engine.default_config ~protocol ()
   in
   let report = Monitor.finalise monitors in

@@ -92,9 +92,10 @@ let test_engine_wakes_keep_running () =
     }
   in
   let rounds = ref 0 in
-  let observer =
+  let tap =
     {
-      Engine.null_observer with
+      Engine.no_tap with
+      passive = false;
       on_round_end =
         (fun ~round ~in_flight:_ ->
           rounds := round;
@@ -102,7 +103,7 @@ let test_engine_wakes_keep_running () =
     }
   in
   ignore
-    (Engine.run ~observer ~graph:(Gen.path 2) ~config:Engine.default_config ~protocol ());
+    (Engine.run ~tap ~graph:(Gen.path 2) ~config:Engine.default_config ~protocol ());
   Alcotest.(check (list (pair int int))) "rounds woken"
     [ (1, 0); (2, 0); (3, 0); (4, 0); (5, 0) ]
     (List.rev !seen);

@@ -1,4 +1,5 @@
-(* Tests for the per-node / per-edge Metrics recorder. *)
+(* Tests for the per-node / per-edge Metrics recorder. The passivity
+   property every passive tap shares is in test_equiv.ml. *)
 
 module Gen = Countq_topology.Gen
 module Graph = Countq_topology.Graph
@@ -6,8 +7,6 @@ module Tree = Countq_topology.Tree
 module Spanning = Countq_topology.Spanning
 module Engine = Countq_simnet.Engine
 module Reference = Countq_simnet.Reference
-module Async = Countq_simnet.Async
-module Faults = Countq_simnet.Faults
 module Metrics = Countq_simnet.Metrics
 module Sweep = Countq_counting.Sweep
 module Json = Countq_util.Json
@@ -20,44 +19,6 @@ let sweep_instance g requests =
   let protocol = Sweep.one_shot_protocol ~tree ~requests () in
   (graph, protocol)
 
-(* The recorder must be passive: attaching one must not change a single
-   field of the result, on any topology, fault-free. *)
-let prop_metrics_off_bit_identical =
-  QCheck2.Test.make ~name:"metrics attachment is bit-identical (fault-free)"
-    ~count:100 ~print:Helpers.instance_print Helpers.nonempty_instance_gen
-    (fun (_, g, requests) ->
-      let graph, protocol = sweep_instance g requests in
-      let run ?metrics () =
-        Engine.run ?metrics ~graph ~config:Engine.default_config ~protocol ()
-      in
-      let plain = run () in
-      let m = Metrics.create ~graph in
-      plain = run ~metrics:m ())
-
-(* Same through the fault layer: drops, duplicates, delay spikes and a
-   crash all take the instrumented paths. *)
-let prop_metrics_off_bit_identical_faulty =
-  QCheck2.Test.make ~name:"metrics attachment is bit-identical (faulty)"
-    ~count:100
-    ~print:(fun (i, seed) ->
-      Printf.sprintf "%s seed=%d" (Helpers.instance_print i) seed)
-    QCheck2.Gen.(pair Helpers.nonempty_instance_gen (int_range 0 1000))
-    (fun ((_, g, requests), seed) ->
-      let graph, protocol = sweep_instance g requests in
-      let plan =
-        Faults.random ~label:"qcheck" ~seed:(Int64.of_int seed) ~drop:0.05
-          ~duplicate:0.05 ~delay:0.1
-          ~crashes:[ { Faults.node = 0; at_round = 4; recover_at = Some 6 } ]
-          ()
-      in
-      let run ?metrics () =
-        Engine.run ~faults:(Faults.start plan) ?metrics ~graph
-          ~config:Engine.default_config ~protocol ()
-      in
-      let plain = run () in
-      let m = Metrics.create ~graph in
-      plain = run ~metrics:m ())
-
 (* Both engines replay the same schedule fault-free, so their recorders
    must agree counter for counter — this also pins the engine's
    slot-passing fast path against the search-based reference path. *)
@@ -69,10 +30,10 @@ let prop_engine_reference_metrics_agree =
       let m_engine = Metrics.create ~graph in
       let m_ref = Metrics.create ~graph in
       ignore
-        (Engine.run ~metrics:m_engine ~graph ~config:Engine.default_config
+        (Engine.run ~tap:(Metrics.tap m_engine) ~graph ~config:Engine.default_config
            ~protocol ());
       ignore
-        (Reference.run ~metrics:m_ref ~graph ~config:Engine.default_config
+        (Reference.run ~tap:(Metrics.tap m_ref) ~graph ~config:Engine.default_config
            ~protocol ());
       Metrics.per_node m_engine = Metrics.per_node m_ref
       && Metrics.per_edge m_engine = Metrics.per_edge m_ref)
@@ -83,41 +44,21 @@ let test_conservation () =
   let graph, protocol = sweep_instance (Gen.path 32) (Helpers.all_nodes 32) in
   let m = Metrics.create ~graph in
   let res =
-    Engine.run ~metrics:m ~graph ~config:Engine.default_config ~protocol ()
+    Engine.run ~tap:(Metrics.tap m) ~graph ~config:Engine.default_config
+      ~protocol ()
   in
   Alcotest.(check int) "sends = messages" res.messages (Metrics.total_sends m);
   Alcotest.(check int) "receives = messages" res.messages
     (Metrics.total_receives m)
-
-(* The async engine counts the same traffic as the synchronous one on a
-   fault-free run (its busy *rounds* are event times, so only the
-   counters are compared). *)
-let test_async_parity () =
-  let graph, protocol = sweep_instance (Gen.path 16) (Helpers.all_nodes 16) in
-  let m_sync = Metrics.create ~graph in
-  let m_async = Metrics.create ~graph in
-  ignore
-    (Engine.run ~metrics:m_sync ~graph ~config:Engine.default_config ~protocol
-       ());
-  ignore (Async.run ~metrics:m_async ~graph ~delay:(Async.Constant 1) ~protocol ());
-  let traffic m =
-    List.map
-      (fun (e : Metrics.edge_stats) -> (e.src, e.dst, e.e_sends, e.e_receives))
-      (Metrics.per_edge m)
-  in
-  Alcotest.(check int) "total sends" (Metrics.total_sends m_sync)
-    (Metrics.total_sends m_async);
-  Alcotest.(check int) "total receives" (Metrics.total_receives m_sync)
-    (Metrics.total_receives m_async);
-  Alcotest.(check bool) "per-edge traffic" true (traffic m_sync = traffic m_async)
 
 (* Hand-driven recorder: heatmap cells and scale come out exactly as
    documented (path 0-1-2; one message 0 -> 1). *)
 let test_heatmap_golden () =
   let graph = Gen.path 3 in
   let m = Metrics.create ~graph in
-  Metrics.note_transmit m ~src:0 ~dst:1 ~round:0;
-  Metrics.note_deliver m ~src:0 ~dst:1 ~round:1;
+  let tap = Metrics.tap m in
+  tap.on_transmit ~round:0 ~src:0 ~dst:1;
+  tap.on_deliver ~round:1 ~src:0 ~dst:1;
   let expected =
     "node traffic heatmap (sends + receives; peak = 1; scale \" .:-=+*#%@\")\n\
     \     0  @@ \n"
@@ -129,7 +70,8 @@ let test_jsonl_parses () =
   let graph, protocol = sweep_instance (Gen.star 8) (Helpers.all_nodes 8) in
   let m = Metrics.create ~graph in
   ignore
-    (Engine.run ~metrics:m ~graph ~config:Engine.default_config ~protocol ());
+    (Engine.run ~tap:(Metrics.tap m) ~graph ~config:Engine.default_config
+       ~protocol ());
   let lines =
     List.filter
       (fun l -> l <> "")
@@ -151,15 +93,12 @@ let test_non_edge_rejected () =
   let m = Metrics.create ~graph:(Gen.path 3) in
   Alcotest.check_raises "not an edge"
     (Invalid_argument "Metrics: not an edge of the graph") (fun () ->
-      Metrics.note_transmit m ~src:0 ~dst:2 ~round:0)
+      (Metrics.tap m).on_transmit ~round:0 ~src:0 ~dst:2)
 
 let suite =
   [
-    Helpers.qcheck prop_metrics_off_bit_identical;
-    Helpers.qcheck prop_metrics_off_bit_identical_faulty;
     Helpers.qcheck prop_engine_reference_metrics_agree;
     Alcotest.test_case "conservation" `Quick test_conservation;
-    Alcotest.test_case "async parity" `Quick test_async_parity;
     Alcotest.test_case "heatmap golden" `Quick test_heatmap_golden;
     Alcotest.test_case "jsonl parses" `Quick test_jsonl_parses;
     Alcotest.test_case "non-edge rejected" `Quick test_non_edge_rejected;

@@ -31,8 +31,8 @@ let dyn_of = Helpers.dyn_of
 let config_of = Helpers.config_of
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry windows: per-shard recorders merged at the end must equal
-   the single-shard run's recorder, under faults and churn.            *)
+(* Telemetry windows: a sharded run's replayed tap events must fill
+   the same windows as the single-shard run, under faults and churn.  *)
 
 let capture_tel which ~dyn ~plan ~graph ~config ~protocol =
   let faults = Option.map Faults.start plan in
@@ -42,10 +42,11 @@ let capture_tel which ~dyn ~plan ~graph ~config ~protocol =
     Helpers.outcome (fun () ->
         match which with
         | `Engine ->
-            Engine.run ?faults ?dynamic ~telemetry:tl ~graph ~config ~protocol ()
+            Engine.run ?faults ?dynamic ~tap:(Telemetry.tap tl) ~graph ~config
+              ~protocol ()
         | `Shard k ->
-            Shard.run ~shards:k ~pool ?faults ?dynamic ~telemetry:tl ~graph
-              ~config ~protocol ())
+            Shard.run ~shards:k ~pool ?faults ?dynamic ~tap:(Telemetry.tap tl)
+              ~graph ~config ~protocol ())
   in
   (outcome, Telemetry.windows tl, Telemetry.evicted tl)
 
@@ -208,7 +209,7 @@ let funnel_prop (arity, n, requests, rc, plan, with_metrics, shards) =
     let faults = Option.map Faults.start plan in
     let metrics = if with_metrics then Some (Metrics.create ~graph) else None in
     let outcome =
-      match run ?faults ?metrics () with
+      match run ?faults ?tap:(Option.map Metrics.tap metrics) () with
       | r -> Ok r
       | exception Engine.Round_limit_exceeded
             { limit; outstanding; queued; held; busiest } ->
@@ -219,20 +220,20 @@ let funnel_prop (arity, n, requests, rc, plan, with_metrics, shards) =
       Option.map (fun m -> (Metrics.per_node m, Metrics.per_edge m)) metrics )
   in
   let a =
-    capture (fun ?faults ?metrics () ->
-        Engine.run ?faults ?metrics ~graph ~config
+    capture (fun ?faults ?tap () ->
+        Engine.run ?faults ?tap ~graph ~config
           ~protocol:(Funnel.one_shot_protocol ~tree ~requests ())
           ())
   in
   let b =
-    capture (fun ?faults ?metrics () ->
-        Event.run ?faults ?metrics ~starters:requests ~topo ~config
+    capture (fun ?faults ?tap () ->
+        Event.run ?faults ?tap ~starters:requests ~topo ~config
           ~protocol:(Funnel.implicit_protocol ~topo ~requests ())
           ())
   in
   let c =
-    capture (fun ?faults ?metrics () ->
-        Shard.run_implicit ~shards ~pool ?faults ?metrics ~starters:requests
+    capture (fun ?faults ?tap () ->
+        Shard.run_implicit ~shards ~pool ?faults ?tap ~starters:requests
           ~topo ~config
           ~protocol:(Funnel.implicit_protocol ~topo ~requests ())
           ())
@@ -245,7 +246,7 @@ let equiv_funnel =
     ~print:funnel_print funnel_gen funnel_prop
 
 (* ------------------------------------------------------------------ *)
-(* The observer replay at the barrier: `Halt stops a sharded run.     *)
+(* The tap replay at the barrier: `Halt stops a sharded run.          *)
 
 let test_observer_halt_sharded () =
   (* `Halt from on_round_end actually stops a sharded funnel run, at
@@ -254,10 +255,10 @@ let test_observer_halt_sharded () =
   let requests = [ 3; 9; 17; 30 ] in
   let run halt_at which =
     let evs = ref [] in
-    let observer =
+    let tap =
       {
-        Engine.on_deliver = (fun ~round:_ ~src:_ ~dst:_ -> ());
-        on_complete = (fun ~round:_ ~node:_ ~value:_ -> ());
+        Engine.no_tap with
+        passive = false;
         on_round_end =
           (fun ~round ~in_flight ->
             evs := (round, in_flight) :: !evs;
@@ -270,10 +271,10 @@ let test_observer_halt_sharded () =
     let res =
       match which with
       | `Event ->
-          Event.run ~observer ~starters:requests ~topo
+          Event.run ~tap ~starters:requests ~topo
             ~config:Engine.default_config ~protocol ()
       | `Shard k ->
-          Shard.run_implicit ~shards:k ~pool ~observer ~starters:requests
+          Shard.run_implicit ~shards:k ~pool ~tap ~starters:requests
             ~topo ~config:Engine.default_config ~protocol ()
     in
     (res, List.rev !evs)
@@ -403,11 +404,12 @@ let test_cross_shard_ordering_under_faults () =
       let m_seq = Metrics.create ~graph in
       let m_sh = Metrics.create ~graph in
       let seq =
-        Engine.run ~faults:(plan ()) ~metrics:m_seq ~graph ~config ~protocol ()
+        Engine.run ~faults:(plan ()) ~tap:(Metrics.tap m_seq) ~graph ~config
+          ~protocol ()
       in
       let sh =
-        Shard.run ~shards:2 ~pool ~faults:(plan ()) ~metrics:m_sh ~graph
-          ~config ~protocol ()
+        Shard.run ~shards:2 ~pool ~faults:(plan ()) ~tap:(Metrics.tap m_sh)
+          ~graph ~config ~protocol ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "plan %d: results pinned" plan_id)

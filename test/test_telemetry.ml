@@ -1,62 +1,13 @@
 (* Tests for the windowed telemetry recorder and span reservoirs:
-   window/ring accounting, passivity (attachment is bit-identical on
-   both engines), the streaming completion sink, and the reservoir
-   policies. *)
+   window/ring accounting, passivity on the event engine's gap jump,
+   the streaming completion sink, and the reservoir policies. The
+   passivity property every passive tap shares is in test_equiv.ml. *)
 
-module Graph = Countq_topology.Graph
-module Tree = Countq_topology.Tree
-module Spanning = Countq_topology.Spanning
 module Implicit = Countq_topology.Implicit
 module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
 module Telemetry = Countq_simnet.Telemetry
-module Faults = Countq_simnet.Faults
-module Sweep = Countq_counting.Sweep
 module Json = Countq_util.Json
-
-let sweep_instance g requests =
-  let tree = Spanning.best_for_arrow g in
-  let graph = Tree.to_graph tree in
-  let protocol = Sweep.one_shot_protocol ~tree ~requests () in
-  (graph, protocol)
-
-(* Telemetry must be passive: attaching a recorder changes nothing in
-   the result, on any topology — the same pin Metrics carries. *)
-let prop_telemetry_bit_identical =
-  QCheck2.Test.make ~name:"telemetry attachment is bit-identical (fault-free)"
-    ~count:100 ~print:Helpers.instance_print Helpers.nonempty_instance_gen
-    (fun (_, g, requests) ->
-      let graph, protocol = sweep_instance g requests in
-      let run ?telemetry () =
-        Engine.run ?telemetry ~graph ~config:Engine.default_config ~protocol ()
-      in
-      let plain = run () in
-      let tl = Telemetry.create ~window_size:4 () in
-      plain = run ~telemetry:tl ())
-
-(* Same through the fault layer, whose drop paths carry extra hooks. *)
-let prop_telemetry_bit_identical_faulty =
-  QCheck2.Test.make ~name:"telemetry attachment is bit-identical (faulty)"
-    ~count:100
-    ~print:(fun (i, seed) ->
-      Printf.sprintf "%s seed=%d" (Helpers.instance_print i) seed)
-    QCheck2.Gen.(pair Helpers.nonempty_instance_gen (int_range 0 1000))
-    (fun ((_, g, requests), seed) ->
-      let graph, protocol = sweep_instance g requests in
-      let plan () =
-        Faults.start
-          (Faults.random ~label:"qcheck" ~seed:(Int64.of_int seed) ~drop:0.05
-             ~duplicate:0.05 ~delay:0.1
-             ~crashes:[ { Faults.node = 0; at_round = 4; recover_at = Some 6 } ]
-             ())
-      in
-      let run ?telemetry () =
-        Engine.run ~faults:(plan ()) ?telemetry ~graph
-          ~config:Engine.default_config ~protocol ()
-      in
-      let plain = run () in
-      let tl = Telemetry.create ~window_size:4 () in
-      plain = run ~telemetry:tl ())
 
 (* A minimal event-engine workload: each injection sends one hop right
    on the implicit list; the receiver completes with the sender id. *)
@@ -76,9 +27,9 @@ let hop_injections rounds =
          { Event.at; node; inject = (fun s -> (s, [ Engine.Send (node + 1, ()) ])) })
        rounds)
 
-let run_hops ?telemetry ?sink () =
+let run_hops ?tap ?sink () =
   let topo = Implicit.list 16 in
-  Event.run ?telemetry ?sink
+  Event.run ?tap ?sink
     ~injections:(hop_injections [ (1, 0); (1, 4); (3, 4); (40, 7) ])
     ~halt_after:64 ~starters:[] ~topo ~config:Engine.default_config
     ~protocol:hop_protocol ()
@@ -86,7 +37,7 @@ let run_hops ?telemetry ?sink () =
 let test_event_engine_passive () =
   let plain = run_hops () in
   let tl = Telemetry.create ~window_size:8 () in
-  let with_tl = run_hops ~telemetry:tl () in
+  let with_tl = run_hops ~tap:(Telemetry.tap tl) () in
   Alcotest.(check bool) "bit-identical" true (plain = with_tl);
   (* The gap jump to round 40 crosses several windows; they must
      appear, zeroed, in the snapshot. *)
@@ -120,9 +71,10 @@ let test_sink_streams_completions () =
    snapshot stays contiguous. *)
 let test_ring_eviction () =
   let tl = Telemetry.create ~windows:2 ~window_size:4 () in
-  Telemetry.note_send tl ~round:0;
-  Telemetry.note_send tl ~round:5;
-  Telemetry.note_complete tl ~round:9;
+  let tap = Telemetry.tap tl in
+  tap.on_transmit ~round:0 ~src:0 ~dst:1;
+  tap.on_transmit ~round:5 ~src:0 ~dst:1;
+  tap.on_complete ~round:9 ~node:0 ~value:();
   Alcotest.(check int) "one window evicted" 1 (Telemetry.evicted tl);
   match Telemetry.windows tl with
   | [ w1; w2 ] ->
@@ -134,18 +86,18 @@ let test_ring_eviction () =
 
 let test_peaks_and_jsonl () =
   let tl = Telemetry.create ~window_size:10 () in
-  Telemetry.note_backlog tl ~round:3 ~backlog:2;
-  Telemetry.note_backlog tl ~round:4 ~backlog:7;
-  Telemetry.note_backlog tl ~round:5 ~backlog:1;
-  Telemetry.note_in_flight tl ~round:5 ~in_flight:9;
-  Telemetry.note_drop tl ~round:5;
-  Telemetry.note_retransmit tl ~round:6;
+  let tap : unit Engine.tap = Telemetry.tap tl in
+  tap.on_backlog ~round:3 ~node:0 ~backlog:2;
+  tap.on_backlog ~round:4 ~node:0 ~backlog:7;
+  tap.on_backlog ~round:5 ~node:0 ~backlog:1;
+  ignore (tap.on_round_end ~round:5 ~in_flight:9);
+  tap.on_drop ~round:5 ~src:0 ~dst:1;
+  tap.on_down_drop ~round:6 ~src:0 ~dst:1;
   (match Telemetry.windows tl with
   | [ w ] ->
       Alcotest.(check int) "peak backlog" 7 w.Telemetry.max_backlog;
       Alcotest.(check int) "peak in-flight" 9 w.Telemetry.max_in_flight;
-      Alcotest.(check int) "drops" 1 w.Telemetry.drops;
-      Alcotest.(check int) "retransmits" 1 w.Telemetry.retransmits
+      Alcotest.(check int) "drops" 2 w.Telemetry.drops
   | ws -> Alcotest.failf "expected 1 window, got %d" (List.length ws));
   String.split_on_char '\n' (Telemetry.to_jsonl tl)
   |> List.filter (fun l -> l <> "")
@@ -207,8 +159,6 @@ let test_reservoir_stranded_not_slowest () =
 
 let suite =
   [
-    Helpers.qcheck prop_telemetry_bit_identical;
-    Helpers.qcheck prop_telemetry_bit_identical_faulty;
     Alcotest.test_case "event engine passive" `Quick test_event_engine_passive;
     Alcotest.test_case "sink streams completions" `Quick
       test_sink_streams_completions;
