@@ -1,5 +1,6 @@
 (* Tests for the per-node / per-edge Metrics recorder. The passivity
-   property every passive tap shares is in test_equiv.ml. *)
+   property every passive tap shares is in test_equiv.ml; the two
+   below pin the Metrics tap on its own. *)
 
 module Gen = Countq_topology.Gen
 module Graph = Countq_topology.Graph
@@ -7,6 +8,7 @@ module Tree = Countq_topology.Tree
 module Spanning = Countq_topology.Spanning
 module Engine = Countq_simnet.Engine
 module Reference = Countq_simnet.Reference
+module Faults = Countq_simnet.Faults
 module Metrics = Countq_simnet.Metrics
 module Sweep = Countq_counting.Sweep
 module Json = Countq_util.Json
@@ -18,6 +20,44 @@ let sweep_instance g requests =
   let graph = Tree.to_graph tree in
   let protocol = Sweep.one_shot_protocol ~tree ~requests () in
   (graph, protocol)
+
+(* The recorder must be passive: attaching its tap must not change a
+   single field of the result, on any topology, fault-free. *)
+let prop_metrics_off_bit_identical =
+  QCheck2.Test.make ~name:"metrics attachment is bit-identical (fault-free)"
+    ~count:100 ~print:Helpers.instance_print Helpers.nonempty_instance_gen
+    (fun (_, g, requests) ->
+      let graph, protocol = sweep_instance g requests in
+      let run ?tap () =
+        Engine.run ?tap ~graph ~config:Engine.default_config ~protocol ()
+      in
+      let plain = run () in
+      let m = Metrics.create ~graph in
+      plain = run ~tap:(Metrics.tap m) ())
+
+(* Same through the fault layer: drops, duplicates, delay spikes and a
+   crash all take the instrumented paths. *)
+let prop_metrics_off_bit_identical_faulty =
+  QCheck2.Test.make ~name:"metrics attachment is bit-identical (faulty)"
+    ~count:100
+    ~print:(fun (i, seed) ->
+      Printf.sprintf "%s seed=%d" (Helpers.instance_print i) seed)
+    QCheck2.Gen.(pair Helpers.nonempty_instance_gen (int_range 0 1000))
+    (fun ((_, g, requests), seed) ->
+      let graph, protocol = sweep_instance g requests in
+      let plan =
+        Faults.random ~label:"qcheck" ~seed:(Int64.of_int seed) ~drop:0.05
+          ~duplicate:0.05 ~delay:0.1
+          ~crashes:[ { Faults.node = 0; at_round = 4; recover_at = Some 6 } ]
+          ()
+      in
+      let run ?tap () =
+        Engine.run ~faults:(Faults.start plan) ?tap ~graph
+          ~config:Engine.default_config ~protocol ()
+      in
+      let plain = run () in
+      let m = Metrics.create ~graph in
+      plain = run ~tap:(Metrics.tap m) ())
 
 (* Both engines replay the same schedule fault-free, so their recorders
    must agree counter for counter — this also pins the engine's
@@ -97,6 +137,8 @@ let test_non_edge_rejected () =
 
 let suite =
   [
+    Helpers.qcheck prop_metrics_off_bit_identical;
+    Helpers.qcheck prop_metrics_off_bit_identical_faulty;
     Helpers.qcheck prop_engine_reference_metrics_agree;
     Alcotest.test_case "conservation" `Quick test_conservation;
     Alcotest.test_case "heatmap golden" `Quick test_heatmap_golden;

@@ -1,13 +1,62 @@
 (* Tests for the windowed telemetry recorder and span reservoirs:
-   window/ring accounting, passivity on the event engine's gap jump,
-   the streaming completion sink, and the reservoir policies. The
-   passivity property every passive tap shares is in test_equiv.ml. *)
+   window/ring accounting, passivity (attachment is bit-identical on
+   both engines, also across the event engine's gap jump), the
+   streaming completion sink, and the reservoir policies. The passivity
+   property every passive tap shares is in test_equiv.ml. *)
 
+module Tree = Countq_topology.Tree
+module Spanning = Countq_topology.Spanning
 module Implicit = Countq_topology.Implicit
 module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
 module Telemetry = Countq_simnet.Telemetry
+module Faults = Countq_simnet.Faults
+module Sweep = Countq_counting.Sweep
 module Json = Countq_util.Json
+
+let sweep_instance g requests =
+  let tree = Spanning.best_for_arrow g in
+  let graph = Tree.to_graph tree in
+  let protocol = Sweep.one_shot_protocol ~tree ~requests () in
+  (graph, protocol)
+
+(* Telemetry must be passive: attaching its tap changes nothing in the
+   result, on any topology — the same pin Metrics carries. *)
+let prop_telemetry_bit_identical =
+  QCheck2.Test.make ~name:"telemetry attachment is bit-identical (fault-free)"
+    ~count:100 ~print:Helpers.instance_print Helpers.nonempty_instance_gen
+    (fun (_, g, requests) ->
+      let graph, protocol = sweep_instance g requests in
+      let run ?tap () =
+        Engine.run ?tap ~graph ~config:Engine.default_config ~protocol ()
+      in
+      let plain = run () in
+      let tl = Telemetry.create ~window_size:4 () in
+      plain = run ~tap:(Telemetry.tap tl) ())
+
+(* Same through the fault layer, whose drop paths carry extra hooks. *)
+let prop_telemetry_bit_identical_faulty =
+  QCheck2.Test.make ~name:"telemetry attachment is bit-identical (faulty)"
+    ~count:100
+    ~print:(fun (i, seed) ->
+      Printf.sprintf "%s seed=%d" (Helpers.instance_print i) seed)
+    QCheck2.Gen.(pair Helpers.nonempty_instance_gen (int_range 0 1000))
+    (fun ((_, g, requests), seed) ->
+      let graph, protocol = sweep_instance g requests in
+      let plan () =
+        Faults.start
+          (Faults.random ~label:"qcheck" ~seed:(Int64.of_int seed) ~drop:0.05
+             ~duplicate:0.05 ~delay:0.1
+             ~crashes:[ { Faults.node = 0; at_round = 4; recover_at = Some 6 } ]
+             ())
+      in
+      let run ?tap () =
+        Engine.run ~faults:(plan ()) ?tap ~graph ~config:Engine.default_config
+          ~protocol ()
+      in
+      let plain = run () in
+      let tl = Telemetry.create ~window_size:4 () in
+      plain = run ~tap:(Telemetry.tap tl) ())
 
 (* A minimal event-engine workload: each injection sends one hop right
    on the implicit list; the receiver completes with the sender id. *)
@@ -159,6 +208,8 @@ let test_reservoir_stranded_not_slowest () =
 
 let suite =
   [
+    Helpers.qcheck prop_telemetry_bit_identical;
+    Helpers.qcheck prop_telemetry_bit_identical_faulty;
     Alcotest.test_case "event engine passive" `Quick test_event_engine_passive;
     Alcotest.test_case "sink streams completions" `Quick
       test_sink_streams_completions;
