@@ -262,78 +262,87 @@ type churn_summary = {
   c_safe : bool;
   c_live : bool;
   c_stalled : bool;
-  route : Queuing.Dynamic_queue.route_stats option;
   c_retry : Countq_simnet.Reliable.stats option;
 }
 
+(* Tracks the last completer (the queue's tail, around which a stall is
+   diagnosed) and halts the run at the last completion. *)
+let holder_tap ~from ~expected =
+  let last_holder = ref from and completed = ref 0 in
+  let tap =
+    {
+      Engine.no_tap with
+      passive = false;
+      on_complete =
+        (fun ~round:_ ~node:_ ~value ->
+          last_holder := (fst value).Types.origin;
+          incr completed);
+      on_round_end =
+        (fun ~round:_ ~in_flight:_ ->
+          if !completed >= expected then `Halt else `Continue);
+    }
+  in
+  (tap, last_holder)
+
 (* One arm of the churn comparison: run [protocol] under [sched] and
-   report what completed. The static arrow and the retrying central
-   counter have no dynamic-aware runner of their own — they run here
-   through the faulty driver, which is the point: the arrow is the
-   victim (a fixed spanning structure under a moving graph) and the
-   central counter shows what hop-by-hop retransmission alone buys. *)
+   report what completed. Both arrow arms and the retrying central
+   counter run through the faulty driver. The static arrow is the
+   victim: the paper's protocol on its spanning tree, with the schedule
+   tearing at the tree links and nothing repairing them. The routed
+   arrow is the same protocol over Reliable's envelopes, which take the
+   shortest usable path of the base graph. The central counter shows
+   what hop-by-hop retransmission alone buys. *)
 let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
     ~sched ~requests () =
   let spanning () =
     match tree with Some t -> t | None -> Spanning.best_for_arrow graph
   in
   let describe_cut ~from ~round = Some (Dynamic.describe_cut sched ~round ~from) in
+  let dynamic = Dynamic.start sched in
   match protocol with
   | `Dynamic_queue ->
       let r =
         Queuing.Dynamic_queue.run ?progress_budget ~sched ~graph ~requests ()
       in
-      (of_queue_result r.result, r.topo, r.monitors, None, None)
-  | `Arrow_routed ->
-      let r, route =
-        Queuing.Dynamic_queue.run_arrow ?ack_timeout ?max_retries
-          ?progress_budget ~sched ~graph ~tree:(spanning ()) ~requests ()
-      in
-      (of_queue_result r.result, r.topo, r.monitors, Some route, None)
-  | `Arrow_static ->
-      (* The unmodified arrow on its spanning tree, with the schedule
-         tearing at the tree links and nothing repairing them. A stall
-         is diagnosed around the latest completer, the queue's tail. *)
+      (of_queue_result r.result, r.topo, r.monitors, None)
+  | (`Arrow_static | `Arrow_routed) as arm ->
       let tree = spanning () in
-      let dynamic = Dynamic.start sched in
-      let last_holder = ref (Countq_topology.Tree.root tree) in
-      let tap =
-        {
-          Engine.no_tap with
-          on_complete =
-            (fun ~round:_ ~node:_ ~value ->
-              last_holder := (fst value).Types.origin);
-        }
+      let tap, last_holder =
+        holder_tap ~from:(Countq_topology.Tree.root tree)
+          ~expected:(List.length requests)
       in
-      (* No retransmit ladder to wait out: 512 silent rounds, the
-         progress monitor's own default. *)
+      let diagnose ~round = describe_cut ~from:!last_holder ~round in
+      let inst = Arrow.Protocol.one_shot ~tree ~requests () in
       let r =
-        Oneshot.faulty
-          ~progress_budget:(Option.value progress_budget ~default:512)
-          ~dynamic ~tap
-          ~diagnose:(fun ~round -> describe_cut ~from:!last_holder ~round)
-          ~plan:Faults.none
-          (Arrow.Protocol.one_shot ~tree ~requests ())
+        if arm = `Arrow_static then
+          (* No retransmit ladder to wait out: 512 silent rounds, the
+             progress monitor's own default. *)
+          Oneshot.faulty
+            ~progress_budget:(Option.value progress_budget ~default:512)
+            ~dynamic ~tap ~diagnose ~plan:Faults.none inst
+        else
+          Oneshot.faulty ~retry:true
+            ~ack_timeout:(Option.value ack_timeout ~default:4)
+            ~max_retries:(Option.value max_retries ~default:8)
+            ~next_hop:(Dynamic.next_hop sched) ?progress_budget ~dynamic ~tap
+            ~diagnose ~plan:Faults.none
+            {
+              inst with
+              graph;
+              config =
+                Engine.config_with_capacity (max 1 (Graph.max_degree graph));
+            }
       in
-      ( queue_tally r.result,
-        Dynamic.stats dynamic,
-        r.monitors,
-        None,
-        None )
+      (queue_tally r.result, Dynamic.stats dynamic, r.monitors, r.retry)
   | `Central_count ->
       (* Every link heals itself, but the root stays a fixed rendezvous
          the schedule can wall off. *)
-      let dynamic = Dynamic.start sched in
       let r =
         Oneshot.faulty ~retry:true ?ack_timeout ?max_retries ?progress_budget
           ~dynamic ~diagnose:(describe_cut ~from:0) ~plan:Faults.none
           (Counting.Central.one_shot ~graph ~requests ())
       in
-      ( count_tally ~requests r.result,
-        Dynamic.stats dynamic,
-        r.monitors,
-        None,
-        r.retry )
+      (count_tally ~requests r.result, Dynamic.stats dynamic, r.monitors, r.retry)
 
 let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
     ~protocol ~sched ~requests () =
@@ -343,7 +352,7 @@ let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
   in
   (* The identity-schedule baseline isolates what the adversary (and
      the repair machinery's reaction to it) costs on this instance. *)
-  let (t, topo, monitors, route, retry), (base, _, _, _, _) =
+  let (t, topo, monitors, retry), (base, _, _, _) =
     pair pool (arm sched) (arm (Dynamic.identity graph))
   in
   {
@@ -361,7 +370,6 @@ let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
     c_safe = Monitor.safety_ok monitors;
     c_live = Monitor.liveness_ok monitors;
     c_stalled = Monitor.stalled monitors;
-    route;
     c_retry = retry;
   }
 

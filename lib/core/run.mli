@@ -114,8 +114,9 @@ type churn_protocol =
   [ `Dynamic_queue | `Arrow_static | `Arrow_routed | `Central_count ]
 (** The protocols comparable under a dynamic topology schedule: the
     Sharma–Busch-style dynamic queue, the unmodified arrow left to die
-    on its spanning tree, the arrow over the route-repair layer, and
-    the centralised counter with hop-by-hop retransmission. *)
+    on its spanning tree, the same arrow over {!Countq_simnet.Reliable}
+    routed by {!Countq_simnet.Dynamic.next_hop}, and the centralised
+    counter with hop-by-hop retransmission. *)
 
 val churn_protocol_name : churn_protocol -> string
 
@@ -134,10 +135,8 @@ type churn_summary = {
   c_safe : bool;  (** every safety monitor passed. *)
   c_live : bool;  (** every liveness monitor passed. *)
   c_stalled : bool;  (** a progress monitor halted the run. *)
-  route : Countq_queuing.Dynamic_queue.route_stats option;
-      (** repair-layer tally; [`Arrow_routed] only. *)
   c_retry : Countq_simnet.Reliable.stats option;
-      (** retransmit tally; [`Central_count] only. *)
+      (** retransmit tally; [`Arrow_routed] and [`Central_count] only. *)
 }
 (** Degradation report under a moving graph: the run under the
     adversarial schedule next to the identity-schedule baseline on the
@@ -160,7 +159,9 @@ val run_churn :
     the degradation. With [pool], the two arms evaluate as two jobs on
     the shared pool. [tree] (for the arrow variants) defaults to
     [Spanning.best_for_arrow graph]; [ack_timeout]/[max_retries] tune
-    the repair and retransmit layers where present. *)
+    the retransmit layer where present (the routed arrow defaults to
+    4 and 8, the central counter to {!Countq_simnet.Reliable.wrap}'s
+    defaults). *)
 
 type observed_protocol =
   [ `Arrow | `Arrow_notify | `Central_count | `Central_queue | `Sweep ]

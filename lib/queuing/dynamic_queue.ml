@@ -4,7 +4,6 @@ module Engine = Countq_simnet.Engine
 module Dynamic = Countq_simnet.Dynamic
 module Monitor = Countq_simnet.Monitor
 module Graph = Countq_topology.Graph
-module Tree = Countq_topology.Tree
 module Types = Countq_arrow.Types
 module Order = Countq_arrow.Order
 
@@ -418,243 +417,3 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
     monitors = Monitor.finalise monitors;
     topo = Dynamic.stats dyn;
   }
-
-(* ------------------------------------------------------------------ *)
-(* The repairing envelope layer and the churn-tolerant arrow.          *)
-(* ------------------------------------------------------------------ *)
-
-type route_stats = {
-  forwarded : int;
-  rerouted : int;
-  retransmits : int;
-  gave_up : int;
-}
-
-type 'm envelope = {
-  e_src : int;  (** logical sender. *)
-  e_dst : int;  (** logical receiver. *)
-  e_seq : int;  (** per (e_src, e_dst) sequence number. *)
-  e_pay : 'm option;  (** [None] is the end-to-end ack. *)
-}
-
-type 'm unack = { u_msg : 'm; mutable u_due : int; mutable u_retries : int }
-
-type ('s, 'm) routed = {
-  mutable rt_inner : 's;
-  rt_next : int array;  (** per logical destination: next sequence. *)
-  rt_expect : int array;  (** per logical sender: next expected. *)
-  rt_buffer : (int * int, 'm) Hashtbl.t;  (** out-of-order payloads. *)
-  rt_unacked : (int * int, 'm unack) Hashtbl.t;  (** (dst, seq). *)
-  rt_transit : 'm envelope Queue.t;  (** envelopes awaiting a hop. *)
-  rt_inner_wakes : Engine.inner_wakes;
-}
-
-type route_handle = {
-  mutable h_outstanding : int;  (** envelopes awaiting their ack. *)
-  mutable h_forwarded : int;
-  mutable h_rerouted : int;
-  mutable h_retransmits : int;
-  mutable h_gave_up : int;
-}
-
-let route_stats h =
-  {
-    forwarded = h.h_forwarded;
-    rerouted = h.h_rerouted;
-    retransmits = h.h_retransmits;
-    gave_up = h.h_gave_up;
-  }
-
-let wrap_route ?(ack_timeout = 4) ?(max_retries = 8) ~sched ~graph ~live
-    (p : _ Engine.protocol) =
-  if ack_timeout < 1 then
-    invalid_arg "Dynamic_queue.wrap_route: ack_timeout must be >= 1";
-  if max_retries < 0 then
-    invalid_arg "Dynamic_queue.wrap_route: max_retries must be >= 0";
-  let n = Graph.n graph in
-  let h =
-    {
-      h_outstanding = 0;
-      h_forwarded = 0;
-      h_rerouted = 0;
-      h_retransmits = 0;
-      h_gave_up = 0;
-    }
-  in
-  (* Inner completions pass through and inner wakes are noted; inner
-     sends become sequenced envelopes queued for routing (all physical
-     sends happen on wake, so every hop gets a fresh usability check). *)
-  let lift v st ~round actions =
-    List.filter_map
-      (function
-        | Engine.Complete r -> Some (Engine.Complete r)
-        | Engine.Wake r ->
-            Engine.note_wake st.rt_inner_wakes r;
-            Some (Engine.Wake r)
-        | Engine.Send (dst, m) ->
-            let seq = st.rt_next.(dst) in
-            st.rt_next.(dst) <- seq + 1;
-            Hashtbl.replace st.rt_unacked (dst, seq)
-              { u_msg = m; u_due = round + ack_timeout; u_retries = 0 };
-            h.h_outstanding <- h.h_outstanding + 1;
-            Queue.push
-              { e_src = v; e_dst = dst; e_seq = seq; e_pay = Some m }
-              st.rt_transit;
-            None)
-      actions
-  in
-  (* Release buffered payloads to the inner protocol strictly in
-     sequence order. *)
-  let rec deliver_ready v st ~round src acc =
-    let q = st.rt_expect.(src) in
-    match Hashtbl.find_opt st.rt_buffer (src, q) with
-    | None -> acc
-    | Some m ->
-        Hashtbl.remove st.rt_buffer (src, q);
-        st.rt_expect.(src) <- q + 1;
-        let s', actions = p.on_receive ~round ~node:v ~src m st.rt_inner in
-        st.rt_inner <- s';
-        deliver_ready v st ~round src (acc @ lift v st ~round actions)
-  in
-  let protocol =
-    {
-      Engine.name = p.name ^ "+route";
-      initial_state =
-        (fun v ->
-          {
-            rt_inner = p.initial_state v;
-            rt_next = Array.make n 0;
-            rt_expect = Array.make n 0;
-            rt_buffer = Hashtbl.create 8;
-            rt_unacked = Hashtbl.create 8;
-            rt_transit = Queue.create ();
-            rt_inner_wakes = ref [];
-          });
-      on_start =
-        (fun ~node st ->
-          let s', actions = p.on_start ~node st.rt_inner in
-          st.rt_inner <- s';
-          let actions = lift node st ~round:0 actions in
-          let route = if Queue.is_empty st.rt_transit then [] else [ Engine.Wake 1 ] in
-          (st, actions @ route));
-      on_receive =
-        (fun ~round ~node:v ~src:_ env st ->
-          if env.e_dst <> v then begin
-            (* In transit: forward at this round's wake, off the current
-               up-graph. *)
-            Queue.push env st.rt_transit;
-            (st, [ Engine.Wake round ])
-          end
-          else
-            match env.e_pay with
-            | None ->
-                let key = (env.e_src, env.e_seq) in
-                if Hashtbl.mem st.rt_unacked key then begin
-                  Hashtbl.remove st.rt_unacked key;
-                  h.h_outstanding <- h.h_outstanding - 1
-                end;
-                (st, [])
-            | Some m ->
-                (* Ack every copy — the first ack may itself be lost. *)
-                Queue.push
-                  { e_src = v; e_dst = env.e_src; e_seq = env.e_seq; e_pay = None }
-                  st.rt_transit;
-                let s0 = env.e_src in
-                if env.e_seq >= st.rt_expect.(s0) then
-                  Hashtbl.replace st.rt_buffer (s0, env.e_seq) m;
-                (st, deliver_ready v st ~round s0 [] @ [ Engine.Wake round ]));
-      on_wake =
-        (fun ~round ~node:v st ->
-          (* 1. Retry timers, in deterministic (dst, seq) order. *)
-          let due =
-            List.sort
-              (fun (a, _) (b, _) -> compare a b)
-              (Hashtbl.fold
-                 (fun k u acc -> if u.u_due <= round then (k, u) :: acc else acc)
-                 st.rt_unacked [])
-          in
-          List.iter
-            (fun ((dst, seq), u) ->
-              if u.u_retries >= max_retries then begin
-                Hashtbl.remove st.rt_unacked (dst, seq);
-                h.h_gave_up <- h.h_gave_up + 1;
-                h.h_outstanding <- h.h_outstanding - 1
-              end
-              else begin
-                u.u_retries <- u.u_retries + 1;
-                u.u_due <- round + (ack_timeout * (1 lsl u.u_retries));
-                h.h_retransmits <- h.h_retransmits + 1;
-                Queue.push
-                  { e_src = v; e_dst = dst; e_seq = seq; e_pay = Some u.u_msg }
-                  st.rt_transit
-              end)
-            due;
-          (* 2. The inner wake, if it asked for this round. *)
-          let s', actions =
-            Engine.forward_wake st.rt_inner_wakes p ~round ~node:v st.rt_inner
-          in
-          st.rt_inner <- s';
-          let acc = lift v st ~round actions in
-          (* 3. Route everything in transit one hop along the
-             up-graph of the round the hop will travel in; envelopes
-             with no usable path wait here. *)
-          let keep = Queue.create () in
-          let sends = ref [] in
-          while not (Queue.is_empty st.rt_transit) do
-            let env = Queue.pop st.rt_transit in
-            match
-              Dynamic.next_hop sched ~round:(round + 1) ~src:v ~dst:env.e_dst
-            with
-            | None -> Queue.push env keep
-            | Some w ->
-                h.h_forwarded <- h.h_forwarded + 1;
-                if w <> env.e_dst then h.h_rerouted <- h.h_rerouted + 1;
-                sends := Engine.Send (w, env) :: !sends
-          done;
-          Queue.transfer keep st.rt_transit;
-          (* 4. Wake again next round while anything is unacked or
-             the caller still waits on operations. *)
-          let rearm =
-            if h.h_outstanding > 0 || live () then [ Engine.Wake (round + 1) ] else []
-          in
-          (st, acc @ List.rev !sends @ rearm));
-    }
-  in
-  (protocol, h)
-
-let run_arrow ?config ?tail ?(ack_timeout = 4) ?(max_retries = 8)
-    ?progress_budget ?sched ~graph ~tree ~requests () =
-  let sched =
-    match sched with Some s -> s | None -> Dynamic.identity graph
-  in
-  let config = match config with Some c -> c | None -> default_config graph in
-  let dyn = Dynamic.start sched in
-  let expected = List.length requests in
-  let budget =
-    match progress_budget with
-    | Some b -> b
-    | None -> Countq_simnet.Reliable.progress_budget ~ack_timeout ~max_retries ()
-  in
-  let holder0 = match tail with Some t -> t | None -> Tree.root tree in
-  let last_holder = ref holder0 in
-  let diagnose ~round =
-    Some (Dynamic.describe_cut sched ~round ~from:!last_holder)
-  in
-  let monitors =
-    (Order.spec ~requests).monitors ()
-    @ [ Monitor.completes ~expected; Monitor.progress ~budget ~diagnose () ]
-  in
-  let tap, done_count = holder_tap ~monitors ~expected ~last_holder in
-  let inner = Countq_arrow.Protocol.one_shot_protocol ?tail ~tree ~requests () in
-  let protocol, h =
-    wrap_route ~ack_timeout ~max_retries ~sched ~graph
-      ~live:(fun () -> !done_count < expected)
-      inner
-  in
-  let res = Engine.run ~dynamic:dyn ~tap ~graph ~config ~protocol () in
-  ( {
-      result = Countq_arrow.Protocol.of_engine res;
-      monitors = Monitor.finalise monitors;
-      topo = Dynamic.stats dyn;
-    },
-    route_stats h )

@@ -1,11 +1,8 @@
 (** Distributed queuing that survives a moving graph.
 
-    Two protocols, spanning the robustness frontier that Sharma–Busch
-    ("Distributed Queuing in Dynamic Networks") and Ghodselahi–Kuhn
-    (dynamic arrow analysis) map out:
-
-    {b 1. The dynamic queue} — a Sharma–Busch-style protocol that
-    assumes nothing about the topology except eventual usable links.
+    A Sharma–Busch-style protocol ("Distributed Queuing in Dynamic
+    Networks") that assumes nothing about the topology except eventual
+    usable links.
     Every node maintains a monotone {e knowledge} value: the longest
     known prefix of the global operation chain plus the set of pending
     (announced but unchained) operations. Knowledge floods between
@@ -23,20 +20,13 @@
     degrades gracefully with the connectivity interval instead of
     collapsing the way a fixed spanning structure does.
 
-    {b 2. The churn-tolerant arrow} — the unmodified arrow protocol on
-    its spanning tree, run over a routing layer that {e repairs} the
-    tree's edges: every logical tree-edge message travels as a
-    sequenced envelope that is forwarded along the current up-graph
-    (shortest usable path, recomputed every round), retransmitted on
-    ack timeout, and deduplicated/reordered at the logical receiver so
-    the arrow still sees reliable FIFO tree links. Where plain arrow
-    stalls the moment one tree edge flaps, the repaired arrow keeps
-    the total order and completes as long as the adversary leaves
-    {e some} path between tree neighbours often enough.
-
-    Both runners attach {!Countq_simnet.Monitor} verdicts (chain
+    {!run} attaches {!Countq_simnet.Monitor} verdicts (chain
     consistency, completion, progress with a partition-naming
-    diagnosis) and report the schedule's drop tallies. *)
+    diagnosis) and reports the schedule's drop tallies. The
+    churn-tolerant arrow, the other side of the robustness frontier
+    (Ghodselahi–Kuhn's dynamic arrow analysis), is the plain arrow
+    over [Countq_simnet.Reliable.wrap ~next_hop:(Dynamic.next_hop
+    sched)]: [Countq.Run.run_churn]'s [`Arrow_routed] arm. *)
 
 module Engine = Countq_simnet.Engine
 module Dynamic = Countq_simnet.Dynamic
@@ -110,70 +100,3 @@ val run :
     [progress_budget] completion-free rounds (default 256). [config]
     defaults to receive/send capacity [max_degree graph] (reported as
     [expansion], like the arrow runners). *)
-
-(** {1 The churn-tolerant arrow} *)
-
-type route_stats = {
-  forwarded : int;  (** physical hops taken by envelopes. *)
-  rerouted : int;  (** hops that detoured off the direct link. *)
-  retransmits : int;  (** timeout-driven re-sends. *)
-  gave_up : int;  (** envelopes abandoned after [max_retries]. *)
-}
-
-type ('s, 'm) routed
-(** Wrapper state: the inner ['s] plus routing and sequencing tables. *)
-
-type 'm envelope
-(** Wrapper message: a sequenced payload or an end-to-end ack. *)
-
-type route_handle
-(** Shared bookkeeping for one run of a routed protocol. *)
-
-val wrap_route :
-  ?ack_timeout:int ->
-  ?max_retries:int ->
-  sched:Dynamic.schedule ->
-  graph:Graph.t ->
-  live:(unit -> bool) ->
-  ('s, 'm, 'r) Engine.protocol ->
-  (('s, 'm) routed, 'm envelope, 'r) Engine.protocol * route_handle
-(** [wrap_route ~sched ~graph p] (named ["<name>+route"]) runs [p]
-    over the repairing envelope layer described above: logical sends
-    become per-destination sequenced envelopes routed hop-by-hop along
-    the current up-graph of [sched] (shortest usable path, recomputed
-    each round; envelopes wait out total disconnection at whichever
-    node holds them), acknowledged end-to-end, retransmitted with
-    exponential backoff after [ack_timeout] rounds (default 4, up to
-    [max_retries] retries, default 8), and released to [p] in FIFO
-    order exactly once. Completion values pass through unchanged. A
-    node that has had an envelope to route wakes every round from then
-    on (routing, retry timers and the inner protocol's own wakes all
-    run there), for as long as any envelope awaits its ack or [live ()]
-    holds — pass the caller's "operations still pending" test. The
-    wrapped state carries mutable tables: wrap afresh per run and keep
-    it away from the [Explore] checker.
-
-    Single-shard runs only: the handle's counters are plain fields and
-    [live] is read in the wake handlers, which a sharded run calls on
-    several domains before it replays the tap at the barrier. *)
-
-val route_stats : route_handle -> route_stats
-
-val run_arrow :
-  ?config:Engine.config ->
-  ?tail:int ->
-  ?ack_timeout:int ->
-  ?max_retries:int ->
-  ?progress_budget:int ->
-  ?sched:Dynamic.schedule ->
-  graph:Graph.t ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  report * route_stats
-(** The arrow one-shot scenario on spanning [tree], with its tree
-    links repaired over [graph] under [sched] (default identity).
-    [config] defaults to capacity [max_degree graph]. The progress
-    monitor's budget defaults to comfortably above the longest
-    retransmit backoff, and its stall diagnosis names the partition
-    around the last completion's origin. *)

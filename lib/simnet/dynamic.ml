@@ -43,19 +43,24 @@ let of_fun ~label ?(node_up = all_up_node) ?(link_up = all_up_link) g =
 
 (* Per-epoch decisions are memoised so every query within an epoch sees
    one consistent sample; the per-epoch generator is derived from
-   (seed, epoch) alone, so queries in any order replay identically. *)
+   (seed, epoch) alone, so queries in any order replay identically.
+   Handlers that route by the schedule query it from several domains in
+   a sharded run, so the memo is locked; a memoised sample is never
+   mutated again, so reading it needs no lock. *)
 let epoch_rng seed epoch =
   Rng.create Int64.(add seed (mul (of_int (epoch + 1)) 0x9E3779B97F4A7C15L))
 
 let memo_epochs compute =
   let cache = Hashtbl.create 16 in
+  let lock = Mutex.create () in
   fun epoch ->
-    match Hashtbl.find_opt cache epoch with
-    | Some x -> x
-    | None ->
-        let x = compute epoch in
-        Hashtbl.add cache epoch x;
-        x
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt cache epoch with
+        | Some x -> x
+        | None ->
+            let x = compute epoch in
+            Hashtbl.add cache epoch x;
+            x)
 
 let check_rate rate name =
   if rate < 0. || rate > 1. then

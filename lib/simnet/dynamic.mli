@@ -11,7 +11,8 @@
     A {!schedule} describes, for every round [t >= 1], which nodes and
     which links of a base graph are {e up}. Schedules are pure
     functions of [(base graph, parameters, seed)] — querying them has
-    no side effects and any round may be queried in any order, so the
+    no side effects, any round may be queried in any order and from
+    several domains at once (the per-epoch memo is locked), so the
     engines, the routing helpers and the diagnosis helpers below all
     see one consistent topology history.
 

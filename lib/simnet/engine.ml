@@ -49,17 +49,6 @@ type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
 let no_wake = Kernel.no_wake
 let wake_next = function r :: _ -> [ Wake r ] | [] -> []
 
-type inner_wakes = int list ref  (* ascending *)
-
-let note_wake w r = w := List.merge Int.compare [ r ] !w
-
-let forward_wake w (p : _ protocol) ~round ~node s =
-  match !w with
-  | r :: _ when r <= round ->
-      w := List.filter (fun r -> r > round) !w;
-      p.on_wake ~round ~node s
-  | _ -> (s, [])
-
 type 'r completion = 'r Kernel.completion = { node : int; round : int; value : 'r }
 
 type 'r result = 'r Kernel.result = {

@@ -122,20 +122,6 @@ val wake_next : int list -> ('m, 'r) action list
 (** [[Wake r]] for the head [r] of a sorted issue schedule, [[]] for an
     empty one: what a long-lived protocol asks to issue on time. *)
 
-type inner_wakes = int list ref
-(** For a wrapper whose own timers also wake the node: the rounds its
-    inner protocol asked to be woken in ({!note_wake} each inner
-    [Wake]), ascending, so {!forward_wake} runs the inner [on_wake] only
-    then. One [ref []] per wrapped node state. *)
-
-val note_wake : inner_wakes -> int -> unit
-
-val forward_wake :
-  inner_wakes -> ('s, 'm, 'r) protocol -> round:int -> node:int -> 's ->
-  's * ('m, 'r) action list
-(** The inner [on_wake] if a noted wake is due by [round] (those are
-    then forgotten), else the state unchanged and no actions. *)
-
 type 'r completion = 'r Kernel.completion = {
   node : int;
   round : int;

@@ -25,8 +25,8 @@ type 'r report = {
   retry : Reliable.stats option;
 }
 
-let faulty ?(retry = false) ?ack_timeout ?max_retries ?progress_budget ?dynamic
-    ?tap ?diagnose ~plan i =
+let faulty ?(retry = false) ?ack_timeout ?max_retries ?next_hop ?progress_budget
+    ?dynamic ?tap ?diagnose ~plan i =
   let budget =
     match progress_budget with
     | Some b -> b
@@ -50,7 +50,7 @@ let faulty ?(retry = false) ?ack_timeout ?max_retries ?progress_budget ?dynamic
   in
   let result, retry =
     if retry then begin
-      let protocol, h = Reliable.wrap ?ack_timeout ?max_retries i.protocol in
+      let protocol, h = Reliable.wrap ?ack_timeout ?max_retries ?next_hop i.protocol in
       let result = go protocol in
       (result, Some (Reliable.stats h))
     end

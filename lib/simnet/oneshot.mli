@@ -62,6 +62,7 @@ val faulty :
   ?retry:bool ->
   ?ack_timeout:int ->
   ?max_retries:int ->
+  ?next_hop:(round:int -> src:int -> dst:int -> int option) ->
   ?progress_budget:int ->
   ?dynamic:Dynamic.runtime ->
   ?tap:'r Engine.tap ->
@@ -71,11 +72,11 @@ val faulty :
   'r report
 (** {!run} on an unreliable substrate with runtime monitors attached.
     [plan] is the fault schedule; [dynamic] an optional started topology
-    schedule. With [retry] (default [false]) every hop runs under
-    {!Reliable.wrap} with [ack_timeout] and [max_retries]. The progress
-    monitor halts a stalled run after [progress_budget] silent rounds
-    (default {!Reliable.progress_budget}) and asks [diagnose] for the
-    cause. [tap] watches the run beside the monitors. With
+    schedule. With [retry] (default [false]) every send runs under
+    {!Reliable.wrap} with [ack_timeout], [max_retries] and [next_hop]
+    (which only [retry] reads). The progress monitor halts a stalled
+    run after [progress_budget] silent rounds (default
+    {!Reliable.progress_budget}) and asks [diagnose] for the cause. [tap] watches the run beside the monitors. With
     [plan = Faults.none] and [retry = false] the result equals
     {!run}'s. *)
 

@@ -284,3 +284,27 @@ let both_taps a b =
   | Some a, Some b -> Some (Engine.both a b)
   | Some t, None | None, Some t -> Some t
   | None, None -> None
+
+(* [p] with every handler checked for purity: the state a handler is
+   given is marshalled before and after the call, and a change fails
+   the run. A protocol that updates its state in place fails here. *)
+let pure (p : _ Engine.protocol) =
+  let image s = Marshal.to_string s [ Marshal.No_sharing; Marshal.Closures ] in
+  let guard handler node call s =
+    let before = image s in
+    let result = call s in
+    if image s <> before then
+      failwith
+        (Printf.sprintf "%s: %s changed the state it was given at node %d"
+           p.name handler node);
+    result
+  in
+  {
+    p with
+    on_start = (fun ~node s -> guard "on_start" node (p.on_start ~node) s);
+    on_receive =
+      (fun ~round ~node ~src m s ->
+        guard "on_receive" node (p.on_receive ~round ~node ~src m) s);
+    on_wake =
+      (fun ~round ~node s -> guard "on_wake" node (p.on_wake ~round ~node) s);
+  }

@@ -18,6 +18,8 @@ module Tree = Countq_topology.Tree
 module Spanning = Countq_topology.Spanning
 module Arrow = Countq_arrow
 module Dq = Countq_queuing.Dynamic_queue
+module Reliable = Countq_simnet.Reliable
+module Shard = Countq_simnet.Shard
 
 (* Same avalanche mix as test_equiv: random protocols must be pure
    functions of their inputs so shrunk counterexamples replay. *)
@@ -517,27 +519,73 @@ let test_dq_survives_flaps () =
   let rep = Dq.run ~sched:(flap_sched ()) ~graph:flap_graph ~requests:flap_requests () in
   check_report "dynamic queue under flaps" flap_requests rep
 
-let test_routed_arrow_survives_flaps () =
-  let tree = Spanning.best_for_arrow flap_graph in
-  let rep, route =
-    Dq.run_arrow ~sched:(flap_sched ()) ~graph:flap_graph ~tree
-      ~requests:flap_requests ()
+(* The routed arrow as the churn table runs it, next to its
+   identity-schedule baseline. *)
+let routed_arrow ~sched ~graph ~requests =
+  let s =
+    Countq.Run.run_churn ~tree:(Spanning.best_for_arrow graph) ~graph
+      ~protocol:`Arrow_routed ~sched ~requests ()
   in
-  check_report "routed arrow under flaps" flap_requests rep;
-  Alcotest.(check int) "no abandoned envelopes" 0 route.gave_up;
+  Alcotest.(check int) "all operations complete" (List.length requests)
+    s.c_completed;
+  Alcotest.(check bool) "one total order" true s.c_valid;
+  Alcotest.(check bool)
+    ("monitors pass - " ^ Format.asprintf "%a" Monitor.pp_report s.c_monitors)
+    true
+    (Monitor.all_pass s.c_monitors);
+  Option.get s.c_retry
+
+let test_routed_arrow_survives_flaps () =
+  let retry =
+    routed_arrow ~sched:(flap_sched ()) ~graph:flap_graph ~requests:flap_requests
+  in
+  Alcotest.(check int) "no abandoned envelopes" 0 retry.gave_up;
   Alcotest.(check bool) "the repair layer worked for a living" true
-    (route.rerouted > 0 || route.retransmits > 0)
+    (retry.relayed > 0 || retry.retransmits > 0)
 
 let test_routed_arrow_identity () =
   let g = Gen.path 6 in
-  let tree = Spanning.best_for_arrow g in
-  let requests = [ 1; 3; 5 ] in
-  let rep, route = Dq.run_arrow ~graph:g ~tree ~requests () in
-  check_report "routed arrow, static graph" requests rep;
-  Alcotest.(check int) "nothing rerouted on the identity schedule" 0
-    route.rerouted;
-  Alcotest.(check int) "no retransmissions without drops" 0 route.retransmits;
-  Alcotest.(check bool) "envelopes moved" true (route.forwarded > 0)
+  let retry =
+    routed_arrow ~sched:(Dynamic.identity g) ~graph:g ~requests:[ 1; 3; 5 ]
+  in
+  Alcotest.(check int) "nothing relayed on the identity schedule" 0
+    retry.relayed;
+  Alcotest.(check int) "no retransmissions without drops" 0 retry.retransmits;
+  Alcotest.(check bool) "envelopes moved" true (retry.data_sent > 0)
+
+(* The routed arrow's handlers query the schedule from every lane of a
+   sharded run (a fresh schedule per run, so the lanes also race to
+   fill its epoch memo): the result, Reliable's tally and the
+   schedule's drop tally must not depend on the shard count. *)
+let test_routed_arrow_sharded () =
+  let pool = Countq_util.Parallel.pool ~jobs:3 in
+  let graph = Gen.square_mesh 4 in
+  let tree = Spanning.best_for_arrow graph in
+  let requests = Helpers.all_nodes 16 in
+  let run shards =
+    let sched = Dynamic.link_flaps ~seed:77L ~rate:0.4 ~epoch:4 graph in
+    let dynamic = Dynamic.start sched in
+    let protocol, h =
+      Reliable.wrap ~ack_timeout:4 ~max_retries:8
+        ~next_hop:(Dynamic.next_hop sched)
+        (Arrow.Protocol.one_shot_protocol ~tree ~requests ())
+    in
+    let res =
+      Shard.run ~shards ~pool ~dynamic ~graph
+        ~config:(Engine.config_with_capacity (Graph.max_degree graph))
+        ~protocol ()
+    in
+    (res, Reliable.stats h, Dynamic.stats dynamic)
+  in
+  let ((res, retry, _) as one) = run 1 in
+  Alcotest.(check int) "every operation completes" 16
+    (List.length res.completions);
+  Alcotest.(check bool) "the envelopes took detours" true (retry.relayed > 0);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Printf.sprintf "shards=%d = shards=1" k) true
+        (run k = one))
+    [ 2; 3 ]
 
 (* Satellite: when the adversary permanently walls off the token
    holder, the stall verdict must say so, naming the partition. *)
@@ -629,6 +677,8 @@ let suite =
       test_dq_survives_flaps;
     Alcotest.test_case "routed arrow survives the same flaps" `Quick
       test_routed_arrow_survives_flaps;
+    Alcotest.test_case "routed arrow: same at every shard count" `Quick
+      test_routed_arrow_sharded;
     Alcotest.test_case "routed arrow: identity schedule" `Quick
       test_routed_arrow_identity;
     Alcotest.test_case "stall verdict names the partition" `Quick

@@ -234,11 +234,16 @@ let test_reliable_wakes_sharded () =
   let ((res, injected, retry) as reference) =
     run (fun ~faults ~protocol -> Reference.run ~faults ~graph ~config ~protocol ())
   in
-  let sharded =
-    run (fun ~faults ~protocol ->
-        Shard.run ~shards:2 ~pool ~faults ~graph ~config ~protocol ())
-  in
-  Alcotest.(check bool) "bit-identical to Reference" true (sharded = reference);
+  List.iter
+    (fun k ->
+      let sharded =
+        run (fun ~faults ~protocol ->
+            Shard.run ~shards:k ~pool ~faults ~graph ~config ~protocol ())
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-identical to Reference at %d shards" k)
+        true (sharded = reference))
+    [ 1; 2; 3 ];
   Alcotest.(check bool) "the plan dropped messages" true (injected.Faults.dropped > 0);
   Alcotest.(check bool) "retransmits healed them" true (retry.Reliable.retransmits > 0);
   Alcotest.(check (list int)) "counts are exactly 1..k" [ 1; 2; 3; 4; 5 ]
@@ -859,7 +864,7 @@ let suite =
       test_passivity_decides_fast_forward;
     Alcotest.test_case "ticking protocol = reference (implicit, sharded)" `Quick
       test_tick_protocol_pinned;
-    Alcotest.test_case "reliable wakes = reference at shards 2" `Quick
+    Alcotest.test_case "reliable wakes = reference at shards 1-3" `Quick
       test_reliable_wakes_sharded;
     Alcotest.test_case "observer on sharded Shard.run = reference" `Quick
       test_observer_on_sharded_graph;

@@ -7,6 +7,7 @@ module Async = Countq_simnet.Async
 module Faults = Countq_simnet.Faults
 module Monitor = Countq_simnet.Monitor
 module Reliable = Countq_simnet.Reliable
+module Dynamic = Countq_simnet.Dynamic
 module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
 module Spanning = Countq_topology.Spanning
@@ -401,6 +402,69 @@ let test_named_registry_resolves () =
       | None -> Alcotest.fail ("registry lookup failed for " ^ name))
     Faults.named
 
+(* Reliable's handlers are pure over random graphs: the central counter
+   under drop, duplicate and delay plans, and the arrow routed over
+   link flaps, run the same with every handler checked for purity as
+   without the check. *)
+let reliable_is_pure =
+  QCheck2.Test.make ~count:40 ~name:"Reliable handlers leave their state alone"
+    ~print:(fun (inst, plan) ->
+      Printf.sprintf "%s %s" (Helpers.instance_print inst)
+        (Option.value plan ~default:"routed arrow under flaps"))
+    QCheck2.Gen.(
+      pair Helpers.nonempty_instance_gen
+        (oneofl [ Some "lossy"; Some "dup"; Some "jitter"; None ]))
+    (fun ((_, graph, requests), plan) ->
+      let run ?next_hop ?dynamic ~plan (i : _ Oneshot.t) checked =
+        let protocol, h = Reliable.wrap ?next_hop i.protocol in
+        let protocol = if checked then Helpers.pure protocol else protocol in
+        let res =
+          Engine.run ~faults:(Faults.start plan) ?dynamic ~graph ~config:i.config
+            ~protocol ()
+        in
+        (res, Reliable.stats h)
+      in
+      let same f = f true = f false in
+      match plan with
+      | Some name ->
+          let plan = Option.get (Faults.find name) in
+          same (run ~plan (Central.one_shot ~graph ~requests ()))
+      | None ->
+          let sched = Dynamic.link_flaps ~seed:5L ~rate:0.3 ~epoch:4 graph in
+          let tree = Spanning.best_for_arrow graph in
+          let i =
+            {
+              (Arrow.one_shot ~tree ~requests ()) with
+              config = Engine.config_with_capacity (max 1 (Graph.max_degree graph));
+            }
+          in
+          same (fun checked ->
+              run ~next_hop:(Dynamic.next_hop sched)
+                ~dynamic:(Dynamic.start sched) ~plan:Faults.none i checked))
+
+(* A node that never sends or receives costs one small record: the
+   wrapped initial state of a protocol whose own initial state
+   allocates nothing. *)
+let test_reliable_quiet_node_cost () =
+  let inner =
+    {
+      Engine.name = "idle";
+      initial_state = (fun _ -> ());
+      on_start = (fun ~node:_ s -> (s, []));
+      on_receive = (fun ~round:_ ~node:_ ~src:_ () s -> (s, []));
+      on_wake = Engine.no_wake;
+    }
+  in
+  let protocol, _ = Reliable.wrap inner in
+  let calls = 100_000 in
+  let before = Gc.minor_words () in
+  for v = 1 to calls do
+    ignore (Sys.opaque_identity (protocol.initial_state v))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call > 16. then
+    Alcotest.failf "%.1f minor words per wrapped initial state, > 16" per_call
+
 let suite =
   [
     Alcotest.test_case "none plan: sync identity" `Quick
@@ -444,4 +508,7 @@ let suite =
       test_run_faulty_summary_consistent;
     Alcotest.test_case "named registry resolves" `Quick
       test_named_registry_resolves;
+    Helpers.qcheck reliable_is_pure;
+    Alcotest.test_case "Reliable: a quiet node costs one record" `Quick
+      test_reliable_quiet_node_cost;
   ]
