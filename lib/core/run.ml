@@ -236,7 +236,6 @@ let run_faulty ?pool ?tree ?(retry = false) ?ack_timeout ?max_retries
       degrade queue_tally (Queuing.Central_queue.one_shot ~graph ~requests ())
 
 module Dynamic = Countq_simnet.Dynamic
-module Types = Countq_arrow.Types
 
 type churn_protocol =
   [ `Dynamic_queue | `Arrow_static | `Arrow_routed | `Central_count ]
@@ -265,25 +264,6 @@ type churn_summary = {
   c_retry : Countq_simnet.Reliable.stats option;
 }
 
-(* Tracks the last completer (the queue's tail, around which a stall is
-   diagnosed) and halts the run at the last completion. *)
-let holder_tap ~from ~expected =
-  let last_holder = ref from and completed = ref 0 in
-  let tap =
-    {
-      Engine.no_tap with
-      passive = false;
-      on_complete =
-        (fun ~round:_ ~node:_ ~value ->
-          last_holder := (fst value).Types.origin;
-          incr completed);
-      on_round_end =
-        (fun ~round:_ ~in_flight:_ ->
-          if !completed >= expected then `Halt else `Continue);
-    }
-  in
-  (tap, last_holder)
-
 (* One arm of the churn comparison: run [protocol] under [sched] and
    report what completed. Both arrow arms and the retrying central
    counter run through the faulty driver. The static arrow is the
@@ -307,8 +287,8 @@ let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
       (of_queue_result r.result, r.topo, r.monitors, None)
   | (`Arrow_static | `Arrow_routed) as arm ->
       let tree = spanning () in
-      let tap, last_holder =
-        holder_tap ~from:(Countq_topology.Tree.root tree)
+      let tap, last_holder, _ =
+        Queuing.Dynamic_queue.holder_tap ~from:(Countq_topology.Tree.root tree)
           ~expected:(List.length requests)
       in
       let diagnose ~round = describe_cut ~from:!last_holder ~round in

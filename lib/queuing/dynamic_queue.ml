@@ -347,31 +347,27 @@ let dynamic_protocol ~leader ~sched ~refresh ~live ~graph ~requests =
 (* Runners.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Monitors fused with completion counting: the run halts once every
-   request has completed (gossip never quiesces on its own) and the
-   stall diagnosis describes the partition around the current holder —
-   approximated by the origin of the latest completion, which is exact
-   whenever the queue froze because the holder was walled off. *)
-let holder_tap ~monitors ~expected ~last_holder =
-  let base = Monitor.tap monitors in
-  let done_count = ref 0 in
+(* Completion counting for a queuing run: the run halts once every
+   request has completed (gossip never quiesces on its own), and the
+   latest completion's origin approximates the current holder, around
+   which a stall diagnosis describes the partition — exact whenever the
+   queue froze because the holder was walled off. *)
+let holder_tap ~from ~expected =
+  let last_holder = ref from and completed = ref 0 in
   let tap =
     {
-      base with
-      Engine.on_complete =
-        (fun ~round ~node ~value ->
+      Engine.no_tap with
+      passive = false;
+      on_complete =
+        (fun ~round:_ ~node:_ ~value ->
           last_holder := (fst value).Types.origin;
-          incr done_count;
-          base.on_complete ~round ~node ~value);
+          incr completed);
       on_round_end =
-        (fun ~round ~in_flight ->
-          match base.on_round_end ~round ~in_flight with
-          | `Halt -> `Halt
-          | `Continue ->
-              if !done_count >= expected then `Halt else `Continue);
+        (fun ~round:_ ~in_flight:_ ->
+          if !completed >= expected then `Halt else `Continue);
     }
   in
-  (tap, done_count)
+  (tap, last_holder, completed)
 
 let default_config graph =
   Engine.config_with_capacity (max 1 (Graph.max_degree graph))
@@ -394,7 +390,7 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
   let config = match config with Some c -> c | None -> default_config graph in
   let dyn = Dynamic.start sched in
   let expected = List.length requests in
-  let last_holder = ref leader in
+  let holder, last_holder, completed = holder_tap ~from:leader ~expected in
   let diagnose ~round =
     Some (Dynamic.describe_cut sched ~round ~from:!last_holder)
   in
@@ -405,10 +401,10 @@ let run ?config ?(leader = 0) ?sched ?(refresh = 8) ?(progress_budget = 256)
         Monitor.completion_progress ~budget:progress_budget ~diagnose ();
       ]
   in
-  let tap, done_count = holder_tap ~monitors ~expected ~last_holder in
+  let tap = Engine.both holder (Monitor.tap monitors) in
   let protocol =
     dynamic_protocol ~leader ~sched ~refresh
-      ~live:(fun () -> !done_count < expected)
+      ~live:(fun () -> !completed < expected)
       ~graph ~requests
   in
   let res = Engine.run ~dynamic:dyn ~tap ~graph ~config ~protocol () in

@@ -100,3 +100,13 @@ val run :
     [progress_budget] completion-free rounds (default 256). [config]
     defaults to receive/send capacity [max_degree graph] (reported as
     [expansion], like the arrow runners). *)
+
+val holder_tap :
+  from:int ->
+  expected:int ->
+  (Types.op * Types.pred) Engine.tap * int ref * int ref
+(** A monitor-free tap for a queuing run: it tracks the origin of the
+    latest completion (starting at [from]), the node around which a
+    stall is diagnosed, counts completions, and halts the run at the
+    [expected]-th. Returns the tap, the latest holder and the count.
+    {!run} and [Countq.Run.run_churn]'s arrow arms attach it. *)
