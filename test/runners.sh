@@ -2,7 +2,8 @@
 # Prints the outputs of every one-shot driver surface, pinned by
 # test/runners.expected: `countq observe` for each observed protocol
 # under no plan, a lossy plan and a crash-restart plan (each with its
-# JSONL span export), `countq trace`, `countq verify`, `countq check
+# JSONL span export), `countq compare` (every protocol's summary) on
+# two instances, `countq trace`, `countq verify`, `countq check
 # --quick` (minus its timing column and note) and every example.
 # Usage: runners.sh COUNTQ_EXE EXAMPLE_EXE...
 set -e
@@ -18,6 +19,8 @@ for p in arrow arrow+notify central-queue central-count sweep; do
   done
 done
 rm -f "$json"
+"$countq" compare -t mesh -n 16
+"$countq" compare -t star -n 8
 "$countq" trace
 "$countq" verify
 # Cut the configs/s column (a wall-clock rate) and the wall-time note:
