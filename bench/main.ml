@@ -59,7 +59,7 @@ let kernel_tests () =
       (Telemetry.tap (Telemetry.create ~window_size:16 ()))
   in
   (* kernel:arrow-one-shot-256 with a tap: the same instance build,
-     run and result conversion as Arrow.Protocol.run_one_shot. *)
+     run and result conversion as the untapped probe. *)
   let run_arrow tap =
     let i = Countq_arrow.Protocol.one_shot ~tree:mesh_tree ~requests:all_256 () in
     ignore
@@ -78,8 +78,10 @@ let kernel_tests () =
     Test.make ~name:"kernel:arrow-one-shot-256"
       (Staged.stage (fun () ->
            ignore
-             (Countq_arrow.Protocol.run_one_shot ~tree:mesh_tree
-                ~requests:all_256 ())));
+             (Countq_arrow.Protocol.of_engine
+                (Oneshot.run
+                   (Countq_arrow.Protocol.one_shot ~tree:mesh_tree
+                      ~requests:all_256 ())))));
     Test.make ~name:"kernel:arrow-one-shot-256+tap"
       (Staged.stage (fun () -> run_arrow (fun i -> recorders i.Oneshot.graph)));
     Test.make ~name:"kernel:arrow-one-shot-256+monitor"
@@ -92,10 +94,18 @@ let kernel_tests () =
                 ~requests:half)));
     Test.make ~name:"kernel:central-counting-mesh"
       (Staged.stage (fun () ->
-           ignore (Countq_counting.Central.run ~graph:mesh ~requests:half ())));
+           ignore
+             (Countq_counting.Counts.of_engine ~requests:half
+                (Oneshot.run
+                   (Countq_counting.Central.one_shot ~graph:mesh ~requests:half
+                      ())))));
     Test.make ~name:"kernel:counting-network-mesh"
       (Staged.stage (fun () ->
-           ignore (Countq_counting.Network.run ~graph:mesh ~requests:half ())));
+           ignore
+             (Countq_counting.Counts.of_engine ~requests:half
+                (Oneshot.run
+                   (Countq_counting.Network.one_shot ~graph:mesh ~requests:half
+                      ())))));
     Test.make ~name:"kernel:engine-idle-rounds"
       (Staged.stage (fun () ->
            ignore
@@ -109,7 +119,10 @@ let kernel_tests () =
     Test.make ~name:"kernel:sweep-list-512"
       (Staged.stage (fun () ->
            ignore
-             (Countq_counting.Sweep.run ~tree:list_512_tree ~requests:all_512 ())));
+             (Countq_counting.Counts.of_engine ~requests:all_512
+                (Oneshot.run
+                   (Countq_counting.Sweep.one_shot ~tree:list_512_tree
+                      ~requests:all_512 ())))));
     Test.make ~name:"kernel:bitonic-push-1k"
       (Staged.stage (fun () ->
            let net = Countq_counting.Bitonic.create ~width:32 in

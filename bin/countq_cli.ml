@@ -12,7 +12,7 @@
      series -t T --sizes N,…  -- CSV sweep of queuing vs counting
      verify -t T -n N         -- exhaustive schedule check (tiny n)
      check [--quick] [--jobs N] [--max-configs M]
-                              -- model-check all six protocols on fixed
+                              -- model-check the protocol table on fixed
                                  instances; nonzero exit on violation
      report [-o FILE] [-j N]  -- regenerate the full markdown report
      faults -t T -n N -p PLAN -- degradation under an injected fault plan
@@ -329,11 +329,8 @@ let compare_cmd =
                     Table.cell_bool s.valid;
                   ])
                 (List.map
-                   (fun protocol -> Run.queuing ~graph ~protocol ~requests ())
-                   [ `Arrow; `Arrow_notify; `Central; `Token_ring ]
-                @ List.map
-                    (fun protocol -> Run.counting ~graph ~protocol ~requests ())
-                    [ `Central; `Combining; `Network; `Sweep ])
+                   (fun (_, p) -> Run.summarise ~graph ~requests p)
+                   Run.protocols)
             in
             Table.print
               (Table.make ~id:"compare"
@@ -397,11 +394,8 @@ let verify_cmd =
             prerr_endline m;
             exit 2
         | Ok requests -> (
-            let tree = Spanning.best_for_arrow g in
-            match
-              Countq_simnet.Oneshot.explore
-                (Countq_arrow.Protocol.one_shot ~tree ~requests ())
-            with
+            let (Run.Instance { inst; _ }) = Run.instance ~graph:g ~requests `Arrow in
+            match Countq_simnet.Oneshot.explore inst with
             | Countq_simnet.Explore.Exhaustive stats ->
                 Printf.printf
                   "arrow on %s (n=%d), requests {%s}:\n\
@@ -430,11 +424,10 @@ let verify_cmd =
 
 (* ---- check ---- *)
 
-(* Model-check every shipped protocol on fixed instances: arrow /
-   central queue / token ring against the total-order spec, central
-   counter / combining tree / sweep against the count-set spec. The
-   instance list is the deliverable: 6-7 node instances inside the
-   default budget, which the seed explorer could not reach. *)
+(* Model-check Run's table, but the counting network (its balancers
+   mutate tables in place), against each family's spec on fixed
+   instances: 6-7 node instances inside the default budget, which the
+   seed explorer could not reach. *)
 
 let check_cmd =
   let module Explore = Countq_simnet.Explore in
@@ -459,7 +452,8 @@ let check_cmd =
     let jobs = resolve_jobs jobs in
     let pool = if jobs > 1 then Some (Parallel.pool ~jobs) else None in
     let violations = ref 0 in
-    let instance protocol_name instance_name inst =
+    let row protocol instance_name g requests =
+      let (Run.Instance { inst; _ }) = Run.instance ~graph:g ~requests protocol in
       let t0 = Unix.gettimeofday () in
       let verdict, stats =
         match Oneshot.explore ~max_configs ?pool inst with
@@ -481,9 +475,9 @@ let check_cmd =
         if dt <= 0.0 then 0.0 else float_of_int stats.explored /. dt
       in
       [
-        protocol_name;
+        Run.name protocol;
         instance_name;
-        Table.cell_int inst.Oneshot.spec.expected;
+        Table.cell_int inst.spec.expected;
         Table.cell_int stats.explored;
         Table.cell_int stats.terminal;
         Table.cell_float ~decimals:1 dedup_pct;
@@ -491,74 +485,36 @@ let check_cmd =
         verdict;
       ]
     in
-    let bfs g = Spanning.bfs g ~root:0 in
-    let arrow name g requests =
-      instance "arrow" name
-        (Countq_arrow.Protocol.one_shot ~tree:(Spanning.best_for_arrow g)
-           ~requests ())
-    in
-    let central name graph requests =
-      instance "central-count" name
-        (Countq_counting.Central.one_shot ~graph ~requests ())
-    in
-    let central_queue name graph requests =
-      instance "central-queue" name
-        (Countq_queuing.Central_queue.one_shot ~graph ~requests ())
-    in
-    let combining name g requests =
-      instance "combining" name
-        (Countq_counting.Combining.one_shot ~tree:(bfs g) ~requests ())
-    in
-    let diffracting name g requests =
-      instance "diffracting" name
-        (Countq_counting.Diffracting.one_shot ~tree:(bfs g) ~requests ())
-    in
-    let funnel name g requests =
-      instance "funnel" name
-        (Countq_counting.Funnel.one_shot ~tree:(bfs g) ~requests ())
-    in
-    let token_ring name g requests =
-      instance "token-ring" name
-        (Countq_queuing.Token_ring.one_shot ~tree:(bfs g) ~requests ())
-    in
-    let sweep name g requests =
-      instance "sweep" name
-        (Countq_counting.Sweep.one_shot ~tree:(bfs g) ~requests ())
-    in
-    let dynamic_queue name graph requests =
-      instance "dynamic-queue" name
-        (Countq_queuing.Dynamic_queue.one_shot ~graph ~requests ())
-    in
     let t0 = Unix.gettimeofday () in
     let rows =
       if quick then
         [
-          arrow "star-4" (Gen.star 4) [ 1; 2; 3 ];
-          central "star-4" (Gen.star 4) [ 1; 2; 3 ];
-          central_queue "star-4" (Gen.star 4) [ 1; 2; 3 ];
-          combining "path-4" (Gen.path 4) [ 0; 1; 2; 3 ];
-          diffracting "path-4" (Gen.path 4) [ 0; 1; 2; 3 ];
-          funnel "star-4" (Gen.star 4) [ 0; 1; 2; 3 ];
-          token_ring "path-4" (Gen.path 4) [ 0; 2; 3 ];
-          sweep "star-4" (Gen.star 4) [ 0; 1; 2; 3 ];
-          dynamic_queue "star-4" (Gen.star 4) [ 1; 2; 3 ];
+          row `Arrow "star-4" (Gen.star 4) [ 1; 2; 3 ];
+          row `Central_count "star-4" (Gen.star 4) [ 1; 2; 3 ];
+          row `Central_queue "star-4" (Gen.star 4) [ 1; 2; 3 ];
+          row `Combining "path-4" (Gen.path 4) [ 0; 1; 2; 3 ];
+          row `Diffracting "path-4" (Gen.path 4) [ 0; 1; 2; 3 ];
+          row `Funnel "star-4" (Gen.star 4) [ 0; 1; 2; 3 ];
+          row `Token_ring "path-4" (Gen.path 4) [ 0; 2; 3 ];
+          row `Sweep "star-4" (Gen.star 4) [ 0; 1; 2; 3 ];
+          row `Dynamic_queue "star-4" (Gen.star 4) [ 1; 2; 3 ];
         ]
       else
         [
-          arrow "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
-          arrow "path-7" (Gen.path 7) [ 0; 1; 2; 3; 4; 5; 6 ];
-          arrow "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
-          central "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
-          central "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
-          central_queue "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
-          combining "star-6" (Gen.star 6) [ 0; 1; 2; 3; 4; 5 ];
-          diffracting "star-6" (Gen.star 6) [ 0; 1; 2; 3; 4; 5 ];
-          funnel "star-6" (Gen.star 6) [ 0; 1; 2; 3; 4; 5 ];
-          funnel "path-5" (Gen.path 5) [ 0; 2; 4 ];
-          token_ring "path-7" (Gen.path 7) [ 0; 2; 4; 6 ];
-          sweep "star-7" (Gen.star 7) [ 0; 1; 2; 3; 4; 5; 6 ];
-          dynamic_queue "star-4" (Gen.star 4) [ 1; 2; 3 ];
-          dynamic_queue "complete-3" (Gen.complete 3) [ 0; 1; 2 ];
+          row `Arrow "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
+          row `Arrow "path-7" (Gen.path 7) [ 0; 1; 2; 3; 4; 5; 6 ];
+          row `Arrow "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
+          row `Central_count "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
+          row `Central_count "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
+          row `Central_queue "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
+          row `Combining "star-6" (Gen.star 6) [ 0; 1; 2; 3; 4; 5 ];
+          row `Diffracting "star-6" (Gen.star 6) [ 0; 1; 2; 3; 4; 5 ];
+          row `Funnel "star-6" (Gen.star 6) [ 0; 1; 2; 3; 4; 5 ];
+          row `Funnel "path-5" (Gen.path 5) [ 0; 2; 4 ];
+          row `Token_ring "path-7" (Gen.path 7) [ 0; 2; 4; 6 ];
+          row `Sweep "star-7" (Gen.star 7) [ 0; 1; 2; 3; 4; 5; 6 ];
+          row `Dynamic_queue "star-4" (Gen.star 4) [ 1; 2; 3 ];
+          row `Dynamic_queue "complete-3" (Gen.complete 3) [ 0; 1; 2 ];
         ]
     in
     let dt = Unix.gettimeofday () -. t0 in
@@ -961,25 +917,16 @@ let churn_cmd =
 
 let observe_cmd =
   let protocol_arg =
-    let protocols =
-      [
-        ("arrow", `Arrow);
-        ("arrow+notify", `Arrow_notify);
-        ("central-queue", `Central_queue);
-        ("central-count", `Central_count);
-        ("sweep", `Sweep);
-      ]
-    in
     Arg.(
       value
-      & opt_all (enum protocols) []
+      & opt_all (enum Run.protocols) []
       & info [ "protocol"; "P" ] ~docv:"NAME"
           ~doc:
             (Printf.sprintf
                "Protocol to observe: one of %s. Repeatable - several \
                 protocols run on the same instance (in parallel under \
                 --jobs) and print one section each. Default: arrow."
-               (String.concat ", " (List.map fst protocols))))
+               (String.concat ", " (List.map fst Run.protocols))))
   in
   let plan_arg =
     Arg.(
@@ -1029,8 +976,11 @@ let observe_cmd =
             exit 2
         | Ok requests -> (
             let pool = Parallel.pool ~jobs:(resolve_jobs jobs) in
+            (* Independent runs (one metrics recorder each), in order. *)
             match
-              Run.observe_many ~pool ?plan ~graph ~protocols ~requests ()
+              Parallel.pool_map pool ~chunk:1
+                (fun protocol -> Run.observe ?plan ~graph ~protocol ~requests ())
+                protocols
             with
             | exception Countq_simnet.Engine.Round_limit_exceeded
                 { limit; outstanding; queued; held; busiest } ->

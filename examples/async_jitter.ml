@@ -55,7 +55,10 @@ let () =
   let rng = Rng.create 99L in
   let fa_requests = List.map (fun v -> (v, 1 + Rng.below rng 100)) requests in
   let fa = FA.run_central ~graph:g ~requests:fa_requests () in
-  let counting = Central.run ~graph:g ~requests () in
+  let counting =
+    Countq_counting.Counts.of_engine ~requests
+      (Oneshot.run (Central.one_shot ~graph:g ~requests ()))
+  in
   assert (Result.is_ok fa.valid);
   let total =
     List.fold_left (fun acc (_, i) -> acc + i) 0 fa_requests

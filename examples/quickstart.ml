@@ -11,6 +11,7 @@ module Gen = Countq_topology.Gen
 module Bfs = Countq_topology.Bfs
 module Spanning = Countq_topology.Spanning
 module Arrow = Countq_arrow
+module Oneshot = Countq_simnet.Oneshot
 module Run = Countq.Run
 
 let () =
@@ -28,7 +29,9 @@ let () =
   (* 3. Queuing with the arrow protocol. [Spanning.best_for_arrow]
      picks the Hamilton-path spanning tree Theorem 4.5 wants. *)
   let tree = Spanning.best_for_arrow graph in
-  let queue = Arrow.Protocol.run_one_shot ~tree ~requests () in
+  let queue =
+    Arrow.Protocol.of_engine (Oneshot.run (Arrow.Protocol.one_shot ~tree ~requests ()))
+  in
   (match queue.order with
   | Ok ops ->
       Format.printf "queuing: valid total order of %d operations@."

@@ -133,10 +133,9 @@ let one_shot_protocol ?tail ?(notify = false) ~tree ~requests () =
   in
   protocol
 
-(* [name] prefixes the messages of rejected requests. *)
-let instance ?config ?tail ?(notify = false) ~tree ~requests name =
+let one_shot ?config ?tail ?(notify = false) ~tree ~requests () =
   let config, protocol =
-    one_shot_setup ?config ?tail ~notify ~tree ~requests name
+    one_shot_setup ?config ?tail ~notify ~tree ~requests "Arrow.one_shot"
   in
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
@@ -147,14 +146,6 @@ let instance ?config ?tail ?(notify = false) ~tree ~requests name =
     op_of_msg =
       (function Queue_msg (op : Types.op) | Notify { op; _ } -> Some op.origin);
   }
-
-let one_shot ?config ?tail ?notify ~tree ~requests () =
-  instance ?config ?tail ?notify ~tree ~requests "Arrow.one_shot"
-
-let run_one_shot ?config ?tail ?notify ~tree ~requests () =
-  of_engine
-    (Countq_simnet.Oneshot.run
-       (instance ?config ?tail ?notify ~tree ~requests "Arrow.run_one_shot"))
 
 let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
   let n = Tree.n tree in

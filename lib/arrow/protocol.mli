@@ -34,29 +34,6 @@ type run_result = {
   expansion : int;  (** receive capacity used (tree degree by default). *)
 }
 
-val run_one_shot :
-  ?config:Countq_simnet.Engine.config ->
-  ?tail:int ->
-  ?notify:bool ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  run_result
-(** [run_one_shot ~tree ~requests ()] executes the concurrent one-shot
-    scenario: all nodes in [requests] issue at time 0. [tail] is the
-    initial tail position (default: the tree root). Requests must be
-    distinct node ids of the tree.
-
-    [notify] (default [false]) appends a notification leg: after a
-    [queue()] message terminates, the discovered predecessor identity
-    is routed back to the operation's origin along the tree, and the
-    delay is measured at the origin's receipt — the variant an
-    application like ordered multicast needs, at roughly twice the
-    message cost. With [notify = false] delays use the
-    Herlihy–Tirthapura–Wattenhofer semantics (termination instant)
-    that Theorem 4.1 is stated for.
-    @raise Invalid_argument on bad requests or tail. *)
-
 type checker_state
 type checker_msg
 (** Abstract views of the protocol's internals, exposed only so the
@@ -82,14 +59,30 @@ val one_shot :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, Types.op * Types.pred) Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Order.spec}, with {!run_one_shot}'s
-    config and knobs, for the {!Countq_simnet.Oneshot} drivers: traced
-    (the [countq trace] timeline of path reversal), observed (spans
+(** The concurrent one-shot scenario as an instance over {!Order.spec}:
+    all nodes in [requests] issue at time 0. [tail] is the initial tail
+    position (default: the tree root). Requests must be distinct node
+    ids of the tree. The default config's receive capacity is the
+    tree's maximum degree.
+
+    [notify] (default [false]) appends a notification leg: after a
+    [queue()] message terminates, the discovered predecessor identity
+    is routed back to the operation's origin along the tree, and the
+    delay is measured at the origin's receipt — the variant an
+    application like ordered multicast needs, at roughly twice the
+    message cost. With [notify = false] delays use the
+    Herlihy–Tirthapura–Wattenhofer semantics (termination instant)
+    that Theorem 4.1 is stated for.
+
+    Read a run with {!of_engine}. The {!Countq_simnet.Oneshot} drivers
+    run it plain, traced (the [countq trace] timeline of path
+    reversal), observed (spans
     keyed by origin node), faulty (with the {!Countq_simnet.Reliable}
     layer, what lets a one-shot execution survive message drops),
     asynchronous and model-checked. The arrow's safety — a single valid
     total order — survives arbitrary link delays; its delay bounds need
-    not. *)
+    not.
+    @raise Invalid_argument on bad requests or tail. *)
 
 val of_engine :
   (Types.op * Types.pred) Countq_simnet.Engine.result -> run_result

@@ -31,6 +31,10 @@ let sample_requests rng ~k ~n = Rng.sample rng ~k ~n
 
 let ratio a b = if b = 0 then Float.nan else float_of_int a /. float_of_int b
 
+(* One plain run of a one-shot instance, read by its family's converter. *)
+let queued inst = Arrow.Protocol.of_engine (Oneshot.run inst)
+let counted ~requests inst = Counting.Counts.of_engine ~requests (Oneshot.run inst)
+
 (* ------------------------------------------------------------------ *)
 (* E1: Fig. 1 - one concrete run, both problems, same request set.     *)
 
@@ -38,9 +42,10 @@ let e1_model_demo ?quick:(_ = false) () =
   let g = Gen.square_mesh 3 in
   let requests = [ 0; 4; 8 ] in
   let tree = Spanning.best_for_arrow g in
-  let queue_run = Arrow.Protocol.run_one_shot ~tree ~requests () in
+  let queue_run = queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
   let count_run =
-    Counting.Combining.run ~tree:(Spanning.bfs g ~root:0) ~requests ()
+    counted ~requests
+      (Counting.Combining.one_shot ~tree:(Spanning.bfs g ~root:0) ~requests ())
   in
   let count_of v =
     List.find (fun (o : Counting.Counts.outcome) -> o.node = v)
@@ -216,7 +221,7 @@ let e5_arrow_vs_tsp ?quick:(quick = false) () =
             let requests =
               if k >= n then all_nodes n else sample_requests rng ~k ~n
             in
-            let run = Arrow.Protocol.run_one_shot ~tree ~requests () in
+            let run = Run.queuing ~tree ~graph:g ~protocol:`Arrow ~requests () in
             let tsp =
               Tsp.Nn.on_tree tree ~start:(Tree.root tree) ~requests
             in
@@ -763,7 +768,10 @@ let e14_arbiter_ablation ?quick:(quick = false) () =
         List.map
           (fun (name, arbiter) ->
             let config = { Engine.default_config with arbiter } in
-            let r = Counting.Central.run ~config ~graph:g ~requests () in
+            let r =
+              counted ~requests
+                (Counting.Central.one_shot ~config ~graph:g ~requests ())
+            in
             [
               Table.cell_int n;
               name;
@@ -797,7 +805,7 @@ let e15_network_width_ablation ?quick:(quick = false) () =
   let rows =
     List.map
       (fun width ->
-        let r = Counting.Network.run ~width ~graph:g ~requests () in
+        let r = Run.counting ~width ~graph:g ~protocol:`Network ~requests () in
         let net = Counting.Bitonic.create ~width in
         [
           Table.cell_int width;
@@ -807,7 +815,7 @@ let e15_network_width_ablation ?quick:(quick = false) () =
           Table.cell_int r.max_delay;
           Table.cell_int r.rounds;
           Table.cell_int r.messages;
-          Table.cell_bool (Result.is_ok r.valid);
+          Table.cell_bool r.valid;
         ])
       widths
   in
@@ -850,7 +858,7 @@ let e16_arrow_tree_ablation ?quick:(quick = false) () =
         in
         List.map
           (fun (tree_name, tree) ->
-            let r = Arrow.Protocol.run_one_shot ~tree ~requests () in
+            let r = Run.queuing ~tree ~graph:g ~protocol:`Arrow ~requests () in
             let tsp = Tsp.Nn.on_tree tree ~start:(Tree.root tree) ~requests in
             [
               name;
@@ -860,7 +868,7 @@ let e16_arrow_tree_ablation ?quick:(quick = false) () =
               Table.cell_int (r.total_delay * r.expansion);
               Table.cell_int (2 * tsp.cost);
               Table.cell_bool (r.total_delay <= 2 * tsp.cost);
-              Table.cell_bool (Result.is_ok r.order);
+              Table.cell_bool r.valid;
             ])
           trees)
       cases
@@ -896,9 +904,9 @@ let e17_notify_overhead ?quick:(quick = false) () =
         let n = Graph.n g in
         let requests = all_nodes n in
         let tree = Spanning.best_for_arrow g in
-        let plain = Arrow.Protocol.run_one_shot ~tree ~requests () in
+        let plain = Run.queuing ~tree ~graph:g ~protocol:`Arrow ~requests () in
         let notified =
-          Arrow.Protocol.run_one_shot ~tree ~notify:true ~requests ()
+          Run.queuing ~tree ~graph:g ~protocol:`Arrow_notify ~requests ()
         in
         [
           name;
@@ -908,8 +916,7 @@ let e17_notify_overhead ?quick:(quick = false) () =
           Table.cell_float (ratio notified.total_delay plain.total_delay);
           Table.cell_int plain.messages;
           Table.cell_int notified.messages;
-          Table.cell_bool
-            (Result.is_ok plain.order && Result.is_ok notified.order);
+          Table.cell_bool (plain.valid && notified.valid);
         ])
       cases
   in
@@ -1008,11 +1015,12 @@ let e19_fetch_add ?quick:(quick = false) () =
         let counting_requests = all_nodes n in
         let fa_central = FA.run_central ~graph:g ~requests () in
         let c_central =
-          Counting.Central.run ~graph:g ~requests:counting_requests ()
+          Run.counting ~graph:g ~protocol:`Central ~requests:counting_requests ()
         in
         let fa_comb = FA.run_combining ~tree ~requests () in
         let c_comb =
-          Counting.Combining.run ~tree ~requests:counting_requests ()
+          Run.counting ~tree ~graph:g ~protocol:`Combining
+            ~requests:counting_requests ()
         in
         [
           [
@@ -1057,7 +1065,9 @@ let e20_network_families ?quick:(quick = false) () =
     List.concat_map
       (fun width ->
         let make name net =
-          let r = Counting.Network.run ~net ~graph:g ~requests () in
+          let r =
+            counted ~requests (Counting.Network.one_shot ~net ~graph:g ~requests ())
+          in
           [
             Table.cell_int width;
             name;
@@ -1109,10 +1119,11 @@ let e21_expansion_soundness ?quick:(quick = false) () =
         let requests = all_nodes n in
         let tree = Spanning.best_for_arrow g in
         let c = max 1 (Tree.max_degree tree) in
-        let expanded = Arrow.Protocol.run_one_shot ~tree ~requests () in
+        let expanded = Run.queuing ~tree ~graph:g ~protocol:`Arrow ~requests () in
         let base =
-          Arrow.Protocol.run_one_shot ~config:Engine.default_config ~tree
-            ~requests ()
+          queued
+            (Arrow.Protocol.one_shot ~config:Engine.default_config ~tree
+               ~requests ())
         in
         [
           name;
@@ -1122,8 +1133,7 @@ let e21_expansion_soundness ?quick:(quick = false) () =
           Table.cell_int base.total_delay;
           Table.cell_int (c * expanded.total_delay);
           Table.cell_bool (base.total_delay <= c * expanded.total_delay);
-          Table.cell_bool
-            (Result.is_ok base.order && Result.is_ok expanded.order);
+          Table.cell_bool (Result.is_ok base.order && expanded.valid);
         ])
       cases
   in
@@ -1448,32 +1458,23 @@ let e26_exhaustive_verification ?quick:(quick = false) () =
   let zero_stats =
     { Explore.explored = 0; terminal = 0; max_frontier = 0; dedup_hits = 0 }
   in
-  let verdict_of = function
-    | Explore.Exhaustive stats -> ("all schedules safe", stats)
-    | Explore.Budget_exhausted stats -> ("budget exhausted (partial)", stats)
-  in
-  let case name protocol inst =
+  let case protocol name g requests =
+    let (Run.Instance { inst; _ }) = Run.instance ~graph:g ~requests protocol in
     let verdict, stats =
       match Oneshot.explore inst with
-      | outcome -> verdict_of outcome
+      | Explore.Exhaustive stats -> ("all schedules safe", stats)
+      | Explore.Budget_exhausted stats -> ("budget exhausted (partial)", stats)
       | exception Explore.Violation m -> ("VIOLATION: " ^ m, zero_stats)
     in
     [
       name;
-      protocol;
-      Table.cell_int inst.Oneshot.spec.expected;
+      Run.label protocol;
+      Table.cell_int inst.spec.expected;
       Table.cell_int stats.explored;
       Table.cell_int stats.terminal;
       Table.cell_int stats.dedup_hits;
       verdict;
     ]
-  in
-  let arrow_case name g requests =
-    let tree = Spanning.best_for_arrow g in
-    case name "queue/arrow" (Arrow.Protocol.one_shot ~tree ~requests ())
-  in
-  let central_case name g requests =
-    case name "count/central" (Counting.Central.one_shot ~graph:g ~requests ())
   in
   (* Ceilings chosen so the full table stays under ~2s: the canonical
      encoding plus the partial-order reduction put 6-7 node instances
@@ -1482,20 +1483,20 @@ let e26_exhaustive_verification ?quick:(quick = false) () =
   let rows =
     if quick then
       [
-        arrow_case "path-4" (Gen.path 4) [ 1; 2; 3 ];
-        central_case "star-4" (Gen.star 4) [ 1; 2; 3 ];
+        case `Arrow "path-4" (Gen.path 4) [ 1; 2; 3 ];
+        case `Central_count "star-4" (Gen.star 4) [ 1; 2; 3 ];
       ]
     else
       [
-        arrow_case "path-4" (Gen.path 4) [ 1; 2; 3 ];
-        arrow_case "mesh-2x2" (Gen.square_mesh 2) [ 0; 1; 2; 3 ];
-        arrow_case "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
-        arrow_case "path-7" (Gen.path 7) [ 0; 1; 2; 3; 4; 5; 6 ];
-        arrow_case "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
-        arrow_case "star-7" (Gen.star 7) [ 1; 2; 3; 4; 5; 6 ];
-        central_case "path-6" (Gen.path 6) [ 0; 2; 3; 5 ];
-        central_case "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
-        central_case "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
+        case `Arrow "path-4" (Gen.path 4) [ 1; 2; 3 ];
+        case `Arrow "mesh-2x2" (Gen.square_mesh 2) [ 0; 1; 2; 3 ];
+        case `Arrow "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
+        case `Arrow "path-7" (Gen.path 7) [ 0; 1; 2; 3; 4; 5; 6 ];
+        case `Arrow "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
+        case `Arrow "star-7" (Gen.star 7) [ 1; 2; 3; 4; 5; 6 ];
+        case `Central_count "path-6" (Gen.path 6) [ 0; 2; 3; 5 ];
+        case `Central_count "star-6" (Gen.star 6) [ 1; 2; 3; 4; 5 ];
+        case `Central_count "complete-6" (Gen.complete 6) [ 0; 1; 2; 3; 4; 5 ];
       ]
   in
   Table.make ~id:"E26" ~title:"exhaustive schedule verification on small instances"

@@ -9,23 +9,122 @@ module Oneshot = Countq_simnet.Oneshot
 
 type kind = Counting | Queuing
 
-type counting_protocol =
-  [ `Central | `Combining | `Diffracting | `Funnel | `Network | `Sweep ]
-type queuing_protocol = [ `Arrow | `Arrow_notify | `Central | `Token_ring ]
+type protocol =
+  [ `Arrow | `Arrow_notify | `Central_queue | `Token_ring | `Dynamic_queue
+  | `Central_count | `Combining | `Diffracting | `Funnel | `Network | `Sweep ]
 
-let counting_protocol_name = function
-  | `Central -> "count/central"
+let protocols : (string * protocol) list =
+  [ ("arrow", `Arrow); ("arrow+notify", `Arrow_notify);
+    ("central-queue", `Central_queue); ("token-ring", `Token_ring);
+    ("dynamic-queue", `Dynamic_queue); ("central-count", `Central_count);
+    ("combining", `Combining); ("diffracting", `Diffracting);
+    ("funnel", `Funnel); ("network", `Network); ("sweep", `Sweep) ]
+
+let name p = fst (List.find (fun (_, q) -> q = p) protocols)
+
+let label : protocol -> string = function
+  | `Arrow -> "queue/arrow"
+  | `Arrow_notify -> "queue/arrow+notify"
+  | `Central_queue -> "queue/central"
+  | `Token_ring -> "queue/token-ring"
+  | `Dynamic_queue -> "queue/dynamic"
+  | `Central_count -> "count/central"
   | `Combining -> "count/combining"
   | `Diffracting -> "count/diffracting"
   | `Funnel -> "count/funnel"
   | `Network -> "count/network"
   | `Sweep -> "count/sweep"
 
-let queuing_protocol_name = function
-  | `Arrow -> "queue/arrow"
-  | `Arrow_notify -> "queue/arrow+notify"
-  | `Central -> "queue/central"
-  | `Token_ring -> "queue/token-ring"
+module Engine = Countq_simnet.Engine
+
+type tally = {
+  t_completed : int;
+  t_valid : bool;
+  t_rounds : int;
+  t_messages : int;
+  t_total_delay : int;
+  t_max_delay : int;
+  t_expansion : int;
+}
+
+type _ family =
+  | Count : (int * int) family
+  | Queue : (Arrow.Types.op * Arrow.Types.pred) family
+
+type instance =
+  | Instance : {
+      family : 'r family;
+      inst : ('s, 'm, 'r) Oneshot.t;
+      tally : 'r Engine.result -> tally;
+    }
+      -> instance
+
+let kind_of (Instance { family; _ }) =
+  match family with Count -> Counting | Queue -> Queuing
+
+let of_order (r : Arrow.Protocol.run_result) =
+  {
+    t_completed = List.length r.outcomes;
+    t_valid = Result.is_ok r.order;
+    t_rounds = r.rounds;
+    t_messages = r.messages;
+    t_total_delay = r.total_delay;
+    t_max_delay = r.max_delay;
+    t_expansion = r.expansion;
+  }
+
+let queue inst =
+  let tally res = of_order (Arrow.Protocol.of_engine res) in
+  Instance { family = Queue; inst; tally }
+
+let count ~requests inst =
+  let tally res =
+    let (r : Counting.Counts.run_result) =
+      Counting.Counts.of_engine ~requests res
+    in
+    {
+      t_completed = List.length r.outcomes;
+      t_valid = Result.is_ok r.valid;
+      t_rounds = r.rounds;
+      t_messages = r.messages;
+      t_total_delay = r.total_delay;
+      t_max_delay = r.max_delay;
+      t_expansion = r.expansion;
+    }
+  in
+  Instance { family = Count; inst; tally }
+
+let instance ?tree ?width ~graph ~requests (p : protocol) =
+  let tree default = match tree with Some t -> t | None -> default graph in
+  let bfs g = Spanning.bfs g ~root:0 in
+  let arrow_tree () = tree Spanning.best_for_arrow in
+  match p with
+  | (`Arrow | `Arrow_notify) as p ->
+      queue
+        (Arrow.Protocol.one_shot ~notify:(p = `Arrow_notify)
+           ~tree:(arrow_tree ()) ~requests ())
+  | `Central_queue -> queue (Queuing.Central_queue.one_shot ~graph ~requests ())
+  | `Token_ring ->
+      queue (Queuing.Token_ring.one_shot ~tree:(arrow_tree ()) ~requests ())
+  | `Dynamic_queue -> queue (Queuing.Dynamic_queue.one_shot ~graph ~requests ())
+  | `Central_count ->
+      count ~requests (Counting.Central.one_shot ~graph ~requests ())
+  | `Combining ->
+      count ~requests (Counting.Combining.one_shot ~tree:(tree bfs) ~requests ())
+  | `Diffracting ->
+      count ~requests
+        (Counting.Diffracting.one_shot ?width ~tree:(tree bfs) ~requests ())
+  | `Funnel ->
+      count ~requests
+        (Counting.Funnel.one_shot ?width ~tree:(tree bfs) ~requests ())
+  | `Network ->
+      count ~requests (Counting.Network.one_shot ?width ~graph ~requests ())
+  | `Sweep ->
+      count ~requests (Counting.Sweep.one_shot ~tree:(arrow_tree ()) ~requests ())
+
+type counting_protocol =
+  [ `Central | `Combining | `Diffracting | `Funnel | `Network | `Sweep ]
+type queuing_protocol = [ `Arrow | `Arrow_notify | `Central | `Token_ring ]
 
 type summary = {
   protocol : string;
@@ -41,80 +140,41 @@ type summary = {
   valid : bool;
 }
 
-let counting ?tree ?width ~graph ~protocol ~requests () =
-  let result =
-    match protocol with
-    | `Central -> Counting.Central.run ~graph ~requests ()
-    | `Combining ->
-        let tree =
-          match tree with Some t -> t | None -> Spanning.bfs graph ~root:0
-        in
-        Counting.Combining.run ~tree ~requests ()
-    | `Diffracting ->
-        let tree =
-          match tree with Some t -> t | None -> Spanning.bfs graph ~root:0
-        in
-        Counting.Diffracting.run ?width ~tree ~requests ()
-    | `Funnel ->
-        let tree =
-          match tree with Some t -> t | None -> Spanning.bfs graph ~root:0
-        in
-        Counting.Funnel.run ?width ~tree ~requests ()
-    | `Network -> Counting.Network.run ?width ~graph ~requests ()
-    | `Sweep ->
-        let tree =
-          match tree with
-          | Some t -> t
-          | None -> Spanning.best_for_arrow graph
-        in
-        Counting.Sweep.run ~tree ~requests ()
-  in
+let summary_of ~graph ~requests p (Instance { inst; tally; _ } as i) =
+  let t = tally (Oneshot.run inst) in
   {
-    protocol = counting_protocol_name protocol;
-    kind = Counting;
+    protocol = label p;
+    kind = kind_of i;
     n = Graph.n graph;
     k = List.length requests;
-    total_delay = result.total_delay;
-    normalized_delay = result.total_delay * result.expansion;
-    max_delay = result.max_delay;
-    rounds = result.rounds;
-    messages = result.messages;
-    expansion = result.expansion;
-    valid = Result.is_ok result.valid;
+    total_delay = t.t_total_delay;
+    normalized_delay = t.t_total_delay * t.t_expansion;
+    max_delay = t.t_max_delay;
+    rounds = t.t_rounds;
+    messages = t.t_messages;
+    expansion = t.t_expansion;
+    valid = t.t_valid;
   }
+
+let summarise ~graph ~requests p =
+  summary_of ~graph ~requests p (instance ~graph ~requests p)
+
+let counting ?tree ?width ~graph ~protocol ~requests () =
+  let p =
+    match protocol with
+    | `Central -> `Central_count
+    | (`Combining | `Diffracting | `Funnel | `Network | `Sweep) as p -> p
+  in
+  summary_of ~graph ~requests p (instance ?tree ?width ~graph ~requests p)
 
 let queuing ?tree ~graph ~protocol ~requests () =
-  let result =
+  let p =
     match protocol with
-    | (`Arrow | `Arrow_notify) as p ->
-        let tree =
-          match tree with Some t -> t | None -> Spanning.best_for_arrow graph
-        in
-        Arrow.Protocol.run_one_shot ~tree ~notify:(p = `Arrow_notify) ~requests
-          ()
-    | `Central -> Queuing.Central_queue.run ~graph ~requests ()
-    | `Token_ring ->
-        let tree =
-          match tree with Some t -> t | None -> Spanning.best_for_arrow graph
-        in
-        Arrow.Protocol.of_engine
-          (Oneshot.run (Queuing.Token_ring.one_shot ~tree ~requests ()))
+    | `Central -> `Central_queue
+    | (`Arrow | `Arrow_notify | `Token_ring) as p -> p
   in
-  {
-    protocol = queuing_protocol_name protocol;
-    kind = Queuing;
-    n = Graph.n graph;
-    k = List.length requests;
-    total_delay = result.total_delay;
-    normalized_delay = result.total_delay * result.expansion;
-    max_delay = result.max_delay;
-    rounds = result.rounds;
-    messages = result.messages;
-    expansion = result.expansion;
-    valid = Result.is_ok result.order;
-  }
+  summary_of ~graph ~requests p (instance ?tree ~graph ~requests p)
 
-module Engine = Countq_simnet.Engine
 module Faults = Countq_simnet.Faults
 module Monitor = Countq_simnet.Monitor
 module Parallel = Countq_util.Parallel
@@ -132,13 +192,6 @@ let pair pool f g =
       with
       | [ `Fst a; `Snd b ] -> (a, b)
       | _ -> assert false)
-
-type faulty_protocol = [ `Arrow | `Central_count | `Central_queue ]
-
-let faulty_protocol_name = function
-  | `Arrow -> "queue/arrow"
-  | `Central_count -> "count/central"
-  | `Central_queue -> "queue/central"
 
 type fault_summary = {
   protocol : string;
@@ -158,82 +211,37 @@ type fault_summary = {
   live : bool;
 }
 
-(* What the fault, churn and observe reports read off a run, from
-   either family's result. *)
-type tally = {
-  t_completed : int;
-  t_valid : bool;
-  t_rounds : int;
-  t_messages : int;
-  t_total_delay : int;
-  t_expansion : int;
-}
-
-let of_queue_result (r : Arrow.Protocol.run_result) =
-  {
-    t_completed = List.length r.outcomes;
-    t_valid = Result.is_ok r.order;
-    t_rounds = r.rounds;
-    t_messages = r.messages;
-    t_total_delay = r.total_delay;
-    t_expansion = r.expansion;
-  }
-
-let of_count_result (r : Counting.Counts.run_result) =
-  {
-    t_completed = List.length r.outcomes;
-    t_valid = Result.is_ok r.valid;
-    t_rounds = r.rounds;
-    t_messages = r.messages;
-    t_total_delay = r.total_delay;
-    t_expansion = r.expansion;
-  }
-
-let queue_tally res = of_queue_result (Arrow.Protocol.of_engine res)
-let count_tally ~requests res = of_count_result (Counting.Counts.of_engine ~requests res)
-
 let run_faulty ?pool ?tree ?(retry = false) ?ack_timeout ?max_retries
     ?progress_budget ~graph ~protocol ~plan ~requests () =
+  let (Instance { inst; tally; _ }) = instance ?tree ~graph ~requests protocol in
   (* The faulty run next to its fault-free baseline under the same
      configuration, so the extra_* columns isolate what the faults (and
      the retry layer) cost. *)
-  let degrade tally inst =
-    let (r : _ Oneshot.report), (base : _ Engine.result) =
-      pair pool
-        (fun () ->
-          Oneshot.faulty ~retry ?ack_timeout ?max_retries ?progress_budget
-            ~plan inst)
-        (fun () -> Oneshot.run inst)
-    in
-    let t = tally r.result in
-    {
-      protocol = faulty_protocol_name protocol;
-      plan = Faults.label plan;
-      retry;
-      expected = List.length requests;
-      completed = t.t_completed;
-      valid = t.t_valid;
-      rounds = t.t_rounds;
-      extra_rounds = t.t_rounds - base.rounds;
-      messages = t.t_messages;
-      extra_messages = t.t_messages - base.messages;
-      injected = r.injected;
-      monitors = r.monitors;
-      retry_stats = r.retry;
-      safe = Monitor.safety_ok r.monitors;
-      live = Monitor.liveness_ok r.monitors;
-    }
+  let (r : _ Oneshot.report), (base : _ Engine.result) =
+    pair pool
+      (fun () ->
+        Oneshot.faulty ~retry ?ack_timeout ?max_retries ?progress_budget ~plan
+          inst)
+      (fun () -> Oneshot.run inst)
   in
-  match protocol with
-  | `Arrow ->
-      let tree =
-        match tree with Some t -> t | None -> Spanning.best_for_arrow graph
-      in
-      degrade queue_tally (Arrow.Protocol.one_shot ~tree ~requests ())
-  | `Central_count ->
-      degrade (count_tally ~requests) (Counting.Central.one_shot ~graph ~requests ())
-  | `Central_queue ->
-      degrade queue_tally (Queuing.Central_queue.one_shot ~graph ~requests ())
+  let t = tally r.result in
+  {
+    protocol = label protocol;
+    plan = Faults.label plan;
+    retry;
+    expected = List.length requests;
+    completed = t.t_completed;
+    valid = t.t_valid;
+    rounds = t.t_rounds;
+    extra_rounds = t.t_rounds - base.rounds;
+    messages = t.t_messages;
+    extra_messages = t.t_messages - base.messages;
+    injected = r.injected;
+    monitors = r.monitors;
+    retry_stats = r.retry;
+    safe = Monitor.safety_ok r.monitors;
+    live = Monitor.liveness_ok r.monitors;
+  }
 
 module Dynamic = Countq_simnet.Dynamic
 
@@ -284,45 +292,50 @@ let churn_arm ?tree ?ack_timeout ?max_retries ?progress_budget ~graph ~protocol
       let r =
         Queuing.Dynamic_queue.run ?progress_budget ~sched ~graph ~requests ()
       in
-      (of_queue_result r.result, r.topo, r.monitors, None)
-  | (`Arrow_static | `Arrow_routed) as arm ->
+      (of_order r.result, r.topo, r.monitors, None)
+  | (`Arrow_static | `Arrow_routed) as arm -> (
       let tree = spanning () in
-      let tap, last_holder, _ =
-        Queuing.Dynamic_queue.holder_tap ~from:(Countq_topology.Tree.root tree)
-          ~expected:(List.length requests)
-      in
-      let diagnose ~round = describe_cut ~from:!last_holder ~round in
-      let inst = Arrow.Protocol.one_shot ~tree ~requests () in
-      let r =
-        if arm = `Arrow_static then
-          (* No retransmit ladder to wait out: 512 silent rounds, the
-             progress monitor's own default. *)
-          Oneshot.faulty
-            ~progress_budget:(Option.value progress_budget ~default:512)
-            ~dynamic ~tap ~diagnose ~plan:Faults.none inst
-        else
-          Oneshot.faulty ~retry:true
-            ~ack_timeout:(Option.value ack_timeout ~default:4)
-            ~max_retries:(Option.value max_retries ~default:8)
-            ~next_hop:(Dynamic.next_hop sched) ?progress_budget ~dynamic ~tap
-            ~diagnose ~plan:Faults.none
-            {
-              inst with
-              graph;
-              config =
-                Engine.config_with_capacity (max 1 (Graph.max_degree graph));
-            }
-      in
-      (queue_tally r.result, Dynamic.stats dynamic, r.monitors, r.retry)
+      match instance ~tree ~graph ~requests `Arrow with
+      | Instance { family = Count; _ } -> assert false
+      | Instance { family = Queue; inst; tally } ->
+          let tap, last_holder, _ =
+            Queuing.Dynamic_queue.holder_tap
+              ~from:(Countq_topology.Tree.root tree)
+              ~expected:(List.length requests)
+          in
+          let diagnose ~round = describe_cut ~from:!last_holder ~round in
+          let r =
+            if arm = `Arrow_static then
+              (* No retransmit ladder to wait out: 512 silent rounds, the
+                 progress monitor's own default. *)
+              Oneshot.faulty
+                ~progress_budget:(Option.value progress_budget ~default:512)
+                ~dynamic ~tap ~diagnose ~plan:Faults.none inst
+            else
+              Oneshot.faulty ~retry:true
+                ~ack_timeout:(Option.value ack_timeout ~default:4)
+                ~max_retries:(Option.value max_retries ~default:8)
+                ~next_hop:(Dynamic.next_hop sched) ?progress_budget ~dynamic
+                ~tap ~diagnose ~plan:Faults.none
+                {
+                  inst with
+                  graph;
+                  config =
+                    Engine.config_with_capacity (max 1 (Graph.max_degree graph));
+                }
+          in
+          (tally r.result, Dynamic.stats dynamic, r.monitors, r.retry))
   | `Central_count ->
       (* Every link heals itself, but the root stays a fixed rendezvous
          the schedule can wall off. *)
+      let (Instance { inst; tally; _ }) =
+        instance ~graph ~requests `Central_count
+      in
       let r =
         Oneshot.faulty ~retry:true ?ack_timeout ?max_retries ?progress_budget
-          ~dynamic ~diagnose:(describe_cut ~from:0) ~plan:Faults.none
-          (Counting.Central.one_shot ~graph ~requests ())
+          ~dynamic ~diagnose:(describe_cut ~from:0) ~plan:Faults.none inst
       in
-      (count_tally ~requests r.result, Dynamic.stats dynamic, r.monitors, r.retry)
+      (tally r.result, Dynamic.stats dynamic, r.monitors, r.retry)
 
 let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
     ~protocol ~sched ~requests () =
@@ -356,16 +369,6 @@ let run_churn ?pool ?tree ?ack_timeout ?max_retries ?progress_budget ~graph
 module Metrics = Countq_simnet.Metrics
 module Span = Countq_simnet.Span
 
-type observed_protocol =
-  [ `Arrow | `Arrow_notify | `Central_count | `Central_queue | `Sweep ]
-
-let observed_protocol_name = function
-  | `Arrow -> "queue/arrow"
-  | `Arrow_notify -> "queue/arrow+notify"
-  | `Central_count -> "count/central"
-  | `Central_queue -> "queue/central"
-  | `Sweep -> "count/sweep"
-
 type observation = {
   o_protocol : string;
   o_kind : kind;
@@ -382,40 +385,24 @@ type observation = {
 
 let observe ?tree ?plan ~graph ~protocol ~requests () =
   let metrics = Metrics.create ~graph in
-  let spanning () =
-    match tree with Some t -> t | None -> Spanning.best_for_arrow graph
+  let (Instance { inst; tally; _ } as i) =
+    instance ?tree ~graph ~requests protocol
   in
-  let observed o_kind tally inst =
-    let res, spans, o_injected = Oneshot.observed ?plan ~metrics inst in
-    let t = tally res in
-    {
-      o_protocol = observed_protocol_name protocol;
-      o_kind;
-      completed = t.t_completed;
-      o_valid = t.t_valid;
-      o_rounds = t.t_rounds;
-      o_messages = t.t_messages;
-      o_total_delay = t.t_total_delay;
-      o_expansion = t.t_expansion;
-      metrics;
-      spans;
-      o_injected;
-    }
-  in
-  match protocol with
-  | (`Arrow | `Arrow_notify) as p ->
-      observed Queuing queue_tally
-        (Arrow.Protocol.one_shot ~notify:(p = `Arrow_notify) ~tree:(spanning ())
-           ~requests ())
-  | `Central_queue ->
-      observed Queuing queue_tally
-        (Queuing.Central_queue.one_shot ~graph ~requests ())
-  | `Central_count ->
-      observed Counting (count_tally ~requests)
-        (Counting.Central.one_shot ~graph ~requests ())
-  | `Sweep ->
-      observed Counting (count_tally ~requests)
-        (Counting.Sweep.one_shot ~tree:(spanning ()) ~requests ())
+  let res, spans, o_injected = Oneshot.observed ?plan ~metrics inst in
+  let t = tally res in
+  {
+    o_protocol = label protocol;
+    o_kind = kind_of i;
+    completed = t.t_completed;
+    o_valid = t.t_valid;
+    o_rounds = t.t_rounds;
+    o_messages = t.t_messages;
+    o_total_delay = t.t_total_delay;
+    o_expansion = t.t_expansion;
+    metrics;
+    spans;
+    o_injected;
+  }
 
 let best_counting ?pool ~graph ~requests () =
   (* The balancer protocols get their fan-in from the offered
@@ -452,9 +439,3 @@ let best_counting ?pool ~graph ~requests () =
   with
   | best :: _ -> best
   | [] -> invalid_arg "Run.best_counting: every counting protocol failed"
-
-let observe_many ?pool ?tree ?plan ~graph ~protocols ~requests () =
-  let eval protocol = observe ?tree ?plan ~graph ~protocol ~requests () in
-  match pool with
-  | None -> List.map eval protocols
-  | Some p -> Parallel.pool_map p ~chunk:1 eval protocols

@@ -1,9 +1,16 @@
-(** Uniform one-shot drivers over every protocol in the portfolio.
+(** The protocol portfolio and uniform one-shot drivers over it.
 
-    The fault, churn and observe reports run each protocol's
-    [one_shot] instance through the {!Countq_simnet.Oneshot} drivers,
-    so they check the same specification ([Counts.spec] or
-    [Order.spec]) as [countq check] and the tests.
+    {!protocols} is the one table of the paper's eleven one-shot
+    protocols: their CLI names, their report labels ({!label}) and the
+    instances they build ({!instance}, with each protocol's default
+    spanning tree). [countq compare], [check], [observe] and [faults]
+    and the model-checking experiment read it, so a protocol added to
+    the table appears in all of them.
+
+    The reports run each instance through the
+    {!Countq_simnet.Oneshot} drivers, so they check the same
+    specification ([Counts.spec] or [Order.spec]) as [countq check]
+    and the tests.
 
     The normalisation rule makes cross-protocol comparison honest: a
     protocol run with an expanded step of width [c] (receive capacity
@@ -15,13 +22,70 @@
 
 type kind = Counting | Queuing
 
+type protocol =
+  [ `Arrow | `Arrow_notify | `Central_queue | `Token_ring | `Dynamic_queue
+  | `Central_count | `Combining | `Diffracting | `Funnel | `Network | `Sweep ]
+(** Every protocol with a [one_shot] instance: five queuing and six
+    counting protocols. *)
+
+val protocols : (string * protocol) list
+(** Each protocol under its CLI name, queuing first, in report order. *)
+
+val name : protocol -> string
+(** The CLI name ([arrow], [central-count], ...). *)
+
+val label : protocol -> string
+(** The report label ([queue/arrow], [count/central], ...). *)
+
+type tally = {
+  t_completed : int;  (** operations that completed. *)
+  t_valid : bool;  (** completed output met the problem spec. *)
+  t_rounds : int;
+  t_messages : int;
+  t_total_delay : int;  (** raw, in (possibly expanded) rounds. *)
+  t_max_delay : int;
+  t_expansion : int;
+}
+(** What every report reads off a run, from either family's result. *)
+
+type _ family =
+  | Count : (int * int) family  (** completions are [(node, count)]. *)
+  | Queue : (Countq_arrow.Types.op * Countq_arrow.Types.pred) family
+      (** completions are [(op, predecessor)]. *)
+
+type instance =
+  | Instance : {
+      family : 'r family;
+      inst : ('s, 'm, 'r) Countq_simnet.Oneshot.t;
+      tally : 'r Countq_simnet.Engine.result -> tally;
+          (** the family's converter ([Counts.of_engine] or
+              [Protocol.of_engine]) read as a {!tally}. *)
+    }
+      -> instance
+(** One protocol's one-shot instance, packed with its family. *)
+
+val instance :
+  ?tree:Countq_topology.Tree.t ->
+  ?width:int ->
+  graph:Countq_topology.Graph.t ->
+  requests:int list ->
+  protocol ->
+  instance
+(** The protocol's [one_shot] instance on [graph] with one-shot
+    [requests]. [tree] (for the tree protocols) defaults to the BFS
+    spanning tree rooted at 0 for [`Combining], [`Diffracting] and
+    [`Funnel], and to [Spanning.best_for_arrow graph] (a Hamilton path
+    where one is known, which makes the sweep and the token ring a
+    single pass) for the arrow variants, [`Token_ring] and [`Sweep].
+    [width] caps the balancer fan-in (the expanded step) for
+    [`Diffracting] and [`Funnel], and (for [`Network]) defaults to
+    [Network.default_width]; the other protocols ignore both.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)
+
 type counting_protocol =
   [ `Central | `Combining | `Diffracting | `Funnel | `Network | `Sweep ]
 
 type queuing_protocol = [ `Arrow | `Arrow_notify | `Central | `Token_ring ]
-
-val counting_protocol_name : counting_protocol -> string
-val queuing_protocol_name : queuing_protocol -> string
 
 type summary = {
   protocol : string;
@@ -37,6 +101,11 @@ type summary = {
   valid : bool;  (** output met the problem specification. *)
 }
 
+val summarise :
+  graph:Countq_topology.Graph.t -> requests:int list -> protocol -> summary
+(** Run the protocol's {!instance} (default tree and width) through
+    [Oneshot.run] and summarise it. Drives [countq compare]. *)
+
 val counting :
   ?tree:Countq_topology.Tree.t ->
   ?width:int ->
@@ -45,14 +114,8 @@ val counting :
   requests:int list ->
   unit ->
   summary
-(** Run a counting protocol. [tree] (for [`Combining], [`Diffracting]
-    and [`Funnel]) defaults to the
-    BFS spanning tree rooted at 0 and (for [`Sweep]) to the arrow
-    protocol's preferred spanning tree (a Hamilton path where one is
-    known, which makes the sweep a single pass); [width] caps the
-    balancer fan-in (the expanded step) for [`Diffracting] and
-    [`Funnel], and (for [`Network]) defaults to
-    [Network.default_width]. *)
+(** {!summarise} for a counting protocol ([`Central] is
+    [`Central_count]), with {!instance}'s [tree] and [width]. *)
 
 val queuing :
   ?tree:Countq_topology.Tree.t ->
@@ -61,14 +124,8 @@ val queuing :
   requests:int list ->
   unit ->
   summary
-(** Run a queuing protocol. [tree] (for the arrow variants and the
-    token ring) defaults to [Spanning.best_for_arrow graph]. *)
-
-type faulty_protocol = [ `Arrow | `Central_count | `Central_queue ]
-(** The protocols in the fault-degradation report (the arrow and the
-    two centralised baselines). *)
-
-val faulty_protocol_name : faulty_protocol -> string
+(** {!summarise} for a queuing protocol ([`Central] is
+    [`Central_queue]), with {!instance}'s [tree]. *)
 
 type fault_summary = {
   protocol : string;
@@ -98,7 +155,7 @@ val run_faulty :
   ?max_retries:int ->
   ?progress_budget:int ->
   graph:Countq_topology.Graph.t ->
-  protocol:faulty_protocol ->
+  protocol:protocol ->
   plan:Countq_simnet.Faults.plan ->
   requests:int list ->
   unit ->
@@ -108,7 +165,7 @@ val run_faulty :
     [retry], default false), run the fault-free baseline with identical
     parameters, and report the degradation. With [pool], the faulty arm
     and its baseline evaluate as two jobs on the shared pool. [tree]
-    (for [`Arrow]) defaults to [Spanning.best_for_arrow graph]. *)
+    and the instance are {!instance}'s. *)
 
 type churn_protocol =
   [ `Dynamic_queue | `Arrow_static | `Arrow_routed | `Central_count ]
@@ -163,12 +220,6 @@ val run_churn :
     4 and 8, the central counter to {!Countq_simnet.Reliable.wrap}'s
     defaults). *)
 
-type observed_protocol =
-  [ `Arrow | `Arrow_notify | `Central_count | `Central_queue | `Sweep ]
-(** The protocols [countq observe] offers (metrics + spans). *)
-
-val observed_protocol_name : observed_protocol -> string
-
 type observation = {
   o_protocol : string;
   o_kind : kind;
@@ -190,14 +241,14 @@ val observe :
   ?tree:Countq_topology.Tree.t ->
   ?plan:Countq_simnet.Faults.plan ->
   graph:Countq_topology.Graph.t ->
-  protocol:observed_protocol ->
+  protocol:protocol ->
   requests:int list ->
   unit ->
   observation
 (** Run [protocol] on [graph] through [Oneshot.observed], with a fresh
     {!Countq_simnet.Metrics} recorder and span instrumentation
-    attached; [plan] optionally injects faults. [tree] (for the tree protocols) defaults to
-    [Spanning.best_for_arrow graph]. Drives the [countq observe]
+    attached; [plan] optionally injects faults. [tree] and the
+    instance are {!instance}'s. Drives the [countq observe]
     subcommand and the observability experiments. *)
 
 val best_counting :
@@ -215,16 +266,3 @@ val best_counting :
     spanning tree's natural arity. With [pool], the candidates evaluate
     in parallel; [pool_map] preserves candidate order, so the result is
     identical either way. *)
-
-val observe_many :
-  ?pool:Countq_util.Parallel.pool ->
-  ?tree:Countq_topology.Tree.t ->
-  ?plan:Countq_simnet.Faults.plan ->
-  graph:Countq_topology.Graph.t ->
-  protocols:observed_protocol list ->
-  requests:int list ->
-  unit ->
-  observation list
-(** {!observe} over several protocols on the same instance, in input
-    order — in parallel when [pool] is given. Each observation gets its
-    own metrics recorder, so runs are independent. *)

@@ -14,8 +14,8 @@ let check_requests n requests =
   let seen = Array.make n false in
   List.iter
     (fun v ->
-      if v < 0 || v >= n then invalid_arg "Central.run: request out of range";
-      if seen.(v) then invalid_arg "Central.run: duplicate request node";
+      if v < 0 || v >= n then invalid_arg "Central.one_shot: request out of range";
+      if seen.(v) then invalid_arg "Central.one_shot: duplicate request node";
       seen.(v) <- true)
     requests;
   seen
@@ -57,7 +57,7 @@ let make_protocol ~root ~route ~requesting =
 
 let prepare ~root ~route ~graph ~requests =
   let n = Graph.n graph in
-  if root < 0 || root >= n then invalid_arg "Central.run: root out of range";
+  if root < 0 || root >= n then invalid_arg "Central.one_shot: root out of range";
   let requesting = check_requests n requests in
   let route = match route with Some r -> r | None -> Route.auto graph in
   make_protocol ~root ~route ~requesting
@@ -184,7 +184,3 @@ let run_long_lived ?config ?(root = 0) ?route ~graph ~arrivals () =
     = List.init m (fun i -> i + 1)
   in
   { outcomes; counts_exact; rounds = res.rounds; messages = res.messages }
-
-let run ?config ?root ?route ~graph ~requests () =
-  Counts.of_engine ~requests
-    (Countq_simnet.Oneshot.run (one_shot ?config ?root ?route ~graph ~requests ()))

@@ -9,21 +9,6 @@
     above the arrow protocol and a concrete illustration of why
     counting concentrates contention. *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run ~graph ~requests ()] executes the one-shot scenario.
-    [root] defaults to node 0. [route] defaults to shortest-path
-    routing from an all-pairs table (computed in the free
-    initialisation step). The default config is the base model
-    (capacities 1/1).
-    @raise Invalid_argument on out-of-range or duplicate requests. *)
-
 type long_lived_outcome = {
   node : int;
   seq : int;  (** which of the node's operations (issue order). *)
@@ -80,4 +65,7 @@ val one_shot :
     any fault-free schedule or delay pattern, and the heatmap of an
     observed run makes the root's Θ(k²) hot spot visible. Spans key an
     op by its origin (a Reply is attributed to its destination's op).
-    The base model (capacities 1/1) unless [config] says otherwise. *)
+    [root] defaults to node 0; [route] to shortest-path routing from
+    an all-pairs table (computed in the free initialisation step). The
+    base model (capacities 1/1) unless [config] says otherwise.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)

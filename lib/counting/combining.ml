@@ -86,23 +86,15 @@ type checker_msg = msg
 let one_shot_protocol ~tree ~requests () =
   prepare ~tree ~requests "Combining.one_shot_protocol"
 
-(* [name] prefixes the messages of rejected requests. *)
-let instance ?config ~tree ~requests name =
+let one_shot ?config ~tree ~requests () =
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
     config =
       (match config with
       | Some c -> c
       | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree)));
-    protocol = prepare ~tree ~requests name;
+    protocol = prepare ~tree ~requests "Combining.one_shot";
     spec = Counts.spec ~requests;
     (* Reports combine whole subtrees: no message serves a single op. *)
     op_of_msg = (fun _ -> None);
   }
-
-let one_shot ?config ~tree ~requests () =
-  instance ?config ~tree ~requests "Combining.one_shot"
-
-let run ?config ~tree ~requests () =
-  Counts.of_engine ~requests
-    (Countq_simnet.Oneshot.run (instance ?config ~tree ~requests "Combining.run"))

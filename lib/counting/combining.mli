@@ -14,18 +14,6 @@
     arrow protocol's [O(n)] on the same topologies, as the paper's
     separation theorems predict. *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run ~tree ~requests ()] executes the one-shot scenario on the
-    given rooted spanning tree. The default config uses an expanded
-    step of the tree's maximum degree, mirroring the courtesy Section 4
-    extends to tree protocols; pass [config] to force the base model.
-    @raise Invalid_argument on out-of-range or duplicate requests. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -35,11 +23,12 @@ val one_shot_protocol :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value ({!run} without the engine invocation), for
-    benchmarks and equivalence harnesses that need to drive the same
-    protocol through several engines. Remember {!run}'s default config
-    expands the step to the tree's maximum degree; callers driving the
-    engine directly must choose a config themselves. *)
+(** The raw protocol value ({!one_shot} without its spec and config),
+    for benchmarks and equivalence harnesses that need to drive the
+    same protocol through several engines. Remember {!one_shot}'s
+    default config expands the step to the tree's maximum degree;
+    callers driving the engine directly must choose a config
+    themselves. *)
 
 val one_shot :
   ?config:Countq_simnet.Engine.config ->
@@ -47,9 +36,13 @@ val one_shot :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Counts.spec} with {!run}'s default
-    config, for the {!Countq_simnet.Oneshot} drivers. The upsweep waits
-    for every child regardless of message timing, so the DFS ranks —
-    and the exact count set — survive arbitrary link delays
+(** The one-shot instance over {!Counts.spec} on the given rooted
+    spanning tree, for the {!Countq_simnet.Oneshot} drivers. The
+    default config uses an expanded step of the tree's maximum degree,
+    mirroring the courtesy Section 4 extends to tree protocols; pass
+    [config] to force the base model. The upsweep waits for every
+    child regardless of message timing, so the DFS ranks — and the
+    exact count set — survive arbitrary link delays
     ([Oneshot.async]). Spans carry injection and completion only:
-    reports combine whole subtrees. *)
+    reports combine whole subtrees.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)

@@ -92,8 +92,7 @@ type checker_msg = msg
 let one_shot_protocol ~tree ~requests () =
   prepare ~tree ~requests "Diffracting.one_shot_protocol"
 
-(* [name] prefixes the messages of rejected requests. *)
-let instance ?config ?width ~tree ~requests name =
+let one_shot ?config ?width ~tree ~requests () =
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
     config =
@@ -105,17 +104,9 @@ let instance ?config ?width ~tree ~requests name =
              whatever degree the spanning tree happened to have. *)
           Engine.config_with_capacity (max 1 (min (Tree.max_degree tree) w))
       | None, None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree)));
-    protocol = prepare ~tree ~requests name;
+    protocol = prepare ~tree ~requests "Diffracting.one_shot";
     spec = Counts.spec ~requests;
     op_of_msg =
       (function
       | Up origin | Down { origin; _ } | Back { origin; _ } -> Some origin);
   }
-
-let one_shot ?config ?width ~tree ~requests () =
-  instance ?config ?width ~tree ~requests "Diffracting.one_shot"
-
-let run ?config ?width ~tree ~requests () =
-  Counts.of_engine ~requests
-    (Countq_simnet.Oneshot.run
-       (instance ?config ?width ~tree ~requests "Diffracting.run"))

@@ -30,21 +30,6 @@
     kind of trade the paper's lower bounds say no tree scheme can
     escape. *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  ?width:int ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run ~tree ~requests ()] executes the one-shot scenario on the
-    given rooted spanning tree. The default config uses an expanded
-    step of the tree's maximum degree (as {!Combining.run}); [width]
-    caps that expanded step instead (the adaptive selection,
-    {!Funnel.adaptive_width}, paying only for the fan-in the offered
-    concurrency warrants); an explicit [config] overrides both.
-    @raise Invalid_argument on out-of-range or duplicate requests. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -54,8 +39,8 @@ val one_shot_protocol :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value ({!run} without the engine invocation), for
-    benchmarks and equivalence harnesses driving several engines. *)
+(** The raw protocol value ({!one_shot} without its spec and config),
+    for benchmarks and equivalence harnesses driving several engines. *)
 
 val one_shot :
   ?config:Countq_simnet.Engine.config ->
@@ -64,9 +49,15 @@ val one_shot :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Counts.spec} with {!run}'s config
-    rules, for the {!Countq_simnet.Oneshot} drivers. Toggle routing
+(** The one-shot instance over {!Counts.spec} on the given rooted
+    spanning tree, for the {!Countq_simnet.Oneshot} drivers. The
+    default config uses an expanded step of the tree's maximum degree
+    (as {!Combining.one_shot}); [width] caps that expanded step instead
+    (the adaptive selection, {!Funnel.adaptive_width}, paying only for
+    the fan-in the offered concurrency warrants); an explicit [config]
+    overrides both. Toggle routing
     depends only on per-balancer arrival order, never on timing
     agreement between balancers, so the count set is exact under
     arbitrary link delays ([Oneshot.async]). Every token carries its
-    origin, so spans follow each op hop by hop. *)
+    origin, so spans follow each op hop by hop.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)

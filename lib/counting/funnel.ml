@@ -163,8 +163,7 @@ let default_config ?width ~max_degree ~n ~requests () =
   in
   Engine.config_with_capacity (max 1 (min max_degree w))
 
-(* [name] prefixes the messages of rejected requests. *)
-let instance ?config ?width ~tree ~requests name =
+let one_shot ?config ?width ~tree ~requests () =
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
     config =
@@ -173,19 +172,11 @@ let instance ?config ?width ~tree ~requests name =
       | None ->
           default_config ?width ~max_degree:(Tree.max_degree tree)
             ~n:(Tree.n tree) ~requests ());
-    protocol = prepare_tree ~tree ~requests name;
+    protocol = prepare_tree ~tree ~requests "Funnel.one_shot";
     spec = Counts.spec ~requests;
     (* Batches combine whole subtrees: no message serves a single op. *)
     op_of_msg = (fun _ -> None);
   }
-
-let one_shot ?config ?width ~tree ~requests () =
-  instance ?config ?width ~tree ~requests "Funnel.one_shot"
-
-let run ?config ?width ~tree ~requests () =
-  Counts.of_engine ~requests
-    (Countq_simnet.Oneshot.run
-       (instance ?config ?width ~tree ~requests "Funnel.run"))
 
 let run_implicit ?config ?width ?shards ?pool ?stats ~topo ~requests () =
   let protocol = prepare_implicit ~topo ~requests "Funnel.run_implicit" in

@@ -48,20 +48,6 @@ val adaptive_width :
     (∝ 1/log width). Shared with the diffracting tree's width
     selection. *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  ?width:int ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run ~tree ~requests ()] executes the one-shot scenario on a
-    materialised rooted tree. The default config's expanded step is
-    {!adaptive_width} capped by the tree's maximum degree; [width]
-    overrides the adaptive choice (still degree-capped); an explicit
-    [config] overrides both.
-    @raise Invalid_argument on out-of-range or duplicate requests. *)
-
 val run_implicit :
   ?config:Countq_simnet.Engine.config ->
   ?width:int ->
@@ -89,8 +75,8 @@ val one_shot_protocol :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol on a materialised tree ({!run} without the engine
-    invocation), for model checking and equivalence harnesses. *)
+(** The raw protocol on a materialised tree ({!one_shot} without its
+    spec and config), for model checking and equivalence harnesses. *)
 
 val one_shot :
   ?config:Countq_simnet.Engine.config ->
@@ -99,12 +85,16 @@ val one_shot :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Counts.spec} with {!run}'s config
-    rules, for the {!Countq_simnet.Oneshot} drivers. Batch contents
+(** The one-shot instance over {!Counts.spec} on a materialised rooted
+    tree, for the {!Countq_simnet.Oneshot} drivers. The default
+    config's expanded step is {!adaptive_width} capped by the tree's
+    maximum degree; [width] overrides the adaptive choice (still
+    degree-capped); an explicit [config] overrides both. Batch contents
     depend only on per-node arrival order, so the count set stays
     exactly [{1..|R|}] under arbitrary link delays ([Oneshot.async]).
     Spans carry injection and completion only: batches combine whole
-    subtrees. *)
+    subtrees.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)
 
 val implicit_protocol :
   topo:Countq_topology.Implicit.t ->

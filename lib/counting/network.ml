@@ -210,7 +210,7 @@ let prepare ?width ?net ?placement ?route ~graph ~requests () =
     match (net, width) with
     | Some net, Some w ->
         if Bitonic.width net <> w then
-          invalid_arg "Network.run: width disagrees with the given net";
+          invalid_arg "Network.one_shot: width disagrees with the given net";
         (w, net)
     | Some net, None -> (Bitonic.width net, net)
     | None, Some w -> (w, Bitonic.create ~width:w)
@@ -227,8 +227,8 @@ let prepare ?width ?net ?placement ?route ~graph ~requests () =
   let requesting = Array.make n false in
   List.iter
     (fun v ->
-      if v < 0 || v >= n then invalid_arg "Network.run: request out of range";
-      if requesting.(v) then invalid_arg "Network.run: duplicate request node";
+      if v < 0 || v >= n then invalid_arg "Network.one_shot: request out of range";
+      if requesting.(v) then invalid_arg "Network.one_shot: duplicate request node";
       requesting.(v) <- true)
     requests;
   let balancers = Bitonic.balancers net in
@@ -320,8 +320,3 @@ let one_shot ?(config = Engine.default_config) ?width ?net ?placement ?route
     op_of_msg =
       (function Token { origin; _ } -> Some origin | Reply { dest; _ } -> Some dest);
   }
-
-let run ?config ?width ?net ?placement ?route ~graph ~requests () =
-  Counts.of_engine ~requests
-    (Countq_simnet.Oneshot.run
-       (one_shot ?config ?width ?net ?placement ?route ~graph ~requests ()))

@@ -34,26 +34,6 @@ val default_width : int -> int
     two [<= max 2 n], capped at 64 (beyond that, depth dominates at the
     scales this repository simulates). *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  ?width:int ->
-  ?net:Bitonic.t ->
-  ?placement:placement ->
-  ?route:Countq_simnet.Route.t ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run ~graph ~requests ()] executes the one-shot scenario.
-    [width] defaults to [default_width n]; [net] to
-    [Bitonic.create ~width] — pass [Periodic.create ~width] (or any
-    balancing network sharing the representation) to embed a different
-    structure; [route] defaults to all-pairs shortest-path routing;
-    [placement] to {!round_robin_placement} with a fixed seed. Default
-    config is the base model (1/1).
-    @raise Invalid_argument on a bad width/net combination or bad
-    requests. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -67,8 +47,8 @@ val one_shot_protocol :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value ({!run} without the engine invocation, same
-    defaults), for benchmarks and equivalence harnesses that need to
+(** The raw protocol value ({!one_shot} without its spec and config,
+    same defaults), for benchmarks and equivalence harnesses that need to
     drive the same protocol through several engines. *)
 
 val one_shot :
@@ -81,9 +61,17 @@ val one_shot :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Counts.spec} with {!run}'s defaults,
-    for the {!Countq_simnet.Oneshot} drivers; every token and reply
-    names its op's origin, so spans follow each op hop by hop. *)
+(** The one-shot instance over {!Counts.spec}, for the
+    {!Countq_simnet.Oneshot} drivers; every token and reply names its
+    op's origin, so spans follow each op hop by hop. [width] defaults
+    to [default_width n]; [net] to [Bitonic.create ~width] — pass
+    [Periodic.create ~width] (or any balancing network sharing the
+    representation) to embed a different structure; [route] defaults
+    to all-pairs shortest-path routing; [placement] to
+    {!round_robin_placement} with a fixed seed. Default config is the
+    base model (1/1).
+    @raise Invalid_argument on a bad width/net combination or bad
+    requests. *)
 
 type long_lived_outcome = {
   node : int;  (** requesting processor. *)

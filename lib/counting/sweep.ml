@@ -104,21 +104,13 @@ type checker_msg = int
 let one_shot_protocol ~tree ~requests () =
   prepare ~tree ~requests "Sweep.one_shot_protocol"
 
-(* [name] prefixes the messages of rejected requests. *)
-let instance ?(config = Engine.default_config) ~tree ~requests name =
+let one_shot ?(config = Engine.default_config) ~tree ~requests () =
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
     config;
-    protocol = prepare ~tree ~requests name;
+    protocol = prepare ~tree ~requests "Sweep.one_shot";
     spec = Counts.spec ~requests;
     (* The token serves every operation at once, so no message maps to
        a single op: spans carry injection and completion only. *)
     op_of_msg = (fun (_ : int) -> None);
   }
-
-let one_shot ?config ~tree ~requests () =
-  instance ?config ~tree ~requests "Sweep.one_shot"
-
-let run ?config ~tree ~requests () =
-  Counts.of_engine ~requests
-    (Countq_simnet.Oneshot.run (instance ?config ~tree ~requests "Sweep.run"))

@@ -14,18 +14,6 @@ val euler_walk : Countq_topology.Tree.t -> int array
     first visit. Exposed for reuse by the fetch&add sweep and for
     property tests (length [<= 2(n-1) + 1], covers every vertex). *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  tree:Countq_topology.Tree.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run ~tree ~requests ()] walks the Euler tour of [tree] from its
-    root. A requesting node completes (with the next rank) the round
-    the token first reaches it; the root completes at time 0. The walk
-    stops at the tour's last new vertex. Base-model config by default.
-    @raise Invalid_argument on out-of-range or duplicate requests. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
@@ -35,7 +23,7 @@ val one_shot_protocol :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value ({!run} without the engine invocation), for
+(** The raw protocol value ({!one_shot} without its spec and config), for
     benchmarks and equivalence harnesses that need to drive the same
     protocol through several engines; completions are [(node, count)]
     pairs — validate with {!Counts.validate}. *)
@@ -46,11 +34,16 @@ val one_shot :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Counts.spec} (base-model config by
-    default), for the {!Countq_simnet.Oneshot} drivers. The token's
+(** The one-shot instance over {!Counts.spec}, for the
+    {!Countq_simnet.Oneshot} drivers: the token walks the Euler tour of
+    [tree] from its root. A requesting node completes (with the next
+    rank) the round the token first reaches it; the root completes at
+    time 0. The walk stops at the tour's last new vertex. Base-model
+    config by default. The token's
     visit order — and so the rank assignment — is timing-independent,
     so the count set survives any delay model ([Oneshot.async]). The
     shared token serves every operation at once, so no hop belongs to
     a single operation: spans carry injection and completion only (the
     per-op delay is still exact), and under a fault plan a dropped
-    token strands the whole sweep. *)
+    token strands the whole sweep.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)

@@ -7,6 +7,7 @@ module Spanning = Countq_topology.Spanning
 module Counting = Countq_counting
 module Arrow = Countq_arrow
 module Queuing = Countq_queuing
+module Oneshot = Countq_simnet.Oneshot
 
 type scheme =
   | Via_counting of [ `Central | `Combining | `Network ]
@@ -40,12 +41,15 @@ let coordinate ~seed ~graph ~senders scheme =
   match scheme with
   | Via_counting protocol ->
       let run =
-        match protocol with
-        | `Central -> Counting.Central.run ~graph ~requests:senders ()
-        | `Combining ->
-            let tree = Spanning.bfs graph ~root:0 in
-            Counting.Combining.run ~tree ~requests:senders ()
-        | `Network -> Counting.Network.run ~graph ~requests:senders ()
+        Counting.Counts.of_engine ~requests:senders
+          (match protocol with
+          | `Central ->
+              Oneshot.run (Counting.Central.one_shot ~graph ~requests:senders ())
+          | `Combining ->
+              let tree = Spanning.bfs graph ~root:0 in
+              Oneshot.run (Counting.Combining.one_shot ~tree ~requests:senders ())
+          | `Network ->
+              Oneshot.run (Counting.Network.one_shot ~graph ~requests:senders ()))
       in
       (match run.valid with
       | Error e ->
@@ -67,11 +71,15 @@ let coordinate ~seed ~graph ~senders scheme =
       (List.sort (fun a b -> compare a.position b.position) stats, run.messages)
   | Via_queuing protocol ->
       let run =
-        match protocol with
-        | `Arrow ->
-            let tree = Spanning.best_for_arrow graph in
-            Arrow.Protocol.run_one_shot ~tree ~notify:true ~requests:senders ()
-        | `Central -> Queuing.Central_queue.run ~graph ~requests:senders ()
+        Arrow.Protocol.of_engine
+          (match protocol with
+          | `Arrow ->
+              let tree = Spanning.best_for_arrow graph in
+              Oneshot.run
+                (Arrow.Protocol.one_shot ~tree ~notify:true ~requests:senders ())
+          | `Central ->
+              Oneshot.run
+                (Queuing.Central_queue.one_shot ~graph ~requests:senders ()))
       in
       let order =
         match run.order with

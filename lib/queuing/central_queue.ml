@@ -13,12 +13,12 @@ type state = { last : Types.pred } (* meaningful at the root only *)
 
 let prepare ~root ~route ~graph ~requests =
   let n = Graph.n graph in
-  if root < 0 || root >= n then invalid_arg "Central_queue.run: root out of range";
+  if root < 0 || root >= n then invalid_arg "Central_queue.one_shot: root out of range";
   let requesting = Array.make n false in
   List.iter
     (fun v ->
-      if v < 0 || v >= n then invalid_arg "Central_queue.run: request out of range";
-      if requesting.(v) then invalid_arg "Central_queue.run: duplicate request";
+      if v < 0 || v >= n then invalid_arg "Central_queue.one_shot: request out of range";
+      if requesting.(v) then invalid_arg "Central_queue.one_shot: duplicate request";
       requesting.(v) <- true)
     requests;
   let route = match route with Some r -> r | None -> Route.auto graph in
@@ -71,7 +71,3 @@ let one_shot ?(config = Engine.default_config) ?(root = 0) ?route ~graph
     op_of_msg =
       (function Request { origin } -> Some origin | Reply { dest; _ } -> Some dest);
   }
-
-let run ?config ?root ?route ~graph ~requests () =
-  Countq_arrow.Protocol.of_engine
-    (Countq_simnet.Oneshot.run (one_shot ?config ?root ?route ~graph ~requests ()))

@@ -8,19 +8,6 @@
     universally cheap. (On most topologies the arrow protocol is far
     better than this baseline; see the E11 experiment.) *)
 
-val run :
-  ?config:Countq_simnet.Engine.config ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  graph:Countq_topology.Graph.t ->
-  requests:int list ->
-  unit ->
-  Countq_arrow.Protocol.run_result
-(** [run ~graph ~requests ()] executes the one-shot scenario; requests
-    are served in root-arrival order. Results reuse the arrow library's
-    outcome/validation types. [root] defaults to 0; [route] to
-    all-pairs shortest-path routing; config to the base model. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for the exhaustive schedule explorer. *)
@@ -33,7 +20,7 @@ val one_shot_protocol :
   unit ->
   (checker_state, checker_msg, Countq_arrow.Types.op * Countq_arrow.Types.pred)
   Countq_simnet.Engine.protocol
-(** The raw protocol value ({!run} without the engine invocation), for
+(** The raw protocol value ({!one_shot} without its spec and config), for
     the model checker and engine-equivalence harnesses; completions are
     [(op, predecessor)] pairs — validate with
     {!Countq_arrow.Order.chain}.
@@ -48,6 +35,10 @@ val one_shot :
   unit ->
   (checker_state, checker_msg, Countq_arrow.Types.op * Countq_arrow.Types.pred)
   Countq_simnet.Oneshot.t
-(** The one-shot instance over {!Countq_arrow.Order.spec} with {!run}'s
-    defaults, for the {!Countq_simnet.Oneshot} drivers (spans key an
-    op by its origin; a Reply is attributed to its destination's op). *)
+(** The one-shot instance over {!Countq_arrow.Order.spec}, for the
+    {!Countq_simnet.Oneshot} drivers (spans key an op by its origin; a
+    Reply is attributed to its destination's op). Requests are served
+    in root-arrival order. [root] defaults to 0; [route] to all-pairs
+    shortest-path routing; config to the base model. Read the order
+    with [Countq_arrow.Protocol.of_engine].
+    @raise Invalid_argument on bad requests or root. *)

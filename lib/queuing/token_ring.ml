@@ -13,8 +13,8 @@ let one_shot_protocol ~tree ~requests () =
   let requesting = Array.make n false in
   List.iter
     (fun v ->
-      if v < 0 || v >= n then invalid_arg "Token_ring.run: request out of range";
-      if requesting.(v) then invalid_arg "Token_ring.run: duplicate request node";
+      if v < 0 || v >= n then invalid_arg "Token_ring.one_shot: request out of range";
+      if requesting.(v) then invalid_arg "Token_ring.one_shot: duplicate request node";
       requesting.(v) <- true)
     requests;
   let walk = Sweep.euler_walk tree in

@@ -13,6 +13,17 @@ let rng () = Rng.create 0xdeadbeefL
 
 let all_nodes n = List.init n (fun i -> i)
 
+(* The plain run of a one-shot instance, read as counts or as a queue
+   order. A one-shot spec injects each requester at round 0, so its
+   injects name the request set. *)
+let counted inst =
+  Countq_counting.Counts.of_engine
+    ~requests:(List.map fst inst.Countq_simnet.Oneshot.spec.injects)
+    (Countq_simnet.Oneshot.run inst)
+
+let queued inst =
+  Countq_arrow.Protocol.of_engine (Countq_simnet.Oneshot.run inst)
+
 (* QCheck generator: a small connected topology from the paper's zoo,
    tagged with a printable name. *)
 let topology_gen =

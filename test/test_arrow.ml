@@ -12,7 +12,8 @@ module Tsp = Countq_tsp
 let tree_of g = Spanning.best_for_arrow g
 
 let run ?notify ?tail g requests =
-  Arrow.Protocol.run_one_shot ?notify ?tail ~tree:(tree_of g) ~requests ()
+  Helpers.queued
+    (Arrow.Protocol.one_shot ?notify ?tail ~tree:(tree_of g) ~requests ())
 
 let check_valid msg (r : Arrow.Protocol.run_result) =
   match r.order with
@@ -82,18 +83,21 @@ let test_notify_delays_dominate () =
 
 let test_custom_tail () =
   let g = Gen.path 6 in
-  let r = Arrow.Protocol.run_one_shot ~tree:(tree_of g) ~tail:5 ~requests:[ 0 ] () in
+  let r =
+    Helpers.queued
+      (Arrow.Protocol.one_shot ~tree:(tree_of g) ~tail:5 ~requests:[ 0 ] ())
+  in
   check_valid "custom tail" r;
   Alcotest.(check int) "distance to tail" 5 r.total_delay
 
 let test_bad_requests_rejected () =
   let tree = tree_of (Gen.path 4) in
   Alcotest.check_raises "out of range"
-    (Invalid_argument "Arrow.run_one_shot: request out of range") (fun () ->
-      ignore (Arrow.Protocol.run_one_shot ~tree ~requests:[ 7 ] ()));
+    (Invalid_argument "Arrow.one_shot: request out of range") (fun () ->
+      ignore (Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests:[ 7 ] ())));
   Alcotest.check_raises "duplicate"
-    (Invalid_argument "Arrow.run_one_shot: duplicate request node") (fun () ->
-      ignore (Arrow.Protocol.run_one_shot ~tree ~requests:[ 1; 1 ] ()))
+    (Invalid_argument "Arrow.one_shot: duplicate request node") (fun () ->
+      ignore (Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests:[ 1; 1 ] ())))
 
 let test_long_lived_chain () =
   let g = Gen.square_mesh 4 in
@@ -133,7 +137,7 @@ let test_traced_run_matches_plain () =
   let g = Gen.square_mesh 4 in
   let tree = tree_of g in
   let requests = [ 1; 6; 11 ] in
-  let plain = Arrow.Protocol.run_one_shot ~tree ~requests () in
+  let plain = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
   let res, events =
     Countq_simnet.Oneshot.traced (Arrow.Protocol.one_shot ~tree ~requests ())
   in
@@ -159,7 +163,7 @@ let test_theorem41_bound_holds () =
       for _ = 1 to 5 do
         let k = 1 + Countq_util.Rng.below rng n in
         let requests = Countq_util.Rng.sample rng ~k ~n in
-        let r = Arrow.Protocol.run_one_shot ~tree ~requests () in
+        let r = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
         check_valid "tsp bound run" r;
         let tour = Tsp.Nn.on_tree tree ~start:(Tree.root tree) ~requests in
         Alcotest.(check bool)
@@ -173,7 +177,9 @@ let prop_always_total_order =
   QCheck2.Test.make ~name:"arrow yields a valid total order on any instance"
     ~count:200 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
-      let r = Arrow.Protocol.run_one_shot ~tree:(tree_of g) ~requests () in
+      let r =
+        Helpers.queued (Arrow.Protocol.one_shot ~tree:(tree_of g) ~requests ())
+      in
       Result.is_ok r.order
       && List.length r.outcomes = List.length requests)
 
@@ -182,7 +188,8 @@ let prop_notify_also_total_order =
     ~count:100 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
       let r =
-        Arrow.Protocol.run_one_shot ~notify:true ~tree:(tree_of g) ~requests ()
+        Helpers.queued
+          (Arrow.Protocol.one_shot ~notify:true ~tree:(tree_of g) ~requests ())
       in
       Result.is_ok r.order)
 
@@ -248,10 +255,12 @@ let prop_base_model_sound =
     (fun (_, g, requests) ->
       let tree = tree_of g in
       let c = max 1 (Tree.max_degree tree) in
-      let expanded = Arrow.Protocol.run_one_shot ~tree ~requests () in
+      let expanded =
+        Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ())
+      in
       let base =
-        Arrow.Protocol.run_one_shot
-          ~config:Countq_simnet.Engine.default_config ~tree ~requests ()
+        Helpers.queued (Arrow.Protocol.one_shot
+          ~config:Countq_simnet.Engine.default_config ~tree ~requests ())
       in
       Result.is_ok base.order
       && base.total_delay <= c * expanded.total_delay)
@@ -263,7 +272,7 @@ let prop_first_in_order_is_closest =
     ~print:Helpers.instance_print Helpers.nonempty_instance_gen
     (fun (_, g, requests) ->
       let tree = tree_of g in
-      let r = Arrow.Protocol.run_one_shot ~tree ~requests () in
+      let r = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
       match r.order with
       | Ok (first :: _) ->
           let tail = Tree.root tree in

@@ -144,7 +144,7 @@ let test_central_counting_total_matches_sync () =
   let n = 24 in
   let g = Gen.star n in
   let requests = Helpers.all_nodes n in
-  let sync = Central.run ~graph:g ~requests () in
+  let sync = Helpers.counted (Central.one_shot ~graph:g ~requests ()) in
   let asy = central_async ~graph:g ~requests () in
   Alcotest.(check bool) "async valid" true (Result.is_ok asy.valid);
   Alcotest.(check int) "same total" sync.total_delay asy.total_delay
@@ -219,7 +219,9 @@ let prop_sweep_ranks_timing_independent =
     ~count:60 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
       let tree = Spanning.bfs g ~root:0 in
-      let sync = Countq_counting.Sweep.run ~tree ~requests () in
+      let sync =
+        Helpers.counted (Countq_counting.Sweep.one_shot ~tree ~requests ())
+      in
       let asy =
         count_async
           ~delay:(Async.Uniform { min = 1; max = 9; seed = 21L })

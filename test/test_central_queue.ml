@@ -10,17 +10,22 @@ let check_valid msg (r : Arrow.Protocol.run_result) =
   | Error e -> Alcotest.fail (Format.asprintf "%s: %a" msg Arrow.Order.pp_error e)
 
 let test_empty () =
-  let r = CQ.run ~graph:(Gen.star 5) ~requests:[] () in
+  let r = Helpers.queued (CQ.one_shot ~graph:(Gen.star 5) ~requests:[] ()) in
   Alcotest.(check int) "no outcomes" 0 (List.length r.outcomes)
 
 let test_star_all () =
   let n = 16 in
-  let r = CQ.run ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) () in
+  let r =
+    Helpers.queued
+      (CQ.one_shot ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) ())
+  in
   check_valid "star all" r;
   Alcotest.(check int) "n outcomes" n (List.length r.outcomes)
 
 let test_first_is_init () =
-  let r = CQ.run ~graph:(Gen.path 6) ~requests:[ 2; 4 ] () in
+  let r =
+    Helpers.queued (CQ.one_shot ~graph:(Gen.path 6) ~requests:[ 2; 4 ] ())
+  in
   check_valid "path" r;
   match r.order with
   | Ok (first :: _) ->
@@ -35,7 +40,8 @@ let test_first_is_init () =
 
 let test_quadratic_on_star () =
   let total n =
-    (CQ.run ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) ()).total_delay
+    (Helpers.queued
+       (CQ.one_shot ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) ())).total_delay
   in
   let t32 = total 32 and t64 = total 64 in
   let growth = float_of_int t64 /. float_of_int t32 in
@@ -49,9 +55,10 @@ let test_matches_counting_cost_on_star () =
      pay the same serialisation cost. *)
   let n = 24 in
   let requests = Helpers.all_nodes n in
-  let q = (CQ.run ~graph:(Gen.star n) ~requests ()).total_delay in
+  let q = (Helpers.queued (CQ.one_shot ~graph:(Gen.star n) ~requests ())).total_delay in
   let c =
-    (Countq_counting.Central.run ~graph:(Gen.star n) ~requests ()).total_delay
+    (Helpers.counted
+       (Countq_counting.Central.one_shot ~graph:(Gen.star n) ~requests ())).total_delay
   in
   Alcotest.(check int) "identical serialisation" c q
 
@@ -59,7 +66,7 @@ let prop_spec =
   QCheck2.Test.make ~name:"central queue yields a valid total order"
     ~count:100 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
-      let r = CQ.run ~graph:g ~requests () in
+      let r = Helpers.queued (CQ.one_shot ~graph:g ~requests ()) in
       Result.is_ok r.order)
 
 let suite =

@@ -103,7 +103,7 @@ let test_counting_driver_all_protocols () =
     (fun protocol ->
       let s = Run.counting ~graph:g ~protocol ~requests () in
       Alcotest.(check bool)
-        (Run.counting_protocol_name protocol ^ " valid")
+        (s.protocol ^ " valid")
         true s.valid;
       Alcotest.(check int) "k" 16 s.k;
       Alcotest.(check int) "normalisation"
@@ -118,7 +118,7 @@ let test_queuing_driver_all_protocols () =
     (fun protocol ->
       let s = Run.queuing ~graph:g ~protocol ~requests () in
       Alcotest.(check bool)
-        (Run.queuing_protocol_name protocol ^ " valid")
+        (s.protocol ^ " valid")
         true s.valid;
       Alcotest.(check int) "k" 4 s.k)
     [ `Arrow; `Arrow_notify; `Central; `Token_ring ]

@@ -20,11 +20,15 @@ let check_valid msg (r : Counts.run_result) =
 (* ---- central counter ---- *)
 
 let test_central_no_requests () =
-  let r = Central.run ~graph:(Gen.path 4) ~requests:[] () in
+  let r =
+    Helpers.counted (Central.one_shot ~graph:(Gen.path 4) ~requests:[] ())
+  in
   Alcotest.(check int) "no outcomes" 0 (List.length r.outcomes)
 
 let test_central_root_requests_free () =
-  let r = Central.run ~graph:(Gen.path 4) ~requests:[ 0 ] () in
+  let r =
+    Helpers.counted (Central.one_shot ~graph:(Gen.path 4) ~requests:[ 0 ] ())
+  in
   check_valid "root only" r;
   Alcotest.(check int) "zero delay" 0 r.total_delay
 
@@ -32,7 +36,10 @@ let test_central_counts_in_arrival_order () =
   (* On a star with round-robin arbitration, counts are assigned in
      arbitration order; the count set must be exactly 1..k anyway. *)
   let n = 8 in
-  let r = Central.run ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) () in
+  let r =
+    Helpers.counted
+      (Central.one_shot ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) ())
+  in
   check_valid "star all" r;
   Alcotest.(check int) "k outcomes" n (List.length r.outcomes)
 
@@ -40,7 +47,8 @@ let test_central_star_quadratic () =
   (* Section 5: the star's total counting delay is Theta(n^2): requests
      serialise into the centre and replies serialise out. *)
   let total n =
-    (Central.run ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) ())
+    (Helpers.counted
+       (Central.one_shot ~graph:(Gen.star n) ~requests:(Helpers.all_nodes n) ()))
       .total_delay
   in
   let t32 = total 32 and t64 = total 64 in
@@ -53,28 +61,35 @@ let test_central_star_quadratic () =
 let test_central_path_delay_includes_distance () =
   (* A single request at the far end of a path pays 2 * distance. *)
   let n = 10 in
-  let r = Central.run ~graph:(Gen.path n) ~requests:[ n - 1 ] () in
+  let r =
+    Helpers.counted (Central.one_shot ~graph:(Gen.path n) ~requests:[ n - 1 ] ())
+  in
   check_valid "far request" r;
   Alcotest.(check int) "2(n-1)" (2 * (n - 1)) r.total_delay
 
 let test_central_custom_root () =
   let n = 10 in
-  let r = Central.run ~root:(n - 1) ~graph:(Gen.path n) ~requests:[ n - 1 ] () in
+  let r =
+    Helpers.counted
+      (Central.one_shot ~root:(n - 1) ~graph:(Gen.path n) ~requests:[ n - 1 ] ())
+  in
   check_valid "custom root" r;
   Alcotest.(check int) "local" 0 r.total_delay
 
 let test_central_rejects_bad_requests () =
   Alcotest.check_raises "range"
-    (Invalid_argument "Central.run: request out of range") (fun () ->
-      ignore (Central.run ~graph:(Gen.path 3) ~requests:[ 5 ] ()));
+    (Invalid_argument "Central.one_shot: request out of range") (fun () ->
+      ignore (Helpers.counted
+                (Central.one_shot ~graph:(Gen.path 3) ~requests:[ 5 ] ())));
   Alcotest.check_raises "dup"
-    (Invalid_argument "Central.run: duplicate request node") (fun () ->
-      ignore (Central.run ~graph:(Gen.path 3) ~requests:[ 1; 1 ] ()))
+    (Invalid_argument "Central.one_shot: duplicate request node") (fun () ->
+      ignore (Helpers.counted
+                (Central.one_shot ~graph:(Gen.path 3) ~requests:[ 1; 1 ] ())))
 
 (* ---- combining tree ---- *)
 
 let combining_on g requests =
-  Combining.run ~tree:(Spanning.bfs g ~root:0) ~requests ()
+  Helpers.counted (Combining.one_shot ~tree:(Spanning.bfs g ~root:0) ~requests ())
 
 let test_combining_ranks_are_dfs_order () =
   (* On a rooted path 0-1-2-3 with everyone requesting, DFS order is
@@ -125,7 +140,7 @@ let test_combining_expansion_recorded () =
 (* ---- diffracting tree ---- *)
 
 let diffracting_on g requests =
-  Diffracting.run ~tree:(Spanning.bfs g ~root:0) ~requests ()
+  Helpers.counted (Diffracting.one_shot ~tree:(Spanning.bfs g ~root:0) ~requests ())
 
 let test_diffracting_balanced_tree_all () =
   (* Every node of a perfect binary tree requests: the toggles spread
@@ -163,10 +178,10 @@ let test_diffracting_star_toggle_order () =
 
 let test_diffracting_rejects_bad_requests () =
   Alcotest.check_raises "range"
-    (Invalid_argument "Diffracting.run: request out of range") (fun () ->
+    (Invalid_argument "Diffracting.one_shot: request out of range") (fun () ->
       ignore (diffracting_on (Gen.path 3) [ 5 ]));
   Alcotest.check_raises "dup"
-    (Invalid_argument "Diffracting.run: duplicate request node") (fun () ->
+    (Invalid_argument "Diffracting.one_shot: duplicate request node") (fun () ->
       ignore (diffracting_on (Gen.path 3) [ 1; 1 ]))
 
 let prop_diffracting_spec =
@@ -200,7 +215,7 @@ module Funnel = Countq_counting.Funnel
 module Implicit = Countq_topology.Implicit
 
 let funnel_on g requests =
-  Funnel.run ~tree:(Spanning.bfs g ~root:0) ~requests ()
+  Helpers.counted (Funnel.one_shot ~tree:(Spanning.bfs g ~root:0) ~requests ())
 
 let test_funnel_path_all () =
   (* On a path rooted at 0, each node's batch is [own; child's block],
@@ -231,10 +246,10 @@ let test_funnel_root_only () =
 
 let test_funnel_rejects_bad_requests () =
   Alcotest.check_raises "range"
-    (Invalid_argument "Funnel.run: request out of range") (fun () ->
+    (Invalid_argument "Funnel.one_shot: request out of range") (fun () ->
       ignore (funnel_on (Gen.path 3) [ 5 ]));
   Alcotest.check_raises "dup"
-    (Invalid_argument "Funnel.run: duplicate request node") (fun () ->
+    (Invalid_argument "Funnel.one_shot: duplicate request node") (fun () ->
       ignore (funnel_on (Gen.path 3) [ 1; 1 ]))
 
 let test_funnel_adaptive_width () =
@@ -253,7 +268,7 @@ let test_funnel_implicit_matches_materialised () =
   let topo = Implicit.tree ~arity:3 40 in
   let tree = Tree.of_graph (Implicit.materialise topo) ~root:0 in
   let requests = [ 0; 5; 13; 14; 22; 39 ] in
-  let a = Funnel.run ~tree ~requests () in
+  let a = Helpers.counted (Funnel.one_shot ~tree ~requests ()) in
   let b = Funnel.run_implicit ~topo ~requests () in
   check_valid "materialised" a;
   check_valid "implicit" b;
@@ -277,7 +292,7 @@ let prop_funnel_pins_central =
     ~count:120 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
       let f = funnel_on g requests in
-      let c = Central.run ~graph:g ~requests () in
+      let c = Helpers.counted (Central.one_shot ~graph:g ~requests ()) in
       let nodes (r : Counts.run_result) =
         List.sort compare (List.map (fun (o : Counts.outcome) -> o.node) r.outcomes)
       in
@@ -336,7 +351,7 @@ let prop_central_spec =
   QCheck2.Test.make ~name:"central counter meets the counting spec" ~count:120
     ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
-      let r = Central.run ~graph:g ~requests () in
+      let r = Helpers.counted (Central.one_shot ~graph:g ~requests ()) in
       Result.is_ok r.valid)
 
 let prop_combining_spec =

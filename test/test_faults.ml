@@ -213,7 +213,7 @@ let test_arrow_no_retry_loses_liveness () =
 let test_arrow_faulty_none_matches_plain () =
   let g = Gen.path 12 in
   let tree, requests = arrow_setup g in
-  let plain = Arrow.run_one_shot ~tree ~requests () in
+  let plain = Helpers.queued (Arrow.one_shot ~tree ~requests ()) in
   let res, r = arrow_faulty ~plan:Faults.none ~tree ~requests () in
   Alcotest.(check bool) "same outcomes" true (res.outcomes = plain.outcomes);
   Alcotest.(check int) "same rounds" plain.rounds res.rounds;

@@ -77,7 +77,8 @@ let test_combining_matches_counting_when_unit () =
   let fa = FA.run_combining ~tree ~requests () in
   check_valid "unit combining" fa;
   let counting =
-    Countq_counting.Combining.run ~tree ~requests:(Helpers.all_nodes n) ()
+    Helpers.counted
+      (Countq_counting.Combining.one_shot ~tree ~requests:(Helpers.all_nodes n) ())
   in
   List.iter
     (fun (c : Countq_counting.Counts.outcome) ->
@@ -126,7 +127,10 @@ let test_delay_shape_matches_counting () =
       ~requests:(List.map (fun v -> (v, 2)) (Helpers.all_nodes n))
       ()
   in
-  let c = Countq_counting.Central.run ~graph:g ~requests:(Helpers.all_nodes n) () in
+  let c =
+    Helpers.counted
+      (Countq_counting.Central.one_shot ~graph:g ~requests:(Helpers.all_nodes n) ())
+  in
   Alcotest.(check int) "same total delay" c.total_delay fa.total_delay
 
 let test_rejects_negative_increment () =

@@ -28,7 +28,7 @@ let test_bound_chain () =
     let g = Gen.random_binary_tree rng 40 in
     let tree = Tree.of_graph g ~root:0 in
     let requests = Rng.sample rng ~k:10 ~n:40 in
-    let arrow = Arrow.Protocol.run_one_shot ~tree ~requests () in
+    let arrow = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
     let nn = Tsp.Nn.on_tree tree ~start:0 ~requests in
     let opt = Tsp.Exact.min_path_on_tree tree ~start:0 ~requests in
     let guarantee = Tsp.Tbounds.nn_path_ratio 10 in
@@ -45,10 +45,10 @@ let test_counting_portfolio_cross_validation () =
   let tree = Spanning.bfs g ~root:0 in
   let runs =
     [
-      ("central", Counting.Central.run ~graph:g ~requests ());
-      ("combining", Counting.Combining.run ~tree ~requests ());
-      ("network", Counting.Network.run ~graph:g ~requests ());
-      ("sweep", Counting.Sweep.run ~tree ~requests ());
+      ("central", Helpers.counted (Counting.Central.one_shot ~graph:g ~requests ()));
+      ("combining", Helpers.counted (Counting.Combining.one_shot ~tree ~requests ()));
+      ("network", Helpers.counted (Counting.Network.one_shot ~graph:g ~requests ()));
+      ("sweep", Helpers.counted (Counting.Sweep.one_shot ~tree ~requests ()));
     ]
   in
   List.iter
@@ -254,8 +254,8 @@ let test_engine_deterministic () =
   let g = Gen.square_mesh 5 in
   let tree = Spanning.best_for_arrow g in
   let requests = Helpers.all_nodes 25 in
-  let a = Arrow.Protocol.run_one_shot ~tree ~requests () in
-  let b = Arrow.Protocol.run_one_shot ~tree ~requests () in
+  let a = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
+  let b = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
   Alcotest.(check int) "same total" a.total_delay b.total_delay;
   Alcotest.(check int) "same messages" a.messages b.messages;
   Alcotest.(check bool) "same order" true (a.order = b.order)
@@ -360,7 +360,10 @@ let test_sweep_counting_fits_quadratic () =
     List.map
       (fun n ->
         let tree = Tree.of_graph (Gen.path n) ~root:0 in
-        let r = Counting.Sweep.run ~tree ~requests:(Helpers.all_nodes n) () in
+        let r =
+          Helpers.counted
+            (Counting.Sweep.one_shot ~tree ~requests:(Helpers.all_nodes n) ())
+        in
         (n, r.total_delay))
       [ 32; 64; 128; 256 ]
   in

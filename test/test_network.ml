@@ -20,7 +20,10 @@ let test_default_width () =
 
 let test_all_request_complete_graph () =
   let n = 32 in
-  let r = Network.run ~graph:(Gen.complete n) ~requests:(Helpers.all_nodes n) () in
+  let r =
+    Helpers.counted
+      (Network.one_shot ~graph:(Gen.complete n) ~requests:(Helpers.all_nodes n) ())
+  in
   check_valid "K32 all" r
 
 let test_widths_sweep () =
@@ -28,7 +31,10 @@ let test_widths_sweep () =
   let g = Gen.complete n in
   List.iter
     (fun width ->
-      let r = Network.run ~width ~graph:g ~requests:(Helpers.all_nodes n) () in
+      let r =
+        Helpers.counted
+          (Network.one_shot ~width ~graph:g ~requests:(Helpers.all_nodes n) ())
+      in
       check_valid (Printf.sprintf "width %d" width) r)
     [ 1; 2; 4; 8; 16 ]
 
@@ -36,7 +42,10 @@ let test_on_sparse_topologies () =
   List.iter
     (fun (name, g) ->
       let n = Graph.n g in
-      let r = Network.run ~graph:g ~requests:(Helpers.all_nodes n) () in
+      let r =
+        Helpers.counted
+          (Network.one_shot ~graph:g ~requests:(Helpers.all_nodes n) ())
+      in
       check_valid name r)
     [
       ("path-20", Gen.path 20);
@@ -47,7 +56,9 @@ let test_on_sparse_topologies () =
 
 let test_subset_requests () =
   let g = Gen.square_mesh 6 in
-  let r = Network.run ~graph:g ~requests:[ 1; 5; 17; 30; 35 ] () in
+  let r =
+    Helpers.counted (Network.one_shot ~graph:g ~requests:[ 1; 5; 17; 30; 35 ] ())
+  in
   check_valid "subset" r;
   Alcotest.(check int) "five outcomes" 5 (List.length r.outcomes)
 
@@ -58,8 +69,10 @@ let test_wider_network_cuts_contention () =
   let n = 64 in
   let g = Gen.complete n in
   let requests = Helpers.all_nodes n in
-  let narrow = Network.run ~width:1 ~graph:g ~requests () in
-  let wide = Network.run ~width:16 ~graph:g ~requests () in
+  let narrow =
+    Helpers.counted (Network.one_shot ~width:1 ~graph:g ~requests ())
+  in
+  let wide = Helpers.counted (Network.one_shot ~width:16 ~graph:g ~requests ()) in
   check_valid "narrow" narrow;
   check_valid "wide" wide;
   Alcotest.(check bool)
@@ -76,13 +89,17 @@ let test_custom_placement () =
   let placement =
     { Network.balancer_host = (fun _ -> 0); output_host = (fun _ -> 0) }
   in
-  let r = Network.run ~width:4 ~placement ~graph:g ~requests:(Helpers.all_nodes n) () in
+  let r =
+    Helpers.counted
+      (Network.one_shot ~width:4 ~placement ~graph:g ~requests:(Helpers.all_nodes n) ())
+  in
   check_valid "all on node 0" r
 
 let test_rejects_bad_requests () =
   Alcotest.check_raises "range"
-    (Invalid_argument "Network.run: request out of range") (fun () ->
-      ignore (Network.run ~graph:(Gen.path 3) ~requests:[ 9 ] ()))
+    (Invalid_argument "Network.one_shot: request out of range") (fun () ->
+      ignore (Helpers.counted
+                (Network.one_shot ~graph:(Gen.path 3) ~requests:[ 9 ] ())))
 
 let test_long_lived_counts_exact () =
   let g = Gen.complete 16 in
@@ -156,7 +173,7 @@ let prop_network_spec =
   QCheck2.Test.make ~name:"counting network meets the counting spec"
     ~count:80 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
-      let r = Network.run ~graph:g ~requests () in
+      let r = Helpers.counted (Network.one_shot ~graph:g ~requests ()) in
       Result.is_ok r.valid)
 
 let prop_network_spec_small_widths =
@@ -165,7 +182,9 @@ let prop_network_spec_small_widths =
     (fun (_, g, requests) ->
       List.for_all
         (fun width ->
-          let r = Network.run ~width ~graph:g ~requests () in
+          let r =
+            Helpers.counted (Network.one_shot ~width ~graph:g ~requests ())
+          in
           Result.is_ok r.valid)
         [ 1; 2; 8 ])
 

@@ -1,12 +1,12 @@
-(* The one-shot drivers over every protocol's instance: the observed,
-   traced and fault-free faulty drivers are the plain run with
-   something watching, the asynchronous driver meets the spec, and the
-   model checker's terminals cover every schedule the engines produce
-   (its over-approximation claim, explore.mli). *)
+(* The one-shot drivers over every protocol of Run's table: the
+   observed, traced and fault-free faulty drivers are the plain run
+   with something watching, the asynchronous driver meets the spec,
+   Run's fault and observe reports read the same run, and the model
+   checker's terminals cover every schedule the engines produce (its
+   over-approximation claim, explore.mli). *)
 
 module Gen = Countq_topology.Gen
 module Graph = Countq_topology.Graph
-module Spanning = Countq_topology.Spanning
 module Engine = Countq_simnet.Engine
 module Async = Countq_simnet.Async
 module Explore = Countq_simnet.Explore
@@ -14,14 +14,11 @@ module Faults = Countq_simnet.Faults
 module Metrics = Countq_simnet.Metrics
 module Monitor = Countq_simnet.Monitor
 module Oneshot = Countq_simnet.Oneshot
-module Arrow = Countq_arrow.Protocol
-module Counting = Countq_counting
-module Queuing = Countq_queuing
+module Span = Countq_simnet.Span
+module Run = Countq.Run
 
-(* Every protocol with a [one_shot] constructor, on its default tree. *)
-let protocols =
-  [ "arrow"; "arrow+notify"; "central-count"; "central-queue"; "token-ring";
-    "dynamic-queue"; "combining"; "diffracting"; "funnel"; "sweep"; "network" ]
+(* Every protocol of the table, on its default tree. *)
+let protocols = List.map snd Run.protocols
 
 (* The network's balancers toggle mutable tables in place, which the
    model checker's structural configurations cannot hold (exploring it
@@ -29,40 +26,18 @@ let protocols =
    the default budget of a million configurations on 5-node instances;
    `countq check` explores it on fixed 3-4 node ones. *)
 let explorable =
-  List.filter (fun p -> p <> "network" && p <> "dynamic-queue") protocols
+  List.filter (fun p -> p <> `Network && p <> `Dynamic_queue) protocols
 
-type 'a visitor = { visit : 's 'm 'r. ('s, 'm, 'r) Oneshot.t -> 'a }
-
-let with_instance name g requests v =
-  let bfs () = Spanning.bfs g ~root:0 in
-  let arrow_tree () = Spanning.best_for_arrow g in
-  match name with
-  | "arrow" -> v.visit (Arrow.one_shot ~tree:(arrow_tree ()) ~requests ())
-  | "arrow+notify" ->
-      v.visit (Arrow.one_shot ~notify:true ~tree:(arrow_tree ()) ~requests ())
-  | "central-count" -> v.visit (Counting.Central.one_shot ~graph:g ~requests ())
-  | "central-queue" ->
-      v.visit (Queuing.Central_queue.one_shot ~graph:g ~requests ())
-  | "token-ring" -> v.visit (Queuing.Token_ring.one_shot ~tree:(bfs ()) ~requests ())
-  | "dynamic-queue" -> v.visit (Queuing.Dynamic_queue.one_shot ~graph:g ~requests ())
-  | "combining" -> v.visit (Counting.Combining.one_shot ~tree:(bfs ()) ~requests ())
-  | "diffracting" ->
-      v.visit (Counting.Diffracting.one_shot ~tree:(bfs ()) ~requests ())
-  | "funnel" -> v.visit (Counting.Funnel.one_shot ~tree:(bfs ()) ~requests ())
-  | "sweep" -> v.visit (Counting.Sweep.one_shot ~tree:(arrow_tree ()) ~requests ())
-  | "network" -> v.visit (Counting.Network.one_shot ~graph:g ~requests ())
-  | other -> invalid_arg other
-
-let instance_gen names topology_gen =
+let instance_gen protocols topology_gen =
   let open QCheck2.Gen in
-  let* name = oneofl names in
+  let* p = oneofl protocols in
   let* topo, g = topology_gen in
   let n = Graph.n g in
   let* mask = list_size (return n) bool in
   let requests = List.filteri (fun i _ -> List.nth mask i) (Helpers.all_nodes n) in
-  return (name, (topo, g, requests))
+  return (p, (topo, g, requests))
 
-let print (name, inst) = name ^ " on " ^ Helpers.instance_print inst
+let print (p, inst) = Run.name p ^ " on " ^ Helpers.instance_print inst
 
 (* ---- the drivers agree with Oneshot.run ---- *)
 
@@ -83,8 +58,31 @@ let prop_drivers_agree =
   QCheck2.Test.make ~name:"observed, traced and faulty(none) equal Oneshot.run"
     ~count:300 ~print
     (instance_gen protocols Helpers.topology_gen)
-    (fun (name, (_, g, requests)) ->
-      with_instance name g requests { visit = drivers_agree })
+    (fun (p, (_, graph, requests)) ->
+      let (Run.Instance { inst; _ }) = Run.instance ~graph ~requests p in
+      drivers_agree inst)
+
+(* ---- Run's fault and observe reports read the same run ---- *)
+
+let reports_agree p graph requests =
+  let (Run.Instance { inst; _ }) = Run.instance ~graph ~requests p in
+  let plain = Oneshot.run inst in
+  let k = List.length requests in
+  let f = Run.run_faulty ~graph ~protocol:p ~plan:Faults.none ~requests () in
+  let o = Run.observe ~graph ~protocol:p ~requests () in
+  f.expected = k && f.completed = k && f.valid && f.extra_rounds = 0
+  && f.extra_messages = 0 && f.safe && f.live && o.completed = k && o.o_valid
+  && o.o_rounds = plain.rounds && o.o_messages = plain.messages
+  && List.sort compare (List.map (fun (s : Span.t) -> s.op) o.spans)
+     = List.sort compare requests
+  && List.for_all (fun (s : Span.t) -> s.completion_round <> None) o.spans
+
+let prop_reports_agree =
+  QCheck2.Test.make
+    ~name:"run_faulty(none) and observe report the plain run, every protocol"
+    ~count:200 ~print
+    (instance_gen protocols Helpers.topology_gen)
+    (fun (p, (_, graph, requests)) -> reports_agree p graph requests)
 
 (* ---- Explore's terminals cover every engine schedule ---- *)
 
@@ -146,11 +144,13 @@ let prop_explore_covers_engines =
     ~print:(fun (inst, seed) -> Printf.sprintf "%s seed %d" (print inst) seed)
     QCheck2.Gen.(
       pair (instance_gen explorable small_topology_gen) (int_range 0 1_000_000))
-    (fun ((name, (_, g, requests)), seed) ->
-      with_instance name g requests { visit = (fun inst -> covered ~seed inst) })
+    (fun ((p, (_, graph, requests)), seed) ->
+      let (Run.Instance { inst; _ }) = Run.instance ~graph ~requests p in
+      covered ~seed inst)
 
 let suite =
   [
     Helpers.qcheck prop_drivers_agree;
+    Helpers.qcheck prop_reports_agree;
     Helpers.qcheck prop_explore_covers_engines;
   ]

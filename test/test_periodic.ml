@@ -52,7 +52,10 @@ let test_embedding_on_graph () =
   let n = 32 in
   let g = Gen.complete n in
   let net = Periodic.create ~width:8 in
-  let r = Network.run ~net ~graph:g ~requests:(Helpers.all_nodes n) () in
+  let r =
+    Helpers.counted
+      (Network.one_shot ~net ~graph:g ~requests:(Helpers.all_nodes n) ())
+  in
   match r.valid with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Format.asprintf "periodic embedding: %a" Counts.pp_error e)
@@ -60,11 +63,11 @@ let test_embedding_on_graph () =
 let test_width_net_disagreement () =
   let net = Periodic.create ~width:8 in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Network.run: width disagrees with the given net")
+    (Invalid_argument "Network.one_shot: width disagrees with the given net")
     (fun () ->
       ignore
-        (Network.run ~width:4 ~net ~graph:(Gen.complete 8)
-           ~requests:[ 0; 1 ] ()))
+        (Helpers.counted (Network.one_shot ~width:4 ~net ~graph:(Gen.complete 8)
+           ~requests:[ 0; 1 ] ())))
 
 let prop_periodic_counts =
   QCheck2.Test.make
@@ -84,7 +87,7 @@ let prop_embedding_spec =
     ~count:40 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, requests) ->
       let net = Periodic.create ~width:4 in
-      let r = Network.run ~net ~graph:g ~requests () in
+      let r = Helpers.counted (Network.one_shot ~net ~graph:g ~requests ()) in
       Result.is_ok r.valid)
 
 let suite =

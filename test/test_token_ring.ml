@@ -53,7 +53,9 @@ let test_sparse_requester_pays_full_walk () =
   let n = Tree.n tree in
   let target = n - 1 in
   let ring = run ~tree ~requests:[ target ] in
-  let arrow = Arrow.Protocol.run_one_shot ~tree ~requests:[ target ] () in
+  let arrow =
+    Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests:[ target ] ())
+  in
   check_valid "ring" ring;
   Alcotest.(check bool)
     (Printf.sprintf "ring (%d) > arrow (%d)" ring.total_delay arrow.total_delay)
