@@ -1578,7 +1578,7 @@ let e27_churn_degradation ?quick:(quick = false) ?ctx () =
   let rows, _stats = Sweep.run_rows ctx ~experiment:"E27" points in
   Table.make ~id:"E27"
     ~title:"queuing and counting under link churn (flap-rate sweep)"
-    ~paper_ref:"ROADMAP item 2; Sharma-Busch (dynamic queuing)"
+    ~paper_ref:"Sharma-Busch (distributed queuing in dynamic networks)"
     ~headers:churn_headers
     ~notes:
       [
@@ -1624,7 +1624,7 @@ let e28_interval_connectivity ?quick:(quick = false) ?ctx () =
   let rows, _stats = Sweep.run_rows ctx ~experiment:"E28" points in
   Table.make ~id:"E28"
     ~title:"dynamic queuing vs the T-interval-connectivity adversary"
-    ~paper_ref:"ROADMAP item 2; T-interval connectivity (Kuhn-Lynch-Oshman)"
+    ~paper_ref:"Sharma-Busch (dynamic queuing); T-interval connectivity (Kuhn-Lynch-Oshman)"
     ~headers:churn_headers
     ~notes:
       [
@@ -1693,7 +1693,7 @@ let e29_latency_vs_load ?quick:(quick = false) ?ctx () =
   let rows, _stats = Sweep.run_rows ctx ~experiment:"E29" points in
   Table.make ~id:"E29"
     ~title:"latency vs offered load - the separation as a saturation curve"
-    ~paper_ref:"Ghodselahi-Kuhn (sustained request streams); ROADMAP item 1"
+    ~paper_ref:"Ghodselahi-Kuhn (sustained request streams); the Theorem 3.6 / 4.5 list separation under load"
     ~headers:
       [
         "workload"; "offered"; "injected"; "done"; "thr"; "p50"; "p95"; "p99";
@@ -1758,7 +1758,7 @@ let e30_event_engine_scaling ?quick:(quick = false) ?ctx () =
   let rows, _stats = Sweep.run_rows ctx ~experiment:"E30" points in
   Table.make ~id:"E30"
     ~title:"event-engine n-scaling on implicit lists (to a million nodes)"
-    ~paper_ref:"ROADMAP item 1 (cost proportional to activity)"
+    ~paper_ref:"Theorems 3.6 and 4.5 on the list, at n = 10^6"
     ~headers:
       [
         "workload"; "n"; "k"; "done"; "rounds"; "messages"; "msgs/op";
@@ -1858,7 +1858,7 @@ let e31_streaming_telemetry ?quick:(quick = false) ?ctx () =
   let rows, _stats = Sweep.run_rows ctx ~experiment:"E31" points in
   Table.make ~id:"E31"
     ~title:"streaming telemetry - sketch percentiles at 10^6 operations"
-    ~paper_ref:"ROADMAP observability item; HDR-sketch accuracy bound"
+    ~paper_ref:"Section 2.2 per-operation delays at 10^6 operations; HDR-sketch accuracy bound"
     ~headers:
       [
         "mode"; "n"; "horizon"; "injected"; "done"; "stranded"; "p50"; "p95";
@@ -2116,13 +2116,13 @@ let all =
     {
       id = "E27";
       title = "queuing and counting under link churn";
-      paper_ref = "ROADMAP item 2 (dynamic networks)";
+      paper_ref = "Sharma-Busch (dynamic networks)";
       run = e27_churn_degradation;
     };
     {
       id = "E28";
       title = "cost vs connectivity interval T";
-      paper_ref = "ROADMAP item 2 (dynamic networks)";
+      paper_ref = "Sharma-Busch (dynamic networks)";
       run = e28_interval_connectivity;
     };
     {
@@ -2134,13 +2134,13 @@ let all =
     {
       id = "E30";
       title = "event-engine n-scaling to 10^6";
-      paper_ref = "ROADMAP item 1";
+      paper_ref = "Theorems 3.6 and 4.5 at 10^6";
       run = e30_event_engine_scaling;
     };
     {
       id = "E31";
       title = "streaming telemetry at 10^6 operations";
-      paper_ref = "ROADMAP observability item";
+      paper_ref = "Section 2.2 delays, sketched";
       run = e31_streaming_telemetry;
     };
     {

@@ -61,7 +61,7 @@ let rec take n = function
 (* Deltas: what flooding actually puts on the wire.                    *)
 (*                                                                     *)
 (* Full-state flooding re-sends the entire chain on every growth step  *)
-(* — O(n·k) traffic per change, the ROADMAP item 2 blocker. Because    *)
+(* — O(n·k) traffic per change, too much to flood under churn. Because *)
 (* every chain in the system is a prefix of one global chain (the      *)
 (* single-extender argument below), a sender only owes a neighbour the *)
 (* chain entries above what that neighbour already has plus the        *)

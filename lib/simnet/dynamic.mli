@@ -1,12 +1,12 @@
 (** Adversarial dynamic-topology schedules and churn models.
 
     The paper's model (Section 2.1) fixes one static interconnection
-    graph for the whole execution. ROADMAP item 2 asks what survives
-    when the graph moves: Sharma–Busch's dynamic distributed queuing
-    works under a {e T-interval connectivity} adversary (some spanning
-    subgraph survives every window of [T] consecutive rounds), and
-    churn studies replace fail-stop crashes with nodes and links that
-    leave and rejoin.
+    graph for the whole execution. The dynamic-network setting asks
+    what survives when the graph moves: Sharma–Busch's dynamic
+    distributed queuing (PAPERS.md) works under a {e T-interval
+    connectivity} adversary (some spanning subgraph survives every
+    window of [T] consecutive rounds), and churn studies replace
+    fail-stop crashes with nodes and links that leave and rejoin.
 
     A {!schedule} describes, for every round [t >= 1], which nodes and
     which links of a base graph are {e up}. Schedules are pure
