@@ -31,10 +31,6 @@ let sample_requests rng ~k ~n = Rng.sample rng ~k ~n
 
 let ratio a b = if b = 0 then Float.nan else float_of_int a /. float_of_int b
 
-(* One plain run of a one-shot instance, read by its family's converter. *)
-let queued inst = Arrow.Protocol.of_engine (Oneshot.run inst)
-let counted ~requests inst = Counting.Counts.of_engine ~requests (Oneshot.run inst)
-
 (* ------------------------------------------------------------------ *)
 (* E1: Fig. 1 - one concrete run, both problems, same request set.     *)
 
@@ -42,10 +38,13 @@ let e1_model_demo ?quick:(_ = false) () =
   let g = Gen.square_mesh 3 in
   let requests = [ 0; 4; 8 ] in
   let tree = Spanning.best_for_arrow g in
-  let queue_run = queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
+  let queue_run =
+    Arrow.Protocol.of_engine (Oneshot.run (Arrow.Protocol.one_shot ~tree ~requests ()))
+  in
   let count_run =
-    counted ~requests
-      (Counting.Combining.one_shot ~tree:(Spanning.bfs g ~root:0) ~requests ())
+    Counting.Counts.of_engine ~requests
+      (Oneshot.run
+         (Counting.Combining.one_shot ~tree:(Spanning.bfs g ~root:0) ~requests ()))
   in
   let count_of v =
     List.find (fun (o : Counting.Counts.outcome) -> o.node = v)
@@ -769,8 +768,8 @@ let e14_arbiter_ablation ?quick:(quick = false) () =
           (fun (name, arbiter) ->
             let config = { Engine.default_config with arbiter } in
             let r =
-              counted ~requests
-                (Counting.Central.one_shot ~config ~graph:g ~requests ())
+              Counting.Counts.of_engine ~requests
+                (Oneshot.run (Counting.Central.one_shot ~config ~graph:g ~requests ()))
             in
             [
               Table.cell_int n;
@@ -1066,7 +1065,8 @@ let e20_network_families ?quick:(quick = false) () =
       (fun width ->
         let make name net =
           let r =
-            counted ~requests (Counting.Network.one_shot ~net ~graph:g ~requests ())
+            Counting.Counts.of_engine ~requests
+              (Oneshot.run (Counting.Network.one_shot ~net ~graph:g ~requests ()))
           in
           [
             Table.cell_int width;
@@ -1121,9 +1121,10 @@ let e21_expansion_soundness ?quick:(quick = false) () =
         let c = max 1 (Tree.max_degree tree) in
         let expanded = Run.queuing ~tree ~graph:g ~protocol:`Arrow ~requests () in
         let base =
-          queued
-            (Arrow.Protocol.one_shot ~config:Engine.default_config ~tree
-               ~requests ())
+          Arrow.Protocol.of_engine
+            (Oneshot.run
+               (Arrow.Protocol.one_shot ~config:Engine.default_config ~tree
+                  ~requests ()))
         in
         [
           name;
