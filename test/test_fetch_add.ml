@@ -168,6 +168,36 @@ let prop_total_sum_conserved =
       | last :: _ -> last.before + last.increment = total
       | [] -> false)
 
+(* Counting is fetch-and-add with unit increments: the central and
+   sweep runs equal the counting runs on the same structure, message
+   for message, and every node's prefix is its rank minus one. *)
+let prop_unit_increments_are_counting =
+  QCheck2.Test.make ~name:"fetch-and-add with unit increments is counting"
+    ~count:200 ~print:Helpers.instance_print Helpers.instance_gen
+    (fun (_, g, nodes) ->
+      let requests = List.map (fun v -> (v, 1)) nodes in
+      let tree = Spanning.bfs g ~root:0 in
+      let same (fa : FA.run_result) (c : Countq_counting.Counts.run_result) =
+        fa.rounds = c.rounds && fa.messages = c.messages
+        && List.sort compare
+             (List.map
+                (fun (o : FA.outcome) -> (o.node, o.before + 1, o.round))
+                fa.outcomes)
+           = List.sort compare
+               (List.map
+                  (fun (o : Countq_counting.Counts.outcome) ->
+                    (o.node, o.count, o.round))
+                  c.outcomes)
+      in
+      same
+        (FA.run_central ~graph:g ~requests ())
+        (Helpers.counted
+           (Countq_counting.Central.one_shot ~graph:g ~requests:nodes ()))
+      && same
+           (FA.run_sweep ~tree ~requests ())
+           (Helpers.counted
+              (Countq_counting.Sweep.one_shot ~tree ~requests:nodes ())))
+
 let suite =
   [
     Alcotest.test_case "validate: good" `Quick test_validate_good;
@@ -191,4 +221,5 @@ let suite =
       test_rejects_negative_increment;
     Helpers.qcheck prop_all_protocols_valid;
     Helpers.qcheck prop_total_sum_conserved;
+    Helpers.qcheck prop_unit_increments_are_counting;
   ]

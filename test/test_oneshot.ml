@@ -148,9 +148,57 @@ let prop_explore_covers_engines =
       let (Run.Instance { inst; _ }) = Run.instance ~graph ~requests p in
       covered ~seed inst)
 
+(* ---- a one-shot run is a long-lived run with every arrival at 0 ---- *)
+
+let same_long_lived_run (_, graph, requests) =
+  let arrivals = List.map (fun v -> (v, 0)) requests in
+  let tree = Countq_topology.Spanning.best_for_arrow graph in
+  let arrow =
+    let ll = Countq_arrow.Protocol.run_long_lived ~tree ~arrivals () in
+    let os = Helpers.queued (Countq_arrow.Protocol.one_shot ~tree ~requests ()) in
+    ll.rounds = os.rounds && ll.messages = os.messages
+    && List.sort compare ll.outcomes = List.sort compare os.outcomes
+  in
+  let counts (r : Countq_counting.Counts.run_result) =
+    List.sort compare
+      (List.map
+         (fun (o : Countq_counting.Counts.outcome) -> (o.node, o.count, o.round))
+         r.outcomes)
+  in
+  let central =
+    let ll = Countq_counting.Central.run_long_lived ~graph ~arrivals () in
+    let os = Helpers.counted (Countq_counting.Central.one_shot ~graph ~requests ()) in
+    ll.rounds = os.rounds && ll.messages = os.messages
+    && List.sort compare
+         (List.map
+            (fun (o : Countq_counting.Central.long_lived_outcome) ->
+              (o.node, o.count, o.delay))
+            ll.outcomes)
+       = counts os
+  in
+  let network =
+    let ll = Countq_counting.Network.run_long_lived ~graph ~arrivals () in
+    let os = Helpers.counted (Countq_counting.Network.one_shot ~graph ~requests ()) in
+    ll.rounds = os.rounds && ll.messages = os.messages
+    && List.sort compare
+         (List.map
+            (fun (o : Countq_counting.Network.long_lived_outcome) ->
+              (o.node, o.count, o.delay))
+            ll.outcomes)
+       = counts os
+  in
+  arrow && central && network
+
+let prop_long_lived_at_zero =
+  QCheck2.Test.make
+    ~name:"a long-lived run with every arrival at round 0 is the one-shot run"
+    ~count:200 ~print:Helpers.instance_print Helpers.instance_gen
+    same_long_lived_run
+
 let suite =
   [
     Helpers.qcheck prop_drivers_agree;
     Helpers.qcheck prop_reports_agree;
     Helpers.qcheck prop_explore_covers_engines;
+    Helpers.qcheck prop_long_lived_at_zero;
   ]
