@@ -101,28 +101,21 @@ let summarise outcomes (res : _ Engine.result) =
 let of_engine (res : (Types.op * Types.pred) Engine.result) =
   summarise (Order.of_completions res.completions) res
 
-let one_shot_setup ?config ?tail ~notify ~tree ~requests name =
-  let n = Tree.n tree in
+(* The machine over [issue_rounds], and its config: the expanded step
+   of Section 4 unless [config] says otherwise. *)
+let setup ?config ?tail ~notify ~tree issue_rounds =
   let tail = Option.value tail ~default:(Tree.root tree) in
   check_tail tree tail;
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg (name ^ ": request out of range");
-      if requesting.(v) then invalid_arg (name ^ ": duplicate request node");
-      requesting.(v) <- true)
-    requests;
   let config =
     match config with
     | Some c -> c
     | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
   in
-  let protocol =
-    make_protocol ~tree ~tail
-      ~issue_rounds:(fun v -> if requesting.(v) then [ 0 ] else [])
-      ~notify
-  in
-  (config, protocol)
+  (config, make_protocol ~tree ~tail ~issue_rounds ~notify)
+
+let one_shot_setup ?config ?tail ~notify ~tree ~requests name =
+  let requesting = Engine.requesting ~name ~n:(Tree.n tree) requests in
+  setup ?config ?tail ~notify ~tree (fun v -> if requesting.(v) then [ 0 ] else [])
 
 type checker_state = state
 type checker_msg = msg
@@ -148,35 +141,17 @@ let one_shot ?config ?tail ?(notify = false) ~tree ~requests () =
   }
 
 let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
-  let n = Tree.n tree in
-  let tail = Option.value tail ~default:(Tree.root tree) in
-  check_tail tree tail;
-  List.iter
-    (fun (v, r) ->
-      if v < 0 || v >= n then
-        invalid_arg "Arrow.run_long_lived: arrival node out of range";
-      if r < 0 then invalid_arg "Arrow.run_long_lived: negative arrival round")
-    arrivals;
-  let per_node = Array.make n [] in
-  List.iter (fun (v, r) -> per_node.(v) <- r :: per_node.(v)) arrivals;
-  Array.iteri
-    (fun v rounds -> per_node.(v) <- List.sort compare rounds)
-    per_node;
-  (* Issue time of op {origin; seq} = the seq-th scheduled round. *)
-  let issue_time (op : Types.op) = List.nth per_node.(op.origin) op.seq in
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
+  let schedule =
+    Engine.schedule ~name:"Arrow.run_long_lived" ~n:(Tree.n tree) arrivals
   in
-  let protocol =
-    make_protocol ~tree ~tail
-      ~issue_rounds:(fun v -> per_node.(v))
-      ~notify
+  let config, protocol =
+    setup ?config ?tail ~notify ~tree (fun v -> Array.to_list schedule.(v))
   in
   let res = Engine.run ~graph:(Tree.to_graph tree) ~config ~protocol () in
+  (* Op {origin; seq} issued in round [schedule.(origin).(seq)]. *)
   summarise
     (List.map
-       (fun (o : Types.outcome) -> { o with round = o.round - issue_time o.op })
+       (fun (o : Types.outcome) ->
+         { o with round = o.round - schedule.(o.op.origin).(o.op.seq) })
        (Order.of_completions res.completions))
     res

@@ -14,6 +14,7 @@ module Tsp = Countq_tsp
 module Bounds = Countq_bounds
 module Multicast = Countq_multicast
 module Json = Countq_util.Json
+module Engine = Countq_simnet.Engine
 module Oneshot = Countq_simnet.Oneshot
 
 type spec = {
@@ -634,16 +635,8 @@ let e13_long_lived_arrow ?quick:(quick = false) ?ctx () =
           match run.order with
           | Error _ -> "-"
           | Ok order ->
-              let per_node = Array.make n [] in
-              List.iter
-                (fun (v, t) -> per_node.(v) <- t :: per_node.(v))
-                arrivals;
-              Array.iteri
-                (fun v ts -> per_node.(v) <- List.sort compare ts)
-                per_node;
-              let issue (op : Arrow.Types.op) =
-                List.nth per_node.(op.origin) op.seq
-              in
+              let schedule = Engine.schedule ~name:"E13" ~n arrivals in
+              let issue (op : Arrow.Types.op) = schedule.(op.origin).(op.seq) in
               let delay =
                 let tbl = Hashtbl.create 64 in
                 List.iter
@@ -659,39 +652,20 @@ let e13_long_lived_arrow ?quick:(quick = false) ?ctx () =
               then "yes"
               else "no"
         in
-        let net =
-          Counting.Network.run_long_lived ~graph:g ~arrivals ()
-        in
-        let net_ops = List.length net.outcomes in
-        let net_mean =
-          ratio
-            (List.fold_left
-               (fun acc (o : Counting.Network.long_lived_outcome) ->
-                 acc + o.delay)
-               0 net.outcomes)
-            net_ops
-        in
-        let net_max =
-          List.fold_left
-            (fun acc (o : Counting.Network.long_lived_outcome) ->
-              max acc o.delay)
-            0 net.outcomes
-        in
+        let net = Counting.Network.run_long_lived ~graph:g ~arrivals () in
         let central = Counting.Central.run_long_lived ~graph:g ~arrivals () in
-        let central_ops = List.length central.outcomes in
-        let central_mean =
-          ratio
-            (List.fold_left
-               (fun acc (o : Counting.Central.long_lived_outcome) ->
-                 acc + o.delay)
-               0 central.outcomes)
-            central_ops
-        in
-        let central_max =
-          List.fold_left
-            (fun acc (o : Counting.Central.long_lived_outcome) ->
-              max acc o.delay)
-            0 central.outcomes
+        let counter label (r : Counting.Counts.long_lived_result) =
+          let ops = List.length r.outcomes in
+          [
+            Table.cell_int per_round;
+            label;
+            Table.cell_int ops;
+            Table.cell_int r.rounds;
+            Table.cell_float (ratio r.total_delay ops);
+            Table.cell_int r.max_delay;
+            Table.cell_bool r.counts_exact;
+            "-";
+          ]
         in
         [
           [
@@ -704,26 +678,8 @@ let e13_long_lived_arrow ?quick:(quick = false) ?ctx () =
             Table.cell_bool (Result.is_ok run.order);
             fifo;
           ];
-          [
-            Table.cell_int per_round;
-            "count/network";
-            Table.cell_int net_ops;
-            Table.cell_int net.rounds;
-            Table.cell_float net_mean;
-            Table.cell_int net_max;
-            Table.cell_bool net.counts_exact;
-            "-";
-          ];
-          [
-            Table.cell_int per_round;
-            "count/central";
-            Table.cell_int central_ops;
-            Table.cell_int central.rounds;
-            Table.cell_float central_mean;
-            Table.cell_int central_max;
-            Table.cell_bool central.counts_exact;
-            "-";
-          ];
+          counter "count/network" net;
+          counter "count/central" central;
         ]))
       rates
   in
@@ -747,7 +703,6 @@ let e13_long_lived_arrow ?quick:(quick = false) ?ctx () =
    is fair round-robin. How much does the policy move the totals?      *)
 
 let e14_arbiter_ablation ?quick:(quick = false) () =
-  let module Engine = Countq_simnet.Engine in
   let sizes = if quick then [ 32 ] else [ 32; 64; 128 ] in
   let policies =
     [
@@ -1101,7 +1056,6 @@ let e20_network_families ?quick:(quick = false) () =
    expanded-step width times its expanded-step cost.                   *)
 
 let e21_expansion_soundness ?quick:(quick = false) () =
-  let module Engine = Countq_simnet.Engine in
   let cases =
     if quick then [ ("mesh-8x8", Gen.square_mesh 8) ]
     else
@@ -1210,7 +1164,6 @@ let e22_other_networks ?quick:(quick = false) () =
 
 let e23_observed_influence ?quick:(quick = false) () =
   let module Observed = Bounds.Observed in
-  let module Engine = Countq_simnet.Engine in
   let cases =
     if quick then [ ("complete-32", Gen.complete 32) ]
     else

@@ -9,37 +9,27 @@
     above the arrow protocol and a concrete illustration of why
     counting concentrates contention. *)
 
-type long_lived_outcome = {
-  node : int;
-  seq : int;  (** which of the node's operations (issue order). *)
-  count : int;
-  delay : int;  (** rounds from issue to receipt of the rank. *)
-}
-
-type long_lived_result = {
-  outcomes : long_lived_outcome list;
-  counts_exact : bool;  (** ranks handed out are exactly [{1 .. m}]. *)
-  rounds : int;
-  messages : int;
-}
-
-val run_long_lived :
-  ?config:Countq_simnet.Engine.config ->
-  ?root:int ->
-  ?route:Countq_simnet.Route.t ->
-  graph:Countq_topology.Graph.t ->
-  arrivals:(int * int) list ->
-  unit ->
-  long_lived_result
-(** The long-lived scenario: [(node, round)] arrivals, nodes may repeat.
-    The root assigns ranks in arrival order; because it serialises,
-    per-op delay grows linearly with load — the baseline the long-lived
-    arrow and counting network are compared against in E13.
-    @raise Invalid_argument on bad arrivals. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for the exhaustive schedule explorer. *)
+
+val machine :
+  root:int ->
+  route:Countq_simnet.Route.t ->
+  graph:Countq_topology.Graph.t ->
+  issue_rounds:(int -> int list) ->
+  increment:(int -> int) ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
+(** The one central machine behind {!one_shot}, {!run_long_lived} and
+    [Fetch_add.run_central]. Node [v] issues at the rounds
+    [issue_rounds v] (ascending; a one-shot requester's are [[0]]),
+    naming its operation [seq] by [Counts.op]. The root adds
+    [increment op] to its running sum in arrival order and hands out
+    the new sum, which is the op's rank when every increment is 1; the
+    op completes at its origin as [(op, sum)]. The root reads an op's
+    increment by its id rather than from the request, which the
+    per-message cost model cannot tell apart.
+    @raise Invalid_argument on a root out of range. *)
 
 val one_shot_protocol :
   ?root:int ->
@@ -48,8 +38,9 @@ val one_shot_protocol :
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value; completions are [(node, count)] pairs —
-    validate with {!Counts.validate}. *)
+(** {!machine} with one issue at round 0 per requester and unit
+    increments; completions are [(node, count)] pairs — validate with
+    {!Counts.validate}. *)
 
 val one_shot :
   ?config:Countq_simnet.Engine.config ->
@@ -69,3 +60,19 @@ val one_shot :
     an all-pairs table (computed in the free initialisation step). The
     base model (capacities 1/1) unless [config] says otherwise.
     @raise Invalid_argument on out-of-range or duplicate requests. *)
+
+val run_long_lived :
+  ?config:Countq_simnet.Engine.config ->
+  ?root:int ->
+  ?route:Countq_simnet.Route.t ->
+  graph:Countq_topology.Graph.t ->
+  arrivals:(int * int) list ->
+  unit ->
+  Counts.long_lived_result
+(** The long-lived scenario: {!machine} over the
+    [Countq_simnet.Engine.schedule] of [(node, round)] arrivals (nodes
+    may repeat) with unit increments, defaults as {!one_shot}. The root
+    assigns ranks in arrival order; because it serialises, per-op delay
+    grows linearly with load — the baseline the long-lived arrow and
+    counting network are compared against in E13.
+    @raise Invalid_argument on bad arrivals. *)

@@ -2,6 +2,64 @@
 
 module Engine = Countq_simnet.Engine
 
+let op ~n ~node ~seq = (seq * n) + node
+
+type long_lived_outcome = { node : int; seq : int; count : int; delay : int }
+
+type long_lived_result = {
+  outcomes : long_lived_outcome list;
+  counts_exact : bool;
+  rounds : int;
+  messages : int;
+  total_delay : int;
+  max_delay : int;
+}
+
+(* Scheduled op (v, seq) owns slot [first.(v) + seq] of the [m]
+   arrivals; byte marks catch an op completing twice or a rank handed
+   out twice, so [m] distinct completions with ranks in 1..m are
+   exactly every op once and the ranks {1..m}. *)
+let of_long_lived ~schedule (res : (int * int) Engine.result) =
+  let n = Array.length schedule in
+  let first = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    first.(v + 1) <- first.(v) + Array.length schedule.(v)
+  done;
+  let m = first.(n) in
+  let completed = Bytes.make m '\000' and ranked = Bytes.make m '\000' in
+  let exact = ref (List.length res.completions = m) in
+  let mark marks i =
+    if Bytes.get marks i <> '\000' then exact := false;
+    Bytes.set marks i '\001'
+  in
+  let outcomes =
+    List.map
+      (fun (c : _ Engine.completion) ->
+        let op, count = c.value in
+        let node = op mod n and seq = op / n in
+        let issued =
+          if op >= 0 && seq < Array.length schedule.(node) then begin
+            mark completed (first.(node) + seq);
+            schedule.(node).(seq)
+          end
+          else begin
+            exact := false;
+            0
+          end
+        in
+        if count >= 1 && count <= m then mark ranked (count - 1) else exact := false;
+        { node; seq; count; delay = c.round - issued })
+      res.completions
+  in
+  {
+    outcomes;
+    counts_exact = !exact;
+    rounds = res.rounds;
+    messages = res.messages;
+    total_delay = List.fold_left (fun acc o -> acc + o.delay) 0 outcomes;
+    max_delay = List.fold_left (fun acc o -> max acc o.delay) 0 outcomes;
+  }
+
 type outcome = { node : int; count : int; round : int }
 
 type error =

@@ -5,6 +5,50 @@
     exactly [{1, 2, …, |R|}], and non-requesters receive nothing
     (Section 2.2). *)
 
+(** {2 Long-lived runs}
+
+    A long-lived counter issues operations over time from an issue
+    schedule ({!Countq_simnet.Engine.schedule}); a one-shot run is the
+    schedule in which every requester issues once, at round 0. Every
+    counting machine with a schedule names an operation by one int,
+    {!op}, and completes it with [(op, count)] at its origin. *)
+
+val op : n:int -> node:int -> seq:int -> int
+(** [seq * n + node]: node [node]'s operation [seq] (its issue order)
+    on an [n]-node graph. A one-shot operation ([seq = 0]) is named by
+    its origin, so one-shot messages carry what they always did. *)
+
+type long_lived_outcome = {
+  node : int;  (** the issuing processor. *)
+  seq : int;  (** which of the node's operations (issue order). *)
+  count : int;  (** the rank received. *)
+  delay : int;  (** rounds from issue to receipt of the rank. *)
+}
+
+type long_lived_result = {
+  outcomes : long_lived_outcome list;  (** one per completion, in order. *)
+  counts_exact : bool;
+      (** every scheduled operation completed exactly once, nothing
+          else completed, and the ranks are exactly
+          [{1 .. |arrivals|}]. *)
+  rounds : int;
+  messages : int;
+  total_delay : int;
+  max_delay : int;
+}
+
+val of_long_lived :
+  schedule:int array array ->
+  (int * int) Countq_simnet.Engine.result ->
+  long_lived_result
+(** Convert a long-lived run of [schedule] (as built by
+    {!Countq_simnet.Engine.schedule}) whose completion values are
+    [(op, count)]. Each delay is measured from the op's issue round,
+    an O(1) lookup; an op the schedule does not name makes
+    [counts_exact] false and has its delay measured from round 0. *)
+
+(** {2 One-shot runs} *)
+
 type outcome = {
   node : int;  (** the requesting processor. *)
   count : int;  (** the rank it received. *)

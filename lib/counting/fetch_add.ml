@@ -23,16 +23,17 @@ let pp_error ppf = function
   | Inconsistent_prefixes ->
       Format.pp_print_string ppf "no operation order yields these prefix sums"
 
-let check_requests n requests name =
-  let issued = Hashtbl.create 16 in
+(* Each requester's increment by node ([-1] off the request set). *)
+let increments n requests name =
+  let inc = Array.make n (-1) in
   List.iter
-    (fun (v, inc) ->
+    (fun (v, i) ->
       if v < 0 || v >= n then invalid_arg (name ^ ": request out of range");
-      if inc < 0 then invalid_arg (name ^ ": negative increment");
-      if Hashtbl.mem issued v then invalid_arg (name ^ ": duplicate request node");
-      Hashtbl.replace issued v inc)
+      if i < 0 then invalid_arg (name ^ ": negative increment");
+      if inc.(v) >= 0 then invalid_arg (name ^ ": duplicate request node");
+      inc.(v) <- i)
     requests;
-  issued
+  inc
 
 let validate ~requests outcomes =
   let exception E of error in
@@ -81,12 +82,15 @@ type run_result = {
   expansion : int;
 }
 
-let of_engine ~requests (res : (int * int * int) Engine.result) =
+(* Every runner completes an op as [(node, sum)], the running sum
+   through the node's own increment. *)
+let of_engine ~requests inc (res : (int * int) Engine.result) =
   let outcomes =
     List.map
       (fun (c : _ Engine.completion) ->
-        let node, increment, before = c.value in
-        { node; increment; before; round = c.round })
+        let node, sum = c.value in
+        let increment = inc.(node) in
+        { node; increment; before = sum - increment; round = c.round })
       res.completions
   in
   {
@@ -99,63 +103,19 @@ let of_engine ~requests (res : (int * int * int) Engine.result) =
     expansion = res.expansion;
   }
 
-(* ---- central accumulator ---- *)
+(* ---- central accumulator: the central counter's machine ---- *)
 
-type central_msg =
-  | Request of { origin : int; increment : int }
-  | Reply of { dest : int; increment : int; before : int }
-
-let run_central ?config ?(root = 0) ?route ~graph ~requests () =
-  let n = Graph.n graph in
-  if root < 0 || root >= n then invalid_arg "Fetch_add.run_central: root out of range";
-  let issued = check_requests n requests "Fetch_add.run_central" in
+let run_central ?(config = Engine.default_config) ?(root = 0) ?route ~graph
+    ~requests () =
+  let inc = increments (Graph.n graph) requests "Fetch_add.run_central" in
   let route = match route with Some r -> r | None -> Route.auto graph in
-  let config = Option.value config ~default:Engine.default_config in
-  let apply node sum origin increment =
-    let before = sum in
-    let sum = sum + increment in
-    if origin = node then (sum, [ Engine.Complete (origin, increment, before) ])
-    else
-      ( sum,
-        [
-          Engine.Send
-            ( Route.next_hop route node origin,
-              Reply { dest = origin; increment; before } );
-        ] )
-  in
+  (* A one-shot op is named by its origin. *)
   let protocol =
-    {
-      Engine.name = "central-fetch-add";
-      initial_state = (fun _ -> 0);
-      on_start =
-        (fun ~node sum ->
-          match Hashtbl.find_opt issued node with
-          | None -> (sum, [])
-          | Some increment ->
-              if node = root then apply node sum node increment
-              else
-                ( sum,
-                  [
-                    Engine.Send
-                      ( Route.next_hop route node root,
-                        Request { origin = node; increment } );
-                  ] ));
-      on_receive =
-        (fun ~round:_ ~node ~src:_ msg sum ->
-          match msg with
-          | Request { origin; increment } ->
-              if node = root then apply node sum origin increment
-              else
-                (sum, [ Engine.Send (Route.next_hop route node root, msg) ])
-          | Reply { dest; increment; before } ->
-              if node = dest then
-                (sum, [ Engine.Complete (dest, increment, before) ])
-              else
-                (sum, [ Engine.Send (Route.next_hop route node dest, msg) ]));
-      on_wake = Engine.no_wake;
-    }
+    Central.machine ~root ~route ~graph
+      ~issue_rounds:(fun v -> if inc.(v) >= 0 then [ 0 ] else [])
+      ~increment:(fun op -> inc.(op))
   in
-  of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+  of_engine ~requests inc (Engine.run ~graph ~config ~protocol ())
 
 (* ---- combining tree ---- *)
 
@@ -166,11 +126,9 @@ type combining_msg =
 type combining_state = { pending : int; reported : (int * int) list }
 
 let run_combining ?config ~tree ~requests () =
-  let n = Tree.n tree in
   let root = Tree.root tree in
-  let issued = check_requests n requests "Fetch_add.run_combining" in
-  let increment v = Option.value (Hashtbl.find_opt issued v) ~default:0 in
-  let is_requester v = Hashtbl.mem issued v in
+  let inc = increments (Tree.n tree) requests "Fetch_add.run_combining" in
+  let increment v = max 0 inc.(v) in
   let config =
     match config with
     | Some c -> c
@@ -181,7 +139,7 @@ let run_combining ?config ~tree ~requests () =
      same DFS order the counting combining tree uses. *)
   let downsweep v s base =
     let complete =
-      if is_requester v then [ Engine.Complete (v, increment v, base) ] else []
+      if inc.(v) >= 0 then [ Engine.Complete (v, base + inc.(v)) ] else []
     in
     let base = ref (base + increment v) in
     let sends =
@@ -225,56 +183,14 @@ let run_combining ?config ~tree ~requests () =
     }
   in
   let graph = Tree.to_graph tree in
-  of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+  of_engine ~requests inc (Engine.run ~graph ~config ~protocol ())
 
-(* ---- token sweep ---- *)
+(* ---- token sweep: the sweep counter's machine ---- *)
 
-let run_sweep ?config ~tree ~requests () =
-  let n = Tree.n tree in
-  let issued = check_requests n requests "Fetch_add.run_sweep" in
-  let config = Option.value config ~default:Engine.default_config in
-  let walk = Sweep.euler_walk tree in
-  (* Exclusive prefix of each requester in first-visit order, computed
-     during the free initialisation. *)
-  let before = Array.make n 0 in
-  let seen = Array.make n false in
-  let running = ref 0 in
-  Array.iter
-    (fun v ->
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        match Hashtbl.find_opt issued v with
-        | Some inc ->
-            before.(v) <- !running;
-            running := !running + inc
-        | None -> ()
-      end)
-    walk;
-  let first_visit = Array.make n (-1) in
-  Array.iteri (fun i v -> if first_visit.(v) < 0 then first_visit.(v) <- i) walk;
-  let steps = Array.length walk in
-  let actions_at node i =
-    let complete =
-      match Hashtbl.find_opt issued node with
-      | Some inc when first_visit.(node) = i ->
-          [ Engine.Complete (node, inc, before.(node)) ]
-      | _ -> []
-    in
-    let forward =
-      if i + 1 < steps then [ Engine.Send (walk.(i + 1), i + 1) ] else []
-    in
-    complete @ forward
-  in
+let run_sweep ?(config = Engine.default_config) ~tree ~requests () =
+  let inc = increments (Tree.n tree) requests "Fetch_add.run_sweep" in
   let protocol =
-    {
-      Engine.name = "sweep-fetch-add";
-      initial_state = (fun _ -> ());
-      on_start =
-        (fun ~node s ->
-          if node = Tree.root tree then (s, actions_at node 0) else (s, []));
-      on_receive = (fun ~round:_ ~node ~src:_ i s -> (s, actions_at node i));
-      on_wake = Engine.no_wake;
-    }
+    Sweep.machine ~tree ~requests:(List.map fst requests)
+      ~increment:(fun v -> inc.(v))
   in
-  let graph = Tree.to_graph tree in
-  of_engine ~requests (Engine.run ~graph ~config ~protocol ())
+  of_engine ~requests inc (Engine.run ~graph:(Tree.to_graph tree) ~config ~protocol ())

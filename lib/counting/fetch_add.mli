@@ -12,7 +12,10 @@
 
     Three implementations mirror the counting portfolio: a central
     accumulator, a combining tree (upsweep sums, downsweep prefix
-    bases), and a token sweep. All run on the same simulator and are
+    bases), and a token sweep. The central and sweep runs are the
+    counting machines themselves ({!Central.machine},
+    {!Sweep.machine}) with the callers' increments; the combining tree
+    is a machine of its own. All run on the same simulator and are
     validated against the specification below. *)
 
 type outcome = {
@@ -56,8 +59,11 @@ val run_central :
   requests:(int * int) list ->
   unit ->
   run_result
-(** Central accumulator: requests serialise at [root] (default 0) in
-    arrival order. *)
+(** Central accumulator: {!Central.machine} with the callers'
+    increments, so requests serialise at [root] (default 0) in arrival
+    order and the root hands out running sums. With unit increments
+    this is the central counter's one-shot run, message for message.
+    Defaults as [Central.one_shot]. *)
 
 val run_combining :
   ?config:Countq_simnet.Engine.config ->
@@ -66,7 +72,10 @@ val run_combining :
   unit ->
   run_result
 (** Combining tree: DFS-order prefix sums, default expanded step of the
-    tree degree (as for the counting combining tree). *)
+    tree degree (as for the counting combining tree). A machine of its
+    own: it grants a base on every tree edge, where the counting
+    combining tree skips subtrees without requesters, so it is an
+    independent check of the counting tree's delays. *)
 
 val run_sweep :
   ?config:Countq_simnet.Engine.config ->
@@ -74,5 +83,6 @@ val run_sweep :
   requests:(int * int) list ->
   unit ->
   run_result
-(** Token sweep: the token accumulates the running sum along the Euler
-    tour. *)
+(** Token sweep: {!Sweep.machine} with the callers' increments, the
+    token accumulating the running sum along the Euler tour. With unit
+    increments this is the sweep counter's one-shot run. *)

@@ -36,7 +36,9 @@ val default_width : int -> int
 
 type checker_state
 type checker_msg
-(** Abstract internals, exposed for engine-level harnesses. *)
+(** Abstract internals, exposed for engine-level harnesses. The state
+    is immutable (balancer toggles and exit counters are persistent
+    [Int] sets and maps), so the model checker can branch from it. *)
 
 val one_shot_protocol :
   ?width:int ->
@@ -62,8 +64,10 @@ val one_shot :
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
 (** The one-shot instance over {!Counts.spec}, for the
-    {!Countq_simnet.Oneshot} drivers; every token and reply names its
-    op's origin, so spans follow each op hop by hop. [width] defaults
+    {!Countq_simnet.Oneshot} drivers: the long-lived machine of
+    {!run_long_lived} with every requester issuing once, at round 0.
+    Every token and reply names its op's origin, so spans follow each
+    op hop by hop. [width] defaults
     to [default_width n]; [net] to [Bitonic.create ~width] — pass
     [Periodic.create ~width] (or any balancing network sharing the
     representation) to embed a different structure; [route] defaults
@@ -72,23 +76,6 @@ val one_shot :
     base model (1/1).
     @raise Invalid_argument on a bad width/net combination or bad
     requests. *)
-
-type long_lived_outcome = {
-  node : int;  (** requesting processor. *)
-  seq : int;  (** which of the node's operations (issue order). *)
-  count : int;  (** the rank received. *)
-  delay : int;  (** rounds from issue to receipt. *)
-}
-
-type long_lived_result = {
-  outcomes : long_lived_outcome list;
-  counts_exact : bool;
-      (** the multiset of ranks handed out is exactly [{1 .. m}] —
-          the quiescent counting-network guarantee, which holds for
-          arbitrary arrival patterns. *)
-  rounds : int;
-  messages : int;
-}
 
 val run_long_lived :
   ?config:Countq_simnet.Engine.config ->
@@ -99,10 +86,13 @@ val run_long_lived :
   graph:Countq_topology.Graph.t ->
   arrivals:(int * int) list ->
   unit ->
-  long_lived_result
-(** The long-lived scenario counting networks were designed for:
-    [arrivals] is a list of [(node, round)] pairs ([round >= 0]; a node
-    may appear many times). Each operation becomes a token injected at
-    its issue round; at quiescence the ranks handed out are exactly
-    [{1 .. m}] no matter how the tokens interleaved.
+  Counts.long_lived_result
+(** The long-lived scenario counting networks were designed for, on
+    the one machine {!one_shot} also runs: [arrivals] is a list of
+    [(node, round)] pairs ([round >= 0]; a node may appear many times,
+    see [Countq_simnet.Engine.schedule]). Node [v]'s operation [seq]
+    becomes a token injected at its issue round on input wire
+    [(v + seq) mod width]; at quiescence the ranks handed out are
+    exactly [{1 .. m}] no matter how the tokens interleaved. Defaults
+    as {!one_shot}.
     @raise Invalid_argument on bad arrivals. *)

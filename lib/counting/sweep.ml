@@ -42,21 +42,22 @@ let euler_walk tree =
     seq;
   Array.sub seq 0 (!last_new + 1)
 
-let make_protocol ~tree ~requesting =
+let make_protocol ~tree ~requesting ~increment =
   let n = Tree.n tree in
   let walk = euler_walk tree in
-  (* Rank of each requester = its position among requesters in
-     first-visit order; computed during free initialisation. *)
-  let rank = Array.make n 0 in
+  (* Each requester's running sum through its own increment in
+     first-visit order (its rank when every increment is 1); computed
+     during free initialisation. *)
+  let sum = Array.make n 0 in
   let seen = Array.make n false in
-  let next_rank = ref 0 in
+  let running = ref 0 in
   Array.iter
     (fun v ->
       if not seen.(v) then begin
         seen.(v) <- true;
         if requesting.(v) then begin
-          incr next_rank;
-          rank.(v) <- !next_rank
+          running := !running + increment v;
+          sum.(v) <- !running
         end
       end)
     walk;
@@ -69,7 +70,7 @@ let make_protocol ~tree ~requesting =
   let actions_at node i =
     let complete =
       if requesting.(node) && first_visit.(node) = i then
-        [ Engine.Complete (node, rank.(node)) ]
+        [ Engine.Complete (node, sum.(node)) ]
       else []
     in
     let forward =
@@ -87,28 +88,24 @@ let make_protocol ~tree ~requesting =
     on_wake = Engine.no_wake;
   }
 
-let prepare ~tree ~requests name =
-  let n = Tree.n tree in
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg (name ^ ": request out of range");
-      if requesting.(v) then invalid_arg (name ^ ": duplicate request node");
-      requesting.(v) <- true)
-    requests;
-  make_protocol ~tree ~requesting
+let prepare ~tree ~requests ~increment name =
+  make_protocol ~tree ~increment
+    ~requesting:(Engine.requesting ~name ~n:(Tree.n tree) requests)
 
 type checker_state = unit
 type checker_msg = int
 
+let machine ~tree ~requests ~increment =
+  prepare ~tree ~requests ~increment "Sweep.machine"
+
 let one_shot_protocol ~tree ~requests () =
-  prepare ~tree ~requests "Sweep.one_shot_protocol"
+  prepare ~tree ~requests ~increment:(fun _ -> 1) "Sweep.one_shot_protocol"
 
 let one_shot ?(config = Engine.default_config) ~tree ~requests () =
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
     config;
-    protocol = prepare ~tree ~requests "Sweep.one_shot";
+    protocol = prepare ~tree ~requests ~increment:(fun _ -> 1) "Sweep.one_shot";
     spec = Counts.spec ~requests;
     (* The token serves every operation at once, so no message maps to
        a single op: spans carry injection and completion only. *)

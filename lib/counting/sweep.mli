@@ -18,12 +18,26 @@ type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
 
+val machine :
+  tree:Countq_topology.Tree.t ->
+  requests:int list ->
+  increment:(int -> int) ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
+(** The one sweep machine behind {!one_shot} and
+    [Fetch_add.run_sweep]: the token walks the Euler tour of [tree]
+    from its root and hands each requester [v], on its first visit,
+    the running sum of [increment] over the requesters visited so far,
+    [v] included — its rank when every increment is 1. Completions are
+    [(v, sum)].
+    @raise Invalid_argument on out-of-range or duplicate requests. *)
+
 val one_shot_protocol :
   tree:Countq_topology.Tree.t ->
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value ({!one_shot} without its spec and config), for
+(** The raw protocol value ({!one_shot} without its spec and config:
+    {!machine} with unit increments), for
     benchmarks and equivalence harnesses that need to drive the same
     protocol through several engines; completions are [(node, count)]
     pairs — validate with {!Counts.validate}. *)

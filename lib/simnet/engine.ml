@@ -49,6 +49,33 @@ type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
 let no_wake = Kernel.no_wake
 let wake_next = function r :: _ -> [ Wake r ] | [] -> []
 
+let requesting ~name ~n requests =
+  let seen = Array.make n false in
+  List.iter
+    (fun v ->
+      if v < 0 || v >= n then invalid_arg (name ^ ": request out of range");
+      if seen.(v) then invalid_arg (name ^ ": duplicate request node");
+      seen.(v) <- true)
+    requests;
+  seen
+
+let schedule ~name ~n arrivals =
+  let count = Array.make n 0 in
+  List.iter
+    (fun (v, r) ->
+      if v < 0 || v >= n then invalid_arg (name ^ ": arrival node out of range");
+      if r < 0 then invalid_arg (name ^ ": negative arrival round");
+      count.(v) <- count.(v) + 1)
+    arrivals;
+  let rounds = Array.map (fun k -> Array.make k 0) count in
+  List.iter
+    (fun (v, r) ->
+      count.(v) <- count.(v) - 1;
+      rounds.(v).(count.(v)) <- r)
+    arrivals;
+  Array.iter (Array.sort Int.compare) rounds;
+  rounds
+
 type 'r completion = 'r Kernel.completion = { node : int; round : int; value : 'r }
 
 type 'r result = 'r Kernel.result = {

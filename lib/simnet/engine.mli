@@ -122,6 +122,20 @@ val wake_next : int list -> ('m, 'r) action list
 (** [[Wake r]] for the head [r] of a sorted issue schedule, [[]] for an
     empty one: what a long-lived protocol asks to issue on time. *)
 
+val requesting : name:string -> n:int -> int list -> bool array
+(** [requesting ~name ~n requests]: the one-shot issue schedule of a
+    request set, [.(v)] iff node [v] issues (once, at round 0).
+    @raise Invalid_argument ["<name>: request out of range"] or
+    ["<name>: duplicate request node"]. *)
+
+val schedule : name:string -> n:int -> (int * int) list -> int array array
+(** [schedule ~name ~n arrivals]: the long-lived issue schedule of
+    [(node, round)] arrivals (a node may repeat), as each node's issue
+    rounds in ascending order. Node [v]'s operation [seq] (its
+    [seq]-th issue) issues in round [.(v).(seq)], an O(1) lookup.
+    @raise Invalid_argument ["<name>: arrival node out of range"] or
+    ["<name>: negative arrival round"]. *)
+
 type 'r completion = 'r Kernel.completion = {
   node : int;
   round : int;

@@ -327,7 +327,7 @@ let test_central_long_lived () =
   Alcotest.(check int) "five ops" 5 (List.length r.outcomes);
   Alcotest.(check bool) "counts exact" true r.counts_exact;
   List.iter
-    (fun (o : Central.long_lived_outcome) ->
+    (fun (o : Counts.long_lived_outcome) ->
       Alcotest.(check bool) "delay non-negative" true (o.delay >= 0))
     r.outcomes
 

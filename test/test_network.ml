@@ -112,7 +112,7 @@ let test_long_lived_counts_exact () =
   Alcotest.(check int) "all ops counted" 40 (List.length r.outcomes);
   Alcotest.(check bool) "counts exactly 1..m" true r.counts_exact;
   List.iter
-    (fun (o : Network.long_lived_outcome) ->
+    (fun (o : Counts.long_lived_outcome) ->
       Alcotest.(check bool) "delay non-negative" true (o.delay >= 0))
     r.outcomes
 
@@ -125,7 +125,7 @@ let test_long_lived_repeat_issuer () =
   let seqs =
     List.sort compare
       (List.filter_map
-         (fun (o : Network.long_lived_outcome) ->
+         (fun (o : Counts.long_lived_outcome) ->
            if o.node = 3 then Some o.seq else None)
          r.outcomes)
   in

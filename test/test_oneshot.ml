@@ -171,7 +171,7 @@ let same_long_lived_run (_, graph, requests) =
     ll.rounds = os.rounds && ll.messages = os.messages
     && List.sort compare
          (List.map
-            (fun (o : Countq_counting.Central.long_lived_outcome) ->
+            (fun (o : Countq_counting.Counts.long_lived_outcome) ->
               (o.node, o.count, o.delay))
             ll.outcomes)
        = counts os
@@ -182,7 +182,7 @@ let same_long_lived_run (_, graph, requests) =
     ll.rounds = os.rounds && ll.messages = os.messages
     && List.sort compare
          (List.map
-            (fun (o : Countq_counting.Network.long_lived_outcome) ->
+            (fun (o : Countq_counting.Counts.long_lived_outcome) ->
               (o.node, o.count, o.delay))
             ll.outcomes)
        = counts os
