@@ -114,6 +114,49 @@ let prop_matches_oracle =
     ~print:print_case gen_case (fun (requests, outcomes) ->
       Counts.validate ~requests outcomes = validate_oracle ~requests outcomes)
 
+(* ---- long-lived results ---- *)
+
+module Engine = Countq_simnet.Engine
+
+(* Node 0 issues at rounds 0 and 2, node 2 at round 1: ops 0 and 3
+   (Counts.op on 3 nodes) and op 2. *)
+let schedule = Engine.schedule ~name:"test" ~n:3 [ (0, 2); (2, 1); (0, 0) ]
+
+let long_lived completions =
+  Counts.of_long_lived ~schedule
+    {
+      Engine.completions =
+        List.map
+          (fun (node, round, op, count) -> { Engine.node; round; value = (op, count) })
+          completions;
+      rounds = 9;
+      messages = 0;
+      max_link_backlog = 0;
+      expansion = 1;
+    }
+
+let all_three = [ (0, 3, 0, 1); (2, 4, 2, 2); (0, 9, 3, 3) ]
+
+let test_long_lived_exact () =
+  let r = long_lived all_three in
+  Alcotest.(check bool) "exact" true r.counts_exact;
+  Alcotest.(check (list (pair int int)))
+    "(seq, delay) from each op's issue round"
+    [ (0, 3); (0, 3); (1, 7) ]
+    (List.map (fun (o : Counts.long_lived_outcome) -> (o.seq, o.delay)) r.outcomes);
+  Alcotest.(check (pair int int)) "total and max delay" (13, 7)
+    (r.total_delay, r.max_delay)
+
+let test_long_lived_lost_top_rank () =
+  (* Ranks {1, 2} over two outcomes look exact, but three ops were
+     scheduled. *)
+  let r = long_lived (List.filter (fun (_, _, _, c) -> c <> 3) all_three) in
+  Alcotest.(check bool) "not exact" false r.counts_exact
+
+let test_long_lived_op_twice () =
+  let r = long_lived [ (0, 3, 0, 1); (2, 4, 2, 2); (0, 5, 0, 3) ] in
+  Alcotest.(check bool) "not exact" false r.counts_exact
+
 let suite =
   [
     Alcotest.test_case "valid" `Quick test_valid;
@@ -125,4 +168,9 @@ let suite =
     Alcotest.test_case "count zero" `Quick test_bad_count_set_zero;
     Alcotest.test_case "count duplicate" `Quick test_bad_count_set_duplicate_count;
     Helpers.qcheck prop_matches_oracle;
+    Alcotest.test_case "long-lived: exact" `Quick test_long_lived_exact;
+    Alcotest.test_case "long-lived: lost top rank" `Quick
+      test_long_lived_lost_top_rank;
+    Alcotest.test_case "long-lived: op completes twice" `Quick
+      test_long_lived_op_twice;
   ]

@@ -1,8 +1,9 @@
 (* The one-shot drivers over every protocol of Run's table: the
    observed, traced and fault-free faulty drivers are the plain run
    with something watching, the asynchronous driver meets the spec,
-   Run's fault and observe reports read the same run, and the model
-   checker's terminals cover every schedule the engines produce (its
+   Run's fault and observe reports read the same run, every handler
+   leaves the state it is given alone, and the model checker's
+   terminals cover every schedule the engines produce (its
    over-approximation claim, explore.mli). *)
 
 module Gen = Countq_topology.Gen
@@ -20,13 +21,10 @@ module Run = Countq.Run
 (* Every protocol of the table, on its default tree. *)
 let protocols = List.map snd Run.protocols
 
-(* The network's balancers toggle mutable tables in place, which the
-   model checker's structural configurations cannot hold (exploring it
-   reports spurious violations). The dynamic queue's flooding outgrows
-   the default budget of a million configurations on 5-node instances;
-   `countq check` explores it on fixed 3-4 node ones. *)
-let explorable =
-  List.filter (fun p -> p <> `Network && p <> `Dynamic_queue) protocols
+(* The dynamic queue's flooding outgrows the default budget of a
+   million configurations on 5-node instances; `countq check` explores
+   it on fixed 3-4 node ones. *)
+let explorable = List.filter (fun p -> p <> `Dynamic_queue) protocols
 
 let instance_gen protocols topology_gen =
   let open QCheck2.Gen in
@@ -86,9 +84,9 @@ let prop_reports_agree =
 
 (* ---- Explore's terminals cover every engine schedule ---- *)
 
-let small_topology_gen =
+let sized_topology_gen lo hi =
   let open QCheck2.Gen in
-  let* n = int_range 3 5 in
+  let* n = int_range lo hi in
   let* seed = int_range 0 10_000 in
   oneofl
     [
@@ -99,6 +97,8 @@ let small_topology_gen =
       ( Printf.sprintf "rtree-%d-%d" n seed,
         Gen.random_tree (Countq_util.Rng.create (Int64.of_int seed)) n );
     ]
+
+let small_topology_gen = sized_topology_gen 3 5
 
 (* A terminal as the sorted multiset of its (node, value) completions. *)
 let multiset completions =
@@ -147,6 +147,22 @@ let prop_explore_covers_engines =
     (fun ((p, (_, graph, requests)), seed) ->
       let (Run.Instance { inst; _ }) = Run.instance ~graph ~requests p in
       covered ~seed inst)
+
+(* ---- every handler returns a new state ---- *)
+
+(* The model checker branches from the states a handler was given, so
+   a protocol that updates its state in place corrupts exploration
+   (explore.mli); Helpers.pure fails the run on any such update. The
+   dynamic queue's flooding state makes marshalling it at every
+   handler call slow past a dozen nodes. *)
+let prop_protocols_pure =
+  QCheck2.Test.make ~name:"every protocol of the table leaves its state alone"
+    ~count:300 ~print
+    (instance_gen protocols (sized_topology_gen 3 12))
+    (fun (p, (_, graph, requests)) ->
+      let (Run.Instance { inst; _ }) = Run.instance ~graph ~requests p in
+      Oneshot.run { inst with protocol = Helpers.pure inst.protocol }
+      = Oneshot.run inst)
 
 (* ---- a one-shot run is a long-lived run with every arrival at 0 ---- *)
 
@@ -201,4 +217,5 @@ let suite =
     Helpers.qcheck prop_reports_agree;
     Helpers.qcheck prop_explore_covers_engines;
     Helpers.qcheck prop_long_lived_at_zero;
+    Helpers.qcheck prop_protocols_pure;
   ]
