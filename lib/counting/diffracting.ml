@@ -76,15 +76,7 @@ let make_protocol ~tree ~requesting =
   }
 
 let prepare ~tree ~requests name =
-  let n = Tree.n tree in
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg (name ^ ": request out of range");
-      if requesting.(v) then invalid_arg (name ^ ": duplicate request node");
-      requesting.(v) <- true)
-    requests;
-  make_protocol ~tree ~requesting
+  make_protocol ~tree ~requesting:(Engine.requesting ~name ~n:(Tree.n tree) requests)
 
 type checker_state = state
 type checker_msg = msg

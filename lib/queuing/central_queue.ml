@@ -14,13 +14,7 @@ type state = { last : Types.pred } (* meaningful at the root only *)
 let prepare ~root ~route ~graph ~requests =
   let n = Graph.n graph in
   if root < 0 || root >= n then invalid_arg "Central_queue.one_shot: root out of range";
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg "Central_queue.one_shot: request out of range";
-      if requesting.(v) then invalid_arg "Central_queue.one_shot: duplicate request";
-      requesting.(v) <- true)
-    requests;
+  let requesting = Engine.requesting ~name:"Central_queue.one_shot" ~n requests in
   let route = match route with Some r -> r | None -> Route.auto graph in
   let enqueue node s origin =
     let op = { Types.origin; seq = 0 } in

@@ -133,14 +133,7 @@ let newly_chained mine old_k new_k =
 let check_requests ~who ~n ~leader requests =
   if leader < 0 || leader >= n then
     invalid_arg (who ^ ": leader out of range");
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg (who ^ ": request out of range");
-      if requesting.(v) then invalid_arg (who ^ ": duplicate request");
-      requesting.(v) <- true)
-    requests;
-  requesting
+  Engine.requesting ~name:who ~n requests
 
 (* ------------------------------------------------------------------ *)
 (* Receive-driven core: static graph, explorable.                      *)

@@ -10,13 +10,7 @@ type checker_msg = int
 
 let one_shot_protocol ~tree ~requests () =
   let n = Tree.n tree in
-  let requesting = Array.make n false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg "Token_ring.one_shot: request out of range";
-      if requesting.(v) then invalid_arg "Token_ring.one_shot: duplicate request node";
-      requesting.(v) <- true)
-    requests;
+  let requesting = Engine.requesting ~name:"Token_ring.one_shot" ~n requests in
   let walk = Sweep.euler_walk tree in
   (* Predecessor of each requester in first-visit order (computed in
      the free initialisation, like the sweep counter's ranks). *)
