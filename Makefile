@@ -1,4 +1,4 @@
-.PHONY: all build test check clean examples report bench bench-compare
+.PHONY: all build test check clean examples report report-check bench bench-compare
 
 all: build
 
@@ -18,6 +18,12 @@ examples:
 
 report:
 	dune exec bin/countq_cli.exe -- report
+
+# Every E1-E32 table regenerated and diffed byte for byte against the
+# committed RESULTS.md: exactly CI's "Report reproduces RESULTS.md" step.
+report-check:
+	dune exec bin/countq_cli.exe -- report -o report.md -j 2
+	diff report.md RESULTS.md
 
 # The repository benchmark (bench/suite, declared in BENCHMARK.json):
 # every workload in fresh child processes, medians with their spread,

@@ -13,17 +13,20 @@
     therefore holds under {e every} schedule of either engine. The
     test suite pins this on random 3–5 node instances of every
     one-shot protocol but the dynamic queue (whose flooding outgrows
-    the default budget at 5 nodes) and the counting network (below):
-    runs under the round-robin, lowest-sender and a seeded custom
-    arbiter, and asynchronous runs under seeded uniform delays, each
-    end with the completions of an explored terminal.
+    the default budget at 5 nodes): runs under the round-robin,
+    lowest-sender and a seeded custom arbiter, and asynchronous runs
+    under seeded uniform delays, each end with the completions of an
+    explored terminal.
 
     The claim presumes handlers that return a new state and never
-    mutate the one they are given. A protocol that updates its state in
-    place (the counting network's balancer toggles) corrupts the
-    configurations the checker branches from: exploring it reports a
-    spurious {!Violation} where both engines hand out exact counts.
-    {!run} cannot detect such mutation.
+    mutate the one they are given: a protocol that updates its state
+    in place corrupts the configurations the checker branches from,
+    and exploring it reports spurious {!Violation}s. {!run} cannot
+    detect such mutation. The test suite checks every protocol of the
+    portfolio for it instead, by marshalling each state before and
+    after every handler call ([Helpers.pure]); the counting network,
+    whose balancers once toggled [Hashtbl]s in place, keeps persistent
+    sets and maps for this reason.
 
     {2 How the state space is kept small}
 
