@@ -21,7 +21,7 @@ let machine ~root ~route ~graph ~issue_rounds ~increment =
   let assign node s op =
     let count = s.counter + increment op in
     let s = { s with counter = count } in
-    let origin = op mod n in
+    let origin = Counts.origin ~n op in
     if origin = node then (s, [ Engine.Complete (op, count) ])
     else (s, [ Engine.Send (Route.next_hop route node origin, Reply { op; count }) ])
   in
@@ -51,7 +51,7 @@ let machine ~root ~route ~graph ~issue_rounds ~increment =
             if node = root then assign node s op
             else (s, [ Engine.Send (Route.next_hop route node root, msg) ])
         | Reply { op; count } ->
-            let origin = op mod n in
+            let origin = Counts.origin ~n op in
             if node = origin then (s, [ Engine.Complete (op, count) ])
             else (s, [ Engine.Send (Route.next_hop route node origin, msg) ]));
     on_wake = (fun ~round ~node s -> issue_due round node s []);

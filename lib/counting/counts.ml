@@ -3,6 +3,7 @@
 module Engine = Countq_simnet.Engine
 
 let op ~n ~node ~seq = (seq * n) + node
+let origin ~n op = op mod n
 
 type long_lived_outcome = { node : int; seq : int; count : int; delay : int }
 
@@ -36,7 +37,7 @@ let of_long_lived ~schedule (res : (int * int) Engine.result) =
     List.map
       (fun (c : _ Engine.completion) ->
         let op, count = c.value in
-        let node = op mod n and seq = op / n in
+        let node = origin ~n op and seq = op / n in
         let issued =
           if op >= 0 && seq < Array.length schedule.(node) then begin
             mark completed (first.(node) + seq);

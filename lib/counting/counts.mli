@@ -18,6 +18,9 @@ val op : n:int -> node:int -> seq:int -> int
     on an [n]-node graph. A one-shot operation ([seq = 0]) is named by
     its origin, so one-shot messages carry what they always did. *)
 
+val origin : n:int -> int -> int
+(** The node that issued an {!op}, where its result is due. *)
+
 type long_lived_outcome = {
   node : int;  (** the issuing processor. *)
   seq : int;  (** which of the node's operations (issue order). *)

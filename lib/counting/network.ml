@@ -107,7 +107,7 @@ let prepare name ?width ?net ?placement ?route ~graph ~issue_rounds () =
         let nth = if Int_map.mem w s.exits then Int_map.find w s.exits else 0 in
         let s = { s with exits = Int_map.add w (nth + 1) s.exits } in
         let count = Bitonic.count_of_exit ~width ~wire:w ~nth in
-        let origin = op mod n in
+        let origin = Counts.origin ~n op in
         if origin = node then (s, [ Engine.Complete (op, count) ])
         else
           (s, [ Engine.Send (Route.next_hop route node origin, Reply { op; count }) ])
@@ -144,7 +144,7 @@ let prepare name ?width ?net ?placement ?route ~graph ~issue_rounds () =
             if node = dest then process node s ~op stage
             else (s, [ Engine.Send (Route.next_hop route node dest, msg) ])
         | Reply { op; count } ->
-            let origin = op mod n in
+            let origin = Counts.origin ~n op in
             if node = origin then (s, [ Engine.Complete (op, count) ])
             else (s, [ Engine.Send (Route.next_hop route node origin, msg) ]));
     on_wake = (fun ~round ~node s -> issue_due round node s []);

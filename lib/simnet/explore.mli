@@ -24,9 +24,9 @@
     and exploring it reports spurious {!Violation}s. {!run} cannot
     detect such mutation. The test suite checks every protocol of the
     portfolio for it instead, by marshalling each state before and
-    after every handler call ([Helpers.pure]); the counting network,
-    whose balancers once toggled [Hashtbl]s in place, keeps persistent
-    sets and maps for this reason.
+    after every handler call ([Helpers.pure]); the counting network
+    keeps its balancer toggles and exit counters in persistent sets
+    and maps for this reason.
 
     {2 How the state space is kept small}
 
