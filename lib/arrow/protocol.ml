@@ -148,7 +148,6 @@ let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
     setup ?config ?tail ~notify ~tree (fun v -> Array.to_list schedule.(v))
   in
   let res = Engine.run ~graph:(Tree.to_graph tree) ~config ~protocol () in
-  (* Op {origin; seq} issued in round [schedule.(origin).(seq)]. *)
   summarise
     (List.map
        (fun (o : Types.outcome) ->
