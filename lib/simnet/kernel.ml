@@ -49,6 +49,20 @@
    pool (see "message cells" below), so a quiet node holds nothing
    beyond its per-slot words, in either layout, without any sweep.
 
+   Each domain keeps one spare pre-assigned store in Domain.DLS: the
+   int arrays inq_off, inq_ring, out_ring, rr and pending, the nbrs
+   array (all [||]: it is reset when handed back, so no neighbour array
+   stays alive) and the on_send, on_recv and seen bytes. A pre-assigned
+   run takes it on the coordinator (worker lanes never touch it), uses
+   each array that is long enough after clearing the prefix it needs,
+   allocates any that is too short, and hands its arrays back when it
+   returns normally. Only the first-touch layout reads these arrays'
+   lengths, so a longer array is safe. The states array is never kept.
+   What a domain retains is one store's int arrays and bytes at the
+   size of its largest pre-assigned run so far (5n + 2m words and 3n
+   bytes); back-to-back runs then stop mapping a second set while the
+   dead first one waits for the major GC.
+
    The one shard rule for completions and tap events: a lane tags each
    with (phase, node) and buffers it; the coordinator replays the
    round's buffers at the barrier, k-way merged in that order (phase 0
@@ -302,7 +316,7 @@ type ('s, 'm, 'r) k = {
   protocol : ('s, 'm, 'r) protocol;
   neighbors : int -> int array;  (* read once per node, at first touch *)
   kshards : int;
-  owner : int array;
+  owner : int -> int;  (* the partition's; unused inline *)
   inline : bool;
   dense : bool;  (* slots pre-assigned, else on first touch *)
   lazy_start : bool;  (* ?starters given *)
@@ -354,7 +368,7 @@ type ('s, 'm, 'r) k = {
 }
 
 let fail k msg = invalid_arg (k.who ^ ": " ^ msg)
-let owner_of k v = if k.inline then 0 else Array.unsafe_get k.owner v
+let owner_of k v = if k.inline then 0 else k.owner v
 
 let node_down k v ~round =
   match k.dynamic with
@@ -1260,14 +1274,88 @@ let assemble k =
     expansion = k.config.receive_capacity;
   }
 
+(* ---------------- the spare pre-assigned store --------------------- *)
+
+(* The pre-assigned layout's int arrays and bytes, kept by each domain
+   for its next pre-assigned run (see the preamble). [nbrs] is all
+   [||]; the other arrays' contents are stale. *)
+type spare = {
+  sp_nbrs : int array array;
+  sp_inq_off : int array;
+  sp_inq_ring : int array;
+  sp_out_ring : int array;
+  sp_rr : int array;
+  sp_pending : int array;
+  sp_on_send : Bytes.t;
+  sp_on_recv : Bytes.t;
+  sp_seen : Bytes.t;
+}
+
+let no_spare =
+  {
+    sp_nbrs = [||];
+    sp_inq_off = [||];
+    sp_inq_ring = [||];
+    sp_out_ring = [||];
+    sp_rr = [||];
+    sp_pending = [||];
+    sp_on_send = Bytes.empty;
+    sp_on_recv = Bytes.empty;
+    sp_seen = Bytes.empty;
+  }
+
+let spare_key = Domain.DLS.new_key (fun () -> no_spare)
+
+(* The coordinator takes the spare for the length of a run, so a run
+   nested in a handler finds none and allocates its own. *)
+let take_spare () =
+  let sp = Domain.DLS.get spare_key in
+  Domain.DLS.set spare_key no_spare;
+  sp
+
+(* [a] if it holds [len] cells (their contents as they are), else a
+   fresh array of [len] [x]. *)
+let at_least a len x = if Array.length a >= len then a else Array.make len x
+
+(* The same, with the prefix the run uses cleared to [x]. *)
+let cleared a len x =
+  if Array.length a >= len then begin
+    Array.fill a 0 len x;
+    a
+  end
+  else Array.make len x
+
+let cleared_bytes b len =
+  if Bytes.length b >= len then begin
+    Bytes.fill b 0 len '\000';
+    b
+  end
+  else Bytes.make len '\000'
+
+(* After a normal return: no neighbour array stays reachable from the
+   spare. [seen] is the spare's own when this run did not use it. *)
+let give_back k =
+  Array.fill k.nbrs 0 k.n [||];
+  Domain.DLS.set spare_key
+    {
+      sp_nbrs = k.nbrs;
+      sp_inq_off = k.inq_off;
+      sp_inq_ring = k.inq_ring;
+      sp_out_ring = k.out_ring;
+      sp_rr = k.rr;
+      sp_pending = k.pending;
+      sp_on_send = k.on_send;
+      sp_on_recv = k.on_recv;
+      sp_seen = k.seen;
+    }
+
 let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
     ?halt_after ?stats ?starters ~n ~degree ~neighbors ~config ~protocol () =
   let fail msg = invalid_arg (who ^ ": " ^ msg) in
   if config.receive_capacity < 1 || config.send_capacity < 1 then
     fail "capacities must be >= 1";
   (match part with
-  | Some p when Array.length p.Partition.owner <> n ->
-      fail "partition does not cover the node set"
+  | Some p when Partition.size p <> n -> fail "partition does not cover the node set"
   | _ -> ());
   let ninj = Array.length injections in
   for i = 0 to ninj - 1 do
@@ -1283,8 +1371,8 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
   (* A one-shard partition is the inline path: no lanes, no owner map. *)
   let kshards, owner =
     match part with
-    | Some p when p.Partition.shards > 1 -> (p.Partition.shards, p.Partition.owner)
-    | _ -> (1, [||])
+    | Some p when Partition.shards p > 1 -> (Partition.shards p, Partition.owner p)
+    | _ -> (1, fun _ -> 0)
   in
   let inline = kshards = 1 in
   let faulty = Option.is_some faults || Option.is_some dynamic in
@@ -1292,9 +1380,10 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
      their on_start must produce no actions. *)
   let lazy_start = Option.is_some starters in
   let dense = (not inline) || not lazy_start in
-  (* The pre-assigned store, allocated in a fixed order (the
-     on-first-touch layout starts empty and grows). *)
+  (* The pre-assigned store comes from this domain's spare where that is
+     long enough (the on-first-touch layout starts empty and grows). *)
   let slots = if dense then n else 0 in
+  let sp = if dense then take_spare () else no_spare in
   (* A lazily started pre-assigned store shares one filler until each
      node's first touch ([materialise]). The filler is node 0's state,
      not a starter's: an injection-driven run may name no starters at
@@ -1304,26 +1393,26 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
     else if lazy_start then Array.make n (protocol.initial_state 0)
     else Array.init n protocol.initial_state
   in
-  let nbrs = Array.make slots [||] in
-  let inq_off = Array.make slots 0 in
+  let nbrs = at_least sp.sp_nbrs slots [||] in
+  let inq_off = at_least sp.sp_inq_off slots 0 in
   let rings = ref 0 in
   for v = 0 to slots - 1 do
     inq_off.(v) <- !rings;
     rings := !rings + degree v
   done;
   let rings = !rings in
-  let inq_ring = Array.make rings 0 in
-  let out_ring = Array.make slots 0 in
-  let rr = Array.make slots 0 in
-  let pending = Array.make slots 0 in
-  let on_send = Bytes.make slots '\000' in
-  let on_recv = Bytes.make slots '\000' in
+  let inq_ring = cleared sp.sp_inq_ring rings 0 in
+  let out_ring = cleared sp.sp_out_ring slots 0 in
+  let rr = cleared sp.sp_rr slots 0 in
+  let pending = cleared sp.sp_pending slots 0 in
+  let on_send = cleared_bytes sp.sp_on_send slots in
+  let on_recv = cleared_bytes sp.sp_on_recv slots in
   let inj_of =
     if inline then [| injections |]
     else begin
       let parts = Array.make kshards [] in
       for i = ninj - 1 downto 0 do
-        let s = owner.(injections.(i).node) in
+        let s = owner injections.(i).node in
         parts.(s) <- injections.(i) :: parts.(s)
       done;
       Array.map Array.of_list parts
@@ -1389,7 +1478,7 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
       slot_tbl =
         (if (not dense) && n > dense_slot_limit then Hashtbl.create 4096
          else no_slot_tbl);
-      seen = (if dense && lazy_start then Bytes.make n '\000' else Bytes.empty);
+      seen = (if dense && lazy_start then cleared_bytes sp.sp_seen n else sp.sp_seen);
       blocked = (if faulty then Bytes.make n '\000' else Bytes.empty);
       shards;
       tx = (if inline then [||] else Array.init (kshards * kshards) (fun _ -> buf ()));
@@ -1422,4 +1511,5 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
         Option.iter (fun p -> Parallel.release p helpers) pool)
       (fun () -> execute k ~dispatch ~starters ~halt_after)
   end;
+  if dense then give_back k;
   assemble k

@@ -127,6 +127,13 @@ val run :
     run with [starters] assigns slots on first touch; every other run
     pre-assigns slot = node. Either way, queued messages sit in one
     pool of cells per shard, so a quiet node holds no buffers.
+
+    A pre-assigned run takes its per-slot int arrays and flag bytes
+    from a spare kept per domain (in [Domain.DLS]) when they are long
+    enough, and hands them back when it returns normally; the spare
+    holds no state and no neighbour array. So each domain retains, after
+    its pre-assigned runs, one such store at the size of the largest so
+    far: 5n + 2m words and 3n bytes for [n] nodes and [m] edges.
     [tap] follows the one contract documented at {!Engine.tap}, at
     every shard count. All optional arguments keep the meaning
     documented on the entry points. *)

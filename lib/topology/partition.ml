@@ -1,31 +1,23 @@
 (* Node-set partitions for the sharded engine. See partition.mli. *)
 
-type t = { label : string; shards : int; owner : int array }
+type t =
+  | Contiguous of { n : int; shards : int }
+  | Table of { shards : int; owner : int array }
 
 let contiguous ~n ~shards =
   if n < 0 then invalid_arg "Partition.contiguous: n < 0";
   if shards < 1 then invalid_arg "Partition.contiguous: shards < 1";
-  (* The first [extra] ranges hold [base + 1] nodes, the rest [base]. *)
-  let base = n / shards and extra = n mod shards in
-  let split = extra * (base + 1) in
-  let owner =
-    Array.init n (fun v ->
-        if v < split then v / (base + 1) else extra + ((v - split) / base))
-  in
-  { label = "contiguous"; shards; owner }
+  Contiguous { n; shards }
 
 let greedy ~graph ~shards =
   if shards < 1 then invalid_arg "Partition.greedy: shards < 1";
   let n = Graph.n graph in
-  let owner = Array.make n (-1) in
-  let target = if n = 0 then 0 else (n + shards - 1) / shards in
+  let owner = Array.make n (-1) and target = (n + shards - 1) / shards in
   (* BFS frontier as a simple queue; seeds and neighbour scans are in
      ascending id order, so the regions are a pure function of the
      graph. [next_seed] only moves forward: everything below it is
      assigned. *)
-  let queue = Queue.create () in
-  let next_seed = ref 0 in
-  let assigned = ref 0 in
+  let queue = Queue.create () and next_seed = ref 0 and assigned = ref 0 in
   for s = 0 to shards - 1 do
     Queue.clear queue;
     let size = ref 0 in
@@ -48,27 +40,35 @@ let greedy ~graph ~shards =
       end
     done
   done;
-  { label = "greedy"; shards; owner }
+  Table { shards; owner }
+
+let shards = function Contiguous c -> c.shards | Table t -> t.shards
+let size = function Contiguous c -> c.n | Table t -> Array.length t.owner
+
+let owner = function
+  | Contiguous { n; shards } ->
+      (* The first [extra] ranges hold [base + 1] nodes, the rest [base]. *)
+      let base = n / shards and extra = n mod shards in
+      let split = extra * (base + 1) in
+      fun v -> if v < split then v / (base + 1) else extra + ((v - split) / base)
+  | Table t -> Array.get t.owner
 
 let shard_sizes p =
-  let sizes = Array.make p.shards 0 in
-  Array.iter (fun s -> sizes.(s) <- sizes.(s) + 1) p.owner;
+  let sizes = Array.make (shards p) 0 and owner = owner p in
+  for v = 0 to size p - 1 do
+    let s = owner v in
+    if s < 0 || s >= shards p then invalid_arg "Partition: owner out of range";
+    sizes.(s) <- sizes.(s) + 1
+  done;
   sizes
 
 let cut_edges ~neighbors p =
-  let cut = ref 0 in
-  Array.iteri
-    (fun v s ->
-      Array.iter
-        (fun u -> if u > v && p.owner.(u) <> s then incr cut)
-        (neighbors v))
-    p.owner;
+  let owner = owner p and cut = ref 0 in
+  for v = 0 to size p - 1 do
+    Array.iter (fun u -> if u > v && owner u <> owner v then incr cut) (neighbors v)
+  done;
   !cut
 
 let validate p =
-  if p.shards < 1 then invalid_arg "Partition.validate: shards < 1";
-  Array.iter
-    (fun o ->
-      if o < 0 || o >= p.shards then
-        invalid_arg "Partition.validate: owner out of range")
-    p.owner
+  if shards p < 1 then invalid_arg "Partition.validate: shards < 1";
+  ignore (shard_sizes p)

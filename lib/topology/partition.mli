@@ -15,11 +15,16 @@
     singleton shards are legal; both are exercised by the partition
     edge-case tests. *)
 
-type t = {
-  label : string;  (** ["contiguous"] or ["greedy"]. *)
-  shards : int;  (** Number of shards, >= 1 (some may be empty). *)
-  owner : int array;  (** [owner.(v)] is the shard of node [v]. *)
-}
+(** An assignment of nodes [0 .. n-1] to [shards >= 1] shards (some
+    may be empty). *)
+type t =
+  | Contiguous of { n : int; shards : int }
+      (** [0 .. n-1] in [shards] ranges (see {!contiguous}); a node's
+          owner is worked out arithmetically, so the partition holds no
+          per-node data. *)
+  | Table of { shards : int; owner : int array }
+      (** [owner.(v)] is the shard of node [v] (what {!greedy} builds;
+          any hand-built placement is one too). *)
 
 val contiguous : n:int -> shards:int -> t
 (** Split [0 .. n-1] into [shards] contiguous ranges whose sizes differ
@@ -36,8 +41,20 @@ val greedy : graph:Graph.t -> shards:int -> t
     the remainder.
     @raise Invalid_argument if [shards < 1]. *)
 
+val shards : t -> int
+(** The number of shards. *)
+
+val size : t -> int
+(** The number of nodes the partition covers. *)
+
+val owner : t -> int -> int
+(** [owner p] maps a node in [0 .. size p - 1] to its shard. On a
+    {!Contiguous} partition it is one division per call, with nothing
+    built up front; apply [owner p] once and keep the function. *)
+
 val shard_sizes : t -> int array
-(** [shard_sizes p] is the node count per shard. *)
+(** [shard_sizes p] is the node count per shard.
+    @raise Invalid_argument if an owner is out of range. *)
 
 val cut_edges : neighbors:(int -> int array) -> t -> int
 (** Number of undirected edges whose endpoints live in different

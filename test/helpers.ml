@@ -5,7 +5,14 @@ module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
 module Tree = Countq_topology.Tree
 
-let qcheck = QCheck_alcotest.to_alcotest
+(* Every property draws from a fresh random state on one fixed seed,
+   so each run samples the same instances and a failure replays
+   exactly; QCHECK_SEED=N samples another set (QCheck_alcotest reads
+   it when no state is passed). *)
+let qcheck t =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some _ -> QCheck_alcotest.to_alcotest t
+  | None -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
 
 (* A deterministic RNG per test, derived from a fixed master seed so
    failures replay exactly. *)

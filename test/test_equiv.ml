@@ -167,6 +167,197 @@ let equiv_wakes =
     (fun (observe, scenario) -> kernel_prop ~observe ~wakes:true scenario)
 
 (* ------------------------------------------------------------------ *)
+(* Back-to-back runs on one domain. A pre-assigned run reuses the
+   store its domain's last such run handed back, so each case runs
+   2-4 kernel runs in a row, on graphs of random sizes at shards 1-3:
+   one halted by ?halt_after with messages still in flight (it hands
+   back dirty queues, flags and counters), one that raises
+   Round_limit_exceeded (it hands nothing back), the rest plain. Every
+   run must equal Reference.run.                                       *)
+
+(* Every starter sends two copies to each neighbour and every receive
+   echoes back to its sender, so the run never drains: a halt leaves
+   messages queued and a round limit is always hit. *)
+let echo_protocol ?starts ~graph () =
+  let may_start node = match starts with None -> true | Some l -> List.mem node l in
+  {
+    Engine.name = "echo";
+    initial_state = (fun _ -> 0);
+    on_start =
+      (fun ~node s ->
+        if not (may_start node) then (s, [])
+        else
+          ( s,
+            List.concat_map
+              (fun d ->
+                [
+                  Engine.Send (d, { Helpers.ttl = 0; tag = 2 * node });
+                  Engine.Send (d, { Helpers.ttl = 0; tag = (2 * node) + 1 });
+                ])
+              (Array.to_list (Graph.neighbors graph node)) ));
+    on_receive =
+      (fun ~round ~node ~src m s ->
+        let tag = Helpers.mix m.Helpers.tag round land 0xffff in
+        let acts = [ Engine.Send (src, { m with tag }) ] in
+        (s + 1, if (s + tag) mod 3 = 0 then Engine.Complete (node, s) :: acts else acts));
+    on_wake = Engine.no_wake;
+  }
+
+type step_kind = Plain | Halted of int | Raising
+
+type step = {
+  inst : string * Graph.t * int list;
+  seed : int;
+  cfg : int * int * int * int;
+  kind : step_kind;
+  sfront : front;
+  sshards : int;
+}
+
+let step_gen kind =
+  let open QCheck2.Gen in
+  let* n = int_range 3 120 in
+  let* pick = int_range 0 3 in
+  let* gseed = int_range 0 10_000 in
+  let name, graph =
+    match pick with
+    | 0 -> (Printf.sprintf "path-%d" n, Gen.path n)
+    | 1 -> (Printf.sprintf "star-%d" n, Gen.star n)
+    | 2 -> (Printf.sprintf "complete-%d" (min n 24), Gen.complete (min n 24))
+    | _ ->
+        ( Printf.sprintf "rtree-%d-%d" n gseed,
+          Gen.random_tree (Countq_util.Rng.create (Int64.of_int gseed)) n )
+  in
+  let* first = int_range 0 (Graph.n graph - 1) in
+  let* mask = list_size (return (Graph.n graph)) bool in
+  let requests =
+    List.filteri (fun v _ -> v = first || List.nth mask v) (Helpers.all_nodes (Graph.n graph))
+  in
+  let* seed = int_range 0 100_000 in
+  let* arb = int_range 0 2 in
+  let* rc = int_range 1 3 in
+  let* sc = int_range 1 3 in
+  let* kind =
+    match kind with
+    | `Plain -> return Plain
+    | `Halted -> map (fun h -> Halted h) (int_range 1 3)
+    | `Raising -> return Raising
+  in
+  (* The halted run's receivers take one message a round and its
+     senders flush everything, so its queues are non-empty at the halt;
+     the raising run gets a limit its echoes always reach. *)
+  let cfg =
+    match kind with
+    | Plain -> (rc, sc, arb, 2_000)
+    | Halted _ -> (1, 64, arb, 2_000)
+    | Raising -> (rc, sc, arb, 3)
+  in
+  let* sfront =
+    match kind with
+    | Halted _ -> oneofl [ Implicit_eager; Starters ]
+    | _ -> oneofl [ Graph_eager; Implicit_eager; Starters ]
+  in
+  let* sshards = int_range 1 3 in
+  return { inst = (name, graph, requests); seed; cfg; kind; sfront; sshards }
+
+let steps_gen =
+  let open QCheck2.Gen in
+  let* plain = int_range 0 2 in
+  let* kinds = shuffle_l ([ `Halted; `Raising ] @ List.init plain (fun _ -> `Plain)) in
+  flatten_l (List.map step_gen kinds)
+
+let step_print st =
+  let name, g, requests = st.inst in
+  Printf.sprintf "%s (n=%d) R={%s} seed=%d %s front=%s shards=%d %s" name
+    (Graph.n g)
+    (String.concat "," (List.map string_of_int requests))
+    st.seed (Helpers.config_label st.cfg) (front_label st.sfront) st.sshards
+    (match st.kind with
+    | Plain -> "plain"
+    | Halted h -> Printf.sprintf "halt_after=%d" h
+    | Raising -> "raising")
+
+let step_protocol st =
+  let _, graph, requests = st.inst in
+  let starts = match st.sfront with Starters -> Some requests | _ -> None in
+  match st.kind with
+  | Plain -> Helpers.hash_protocol ?starts ~seed:st.seed ~graph ()
+  | Halted _ | Raising -> echo_protocol ?starts ~graph ()
+
+(* One step through its kernel front, with the in-flight count at the
+   last round end: a halted step must leave messages behind. *)
+let kernel_step ~pool st =
+  let _, graph, requests = st.inst in
+  let config = Helpers.config_of st.cfg and protocol = step_protocol st in
+  let topo = Implicit.of_graph graph in
+  let in_flight = ref 0 in
+  let tap =
+    {
+      Engine.no_tap with
+      passive = false;
+      on_round_end =
+        (fun ~round:_ ~in_flight:f ->
+          in_flight := f;
+          `Continue);
+    }
+  in
+  let halt_after = match st.kind with Halted h -> Some h | _ -> None in
+  let starters = match st.sfront with Starters -> Some requests | _ -> None in
+  let outcome =
+    Helpers.outcome (fun () ->
+        match (st.sfront, st.sshards) with
+        | Graph_eager, 1 -> Engine.run ~tap ~graph ~config ~protocol ()
+        | Graph_eager, k -> Shard.run ~shards:k ~pool ~tap ~graph ~config ~protocol ()
+        | _, 1 -> Event.run ~tap ?halt_after ?starters ~topo ~config ~protocol ()
+        | _, k ->
+            Shard.run_implicit ~shards:k ~pool ~tap ?halt_after ?starters ~topo ~config
+              ~protocol ())
+  in
+  (outcome, !in_flight)
+
+(* The reference run, halted by its tap at the same round. *)
+let reference_step st =
+  let _, graph, _ = st.inst in
+  let config = Helpers.config_of st.cfg and protocol = step_protocol st in
+  let tap =
+    match st.kind with
+    | Halted h ->
+        {
+          Engine.no_tap with
+          passive = false;
+          on_round_end =
+            (fun ~round ~in_flight:_ -> if round >= h then `Halt else `Continue);
+        }
+    | _ -> Engine.no_tap
+  in
+  Helpers.outcome (fun () -> Reference.run ~tap ~graph ~config ~protocol ())
+
+(* The kernel runs first, all of them back to back; then the oracle. *)
+let back_to_back ~pool steps =
+  let kernel = List.map (kernel_step ~pool) steps in
+  List.for_all2
+    (fun st (outcome, in_flight) ->
+      outcome = reference_step st
+      && match st.kind with Halted _ -> in_flight > 0 | _ -> true)
+    steps kernel
+
+let equiv_back_to_back =
+  QCheck2.Test.make ~count:150 ~name:"back-to-back kernel runs = reference"
+    ~print:(fun steps -> String.concat " ; " (List.map step_print steps))
+    steps_gen (back_to_back ~pool)
+
+(* The same sequences on the two lanes of a pool: each lane's domain
+   keeps its own spare store. *)
+let test_back_to_back_pool () =
+  let pool = Parallel.pool ~jobs:2 in
+  let cases =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 31 |]) ~n:8 steps_gen
+  in
+  Alcotest.(check (list bool))
+    "every lane's runs = reference" (List.map (fun _ -> true) cases)
+    (Parallel.pool_map pool ~chunk:1 (back_to_back ~pool) cases)
+
+(* ------------------------------------------------------------------ *)
 (* Wakes, Reliable's timers and observers across fronts and shard
    counts, each pinned to Reference.run.                               *)
 
@@ -878,4 +1069,7 @@ let suite =
       test_delay_fault_fast_forward;
     Alcotest.test_case "round-limit payloads identical" `Quick
       test_round_limit_payloads_identical;
+    Helpers.qcheck equiv_back_to_back;
+    Alcotest.test_case "back-to-back runs on a two-lane pool = reference" `Quick
+      test_back_to_back_pool;
   ]
