@@ -1,8 +1,9 @@
 (* Kernel micro-probes: Bechamel ns/run estimates for the hot inner
    kernels the experiments lean on (graph generation, spanning-tree
-   choice, one-shot arrow, NN-TSP, the counting protocols, the idle
-   fast-forward, the sweep protocol's one-active-node regime, bitonic
-   pushes and the contention lower bound), plus what an engine tap
+   choice, one-shot arrow, NN-TSP, the counting protocols, the counting
+   network routed along a path, the idle fast-forward, the sweep
+   protocol's one-active-node regime, bitonic pushes and the
+   contention lower bound), plus what an engine tap
    costs: the `+tap` probes attach a passive Metrics + Telemetry tap,
    the `+monitor` probe the spec's monitors (an active tap), each
    beside its untapped twin.
@@ -73,6 +74,15 @@ let kernel_tests () =
   [
     Test.make ~name:"kernel:graph-mesh-16x16"
       (Staged.stage (fun () -> ignore (Gen.square_mesh 16)));
+    Test.make ~name:"kernel:graph-complete-512"
+      (Staged.stage (fun () -> ignore (Gen.complete 512)));
+    (* The counting network on a path, as E25 runs it: each run builds
+       its own route, so this includes the tree route's first use. *)
+    Test.make ~name:"kernel:network-list-512"
+      (Staged.stage (fun () ->
+           ignore
+             (Countq.Run.counting ~graph:list_512 ~protocol:`Network
+                ~requests:all_512 ())));
     Test.make ~name:"kernel:spanning-best-for-arrow"
       (Staged.stage (fun () -> ignore (Spanning.best_for_arrow mesh)));
     Test.make ~name:"kernel:arrow-one-shot-256"

@@ -1356,7 +1356,11 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
     fail "capacities must be >= 1";
   (match part with
   | Some p when Partition.size p <> n -> fail "partition does not cover the node set"
-  | _ -> ());
+  | Some p -> (
+      try Partition.validate p
+      with Invalid_argument _ ->
+        fail "partition needs a shard and every owner in 0 .. shards-1")
+  | None -> ());
   let ninj = Array.length injections in
   for i = 0 to ninj - 1 do
     let inj = injections.(i) in

@@ -44,6 +44,25 @@ let direct g =
 
 let of_fun next = { next; dist = (fun _ _ -> None) }
 
+(* Builds the route the first time a hop or hint is asked for, as the
+   table builds its rows. Routes are shared between domains, so the
+   cache is an [Atomic]: domains that race each build an equal route
+   and one of them is kept. *)
+let on_first_use make =
+  let cell = Atomic.make None in
+  let get () =
+    match Atomic.get cell with
+    | Some r -> r
+    | None ->
+        let r = make () in
+        Atomic.set cell (Some r);
+        r
+  in
+  { next = (fun v dst -> (get ()).next v dst); dist = (fun u v -> (get ()).dist u v) }
+
 let auto g =
-  let n = Graph.n g in
-  if Graph.m g = n * (n - 1) / 2 then complete else of_table g
+  let n = Graph.n g and m = Graph.m g in
+  if m = n * (n - 1) / 2 then complete
+  else if m = n - 1 && Graph.is_connected g then
+    on_first_use (fun () -> of_tree (Tree.of_graph g ~root:0))
+  else of_table g

@@ -17,7 +17,9 @@ val distance_hint : t -> int -> int -> int option
 (** Hop count along the route, when the scheme knows it cheaply. *)
 
 val of_tree : Countq_topology.Tree.t -> t
-(** Route along a spanning tree (memory-light, O(log n) per hop). *)
+(** Route along a spanning tree: {!Countq_topology.Tree.next_hop}, O(log
+    deg) per hop, and O(n log n) memory whatever the destinations.
+    [distance_hint] is the tree distance. *)
 
 val of_table : Countq_topology.Graph.t -> t
 (** Shortest-path routing from a destination-major
@@ -35,7 +37,12 @@ val of_fun : (int -> int -> int) -> t
     the destination, and the destination itself once reached. *)
 
 val auto : Countq_topology.Graph.t -> t
-(** The cheapest adequate scheme: {!direct} when the graph is complete
-    (recognised by its edge count alone, without {!direct}'s pairwise
-    check), otherwise {!of_table}. This is what the protocols use by
-    default. *)
+(** The cheapest adequate scheme of three, picked by edge count: {!direct}
+    when the graph is complete (without {!direct}'s pairwise check);
+    {!of_tree} over the graph rooted at 0 when it is a tree (n - 1 edges
+    and connected); otherwise {!of_table}. A tree has one path between
+    two nodes, so the tree route takes the same hops as the table would.
+    Its tree is built on the first hop or hint asked for, as the table's
+    rows are, and the route is safe to share between domains. This is
+    what the protocols use by default.
+    @raise Invalid_argument if the graph is disconnected. *)

@@ -4,13 +4,16 @@ module Rng = Countq_util.Rng
 
 let complete n =
   if n < 1 then invalid_arg "Gen.complete: n must be >= 1";
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      edges := (u, v) :: !edges
-    done
-  done;
-  Graph.create ~n !edges
+  (* Row u is 0 .. n-1 without u. A loop, not [Array.init]: K_1024 has
+     a million entries. *)
+  let row u =
+    let r = Array.make (n - 1) 0 in
+    for i = 0 to n - 2 do
+      r.(i) <- (if i < u then i else i + 1)
+    done;
+    r
+  in
+  Graph.of_adjacency (Array.init n row)
 
 let path n =
   if n < 1 then invalid_arg "Gen.path: n must be >= 1";

@@ -12,74 +12,87 @@ exception Invalid_edge of int * int
 let n g = g.n
 let m g = g.m
 
-let check_edge n (u, v) =
+let check_edge n u v =
   if u = v || u < 0 || v < 0 || u >= n || v >= n then raise (Invalid_edge (u, v))
 
-(* Sorts and removes duplicates in place; returns a fresh array. The
-   annotation makes [compare] and [<>] the int primitives. *)
-let sorted_dedup (a : int array) =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let k = Array.length a in
-  if k = 0 then a
-  else begin
-    let w = ref 1 in
-    for r = 1 to k - 1 do
-      if a.(r) <> a.(!w - 1) then begin
-        a.(!w) <- a.(r);
-        incr w
+(* The sorted, duplicate-free rows of the graph whose arc lists are
+   [raw]: row [a] is every [b] with [a] in [raw.(b)]. Each [b] is
+   appended to its neighbours' rows in ascending order, so a row comes
+   out sorted with any repeat next to its first copy ([last.(a)] is the
+   newest entry of row [a]). The first pass checks every arc and sizes
+   the rows, the second fills them: O(n + m), no sort. *)
+let sorted_rows nv (raw : int array array) =
+  let last = Array.make nv (-1) and len = Array.make nv 0 in
+  for b = 0 to nv - 1 do
+    let r = raw.(b) in
+    for i = 0 to Array.length r - 1 do
+      let a = r.(i) in
+      check_edge nv b a;
+      if last.(a) <> b then begin
+        last.(a) <- b;
+        len.(a) <- len.(a) + 1
       end
-    done;
-    Array.sub a 0 !w
-  end
+    done
+  done;
+  let rows = Array.map (fun k -> Array.make k 0) len in
+  Array.fill last 0 nv (-1);
+  Array.fill len 0 nv 0;
+  for b = 0 to nv - 1 do
+    let r = raw.(b) in
+    for i = 0 to Array.length r - 1 do
+      let a = r.(i) in
+      if last.(a) <> b then begin
+        last.(a) <- b;
+        rows.(a).(len.(a)) <- b;
+        len.(a) <- len.(a) + 1
+      end
+    done
+  done;
+  rows
+
+let of_rows nv adj =
+  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
+  { n = nv; m; adj }
 
 let create ~n:nv edges =
   if nv < 1 then invalid_arg "Graph.create: n must be >= 1";
-  List.iter (check_edge nv) edges;
+  List.iter (fun (u, v) -> check_edge nv u v) edges;
   let deg = Array.make nv 0 in
   let count (u, v) =
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1
   in
   List.iter count edges;
-  let adj = Array.init nv (fun v -> Array.make deg.(v) (-1)) in
-  let fill = Array.make nv 0 in
+  let raw = Array.map (fun k -> Array.make k 0) deg in
   let put u v =
-    adj.(u).(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1
+    deg.(u) <- deg.(u) - 1;
+    raw.(u).(deg.(u)) <- v
   in
   List.iter
     (fun (u, v) ->
       put u v;
       put v u)
     edges;
-  let adj = Array.map sorted_dedup adj in
-  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  { n = nv; m; adj }
+  of_rows nv (sorted_rows nv raw)
 
 let of_adjacency adj =
   let nv = Array.length adj in
   if nv < 1 then invalid_arg "Graph.of_adjacency: empty adjacency";
-  let edges = ref [] in
-  Array.iteri
-    (fun u nbrs ->
-      Array.iter
-        (fun v ->
-          check_edge nv (u, v);
-          if u < v then edges := (u, v) :: !edges)
-        nbrs)
-    adj;
-  let g = create ~n:nv !edges in
-  (* Symmetry check: every (u, v) listed must also appear as (v, u). *)
-  Array.iteri
-    (fun u nbrs ->
-      Array.iter
-        (fun v ->
-          let back = Array.exists (fun w -> w = u) adj.(v) in
-          if not back then raise (Invalid_edge (u, v)))
-        nbrs)
-    adj;
-  g
+  let rows = sorted_rows nv adj in
+  (* [rows.(u)] holds every vertex that lists [u], so each listed
+     (u, v) has its (v, u) iff [v] is in [rows.(u)]; then every row is
+     its input row sorted and deduplicated. *)
+  let mark = Array.make nv (-1) in
+  for u = 0 to nv - 1 do
+    let row = rows.(u) and listed = adj.(u) in
+    for i = 0 to Array.length row - 1 do
+      mark.(row.(i)) <- u
+    done;
+    for i = 0 to Array.length listed - 1 do
+      if mark.(listed.(i)) <> u then raise (Invalid_edge (u, listed.(i)))
+    done
+  done;
+  of_rows nv rows
 
 let neighbors g v = g.adj.(v)
 let degree g v = Array.length g.adj.(v)

@@ -16,14 +16,19 @@ exception Invalid_edge of int * int
 
 val create : n:int -> (int * int) list -> t
 (** [create ~n edges] builds the graph on vertices [0 .. n-1] with the
-    given undirected edges. Duplicate edges are merged; self loops and
-    out-of-range endpoints raise {!Invalid_edge}.
+    given undirected edges, in O(n + m) time with no sort. Duplicate
+    edges are merged; self loops and out-of-range endpoints raise
+    {!Invalid_edge}.
 
     @raise Invalid_argument if [n < 1]. *)
 
 val of_adjacency : int array array -> t
-(** [of_adjacency adj] builds a graph from raw adjacency lists.
-    The input is validated for symmetry, simplicity, and range. *)
+(** [of_adjacency adj] builds a graph from raw adjacency lists, in any
+    order and with repeats allowed, in O(n + m). The input is validated
+    for range and self loops, then for symmetry: the first offending
+    entry [v] of row [u] (by [u], then position) raises
+    [Invalid_edge (u, v)]. [adj] is not kept.
+    @raise Invalid_argument if [adj] is empty. *)
 
 val n : t -> int
 (** Number of vertices. *)

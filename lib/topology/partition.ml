@@ -71,4 +71,6 @@ let cut_edges ~neighbors p =
 
 let validate p =
   if shards p < 1 then invalid_arg "Partition.validate: shards < 1";
-  ignore (shard_sizes p)
+  match p with
+  | Contiguous c -> if c.n < 0 then invalid_arg "Partition.validate: n < 0"
+  | Table _ -> ignore (shard_sizes p)

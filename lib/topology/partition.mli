@@ -63,5 +63,7 @@ val cut_edges : neighbors:(int -> int array) -> t -> int
 
 val validate : t -> unit
 (** Check internal consistency: at least one shard, and every node
-    owned by a shard in [0 .. shards-1].
-    @raise Invalid_argument on any violation (used by tests). *)
+    owned by a shard in [0 .. shards-1]. O(1) on a {!Contiguous}
+    partition (its owners are in range by construction), O(n) on a
+    {!Table}. The sharded engine calls it on entry.
+    @raise Invalid_argument on any violation. *)

@@ -1,4 +1,5 @@
-(* Rooted trees with binary-lifting LCA. See tree.mli. *)
+(* Rooted trees with binary-lifting LCA and preorder intervals. See
+   tree.mli. *)
 
 type t = {
   n : int;
@@ -8,6 +9,7 @@ type t = {
   depth : int array;
   up : int array array; (* up.(k).(v) = 2^k-th ancestor of v (clamped at root) *)
   order : int array; (* preorder *)
+  tin : int array; (* tin.(v) = position of v in order *)
   size : int array; (* subtree sizes *)
 }
 
@@ -16,29 +18,6 @@ let root t = t.root
 let parent t v = t.parent.(v)
 let children t v = t.children.(v)
 let depth t v = t.depth.(v)
-
-let compute_depths ~root parent =
-  let n = Array.length parent in
-  let depth = Array.make n (-1) in
-  depth.(root) <- 0;
-  let rec resolve v trail =
-    if depth.(v) >= 0 then depth.(v)
-    else if List.mem v trail then
-      invalid_arg "Tree.of_parents: cycle in parent array"
-    else begin
-      let p = parent.(v) in
-      if p = v then invalid_arg "Tree.of_parents: multiple roots"
-      else begin
-        let d = resolve p (v :: trail) + 1 in
-        depth.(v) <- d;
-        d
-      end
-    end
-  in
-  for v = 0 to n - 1 do
-    ignore (resolve v [])
-  done;
-  depth
 
 let of_parents ~root parent =
   let n = Array.length parent in
@@ -52,13 +31,13 @@ let of_parents ~root parent =
       if p = v && v <> root then invalid_arg "Tree.of_parents: multiple roots")
     parent;
   let parent = Array.copy parent in
-  let depth = compute_depths ~root parent in
   let child_count = Array.make n 0 in
   Array.iteri
     (fun v p -> if v <> root then child_count.(p) <- child_count.(p) + 1)
     parent;
   let children = Array.init n (fun v -> Array.make child_count.(v) (-1)) in
   let fill = Array.make n 0 in
+  (* v ascends, so every row of [children] comes out sorted. *)
   for v = 0 to n - 1 do
     if v <> root then begin
       let p = parent.(v) in
@@ -66,43 +45,43 @@ let of_parents ~root parent =
       fill.(p) <- fill.(p) + 1
     end
   done;
-  Array.iter (fun c -> Array.sort compare c) children;
-  (* Binary-lifting ancestor table. *)
-  let levels =
-    let rec count k acc = if acc >= n then k else count (k + 1) (acc * 2) in
-    max 1 (count 0 1)
-  in
-  let up = Array.make_matrix levels n root in
-  up.(0) <- Array.copy parent;
-  for k = 1 to levels - 1 do
-    for v = 0 to n - 1 do
-      up.(k).(v) <- up.(k - 1).(up.(k - 1).(v))
-    done
-  done;
-  (* Preorder and subtree sizes, iteratively (trees can be deep lists). *)
-  let order = Array.make n (-1) in
-  let size = Array.make n 1 in
-  let idx = ref 0 in
-  let stack = Stack.create () in
-  Stack.push root stack;
-  while not (Stack.is_empty stack) do
-    let v = Stack.pop stack in
+  (* Preorder and depths, iteratively (trees can be deep lists). Every
+     vertex but the root has another vertex as its parent, so a vertex
+     the walk from the root misses lies on a cycle. A vertex is pushed
+     at most once, by its parent, so the stack needs n cells. *)
+  let order = Array.make n 0 and depth = Array.make n 0 in
+  let stack = Array.make n root and top = ref 1 and idx = ref 0 in
+  while !top > 0 do
+    decr top;
+    let v = stack.(!top) in
     order.(!idx) <- v;
     incr idx;
     let cs = children.(v) in
     for i = Array.length cs - 1 downto 0 do
-      Stack.push cs.(i) stack
+      depth.(cs.(i)) <- depth.(v) + 1;
+      stack.(!top) <- cs.(i);
+      incr top
     done
   done;
-  if !idx <> n then invalid_arg "Tree.of_parents: not a single tree";
-  for i = n - 1 downto 0 do
+  if !idx <> n then invalid_arg "Tree.of_parents: cycle in parent array";
+  let tin = Array.make n 0 and size = Array.make n 1 in
+  Array.iteri (fun i v -> tin.(v) <- i) order;
+  (* Children before parents; order.(0) is the root. *)
+  for i = n - 1 downto 1 do
     let v = order.(i) in
-    if v <> root then begin
-      let p = parent.(v) in
-      size.(p) <- size.(p) + size.(v)
-    end
+    size.(parent.(v)) <- size.(parent.(v)) + size.(v)
   done;
-  { n; root; parent; children; depth; up; order; size }
+  (* Binary-lifting ancestor table; row 0 is [parent] itself. *)
+  let levels =
+    let rec count k acc = if acc >= n then k else count (k + 1) (acc * 2) in
+    max 1 (count 0 1)
+  in
+  let up = Array.make levels parent in
+  for k = 1 to levels - 1 do
+    let half = up.(k - 1) in
+    up.(k) <- Array.map (fun a -> half.(a)) half
+  done;
+  { n; root; parent; children; depth; up; order; tin; size }
 
 let of_graph g ~root =
   let n = Graph.n g in
@@ -173,15 +152,26 @@ let path t u v =
   let rec down acc x = if x = a then acc else down (x :: acc) t.parent.(x) in
   from_u @ down [] v
 
+(* The last of the children [cs.(lo) .. cs.(hi - 1)] whose preorder
+   position is at most [x], given that [cs.(lo)]'s is. *)
+let rec last_at_or_before tin cs x lo hi =
+  if hi - lo <= 1 then cs.(lo)
+  else
+    let mid = (lo + hi) / 2 in
+    if tin.(cs.(mid)) <= x then last_at_or_before tin cs x mid hi
+    else last_at_or_before tin cs x lo mid
+
+(* v's subtree is the preorder interval [tin v, tin v + size v), and
+   preorder visits v's children in their sorted order, so their [tin]
+   ascend along [children v]: dst lies below the last child whose [tin]
+   does not exceed dst's. *)
 let next_hop t v dst =
-  if v = dst then v
-  else begin
-    let a = lca t v dst in
-    if a <> v then t.parent.(v)
-    else
-      (* dst is in v's subtree: the child of v that is an ancestor of dst. *)
-      ancestor t dst (t.depth.(dst) - t.depth.(v) - 1)
-  end
+  let x = t.tin.(dst) and lo = t.tin.(v) in
+  if x = lo then v
+  else if x < lo || x >= lo + t.size.(v) then t.parent.(v)
+  else
+    let cs = t.children.(v) in
+    last_at_or_before t.tin cs x 0 (Array.length cs)
 
 let to_graph t =
   let edges = ref [] in

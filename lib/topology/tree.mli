@@ -4,7 +4,8 @@
     arrow protocol runs path reversal over a spanning tree (Section 4),
     and the nearest-neighbour TSP bounds are stated for distances
     measured along the tree. This module provides rooted-tree structure
-    with O(log n) tree-distance queries via binary-lifting LCA. *)
+    with O(log n) tree-distance queries via binary-lifting LCA, and
+    O(log deg) next hops from preorder intervals. *)
 
 type t
 (** A rooted tree. *)
@@ -73,7 +74,11 @@ val path : t -> int -> int -> int list
 
 val next_hop : t -> int -> int -> int
 (** [next_hop t v dst] is the tree neighbour of [v] on the path toward
-    [dst]; [v] itself when [v = dst]. O(log n). *)
+    [dst]; [v] itself when [v = dst]. [v]'s subtree is an interval of
+    preorder positions, so one comparison tells whether [dst] lies
+    below [v]; if it does not, the hop is [v]'s parent, and if it does,
+    a binary search over [v]'s children (whose positions ascend) finds
+    the one above [dst]. O(log (degree v)). *)
 
 val to_graph : t -> Graph.t
 (** The underlying undirected tree as a graph. *)

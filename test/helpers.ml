@@ -65,6 +65,34 @@ let topology_gen =
 
 let topology_print (name, _) = name
 
+(* QCheck generator: a tree of a shape tree routing serves — a uniform
+   labelled (Prüfer) tree, a degree-3 random tree, a path, a star or a
+   caterpillar — half the time with its vertices relabelled at random,
+   so no shape keeps only its generator's numbering. *)
+let tree_gen =
+  let open QCheck2.Gen in
+  let* shape = int_range 0 4 in
+  let* n = int_range 1 60 in
+  let* seed = int_range 0 100_000 in
+  let* relabel = bool in
+  let rng = Rng.create (Int64.of_int seed) in
+  let name, g =
+    match shape with
+    | 0 -> ("prufer", Gen.random_tree rng n)
+    | 1 -> ("degree3", Gen.random_binary_tree rng n)
+    | 2 -> ("path", Gen.path n)
+    | 3 -> ("star", Gen.star (max 2 n))
+    | _ -> ("caterpillar", Gen.caterpillar ~spine:(1 + (n / 4)) ~legs:(n mod 4))
+  in
+  let n = Graph.n g in
+  let g =
+    if not relabel then g
+    else
+      let perm = Rng.permutation rng n in
+      Graph.create ~n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges g))
+  in
+  return (Printf.sprintf "%s-%d-%d%s" name n seed (if relabel then "-relabelled" else ""), g)
+
 (* A topology together with a (possibly empty) request subset. *)
 let instance_gen =
   let open QCheck2.Gen in

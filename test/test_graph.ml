@@ -2,6 +2,7 @@
    adjacency queries, connectivity. *)
 
 module Graph = Countq_topology.Graph
+module Gen = Countq_topology.Gen
 
 let triangle () = Graph.create ~n:3 [ (0, 1); (1, 2); (2, 0) ]
 
@@ -104,6 +105,90 @@ let prop_create_consistent =
       done;
       !symmetric && !sum_deg = 2 * Graph.m g)
 
+(* The sort-based row normalisation [create] used before its bucket
+   pass, kept as the oracle. *)
+let sorted_dedup (a : int array) =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let k = Array.length a in
+  if k = 0 then a
+  else begin
+    let w = ref 1 in
+    for r = 1 to k - 1 do
+      if a.(r) <> a.(!w - 1) then begin
+        a.(!w) <- a.(r);
+        incr w
+      end
+    done;
+    Array.sub a 0 !w
+  end
+
+(* Each vertex's arcs in list order, both orientations, repeats kept. *)
+let raw_rows ~n edges =
+  let rows = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v))
+    edges;
+  Array.map Array.of_list rows
+
+(* Random edge lists on 1-40 vertices, then a prefix of them again
+   with every other pair flipped, so duplicates come in both
+   orientations. *)
+let edges_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* pairs =
+    list_size (int_range 0 120) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+  in
+  let edges = List.filter (fun (u, v) -> u <> v) pairs in
+  let* k = int_bound (List.length edges) in
+  let again =
+    List.filteri (fun i _ -> i < k) edges
+    |> List.mapi (fun i (u, v) -> if i mod 2 = 0 then (v, u) else (u, v))
+  in
+  return (n, edges @ again)
+
+let prop_create_matches_sort =
+  QCheck2.Test.make ~name:"create and of_adjacency = the sort-based rows"
+    ~count:300
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d %s" n
+        (String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges)))
+    edges_gen
+    (fun (n, edges) ->
+      let g = Graph.create ~n edges and raw = raw_rows ~n edges in
+      let want = Array.map sorted_dedup raw in
+      Array.init n (Graph.neighbors g) = want
+      && 2 * Graph.m g = Array.fold_left (fun acc r -> acc + Array.length r) 0 want
+      && Graph.equal (Graph.of_adjacency raw) g)
+
+let test_complete_matches_create () =
+  for n = 1 to 64 do
+    let pairs = List.concat (List.init n (fun u -> List.init u (fun v -> (u, v)))) in
+    if not (Graph.equal (Gen.complete n) (Graph.create ~n pairs)) then
+      Alcotest.failf "Gen.complete %d differs from create over all pairs" n
+  done
+
+let test_of_adjacency_rejects () =
+  let bad name (u, v) adj =
+    Alcotest.check_raises name (Graph.Invalid_edge (u, v)) (fun () ->
+        ignore (Graph.of_adjacency adj))
+  in
+  bad "self loop" (0, 0) [| [| 1; 0 |]; [| 0 |] |];
+  bad "past n" (0, 2) [| [| 2 |]; [||] |];
+  bad "negative" (1, -1) [| [||]; [| -1 |] |];
+  bad "one way, unsorted with repeats" (0, 2) [| [| 2; 1; 1 |]; [| 0 |]; [||] |];
+  bad "listed only by the higher end" (1, 0) [| [||]; [| 0 |] |]
+
+(* A quadratic-per-arc symmetry check would take seconds here. *)
+let test_of_adjacency_k1024 () =
+  let k = Gen.complete 1024 in
+  let g = Graph.of_adjacency (Array.init 1024 (fun v -> Array.copy (Graph.neighbors k v))) in
+  Alcotest.(check int) "m" 523_776 (Graph.m g);
+  Alcotest.(check bool) "same graph" true (Graph.equal k g)
+
 let suite =
   [
     Alcotest.test_case "basic counts" `Quick test_basic_counts;
@@ -124,4 +209,10 @@ let suite =
     Alcotest.test_case "fold vertices" `Quick test_fold_vertices;
     Alcotest.test_case "iter neighbors" `Quick test_iter_neighbors;
     Helpers.qcheck prop_create_consistent;
+    Helpers.qcheck prop_create_matches_sort;
+    Alcotest.test_case "complete = create over all pairs" `Quick
+      test_complete_matches_create;
+    Alcotest.test_case "of_adjacency rejects bad rows" `Quick
+      test_of_adjacency_rejects;
+    Alcotest.test_case "of_adjacency rebuilds K_1024" `Quick test_of_adjacency_k1024;
   ]

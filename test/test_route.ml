@@ -7,6 +7,7 @@ module Bfs = Countq_topology.Bfs
 module Tree = Countq_topology.Tree
 module Implicit = Countq_topology.Implicit
 module Route = Countq_simnet.Route
+module Parallel = Countq_util.Parallel
 
 let walk route g src dst =
   (* Follow next hops, checking edges, with a step budget. *)
@@ -108,9 +109,45 @@ let test_auto_picks_direct () =
   Alcotest.(check int) "direct next hop" 9 (Route.next_hop route 0 9)
 
 let test_auto_picks_table () =
-  let g = Gen.path 10 in
+  (* Neither complete nor a tree: 0 reaches 4 the short way round. *)
+  let g = Gen.cycle 10 in
   let route = Route.auto g in
-  Alcotest.(check int) "multi-hop" 1 (Route.next_hop route 0 9)
+  Alcotest.(check int) "multi-hop" 1 (Route.next_hop route 0 4)
+
+(* On a tree there is one path between two nodes, so the tree route
+   auto picks must give the table's every hop and hint. *)
+let prop_auto_tree_is_table =
+  QCheck2.Test.make ~name:"auto on a tree = table routes, every pair" ~count:150
+    ~print:Helpers.topology_print Helpers.tree_gen (fun (_, g) ->
+      let auto = Route.auto g and table = Route.of_table g in
+      let all = Helpers.all_nodes (Graph.n g) in
+      List.for_all
+        (fun v ->
+          List.for_all
+            (fun dst ->
+              Route.next_hop auto v dst = Route.next_hop table v dst
+              && Route.distance_hint auto v dst = Route.distance_hint table v dst)
+            all)
+        all)
+
+(* Routes are shared between domains: a fresh auto tree route, first
+   used from two lanes at once, gives both the table's hops. *)
+let test_auto_tree_first_use_two_lanes () =
+  let g = Gen.caterpillar ~spine:40 ~legs:2 in
+  let n = Graph.n g in
+  let table = Route.of_table g in
+  let hops route lane =
+    Array.init n (fun i ->
+        let v = (i + (lane * n / 2)) mod n in
+        Array.init n (fun dst -> Route.next_hop route v dst))
+  in
+  let want = [ hops table 0; hops table 1 ] in
+  let pool = Parallel.pool ~jobs:2 in
+  for _ = 1 to 20 do
+    let route = Route.auto g in
+    if Parallel.pool_map pool (hops route) [ 0; 1 ] <> want then
+      Alcotest.fail "a lane's hops differ from the table's"
+  done
 
 let test_of_fun () =
   (* Dimension-order routing on a 4x4 mesh: x first, then y. *)
@@ -151,4 +188,7 @@ let suite =
     Alcotest.test_case "auto picks direct" `Quick test_auto_picks_direct;
     Alcotest.test_case "auto picks table" `Quick test_auto_picks_table;
     Alcotest.test_case "custom dimension-order routing" `Quick test_of_fun;
+    Helpers.qcheck prop_auto_tree_is_table;
+    Alcotest.test_case "auto tree route first used from two lanes" `Quick
+      test_auto_tree_first_use_two_lanes;
   ]

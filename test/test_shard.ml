@@ -654,6 +654,24 @@ let test_back_to_back_heap () =
   if words > 3.5 *. float_of_int n then
     Alcotest.failf "funnel allocated %.0f major words directly, over 3.5n" words
 
+(* A hand-built table whose owners leave 0 .. shards-1 is refused at
+   entry, before any lane indexes a shard with it. *)
+let test_bad_table_rejected () =
+  let graph = Gen.path 6 in
+  let protocol = hash_protocol ~seed:5 ~graph () in
+  List.iter
+    (fun owner ->
+      Alcotest.check_raises "owner outside the shards"
+        (Invalid_argument
+           "Shard.run: partition needs a shard and every owner in 0 .. shards-1")
+        (fun () ->
+          ignore
+            (Shard.run ~partition:(Partition.Table { shards = 2; owner }) ~pool
+               ~graph ~config:Engine.default_config ~protocol ())))
+    [
+      [| 0; 0; 0; 1; 1; -1 |]; [| 0; 0; 0; 1; 1; 2 |]; [| 1; 1; 1; 1; 1; -1 |];
+    ]
+
 let test_auto_shards_positive () =
   Alcotest.(check bool) "auto_shards >= 1" true (Shard.auto_shards () >= 1)
 
@@ -694,4 +712,6 @@ let suite =
       test_contiguous_owner_formula;
     Alcotest.test_case "back-to-back runs reuse the store" `Quick
       test_back_to_back_heap;
+    Alcotest.test_case "partition: bad hand-built owners rejected at entry" `Quick
+      test_bad_table_rejected;
   ]

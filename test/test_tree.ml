@@ -113,7 +113,12 @@ let test_deep_list_tree () =
   let t = Tree.of_parents ~root:0 parent in
   Alcotest.(check int) "height" (n - 1) (Tree.height t);
   Alcotest.(check int) "deep dist" (n - 1) (Tree.dist t 0 (n - 1));
-  Alcotest.(check int) "deep lca" 0 (Tree.lca t 0 (n - 1))
+  Alcotest.(check int) "deep lca" 0 (Tree.lca t 0 (n - 1));
+  (* The same list rooted at its far end, so every parent chain runs
+     the whole list: depths come from one walk down from the root. *)
+  let t = Tree.of_parents ~root:(n - 1) (Array.init n (fun v -> min (n - 1) (v + 1))) in
+  Alcotest.(check int) "reversed height" (n - 1) (Tree.height t);
+  Alcotest.(check int) "reversed depth" (n - 1) (Tree.depth t 0)
 
 let prop_dist_matches_bfs =
   QCheck2.Test.make ~name:"tree dist = BFS distance on the tree graph"
@@ -166,6 +171,32 @@ let prop_spanning_trees_span =
         (Array.init n (fun v -> Tree.depth tb v))
         (Bfs.distances g 0))
 
+(* The LCA formula next_hop used to compute, kept as the oracle: up to
+   the parent unless dst lies below v, else dst's ancestor one level
+   below v. *)
+let lca_next_hop t v dst =
+  if v = dst then v
+  else if Tree.lca t v dst <> v then Tree.parent t v
+  else
+    let rec climb x =
+      if Tree.depth t x = Tree.depth t v + 1 then x else climb (Tree.parent t x)
+    in
+    climb dst
+
+let prop_next_hop_is_lca_formula =
+  QCheck2.Test.make ~name:"next_hop = the LCA formula, every pair, three roots"
+    ~count:150 ~print:Helpers.topology_print Helpers.tree_gen (fun (_, g) ->
+      let n = Graph.n g in
+      let all = Helpers.all_nodes n in
+      List.for_all
+        (fun root ->
+          let t = Tree.of_graph g ~root in
+          List.for_all
+            (fun v ->
+              List.for_all (fun dst -> Tree.next_hop t v dst = lca_next_hop t v dst) all)
+            all)
+        (List.sort_uniq compare [ 0; n / 2; n - 1 ]))
+
 let suite =
   [
     Alcotest.test_case "basic structure" `Quick test_basic_structure;
@@ -185,4 +216,5 @@ let suite =
     Helpers.qcheck prop_dist_matches_bfs;
     Helpers.qcheck prop_next_hop_progress;
     Helpers.qcheck prop_spanning_trees_span;
+    Helpers.qcheck prop_next_hop_is_lca_formula;
   ]
