@@ -1,6 +1,6 @@
 #!/bin/sh
 # Prints the outputs of every one-shot driver surface, pinned by
-# test/runners.expected: `countq observe` for each observed protocol
+# test/runners.expected: `countq observe` for every `-P` protocol
 # under no plan, a lossy plan and a crash-restart plan (each with its
 # JSONL span export), `countq compare` (every protocol's summary) on
 # two instances, `countq trace`, `countq verify`, `countq check
@@ -10,7 +10,8 @@ set -e
 countq=$1
 shift
 json=runners-spans.jsonl
-for p in arrow arrow+notify central-queue central-count sweep; do
+for p in arrow arrow+notify central-queue token-ring dynamic-queue \
+  central-count combining diffracting funnel network sweep; do
   for plan in none lossy crash-restart; do
     if [ "$plan" = none ]; then plan_flag=""; else plan_flag="--plan $plan"; fi
     # shellcheck disable=SC2086
