@@ -1553,10 +1553,12 @@ let trace_cmd =
         let rng = Rng.create (Int64.of_int seed) in
         let k = max 1 (n / 3) in
         let requests = Rng.sample rng ~k ~n in
-        let res, events =
-          Countq_simnet.Oneshot.traced
+        let tap, events = Countq_simnet.Trace.tap () in
+        let res =
+          Countq_simnet.Oneshot.run ~tap
             (Countq_arrow.Protocol.one_shot ~tree ~requests ())
         in
+        let events = events () in
         let result = Countq_arrow.Protocol.of_engine res in
         Printf.printf
           "arrow protocol on %s (n=%d), requests {%s}, tail at node %d\n\n"

@@ -1183,13 +1183,18 @@ let e23_observed_influence ?quick:(quick = false) () =
         let requests = sample_requests rng ~k:(n / 2) ~n in
         let k = List.length requests in
         let tree = Spanning.best_for_arrow g in
-        let _, arrow_events =
-          Oneshot.traced
+        let traced inst =
+          let tap, events = Countq_simnet.Trace.tap () in
+          ignore (Oneshot.run ~tap inst);
+          events ()
+        in
+        let arrow_events =
+          traced
             (Arrow.Protocol.one_shot ~config:Engine.default_config ~tree
                ~requests ())
         in
-        let _, counting_events =
-          Oneshot.traced (Counting.Central.one_shot ~graph:g ~requests ())
+        let counting_events =
+          traced (Counting.Central.one_shot ~graph:g ~requests ())
         in
         let describe proto events =
           let growth = Observed.of_trace ~n events in

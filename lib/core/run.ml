@@ -388,7 +388,14 @@ let observe ?tree ?plan ~graph ~protocol ~requests () =
   let (Instance { inst; tally; _ } as i) =
     instance ?tree ~graph ~requests protocol
   in
-  let res, spans, o_injected = Oneshot.observed ?plan ~metrics inst in
+  let span_tap, spans =
+    Span.tap ~injects:inst.spec.injects ~op_of_msg:inst.op_of_msg
+      ~op_of_completion:inst.spec.op_of_completion ()
+  in
+  let faults = Option.map Faults.start plan in
+  let res =
+    Oneshot.run ?faults ~tap:(Engine.both (Metrics.tap metrics) span_tap) inst
+  in
   let t = tally res in
   {
     o_protocol = label protocol;
@@ -400,8 +407,8 @@ let observe ?tree ?plan ~graph ~protocol ~requests () =
     o_total_delay = t.t_total_delay;
     o_expansion = t.t_expansion;
     metrics;
-    spans;
-    o_injected;
+    spans = spans ();
+    o_injected = Option.map Faults.stats faults;
   }
 
 let best_counting ?pool ~graph ~requests () =

@@ -245,8 +245,8 @@ val observe :
   requests:int list ->
   unit ->
   observation
-(** Run [protocol] on [graph] through [Oneshot.observed], with a fresh
-    {!Countq_simnet.Metrics} recorder and span instrumentation
+(** Run [protocol] on [graph] through [Oneshot.run], with a fresh
+    {!Countq_simnet.Metrics} recorder and a {!Countq_simnet.Span} tap
     attached; [plan] optionally injects faults. [tree] and the
     instance are {!instance}'s. Drives the [countq observe]
     subcommand and the observability experiments. *)

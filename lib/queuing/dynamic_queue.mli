@@ -104,7 +104,7 @@ val run :
 val holder_tap :
   from:int ->
   expected:int ->
-  (Types.op * Types.pred) Engine.tap * int ref * int ref
+  ('m, Types.op * Types.pred) Engine.tap * int ref * int ref
 (** A monitor-free tap for a queuing run: it tracks the origin of the
     latest completion (starting at [from]), the node around which a
     stall is diagnosed, counts completions, and halts the run at the

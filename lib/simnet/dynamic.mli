@@ -16,9 +16,10 @@
     engines, the routing helpers and the diagnosis helpers below all
     see one consistent topology history.
 
-    Both {!Engine.run} and {!Reference.run} accept a started schedule
-    via [?dynamic]. Semantics, chosen to generalise the PR 1
-    [Faults.crash] plans into time-varying topology:
+    Both {!Engine.run} and the reference engine ([test/reference.ml])
+    accept a started schedule via [?dynamic]. Semantics, chosen to
+    generalise the PR 1 [Faults.crash] plans into time-varying
+    topology:
 
     - a {e down node} neither sends, receives nor wakes; its local
       state, outbox, queued incoming messages and pending wakes are

@@ -89,11 +89,12 @@ type 'r result = 'r Kernel.result = {
 exception Not_a_neighbor = Kernel.Not_a_neighbor
 exception Round_limit_exceeded = Kernel.Round_limit_exceeded
 
-type 'r tap = 'r Kernel.tap = {
+type ('m, 'r) tap = ('m, 'r) Kernel.tap = {
   passive : bool;
+  on_enqueue : round:int -> src:int -> dst:int -> 'm -> unit;
   on_transmit : round:int -> src:int -> dst:int -> unit;
   on_backlog : round:int -> node:int -> backlog:int -> unit;
-  on_deliver : round:int -> src:int -> dst:int -> unit;
+  on_deliver : round:int -> src:int -> dst:int -> 'm -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
   on_inject : round:int -> node:int -> unit;
   on_drop : round:int -> src:int -> dst:int -> unit;

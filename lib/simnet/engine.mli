@@ -44,9 +44,9 @@
     {e fast-forward} across idle rounds (quiescent network, everything parked by a fault delay
     or waiting for a wake) in O(1), so a protocol that is busy for R
     rounds of a long schedule costs O(R), not O(horizon). Semantics
-    are unaffected: {!Reference.run} keeps the dense O(n)-per-round
-    engine and qcheck properties pin every front to bit-identical
-    results.
+    are unaffected: the reference engine in [test/reference.ml] keeps
+    the dense O(n)-per-round rules, and qcheck properties pin every
+    front to bit-identical results.
 
     The types below are {!Kernel}'s, re-exported under the names user
     code has always used. *)
@@ -185,17 +185,23 @@ val top_loaded_pairs : ?k:int -> (int * int) list -> (int * int) list
     builds its [busiest] payload through this helper. Pairs must be
     unique per node. *)
 
-type 'r tap = 'r Kernel.tap = {
+type ('m, 'r) tap = ('m, 'r) Kernel.tap = {
   passive : bool;
       (** the tap never halts and needs no call for an idle round. *)
+  on_enqueue : round:int -> src:int -> dst:int -> 'm -> unit;
+      (** a handler's or an injection's [Send (dst, msg)] joined
+          [src]'s outbox, in the round the handler ran ([0] for
+          [on_start]). Under [send_capacity] it may wait there rounds
+          before its [on_transmit]. *)
   on_transmit : round:int -> src:int -> dst:int -> unit;
       (** a message left [src]'s outbox towards [dst], before any fault
           decision. *)
   on_backlog : round:int -> node:int -> backlog:int -> unit;
       (** a message joined an incoming link of [node], which now holds
           [backlog] messages. *)
-  on_deliver : round:int -> src:int -> dst:int -> unit;
-      (** a message was handed to [dst]'s protocol. *)
+  on_deliver : round:int -> src:int -> dst:int -> 'm -> unit;
+      (** the message was handed to [dst]'s protocol; the callback runs
+          just before the handler. *)
   on_complete : round:int -> node:int -> value:'r -> unit;
       (** a [Complete] action, including at round 0. *)
   on_inject : round:int -> node:int -> unit;
@@ -217,9 +223,10 @@ type 'r tap = 'r Kernel.tap = {
           progress so far). *)
 }
 (** Execution hooks: the one way every engine front ({!run},
-    {!Event_engine.run}, {!Shard}, {!Reference.run}) lets a caller
-    watch a run. {!Metrics.tap} and {!Telemetry.tap} build passive
-    taps, {!Monitor.tap} an active one, and {!both} composes two. A tap
+    {!Event_engine.run}, {!Shard} and the reference engine in
+    [test/reference.ml]) lets a caller watch a run. {!Metrics.tap},
+    {!Telemetry.tap}, {!Span.tap} and {!Trace.tap} build passive taps,
+    {!Monitor.tap} an active one, and {!both} composes two. A tap
     must not mutate protocol state and cannot affect the execution
     except through [`Halt]; its callbacks always run on the calling
     domain.
@@ -231,32 +238,35 @@ type 'r tap = 'r Kernel.tap = {
     [passive] alone decides this, and a passive tap must answer
     [`Continue]. Attaching a passive tap changes nothing in the run:
     result, fault tallies and what the tap records are the same with or
-    without it, at every shard count and on {!Reference.run}
+    without it, at every shard count and on the reference engine
     (qcheck-pinned).
 
     {b Order.} Within a round the callbacks follow the phase order:
-    transmissions with their fault outcomes and backlogs, deliveries
-    with the completions their handlers produce, wake completions,
-    injections, then [on_round_end]. On one shard each fires as it
-    happens. A sharded run's lanes tag their events [(phase, node)] and
-    the coordinator replays them at the round barrier in that order, so
-    the [on_deliver]/[on_complete] stream is the one-shard stream at
-    every shard count and each round carries the same events; only
-    transmit and backlog events may come in another order within a
-    round. *)
+    transmissions with their fault outcomes and backlogs; each delivery
+    followed by the enqueues and completions its handler returns, in
+    the order of its action list; the same for each wake; each
+    injection's [on_inject] followed by its enqueues and completions;
+    then [on_round_end]. Time 0 carries [on_start]'s enqueues and
+    completions, node by node. On one shard each fires as it happens.
+    A sharded run's lanes tag their events [(phase, node)] and the
+    coordinator replays them at the round barrier in that order, so
+    the [on_enqueue]/[on_deliver]/[on_complete] stream is the one-shard
+    stream at every shard count and each round carries the same events;
+    only transmit and backlog events may come in another order within
+    a round. *)
 
-val no_tap : 'r tap
+val no_tap : ('m, 'r) tap
 (** A passive tap whose callbacks do nothing: the base for a tap that
     overrides a few ([{ Engine.no_tap with on_complete = ... }]). *)
 
-val both : 'r tap -> 'r tap -> 'r tap
+val both : ('m, 'r) tap -> ('m, 'r) tap -> ('m, 'r) tap
 (** Both taps see every event, [a]'s callback first; the result is
     passive only if both are, and halts when either does. *)
 
 val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?tap:'r tap ->
+  ?tap:('m, 'r) tap ->
   graph:Countq_topology.Graph.t ->
   config:config ->
   protocol:('s, 'm, 'r) protocol ->

@@ -21,7 +21,8 @@
     happens.
 
     {b Pinned semantics.} On any materialisable topology a run here is
-    bit-identical to {!Reference.run} on the materialised twin — same
+    bit-identical to the reference engine ([test/reference.ml]) on the
+    materialised twin — same
     completions, rounds, messages, backlog, tap streams, fault
     tallies and {!Engine.Round_limit_exceeded} payloads (the
     qcheck property in [test/test_equiv.ml]). Wakes cost O(log w) each
@@ -68,7 +69,7 @@ val fresh_stats : unit -> stats
 val run :
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?tap:'r Engine.tap ->
+  ?tap:('m, 'r) Engine.tap ->
   ?sink:('r Engine.completion -> unit) ->
   ?injections:('s, 'm, 'r) injection array ->
   ?halt_after:int ->

@@ -67,11 +67,12 @@
    with (phase, node) and buffers it; the coordinator replays the
    round's buffers at the barrier, k-way merged in that order (phase 0
    = time 0 or send, 1 = cross-shard transfer, 2 = receive, 3 = wake,
-   4 = injection; send and transfer events are keyed by the sender).
-   Each buffer is sorted and a node's receive, wake and injection
-   events live in one shard, so the deliver/complete stream is exactly
-   the sequential one. What the coordinator itself runs — the faulty
-   send phase, round ends — calls the tap at once.
+   4 = injection; send and transfer events are keyed by the sender, an
+   enqueue by the handler's phase and node). Each buffer is sorted and
+   a node's receive, wake and injection events live in one shard, so
+   the enqueue/deliver/complete stream is exactly the sequential one.
+   What the coordinator itself runs — the faulty send phase, round
+   ends — calls the tap at once.
 
    Everything a run owns lives in one record, [k], and the phases are
    top-level functions over it: setting up a run allocates the record
@@ -129,11 +130,12 @@ exception
     busiest : (int * int) list;
   }
 
-type 'r tap = {
+type ('m, 'r) tap = {
   passive : bool;
+  on_enqueue : round:int -> src:int -> dst:int -> 'm -> unit;
   on_transmit : round:int -> src:int -> dst:int -> unit;
   on_backlog : round:int -> node:int -> backlog:int -> unit;
-  on_deliver : round:int -> src:int -> dst:int -> unit;
+  on_deliver : round:int -> src:int -> dst:int -> 'm -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
   on_inject : round:int -> node:int -> unit;
   on_drop : round:int -> src:int -> dst:int -> unit;
@@ -145,11 +147,13 @@ type 'r tap = {
 
 let no_tap =
   let edge ~round:_ ~src:_ ~dst:_ = () in
+  let carry ~round:_ ~src:_ ~dst:_ _ = () in
   {
     passive = true;
+    on_enqueue = carry;
     on_transmit = edge;
     on_backlog = (fun ~round:_ ~node:_ ~backlog:_ -> ());
-    on_deliver = edge;
+    on_deliver = carry;
     on_complete = (fun ~round:_ ~node:_ ~value:_ -> ());
     on_inject = (fun ~round:_ ~node:_ -> ());
     on_drop = edge;
@@ -164,14 +168,19 @@ let both a b =
     f ~round ~src ~dst;
     g ~round ~src ~dst
   in
+  let carry f g ~round ~src ~dst msg =
+    f ~round ~src ~dst msg;
+    g ~round ~src ~dst msg
+  in
   {
     passive = a.passive && b.passive;
+    on_enqueue = carry a.on_enqueue b.on_enqueue;
     on_transmit = edge a.on_transmit b.on_transmit;
     on_backlog =
       (fun ~round ~node ~backlog ->
         a.on_backlog ~round ~node ~backlog;
         b.on_backlog ~round ~node ~backlog);
-    on_deliver = edge a.on_deliver b.on_deliver;
+    on_deliver = carry a.on_deliver b.on_deliver;
     on_complete =
       (fun ~round ~node ~value ->
         a.on_complete ~round ~node ~value;
@@ -258,10 +267,11 @@ let buf_push b x =
 
 (* What a lane buffers for the round-end replay, under its
    (phase, node) tag; the comments name the tagged node. *)
-type 'r event =
+type ('m, 'r) event =
+  | Enqueued of int * 'm  (* dst, msg; tagged by the sender *)
   | Transmit of int  (* dst; tagged by the sender *)
   | Backlog of int * int  (* dst, backlog; tagged by the sender *)
-  | Delivered of int  (* src; tagged by the receiver *)
+  | Delivered of int * 'm  (* src, msg; tagged by the receiver *)
   | Completed of 'r
   | Injected
 
@@ -298,7 +308,7 @@ type ('s, 'm, 'r) shard = {
   inj : ('s, 'm, 'r) injection array;  (* in global (round, node) order *)
   mutable inj_ptr : int;
   wakes : (int * int, unit) Heap.t;  (* (round, node), own nodes only *)
-  evs : (int * int * 'r event) buf;  (* replayed at the barrier *)
+  evs : (int * int * ('m, 'r) event) buf;  (* replayed at the barrier *)
   (* The message cells of every queue of this shard's nodes: payload,
      successor and (outbox cells only) destination, grown together by
      doubling; [free] heads the free list threaded through [next]. *)
@@ -323,7 +333,7 @@ type ('s, 'm, 'r) k = {
   faulty : bool;  (* ?faults or ?dynamic given *)
   fr : Faults.runtime;
   dynamic : Dynamic.runtime option;
-  tap : 'r tap;
+  tap : ('m, 'r) tap;
   tapped : bool;  (* ?tap given: lanes buffer its events when sharded *)
   sink : ('r completion -> unit) option;
   stats : stats option;
@@ -587,6 +597,9 @@ let rec apply_actions k sh phase s v t actions =
   | Send (dst, msg) :: rest ->
       if nbr_slot k.nbrs.(s) dst < 0 then raise (Not_a_neighbor { node = v; dst });
       out_push k sh s dst msg;
+      if k.tapped then
+        if k.inline then k.tap.on_enqueue ~round:t ~src:v ~dst msg
+        else buf_push sh.evs (phase, v, Enqueued (dst, msg));
       sh.d_outstanding <- sh.d_outstanding + 1;
       if Bytes.unsafe_get k.on_send s = '\000' then begin
         Bytes.unsafe_set k.on_send s '\001';
@@ -770,8 +783,8 @@ let rec recv_budget k sh t s v budget =
       sh.d_messages <- sh.d_messages + 1;
       sh.last_active <- t;
       if k.tapped then
-        if k.inline then k.tap.on_deliver ~round:t ~src ~dst:v
-        else buf_push sh.evs (2, v, Delivered src);
+        if k.inline then k.tap.on_deliver ~round:t ~src ~dst:v msg
+        else buf_push sh.evs (2, v, Delivered (src, msg));
       (* The per-message hot path: the network, funnel and counter
          handlers hand back [old], so [store] writes nothing. *)
       let old = k.states.(s) in
@@ -1104,9 +1117,10 @@ let replay k t =
         let _, node, ev = k.shards.(!best).evs.data.(ptr.(!best)) in
         ptr.(!best) <- ptr.(!best) + 1;
         match ev with
+        | Enqueued (dst, msg) -> k.tap.on_enqueue ~round:t ~src:node ~dst msg
         | Transmit dst -> k.tap.on_transmit ~round:t ~src:node ~dst
         | Backlog (dst, backlog) -> k.tap.on_backlog ~round:t ~node:dst ~backlog
-        | Delivered src -> k.tap.on_deliver ~round:t ~src ~dst:node
+        | Delivered (src, msg) -> k.tap.on_deliver ~round:t ~src ~dst:node msg
         | Completed value ->
             if k.tapped then k.tap.on_complete ~round:t ~node ~value;
             push_completion k { node; round = t; value }

@@ -62,11 +62,12 @@ exception
     busiest : (int * int) list;
   }
 
-type 'r tap = {
+type ('m, 'r) tap = {
   passive : bool;
+  on_enqueue : round:int -> src:int -> dst:int -> 'm -> unit;
   on_transmit : round:int -> src:int -> dst:int -> unit;
   on_backlog : round:int -> node:int -> backlog:int -> unit;
-  on_deliver : round:int -> src:int -> dst:int -> unit;
+  on_deliver : round:int -> src:int -> dst:int -> 'm -> unit;
   on_complete : round:int -> node:int -> value:'r -> unit;
   on_inject : round:int -> node:int -> unit;
   on_drop : round:int -> src:int -> dst:int -> unit;
@@ -76,8 +77,8 @@ type 'r tap = {
   on_round_end : round:int -> in_flight:int -> [ `Continue | `Halt ];
 }
 
-val no_tap : 'r tap
-val both : 'r tap -> 'r tap -> 'r tap
+val no_tap : ('m, 'r) tap
+val both : ('m, 'r) tap -> ('m, 'r) tap -> ('m, 'r) tap
 
 type ('s, 'm, 'r) injection = {
   at : int;
@@ -100,7 +101,7 @@ val run :
   ?pool:Countq_util.Parallel.pool ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?tap:'r tap ->
+  ?tap:('m, 'r) tap ->
   ?sink:('r completion -> unit) ->
   ?injections:('s, 'm, 'r) injection array ->
   ?halt_after:int ->

@@ -115,7 +115,7 @@ let tap t =
       (fun ~round:_ ~node ~backlog ->
         if backlog > t.peak_backlog.(node) then t.peak_backlog.(node) <- backlog);
     on_deliver =
-      (fun ~round ~src ~dst ->
+      (fun ~round ~src ~dst _ ->
         bump t.e_receives (edge_slot t ~src ~dst);
         mark_busy t dst round);
     on_drop = (fun ~round:_ -> fault t.drops t.e_drops t);

@@ -27,7 +27,7 @@ val create : graph:Countq_topology.Graph.t -> t
 val n : t -> int
 (** Number of nodes the recorder was created for. *)
 
-val tap : t -> 'r Engine.tap
+val tap : t -> ('m, 'r) Engine.tap
 (** The passive tap that records into [t]: a transmit counts a send
     and marks the sender busy in its round, a delivery counts a
     receive and marks the receiver busy, backlogs keep the per-node

@@ -165,7 +165,7 @@ let tap monitors =
     Engine.no_tap with
     passive = false;
     on_deliver =
-      (fun ~round ~src ~dst ->
+      (fun ~round ~src ~dst _ ->
         List.iter (fun m -> m.deliver ~round ~src ~dst) monitors);
     on_complete =
       (fun ~round ~node ~value ->

@@ -97,7 +97,7 @@ val completes : expected:int -> 'r t
 
 (** {1 Attaching and reporting} *)
 
-val tap : 'r t list -> 'r Engine.tap
+val tap : 'r t list -> ('m, 'r) Engine.tap
 (** Fuse the monitors into one active engine tap (it sees every round:
     [progress] counts idle ones). The tap requests [`Halt] as soon as
     any monitor does. *)

@@ -16,7 +16,8 @@ type ('s, 'm, 'r) t = {
   op_of_msg : 'm -> int option;
 }
 
-let run i = Engine.run ~graph:i.graph ~config:i.config ~protocol:i.protocol ()
+let run ?faults ?tap i =
+  Engine.run ?faults ?tap ~graph:i.graph ~config:i.config ~protocol:i.protocol ()
 
 type 'r report = {
   result : 'r Engine.result;
@@ -39,13 +40,23 @@ let faulty ?(retry = false) ?ack_timeout ?max_retries ?next_hop ?progress_budget
         Monitor.progress ~budget ?diagnose ();
       ]
   in
-  let tap =
+  (* Built per run: with [retry] the messages are Reliable's
+     envelopes, which the caller's tap is never shown. *)
+  let tap () =
     let m = Monitor.tap monitors in
-    match tap with Some t -> Engine.both m t | None -> m
+    match tap with
+    | None -> m
+    | Some (t : (unit, _) Engine.tap) ->
+        Engine.both m
+          {
+            t with
+            on_enqueue = (fun ~round ~src ~dst _ -> t.on_enqueue ~round ~src ~dst ());
+            on_deliver = (fun ~round ~src ~dst _ -> t.on_deliver ~round ~src ~dst ());
+          }
   in
   let faults = Faults.start plan in
   let go protocol =
-    Engine.run ~faults ?dynamic ~tap ~graph:i.graph ~config:i.config
+    Engine.run ~faults ?dynamic ~tap:(tap ()) ~graph:i.graph ~config:i.config
       ~protocol ()
   in
   let result, retry =
@@ -62,23 +73,6 @@ let faulty ?(retry = false) ?ack_timeout ?max_retries ?next_hop ?progress_budget
     monitors = Monitor.finalise monitors;
     retry;
   }
-
-let observed ?plan ~metrics i =
-  let protocol, spans =
-    Span.instrument ~injects:i.spec.injects ~op_of_msg:i.op_of_msg
-      ~op_of_completion:i.spec.op_of_completion i.protocol
-  in
-  let faults = Option.map Faults.start plan in
-  let result =
-    Engine.run ?faults ~tap:(Metrics.tap metrics) ~graph:i.graph ~config:i.config
-      ~protocol ()
-  in
-  (result, spans (), Option.map Faults.stats faults)
-
-let traced i =
-  let protocol, events = Trace.instrument i.protocol in
-  let result = Engine.run ~graph:i.graph ~config:i.config ~protocol () in
-  (result, events ())
 
 let async ?(delay = Async.Constant 1) i =
   let r = Async.run ~graph:i.graph ~delay ~protocol:i.protocol () in

@@ -7,11 +7,14 @@
     each protocol contributes a machine: a [one_shot] constructor
     that packs its graph, default config and protocol value with its
     family's spec into an instance {!t}. The drivers below combine the
-    two per run, so a new protocol gets the plain, faulty, observed,
-    traced, asynchronous and model-checked runs for free:
+    two per run, so a new protocol gets the plain, faulty, asynchronous
+    and model-checked runs for free, and any {!Engine.tap} on the plain
+    one — {!Metrics}, {!Span} and {!Trace} watch a run that way:
     {[
       let inst = Central.one_shot ~graph ~requests () in
       let plain = Oneshot.run inst in
+      let tap, events = Trace.tap () in
+      let traced = Oneshot.run ~tap inst in
       let faulty = Oneshot.faulty ~retry:true ~plan inst in
       let outcome = Oneshot.explore inst in
       ...
@@ -23,7 +26,7 @@
 type 'r spec = {
   expected : int;  (** operations issued: the liveness target. *)
   injects : (int * int) list;
-      (** [(op, round)] injection times for {!Span.instrument}; one-shot
+      (** [(op, round)] injection times for {!Span.tap}; one-shot
           specs pass [(v, 0)] per requester. *)
   op_of_completion : 'r -> int option;  (** the op a completion answers. *)
   check : 'r Engine.completion list -> (unit, string) result;
@@ -45,8 +48,12 @@ type ('s, 'm, 'r) t = {
 }
 (** One protocol on one instance, paired with its spec. *)
 
-val run : ('s, 'm, 'r) t -> 'r Engine.result
-(** The instance on {!Engine.run}. *)
+val run :
+  ?faults:Faults.runtime ->
+  ?tap:('m, 'r) Engine.tap ->
+  ('s, 'm, 'r) t ->
+  'r Engine.result
+(** The instance on {!Engine.run}, with its [faults] and [tap]. *)
 
 type 'r report = {
   result : 'r Engine.result;  (** whatever completed (may be partial). *)
@@ -65,7 +72,7 @@ val faulty :
   ?next_hop:(round:int -> src:int -> dst:int -> int option) ->
   ?progress_budget:int ->
   ?dynamic:Dynamic.runtime ->
-  ?tap:'r Engine.tap ->
+  ?tap:(unit, 'r) Engine.tap ->
   ?diagnose:(round:int -> string option) ->
   plan:Faults.plan ->
   ('s, 'm, 'r) t ->
@@ -76,24 +83,11 @@ val faulty :
     {!Reliable.wrap} with [ack_timeout], [max_retries] and [next_hop]
     (which only [retry] reads). The progress monitor halts a stalled
     run after [progress_budget] silent rounds (default
-    {!Reliable.progress_budget}) and asks [diagnose] for the cause. [tap] watches the run beside the monitors. With
+    {!Reliable.progress_budget}) and asks [diagnose] for the cause.
+    [tap] watches the run beside the monitors, with every message shown
+    as [()] (under [retry] they are {!Reliable}'s envelopes). With
     [plan = Faults.none] and [retry = false] the result equals
     {!run}'s. *)
-
-val observed :
-  ?plan:Faults.plan ->
-  metrics:Metrics.t ->
-  ('s, 'm, 'r) t ->
-  'r Engine.result * Span.t list * Faults.stats option
-(** {!run} under full observability: per-node / per-edge counters into
-    [metrics] (create one per run) and a causal {!Span} per operation.
-    [plan] optionally injects faults (no retransmit layer, no
-    monitors); the third component is its tally. With no plan the
-    result equals {!run}'s. *)
-
-val traced : ('s, 'm, 'r) t -> 'r Engine.result * Trace.event list
-(** {!run} with {!Trace} instrumentation: the same result and the
-    chronological event log. *)
 
 val async : ?delay:Async.delay_model -> ('s, 'm, 'r) t -> 'r Engine.result
 (** The instance on the asynchronous engine with link delays [delay]

@@ -19,7 +19,8 @@
     events are tagged with their phase and node and replayed at the
     barrier in [(round, phase, node)] order (see {!Engine.tap}), which
     is the sequential engine's chronological order. The result is
-    {e bit-identical} to {!Reference.run} for every shard count —
+    {e bit-identical} to the reference engine ([test/reference.ml]) for
+    every shard count —
     qcheck-pinned in [test_equiv.ml] with [?tap], [?faults] and
     [?dynamic] attached and with protocols that ask for wakes, and
     against the single-shard run for [?sink], [?injections] and
@@ -51,7 +52,7 @@ val run :
   ?partition:Countq_topology.Partition.t ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?tap:'r Engine.tap ->
+  ?tap:('m, 'r) Engine.tap ->
   graph:Countq_topology.Graph.t ->
   config:Engine.config ->
   protocol:('s, 'm, 'r) Engine.protocol ->
@@ -80,7 +81,7 @@ val run_implicit :
   ?partition:Countq_topology.Partition.t ->
   ?faults:Faults.runtime ->
   ?dynamic:Dynamic.runtime ->
-  ?tap:'r Engine.tap ->
+  ?tap:('m, 'r) Engine.tap ->
   ?sink:('r Engine.completion -> unit) ->
   ?injections:('s, 'm, 'r) Event_engine.injection array ->
   ?halt_after:int ->

@@ -26,11 +26,10 @@ type acc = {
   mutable a_completion : int option;
 }
 
-let instrument ?(injects = []) ~op_of_msg ~op_of_completion
-    (p : _ Engine.protocol) =
+let tap ?(injects = []) ~op_of_msg ~op_of_completion () =
   let spans : (int, acc) Hashtbl.t = Hashtbl.create 64 in
-  (* FIFO of queued_rounds per (op, src, dst): links are FIFO, so the
-     k-th delivery of an op's messages on a link matches the k-th send. *)
+  (* FIFO of queued rounds per (op, src, dst): the k-th delivery of an
+     op's messages on a link matches the k-th send. *)
   let pending : (int * int * int, int Queue.t) Hashtbl.t = Hashtbl.create 64 in
   let get op round =
     match Hashtbl.find_opt spans op with
@@ -41,41 +40,29 @@ let instrument ?(injects = []) ~op_of_msg ~op_of_completion
         a
   in
   List.iter (fun (op, round) -> ignore (get op round)) injects;
-  let record_actions round node actions =
-    List.iter
-      (fun action ->
-        match action with
-        | Engine.Send (dst, msg) -> (
-            match op_of_msg msg with
-            | None -> ()
-            | Some op ->
-                ignore (get op round);
-                let key = (op, node, dst) in
-                let q =
-                  match Hashtbl.find_opt pending key with
-                  | Some q -> q
-                  | None ->
-                      let q = Queue.create () in
-                      Hashtbl.add pending key q;
-                      q
-                in
-                Queue.push round q)
-        | Engine.Complete r -> (
-            match op_of_completion r with
-            | None -> ()
-            | Some op ->
-                let a = get op round in
-                if a.a_completion = None then a.a_completion <- Some round)
-        | Engine.Wake _ -> ())
-      actions
+  let on_enqueue ~round ~src ~dst msg =
+    match op_of_msg msg with
+    | None -> ()
+    | Some op ->
+        ignore (get op round);
+        let key = (op, src, dst) in
+        let q =
+          match Hashtbl.find_opt pending key with
+          | Some q -> q
+          | None ->
+              let q = Queue.create () in
+              Hashtbl.add pending key q;
+              q
+        in
+        Queue.push round q
   in
-  let record_delivery round node src msg =
+  let on_deliver ~round ~src ~dst msg =
     match op_of_msg msg with
     | None -> ()
     | Some op ->
         let a = get op round in
         let queued =
-          match Hashtbl.find_opt pending (op, src, node) with
+          match Hashtbl.find_opt pending (op, src, dst) with
           | Some q when not (Queue.is_empty q) -> Queue.pop q
           | _ ->
               (* No matching send: a fault-injected duplicate. Charge a
@@ -83,30 +70,15 @@ let instrument ?(injects = []) ~op_of_msg ~op_of_completion
               round - 1
         in
         a.a_hops <-
-          { h_src = src; h_dst = node; queued_round = queued;
-            delivered_round = round }
+          { h_src = src; h_dst = dst; queued_round = queued; delivered_round = round }
           :: a.a_hops
   in
-  let p' =
-    {
-      p with
-      Engine.on_start =
-        (fun ~node s ->
-          let s, actions = p.Engine.on_start ~node s in
-          record_actions 0 node actions;
-          (s, actions));
-      on_receive =
-        (fun ~round ~node ~src msg s ->
-          record_delivery round node src msg;
-          let s, actions = p.Engine.on_receive ~round ~node ~src msg s in
-          record_actions round node actions;
-          (s, actions));
-      on_wake =
-        (fun ~round ~node s ->
-          let s, actions = p.Engine.on_wake ~round ~node s in
-          record_actions round node actions;
-          (s, actions));
-    }
+  let on_complete ~round ~node:_ ~value =
+    match op_of_completion value with
+    | None -> ()
+    | Some op ->
+        let a = get op round in
+        if a.a_completion = None then a.a_completion <- Some round
   in
   let snapshot () =
     Hashtbl.fold
@@ -121,7 +93,7 @@ let instrument ?(injects = []) ~op_of_msg ~op_of_completion
       spans []
     |> List.sort (fun s1 s2 -> compare s1.op s2.op)
   in
-  (p', snapshot)
+  ({ Engine.no_tap with on_enqueue; on_deliver; on_complete }, snapshot)
 
 let to_jsonl spans =
   let module J = Countq_util.Json in

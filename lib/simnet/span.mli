@@ -8,15 +8,20 @@
     injected, every message hop it caused (with the queueing wait each
     hop suffered on its FIFO link), and the round it completed.
 
-    Like {!Trace}, spans are {e protocol-level} instrumentation — the
-    engine stays oblivious. {!instrument} wraps a protocol; the caller
-    says which operation (if any) a message or completion belongs to
-    via [op_of_msg] / [op_of_completion], and the wrapper stitches
-    sends to deliveries per directed link in FIFO order (links are
-    FIFO, so the k-th delivery of an operation's messages on a link is
-    the k-th send). Protocols whose messages genuinely serve no single
-    operation (e.g. the sweep protocol's shared token) return [None]
-    from [op_of_msg] and get spans with injection and completion only.
+    Like {!Trace}, spans come from a passive {!Engine.tap}, so they
+    work on every engine front and at every shard count, and the run is
+    the same with or without them. The caller says which operation (if
+    any) a message or completion belongs to via [op_of_msg] /
+    [op_of_completion], and the tap stitches each enqueue to a delivery
+    per directed link in FIFO order: the k-th delivery of an
+    operation's messages on a link is matched with its k-th send. That
+    is exact while links are FIFO. A delay fault can let a later send
+    overtake a held one on the same link, and a duplicate adds a
+    delivery no send matches; an operation with several messages on
+    that link then gets approximate hop waits. Protocols whose messages
+    genuinely serve no single operation (e.g. the sweep protocol's
+    shared token) return [None] from [op_of_msg] and get spans with
+    injection and completion only.
 
     Operation ids must be unique per run; for the one-shot scenarios
     every node issues exactly one operation, so the origin node id
@@ -26,8 +31,9 @@ type hop = {
   h_src : int;
   h_dst : int;
   queued_round : int;
-      (** round in which the protocol queued the send ([0] = at issue
-          time). The message enters the network the following round. *)
+      (** round in which the send joined the sender's outbox ([0] = at
+          issue time). The message leaves it the following round at the
+          earliest. *)
   delivered_round : int;
       (** round in which the receiver's protocol processed it. *)
 }
@@ -51,15 +57,16 @@ val delay : t -> int option
 (** [completion_round - inject_round], the operation's delay in the
     paper's sense; [None] for an incomplete span. *)
 
-val instrument :
+val tap :
   ?injects:(int * int) list ->
   op_of_msg:('m -> int option) ->
   op_of_completion:('r -> int option) ->
-  ('s, 'm, 'r) Engine.protocol ->
-  ('s, 'm, 'r) Engine.protocol * (unit -> t list)
-(** [instrument ~op_of_msg ~op_of_completion p] is [(p', spans)]:
-    [p'] behaves exactly like [p]; [spans ()] returns the spans
-    reconstructed so far, in operation-id order, hops chronological.
+  unit ->
+  ('m, 'r) Engine.tap * (unit -> t list)
+(** [tap ~op_of_msg ~op_of_completion ()] is [(t, spans)]: [t] is a
+    passive tap ({!Engine.both} composes it with others); [spans ()]
+    returns the spans reconstructed so far, in operation-id order, hops
+    chronological.
 
     [injects] pre-registers [(op, round)] pairs as known injection
     times — one-shot runners pass [(v, 0)] per requester. Without it
@@ -71,8 +78,8 @@ val instrument :
     surface as incomplete spans when a faulty run strands them.
 
     A fault-duplicated copy has no matching send; its hop is recorded
-    with [queued_round = delivered_round - 1] (zero wait). The
-    recorder is shared mutable state — instrument afresh per run. *)
+    with [queued_round = delivered_round - 1] (zero wait). The tap
+    accumulates across the runs it is attached to: make one per run. *)
 
 val to_jsonl : t list -> string
 (** One [{"type":"span", …}] object per line: fields [op], [inject],

@@ -86,7 +86,7 @@ let tap t =
         let s = advance t round in
         if backlog > s.s_max_backlog then s.s_max_backlog <- backlog);
     on_deliver =
-      (fun ~round ~src:_ ~dst:_ ->
+      (fun ~round ~src:_ ~dst:_ _ ->
         let s = advance t round in
         s.s_deliveries <- s.s_deliveries + 1);
     on_complete =

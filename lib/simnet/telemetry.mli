@@ -36,7 +36,7 @@ val create : ?windows:int -> window_size:int -> unit -> t
 
 val window_size : t -> int
 
-val tap : t -> 'r Engine.tap
+val tap : t -> ('m, 'r) Engine.tap
 (** The passive tap that records into [t]: transmissions (as sends),
     deliveries, completions, injections, drops (fault drops, severed
     links and crash or churn drops), the per-window peak link backlog

@@ -1,4 +1,4 @@
-(* Protocol instrumentation and ASCII timelines. See trace.mli. *)
+(* Event logs and ASCII timelines. See trace.mli. *)
 
 type event =
   | Received of { round : int; node : int; src : int }
@@ -13,40 +13,18 @@ let event_node = function
   | Received { node; _ } | Queued_send { node; _ } | Completed { node; _ } ->
       node
 
-let instrument (p : _ Engine.protocol) =
+let tap () =
   let log = ref [] in
   let record e = log := e :: !log in
-  let record_actions round node actions =
-    List.iter
-      (fun action ->
-        match action with
-        | Engine.Send (dst, _) -> record (Queued_send { round; node; dst })
-        | Engine.Complete _ -> record (Completed { round; node })
-        | Engine.Wake _ -> ())
-      actions
-  in
-  let p' =
-    {
-      p with
-      Engine.on_start =
-        (fun ~node s ->
-          let s, actions = p.Engine.on_start ~node s in
-          record_actions 0 node actions;
-          (s, actions));
-      on_receive =
-        (fun ~round ~node ~src msg s ->
-          record (Received { round; node; src });
-          let s, actions = p.Engine.on_receive ~round ~node ~src msg s in
-          record_actions round node actions;
-          (s, actions));
-      on_wake =
-        (fun ~round ~node s ->
-          let s, actions = p.Engine.on_wake ~round ~node s in
-          record_actions round node actions;
-          (s, actions));
-    }
-  in
-  (p', fun () -> List.rev !log)
+  ( {
+      Engine.no_tap with
+      on_enqueue =
+        (fun ~round ~src ~dst _ -> record (Queued_send { round; node = src; dst }));
+      on_deliver =
+        (fun ~round ~src ~dst _ -> record (Received { round; node = dst; src }));
+      on_complete = (fun ~round ~node ~value:_ -> record (Completed { round; node }));
+    },
+    fun () -> List.rev !log )
 
 let render ~n events =
   let horizon =

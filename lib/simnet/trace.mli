@@ -1,25 +1,24 @@
-(** Execution tracing: wrap any protocol to record its events, and
-    render them as an ASCII timeline.
+(** Execution tracing: record a run's events through a passive
+    {!Engine.tap}, and render them as an ASCII timeline.
 
-    Tracing is protocol-level instrumentation (the engine itself stays
-    oblivious): {!instrument} returns a protocol that behaves
-    identically while logging every delivery, queued send and
-    completion. Intended for small runs — demos, debugging, and the
-    [countq trace] CLI subcommand that shows the arrow protocol's path
-    reversal happening round by round. *)
+    {!tap} logs every delivery, queued send and completion, on any
+    engine front and at any shard count, without changing the run.
+    Intended for small runs — demos, debugging, and the [countq trace]
+    CLI subcommand that shows the arrow protocol's path reversal
+    happening round by round. *)
 
 type event =
   | Received of { round : int; node : int; src : int }
   | Queued_send of { round : int; node : int; dst : int }
   | Completed of { round : int; node : int }
 
-val instrument :
-  ('s, 'm, 'r) Engine.protocol ->
-  ('s, 'm, 'r) Engine.protocol * (unit -> event list)
-(** [instrument p] is [(p', events)]: [p'] behaves exactly like [p];
-    [events ()] returns everything recorded so far in chronological
-    order. The recorder is shared mutable state — use one instrumented
-    protocol per run. *)
+val tap : unit -> ('m, 'r) Engine.tap * (unit -> event list)
+(** [tap ()] is [(t, events)]: [t] is a passive tap recording
+    [Queued_send] at each [on_enqueue], [Received] at each
+    [on_deliver] and [Completed] at each [on_complete];
+    [events ()] returns everything recorded so far in the tap's
+    callback order, which is chronological. The log accumulates across
+    the runs [t] is attached to: make one per run. *)
 
 val render : n:int -> event list -> string
 (** [render ~n events] draws a node-by-round timeline: rows are nodes

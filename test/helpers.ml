@@ -307,15 +307,17 @@ let outcome run =
     ->
       Error (limit, outstanding, queued, held, busiest)
 
-(* A recording active tap: every deliver, complete and round-end
-   callback, in order, into [events]; on_round_end answers `Halt from
-   round [halt_at] on. *)
+(* A recording active tap: every enqueue, deliver (with its message),
+   complete and round-end callback, in order, into [events];
+   on_round_end answers `Halt from round [halt_at] on. *)
 let recording_tap ?halt_at events =
   {
     Engine.no_tap with
     passive = false;
+    on_enqueue =
+      (fun ~round ~src ~dst m -> events := `Enqueue (round, src, dst, m) :: !events);
     on_deliver =
-      (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
+      (fun ~round ~src ~dst m -> events := `Deliver (round, src, dst, m) :: !events);
     on_complete =
       (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
     on_round_end =
@@ -354,3 +356,144 @@ let pure (p : _ Engine.protocol) =
     on_wake =
       (fun ~round ~node s -> guard "on_wake" node (p.on_wake ~round ~node) s);
   }
+
+(* ------------------------------------------------------------------ *)
+(* Oracles for Span.tap and Trace.tap: the protocol wrappers the taps
+   replaced, which record the same events from inside the handlers.
+   Kept as they were, to pin the taps to them.                         *)
+
+module Span = Countq_simnet.Span
+module Trace = Countq_simnet.Trace
+
+type span_acc = {
+  a_inject : int;
+  mutable a_hops : Span.hop list;
+  mutable a_completion : int option;
+}
+
+let span_wrapper ?(injects = []) ~op_of_msg ~op_of_completion
+    (p : _ Engine.protocol) =
+  let spans : (int, span_acc) Hashtbl.t = Hashtbl.create 64 in
+  let pending : (int * int * int, int Queue.t) Hashtbl.t = Hashtbl.create 64 in
+  let get op round =
+    match Hashtbl.find_opt spans op with
+    | Some a -> a
+    | None ->
+        let a = { a_inject = round; a_hops = []; a_completion = None } in
+        Hashtbl.add spans op a;
+        a
+  in
+  List.iter (fun (op, round) -> ignore (get op round)) injects;
+  let record_actions round node actions =
+    List.iter
+      (fun action ->
+        match action with
+        | Engine.Send (dst, msg) -> (
+            match op_of_msg msg with
+            | None -> ()
+            | Some op ->
+                ignore (get op round);
+                let key = (op, node, dst) in
+                let q =
+                  match Hashtbl.find_opt pending key with
+                  | Some q -> q
+                  | None ->
+                      let q = Queue.create () in
+                      Hashtbl.add pending key q;
+                      q
+                in
+                Queue.push round q)
+        | Engine.Complete r -> (
+            match op_of_completion r with
+            | None -> ()
+            | Some op ->
+                let a = get op round in
+                if a.a_completion = None then a.a_completion <- Some round)
+        | Engine.Wake _ -> ())
+      actions
+  in
+  let record_delivery round node src msg =
+    match op_of_msg msg with
+    | None -> ()
+    | Some op ->
+        let a = get op round in
+        let queued =
+          match Hashtbl.find_opt pending (op, src, node) with
+          | Some q when not (Queue.is_empty q) -> Queue.pop q
+          | _ -> round - 1
+        in
+        a.a_hops <-
+          { Span.h_src = src; h_dst = node; queued_round = queued;
+            delivered_round = round }
+          :: a.a_hops
+  in
+  let p' =
+    {
+      p with
+      Engine.on_start =
+        (fun ~node s ->
+          let s, actions = p.Engine.on_start ~node s in
+          record_actions 0 node actions;
+          (s, actions));
+      on_receive =
+        (fun ~round ~node ~src msg s ->
+          record_delivery round node src msg;
+          let s, actions = p.Engine.on_receive ~round ~node ~src msg s in
+          record_actions round node actions;
+          (s, actions));
+      on_wake =
+        (fun ~round ~node s ->
+          let s, actions = p.Engine.on_wake ~round ~node s in
+          record_actions round node actions;
+          (s, actions));
+    }
+  in
+  let snapshot () =
+    Hashtbl.fold
+      (fun op (a : span_acc) l ->
+        {
+          Span.op;
+          inject_round = a.a_inject;
+          hops = List.rev a.a_hops;
+          completion_round = a.a_completion;
+        }
+        :: l)
+      spans []
+    |> List.sort (fun (s1 : Span.t) s2 -> compare s1.op s2.op)
+  in
+  (p', snapshot)
+
+let trace_wrapper (p : _ Engine.protocol) =
+  let log = ref [] in
+  let record e = log := e :: !log in
+  let record_actions round node actions =
+    List.iter
+      (fun action ->
+        match action with
+        | Engine.Send (dst, _) -> record (Trace.Queued_send { round; node; dst })
+        | Engine.Complete _ -> record (Trace.Completed { round; node })
+        | Engine.Wake _ -> ())
+      actions
+  in
+  let p' =
+    {
+      p with
+      Engine.on_start =
+        (fun ~node s ->
+          let s, actions = p.Engine.on_start ~node s in
+          record_actions 0 node actions;
+          (s, actions));
+      on_receive =
+        (fun ~round ~node ~src msg s ->
+          record (Trace.Received { round; node; src });
+          let s, actions = p.Engine.on_receive ~round ~node ~src msg s in
+          record_actions round node actions;
+          (s, actions));
+      on_wake =
+        (fun ~round ~node s ->
+          let s, actions = p.Engine.on_wake ~round ~node s in
+          record_actions round node actions;
+          (s, actions));
+    }
+  in
+  (p', fun () -> List.rev !log)

@@ -7,11 +7,13 @@
    Hashtbl, and completions accumulate in a list. Keep it boring and
    keep it verbatim — its only job is to define, operationally, what
    "bit-identical" means for the equivalence properties in
-   test/test_equiv.ml. Do not optimise this file. *)
+   test_equiv.ml. Do not optimise this file. *)
 
-open Engine
+open Countq_simnet.Engine
 module Graph = Countq_topology.Graph
 module Heap = Countq_util.Heap
+module Faults = Countq_simnet.Faults
+module Dynamic = Countq_simnet.Dynamic
 
 (* Per-node runtime: incoming FIFO queues indexed by the sender's
    position in the receiver's sorted neighbour array, plus an outbox
@@ -82,12 +84,13 @@ let run ?faults ?dynamic ?(tap = no_tap) ~graph ~config ~protocol () =
       (fun action ->
         match action with
         | Wake r ->
-            Kernel.check_wake ~round ~earliest r;
+            Countq_simnet.Kernel.check_wake ~round ~earliest r;
             wakes.(v) <- r :: wakes.(v)
         | Send (dst, msg) ->
             if not (Hashtbl.mem rt.(v).nbr_index dst) then
               raise (Not_a_neighbor { node = v; dst });
             Queue.push (dst, msg) rt.(v).outbox;
+            tap.on_enqueue ~round ~src:v ~dst msg;
             incr outstanding_sends
         | Complete value ->
             tap.on_complete ~round ~node:v ~value;
@@ -273,7 +276,7 @@ let run ?faults ?dynamic ?(tap = no_tap) ~graph ~config ~protocol () =
               incr messages;
               decr budget;
               last_active := t;
-              tap.on_deliver ~round:t ~src ~dst:v;
+              tap.on_deliver ~round:t ~src ~dst:v msg;
               let s, actions =
                 protocol.on_receive ~round:t ~node:v ~src msg states.(v)
               in

@@ -9,19 +9,20 @@
     {!Engine.Round_limit_exceeded} payloads) over random protocols,
     topologies, arbiters, capacities and fault plans.
 
-    Do not call this from production code: it is Θ(n) per round even
-    when one node is active, which is exactly the cost the active-set
-    engine exists to avoid. *)
+    It lives with the tests, outside the library, so the library ships
+    one implementation of the Section 2.1 rules: this one is Θ(n) per
+    round even when one node is active, which is exactly the cost the
+    active-set engine exists to avoid. *)
 
 val run :
-  ?faults:Faults.runtime ->
-  ?dynamic:Dynamic.runtime ->
-  ?tap:'r Engine.tap ->
+  ?faults:Countq_simnet.Faults.runtime ->
+  ?dynamic:Countq_simnet.Dynamic.runtime ->
+  ?tap:('m, 'r) Countq_simnet.Engine.tap ->
   graph:Countq_topology.Graph.t ->
-  config:Engine.config ->
-  protocol:('s, 'm, 'r) Engine.protocol ->
+  config:Countq_simnet.Engine.config ->
+  protocol:('s, 'm, 'r) Countq_simnet.Engine.protocol ->
   unit ->
-  'r Engine.result
+  'r Countq_simnet.Engine.result
 (** Behaviourally identical to {!Engine.run} (same semantics, same
     determinism contract, same exceptions, same {!Engine.tap} events),
     just slower. It executes every round, idle or not, but calls no

@@ -138,9 +138,11 @@ let test_traced_run_matches_plain () =
   let tree = tree_of g in
   let requests = [ 1; 6; 11 ] in
   let plain = Helpers.queued (Arrow.Protocol.one_shot ~tree ~requests ()) in
-  let res, events =
-    Countq_simnet.Oneshot.traced (Arrow.Protocol.one_shot ~tree ~requests ())
+  let tap, events = Countq_simnet.Trace.tap () in
+  let res =
+    Countq_simnet.Oneshot.run ~tap (Arrow.Protocol.one_shot ~tree ~requests ())
   in
+  let events = events () in
   let traced = Arrow.Protocol.of_engine res in
   Alcotest.(check int) "same total" plain.total_delay traced.total_delay;
   Alcotest.(check int) "same messages" plain.messages traced.messages;

@@ -6,7 +6,6 @@
    survive adversaries that kill the static arrow. *)
 
 module Engine = Countq_simnet.Engine
-module Reference = Countq_simnet.Reference
 module Faults = Countq_simnet.Faults
 module Metrics = Countq_simnet.Metrics
 module Monitor = Countq_simnet.Monitor
@@ -125,7 +124,7 @@ let capture which ~observe ~with_metrics ~plan ~sched ~graph ~config ~protocol =
           Engine.no_tap with
           passive = false;
           on_deliver =
-            (fun ~round ~src ~dst -> events := `Deliver (round, src, dst) :: !events);
+            (fun ~round ~src ~dst _ -> events := `Deliver (round, src, dst) :: !events);
           on_complete =
             (fun ~round ~node ~value -> events := `Complete (round, node, value) :: !events);
           on_round_end =

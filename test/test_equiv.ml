@@ -17,11 +17,12 @@
 module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
 module Shard = Countq_simnet.Shard
-module Reference = Countq_simnet.Reference
 module Faults = Countq_simnet.Faults
 module Dynamic = Countq_simnet.Dynamic
 module Metrics = Countq_simnet.Metrics
 module Telemetry = Countq_simnet.Telemetry
+module Span = Countq_simnet.Span
+module Trace = Countq_simnet.Trace
 module Reliable = Countq_simnet.Reliable
 module Graph = Countq_topology.Graph
 module Gen = Countq_topology.Gen
@@ -898,10 +899,24 @@ let all_hooks_gen =
   let* dyn = int_range 0 3 in
   return { plan; dyn; with_metrics = true }
 
-(* Attaching [Engine.both (Metrics.tap m) (Telemetry.tap tl)] leaves the
-   result and the fault and churn tallies as they were, and the two
-   recorders come out the same on the front at its shard count, on the
-   front at one shard and on Reference.run. *)
+(* A span tap and a trace tap on a hash-protocol run, and what they
+   read. A message serves op [tag mod 5] unless its tag is a multiple
+   of 7 (a shared token, no op); a completion answers op [value mod 5];
+   op 0 is pre-registered at round 0. *)
+let injects = [ (0, 0) ]
+let op_of_msg (m : Helpers.msg) = if m.tag mod 7 = 0 then None else Some (m.tag mod 5)
+let op_of_completion (_, v) = Some (v mod 5)
+
+let views () =
+  let span_tap, spans = Span.tap ~injects ~op_of_msg ~op_of_completion () in
+  let trace_tap, events = Trace.tap () in
+  (Engine.both span_tap trace_tap, fun () -> (spans (), events ()))
+
+(* Attaching [Engine.both (Metrics.tap m) (Telemetry.tap tl)] and the
+   span and trace taps leaves the result and the fault and churn
+   tallies as they were, and the four recorders come out the same on
+   the front at its shard count, on the front at one shard and on
+   Reference.run. *)
 let passive_prop (wakes, ((_, graph, requests), seed, cfg, front, shards, hooks, _)) =
   let config = Helpers.config_of cfg in
   let starts = match front with Starters -> Some requests | _ -> None in
@@ -928,8 +943,15 @@ let passive_prop (wakes, ((_, graph, requests), seed, cfg, front, shards, hooks,
   let recorded run =
     let m = Metrics.create ~graph in
     let tl = Telemetry.create ~windows:6 ~window_size:3 () in
-    let run = go (run ~tap:(Engine.both (Metrics.tap m) (Telemetry.tap tl))) in
-    (run, (Metrics.per_node m, Metrics.per_edge m, Telemetry.windows tl, Telemetry.evicted tl))
+    let seen, read = views () in
+    let tap = Engine.both (Engine.both (Metrics.tap m) (Telemetry.tap tl)) seen in
+    let run = go (run ~tap) in
+    ( run,
+      ( Metrics.per_node m,
+        Metrics.per_edge m,
+        Telemetry.windows tl,
+        Telemetry.evicted tl,
+        read () ) )
   in
   let plain = go (kernel ~shards ?tap:None) in
   let tapped, recs = recorded (fun ~tap -> kernel ~shards ~tap) in
@@ -945,14 +967,76 @@ let passive_taps =
     QCheck2.Gen.(pair bool (scenario_gen all_hooks_gen))
     passive_prop
 
+(* The span and trace taps read on Engine.run what the protocol
+   wrappers they replaced read from inside the handlers
+   (Helpers.span_wrapper, Helpers.trace_wrapper), and the same on
+   Shard.run at shards 1-3, on the implicit front with the scenario's
+   starters and shard count, and on Reference.run. The scenarios are
+   the passive-tap ones: wakes, send capacities up to 3 and every
+   plan (drops, duplicates, delays, crashes) and schedule. *)
+let tap_views_prop (wakes, ((_, graph, requests), seed, cfg, front, shards, hooks, _)) =
+  let config = Helpers.config_of cfg in
+  let starts = match front with Starters -> Some requests | _ -> None in
+  let protocol = Helpers.hash_protocol ?starts ~wakes ~seed ~graph () in
+  let topo = Implicit.of_graph graph in
+  let hooked run =
+    let faults =
+      if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
+    in
+    let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
+    run ?faults ?dynamic ()
+  in
+  let viewed run =
+    let tap, read = views () in
+    let outcome = Helpers.outcome (fun () -> hooked (run ~tap)) in
+    (outcome, read ())
+  in
+  let wrapped =
+    let protocol, spans =
+      Helpers.span_wrapper ~injects ~op_of_msg ~op_of_completion protocol
+    in
+    let protocol, events = Helpers.trace_wrapper protocol in
+    let outcome =
+      Helpers.outcome (fun () ->
+          hooked (fun ?faults ?dynamic () ->
+              Engine.run ?faults ?dynamic ~graph ~config ~protocol ()))
+    in
+    (outcome, (spans (), events ()))
+  in
+  let engine =
+    viewed (fun ~tap ?faults ?dynamic () ->
+        Engine.run ?faults ?dynamic ~tap ~graph ~config ~protocol ())
+  in
+  let others =
+    viewed (fun ~tap ?faults ?dynamic () ->
+        Reference.run ?faults ?dynamic ~tap ~graph ~config ~protocol ())
+    :: viewed (fun ~tap ?faults ?dynamic () ->
+           Shard.run_implicit ~shards ~pool ?faults ?dynamic ~tap ?starters:starts
+             ~topo ~config ~protocol ())
+    :: List.map
+         (fun k ->
+           viewed (fun ~tap ?faults ?dynamic () ->
+               Shard.run ~shards:k ~pool ?faults ?dynamic ~tap ~graph ~config
+                 ~protocol ()))
+         [ 1; 2; 3 ]
+  in
+  engine = wrapped && List.for_all (( = ) engine) others
+
+let tap_views =
+  QCheck2.Test.make ~count:200 ~name:"span and trace taps = their wrappers"
+    ~print:(fun (wakes, sc) -> Printf.sprintf "wakes=%b %s" wakes (scenario_print sc))
+    QCheck2.Gen.(pair bool (scenario_gen all_hooks_gen))
+    tap_views_prop
+
 (* Every callback of an active tap, with its round. *)
 let full_recording events =
   let ev e = events := e :: !events in
   {
     Engine.passive = false;
+    on_enqueue = (fun ~round ~src ~dst m -> ev (round, `Enqueue (src, dst, m)));
     on_transmit = (fun ~round ~src ~dst -> ev (round, `Transmit (src, dst)));
     on_backlog = (fun ~round ~node ~backlog -> ev (round, `Backlog (node, backlog)));
-    on_deliver = (fun ~round ~src ~dst -> ev (round, `Deliver (src, dst)));
+    on_deliver = (fun ~round ~src ~dst m -> ev (round, `Deliver (src, dst, m)));
     on_complete = (fun ~round ~node ~value -> ev (round, `Complete (node, value)));
     on_inject = (fun ~round ~node -> ev (round, `Inject node));
     on_drop = (fun ~round ~src ~dst -> ev (round, `Drop (src, dst)));
@@ -967,7 +1051,8 @@ let full_recording events =
 
 let test_active_tap_replay () =
   (* At shards 1, 2 and 3, fault-free and under the chaos plan: the
-     same deliver/complete stream, and per round the same events. *)
+     same enqueue/deliver/complete stream, and per round the same
+     events. *)
   let graph = Gen.square_mesh 5 in
   let protocol = Helpers.hash_protocol ~wakes:true ~seed:31 ~graph () in
   let config = { Engine.default_config with receive_capacity = 2 } in
@@ -983,7 +1068,8 @@ let test_active_tap_replay () =
         let events = List.rev !events in
         let stream =
           List.filter
-            (function _, (`Deliver _ | `Complete _) -> true | _ -> false)
+            (function
+              | _, (`Enqueue _ | `Deliver _ | `Complete _) -> true | _ -> false)
             events
         in
         let per_round =
@@ -1004,7 +1090,9 @@ let test_active_tap_replay () =
           let res_k, stream_k, rounds_k = record k in
           let label what = Printf.sprintf "plan %d, shards %d: %s" plan k what in
           Alcotest.(check bool) (label "result") true (res_k = res_1);
-          Alcotest.(check bool) (label "deliver/complete stream") true (stream_k = stream_1);
+          Alcotest.(check bool)
+            (label "enqueue/deliver/complete stream")
+            true (stream_k = stream_1);
           Alcotest.(check bool) (label "per-round events") true (rounds_k = rounds_1))
         [ 2; 3 ])
     [ 0; 6 ]
@@ -1049,6 +1137,7 @@ let suite =
     Helpers.qcheck float_state_matches_reference;
     Helpers.qcheck in_place_state_matches_reference;
     Helpers.qcheck passive_taps;
+    Helpers.qcheck tap_views;
     Alcotest.test_case "active tap replays alike at 1-3" `Quick
       test_active_tap_replay;
     Alcotest.test_case "passivity decides fast-forward" `Quick

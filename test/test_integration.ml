@@ -8,7 +8,6 @@ module Spanning = Countq_topology.Spanning
 module Engine = Countq_simnet.Engine
 module Event = Countq_simnet.Event_engine
 module Shard = Countq_simnet.Shard
-module Reference = Countq_simnet.Reference
 module Explore = Countq_simnet.Explore
 module Implicit = Countq_topology.Implicit
 module Async = Countq_simnet.Async

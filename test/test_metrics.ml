@@ -7,7 +7,6 @@ module Graph = Countq_topology.Graph
 module Tree = Countq_topology.Tree
 module Spanning = Countq_topology.Spanning
 module Engine = Countq_simnet.Engine
-module Reference = Countq_simnet.Reference
 module Faults = Countq_simnet.Faults
 module Metrics = Countq_simnet.Metrics
 module Sweep = Countq_counting.Sweep
@@ -98,7 +97,7 @@ let test_heatmap_golden () =
   let m = Metrics.create ~graph in
   let tap = Metrics.tap m in
   tap.on_transmit ~round:0 ~src:0 ~dst:1;
-  tap.on_deliver ~round:1 ~src:0 ~dst:1;
+  tap.on_deliver ~round:1 ~src:0 ~dst:1 ();
   let expected =
     "node traffic heatmap (sends + receives; peak = 1; scale \" .:-=+*#%@\")\n\
     \     0  @@ \n"

@@ -6,6 +6,12 @@ module Trace = Countq_simnet.Trace
 module Observed = Countq_bounds.Observed
 module Arrow = Countq_arrow
 
+(* A one-shot instance's event log, through a trace tap. *)
+let traced inst =
+  let tap, events = Trace.tap () in
+  ignore (Countq_simnet.Oneshot.run ~tap inst);
+  events ()
+
 let test_empty_trace () =
   let g = Observed.of_trace ~n:4 [] in
   Alcotest.(check int) "no rounds" 0 g.rounds;
@@ -52,8 +58,8 @@ let test_arrow_trace_within_envelope () =
     (fun g0 ->
       let tree = Spanning.best_for_arrow g0 in
       let n = Countq_topology.Graph.n g0 in
-      let _, events =
-        Countq_simnet.Oneshot.traced
+      let events =
+        traced
           (Arrow.Protocol.one_shot ~config:Countq_simnet.Engine.default_config
              ~tree ~requests:(Helpers.all_nodes n) ())
       in
@@ -82,9 +88,7 @@ let prop_observed_bounded_by_n =
     (fun (_, g0, requests) ->
       let tree = Spanning.best_for_arrow g0 in
       let n = Countq_topology.Graph.n g0 in
-      let _, events =
-        Countq_simnet.Oneshot.traced (Arrow.Protocol.one_shot ~tree ~requests ())
-      in
+      let events = traced (Arrow.Protocol.one_shot ~tree ~requests ()) in
       let g = Observed.of_trace ~n events in
       Array.for_all (fun size -> size >= 1 && size <= n) g.max_influence)
 

@@ -1,6 +1,7 @@
-(* The one-shot drivers over every protocol of Run's table: the
-   observed, traced and fault-free faulty drivers are the plain run
-   with something watching, the asynchronous driver meets the spec,
+(* The one-shot drivers over every protocol of Run's table: the plain
+   run under metrics, span and trace taps and the fault-free faulty
+   driver are the plain run with something watching, the asynchronous
+   driver meets the spec,
    Run's fault and observe reports read the same run, every handler
    leaves the state it is given alone, and the model checker's
    terminals cover every schedule the engines produce (its
@@ -16,6 +17,7 @@ module Metrics = Countq_simnet.Metrics
 module Monitor = Countq_simnet.Monitor
 module Oneshot = Countq_simnet.Oneshot
 module Span = Countq_simnet.Span
+module Trace = Countq_simnet.Trace
 module Run = Countq.Run
 
 (* Every protocol of the table, on its default tree. *)
@@ -41,13 +43,17 @@ let print (p, inst) = Run.name p ^ " on " ^ Helpers.instance_print inst
 
 let drivers_agree inst =
   let plain = Oneshot.run inst in
-  let observed, _, injected =
-    Oneshot.observed ~metrics:(Metrics.create ~graph:inst.Oneshot.graph) inst
+  let span_tap, _ =
+    Span.tap ~injects:inst.spec.injects ~op_of_msg:inst.op_of_msg
+      ~op_of_completion:inst.spec.op_of_completion ()
   in
-  let traced, _ = Oneshot.traced inst in
+  let metrics = Metrics.tap (Metrics.create ~graph:inst.Oneshot.graph) in
+  let observed = Oneshot.run ~tap:(Engine.both metrics span_tap) inst in
+  let trace_tap, _ = Trace.tap () in
+  let traced = Oneshot.run ~tap:trace_tap inst in
   let faulty = Oneshot.faulty ~plan:Faults.none inst in
   let asynchronous = Oneshot.async ~delay:(Async.Constant 1) inst in
-  observed = plain && injected = None && traced = plain
+  observed = plain && traced = plain
   && faulty.result = plain && faulty.retry = None
   && Monitor.all_pass faulty.monitors
   && inst.spec.check asynchronous.completions = Ok ()

@@ -608,7 +608,7 @@ let test_lazy_ticking_no_starters () =
         { Event.at = round; node; inject = send ~round ~node })
   in
   let config = Engine.default_config in
-  let reference = Countq_simnet.Reference.run ~graph ~config ~protocol:waking () in
+  let reference = Reference.run ~graph ~config ~protocol:waking () in
   let sh =
     Shard.run_implicit ~shards:2 ~pool ~starters:[] ~injections
       ~topo:(Implicit.of_graph graph) ~config ~protocol ()

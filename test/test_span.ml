@@ -14,12 +14,16 @@ module Json = Countq_util.Json
 let observed_arrow ?plan g requests =
   let tree = Spanning.best_for_arrow g in
   let graph = Tree.to_graph tree in
-  let m = Metrics.create ~graph in
-  let res, spans, _ =
-    Countq_simnet.Oneshot.observed ?plan ~metrics:m
-      (Arrow.one_shot ~tree ~requests ())
+  let inst = Arrow.one_shot ~tree ~requests () in
+  let span_tap, spans =
+    Span.tap ~injects:inst.spec.injects ~op_of_msg:inst.op_of_msg
+      ~op_of_completion:inst.spec.op_of_completion ()
   in
-  (graph, Arrow.of_engine res, spans)
+  let tap = Engine.both (Metrics.tap (Metrics.create ~graph)) span_tap in
+  let res =
+    Countq_simnet.Oneshot.run ?faults:(Option.map Faults.start plan) ~tap inst
+  in
+  (graph, Arrow.of_engine res, spans ())
 
 (* Causality invariants on arbitrary one-shot arrow runs: a span's
    timeline is inject <= queued < delivered <= ... <= completion, every

@@ -135,7 +135,7 @@ let test_ring_eviction () =
 
 let test_peaks_and_jsonl () =
   let tl = Telemetry.create ~window_size:10 () in
-  let tap : unit Engine.tap = Telemetry.tap tl in
+  let tap : (unit, unit) Engine.tap = Telemetry.tap tl in
   tap.on_backlog ~round:3 ~node:0 ~backlog:2;
   tap.on_backlog ~round:4 ~node:0 ~backlog:7;
   tap.on_backlog ~round:5 ~node:0 ~backlog:1;

@@ -1,4 +1,4 @@
-(* Tests for protocol tracing. *)
+(* Tests for the trace tap and its renderings. *)
 
 module Gen = Countq_topology.Gen
 module Engine = Countq_simnet.Engine
@@ -17,9 +17,10 @@ let pinger count =
   }
 
 let run_traced count =
-  let protocol, events = Trace.instrument (pinger count) in
+  let tap, events = Trace.tap () in
   let res =
-    Engine.run ~graph:(Gen.path 2) ~config:Engine.default_config ~protocol ()
+    Engine.run ~tap ~graph:(Gen.path 2) ~config:Engine.default_config
+      ~protocol:(pinger count) ()
   in
   (res, events ())
 
@@ -92,8 +93,10 @@ let test_tick_instrumented () =
           if node = 0 && round = 2 then (s, [ Engine.Send (1, ()) ]) else (s, []));
     }
   in
-  let protocol, events = Trace.instrument base in
-  ignore (Engine.run ~graph:(Gen.path 2) ~config:Engine.default_config ~protocol ());
+  let tap, events = Trace.tap () in
+  ignore
+    (Engine.run ~tap ~graph:(Gen.path 2) ~config:Engine.default_config
+       ~protocol:base ());
   let has_tick_send =
     List.exists
       (function Trace.Queued_send { round = 2; node = 0; dst = 1 } -> true | _ -> false)
