@@ -4,7 +4,7 @@
     The lower-bound proof tracks, for each processor [i] and time [t],
     the set of processors whose inputs can have influenced [i]'s state.
     Given the event trace of a real run (from
-    [Countq_simnet.Trace.instrument]), this module replays the
+    [Countq_simnet.Trace.tap]), this module replays the
     information flow — when [i] receives a message from [j] at round
     [t], everything influencing [j] (up to the send) now influences [i]
     — and reports the per-round maximum influence-set size, ready to
@@ -31,7 +31,7 @@ type growth = {
 
 val of_trace : n:int -> Countq_simnet.Trace.event list -> growth
 (** Replay a trace over [n] processors. Events must be in chronological
-    order (as [Trace.instrument] returns them). *)
+    order (as [Trace.tap]'s reader returns them). *)
 
 val within_envelope : growth -> bool
 (** Whether [max_influence.(t) <= tow (2 t)] for every [t] — the
