@@ -102,6 +102,11 @@ let scenario_print ((name, g, requests), seed, cfg, front, shards, h, halt_at) =
     (Helpers.plan_label h.plan) (Helpers.dyn_label h.dyn) h.with_metrics
     (match halt_at with None -> "-" | Some r -> string_of_int r)
 
+(* Fresh runtimes for the hooks' fault plan and schedule, if any. *)
+let start_hooks ~hooks ~graph =
+  ( (if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))),
+    Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) )
+
 (* One run through [run] with fresh hooks, capturing everything
    observable. [run] receives the optional hooks already started. *)
 let capture ~observe ~halt_at ~hooks ~graph run =
@@ -109,10 +114,7 @@ let capture ~observe ~halt_at ~hooks ~graph run =
   let observer =
     if observe then Some (Helpers.recording_tap ?halt_at events) else None
   in
-  let faults =
-    if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
-  in
-  let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
+  let faults, dynamic = start_hooks ~hooks ~graph in
   let metrics = if hooks.with_metrics then Some (Metrics.create ~graph) else None in
   let tap = Helpers.both_taps observer (Option.map Metrics.tap metrics) in
   let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ?tap ()) in
@@ -923,10 +925,7 @@ let passive_prop (wakes, ((_, graph, requests), seed, cfg, front, shards, hooks,
   let protocol = Helpers.hash_protocol ?starts ~wakes ~seed ~graph () in
   let topo = Implicit.of_graph graph in
   let go run =
-    let faults =
-      if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
-    in
-    let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
+    let faults, dynamic = start_hooks ~hooks ~graph in
     let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ()) in
     (outcome, Option.map Faults.stats faults, Option.map Dynamic.stats dynamic)
   in
@@ -980,10 +979,7 @@ let tap_views_prop (wakes, ((_, graph, requests), seed, cfg, front, shards, hook
   let protocol = Helpers.hash_protocol ?starts ~wakes ~seed ~graph () in
   let topo = Implicit.of_graph graph in
   let hooked run =
-    let faults =
-      if hooks.plan = 0 then None else Some (Faults.start (Helpers.plan_of hooks.plan))
-    in
-    let dynamic = Option.map Dynamic.start (Helpers.dyn_of graph hooks.dyn) in
+    let faults, dynamic = start_hooks ~hooks ~graph in
     run ?faults ?dynamic ()
   in
   let viewed run =
