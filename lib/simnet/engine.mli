@@ -95,8 +95,10 @@ type ('s, 'm, 'r) protocol = ('s, 'm, 'r) Kernel.protocol = {
           any lane of a sharded run. Runs that start every node at time
           0 call it once per node up front; lazily started runs
           ([?starters]) call it only for the nodes they touch, at first
-          touch, plus once for node 0 in a sharded run (the filler of
-          untouched slots). *)
+          touch, plus once for node 0 when the run builds a
+          pre-assigned store (the filler of untouched slots): every
+          sharded run, and a single-shard one whose starters or touched
+          count pass n/8. *)
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
       (** Invoked once per node at time 0 (the instant the one-shot
           requests are issued). Completions here have delay 0. *)
@@ -181,9 +183,9 @@ val top_loaded : ?k:int -> int array -> (int * int) list
 val top_loaded_pairs : ?k:int -> (int * int) list -> (int * int) list
 (** As {!top_loaded} for callers that track loads sparsely as
     [(node, load)] pairs rather than a dense per-node array — the
-    kernel, whose on-first-touch layout never materialises idle nodes,
-    builds its [busiest] payload through this helper. Pairs must be
-    unique per node. *)
+    kernel builds its [busiest] payload through this helper in either
+    slot layout, so idle nodes of a first-touch store are never
+    materialised for it. Pairs must be unique per node. *)
 
 type ('m, 'r) tap = ('m, 'r) Kernel.tap = {
   passive : bool;

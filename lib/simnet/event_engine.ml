@@ -1,6 +1,7 @@
 (* Implicit-topology entry point into the round kernel. See
    event_engine.mli. One shard; the kernel assigns slots on first touch
-   when ?starters is given and pre-assigns them otherwise. *)
+   when ?starters is given, until the run touches more than n/8 nodes,
+   and pre-assigns them otherwise. *)
 
 module Itopo = Countq_topology.Implicit
 

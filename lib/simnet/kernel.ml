@@ -40,28 +40,34 @@
    assigned one of two ways:
    - pre-assigned (slot = node, arrays sized n up front, a node's
      neighbour array read at its first touch — and, with ?starters, its
-     initial state computed then too, on its owning lane): every sharded
-     run, and every run in which all nodes start at time 0;
+     initial state computed then too, on its owning lane);
    - on first touch (a dense node -> slot map, a hash table above
-     2^22 nodes; arrays grown by doubling): single-shard runs that name
-     ?starters.
-   A queue owns no buffer: its messages sit in cells of one per-shard
-   pool (see "message cells" below), so a quiet node holds nothing
-   beyond its per-slot words, in either layout, without any sweep.
+     2^22 nodes; arrays grown by doubling).
+   The run picks the layout from what it touches. Every sharded run and
+   every run in which all nodes start at time 0 is pre-assigned. A
+   single-shard run that names ?starters begins on first touch unless
+   its starters already pass n/8, and switches once, for good, to the
+   pre-assigned store at the first round boundary at which it has
+   touched more than n/8 nodes ([first_touch_share] derives the
+   share). A queue owns no buffer: its messages sit in cells of one
+   per-shard pool (see "message cells" below), so a quiet node holds
+   nothing beyond its per-slot words, in either layout, without any
+   sweep.
 
    Each domain keeps one spare pre-assigned store in Domain.DLS: the
    int arrays inq_off, inq_ring, out_ring, rr and pending, the nbrs
    array (all [||]: it is reset when handed back, so no neighbour array
-   stays alive) and the on_send, on_recv and seen bytes. A pre-assigned
-   run takes it on the coordinator (worker lanes never touch it), uses
-   each array that is long enough after clearing the prefix it needs,
-   allocates any that is too short, and hands its arrays back when it
-   returns normally. Only the first-touch layout reads these arrays'
-   lengths, so a longer array is safe. The states array is never kept.
-   What a domain retains is one store's int arrays and bytes at the
-   size of its largest pre-assigned run so far (5n + 2m words and 3n
-   bytes); back-to-back runs then stop mapping a second set while the
-   dead first one waits for the major GC.
+   stays alive) and the on_send, on_recv and seen bytes. A run takes it
+   on the coordinator (worker lanes never touch it) when it builds its
+   pre-assigned store, at entry or at the switch; it uses each array
+   that is long enough after clearing the prefix it needs, allocates
+   any that is too short, and hands its arrays back when it returns
+   normally with the pre-assigned layout. Only the first-touch layout
+   reads these arrays' lengths, so a longer array is safe. The states
+   array is never kept. What a domain retains is one store's int arrays
+   and bytes at the size of its largest pre-assigned run so far (5n +
+   2m words and 3n bytes); back-to-back runs then stop mapping a second
+   set while the dead first one waits for the major GC.
 
    The one shard rule for completions and tap events: a lane tags each
    with (phase, node) and buffers it; the coordinator replays the
@@ -325,10 +331,11 @@ type ('s, 'm, 'r) k = {
   config : config;
   protocol : ('s, 'm, 'r) protocol;
   neighbors : int -> int array;  (* read once per node, at first touch *)
+  degree : int -> int;  (* the length of [neighbors v] *)
   kshards : int;
   owner : int -> int;  (* the partition's; unused inline *)
   inline : bool;
-  dense : bool;  (* slots pre-assigned, else on first touch *)
+  mutable dense : bool;  (* slots pre-assigned, else on first touch *)
   lazy_start : bool;  (* ?starters given *)
   faulty : bool;  (* ?faults or ?dynamic given *)
   fr : Faults.runtime;
@@ -353,9 +360,9 @@ type ('s, 'm, 'r) k = {
   mutable inq_ring : int array;  (* incoming queue per link, packed *)
   mutable slots : int;
   mutable rings : int;
-  slot_map : int array;  (* on first touch, n <= dense_slot_limit *)
-  slot_tbl : (int, int) Hashtbl.t;  (* on first touch, above it *)
-  seen : Bytes.t;  (* pre-assigned with ?starters: touched nodes *)
+  mutable slot_map : int array;  (* on first touch, n <= dense_slot_limit *)
+  mutable slot_tbl : (int, int) Hashtbl.t;  (* on first touch, above it *)
+  mutable seen : Bytes.t;  (* pre-assigned with ?starters: touched nodes *)
   blocked : Bytes.t;  (* this round's verdicts: '\000' up, '\001' down,
                         '\002' crashed for good *)
   shards : ('s, 'm, 'r) shard array;
@@ -1181,113 +1188,6 @@ let next_event k =
     min due k.injections.(k.ginj_ptr).at
   else due
 
-(* Time 0 and the round loop. *)
-let execute k ~dispatch ~starters ~halt_after =
-  (* The one-shot requests are issued, in node order; no communication
-     yet. *)
-  let start s v =
-    let old = k.states.(s) in
-    let s', actions = k.protocol.on_start ~node:v old in
-    store k s old s';
-    apply_actions k k.shards.(owner_of k v) 0 s v 0 actions
-  in
-  (match starters with
-  | None ->
-      (match k.stats with Some c -> c.touched <- c.touched + k.n | None -> ());
-      for v = 0 to k.n - 1 do
-        k.nbrs.(v) <- k.neighbors v;
-        start v v
-      done
-  | Some l ->
-      let last = ref (-1) in
-      List.iter
-        (fun v ->
-          if v < 0 || v >= k.n then fail k "starter out of range";
-          if v <= !last then fail k "starters must be strictly ascending";
-          last := v;
-          start (materialise k k.shards.(owner_of k v) v) v)
-        l);
-  merge_deltas k;
-  replay k 0;
-  note_peak k;
-  let config = k.config in
-  let halt_cap = match halt_after with Some h -> max 0 h | None -> max_int in
-  let round = ref 0 in
-  let halted = ref false in
-  while
-    (not !halted)
-    && (k.outstanding > 0 || k.queued > 0 || k.held_count > 0
-       || k.ginj_ptr < Array.length k.injections
-       || wakes_pending k)
-  do
-    incr round;
-    let t = !round in
-    if t > halt_cap then halted := true
-    else begin
-      if t > config.max_rounds then raise_round_limit k;
-      (* Quiescent, with a passive tap: jump to the round before the
-         next held-message, wake or injection due round (one exists, or
-         the loop would have ended); the cap keeps the limit check above
-         authoritative. *)
-      let next =
-        if k.tap.passive && k.outstanding = 0 && k.queued = 0 then
-          next_event k
-        else t
-      in
-      if next > t then round := max t (min (next - 1) config.max_rounds)
-      else begin
-        if k.faulty then begin
-          flush_held k t;
-          send_faulty k t;
-          merge_deltas k;
-          note_peak k;
-          precompute_blocked k t
-        end
-        else dispatch job_send t;
-        dispatch job_deliver t;
-        merge_deltas k;
-        replay k t;
-        while
-          k.ginj_ptr < Array.length k.injections
-          && k.injections.(k.ginj_ptr).at <= t
-        do
-          k.ginj_ptr <- k.ginj_ptr + 1
-        done;
-        if round_end k t then halted := true
-      end
-    end
-  done
-
-(* Completions were pushed in chronological order, which for most
-   protocols (ascending node order within each phase) is already
-   strictly (round, node)-sorted — detect that and skip the sort. Any
-   tie or inversion falls back to the reference engine's exact assembly
-   (prepend-then-stable-sort), whose tie order is reverse insertion
-   order. *)
-let assemble k =
-  let comp = k.comp and len = k.comp_len in
-  let sorted = ref true in
-  for i = 1 to len - 1 do
-    let a = comp.(i - 1) and b = comp.(i) in
-    if a.round > b.round || (a.round = b.round && a.node >= b.node) then
-      sorted := false
-  done;
-  let completions =
-    if !sorted then List.init len (fun i -> comp.(i))
-    else
-      List.stable_sort
-        (fun (a : _ completion) (b : _ completion) ->
-          match compare a.round b.round with 0 -> compare a.node b.node | c -> c)
-        (List.rev (Array.to_list (Array.sub comp 0 len)))
-  in
-  {
-    completions;
-    rounds = Array.fold_left (fun a sh -> max a sh.last_active) 0 k.shards;
-    messages = k.messages;
-    max_link_backlog = Array.fold_left (fun a sh -> max a sh.max_backlog) 0 k.shards;
-    expansion = k.config.receive_capacity;
-  }
-
 (* ---------------- the spare pre-assigned store --------------------- *)
 
 (* The pre-assigned layout's int arrays and bytes, kept by each domain
@@ -1363,6 +1263,198 @@ let give_back k =
       sp_seen = k.seen;
     }
 
+(* Install the pre-assigned store (slot = node) in [k], built from
+   this domain's spare: at entry for a run that starts pre-assigned,
+   and in [switch_layout] for one that outgrows first touch. The states
+   are every node's initial state, or, in a lazily started run, one
+   shared filler until each node's first touch ([materialise]). The
+   filler is node 0's state, not a starter's: an injection-driven run
+   may name no starters at all. *)
+let preassign k =
+  let n = k.n in
+  let sp = take_spare () in
+  k.states <-
+    (if n = 0 then [||]
+     else if k.lazy_start then Array.make n (k.protocol.initial_state 0)
+     else Array.init n k.protocol.initial_state);
+  k.nbrs <- at_least sp.sp_nbrs n [||];
+  let inq_off = at_least sp.sp_inq_off n 0 in
+  let rings = ref 0 in
+  for v = 0 to n - 1 do
+    inq_off.(v) <- !rings;
+    rings := !rings + k.degree v
+  done;
+  k.inq_off <- inq_off;
+  k.rings <- !rings;
+  k.inq_ring <- cleared sp.sp_inq_ring !rings 0;
+  k.out_ring <- cleared sp.sp_out_ring n 0;
+  k.rr <- cleared sp.sp_rr n 0;
+  k.pending <- cleared sp.sp_pending n 0;
+  k.on_send <- cleared_bytes sp.sp_on_send n;
+  k.on_recv <- cleared_bytes sp.sp_on_recv n;
+  k.seen <- (if k.lazy_start then cleared_bytes sp.sp_seen n else sp.sp_seen);
+  k.slots <- n;
+  k.dense <- true
+
+(* A single-shard lazily started run keeps the first-touch store while
+   it has touched at most n / first_touch_share nodes, and switches to
+   the pre-assigned one at the first round boundary past that. Per node
+   the pre-assigned store costs 6 words (states, nbrs, inq_off,
+   out_ring, rr, pending) plus d queue words for degree d. The
+   first-touch store costs the n-word slot map plus 7 + d words per
+   touched slot (node_of too), up to twice that after a doubling, and
+   each doubling leaves its old arrays to the major GC. At t = n/8
+   slots that is at most n + (n/4)(7 + d) words: 3.75n on a torus
+   (d = 4), against the pre-assigned 10n. So a run that stays below
+   the share is cheaper first-touch, and one that passes it switches
+   before its first-touch store nears the pre-assigned size, holding
+   both only for the copy. Measured as bench/suite's peak RSS (three
+   reps each, 2-core VM): the open-loop arrow on torus:1000x1000 (rate
+   8, 88% of nodes touched) reads 186 MB first-touch throughout, 137 MB
+   switching at n/16, 142 MB at n/8, 153 MB at n/4 and 123 MB
+   pre-assigned from the start; the open-loop funnel on tree:64:10^6
+   (rate 2, 4.5% touched) stays first-touch at 71 MB, and reads 123 MB
+   switching at n/32, so the share must sit well above 4.5%. *)
+let first_touch_share = 8
+
+let crowded ~n touched = touched > n / first_touch_share
+
+(* Move a first-touch store to the pre-assigned layout, for good: slot
+   [s]'s words and its incoming queues (its [inq_ring] segment) go to
+   node [node_of.(s)]'s index and segment. Message cells, the worklists
+   and the wake and held heaps name cells or nodes, not slots, so they
+   stay. Runs between rounds only: [drain_free] and [recv_budget] hold
+   a slot across [touch]. *)
+let switch_layout k =
+  let slots = k.slots and node_of = k.node_of in
+  let states = k.states and nbrs = k.nbrs and inq_off = k.inq_off in
+  let inq_ring = k.inq_ring and out_ring = k.out_ring and rr = k.rr in
+  let pending = k.pending and on_send = k.on_send and on_recv = k.on_recv in
+  preassign k;
+  for s = 0 to slots - 1 do
+    let v = node_of.(s) in
+    k.states.(v) <- states.(s);
+    k.nbrs.(v) <- nbrs.(s);
+    Array.blit inq_ring inq_off.(s) k.inq_ring k.inq_off.(v) (Array.length nbrs.(s));
+    k.out_ring.(v) <- out_ring.(s);
+    k.rr.(v) <- rr.(s);
+    k.pending.(v) <- pending.(s);
+    Bytes.set k.on_send v (Bytes.get on_send s);
+    Bytes.set k.on_recv v (Bytes.get on_recv s);
+    Bytes.set k.seen v '\001'
+  done;
+  k.node_of <- [||];
+  k.slot_map <- [||];
+  k.slot_tbl <- no_slot_tbl
+
+(* Time 0 and the round loop. *)
+let execute k ~dispatch ~starters ~halt_after =
+  (* The one-shot requests are issued, in node order; no communication
+     yet. *)
+  let start s v =
+    let old = k.states.(s) in
+    let s', actions = k.protocol.on_start ~node:v old in
+    store k s old s';
+    apply_actions k k.shards.(owner_of k v) 0 s v 0 actions
+  in
+  (match starters with
+  | None ->
+      (match k.stats with Some c -> c.touched <- c.touched + k.n | None -> ());
+      for v = 0 to k.n - 1 do
+        k.nbrs.(v) <- k.neighbors v;
+        start v v
+      done
+  | Some l ->
+      let last = ref (-1) in
+      List.iter
+        (fun v ->
+          if v < 0 || v >= k.n then fail k "starter out of range";
+          if v <= !last then fail k "starters must be strictly ascending";
+          last := v;
+          start (materialise k k.shards.(owner_of k v) v) v)
+        l);
+  merge_deltas k;
+  replay k 0;
+  note_peak k;
+  let config = k.config in
+  let halt_cap = match halt_after with Some h -> max 0 h | None -> max_int in
+  let round = ref 0 in
+  let halted = ref false in
+  while
+    (not !halted)
+    && (k.outstanding > 0 || k.queued > 0 || k.held_count > 0
+       || k.ginj_ptr < Array.length k.injections
+       || wakes_pending k)
+  do
+    incr round;
+    let t = !round in
+    if t > halt_cap then halted := true
+    else begin
+      if t > config.max_rounds then raise_round_limit k;
+      (* Quiescent, with a passive tap: jump to the round before the
+         next held-message, wake or injection due round (one exists, or
+         the loop would have ended); the cap keeps the limit check above
+         authoritative. *)
+      let next =
+        if k.tap.passive && k.outstanding = 0 && k.queued = 0 then
+          next_event k
+        else t
+      in
+      if next > t then round := max t (min (next - 1) config.max_rounds)
+      else begin
+        if (not k.dense) && crowded ~n:k.n k.slots then switch_layout k;
+        if k.faulty then begin
+          flush_held k t;
+          send_faulty k t;
+          merge_deltas k;
+          note_peak k;
+          precompute_blocked k t
+        end
+        else dispatch job_send t;
+        dispatch job_deliver t;
+        merge_deltas k;
+        replay k t;
+        while
+          k.ginj_ptr < Array.length k.injections
+          && k.injections.(k.ginj_ptr).at <= t
+        do
+          k.ginj_ptr <- k.ginj_ptr + 1
+        done;
+        if round_end k t then halted := true
+      end
+    end
+  done
+
+(* Completions were pushed in chronological order, which for most
+   protocols (ascending node order within each phase) is already
+   strictly (round, node)-sorted — detect that and skip the sort. Any
+   tie or inversion falls back to the reference engine's exact assembly
+   (prepend-then-stable-sort), whose tie order is reverse insertion
+   order. *)
+let assemble k =
+  let comp = k.comp and len = k.comp_len in
+  let sorted = ref true in
+  for i = 1 to len - 1 do
+    let a = comp.(i - 1) and b = comp.(i) in
+    if a.round > b.round || (a.round = b.round && a.node >= b.node) then
+      sorted := false
+  done;
+  let completions =
+    if !sorted then List.init len (fun i -> comp.(i))
+    else
+      List.stable_sort
+        (fun (a : _ completion) (b : _ completion) ->
+          match compare a.round b.round with 0 -> compare a.node b.node | c -> c)
+        (List.rev (Array.to_list (Array.sub comp 0 len)))
+  in
+  {
+    completions;
+    rounds = Array.fold_left (fun a sh -> max a sh.last_active) 0 k.shards;
+    messages = k.messages;
+    max_link_backlog = Array.fold_left (fun a sh -> max a sh.max_backlog) 0 k.shards;
+    expansion = k.config.receive_capacity;
+  }
+
 let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
     ?halt_after ?stats ?starters ~n ~degree ~neighbors ~config ~protocol () =
   let fail msg = invalid_arg (who ^ ": " ^ msg) in
@@ -1395,36 +1487,14 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
   let inline = kshards = 1 in
   let faulty = Option.is_some faults || Option.is_some dynamic in
   (* With ?starters everyone else starts lazily at first touch, and
-     their on_start must produce no actions. *)
+     their on_start must produce no actions. A single-shard lazy run
+     starts on the first-touch store unless its starters alone crowd
+     it; see [first_touch_share]. *)
   let lazy_start = Option.is_some starters in
-  let dense = (not inline) || not lazy_start in
-  (* The pre-assigned store comes from this domain's spare where that is
-     long enough (the on-first-touch layout starts empty and grows). *)
-  let slots = if dense then n else 0 in
-  let sp = if dense then take_spare () else no_spare in
-  (* A lazily started pre-assigned store shares one filler until each
-     node's first touch ([materialise]). The filler is node 0's state,
-     not a starter's: an injection-driven run may name no starters at
-     all. *)
-  let states =
-    if not dense || n = 0 then [||]
-    else if lazy_start then Array.make n (protocol.initial_state 0)
-    else Array.init n protocol.initial_state
+  let dense =
+    (not inline)
+    || match starters with None -> true | Some l -> crowded ~n (List.length l)
   in
-  let nbrs = at_least sp.sp_nbrs slots [||] in
-  let inq_off = at_least sp.sp_inq_off slots 0 in
-  let rings = ref 0 in
-  for v = 0 to slots - 1 do
-    inq_off.(v) <- !rings;
-    rings := !rings + degree v
-  done;
-  let rings = !rings in
-  let inq_ring = cleared sp.sp_inq_ring rings 0 in
-  let out_ring = cleared sp.sp_out_ring slots 0 in
-  let rr = cleared sp.sp_rr slots 0 in
-  let pending = cleared sp.sp_pending slots 0 in
-  let on_send = cleared_bytes sp.sp_on_send slots in
-  let on_recv = cleared_bytes sp.sp_on_recv slots in
   let inj_of =
     if inline then [| injections |]
     else begin
@@ -1465,10 +1535,11 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
       config;
       protocol;
       neighbors;
+      degree;
       kshards;
       owner;
       inline;
-      dense;
+      dense = false;  (* [preassign] sets it *)
       lazy_start;
       faulty;
       fr = (match faults with Some fr -> fr | None -> Faults.start Faults.none);
@@ -1479,24 +1550,24 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
       stats;
       injections;
       ginj_ptr = 0;
-      states;
-      nbrs;
+      states = [||];
+      nbrs = [||];
       node_of = [||];
-      inq_off;
-      out_ring;
-      rr;
-      pending;
-      on_send;
-      on_recv;
-      inq_ring;
-      slots;
-      rings;
+      inq_off = [||];
+      out_ring = [||];
+      rr = [||];
+      pending = [||];
+      on_send = Bytes.empty;
+      on_recv = Bytes.empty;
+      inq_ring = [||];
+      slots = 0;
+      rings = 0;
       slot_map =
         (if (not dense) && n <= dense_slot_limit then Array.make n (-1) else [||]);
       slot_tbl =
         (if (not dense) && n > dense_slot_limit then Hashtbl.create 4096
          else no_slot_tbl);
-      seen = (if dense && lazy_start then cleared_bytes sp.sp_seen n else sp.sp_seen);
+      seen = Bytes.empty;
       blocked = (if faulty then Bytes.make n '\000' else Bytes.empty);
       shards;
       tx = (if inline then [||] else Array.init (kshards * kshards) (fun _ -> buf ()));
@@ -1511,6 +1582,7 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
       all_senders = Vec.create ~capacity:(if faulty && not inline then 16 else 1) ();
     }
   in
+  if dense then preassign k;
   if inline then
     execute k ~dispatch:(fun j t -> job k j shards.(0) t) ~starters ~halt_after
   else begin
@@ -1529,5 +1601,5 @@ let run ~who ?part ?pool ?faults ?dynamic ?tap ?sink ?(injections = [||])
         Option.iter (fun p -> Parallel.release p helpers) pool)
       (fun () -> execute k ~dispatch ~starters ~halt_after)
   end;
-  if dense then give_back k;
+  if k.dense then give_back k;
   assemble k

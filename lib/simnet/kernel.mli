@@ -28,7 +28,9 @@ type ('s, 'm, 'r) protocol = {
   initial_state : int -> 's;
       (** Must be pure: it may run on any lane. Runs with [?starters]
           call it only for touched nodes, at first touch — plus once for
-          node 0 in a sharded run, as the filler of untouched slots. *)
+          node 0 whenever the run builds a pre-assigned store (every
+          sharded run; a single-shard one whose starters or touched
+          count pass n/8), as the filler of untouched slots. *)
   on_start : node:int -> 's -> 's * ('m, 'r) action list;
   on_receive :
     round:int -> node:int -> src:int -> 'm -> 's -> 's * ('m, 'r) action list;
@@ -124,14 +126,24 @@ val run :
     from [pool]'s lane budget when given, else up to
     [Domain.recommended_domain_count () - 1] are spawned.
 
-    The slot layout follows from the arguments alone: a single-shard
-    run with [starters] assigns slots on first touch; every other run
-    pre-assigns slot = node. Either way, queued messages sit in one
-    pool of cells per shard, so a quiet node holds no buffers.
+    The slot layout follows from what the run touches. A sharded run,
+    or one without [starters], pre-assigns slot = node. A single-shard
+    run with [starters] assigns slots on first touch, and switches
+    once, for good, to slot = node at the first round boundary at which
+    it has touched more than n/8 nodes; if its starters alone pass
+    n/8, it pre-assigns from the start. Up to n/8 the first-touch store
+    (an n-word slot map plus at most twice 7 + degree words per touched
+    node) stays well under the pre-assigned one (6 + degree words per
+    node); past it, its doublings approach that size. Only slot
+    numbering moves, so results,
+    tap streams and [stats] are the same in either layout. Either way,
+    queued messages sit in one pool of cells per shard, so a quiet node
+    holds no buffers.
 
-    A pre-assigned run takes its per-slot int arrays and flag bytes
-    from a spare kept per domain (in [Domain.DLS]) when they are long
-    enough, and hands them back when it returns normally; the spare
+    A run takes the pre-assigned store's per-slot int arrays and flag
+    bytes from a spare kept per domain (in [Domain.DLS]) when they are
+    long enough, at entry or at the switch, and hands them back when it
+    returns normally with that layout; the spare
     holds no state and no neighbour array. So each domain retains, after
     its pre-assigned runs, one such store at the size of the largest so
     far: 5n + 2m words and 3n bytes for [n] nodes and [m] edges.

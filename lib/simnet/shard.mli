@@ -99,7 +99,7 @@ val run_implicit :
     [halt_after]; [stats]; [starters]). [partition] defaults to
     [Partition.contiguous]. [shards = 1] runs exactly as
     {!Event_engine.run}, including its on-first-touch store when
-    [starters] is given.
+    [starters] is given, until the run touches more than n/8 nodes.
 
     [stats] fields ([touched], [peak_in_flight], [executed_rounds])
     are bit-identical for every shard count.

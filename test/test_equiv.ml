@@ -1124,6 +1124,352 @@ let test_passivity_decides_fast_forward () =
     (run ~wake_at:1_000 (Some (counting false)));
   Alcotest.(check int) "active tap: every round seen" 1_000 !round_ends
 
+(* ------------------------------------------------------------------ *)
+(* The layout switch. A single-shard run with ?starters begins on the
+   first-touch store and moves, for good, to the pre-assigned one at
+   the first round boundary at which it has touched more than n/8
+   nodes; a run whose starters alone pass n/8 starts pre-assigned. Runs
+   whose touched count stays below, crosses or starts above n/8 — with
+   wakes, injections into untouched nodes, capacities up to 3, fault
+   plans, schedules and passive or active taps — must equal
+   Reference.run (result or round-limit payload, fault and churn
+   tallies, tap stream) and Shard.run_implicit at shards 2, whose store
+   is pre-assigned throughout (the same, plus the kernel's stats).    *)
+
+(* Starters send one to three bursts of walkers with [ttl] hops left;
+   each hop forks into zero to two walkers, so bursts pile up behind
+   receive capacities and the reach grows with [ttl]. With [wakes],
+   starters and receivers also ask for wakes, and a woken node sends. *)
+let spread_protocol ~starts ~ttl ~wakes ~seed ~graph =
+  let sends node h ttl k =
+    List.filter_map
+      (fun i ->
+        Option.map
+          (fun d -> Engine.Send (d, { Helpers.ttl; tag = Helpers.mix h i land 0xffff }))
+          (Helpers.pick_nbr graph node (Helpers.mix h i)))
+      (List.init k Fun.id)
+  in
+  {
+    Engine.name = "spread";
+    initial_state = (fun v -> Helpers.mix seed v);
+    on_start =
+      (fun ~node s ->
+        if not (List.mem node starts) then (s, [])
+        else
+          let h = Helpers.mix seed node in
+          ( s,
+            sends node h ttl (1 + (h mod 3))
+            @ if wakes && h lsr 3 mod 3 = 0 then [ Engine.Wake (1 + (h mod 4)) ] else [] ));
+    on_receive =
+      (fun ~round ~node ~src (m : Helpers.msg) s ->
+        let h = Helpers.mix (Helpers.mix s m.tag) (Helpers.mix src round) in
+        let acts = if m.ttl > 0 then sends node h (m.ttl - 1) (h mod 3) else [] in
+        let acts = if h mod 5 = 0 then Engine.Complete (node, m.tag) :: acts else acts in
+        let acts =
+          if wakes && h lsr 4 mod 6 = 0 then acts @ [ Engine.Wake (round + (h lsr 8 mod 3)) ]
+          else acts
+        in
+        (Helpers.mix s (m.tag + 1), acts));
+    on_wake =
+      (fun ~round ~node s ->
+        let h = Helpers.mix s (Helpers.mix round node) in
+        let acts = sends node h (h mod 3) (1 + (h mod 2)) in
+        (Helpers.mix s h, if h mod 3 = 0 then Engine.Complete (node, h land 0xff) :: acts else acts));
+  }
+
+type switch_tap = No_tap | Passive_tap | Active_tap
+
+type switch_case = {
+  sgraph : string * Graph.t;
+  starts : int list;
+  ttl : int;
+  sseed : int;
+  scfg : int * int * int * int;
+  stimer : timer;
+  injected : (int * int) list;  (* (round, node), sorted *)
+  shooks : hooks;
+  stap : switch_tap;
+}
+
+let switch_graph_gen =
+  let open QCheck2.Gen in
+  let* pick = int_range 0 5 in
+  let* n = int_range 24 160 in
+  let* gseed = int_range 0 10_000 in
+  return
+    (match pick with
+    | 0 -> (Printf.sprintf "path-%d" n, Gen.path n)
+    | 1 -> (Printf.sprintf "cycle-%d" n, Gen.cycle n)
+    | 2 ->
+        let side = 5 + (n mod 8) in
+        (Printf.sprintf "mesh-%dx%d" side side, Gen.square_mesh side)
+    | 3 -> (Printf.sprintf "star-%d" n, Gen.star n)
+    | 4 ->
+        ( Printf.sprintf "rtree-%d-%d" n gseed,
+          Gen.random_tree (Countq_util.Rng.create (Int64.of_int gseed)) n )
+    | _ ->
+        let d = 5 + (n mod 3) in
+        (Printf.sprintf "hypercube-%d" d, Gen.hypercube d))
+
+(* A few starters that walk far (the run crosses n/8), a few that walk
+   one or two hops (it stays below, mostly), or more than n/8 starters
+   (it starts pre-assigned). *)
+let switch_gen =
+  let open QCheck2.Gen in
+  let* ((_, graph) as sgraph) = switch_graph_gen in
+  let n = Graph.n graph in
+  let* regime = int_range 0 2 in
+  let* k, ttl =
+    match regime with
+    | 0 -> pair (int_range 1 (max 1 (n / 32))) (int_range 0 2)
+    | 1 -> pair (int_range 1 (n / 8)) (int_range 4 9)
+    | _ -> pair (int_range ((n / 8) + 1) (n / 2)) (int_range 0 6)
+  in
+  let* perm = shuffle_l (List.init n Fun.id) in
+  let starts = List.sort compare (List.filteri (fun i _ -> i < k) perm) in
+  let* sseed = int_range 0 100_000 in
+  let* rc = int_range 1 3 in
+  let* sc = int_range 1 3 in
+  let* arb = int_range 0 2 in
+  let* maxr = oneofl [ 8; 2_000; 2_000 ] in
+  let* stimer = oneofl [ No_timer; Wakes; Injections ] in
+  let* injected =
+    match stimer with
+    | Injections ->
+        map
+          (List.sort_uniq compare)
+          (list_size (int_range 1 12) (pair (int_range 1 8) (int_range 0 (n - 1))))
+    | _ -> return []
+  in
+  (* An injection is dropped where a wake would wait for its node, so
+     the injection runs meet no crash plan and no node churn. *)
+  let* plan =
+    match stimer with
+    | Injections -> oneofl [ 0; 0; 1; 2; 3; 4; 5; 6; 8 ]
+    | _ -> oneofl [ 0; 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+  in
+  let* dyn =
+    match stimer with Injections -> oneofl [ 0; 0; 1; 3 ] | _ -> oneofl [ 0; 0; 1; 2; 3 ]
+  in
+  let* stap = oneofl [ No_tap; Passive_tap; Active_tap ] in
+  return
+    {
+      sgraph;
+      starts;
+      ttl;
+      sseed;
+      scfg = (rc, sc, arb, maxr);
+      stimer;
+      injected;
+      shooks = { plan; dyn; with_metrics = false };
+      stap;
+    }
+
+let switch_print c =
+  let name, g = c.sgraph in
+  Printf.sprintf "%s (n=%d) starters={%s} ttl=%d seed=%d %s timer=%s injected=[%s] \
+                  plan=%s dyn=%s tap=%s"
+    name (Graph.n g)
+    (String.concat "," (List.map string_of_int c.starts))
+    c.ttl c.sseed (Helpers.config_label c.scfg)
+    (match c.stimer with No_timer -> "none" | Wakes -> "wakes" | Injections -> "injections")
+    (String.concat ";" (List.map (fun (t, v) -> Printf.sprintf "%d@%d" v t) c.injected))
+    (Helpers.plan_label c.shooks.plan) (Helpers.dyn_label c.shooks.dyn)
+    (match c.stap with No_tap -> "-" | Passive_tap -> "passive" | Active_tap -> "active")
+
+(* The kernel's protocol and injections, and the reference's protocol:
+   there, every injection is a wake asked for at time 0 that fires the
+   same closure. *)
+let switch_runs c =
+  let _, graph = c.sgraph in
+  let base =
+    spread_protocol ~starts:c.starts ~ttl:c.ttl ~wakes:(c.stimer = Wakes) ~seed:c.sseed
+      ~graph
+  in
+  let fire ~round ~node s = Helpers.fire ~seed:c.sseed ~graph ~round ~node s in
+  let injections =
+    Array.of_list
+      (List.map (fun (at, node) -> { Event.at; node; inject = fire ~round:at ~node }) c.injected)
+  in
+  let ticking =
+    {
+      base with
+      on_start =
+        (fun ~node s ->
+          let s, acts = base.on_start ~node s in
+          ( s,
+            acts
+            @ List.filter_map
+                (fun (t, v) -> if v = node then Some (Engine.Wake t) else None)
+                c.injected ));
+      on_wake =
+        (fun ~round ~node s ->
+          if List.mem (round, node) c.injected then fire ~round ~node s else (s, []));
+    }
+  in
+  (base, injections, if c.injected = [] then base else ticking)
+
+(* One run with fresh hooks and tap: what it returns or raises, the tap
+   stream, the fault and churn tallies, and the kernel's stats. *)
+let switch_capture c run =
+  let _, graph = c.sgraph in
+  let events = ref [] in
+  let tap =
+    match c.stap with
+    | No_tap -> None
+    | Passive_tap -> Some { (Helpers.recording_tap events) with passive = true }
+    | Active_tap -> Some (Helpers.recording_tap events)
+  in
+  let faults, dynamic = start_hooks ~hooks:c.shooks ~graph in
+  let stats = Event.fresh_stats () in
+  let outcome = Helpers.outcome (fun () -> run ?faults ?dynamic ?tap ~stats ()) in
+  ( ( outcome,
+      List.rev !events,
+      Option.map Faults.stats faults,
+      Option.map Dynamic.stats dynamic ),
+    (stats.touched, stats.executed_rounds, stats.peak_in_flight) )
+
+let switch_kernel ~shards c =
+  let _, graph = c.sgraph in
+  let config = Helpers.config_of c.scfg in
+  let protocol, injections, _ = switch_runs c in
+  let topo = Implicit.of_graph graph in
+  switch_capture c (fun ?faults ?dynamic ?tap ~stats () ->
+      match shards with
+      | 1 ->
+          Event.run ?faults ?dynamic ?tap ~stats ~injections ~starters:c.starts ~topo
+            ~config ~protocol ()
+      | k ->
+          Shard.run_implicit ~shards:k ~pool ?faults ?dynamic ?tap ~stats ~injections
+            ~starters:c.starts ~topo ~config ~protocol ())
+
+let switch_prop c =
+  let _, graph = c.sgraph in
+  let config = Helpers.config_of c.scfg in
+  let _, _, protocol = switch_runs c in
+  let one, stats_one = switch_kernel ~shards:1 c in
+  let two, stats_two = switch_kernel ~shards:2 c in
+  let reference, _ =
+    switch_capture c (fun ?faults ?dynamic ?tap ~stats:_ () ->
+        Reference.run ?faults ?dynamic ?tap ~graph ~config ~protocol ())
+  in
+  one = two && stats_one = stats_two && one = reference
+
+let equiv_switch =
+  QCheck2.Test.make ~count:400 ~name:"layout switch = reference and shards 2"
+    ~print:switch_print switch_gen switch_prop
+
+(* Where the cases above fall: starters past n/8, touched past n/8 from
+   fewer starters, or touched at most n/8. Each kind must be common. *)
+let test_switch_regimes () =
+  let cases = QCheck2.Gen.generate ~rand:(Random.State.make [| 34 |]) ~n:300 switch_gen in
+  let count = Array.make 3 0 in
+  List.iter
+    (fun c ->
+      let n = Graph.n (snd c.sgraph) in
+      let _, (touched, _, _) = switch_kernel ~shards:1 c in
+      let i =
+        if List.length c.starts > n / 8 then 2 else if touched > n / 8 then 1 else 0
+      in
+      count.(i) <- count.(i) + 1)
+    cases;
+  Array.iteri
+    (fun i label ->
+      if count.(i) < 50 then
+        Alcotest.failf "%d of 300 cases %s n/8 touched (want >= 50)" count.(i) label)
+    [| "stay below"; "cross"; "start above" |]
+
+(* A walker that never stops: node 0 sends three tokens round a cycle,
+   and every receiver passes each on. The limit falls after the run has
+   touched n/8 nodes and switched, or before, while [busiest] still
+   reads the first-touch store's node_of. *)
+let walker n =
+  {
+    Engine.name = "walker";
+    initial_state = (fun _ -> ());
+    on_start =
+      (fun ~node s ->
+        (s, if node = 0 then List.init 3 (fun i -> Engine.Send (1, i)) else []));
+    on_receive =
+      (fun ~round ~node ~src:_ m s ->
+        ( s,
+          Engine.Send ((node + 1) mod n, m)
+          :: (if m = 0 then [ Engine.Complete (node, round) ] else []) ));
+    on_wake = Engine.no_wake;
+  }
+
+let test_switch_round_limit () =
+  let n = 64 in
+  let graph = Gen.cycle n in
+  let topo = Implicit.of_graph graph in
+  let protocol = walker n in
+  List.iter
+    (fun max_rounds ->
+      let config = { Engine.default_config with max_rounds } in
+      let stats = Event.fresh_stats () in
+      let run f = Helpers.outcome f in
+      let one =
+        run (fun () -> Event.run ~stats ~starters:[ 0 ] ~topo ~config ~protocol ())
+      in
+      let label what = Printf.sprintf "max_rounds %d: %s" max_rounds what in
+      Alcotest.(check bool) (label "raises") true (Result.is_error one);
+      Alcotest.(check bool)
+        (label "switched iff past n/8")
+        (max_rounds > 20) (stats.touched > n / 8);
+      Alcotest.(check bool) (label "= reference") true
+        (one = run (fun () -> Reference.run ~graph ~config ~protocol ()));
+      Alcotest.(check bool) (label "= shards 2") true
+        (one
+        = run (fun () ->
+              Shard.run_implicit ~shards:2 ~pool ~starters:[ 0 ] ~topo ~config ~protocol ())))
+    [ 5; 40 ]
+
+(* Back to back on one domain: a run that switches hands back its
+   pre-assigned store, with stale queue words and touched flags; a
+   pre-assigned lazy run on a smaller graph and another switching run
+   reuse it. Each must equal Reference.run. *)
+let test_switch_back_to_back () =
+  let mesh side seed starts ttl =
+    let graph = Gen.square_mesh side in
+    ( graph,
+      spread_protocol ~starts ~ttl ~wakes:true ~seed ~graph,
+      starts,
+      { Engine.default_config with receive_capacity = 1 } )
+  in
+  let steps =
+    [
+      (`Crosses, mesh 12 5 [ 0; 77 ] 9);
+      (`Above, mesh 10 6 (List.init 20 (fun i -> 5 * i)) 3);
+      (`Crosses, mesh 12 7 [ 30; 100 ] 9);
+    ]
+  in
+  let kernel =
+    List.map
+      (fun (_, (graph, protocol, starters, config)) ->
+        let stats = Event.fresh_stats () in
+        let r =
+          Helpers.outcome (fun () ->
+              Event.run ~stats ~starters ~topo:(Implicit.of_graph graph) ~config
+                ~protocol ())
+        in
+        (r, stats.touched))
+      steps
+  in
+  List.iteri
+    (fun i ((regime, (graph, protocol, starters, config)), (r, touched)) ->
+      let n = Graph.n graph in
+      let label what = Printf.sprintf "run %d: %s" (i + 1) what in
+      (match regime with
+      | `Crosses ->
+          Alcotest.(check bool) (label "crosses n/8") true
+            (List.length starters <= n / 8 && touched > n / 8)
+      | `Above ->
+          Alcotest.(check bool) (label "starts above n/8") true
+            (List.length starters > n / 8));
+      Alcotest.(check bool) (label "= reference") true
+        (r = Helpers.outcome (fun () -> Reference.run ~graph ~config ~protocol ())))
+    (List.combine steps kernel)
+
 let suite =
   [
     Helpers.qcheck equiv_default;
@@ -1157,4 +1503,11 @@ let suite =
     Helpers.qcheck equiv_back_to_back;
     Alcotest.test_case "back-to-back runs on a two-lane pool = reference" `Quick
       test_back_to_back_pool;
+    Helpers.qcheck equiv_switch;
+    Alcotest.test_case "layout switch cases cover all three regimes" `Quick
+      test_switch_regimes;
+    Alcotest.test_case "round limit before and after a switch" `Quick
+      test_switch_round_limit;
+    Alcotest.test_case "back-to-back after a switched run = reference" `Quick
+      test_switch_back_to_back;
   ]

@@ -517,15 +517,15 @@ let test_tick_protocol_pinned () =
   let sh = Shard.run ~shards:3 ~pool ~graph ~config ~protocol () in
   Alcotest.(check bool) "ticking protocol pinned" true (seq = sh)
 
-(* Lazily started sharded runs compute a node's initial state at its
-   first touch, on its owning lane; only one filler state (node 0's) is
-   computed up front. A relay: every 7th node starts a token that walks
-   three hops right, each hop bumping the receiver's state in place —
-   so a slot still sharing the filler would leak one node's hits into
-   another's. *)
+(* Lazily started pre-assigned runs compute a node's initial state at
+   its first touch, on its owning lane; only one filler state (node 0's)
+   is computed up front. A relay: every [every]th node starts a token
+   that walks three hops right, each hop bumping the receiver's state in
+   place — so a slot still sharing the filler would leak one node's hits
+   into another's. *)
 type relay = { mutable hits : int }
 
-let relay_protocol ~n calls =
+let relay_protocol ~n ~every calls =
   {
     Engine.name = "relay";
     initial_state =
@@ -534,7 +534,7 @@ let relay_protocol ~n calls =
         { hits = v land 3 });
     on_start =
       (fun ~node s ->
-        if node mod 7 = 0 && node + 1 < n then (s, [ Engine.Send (node + 1, 3) ])
+        if node mod every = 0 && node + 1 < n then (s, [ Engine.Send (node + 1, 3) ])
         else (s, []));
     on_receive =
       (fun ~round:_ ~node ~src:_ ttl s ->
@@ -544,25 +544,31 @@ let relay_protocol ~n calls =
     on_wake = Engine.no_wake;
   }
 
+(* With every 7th node starting, the 286 starters pass n/8 = 250, so
+   every shard count starts pre-assigned. With every 64th, the run
+   touches 128 nodes and stays on the first-touch store at one shard,
+   which computes no filler. *)
 let test_lazy_initial_states () =
   let n = 2_000 in
   let topo = Implicit.list n in
-  let starters = List.filter (fun v -> v mod 7 = 0) (List.init n Fun.id) in
-  let run shards =
+  let run ~every shards =
+    let starters = List.filter (fun v -> v mod every = 0) (List.init n Fun.id) in
     let calls = Atomic.make 0 in
     let stats = Event.fresh_stats () in
     let res =
       Shard.run_implicit ~shards ~pool ~stats ~starters ~topo
-        ~config:Engine.default_config ~protocol:(relay_protocol ~n calls) ()
+        ~config:Engine.default_config ~protocol:(relay_protocol ~n ~every calls) ()
     in
     (res, stats.touched, Atomic.get calls)
   in
-  let seq, touched, seq_calls = run 1 in
-  Alcotest.(check int) "shards 1: one call per touched node" touched seq_calls;
+  let _, sparse_touched, sparse_calls = run ~every:64 1 in
+  Alcotest.(check int) "first touch: one call per touched node" sparse_touched
+    sparse_calls;
+  let seq, touched, _ = run ~every:7 1 in
   Alcotest.(check bool) "fewer touched than n" true (touched < n);
   List.iter
     (fun shards ->
-      let res, t, calls = run shards in
+      let res, t, calls = run ~every:7 shards in
       Alcotest.(check int) (Printf.sprintf "shards %d: touched" shards) touched t;
       Alcotest.(check int)
         (Printf.sprintf "shards %d: touched + the filler" shards)
@@ -570,7 +576,7 @@ let test_lazy_initial_states () =
       Alcotest.(check bool)
         (Printf.sprintf "shards %d: same result as shards 1" shards)
         true (res = seq))
-    [ 2; 3 ]
+    [ 1; 2; 3 ]
 
 let test_lazy_ticking_no_starters () =
   (* No starters: injections alone touch every node, so the filler must
@@ -654,6 +660,71 @@ let test_back_to_back_heap () =
   if words > 3.5 *. float_of_int n then
     Alcotest.failf "funnel allocated %.0f major words directly, over 3.5n" words
 
+(* Words each of [runs] allocates directly in the major heap, run
+   back to back on a fresh domain: it starts with no spare store, so
+   the first run counts every array it needs. *)
+let direct_words runs =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let direct () =
+           let s = Gc.quick_stat () in
+           s.major_words -. s.promoted_words
+         in
+         List.map
+           (fun run ->
+             let before = direct () in
+             let r = run () in
+             (r, direct () -. before))
+           runs))
+
+(* A single-shard open-loop arrow on torus:300x300 that touches 86% of
+   its nodes leaves the first-touch store once it passes n/8 touched
+   nodes. The pre-assigned store it switches to is 10n words here (six
+   per node plus four queue words); kept first-touch, the doublings of
+   every slot array and of the queue words cost over twice that. The
+   switched run hands that store back, so the same run again reuses
+   it. *)
+let test_dense_run_switches_heap () =
+  let topo = Implicit.torus ~dims:[ 300; 300 ] in
+  let n = float_of_int (Implicit.n topo) in
+  let run () =
+    Load.run ~seed:42L ~topo ~workload:Load.Queuing ~arrival:(Load.Poisson 16.)
+      ~horizon:256 ()
+  in
+  match direct_words [ run; run ] with
+  | [ (s, first); (_, again) ] ->
+      Alcotest.(check bool) "touches most nodes" true
+        (float_of_int s.Load.touched > 0.75 *. n);
+      (* Measured: 15.9n words, then 6.9n; 34.2n each with the
+         first-touch store kept throughout. *)
+      if first > 18. *. n then
+        Alcotest.failf "the run allocated %.1fn major words directly, over 18n"
+          (first /. n);
+      if again > 8. *. n then
+        Alcotest.failf "the second run allocated %.1fn major words directly, over 8n"
+          (again /. n)
+  | _ -> assert false
+
+(* A funnel on tree:64:100000 that touches 1.8% of its nodes stays on
+   the first-touch store: its n-word slot map and what it touches, well
+   under the 6n words (8n with the queue words) a pre-assigned store
+   would add. *)
+let test_sparse_run_stays_first_touch () =
+  let topo = Implicit.tree ~arity:64 100_000 in
+  let n = Implicit.n topo in
+  let run () =
+    Load.run ~seed:42L ~topo ~workload:Load.Funnel ~arrival:(Load.Poisson 2.)
+      ~horizon:512 ()
+  in
+  match direct_words [ run ] with
+  | [ (s, words) ] ->
+      Alcotest.(check bool) "touches under n/8" true (s.Load.touched < n / 8);
+      (* Measured: 2.7n words; 11.1n with the switch moved to n/64. *)
+      if words > 4. *. float_of_int n then
+        Alcotest.failf "the run allocated %.1fn major words directly, over 4n"
+          (words /. float_of_int n)
+  | _ -> assert false
+
 (* A hand-built table whose owners leave 0 .. shards-1 is refused at
    entry, before any lane indexes a shard with it. *)
 let test_bad_table_rejected () =
@@ -714,4 +785,8 @@ let suite =
       test_back_to_back_heap;
     Alcotest.test_case "partition: bad hand-built owners rejected at entry" `Quick
       test_bad_table_rejected;
+    Alcotest.test_case "a run past n/8 touched switches layout (heap)" `Quick
+      test_dense_run_switches_heap;
+    Alcotest.test_case "a sparse run stays first-touch (heap)" `Quick
+      test_sparse_run_stays_first_touch;
   ]
