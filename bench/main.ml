@@ -1,9 +1,9 @@
 (* Kernel micro-probes: Bechamel ns/run estimates for the hot inner
    kernels the experiments lean on (graph generation, spanning-tree
    choice, one-shot arrow, NN-TSP, the counting protocols, the counting
-   network routed along a path, the idle fast-forward, the sweep
-   protocol's one-active-node regime, bitonic pushes and the
-   contention lower bound), plus what an engine tap
+   network routed along a path, the open-loop arrow on a torus, the
+   idle fast-forward, the sweep protocol's one-active-node regime,
+   bitonic pushes and the contention lower bound), plus what an engine tap
    costs: the `+tap` probes attach a passive Metrics + Telemetry tap,
    the `+monitor` probe the spec's monitors (an active tap), each
    beside its untapped twin.
@@ -71,6 +71,7 @@ let kernel_tests () =
   let list_512 = Gen.path 512 in
   let list_512_tree = Spanning.best_for_arrow list_512 in
   let all_512 = List.init 512 (fun i -> i) in
+  let torus_300 = Countq_topology.Implicit.torus ~dims:[ 300; 300 ] in
   [
     Test.make ~name:"kernel:graph-mesh-16x16"
       (Staged.stage (fun () -> ignore (Gen.square_mesh 16)));
@@ -83,6 +84,15 @@ let kernel_tests () =
            ignore
              (Countq.Run.counting ~graph:list_512 ~protocol:`Network
                 ~requests:all_512 ())));
+    (* The open-loop arrow at one shard, as `countq load --quick -t
+       torus:300x300 -w queuing` runs its rate-1 row: it touches 18,065
+       of 90,000 nodes, so it starts on the first-touch store and
+       switches to the pre-assigned one mid-run. *)
+    Test.make ~name:"kernel:load-queuing-torus-300"
+      (Staged.stage (fun () ->
+           ignore
+             (Countq.Load.run ~topo:torus_300 ~workload:Countq.Load.Queuing
+                ~arrival:(Countq.Load.Poisson 1.) ~horizon:256 ())));
     Test.make ~name:"kernel:spanning-best-for-arrow"
       (Staged.stage (fun () -> ignore (Spanning.best_for_arrow mesh)));
     Test.make ~name:"kernel:arrow-one-shot-256"
