@@ -1,4 +1,4 @@
-.PHONY: all build test check clean examples report report-check bench bench-compare
+.PHONY: all build test check clean examples report report-check bench bench-compare size
 
 all: build
 
@@ -15,6 +15,13 @@ check:
 
 examples:
 	dune build @examples/all
+
+# The two sizes the roadmap's design aim tracks: lines of the .ml and
+# .mli files in lib/ and bin/, and the number of `val run*` entry points
+# in lib/'s interfaces.
+size:
+	@echo "lines (lib/ and bin/ .ml/.mli): $$(find lib bin -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
+	@echo "val run* in lib/*.mli: $$(grep -rh '^val run' lib --include=*.mli | wc -l)"
 
 report:
 	dune exec bin/countq_cli.exe -- report

@@ -54,7 +54,10 @@ let () =
   Format.printf "@.== part 2: fetch&add costs what counting costs ==@.";
   let rng = Rng.create 99L in
   let fa_requests = List.map (fun v -> (v, 1 + Rng.below rng 100)) requests in
-  let fa = FA.run_central ~graph:g ~requests:fa_requests () in
+  let fa =
+    FA.of_engine ~requests:fa_requests
+      (Oneshot.run (FA.central ~graph:g ~requests:fa_requests ()))
+  in
   let counting =
     Countq_counting.Counts.of_engine ~requests
       (Oneshot.run (Central.one_shot ~graph:g ~requests ()))

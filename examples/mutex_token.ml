@@ -25,7 +25,11 @@ let () =
   let arrivals =
     List.init 20 (fun i -> (Rng.below rng 64, (i * 2) + Rng.below rng 2))
   in
-  let run = Arrow.Protocol.run_long_lived ~tree ~arrivals () in
+  let schedule = Countq_simnet.Engine.schedule ~name:"mutex" ~n:(Tree.n tree) arrivals in
+  let run =
+    Arrow.Protocol.of_long_lived ~schedule
+      (Countq_simnet.Oneshot.run (Arrow.Protocol.long_lived ~tree ~schedule ()))
+  in
   let order =
     match run.order with
     | Ok ops -> ops

@@ -106,12 +106,12 @@ let of_completions completions =
       { Types.op; pred; found_at = c.node; round = c.round })
     completions
 
-let spec ~requests =
-  let expected = List.length requests in
+(* The queuing specification over [expected] ops, [id] naming each. *)
+let make_spec ~expected ~injects ~id =
   {
     Countq_simnet.Oneshot.expected;
-    injects = List.map (fun v -> (v, 0)) requests;
-    op_of_completion = (fun ((op : Types.op), _) -> Some op.origin);
+    injects;
+    op_of_completion = (fun (op, _) -> Some (id op));
     check =
       (fun completions ->
         if List.length completions <> expected then
@@ -131,3 +131,20 @@ let spec ~requests =
             ~pred:(function _, Types.Init -> None | _, Types.Op q -> Some (id q));
         ]);
   }
+
+let spec ~requests =
+  make_spec ~expected:(List.length requests)
+    ~injects:(List.map (fun v -> (v, 0)) requests)
+    ~id:(fun (op : Types.op) -> op.origin)
+
+let long_lived_spec ~schedule =
+  let n = Array.length schedule in
+  let id (op : Types.op) = (op.seq * n) + op.origin in
+  let injects =
+    List.concat
+      (List.init n (fun origin ->
+           List.mapi
+             (fun seq round -> (id { origin; seq }, round))
+             (Array.to_list schedule.(origin))))
+  in
+  make_spec ~expected:(List.length injects) ~injects ~id

@@ -39,6 +39,13 @@ val spec :
     monitor is [Monitor.chain_consistent], {!chain}'s online fragment.
     Completions name their op by its origin node. *)
 
+val long_lived_spec :
+  schedule:int array array -> (Types.op * Types.pred) Countq_simnet.Oneshot.spec
+(** {!spec} over every operation of an issue schedule
+    ([Countq_simnet.Engine.schedule]), for [Protocol.long_lived]: all
+    of them complete, in one chain. Operation [seq] of [origin] is
+    named [seq * n + origin] and injected at its issue round. *)
+
 val is_valid : Types.outcome list -> bool
 (** Whether {!chain} succeeds. *)
 

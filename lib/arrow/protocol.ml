@@ -101,56 +101,54 @@ let summarise outcomes (res : _ Engine.result) =
 let of_engine (res : (Types.op * Types.pred) Engine.result) =
   summarise (Order.of_completions res.completions) res
 
-(* The machine over [issue_rounds], and its config: the expanded step
-   of Section 4 unless [config] says otherwise. *)
-let setup ?config ?tail ~notify ~tree issue_rounds =
-  let tail = Option.value tail ~default:(Tree.root tree) in
-  check_tail tree tail;
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
-  in
-  (config, make_protocol ~tree ~tail ~issue_rounds ~notify)
-
-let one_shot_setup ?config ?tail ~notify ~tree ~requests name =
-  let requesting = Engine.requesting ~name ~n:(Tree.n tree) requests in
-  setup ?config ?tail ~notify ~tree (fun v -> if requesting.(v) then [ 0 ] else [])
-
-type checker_state = state
-type checker_msg = msg
-
-let one_shot_protocol ?tail ?(notify = false) ~tree ~requests () =
-  let _, protocol =
-    one_shot_setup ?tail ~notify ~tree ~requests "Arrow.one_shot_protocol"
-  in
-  protocol
-
-let one_shot ?config ?tail ?(notify = false) ~tree ~requests () =
-  let config, protocol =
-    one_shot_setup ?config ?tail ~notify ~tree ~requests "Arrow.one_shot"
-  in
-  {
-    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
-    config;
-    protocol;
-    spec = Order.spec ~requests;
-    (* One-shot ops are unique per origin, so the origin node ids the op. *)
-    op_of_msg =
-      (function Queue_msg (op : Types.op) | Notify { op; _ } -> Some op.origin);
-  }
-
-let run_long_lived ?config ?tail ?(notify = false) ~tree ~arrivals () =
-  let schedule =
-    Engine.schedule ~name:"Arrow.run_long_lived" ~n:(Tree.n tree) arrivals
-  in
-  let config, protocol =
-    setup ?config ?tail ~notify ~tree (fun v -> Array.to_list schedule.(v))
-  in
-  let res = Engine.run ~graph:(Tree.to_graph tree) ~config ~protocol () in
+let of_long_lived ~schedule (res : (Types.op * Types.pred) Engine.result) =
   summarise
     (List.map
        (fun (o : Types.outcome) ->
          { o with round = o.round - schedule.(o.op.origin).(o.op.seq) })
        (Order.of_completions res.completions))
     res
+
+(* The machine over [issue_rounds]. *)
+let setup ?tail ~notify ~tree issue_rounds =
+  let tail = Option.value tail ~default:(Tree.root tree) in
+  check_tail tree tail;
+  make_protocol ~tree ~tail ~issue_rounds ~notify
+
+(* [protocol] as an instance over [spec], with the expanded step of
+   Section 4 unless [config] says otherwise; spans name op [seq] of
+   [origin] as [seq * n + origin]. *)
+let instance ?config ~tree ~spec protocol =
+  let n = Tree.n tree in
+  {
+    Countq_simnet.Oneshot.graph = Tree.to_graph tree;
+    config =
+      (match config with
+      | Some c -> c
+      | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree)));
+    protocol;
+    spec;
+    op_of_msg =
+      (function
+      | Queue_msg (op : Types.op) | Notify { op; _ } -> Some ((op.seq * n) + op.origin));
+  }
+
+let one_shot_setup ?tail ~notify ~tree ~requests name =
+  let requesting = Engine.requesting ~name ~n:(Tree.n tree) requests in
+  setup ?tail ~notify ~tree (fun v -> if requesting.(v) then [ 0 ] else [])
+
+type checker_state = state
+type checker_msg = msg
+
+let one_shot_protocol ?tail ?(notify = false) ~tree ~requests () =
+  one_shot_setup ?tail ~notify ~tree ~requests "Arrow.one_shot_protocol"
+
+let one_shot ?config ?tail ?(notify = false) ~tree ~requests () =
+  instance ?config ~tree ~spec:(Order.spec ~requests)
+    (one_shot_setup ?tail ~notify ~tree ~requests "Arrow.one_shot")
+
+let long_lived ?config ?tail ?(notify = false) ~tree ~schedule () =
+  if Array.length schedule <> Tree.n tree then
+    invalid_arg "Arrow.long_lived: schedule size differs from the tree's";
+  instance ?config ~tree ~spec:(Order.long_lived_spec ~schedule)
+    (setup ?tail ~notify ~tree (fun v -> Array.to_list schedule.(v)))

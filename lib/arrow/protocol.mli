@@ -90,19 +90,25 @@ val of_engine :
     0) — the queuing twin of [Countq_counting.Counts.of_engine], shared
     by every queuing protocol. *)
 
-val run_long_lived :
+val long_lived :
   ?config:Countq_simnet.Engine.config ->
   ?tail:int ->
   ?notify:bool ->
   tree:Countq_topology.Tree.t ->
-  arrivals:(int * int) list ->
+  schedule:int array array ->
   unit ->
+  (checker_state, checker_msg, Types.op * Types.pred) Countq_simnet.Oneshot.t
+(** The long-lived scenario of Kuhn–Wattenhofer: the machine over an
+    issue [schedule] ([Countq_simnet.Engine.schedule]; node [v]'s
+    operation [seq] issues at [schedule.(v).(seq)]) as an instance over
+    {!Order.long_lived_spec}, options as {!one_shot}. Read a run with
+    {!of_long_lived}.
+    @raise Invalid_argument on a bad tail or a schedule without one row
+    per node. *)
+
+val of_long_lived :
+  schedule:int array array ->
+  (Types.op * Types.pred) Countq_simnet.Engine.result ->
   run_result
-(** [run_long_lived ~tree ~arrivals ()] executes the long-lived
-    scenario of Kuhn–Wattenhofer: [arrivals] is a list of
-    [(node, round)] pairs, [round >= 0]; a node may appear several
-    times (its operations get increasing [seq] numbers in round
-    order). Per-op delays are measured from each operation's issue
-    round. The Theorem 4.1 comparison against the nearest-neighbour
-    TSP bound lives in the [Countq] core library, which combines this
-    module with [Countq_tsp]. *)
+(** {!of_engine} for a run of {!long_lived} over [schedule]: each
+    operation's delay is measured from its issue round. *)

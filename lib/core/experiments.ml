@@ -626,8 +626,11 @@ let e13_long_lived_arrow ?quick:(quick = false) ?ctx () =
             arrivals := (Rng.below rng n, r) :: !arrivals
           done
         done;
-        let arrivals = !arrivals in
-        let run = Arrow.Protocol.run_long_lived ~tree ~arrivals () in
+        let schedule = Engine.schedule ~name:"E13" ~n !arrivals in
+        let run =
+          Arrow.Protocol.of_long_lived ~schedule
+            (Oneshot.run (Arrow.Protocol.long_lived ~tree ~schedule ()))
+        in
         let ops = List.length run.outcomes in
         let fifo =
           (* Raymond-style reversal is not FIFO: quantify whether this
@@ -635,25 +638,20 @@ let e13_long_lived_arrow ?quick:(quick = false) ?ctx () =
           match run.order with
           | Error _ -> "-"
           | Ok order ->
-              let schedule = Engine.schedule ~name:"E13" ~n arrivals in
               let issue (op : Arrow.Types.op) = schedule.(op.origin).(op.seq) in
-              let delay =
-                let tbl = Hashtbl.create 64 in
-                List.iter
-                  (fun (o : Arrow.Types.outcome) ->
-                    Hashtbl.replace tbl o.op o.round)
-                  run.outcomes;
-                Hashtbl.find tbl
-              in
-              if
-                Arrow.Order.respects_real_time ~issue
-                  ~complete:(fun op -> issue op + delay op)
-                  order
-              then "yes"
+              let delay = Hashtbl.create 64 in
+              List.iter
+                (fun (o : Arrow.Types.outcome) -> Hashtbl.replace delay o.op o.round)
+                run.outcomes;
+              let complete op = issue op + Hashtbl.find delay op in
+              if Arrow.Order.respects_real_time ~issue ~complete order then "yes"
               else "no"
         in
-        let net = Counting.Network.run_long_lived ~graph:g ~arrivals () in
-        let central = Counting.Central.run_long_lived ~graph:g ~arrivals () in
+        let counted inst =
+          Counting.Counts.of_long_lived ~schedule (Oneshot.run inst)
+        in
+        let net = counted (Counting.Network.long_lived ~graph:g ~schedule ()) in
+        let central = counted (Counting.Central.long_lived ~graph:g ~schedule ()) in
         let counter label (r : Counting.Counts.long_lived_result) =
           let ops = List.length r.outcomes in
           [
@@ -967,11 +965,12 @@ let e19_fetch_add ?quick:(quick = false) () =
           List.map (fun v -> (v, 1 + Rng.below rng 9)) (all_nodes n)
         in
         let counting_requests = all_nodes n in
-        let fa_central = FA.run_central ~graph:g ~requests () in
+        let fetch_add inst = FA.of_engine ~requests (Oneshot.run inst) in
+        let fa_central = fetch_add (FA.central ~graph:g ~requests ()) in
         let c_central =
           Run.counting ~graph:g ~protocol:`Central ~requests:counting_requests ()
         in
-        let fa_comb = FA.run_combining ~tree ~requests () in
+        let fa_comb = fetch_add (FA.combining ~tree ~requests ()) in
         let c_comb =
           Run.counting ~tree ~graph:g ~protocol:`Combining
             ~requests:counting_requests ()

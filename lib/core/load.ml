@@ -110,20 +110,18 @@ type summary = {
    implicit topology. A node's whole state is its link, which points
    toward the current queue tail (self when the node holds it), and
    queue(i) carries only the global op index [i]. Both are immediates,
-   so no receive or hop allocates a state or a message. Completion
-   values are op indices: the open-loop observable is the completion
-   instant.                                                            *)
+   so no receive or hop allocates a state or a message. The queue's
+   initial tail is node 0. Completion values are op indices: the
+   open-loop observable is the completion instant.                     *)
 
 type q_state = int
 type q_msg = Queue of int [@@unboxed]
 
-let queuing_protocol ~topo ~tail =
-  let nn = Implicit.n topo in
-  if tail < 0 || tail >= nn then invalid_arg "Load.run: tail out of range";
+let queuing_protocol ~topo =
   {
     Engine.name = "open-loop-arrow";
     initial_state =
-      (fun v -> if v = tail then v else Implicit.next_hop topo ~src:v ~dst:tail);
+      (fun v -> if v = 0 then v else Implicit.next_hop topo ~src:v ~dst:0);
     on_start = (fun ~node:_ s -> (s, []));
     on_receive =
       (fun ~round:_ ~node ~src (Queue i) (link : q_state) ->
@@ -140,15 +138,13 @@ let issue_q v i (link : q_state) =
 
 (* ------------------------------------------------------------------ *)
 (* Counting: a central fetch-and-add. Requests route hop-by-hop to the
-   centre, the counter increments, the response routes back; the
-   operation completes when its origin receives the response. State is
-   the counter (meaningful at the centre only).                        *)
+   centre (node n/2), the counter increments, the response routes back;
+   the operation completes when its origin receives the response. State
+   is the counter (meaningful at the centre only).                     *)
 
 type c_msg = { op_idx : int; resp : bool }
 
 let counting_protocol ~topo ~center ~origin_of =
-  let nn = Implicit.n topo in
-  if center < 0 || center >= nn then invalid_arg "Load.run: center out of range";
   {
     Engine.name = "open-loop-counter";
     initial_state = (fun _ -> 0);
@@ -415,13 +411,12 @@ let summarise_streaming ~workload ~topo ~arrival ~horizon ~cal ~stats ~sketch
     exemplars = Reservoir.exemplars reservoir;
   }
 
-let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
-    ?center ?drain ?(keep_spans = false) ?(streaming = false) ?(shards = 1)
-    ?pool ?telemetry ~topo ~workload ~arrival ~horizon () =
+let run ?(seed = 0xc0417L) ?drain ?(keep_spans = false) ?(streaming = false)
+    ?(shards = 1) ?pool ?telemetry ~topo ~workload ~arrival ~horizon () =
   (* A function: each workload's tap has its own completion type. *)
   let tap () = Option.map Telemetry.tap telemetry in
   let n = Implicit.n topo in
-  let center = match center with Some c -> c | None -> n / 2 in
+  let center = n / 2 and config = Engine.default_config in
   let drain = match drain with Some d -> max 0 d | None -> horizon in
   let cal = schedule ~seed arrival ~n ~horizon in
   let stats = Event.fresh_stats () in
@@ -454,7 +449,7 @@ let run ?(seed = 0xc0417L) ?(config = Engine.default_config) ?(tail = 0)
   let result =
     match workload with
     | Queuing ->
-        let protocol = queuing_protocol ~topo ~tail in
+        let protocol = queuing_protocol ~topo in
         let injections =
           Array.mapi
             (fun i (at, node) ->
@@ -516,8 +511,7 @@ type one_shot_summary = {
   os_max_delay : int;
 }
 
-let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
-    ?(shards = 1) ?pool ?stats ~topo ~workload ~requests () =
+let one_shot ?(shards = 1) ?pool ?stats ~topo ~workload ~requests () =
   (* One-shot delays are completion rounds (issue is at time 0), so the
      summary never looks at the completion values — the fold is
      polymorphic in them, which lets the funnel's [(origin, count)]
@@ -543,11 +537,10 @@ let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
       type s m r.
       protocol:(s, m, r) Engine.protocol -> unit -> r Engine.result =
    fun ~protocol () ->
-    Shard.run_implicit ~shards ?pool ?stats ~starters:requests ~topo ~config
-      ~protocol ()
+    Shard.run_implicit ~shards ?pool ?stats ~starters:requests ~topo
+      ~config:Engine.default_config ~protocol ()
   in
-  let n = Implicit.n topo in
-  let center = match center with Some c -> c | None -> n / 2 in
+  let center = Implicit.n topo / 2 in
   let req = Array.of_list requests in
   let nreq = Array.length req in
   (* Request [i] is issued at [req.(i)]; the kernel rejects starters
@@ -563,7 +556,7 @@ let one_shot ?(config = Engine.default_config) ?(tail = 0) ?center
   in
   match workload with
   | Queuing ->
-      let base = queuing_protocol ~topo ~tail in
+      let base = queuing_protocol ~topo in
       let protocol =
         {
           base with

@@ -103,9 +103,6 @@ type summary = {
 
 val run :
   ?seed:int64 ->
-  ?config:Countq_simnet.Engine.config ->
-  ?tail:int ->
-  ?center:int ->
   ?drain:int ->
   ?keep_spans:bool ->
   ?streaming:bool ->
@@ -121,11 +118,11 @@ val run :
 (** Compile the arrival schedule, run it, summarise. Arrivals land in
     rounds [1 .. horizon]; the run is cut off at [horizon + drain]
     (default [drain = horizon]), so a saturated workload reports
-    [unfinished > 0] instead of running away. [tail] seeds the arrow's
-    initial queue tail (default 0); [center] hosts the counter
-    (default [n / 2]). [telemetry] attaches a windowed time-series
-    recorder through {!Countq_simnet.Telemetry.tap} (any size — it is
-    O(windows)).
+    [unfinished > 0] instead of running away. The run uses the base
+    model ([Countq_simnet.Engine.default_config]); the arrow's initial
+    queue tail is node 0 and the counter sits at node [n / 2].
+    [telemetry] attaches a windowed time-series recorder through
+    {!Countq_simnet.Telemetry.tap} (any size — it is O(windows)).
 
     [streaming] (default false) folds every completion into a
     {!Countq_util.Sketch} and a {!Countq_simnet.Telemetry.Reservoir}
@@ -140,8 +137,7 @@ val run :
     {!Countq_simnet.Shard.run_implicit}; the summary is bit-identical
     for every shard count. Worker domains come from [pool]'s spare
     lanes when given, else are spawned directly (see {!Countq_simnet.Shard}).
-    @raise Invalid_argument if [horizon < 1], [shards < 1] or a node
-    argument is out of range.
+    @raise Invalid_argument if [horizon < 1] or [shards < 1].
     @raise Failure if a [Funnel] run hands out a count twice or one
     outside [1 .. injected]; the message names the first bad count. *)
 
@@ -156,9 +152,6 @@ type one_shot_summary = {
 }
 
 val one_shot :
-  ?config:Countq_simnet.Engine.config ->
-  ?tail:int ->
-  ?center:int ->
   ?shards:int ->
   ?pool:Countq_util.Parallel.pool ->
   ?stats:Countq_simnet.Event_engine.stats ->
@@ -168,6 +161,7 @@ val one_shot :
   unit ->
   one_shot_summary
 (** The closed one-shot scenario (everyone in [requests] issues at
-    time 0) on nodes materialised at first touch — E30's scenario.
-    Requests must be strictly ascending node ids; pass [stats] to collect the
+    time 0) on nodes materialised at first touch — E30's scenario, in
+    {!run}'s model and placement. Requests must be strictly ascending
+    node ids; pass [stats] to collect the
     laziness counters. [shards]/[pool] as in {!run}. *)

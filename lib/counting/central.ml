@@ -59,39 +59,36 @@ let machine ~root ~route ~graph ~issue_rounds ~increment =
 
 let auto_route graph = function Some r -> r | None -> Route.auto graph
 
+type checker_state = state
+type checker_msg = msg
+
 (* The one-shot machine: each requester issues once, at round 0, and
    every increment is 1. *)
-let prepare ~root ~route ~graph ~requests =
+let one_shot_protocol ?(root = 0) ?route ~graph ~requests () =
   let requesting = Engine.requesting ~name:"Central.one_shot" ~n:(Graph.n graph) requests in
   machine ~root ~route:(auto_route graph route) ~graph
     ~issue_rounds:(fun v -> if requesting.(v) then [ 0 ] else [])
     ~increment:(fun _ -> 1)
 
-type checker_state = state
-type checker_msg = msg
-
-let one_shot_protocol ?(root = 0) ?route ~graph ~requests () =
-  prepare ~root ~route ~graph ~requests
-
-let one_shot ?(config = Engine.default_config) ?(root = 0) ?route ~graph
-    ~requests () =
+let instance ~config ~graph ~spec protocol =
   {
     Countq_simnet.Oneshot.graph;
     config;
-    protocol = prepare ~root ~route ~graph ~requests;
-    spec = Counts.spec ~requests;
-    (* A one-shot op is named by its origin. *)
+    protocol;
+    spec;
     op_of_msg = (function Request { op } | Reply { op; _ } -> Some op);
   }
 
-let run_long_lived ?(config = Engine.default_config) ?(root = 0) ?route ~graph
-    ~arrivals () =
-  let schedule =
-    Engine.schedule ~name:"Central.run_long_lived" ~n:(Graph.n graph) arrivals
-  in
-  let protocol =
-    machine ~root ~route:(auto_route graph route) ~graph
-      ~issue_rounds:(fun v -> Array.to_list schedule.(v))
-      ~increment:(fun _ -> 1)
-  in
-  Counts.of_long_lived ~schedule (Engine.run ~graph ~config ~protocol ())
+let one_shot ?(config = Engine.default_config) ?root ?route ~graph ~requests ()
+    =
+  instance ~config ~graph ~spec:(Counts.spec ~requests)
+    (one_shot_protocol ?root ?route ~graph ~requests ())
+
+let long_lived ?(config = Engine.default_config) ?(root = 0) ?route ~graph
+    ~schedule () =
+  if Array.length schedule <> Graph.n graph then
+    invalid_arg "Central.long_lived: schedule size differs from the graph's";
+  instance ~config ~graph ~spec:(Counts.long_lived_spec ~schedule)
+    (machine ~root ~route:(auto_route graph route) ~graph
+       ~issue_rounds:(fun v -> Array.to_list schedule.(v))
+       ~increment:(fun _ -> 1))

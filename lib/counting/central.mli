@@ -20,8 +20,8 @@ val machine :
   issue_rounds:(int -> int list) ->
   increment:(int -> int) ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The one central machine behind {!one_shot}, {!run_long_lived} and
-    [Fetch_add.run_central]. Node [v] issues at the rounds
+(** The one central machine behind {!one_shot}, {!long_lived} and
+    [Fetch_add.central]. Node [v] issues at the rounds
     [issue_rounds v] (ascending; a one-shot requester's are [[0]]),
     naming its operation [seq] by [Counts.op]. The root adds
     [increment op] to its running sum in arrival order and hands out
@@ -61,18 +61,17 @@ val one_shot :
     base model (capacities 1/1) unless [config] says otherwise.
     @raise Invalid_argument on out-of-range or duplicate requests. *)
 
-val run_long_lived :
+val long_lived :
   ?config:Countq_simnet.Engine.config ->
   ?root:int ->
   ?route:Countq_simnet.Route.t ->
   graph:Countq_topology.Graph.t ->
-  arrivals:(int * int) list ->
+  schedule:int array array ->
   unit ->
-  Counts.long_lived_result
-(** The long-lived scenario: {!machine} over the
-    [Countq_simnet.Engine.schedule] of [(node, round)] arrivals (nodes
-    may repeat) with unit increments, defaults as {!one_shot}. The root
-    assigns ranks in arrival order; because it serialises, per-op delay
-    grows linearly with load — the baseline the long-lived arrow and
-    counting network are compared against in E13.
-    @raise Invalid_argument on bad arrivals. *)
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** {!machine} over an issue [schedule]
+    ([Countq_simnet.Engine.schedule]) with unit increments, as an
+    instance over {!Counts.long_lived_spec}; defaults as {!one_shot}.
+    Because the root serialises, per-op delay grows linearly with load:
+    E13's baseline for the long-lived arrow and counting network.
+    @raise Invalid_argument on a schedule without one row per node. *)

@@ -18,12 +18,26 @@ type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)
 
+val machine :
+  tree:Countq_topology.Tree.t ->
+  requests:int list ->
+  increment:(int -> int) ->
+  (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
+(** The one combining machine behind {!one_shot} and
+    [Fetch_add.combining]: subtrees report the sum of [increment] over
+    their requesters, and running sums come back down in DFS order to
+    the subtrees that hold one. Requester [v] completes with [(v, sum)],
+    the sum through its own increment: its rank when every increment is
+    1.
+    @raise Invalid_argument on out-of-range or duplicate requests. *)
+
 val one_shot_protocol :
   tree:Countq_topology.Tree.t ->
   requests:int list ->
   unit ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
-(** The raw protocol value ({!one_shot} without its spec and config),
+(** The raw protocol value ({!one_shot} without its spec and config:
+    {!machine} with unit increments),
     for benchmarks and equivalence harnesses that need to drive the
     same protocol through several engines. Remember {!one_shot}'s
     default config expands the step to the tree's maximum degree;

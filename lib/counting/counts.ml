@@ -20,7 +20,7 @@ type long_lived_result = {
    arrivals; byte marks catch an op completing twice or a rank handed
    out twice, so [m] distinct completions with ranks in 1..m are
    exactly every op once and the ranks {1..m}. *)
-let of_long_lived ~schedule (res : (int * int) Engine.result) =
+let long_lived_outcomes ~schedule completions =
   let n = Array.length schedule in
   let first = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
@@ -28,7 +28,7 @@ let of_long_lived ~schedule (res : (int * int) Engine.result) =
   done;
   let m = first.(n) in
   let completed = Bytes.make m '\000' and ranked = Bytes.make m '\000' in
-  let exact = ref (List.length res.completions = m) in
+  let exact = ref (List.length completions = m) in
   let mark marks i =
     if Bytes.get marks i <> '\000' then exact := false;
     Bytes.set marks i '\001'
@@ -50,15 +50,48 @@ let of_long_lived ~schedule (res : (int * int) Engine.result) =
         in
         if count >= 1 && count <= m then mark ranked (count - 1) else exact := false;
         { node; seq; count; delay = c.round - issued })
-      res.completions
+      completions
   in
+  (outcomes, !exact)
+
+let of_long_lived ~schedule (res : (int * int) Engine.result) =
+  let outcomes, counts_exact = long_lived_outcomes ~schedule res.completions in
   {
     outcomes;
-    counts_exact = !exact;
+    counts_exact;
     rounds = res.rounds;
     messages = res.messages;
     total_delay = List.fold_left (fun acc o -> acc + o.delay) 0 outcomes;
     max_delay = List.fold_left (fun acc o -> max acc o.delay) 0 outcomes;
+  }
+
+module Monitor = Countq_simnet.Monitor
+
+let long_lived_spec ~schedule =
+  let n = Array.length schedule in
+  let injects =
+    List.concat
+      (List.init n (fun node ->
+           List.mapi
+             (fun seq round -> (op ~n ~node ~seq, round))
+             (Array.to_list schedule.(node))))
+  in
+  {
+    Countq_simnet.Oneshot.expected = List.length injects;
+    injects;
+    op_of_completion = (fun ((op, _) : int * int) -> Some op);
+    check =
+      (fun completions ->
+        if snd (long_lived_outcomes ~schedule completions) then Ok ()
+        else Error "ranks are not exactly {1..m} over the scheduled operations");
+    (* One node's operations may overlap, so the ranks it receives need
+       not rise: only distinctness and one completion per op hold. *)
+    monitors =
+      (fun () ->
+        [
+          Monitor.distinct_ranks ~rank:snd;
+          Monitor.unique_completion ~node_of:(fun ~node:_ (op, _) -> op);
+        ]);
   }
 
 type outcome = { node : int; count : int; round : int }
@@ -159,8 +192,6 @@ let of_engine ~requests (res : (int * int) Engine.result) =
     max_delay = List.fold_left (fun acc o -> max acc o.round) 0 outcomes;
     expansion = res.expansion;
   }
-
-module Monitor = Countq_simnet.Monitor
 
 let spec ~requests =
   {

@@ -50,6 +50,14 @@ val of_long_lived :
     an O(1) lookup; an op the schedule does not name makes
     [counts_exact] false and has its delay measured from round 0. *)
 
+val long_lived_spec :
+  schedule:int array array -> (int * int) Countq_simnet.Oneshot.spec
+(** The counting specification over every {!op} of [schedule], each
+    injected at its issue round: the terminal check is
+    {!of_long_lived}'s [counts_exact], the safety monitors
+    [Monitor.distinct_ranks] and [unique_completion] per op (a node's
+    ops may overlap, so its ranks need not rise). *)
+
 (** {2 One-shot runs} *)
 
 type outcome = {

@@ -1,6 +1,8 @@
 (* Distributed fetch-and-add. See fetch_add.mli. *)
 
 module Engine = Countq_simnet.Engine
+module Monitor = Countq_simnet.Monitor
+module Oneshot = Countq_simnet.Oneshot
 module Route = Countq_simnet.Route
 module Graph = Countq_topology.Graph
 module Tree = Countq_topology.Tree
@@ -25,12 +27,11 @@ let pp_error ppf = function
 
 (* Each requester's increment by node ([-1] off the request set). *)
 let increments n requests name =
+  ignore (Engine.requesting ~name ~n (List.map fst requests));
   let inc = Array.make n (-1) in
   List.iter
     (fun (v, i) ->
-      if v < 0 || v >= n then invalid_arg (name ^ ": request out of range");
       if i < 0 then invalid_arg (name ^ ": negative increment");
-      if inc.(v) >= 0 then invalid_arg (name ^ ": duplicate request node");
       inc.(v) <- i)
     requests;
   inc
@@ -82,17 +83,20 @@ type run_result = {
   expansion : int;
 }
 
-(* Every runner completes an op as [(node, sum)], the running sum
+(* Every machine completes an op as [(node, sum)], the running sum
    through the node's own increment. *)
-let of_engine ~requests inc (res : (int * int) Engine.result) =
-  let outcomes =
-    List.map
-      (fun (c : _ Engine.completion) ->
-        let node, sum = c.value in
-        let increment = inc.(node) in
-        { node; increment; before = sum - increment; round = c.round })
-      res.completions
-  in
+let outcomes ~requests completions =
+  let inc = Hashtbl.create 16 in
+  List.iter (fun (v, i) -> Hashtbl.replace inc v i) requests;
+  List.map
+    (fun (c : _ Engine.completion) ->
+      let node, sum = c.value in
+      let increment = Option.value (Hashtbl.find_opt inc node) ~default:0 in
+      { node; increment; before = sum - increment; round = c.round })
+    completions
+
+let of_engine ~requests (res : (int * int) Engine.result) =
+  let outcomes = outcomes ~requests res.completions in
   {
     outcomes;
     valid = validate ~requests outcomes;
@@ -103,94 +107,48 @@ let of_engine ~requests inc (res : (int * int) Engine.result) =
     expansion = res.expansion;
   }
 
-(* ---- central accumulator: the central counter's machine ---- *)
+let spec ~requests =
+  {
+    Oneshot.expected = List.length requests;
+    injects = List.map (fun (v, _) -> (v, 0)) requests;
+    op_of_completion = (fun ((node, _) : int * int) -> Some node);
+    check =
+      (fun completions ->
+        match validate ~requests (outcomes ~requests completions) with
+        | Ok () -> Ok ()
+        | Error e -> Error (Format.asprintf "%a" pp_error e));
+    (* Zero increments share running sums, so only one completion per
+       requester is checked as the run goes. *)
+    monitors =
+      (fun () ->
+        [ Monitor.unique_completion ~node_of:(fun ~node:_ (origin, _) -> origin) ]);
+  }
 
-let run_central ?(config = Engine.default_config) ?(root = 0) ?route ~graph
-    ~requests () =
-  let inc = increments (Graph.n graph) requests "Fetch_add.run_central" in
+(* A counting machine's one-shot instance, rebuilt around [protocol]
+   (the machine with the callers' increments) and the fetch-and-add
+   spec. *)
+let with_increments ~requests (inst : _ Oneshot.t) protocol =
+  { inst with protocol; spec = spec ~requests }
+
+let central ?config ?(root = 0) ?route ~graph ~requests () =
+  let inc = increments (Graph.n graph) requests "Fetch_add.central" in
   let route = match route with Some r -> r | None -> Route.auto graph in
-  (* A one-shot op is named by its origin. *)
-  let protocol =
-    Central.machine ~root ~route ~graph
-      ~issue_rounds:(fun v -> if inc.(v) >= 0 then [ 0 ] else [])
-      ~increment:(fun op -> inc.(op))
-  in
-  of_engine ~requests inc (Engine.run ~graph ~config ~protocol ())
+  with_increments ~requests
+    (Central.one_shot ?config ~root ~route ~graph ~requests:(List.map fst requests) ())
+    (Central.machine ~root ~route ~graph
+       ~issue_rounds:(fun v -> if inc.(v) >= 0 then [ 0 ] else [])
+       ~increment:(fun op -> inc.(op)))
 
-(* ---- combining tree ---- *)
+let combining ?config ~tree ~requests () =
+  let inc = increments (Tree.n tree) requests "Fetch_add.combining" in
+  let nodes = List.map fst requests in
+  with_increments ~requests
+    (Combining.one_shot ?config ~tree ~requests:nodes ())
+    (Combining.machine ~tree ~requests:nodes ~increment:(fun v -> inc.(v)))
 
-type combining_msg =
-  | Report of int  (** sum of increments in the sender's subtree. *)
-  | Base of int  (** exclusive prefix granted to the receiver's subtree. *)
-
-type combining_state = { pending : int; reported : (int * int) list }
-
-let run_combining ?config ~tree ~requests () =
-  let root = Tree.root tree in
-  let inc = increments (Tree.n tree) requests "Fetch_add.run_combining" in
-  let increment v = max 0 inc.(v) in
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Engine.config_with_capacity (max 1 (Tree.max_degree tree))
-  in
-  (* Prefix layout within a granted subtree: the node's own operation
-     first, then each child subtree in increasing child order — the
-     same DFS order the counting combining tree uses. *)
-  let downsweep v s base =
-    let complete =
-      if inc.(v) >= 0 then [ Engine.Complete (v, base + inc.(v)) ] else []
-    in
-    let base = ref (base + increment v) in
-    let sends =
-      List.filter_map
-        (fun (child, subtree_sum) ->
-          (* A subtree with zero total may still hold zero-increment
-             requesters, so forward whenever the child reported at all
-             and has any requester below it; cheapest correct rule:
-             always forward (one message per tree edge). *)
-          let b = !base in
-          base := b + subtree_sum;
-          Some (Engine.Send (child, Base b)))
-        (List.sort compare s.reported)
-    in
-    (s, complete @ sends)
-  in
-  let subtree_sum v s =
-    increment v + List.fold_left (fun acc (_, c) -> acc + c) 0 s.reported
-  in
-  let finish_upsweep v s =
-    if v = root then downsweep v s 0
-    else (s, [ Engine.Send (Tree.parent tree v, Report (subtree_sum v s)) ])
-  in
-  let protocol =
-    {
-      Engine.name = "combining-fetch-add";
-      initial_state =
-        (fun v -> { pending = Array.length (Tree.children tree v); reported = [] });
-      on_start =
-        (fun ~node s -> if s.pending = 0 then finish_upsweep node s else (s, []));
-      on_receive =
-        (fun ~round:_ ~node ~src msg s ->
-          match msg with
-          | Report c ->
-              let s =
-                { pending = s.pending - 1; reported = (src, c) :: s.reported }
-              in
-              if s.pending = 0 then finish_upsweep node s else (s, [])
-          | Base b -> downsweep node s b);
-      on_wake = Engine.no_wake;
-    }
-  in
-  let graph = Tree.to_graph tree in
-  of_engine ~requests inc (Engine.run ~graph ~config ~protocol ())
-
-(* ---- token sweep: the sweep counter's machine ---- *)
-
-let run_sweep ?(config = Engine.default_config) ~tree ~requests () =
-  let inc = increments (Tree.n tree) requests "Fetch_add.run_sweep" in
-  let protocol =
-    Sweep.machine ~tree ~requests:(List.map fst requests)
-      ~increment:(fun v -> inc.(v))
-  in
-  of_engine ~requests inc (Engine.run ~graph:(Tree.to_graph tree) ~config ~protocol ())
+let sweep ?config ~tree ~requests () =
+  let inc = increments (Tree.n tree) requests "Fetch_add.sweep" in
+  let nodes = List.map fst requests in
+  with_increments ~requests
+    (Sweep.one_shot ?config ~tree ~requests:nodes ())
+    (Sweep.machine ~tree ~requests:nodes ~increment:(fun v -> inc.(v)))

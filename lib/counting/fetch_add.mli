@@ -12,11 +12,14 @@
 
     Three implementations mirror the counting portfolio: a central
     accumulator, a combining tree (upsweep sums, downsweep prefix
-    bases), and a token sweep. The central and sweep runs are the
-    counting machines themselves ({!Central.machine},
-    {!Sweep.machine}) with the callers' increments; the combining tree
-    is a machine of its own. All run on the same simulator and are
-    validated against the specification below. *)
+    bases), and a token sweep: the counting machines themselves
+    ({!Central.machine}, {!Combining.machine}, {!Sweep.machine}) fed
+    the callers' increments, as [Countq_simnet.Oneshot] instances over
+    the specification below:
+    {[
+      Fetch_add.of_engine ~requests
+        (Oneshot.run (Fetch_add.combining ~tree ~requests ()))
+    ]} *)
 
 type outcome = {
   node : int;
@@ -51,38 +54,45 @@ type run_result = {
   expansion : int;
 }
 
-val run_central :
+val of_engine :
+  requests:(int * int) list -> (int * int) Countq_simnet.Engine.result -> run_result
+(** Read a run of an instance below (completions [(node, sum)], the
+    running sum through the node's own increment) and {!validate} it.
+
+    Each instance is a counting machine's one-shot instance fed the
+    increments of [requests], checked by {!validate} and one completion
+    per requester; with unit increments its run is the counting run,
+    message for message. Each raises [Invalid_argument] on a request
+    out of range, a duplicate request node or a negative increment. *)
+
+val central :
   ?config:Countq_simnet.Engine.config ->
   ?root:int ->
   ?route:Countq_simnet.Route.t ->
   graph:Countq_topology.Graph.t ->
   requests:(int * int) list ->
   unit ->
-  run_result
-(** Central accumulator: {!Central.machine} with the callers'
-    increments, so requests serialise at [root] (default 0) in arrival
-    order and the root hands out running sums. With unit increments
-    this is the central counter's one-shot run, message for message.
-    Defaults as [Central.one_shot]. *)
+  (Central.checker_state, Central.checker_msg, int * int) Countq_simnet.Oneshot.t
+(** {!Central.machine}: requests serialise at [root] (default 0) in
+    arrival order and the root hands out running sums. Defaults as
+    [Central.one_shot]. *)
 
-val run_combining :
+val combining :
   ?config:Countq_simnet.Engine.config ->
   tree:Countq_topology.Tree.t ->
   requests:(int * int) list ->
   unit ->
-  run_result
-(** Combining tree: DFS-order prefix sums, default expanded step of the
-    tree degree (as for the counting combining tree). A machine of its
-    own: it grants a base on every tree edge, where the counting
-    combining tree skips subtrees without requesters, so it is an
-    independent check of the counting tree's delays. *)
+  (Combining.checker_state, Combining.checker_msg, int * int)
+  Countq_simnet.Oneshot.t
+(** {!Combining.machine}: DFS-order running sums, granted only to
+    subtrees that hold a requester. Defaults as [Combining.one_shot]
+    (an expanded step of the tree degree). *)
 
-val run_sweep :
+val sweep :
   ?config:Countq_simnet.Engine.config ->
   tree:Countq_topology.Tree.t ->
   requests:(int * int) list ->
   unit ->
-  run_result
-(** Token sweep: {!Sweep.machine} with the callers' increments, the
-    token accumulating the running sum along the Euler tour. With unit
-    increments this is the sweep counter's one-shot run. *)
+  (Sweep.checker_state, Sweep.checker_msg, int * int) Countq_simnet.Oneshot.t
+(** {!Sweep.machine}: the token accumulates the running sum along the
+    Euler tour. Defaults as [Sweep.one_shot]. *)

@@ -1,7 +1,6 @@
 (* Combining-funnel counter. See funnel.mli. *)
 
 module Engine = Countq_simnet.Engine
-module Shard = Countq_simnet.Shard
 module Tree = Countq_topology.Tree
 module Implicit = Countq_topology.Implicit
 
@@ -155,39 +154,23 @@ let implicit_protocol ~topo ~requests () =
 
 (* Explicit config > caller-chosen width > adaptive width, always
    capped by the tree's actual maximum degree. *)
-let default_config ?width ~max_degree ~n ~requests () =
-  let w =
-    match width with
-    | Some w -> w
-    | None -> adaptive_width ~n ~concurrency:(List.length requests)
-  in
-  Engine.config_with_capacity (max 1 (min max_degree w))
-
 let one_shot ?config ?width ~tree ~requests () =
+  let config =
+    match config with
+    | Some c -> c
+    | None ->
+        let w =
+          match width with
+          | Some w -> w
+          | None -> adaptive_width ~n:(Tree.n tree) ~concurrency:(List.length requests)
+        in
+        Engine.config_with_capacity (max 1 (min (Tree.max_degree tree) w))
+  in
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
-    config =
-      (match config with
-      | Some c -> c
-      | None ->
-          default_config ?width ~max_degree:(Tree.max_degree tree)
-            ~n:(Tree.n tree) ~requests ());
+    config;
     protocol = prepare_tree ~tree ~requests "Funnel.one_shot";
     spec = Counts.spec ~requests;
     (* Batches combine whole subtrees: no message serves a single op. *)
     op_of_msg = (fun _ -> None);
   }
-
-let run_implicit ?config ?width ?shards ?pool ?stats ~topo ~requests () =
-  let protocol = prepare_implicit ~topo ~requests "Funnel.run_implicit" in
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        default_config ?width ~max_degree:(Implicit.max_degree topo)
-          ~n:(Implicit.n topo) ~requests ()
-  in
-  let starters = List.sort Int.compare requests in
-  let shards = Option.value shards ~default:1 in
-  Counts.of_engine ~requests
-    (Shard.run_implicit ~shards ?pool ?stats ~starters ~topo ~config ~protocol ())

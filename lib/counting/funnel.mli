@@ -48,24 +48,6 @@ val adaptive_width :
     (∝ 1/log width). Shared with the diffracting tree's width
     selection. *)
 
-val run_implicit :
-  ?config:Countq_simnet.Engine.config ->
-  ?width:int ->
-  ?shards:int ->
-  ?pool:Countq_util.Parallel.pool ->
-  ?stats:Countq_simnet.Event_engine.stats ->
-  topo:Countq_topology.Implicit.t ->
-  requests:int list ->
-  unit ->
-  Counts.run_result
-(** [run_implicit ~topo ~requests ()] runs on an implicit tree family
-    through {!Countq_simnet.Shard.run_implicit} with [shards] (default
-    1) and [pool]; the result is bit-identical for every shard count.
-    [stats] receives the kernel's counters (touched nodes, peak
-    in-flight, executed rounds).
-    @raise Invalid_argument if [topo] is not a {!Countq_topology.Implicit.tree}
-    family, or on out-of-range or duplicate requests. *)
-
 type checker_state
 type checker_msg
 (** Abstract internals, exposed for engine-level harnesses. *)

@@ -161,25 +161,25 @@ let one_shot_protocol ?width ?net ?placement ?route ~graph ~requests () =
     ~issue_rounds:(fun v -> if requesting.(v) then [ 0 ] else [])
     ()
 
-let one_shot ?(config = Engine.default_config) ?width ?net ?placement ?route
-    ~graph ~requests () =
+let instance ~config ~graph ~spec protocol =
   {
     Countq_simnet.Oneshot.graph;
     config;
-    protocol = one_shot_protocol ?width ?net ?placement ?route ~graph ~requests ();
-    spec = Counts.spec ~requests;
-    (* A one-shot op is named by its origin. *)
+    protocol;
+    spec;
     op_of_msg = (function Token { op; _ } | Reply { op; _ } -> Some op);
   }
 
-let run_long_lived ?(config = Engine.default_config) ?width ?net ?placement
-    ?route ~graph ~arrivals () =
-  let schedule =
-    Engine.schedule ~name:"Network.run_long_lived" ~n:(Graph.n graph) arrivals
-  in
-  let protocol =
-    prepare "Network.run_long_lived" ?width ?net ?placement ?route ~graph
-      ~issue_rounds:(fun v -> Array.to_list schedule.(v))
-      ()
-  in
-  Counts.of_long_lived ~schedule (Engine.run ~graph ~config ~protocol ())
+let one_shot ?(config = Engine.default_config) ?width ?net ?placement ?route
+    ~graph ~requests () =
+  instance ~config ~graph ~spec:(Counts.spec ~requests)
+    (one_shot_protocol ?width ?net ?placement ?route ~graph ~requests ())
+
+let long_lived ?(config = Engine.default_config) ?width ?net ?placement ?route
+    ~graph ~schedule () =
+  if Array.length schedule <> Graph.n graph then
+    invalid_arg "Network.long_lived: schedule size differs from the graph's";
+  instance ~config ~graph ~spec:(Counts.long_lived_spec ~schedule)
+    (prepare "Network.long_lived" ?width ?net ?placement ?route ~graph
+       ~issue_rounds:(fun v -> Array.to_list schedule.(v))
+       ())

@@ -65,7 +65,7 @@ val one_shot :
   (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
 (** The one-shot instance over {!Counts.spec}, for the
     {!Countq_simnet.Oneshot} drivers: the long-lived machine of
-    {!run_long_lived} with every requester issuing once, at round 0.
+    {!long_lived} with every requester issuing once, at round 0.
     Every token and reply names its op's origin, so spans follow each
     op hop by hop. [width] defaults
     to [default_width n]; [net] to [Bitonic.create ~width] — pass
@@ -77,22 +77,21 @@ val one_shot :
     @raise Invalid_argument on a bad width/net combination or bad
     requests. *)
 
-val run_long_lived :
+val long_lived :
   ?config:Countq_simnet.Engine.config ->
   ?width:int ->
   ?net:Bitonic.t ->
   ?placement:placement ->
   ?route:Countq_simnet.Route.t ->
   graph:Countq_topology.Graph.t ->
-  arrivals:(int * int) list ->
+  schedule:int array array ->
   unit ->
-  Counts.long_lived_result
-(** The long-lived scenario counting networks were designed for, on
-    the one machine {!one_shot} also runs: [arrivals] is a list of
-    [(node, round)] pairs ([round >= 0]; a node may appear many times,
-    see [Countq_simnet.Engine.schedule]). Node [v]'s operation [seq]
-    becomes a token injected at its issue round on input wire
-    [(v + seq) mod width]; at quiescence the ranks handed out are
-    exactly [{1 .. m}] no matter how the tokens interleaved. Defaults
-    as {!one_shot}.
-    @raise Invalid_argument on bad arrivals. *)
+  (checker_state, checker_msg, int * int) Countq_simnet.Oneshot.t
+(** The long-lived scenario counting networks were designed for: the
+    machine of {!one_shot} over an issue [schedule]
+    ([Countq_simnet.Engine.schedule]) as an instance over
+    {!Counts.long_lived_spec}, defaults as {!one_shot}. Node [v]'s
+    operation [seq] enters on input wire [(v + seq) mod width]; the
+    ranks come out exactly [{1 .. m}] however the tokens interleave.
+    @raise Invalid_argument as {!one_shot}, or on a schedule without
+    one row per node. *)

@@ -42,8 +42,9 @@ let euler_walk tree =
     seq;
   Array.sub seq 0 (!last_new + 1)
 
-let make_protocol ~tree ~requesting ~increment =
+let make_protocol name ~tree ~requests ~increment =
   let n = Tree.n tree in
+  let requesting = Engine.requesting ~name ~n requests in
   let walk = euler_walk tree in
   (* Each requester's running sum through its own increment in
      first-visit order (its rank when every increment is 1); computed
@@ -88,24 +89,20 @@ let make_protocol ~tree ~requesting ~increment =
     on_wake = Engine.no_wake;
   }
 
-let prepare ~tree ~requests ~increment name =
-  make_protocol ~tree ~increment
-    ~requesting:(Engine.requesting ~name ~n:(Tree.n tree) requests)
-
 type checker_state = unit
 type checker_msg = int
 
 let machine ~tree ~requests ~increment =
-  prepare ~tree ~requests ~increment "Sweep.machine"
+  make_protocol "Sweep.machine" ~tree ~requests ~increment
 
 let one_shot_protocol ~tree ~requests () =
-  prepare ~tree ~requests ~increment:(fun _ -> 1) "Sweep.one_shot_protocol"
+  make_protocol "Sweep.one_shot_protocol" ~tree ~requests ~increment:(fun _ -> 1)
 
 let one_shot ?(config = Engine.default_config) ~tree ~requests () =
   {
     Countq_simnet.Oneshot.graph = Tree.to_graph tree;
     config;
-    protocol = prepare ~tree ~requests ~increment:(fun _ -> 1) "Sweep.one_shot";
+    protocol = make_protocol "Sweep.one_shot" ~tree ~requests ~increment:(fun _ -> 1);
     spec = Counts.spec ~requests;
     (* The token serves every operation at once, so no message maps to
        a single op: spans carry injection and completion only. *)

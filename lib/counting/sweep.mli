@@ -24,7 +24,7 @@ val machine :
   increment:(int -> int) ->
   (checker_state, checker_msg, int * int) Countq_simnet.Engine.protocol
 (** The one sweep machine behind {!one_shot} and
-    [Fetch_add.run_sweep]: the token walks the Euler tour of [tree]
+    [Fetch_add.sweep]: the token walks the Euler tour of [tree]
     from its root and hands each requester [v], on its first visit,
     the running sum of [increment] over the requesters visited so far,
     [v] included — its rank when every increment is 1. Completions are

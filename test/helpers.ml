@@ -31,6 +31,28 @@ let counted inst =
 let queued inst =
   Countq_arrow.Protocol.of_engine (Countq_simnet.Oneshot.run inst)
 
+(* The issue schedule of [(node, round)] arrivals on [n] nodes. *)
+let schedule ~n arrivals = Countq_simnet.Engine.schedule ~name:"test" ~n arrivals
+
+(* The plain run of a long-lived instance over the schedule of
+   [arrivals], read as counts or as a queue order; [instance] builds
+   it from the schedule. *)
+let counted_long_lived ~n arrivals instance =
+  let schedule = schedule ~n arrivals in
+  Countq_counting.Counts.of_long_lived ~schedule
+    (Countq_simnet.Oneshot.run (instance ~schedule))
+
+let queued_long_lived ~tree arrivals =
+  let schedule = schedule ~n:(Tree.n tree) arrivals in
+  Countq_arrow.Protocol.of_long_lived ~schedule
+    (Countq_simnet.Oneshot.run
+       (Countq_arrow.Protocol.long_lived ~tree ~schedule ()))
+
+(* The plain run of a fetch-and-add instance, read against the
+   increments its spec was built with. *)
+let added ~requests inst =
+  Countq_counting.Fetch_add.of_engine ~requests (Countq_simnet.Oneshot.run inst)
+
 (* QCheck generator: a small connected topology from the paper's zoo,
    tagged with a printable name. *)
 let topology_gen =

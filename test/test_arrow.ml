@@ -102,7 +102,7 @@ let test_bad_requests_rejected () =
 let test_long_lived_chain () =
   let g = Gen.square_mesh 4 in
   let arrivals = [ (3, 0); (9, 2); (3, 5); (14, 5); (0, 11) ] in
-  let r = Arrow.Protocol.run_long_lived ~tree:(tree_of g) ~arrivals () in
+  let r = Helpers.queued_long_lived ~tree:(tree_of g) arrivals in
   check_valid "long lived" r;
   Alcotest.(check int) "five ops" 5 (List.length r.outcomes);
   (* seq numbers distinguish repeat issuers *)
@@ -119,7 +119,7 @@ let test_long_lived_delay_measured_from_issue () =
   (* One op issued late on an idle network still has a small delay. *)
   let g = Gen.path 10 in
   let r =
-    Arrow.Protocol.run_long_lived ~tree:(tree_of g) ~arrivals:[ (9, 50) ] ()
+    Helpers.queued_long_lived ~tree:(tree_of g) [ (9, 50) ]
   in
   check_valid "late op" r;
   Alcotest.(check int) "delay = distance, not 50 + distance" 9 r.total_delay
@@ -129,7 +129,7 @@ let test_long_lived_same_round_bursts () =
      round 0) must all be issued — regression for a schedule-jam bug. *)
   let g = Gen.path 6 in
   let arrivals = [ (2, 0); (2, 0); (4, 3); (4, 3); (4, 3); (1, 7) ] in
-  let r = Arrow.Protocol.run_long_lived ~tree:(tree_of g) ~arrivals () in
+  let r = Helpers.queued_long_lived ~tree:(tree_of g) arrivals in
   check_valid "bursts" r;
   Alcotest.(check int) "all six ops issued" 6 (List.length r.outcomes)
 
@@ -199,7 +199,7 @@ let real_time_check g arrivals =
   (* Helper: run long-lived arrow and evaluate the real-time (FIFO)
      condition on the resulting order. *)
   let n = Graph.n g in
-  let r = Arrow.Protocol.run_long_lived ~tree:(tree_of g) ~arrivals () in
+  let r = Helpers.queued_long_lived ~tree:(tree_of g) arrivals in
   match r.order with
   | Error _ -> None
   | Ok order ->
@@ -241,7 +241,7 @@ let test_sequentialised_arrivals_are_fifo () =
   | Some true -> ()
   | Some false -> Alcotest.fail "sequential arrivals must be FIFO"
   | None -> Alcotest.fail "order must be valid");
-  let r = Arrow.Protocol.run_long_lived ~tree:(tree_of g) ~arrivals () in
+  let r = Helpers.queued_long_lived ~tree:(tree_of g) arrivals in
   match r.order with
   | Ok order ->
       Alcotest.(check (list int)) "issue order preserved" [ 10; 3; 0; 15; 7 ]

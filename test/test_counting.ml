@@ -111,14 +111,17 @@ let test_combining_subset () =
 let test_combining_empty () =
   let r = combining_on (Gen.perfect_tree ~arity:2 ~height:2) [] in
   Alcotest.(check int) "silent" 0 (List.length r.outcomes);
-  Alcotest.(check int) "no messages besides reports" r.messages r.messages;
+  (* One report per tree edge, and no subtree holds a requester. *)
+  Alcotest.(check int) "no messages besides reports" 6 r.messages;
   check_valid "empty" r
 
 let test_combining_root_only () =
   let r = combining_on (Gen.path 5) [ 0 ] in
   check_valid "root only" r;
   (* The root still needs its child's (empty) report before it can
-     assign rank 1 to itself: delay equals the upsweep time. *)
+     assign rank 1 to itself: delay equals the upsweep time. Nothing
+     goes back down the requester-free path. *)
+  Alcotest.(check int) "reports only" 4 r.messages;
   match r.outcomes with
   | [ o ] -> Alcotest.(check int) "rank 1" 1 o.count
   | _ -> Alcotest.fail "one outcome"
@@ -268,8 +271,15 @@ let test_funnel_implicit_matches_materialised () =
   let topo = Implicit.tree ~arity:3 40 in
   let tree = Tree.of_graph (Implicit.materialise topo) ~root:0 in
   let requests = [ 0; 5; 13; 14; 22; 39 ] in
-  let a = Helpers.counted (Funnel.one_shot ~tree ~requests ()) in
-  let b = Funnel.run_implicit ~topo ~requests () in
+  let inst = Funnel.one_shot ~tree ~requests () in
+  let a = Helpers.counted inst in
+  let b =
+    Counts.of_engine ~requests
+      (Countq_simnet.Shard.run_implicit ~starters:requests ~topo
+         ~config:inst.config
+         ~protocol:(Funnel.implicit_protocol ~topo ~requests ())
+         ())
+  in
   check_valid "materialised" a;
   check_valid "implicit" b;
   Alcotest.(check bool) "same outcomes" true (a.outcomes = b.outcomes);
@@ -323,7 +333,10 @@ let prop_funnel_async_spec =
 let test_central_long_lived () =
   let g = Gen.square_mesh 4 in
   let arrivals = [ (3, 0); (3, 0); (9, 2); (14, 5); (3, 5) ] in
-  let r = Central.run_long_lived ~graph:g ~arrivals () in
+  let r =
+    Helpers.counted_long_lived ~n:(Graph.n g) arrivals (fun ~schedule ->
+        Central.long_lived ~graph:g ~schedule ())
+  in
   Alcotest.(check int) "five ops" 5 (List.length r.outcomes);
   Alcotest.(check bool) "counts exact" true r.counts_exact;
   List.iter
@@ -344,7 +357,10 @@ let prop_central_long_lived_counts_exact =
         List.init m (fun _ ->
             (Countq_util.Rng.below rng n, Countq_util.Rng.below rng 15))
       in
-      let r = Central.run_long_lived ~graph:g ~arrivals () in
+      let r =
+        Helpers.counted_long_lived ~n:(Graph.n g) arrivals (fun ~schedule ->
+            Central.long_lived ~graph:g ~schedule ())
+      in
       r.counts_exact && List.length r.outcomes = m)
 
 let prop_central_spec =

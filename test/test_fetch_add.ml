@@ -4,6 +4,8 @@ module Gen = Countq_topology.Gen
 module Tree = Countq_topology.Tree
 module Spanning = Countq_topology.Spanning
 module FA = Countq_counting.Fetch_add
+module Oneshot = Countq_simnet.Oneshot
+module Trace = Countq_simnet.Trace
 module Rng = Countq_util.Rng
 
 let check_valid msg (r : FA.run_result) =
@@ -63,7 +65,8 @@ let random_requests rng ~k ~n =
 
 let test_central_line () =
   let g = Gen.path 8 in
-  let r = FA.run_central ~graph:g ~requests:[ (3, 7); (5, 2) ] () in
+  let requests = [ (3, 7); (5, 2) ] in
+  let r = Helpers.added ~requests (FA.central ~graph:g ~requests ()) in
   check_valid "central" r;
   Alcotest.(check int) "two outcomes" 2 (List.length r.outcomes)
 
@@ -74,7 +77,7 @@ let test_combining_matches_counting_when_unit () =
   let tree = Tree.of_graph g ~root:0 in
   let n = Tree.n tree in
   let requests = List.map (fun v -> (v, 1)) (Helpers.all_nodes n) in
-  let fa = FA.run_combining ~tree ~requests () in
+  let fa = Helpers.added ~requests (FA.combining ~tree ~requests ()) in
   check_valid "unit combining" fa;
   let counting =
     Helpers.counted
@@ -91,7 +94,7 @@ let test_combining_matches_counting_when_unit () =
 let test_sweep_running_sum () =
   let tree = path_tree 6 in
   let requests = [ (0, 4); (2, 1); (5, 3) ] in
-  let r = FA.run_sweep ~tree ~requests () in
+  let r = Helpers.added ~requests (FA.sweep ~tree ~requests ()) in
   check_valid "sweep" r;
   let before_of v =
     (List.find (fun (x : FA.outcome) -> x.node = v) r.outcomes).before
@@ -106,14 +109,14 @@ let test_zero_increments_everywhere () =
   List.iter
     (fun r -> check_valid "all zeros" r)
     [
-      FA.run_sweep ~tree ~requests ();
-      FA.run_combining ~tree ~requests ();
-      FA.run_central ~graph:(Gen.path 5) ~requests ();
+      Helpers.added ~requests (FA.sweep ~tree ~requests ());
+      Helpers.added ~requests (FA.combining ~tree ~requests ());
+      Helpers.added ~requests (FA.central ~graph:(Gen.path 5) ~requests ());
     ]
 
 let test_empty_requests () =
   let tree = path_tree 4 in
-  let r = FA.run_combining ~tree ~requests:[] () in
+  let r = Helpers.added ~requests:[] (FA.combining ~tree ~requests:[] ()) in
   check_valid "empty" r;
   Alcotest.(check int) "silent" 0 (List.length r.outcomes)
 
@@ -122,11 +125,8 @@ let test_delay_shape_matches_counting () =
      extra payload is free in the message-count model. *)
   let n = 64 in
   let g = Gen.star n in
-  let fa =
-    FA.run_central ~graph:g
-      ~requests:(List.map (fun v -> (v, 2)) (Helpers.all_nodes n))
-      ()
-  in
+  let requests = List.map (fun v -> (v, 2)) (Helpers.all_nodes n) in
+  let fa = Helpers.added ~requests (FA.central ~graph:g ~requests ()) in
   let c =
     Helpers.counted
       (Countq_counting.Central.one_shot ~graph:g ~requests:(Helpers.all_nodes n) ())
@@ -135,9 +135,11 @@ let test_delay_shape_matches_counting () =
 
 let test_rejects_negative_increment () =
   Alcotest.check_raises "negative"
-    (Invalid_argument "Fetch_add.run_central: negative increment") (fun () ->
-      ignore (FA.run_central ~graph:(Gen.path 3) ~requests:[ (1, -2) ] ()))
+    (Invalid_argument "Fetch_add.central: negative increment") (fun () ->
+      ignore (FA.central ~graph:(Gen.path 3) ~requests:[ (1, -2) ] ()))
 
+(* Valid prefix sums, which the instance's own spec also accepts, and
+   its monitors pass on a fault-free faulty run. *)
 let prop_all_protocols_valid =
   QCheck2.Test.make ~name:"fetch&add meets its spec on any instance"
     ~count:100 ~print:Helpers.instance_print Helpers.instance_gen
@@ -145,13 +147,16 @@ let prop_all_protocols_valid =
       let rng = Rng.create 31L in
       let requests = List.map (fun v -> (v, Rng.below rng 6)) nodes in
       let tree = Spanning.bfs g ~root:0 in
-      List.for_all
-        (fun (r : FA.run_result) -> Result.is_ok r.valid)
-        [
-          FA.run_central ~graph:g ~requests ();
-          FA.run_combining ~tree ~requests ();
-          FA.run_sweep ~tree ~requests ();
-        ])
+      let meets inst =
+        let res = Oneshot.run inst in
+        Result.is_ok (FA.of_engine ~requests res).valid
+        && inst.spec.check res.completions = Ok ()
+        && Countq_simnet.Monitor.all_pass
+             (Oneshot.faulty ~plan:Countq_simnet.Faults.none inst).monitors
+      in
+      meets (FA.central ~graph:g ~requests ())
+      && meets (FA.combining ~tree ~requests ())
+      && meets (FA.sweep ~tree ~requests ()))
 
 let prop_total_sum_conserved =
   QCheck2.Test.make ~name:"max prefix + its increment = total sum" ~count:80
@@ -161,42 +166,39 @@ let prop_total_sum_conserved =
       let requests = List.map (fun v -> (v, 1 + Rng.below rng 5)) nodes in
       let total = List.fold_left (fun acc (_, i) -> acc + i) 0 requests in
       let tree = Spanning.bfs g ~root:0 in
-      let r = FA.run_combining ~tree ~requests () in
+      let r = Helpers.added ~requests (FA.combining ~tree ~requests ()) in
       match
         List.sort (fun (a : FA.outcome) b -> compare b.before a.before) r.outcomes
       with
       | last :: _ -> last.before + last.increment = total
       | [] -> false)
 
-(* Counting is fetch-and-add with unit increments: the central and
-   sweep runs equal the counting runs on the same structure, message
-   for message, and every node's prefix is its rank minus one. *)
+(* Counting is fetch-and-add with unit increments: the central,
+   combining and sweep runs equal the counting runs on the same
+   structure, message for message (the same trace, so the combining
+   tree skips requester-free subtrees too), and every node's running
+   sum is its rank. *)
 let prop_unit_increments_are_counting =
   QCheck2.Test.make ~name:"fetch-and-add with unit increments is counting"
     ~count:200 ~print:Helpers.instance_print Helpers.instance_gen
     (fun (_, g, nodes) ->
       let requests = List.map (fun v -> (v, 1)) nodes in
       let tree = Spanning.bfs g ~root:0 in
-      let same (fa : FA.run_result) (c : Countq_counting.Counts.run_result) =
-        fa.rounds = c.rounds && fa.messages = c.messages
-        && List.sort compare
-             (List.map
-                (fun (o : FA.outcome) -> (o.node, o.before + 1, o.round))
-                fa.outcomes)
-           = List.sort compare
-               (List.map
-                  (fun (o : Countq_counting.Counts.outcome) ->
-                    (o.node, o.count, o.round))
-                  c.outcomes)
+      let traced inst =
+        let tap, events = Trace.tap () in
+        let res = Oneshot.run ~tap inst in
+        (res, events ())
       in
-      same
-        (FA.run_central ~graph:g ~requests ())
-        (Helpers.counted
-           (Countq_counting.Central.one_shot ~graph:g ~requests:nodes ()))
-      && same
-           (FA.run_sweep ~tree ~requests ())
-           (Helpers.counted
-              (Countq_counting.Sweep.one_shot ~tree ~requests:nodes ())))
+      let same fa c =
+        let res, events = traced fa in
+        Result.is_ok (FA.of_engine ~requests res).valid && (res, events) = traced c
+      in
+      same (FA.central ~graph:g ~requests ())
+        (Countq_counting.Central.one_shot ~graph:g ~requests:nodes ())
+      && same (FA.combining ~tree ~requests ())
+           (Countq_counting.Combining.one_shot ~tree ~requests:nodes ())
+      && same (FA.sweep ~tree ~requests ())
+           (Countq_counting.Sweep.one_shot ~tree ~requests:nodes ()))
 
 let suite =
   [

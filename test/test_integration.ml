@@ -346,9 +346,10 @@ let test_fetch_add_sum_agrees_across_protocols () =
         max acc (o.before + o.increment))
       0 r.outcomes
   in
-  let a = final (Counting.Fetch_add.run_central ~graph:g ~requests ()) in
-  let b = final (Counting.Fetch_add.run_combining ~tree ~requests ()) in
-  let c = final (Counting.Fetch_add.run_sweep ~tree ~requests ()) in
+  let final inst = final (Helpers.added ~requests inst) in
+  let a = final (Counting.Fetch_add.central ~graph:g ~requests ()) in
+  let b = final (Counting.Fetch_add.combining ~tree ~requests ()) in
+  let c = final (Counting.Fetch_add.sweep ~tree ~requests ()) in
   Alcotest.(check int) "central = combining" a b;
   Alcotest.(check int) "combining = sweep" b c
 

@@ -199,9 +199,13 @@ let test_funnel_one_shot () =
   Alcotest.(check int) "all completed" (List.length requests) s.os_completed;
   (* The same one-shot through the counting library's own driver. *)
   let r =
-    Countq_counting.Funnel.run_implicit
-      ~config:Countq_simnet.Engine.default_config ~topo:funnel_topo ~requests
-      ()
+    Countq_counting.Counts.of_engine ~requests
+      (Countq_simnet.Shard.run_implicit ~starters:requests ~topo:funnel_topo
+         ~config:Countq_simnet.Engine.default_config
+         ~protocol:
+           (Countq_counting.Funnel.implicit_protocol ~topo:funnel_topo ~requests
+              ())
+         ())
   in
   Alcotest.(check int) "rounds agree" r.Countq_counting.Counts.rounds
     s.os_rounds;

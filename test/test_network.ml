@@ -108,7 +108,10 @@ let test_long_lived_counts_exact () =
     List.init 40 (fun i ->
         (Countq_util.Rng.below rng 16, i / 2 + Countq_util.Rng.below rng 3))
   in
-  let r = Network.run_long_lived ~width:8 ~graph:g ~arrivals () in
+  let r =
+    Helpers.counted_long_lived ~n:(Graph.n g) arrivals (fun ~schedule ->
+        Network.long_lived ~width:8 ~graph:g ~schedule ())
+  in
   Alcotest.(check int) "all ops counted" 40 (List.length r.outcomes);
   Alcotest.(check bool) "counts exactly 1..m" true r.counts_exact;
   List.iter
@@ -119,7 +122,10 @@ let test_long_lived_counts_exact () =
 let test_long_lived_repeat_issuer () =
   let g = Gen.square_mesh 4 in
   let arrivals = [ (3, 0); (3, 0); (3, 5); (9, 2) ] in
-  let r = Network.run_long_lived ~width:4 ~graph:g ~arrivals () in
+  let r =
+    Helpers.counted_long_lived ~n:(Graph.n g) arrivals (fun ~schedule ->
+        Network.long_lived ~width:4 ~graph:g ~schedule ())
+  in
   Alcotest.(check int) "four ops" 4 (List.length r.outcomes);
   Alcotest.(check bool) "counts exact" true r.counts_exact;
   let seqs =
@@ -166,7 +172,10 @@ let prop_long_lived_counts_exact =
         List.init m (fun _ ->
             (Countq_util.Rng.below rng n, Countq_util.Rng.below rng 20))
       in
-      let r = Network.run_long_lived ~width:4 ~graph:g ~arrivals () in
+      let r =
+        Helpers.counted_long_lived ~n:(Graph.n g) arrivals (fun ~schedule ->
+            Network.long_lived ~width:4 ~graph:g ~schedule ())
+      in
       r.counts_exact && List.length r.outcomes = m)
 
 let prop_network_spec =

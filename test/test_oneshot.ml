@@ -170,46 +170,79 @@ let prop_protocols_pure =
       Oneshot.run { inst with protocol = Helpers.pure inst.protocol }
       = Oneshot.run inst)
 
-(* ---- a one-shot run is a long-lived run with every arrival at 0 ---- *)
+(* ---- long-lived instances ---- *)
 
+module Arrow = Countq_arrow.Protocol
+module Central = Countq_counting.Central
+module Network = Countq_counting.Network
+
+(* The same drivers reach the long-lived instances of the arrow, the
+   central counter and the counting network: up to three ops per node,
+   so one node's ops overlap, at random rounds below 256. That keeps
+   every gap inside the progress monitor's budget (1024 silent rounds
+   under Oneshot.faulty): its silence clock also runs while a node only
+   waits to issue, so a longer gap reads as a stall. *)
+let long_lived_gen =
+  let open QCheck2.Gen in
+  let* topo, g = Helpers.topology_gen in
+  let n = Graph.n g in
+  let* arrivals =
+    flatten_l
+      (List.init n (fun v ->
+           let* k = int_range 0 3 in
+           list_size (return k) (map (fun r -> (v, r)) (int_range 0 255))))
+  in
+  return (topo, g, List.concat arrivals)
+
+let long_lived_print (topo, _, arrivals) =
+  Printf.sprintf "%s with arrivals %s" topo
+    (String.concat ";"
+       (List.map (fun (v, r) -> Printf.sprintf "%d@%d" v r) arrivals))
+
+let long_lived_sound inst =
+  let plain = Oneshot.run inst in
+  drivers_agree inst
+  && inst.spec.check plain.completions = Ok ()
+  && Oneshot.run { inst with protocol = Helpers.pure inst.protocol } = plain
+
+let prop_long_lived_drivers =
+  QCheck2.Test.make
+    ~name:"long-lived instances: drivers agree, monitors pass, handlers pure"
+    ~count:150 ~print:long_lived_print long_lived_gen
+    (fun (_, graph, arrivals) ->
+      let schedule = Helpers.schedule ~n:(Graph.n graph) arrivals in
+      let tree = Countq_topology.Spanning.best_for_arrow graph in
+      long_lived_sound (Arrow.long_lived ~tree ~schedule ())
+      && long_lived_sound (Central.long_lived ~graph ~schedule ())
+      && long_lived_sound (Network.long_lived ~graph ~schedule ()))
+
+(* A one-shot run is the long-lived run with every arrival at 0, and
+   the long-lived converters read it as the one-shot ones do. *)
 let same_long_lived_run (_, graph, requests) =
-  let arrivals = List.map (fun v -> (v, 0)) requests in
+  let schedule =
+    Helpers.schedule ~n:(Graph.n graph) (List.map (fun v -> (v, 0)) requests)
+  in
   let tree = Countq_topology.Spanning.best_for_arrow graph in
-  let arrow =
-    let ll = Countq_arrow.Protocol.run_long_lived ~tree ~arrivals () in
-    let os = Helpers.queued (Countq_arrow.Protocol.one_shot ~tree ~requests ()) in
-    ll.rounds = os.rounds && ll.messages = os.messages
-    && List.sort compare ll.outcomes = List.sort compare os.outcomes
+  let counted res =
+    let ll = Countq_counting.Counts.of_long_lived ~schedule res in
+    let os = Countq_counting.Counts.of_engine ~requests res in
+    let ll_outcome (o : Countq_counting.Counts.long_lived_outcome) =
+      (o.node, o.count, o.delay)
+    and os_outcome (o : Countq_counting.Counts.outcome) =
+      (o.node, o.count, o.round)
+    in
+    ll.counts_exact = Result.is_ok os.valid
+    && List.map ll_outcome ll.outcomes = List.map os_outcome os.outcomes
   in
-  let counts (r : Countq_counting.Counts.run_result) =
-    List.sort compare
-      (List.map
-         (fun (o : Countq_counting.Counts.outcome) -> (o.node, o.count, o.round))
-         r.outcomes)
-  in
-  let central =
-    let ll = Countq_counting.Central.run_long_lived ~graph ~arrivals () in
-    let os = Helpers.counted (Countq_counting.Central.one_shot ~graph ~requests ()) in
-    ll.rounds = os.rounds && ll.messages = os.messages
-    && List.sort compare
-         (List.map
-            (fun (o : Countq_counting.Counts.long_lived_outcome) ->
-              (o.node, o.count, o.delay))
-            ll.outcomes)
-       = counts os
-  in
-  let network =
-    let ll = Countq_counting.Network.run_long_lived ~graph ~arrivals () in
-    let os = Helpers.counted (Countq_counting.Network.one_shot ~graph ~requests ()) in
-    ll.rounds = os.rounds && ll.messages = os.messages
-    && List.sort compare
-         (List.map
-            (fun (o : Countq_counting.Counts.long_lived_outcome) ->
-              (o.node, o.count, o.delay))
-            ll.outcomes)
-       = counts os
-  in
-  arrow && central && network
+  let arrow = Oneshot.run (Arrow.long_lived ~tree ~schedule ()) in
+  let central = Oneshot.run (Central.long_lived ~graph ~schedule ()) in
+  let network = Oneshot.run (Network.long_lived ~graph ~schedule ()) in
+  arrow = Oneshot.run (Arrow.one_shot ~tree ~requests ())
+  && Arrow.of_long_lived ~schedule arrow = Arrow.of_engine arrow
+  && central = Oneshot.run (Central.one_shot ~graph ~requests ())
+  && counted central
+  && network = Oneshot.run (Network.one_shot ~graph ~requests ())
+  && counted network
 
 let prop_long_lived_at_zero =
   QCheck2.Test.make
@@ -222,6 +255,7 @@ let suite =
     Helpers.qcheck prop_drivers_agree;
     Helpers.qcheck prop_reports_agree;
     Helpers.qcheck prop_explore_covers_engines;
+    Helpers.qcheck prop_long_lived_drivers;
     Helpers.qcheck prop_long_lived_at_zero;
     Helpers.qcheck prop_protocols_pure;
   ]
